@@ -8,6 +8,7 @@ space; membership is always computed, never stored.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, replace
@@ -31,6 +32,7 @@ __all__ = [
     "ObjectiveConstraint",
     "DesignProblem",
     "FeasibleRegion",
+    "lattice_sum",
     "load_problem",
     "quantify_requirement",
     "grid_cap",
@@ -115,10 +117,12 @@ class DesignProblem:
         for c in self.constraints:
             if c.surface not in names:
                 raise UnknownSurfaceReference(f"constraint references unknown surface {c.surface!r}")
+            if math.isnan(c.bound):
+                raise SchemaError(f"constraint on {c.surface!r} has a NaN bound")
         if self.ranking is not None and sorted(self.ranking) != list(range(n)):
             raise SchemaError(f"ranking {self.ranking} is not a permutation of 0..{n - 1}")
-        if self.tolerance <= 0:
-            raise SchemaError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise SchemaError(f"tolerance must be positive, got {self.tolerance!r}")
 
         for var, x in zip(self.variables, self.seed):
             if not var.ambient.contains(x):
@@ -239,17 +243,32 @@ class FeasibleRegion:
         (or one count per axis).  Entry order matches sequential
         row-major evaluation.
         """
+        return self.grid_values(self.grid_axes(resolution))[1]
+
+    def grid_values(self, axes: Sequence[np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Every surface's values on the product lattice of ``axes``, and its feasibility mask."""
         p = self.problem
-        axes = self.grid_axes(resolution)
-        shape = tuple(len(a) for a in axes)
-        mask = np.ones(shape, dtype=bool)
-        for s, bound in p.constrained_pairs():
-            z = np.full(shape, s.beta0)
-            for j, axis in enumerate(axes):
-                t = s.linear[j] * axis + s.quadratic[j] * axis * axis
-                z = z + t.reshape([-1 if k == j else 1 for k in range(p.dim)])
-            mask &= z <= bound
-        return mask
+        values = {
+            s.name: lattice_sum(s.beta0, [s.term(j, axis) for j, axis in enumerate(axes)])
+            for s in p.surfaces
+        }
+        mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
+        for c in p.constraints:
+            mask &= values[c.surface] <= c.bound
+        return values, mask
+
+
+def lattice_sum(beta0: float, per_axis: Sequence[np.ndarray]) -> np.ndarray:
+    """``beta0`` plus ``per_axis[j]`` along each axis j of their product lattice.
+
+    The one lattice evaluator: it adds in the order of ``evaluate``, so
+    every entry equals the scalar evaluation bit for bit.
+    """
+    n = len(per_axis)
+    total = np.full(tuple(len(v) for v in per_axis), beta0)
+    for j, v in enumerate(per_axis):
+        total = total + v.reshape([-1 if k == j else 1 for k in range(n)])
+    return total
 
 
 # --- loading and quantification ------------------------------------------

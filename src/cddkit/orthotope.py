@@ -17,13 +17,14 @@ maximality, since a strictly containing box must extend some face.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .designspace import DesignProblem, FeasibleRegion
+from .designspace import DesignProblem, FeasibleRegion, lattice_sum
 from .errors import (
     CapExceeded,
     CddError,
@@ -31,7 +32,7 @@ from .errors import (
     SchemaError,
     SeedNotContained,
 )
-from .surface import Interval
+from .surface import Interval, QuadraticResponseSurface
 
 __all__ = [
     "Orthotope",
@@ -226,15 +227,15 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None
 
 
 def _admitted_interval(
-    l: float,
-    q: float,
+    s: QuadraticResponseSurface,
+    j: int,
     budget: float,
     accept: float,
     seed: float,
     ambient: Interval,
     floor: Interval,
 ) -> tuple[float, float]:
-    """Largest interval around the seed where l*x + q*x**2 <= budget.
+    """Largest interval around the seed where the coordinate-j term of s is <= budget.
 
     ``accept`` (>= budget by the arithmetic noise allowance) decides
     whether the seed itself counts as inside the solution set; this
@@ -242,14 +243,16 @@ def _admitted_interval(
     budget exactly and roundoff puts the seed a hair past the boundary.
     The result is clamped to the ambient bounds and floored at the
     current (feasible) interval, so the caller can intersect results
-    across constraints without ever shrinking what it already has.
+    across constraints without ever shrinking what it already has; the
+    floor contains the seed.
     """
 
     def floored(lo: float, hi: float) -> tuple[float, float]:
-        return min(lo, floor.lo, seed), max(hi, floor.hi, seed)
+        return min(lo, floor.lo), max(hi, floor.hi)
 
-    no_growth = floored(floor.lo, floor.hi)
-    seed_ok = l * seed + q * seed * seed <= accept
+    l, q = s.linear[j], s.quadratic[j]
+    no_growth = floor.lo, floor.hi
+    seed_ok = s.term(j, seed) <= accept
 
     if abs(q) < COEFF_EPS and abs(l) < COEFF_EPS:
         # the coordinate has no effect on this constraint
@@ -307,9 +310,7 @@ def _expand_once(
         # pessimistic slack proportional to the budget's roundoff scale
         noise = (2 * problem.dim + 3) * _FLOAT_EPS * magnitude
         tau = bias * noise
-        alo, ahi = _admitted_interval(
-            s.linear[j], s.quadratic[j], rest - tau, rest + 4.0 * noise, seed_j, ambient, floor
-        )
+        alo, ahi = _admitted_interval(s, j, rest - tau, rest + 4.0 * noise, seed_j, ambient, floor)
         if alo > lo:
             lo, binding_lo = alo, s.name
         if ahi < hi:
@@ -320,7 +321,11 @@ def _expand_once(
     return Interval(lo, hi), binding_lo, binding_hi
 
 
-def _expand_step(problem: DesignProblem, box: Orthotope, j: int) -> tuple[Orthotope, ExpansionStep]:
+def _expand_step(
+    problem: DesignProblem, box: Orthotope, j: int, slacks: tuple[float, ...] | None
+) -> tuple[Orthotope, ExpansionStep, tuple[float, ...] | None]:
+    """One audited expansion of factor j, plus the slacks of the box it returns
+    (the input box's ``slacks`` on the numerical fallback, which keeps the box)."""
     if not box.intervals[j].contains(problem.seed[j]):
         raise SeedNotContained(
             f"interval {box.intervals[j]} of factor {j} does not contain seed {problem.seed[j]}"
@@ -333,15 +338,15 @@ def _expand_step(problem: DesignProblem, box: Orthotope, j: int) -> tuple[Orthot
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
         cand, blo, bhi = _expand_once(problem, box, j, bias)
-        ok, _ = region.is_box_feasible(box.replaced(j, cand).intervals)
+        ok, cand_slacks = region.is_box_feasible(box.replaced(j, cand).intervals)
         if ok:
-            interval, binding_lo, binding_hi = cand, blo, bhi
+            interval, binding_lo, binding_hi, slacks = cand, blo, bhi, cand_slacks
             break
     else:
         interval, binding_lo, binding_hi = before, "numerical", "numerical"
     new_box = box.replaced(j, interval)
     step = ExpansionStep(j, before, interval, binding_lo, binding_hi)
-    return new_box, step
+    return new_box, step, slacks
 
 
 def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
@@ -351,8 +356,7 @@ def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
     the seed coordinate, and cannot be extended at either endpoint by
     more than a hair without breaking a constraint or the ambient bound.
     """
-    new_box, _ = _expand_step(problem, box, j)
-    return new_box
+    return _expand_step(problem, box, j, None)[0]
 
 
 # --- greedy solve -----------------------------------------------------------
@@ -386,11 +390,8 @@ def solve_greedy(
 
     steps = []
     for j in order:
-        box, step = _expand_step(problem, box, j)
+        box, step, new_slacks = _expand_step(problem, box, j, slacks)
         steps.append(step)
-        ok, new_slacks = region.is_box_feasible(box.intervals)
-        if not ok:
-            raise CddError(f"internal error: box infeasible after expanding factor {j}")
         for old, new in zip(slacks, new_slacks):
             if new > old + 1e-9 * max(1.0, abs(old)):
                 raise CddError("internal error: constraint slack grew during expansion")
@@ -473,20 +474,6 @@ def _check_oracle_limits(problem: DesignProblem, resolution: int) -> None:
         raise CapExceeded(f"grid oracle supports at most {ORACLE_MAX_DIM} variables")
     if resolution > ORACLE_MAX_RESOLUTION:
         raise CapExceeded(f"grid oracle resolution capped at {ORACLE_MAX_RESOLUTION}")
-    if resolution < 2:
-        raise SchemaError("grid oracle needs at least 2 points per axis")
-
-
-def _candidate_feasible(region: FeasibleRegion, box: list[Interval]) -> bool:
-    analytic, _ = region.is_box_feasible(box)
-    if not analytic:
-        return False
-    # corner cross-check; implied by the analytic maximum but kept as a guard
-    ranges = [(iv.lo, iv.hi) if iv.lo != iv.hi else (iv.lo,) for iv in box]
-    corners = [[]]
-    for r in ranges:
-        corners = [c + [v] for c in corners for v in r]
-    return all(region.is_point_feasible(c)[0] for c in corners)
 
 
 def _grid_sweep(
@@ -512,7 +499,7 @@ def _grid_sweep(
             continue
         upper = float(max(g, seed_j))
         work[j] = Interval(min(box.intervals[j].lo, seed_j), upper)
-        if _candidate_feasible(region, work):
+        if region.is_box_feasible(work)[0]:
             hi = upper
         else:
             break
@@ -523,7 +510,7 @@ def _grid_sweep(
             continue
         lower = float(min(g, seed_j))
         work[j] = Interval(lower, max(hi, seed_j))
-        if _candidate_feasible(region, work):
+        if region.is_box_feasible(work)[0]:
             lo = lower
         else:
             break
@@ -539,10 +526,11 @@ def oracle_solve(
     """Desk-scale brute-force reference solver on the ambient lattice.
 
     Anchored at the seed point, factors expand over grid endpoints in
-    ranking order, each candidate tested by the analytic box maximum and
-    its corner evaluations.  A separate exhaustive max-volume grid box is
-    returned for comparison; that search runs on an internally reduced
-    grid above one dimension to stay tractable.
+    ranking order, each candidate tested by the exact analytic box
+    maximum, which bounds every corner evaluation.  A separate
+    exhaustive max-volume grid box is returned for comparison; that
+    search runs on an internally reduced grid above one dimension to
+    stay tractable.
     """
     _check_oracle_limits(problem, resolution)
     region = problem.region()
@@ -550,7 +538,7 @@ def oracle_solve(
     axes = region.grid_axes(resolution)
 
     box = Orthotope.point(problem.seed)
-    if not _candidate_feasible(region, list(box.intervals)):
+    if not region.is_box_feasible(box.intervals)[0]:
         raise InfeasibleInput("seed point box is infeasible")
     for j in order:
         lo, hi = _grid_sweep(region, axes, box, j, problem.seed[j])
@@ -593,16 +581,9 @@ def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
     shape = tuple(len(p) for p in pair_lists)
     feasible = np.ones(shape, dtype=bool)
     for i, (s, bound) in enumerate(problem.constrained_pairs()):
-        total = np.full(shape, s.beta0)
-        for j in range(n):
-            reshaped = term_tables[j][i].reshape([-1 if d == j else 1 for d in range(n)])
-            total = total + reshaped
-        feasible &= total <= bound
+        feasible &= lattice_sum(s.beta0, [term_tables[j][i] for j in range(n)]) <= bound
 
-    volume = np.ones(shape)
-    for j in range(n):
-        volume = volume * widths[j].reshape([-1 if d == j else 1 for d in range(n)])
-    volume = np.where(feasible, volume, -1.0)
+    volume = np.where(feasible, functools.reduce(np.multiply.outer, widths), -1.0)
     flat_best = int(np.argmax(volume))
     if volume.flat[flat_best] < 0:
         # no feasible grid box with positive volume; report the seed point box

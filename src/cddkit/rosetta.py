@@ -105,17 +105,9 @@ def build_report(
     grids = np.meshgrid(*axes, indexing="ij")
     coords = [g.reshape(-1) for g in grids]
 
-    values = {}
-    for s in problem.surfaces:
-        z = np.full(shape, s.beta0)
-        for j, axis in enumerate(axes):
-            t = s.linear[j] * axis + s.quadratic[j] * axis * axis
-            z = z + t.reshape([-1 if d == j else 1 for d in range(n)])
-        values[s.name] = z.reshape(-1)
-
-    feasible = np.ones(len(coords[0]), dtype=bool)
-    for s, bound in problem.constrained_pairs():
-        feasible &= values[s.name] <= bound
+    lattice, feasible_grid = region.grid_values(axes)
+    values = {name: z.reshape(-1) for name, z in lattice.items()}
+    feasible = feasible_grid.reshape(-1)
 
     bounds = {c.surface: c.bound for c in problem.constraints}
 
@@ -157,7 +149,6 @@ def build_report(
                 )
             )
 
-    feasible_grid = feasible.reshape(shape)
     summaries = []
     for j, axis in enumerate(axes):
         other_axes = tuple(d for d in range(n) if d != j)

@@ -26,29 +26,44 @@ def adas_tall():
     return load_bundled("adas_tall.json")
 
 
-def random_surface(rng: random.Random, dim: int, name: str = "z") -> QuadraticResponseSurface:
+def random_surface(
+    rng: random.Random, dim: int, name: str = "z", scale: float = 1.0
+) -> QuadraticResponseSurface:
     return QuadraticResponseSurface(
         name=name,
         unit="",
-        beta0=rng.uniform(-2.0, 2.0),
-        linear=tuple(rng.uniform(-2.0, 2.0) for _ in range(dim)),
-        quadratic=tuple(rng.uniform(-1.0, 1.0) for _ in range(dim)),
+        beta0=scale * rng.uniform(-2.0, 2.0),
+        linear=tuple(scale * rng.uniform(-2.0, 2.0) for _ in range(dim)),
+        quadratic=tuple(scale * rng.uniform(-1.0, 1.0) for _ in range(dim)),
     )
 
 
-def random_problem(rng: random.Random, dim: int | None = None) -> DesignProblem:
-    """A randomized problem whose seed is strictly feasible by construction."""
+def random_problem(
+    rng: random.Random,
+    dim: int | None = None,
+    count: int | None = None,
+    scale: float = 1.0,
+    offset: float = 0.0,
+) -> DesignProblem:
+    """A randomized problem whose seed is strictly feasible by construction.
+
+    ``count`` fixes the number of constraints, ``scale`` multiplies every
+    coefficient and the seed slack, and ``offset`` shifts every ambient
+    interval (ADAS-style domains sit around 1600-2000).
+    """
     n = dim if dim is not None else rng.randint(1, 3)
     variables = []
     seed = []
     for j in range(n):
-        lo = rng.uniform(-2.0, 1.0)
+        lo = offset + rng.uniform(-2.0, 1.0)
         width = rng.uniform(0.8, 2.0)
         variables.append(DesignVariable(f"x{j}", "", Interval(lo, lo + width)))
         seed.append(lo + width * rng.uniform(0.15, 0.85))
-    surfaces = [random_surface(rng, n, f"z{i}") for i in range(rng.randint(1, 3))]
+    m = count if count is not None else rng.randint(1, 3)
+    surfaces = [random_surface(rng, n, f"z{i}", scale) for i in range(m)]
     constraints = [
-        ObjectiveConstraint(s.name, s.evaluate(seed) + rng.uniform(0.5, 2.5)) for s in surfaces
+        ObjectiveConstraint(s.name, s.evaluate(seed) + scale * rng.uniform(0.5, 2.5))
+        for s in surfaces
     ]
     return DesignProblem(
         variables=tuple(variables),

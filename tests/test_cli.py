@@ -228,3 +228,32 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["feasible"] is True
+
+
+def _edited_problem(tmp_path, edit):
+    doc = json.loads(data_path("emissions.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_solve_nan_tolerance_exits_2(tmp_path, capsys):
+    path = _edited_problem(tmp_path, lambda doc: doc.update(tolerance=float("nan")))
+    code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+    assert code == 2
+    assert "tolerance" in err
+
+
+def test_solve_nan_bound_exits_2(tmp_path, capsys):
+    path = _edited_problem(tmp_path, lambda doc: doc["constraints"][1].update(bound=float("nan")))
+    code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+    assert code == 2
+    assert "bound" in err and "NOx" in err
+
+
+def test_solve_infinite_bound_means_unconstrained(tmp_path, capsys):
+    path = _edited_problem(tmp_path, lambda doc: doc["constraints"][1].update(bound=float("inf")))
+    code, out, _ = run_cli("solve", path, "--out", str(tmp_path), "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["maximal"] is True

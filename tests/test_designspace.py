@@ -1,11 +1,13 @@
+import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
 from cddkit import data_path, load_problem, quantify_requirement
-from cddkit.designspace import DesignProblem, grid_cap
+from cddkit.designspace import DesignProblem, ObjectiveConstraint, grid_cap
 from cddkit.errors import (
     BoxOutsideAmbient,
     CapExceeded,
@@ -14,7 +16,7 @@ from cddkit.errors import (
     UnknownSurfaceReference,
     UnsupportedRelation,
 )
-from cddkit.surface import Interval
+from cddkit.surface import Interval, QuadraticResponseSurface
 
 from conftest import random_problem
 
@@ -229,3 +231,63 @@ def test_membership_invariant_under_variable_reordering(emissions):
         point = [rng.uniform(0.0, 1.0) for _ in range(3)]
         reordered = [point[i] for i in order]
         assert region.is_point_feasible(point)[0] == permuted_region.is_point_feasible(reordered)[0]
+
+
+def _random_subinterval(rng: random.Random, ambient: Interval) -> Interval:
+    """A random sub-interval, sometimes on an ambient bound or a single point."""
+    a, b = sorted(rng.uniform(ambient.lo, ambient.hi) for _ in range(2))
+    kind = rng.random()
+    if kind < 0.15:
+        a = ambient.lo
+    elif kind < 0.3:
+        b = ambient.hi
+    elif kind < 0.4:
+        a, b = ambient.lo, ambient.hi
+    elif kind < 0.5:
+        b = a
+    return Interval(a, b)
+
+
+def test_box_feasible_implies_every_corner_feasible():
+    # the grid oracle accepts a box on its exact maximum alone; this is the
+    # proof obligation that makes a corner check redundant, on bounds set at
+    # or one ulp around each box maximum
+    rng = random.Random(20131)
+    exercised = 0
+    for case in range(1500):
+        n = rng.randint(1, 6)
+        scale = 10.0 ** rng.randint(-4, 6)
+        offset = rng.uniform(1600.0, 2000.0) if case % 2 else 0.0
+        base = random_problem(rng, n, rng.randint(1, 4), scale, offset)
+        surfaces = tuple(
+            QuadraticResponseSurface(
+                s.name,
+                "",
+                s.beta0,
+                tuple(0.0 if rng.random() < 0.1 else v for v in s.linear),
+                tuple(0.0 if rng.random() < 0.2 else v for v in s.quadratic),
+            )
+            for s in base.surfaces
+        )
+        box = tuple(_random_subinterval(rng, v.ambient) for v in base.variables)
+        constraints = []
+        for s in surfaces:
+            worst = s.box_extremum(box)[0]
+            bound = rng.choice(
+                (worst, math.nextafter(worst, math.inf), math.nextafter(worst, -math.inf))
+            )
+            constraints.append(ObjectiveConstraint(s.name, bound))
+        seed = tuple(rng.uniform(iv.lo, iv.hi) for iv in box)
+        try:
+            problem = DesignProblem(
+                base.variables, surfaces, tuple(constraints), seed, tolerance=5e-324
+            )
+        except InfeasibleSeed:
+            continue
+        region = problem.region()
+        if not region.is_box_feasible(box)[0]:
+            continue
+        exercised += 1
+        for corner in itertools.product(*box):
+            assert region.is_point_feasible(corner)[0], (box, corner)
+    assert exercised >= 500

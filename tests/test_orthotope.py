@@ -376,3 +376,18 @@ def test_solve_result_json_roundtrip(emissions):
     doc = json.loads(json.dumps(result.to_json()))
     restored = SolveResult.from_json(doc)
     assert restored == result
+
+
+def test_greedy_replay_at_scale_on_offset_domain():
+    # ten factors, ten constraints, coefficients near 1e6 on an ADAS-style domain
+    problem = random_problem(random.Random(1013), 10, 10, scale=1e6, offset=1800.0)
+    result = solve_greedy(problem)
+    order = auto_rank(problem)
+    assert result.ranking == order
+    box = Orthotope.point(problem.seed)
+    for j in order:
+        box = expand_factor(problem, box, j)
+    assert box == result.orthotope
+    assert result.certificate.maximal
+    assert verify_maximality(problem, box).maximal
+    assert max(box.widths()) > 0.0
