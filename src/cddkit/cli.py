@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .designspace import load_problem, quantify_requirement
-from .errors import CddError, InfeasibleSeed
+from .errors import CddError, InfeasibleSeed, SchemaError
 from .modeltheory import (
     Interpretation,
     check_theory,
@@ -39,6 +39,14 @@ EXIT_DISAGREEMENT = 5
 
 def _load_problem_file(path: str):
     return load_problem(Path(path).read_text())
+
+
+def _load_result_file(path: str, problem) -> SolveResult:
+    result = SolveResult.from_json(json.loads(Path(path).read_text()))
+    for step in result.steps:
+        if not 0 <= step.factor < problem.dim:
+            raise SchemaError(f"step factor {step.factor} outside 0..{problem.dim - 1}")
+    return result
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
@@ -130,7 +138,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     problem = _load_problem_file(args.problem)
-    result = SolveResult.from_json(json.loads(Path(args.result).read_text()))
+    result = _load_result_file(args.result, problem)
 
     failures = []
     region = problem.region()
@@ -179,7 +187,7 @@ def cmd_rosetta(args) -> int:
     problem = _load_problem_file(args.problem)
     solution = None
     if args.solution:
-        solution = SolveResult.from_json(json.loads(Path(args.solution).read_text()))
+        solution = _load_result_file(args.solution, problem)
     report = build_report(problem, solution, resolution=args.resolution)
     formats = []
     if args.csv:

@@ -186,6 +186,13 @@ class FeasibleRegion:
         box is feasible iff all are >= 0.  The box must lie inside the
         ambient bounds.
         """
+        self.check_inside(box)
+        pairs = self.problem.constrained_pairs()
+        slacks = tuple(bound - s.box_extremum(box, "max")[0] for s, bound in pairs)
+        return all(sl >= 0.0 for sl in slacks), slacks
+
+    def check_inside(self, box: Sequence[Interval]) -> None:
+        """Raise unless the box has one interval per variable, each inside its ambient bounds."""
         p = self.problem
         if len(box) != p.dim:
             raise DimensionMismatch(f"box has {len(box)} intervals for dimension {p.dim}")
@@ -195,8 +202,6 @@ class FeasibleRegion:
                     f"interval [{interval.lo}, {interval.hi}] of {var.name!r} "
                     f"outside ambient [{var.ambient.lo}, {var.ambient.hi}]"
                 )
-        slacks = tuple(bound - s.box_extremum(box, "max")[0] for s, bound in p.constrained_pairs())
-        return all(sl >= 0.0 for sl in slacks), slacks
 
     def violation_witness(self, box: Sequence[Interval]) -> tuple[float, ...] | None:
         """A point of the box violating some constraint, or None if feasible.
@@ -300,6 +305,8 @@ def load_problem(text_or_doc) -> DesignProblem:
             )
         except KeyError as exc:
             raise SchemaError(f"variable entry missing key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed variable entry: {exc}") from exc
 
     surfaces = [QuadraticResponseSurface.from_json(entry) for entry in doc["surfaces"]]
 
@@ -307,22 +314,29 @@ def load_problem(text_or_doc) -> DesignProblem:
     for entry in doc["constraints"]:
         try:
             op = entry.get("op", "<=")
-            if op != "<=":
-                raise SchemaError(f"constraint operator must be '<=', got {op!r}")
-            constraints.append(ObjectiveConstraint(str(entry["surface"]), float(entry["bound"])))
+            constraint = ObjectiveConstraint(str(entry["surface"]), float(entry["bound"]))
         except KeyError as exc:
             raise SchemaError(f"constraint entry missing key {exc.args[0]!r}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed constraint entry: {exc}") from exc
+        if op != "<=":
+            raise SchemaError(f"constraint operator must be '<=', got {op!r}")
+        constraints.append(constraint)
 
     ranking = doc.get("ranking", "auto")
     if ranking == "auto":
         ranking = None
-    elif not isinstance(ranking, list):
-        raise SchemaError("ranking must be 'auto' or a list of variable indices")
+    elif not (isinstance(ranking, list) and all(type(i) is int for i in ranking)):
+        raise SchemaError("ranking must be 'auto' or a list of integer variable indices")
 
     try:
         seed = tuple(float(v) for v in doc["seed"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed seed: {exc}") from exc
+    try:
+        tolerance = float(doc.get("tolerance", DEFAULT_TOLERANCE))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed tolerance: {exc}") from exc
 
     return DesignProblem(
         variables=tuple(variables),
@@ -330,7 +344,7 @@ def load_problem(text_or_doc) -> DesignProblem:
         constraints=tuple(constraints),
         seed=seed,
         ranking=None if ranking is None else tuple(ranking),
-        tolerance=float(doc.get("tolerance", DEFAULT_TOLERANCE)),
+        tolerance=tolerance,
         name=str(doc.get("name", "problem")),
     )
 

@@ -17,9 +17,10 @@ maximality, since a strictly containing box must extend some face.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, sub
 from typing import Sequence
 
 import numpy as np
@@ -174,22 +175,63 @@ class SolveResult:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolveResult":
-        steps = tuple(
-            ExpansionStep(
-                factor=int(s["factor"]),
-                before=Interval(float(s["before"]["lo"]), float(s["before"]["hi"])),
-                after=Interval(float(s["after"]["lo"]), float(s["after"]["hi"])),
-                binding_lo=str(s["binding"]["lo"]),
-                binding_hi=str(s["binding"]["hi"]),
+        try:
+            steps = tuple(
+                ExpansionStep(
+                    factor=int(s["factor"]),
+                    before=Interval(float(s["before"]["lo"]), float(s["before"]["hi"])),
+                    after=Interval(float(s["after"]["lo"]), float(s["after"]["hi"])),
+                    binding_lo=str(s["binding"]["lo"]),
+                    binding_hi=str(s["binding"]["hi"]),
+                )
+                for s in doc["steps"]
             )
-            for s in doc["steps"]
+            return cls(
+                orthotope=Orthotope.from_json(doc["orthotope"]),
+                ranking=tuple(int(i) for i in doc["ranking"]),
+                steps=steps,
+                certificate=MaximalityCertificate.from_json(doc["certificate"]),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"solve result missing key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed solve result: {exc}") from exc
+
+
+# --- term-max table ----------------------------------------------------------
+
+class _TermMax:
+    """Maximum of every coordinate term over one box: per constraint, a row of N floats.
+
+    Each cell is ``term_extremum(k, interval, "max")[0]`` and every sum
+    runs left to right from ``beta0`` (never ``sum`` or ``fsum``), so the
+    slacks equal ``is_box_feasible``'s bit for bit.  Swapping one
+    interval costs one column of M term evaluations.
+    """
+
+    def __init__(self, problem: DesignProblem, box: Orthotope):
+        problem.region().check_inside(box.intervals)
+        self.box = box
+        self.pairs = problem.constrained_pairs()
+        self.rows = [[s.term_extremum(k, iv, "max")[0] for k, iv in enumerate(box.intervals)]
+                     for s, _ in self.pairs]
+
+    def column(self, j: int, interval: Interval) -> list[float]:
+        return [s.term_extremum(j, interval, "max")[0] for s, _ in self.pairs]
+
+    def slacks(self, j: int = 0, column: list[float] | None = None) -> tuple[float, ...]:
+        """Per-constraint slack of the box, or of the box with column j replaced by ``column``."""
+        if column is None:
+            column = [row[j] for row in self.rows]
+        return tuple(
+            bound - reduce(add, row[j + 1 :], reduce(add, row[:j], s.beta0) + c)
+            for (s, bound), row, c in zip(self.pairs, self.rows, column)
         )
-        return cls(
-            orthotope=Orthotope.from_json(doc["orthotope"]),
-            ranking=tuple(int(i) for i in doc["ranking"]),
-            steps=steps,
-            certificate=MaximalityCertificate.from_json(doc["certificate"]),
-        )
+
+    def swap(self, j: int, interval: Interval, column: list[float]) -> None:
+        self.box = self.box.replaced(j, interval)
+        for row, value in zip(self.rows, column):
+            row[j] = value
 
 
 # --- ranking --------------------------------------------------------------
@@ -204,7 +246,8 @@ def auto_rank(problem: DesignProblem) -> tuple[int, ...]:
     widths = problem.ambient_widths()
     scores = []
     for j in range(problem.dim):
-        total = sum(abs(s.sensitivity(j, problem.seed)) for s in problem.surfaces)
+        # left to right, never ``sum``: its rounding depends on the Python version
+        total = reduce(add, (abs(s.sensitivity(j, problem.seed)) for s in problem.surfaces), 0.0)
         scores.append(total * widths[j])
     return tuple(sorted(range(problem.dim), key=lambda j: (-scores[j], j)))
 
@@ -290,8 +333,20 @@ def _admitted_interval(
 _FLOAT_EPS = 2.220446049250313e-16
 
 
+def _budgets(problem: DesignProblem, table: _TermMax, j: int) -> list[tuple]:
+    """Per constraint: its surface, the budget left for coordinate j, and that budget's roundoff noise."""
+    out = []
+    for (s, bound), row in zip(table.pairs, table.rows):
+        rest = reduce(sub, row[j + 1 :], reduce(sub, row[:j], bound - s.beta0))
+        magnitude = reduce(add, map(abs, row[:j]), abs(bound) + abs(s.beta0))
+        magnitude = reduce(add, map(abs, row[j + 1 :]), magnitude)
+        # pessimistic slack proportional to the budget's roundoff scale
+        out.append((s, rest, (2 * problem.dim + 3) * _FLOAT_EPS * magnitude))
+    return out
+
+
 def _expand_once(
-    problem: DesignProblem, box: Orthotope, j: int, bias: float
+    problem: DesignProblem, box: Orthotope, j: int, bias: float, budgets: list
 ) -> tuple[Interval, str, str]:
     seed_j = problem.seed[j]
     ambient = problem.variables[j].ambient
@@ -299,16 +354,7 @@ def _expand_once(
 
     lo, hi = ambient.lo, ambient.hi
     binding_lo = binding_hi = "ambient"
-    for s, bound in problem.constrained_pairs():
-        rest = bound - s.beta0
-        magnitude = abs(bound) + abs(s.beta0)
-        for k, interval in enumerate(box.intervals):
-            if k != j:
-                tm = s.term_extremum(k, interval, "max")[0]
-                rest -= tm
-                magnitude += abs(tm)
-        # pessimistic slack proportional to the budget's roundoff scale
-        noise = (2 * problem.dim + 3) * _FLOAT_EPS * magnitude
+    for s, rest, noise in budgets:
         tau = bias * noise
         alo, ahi = _admitted_interval(s, j, rest - tau, rest + 4.0 * noise, seed_j, ambient, floor)
         if alo > lo:
@@ -322,31 +368,22 @@ def _expand_once(
 
 
 def _expand_step(
-    problem: DesignProblem, box: Orthotope, j: int, slacks: tuple[float, ...] | None
-) -> tuple[Orthotope, ExpansionStep, tuple[float, ...] | None]:
-    """One audited expansion of factor j, plus the slacks of the box it returns
-    (the input box's ``slacks`` on the numerical fallback, which keeps the box)."""
-    if not box.intervals[j].contains(problem.seed[j]):
-        raise SeedNotContained(
-            f"interval {box.intervals[j]} of factor {j} does not contain seed {problem.seed[j]}"
-        )
-    region = problem.region()
+    problem: DesignProblem, table: _TermMax, j: int
+) -> tuple[ExpansionStep, tuple[float, ...]]:
+    """One audited expansion of factor j of ``table.box``, in place, plus the slacks of the new box."""
+    box = table.box
     before = box.intervals[j]
-    interval = before
-    binding_lo = binding_hi = "ambient"
+    budgets = _budgets(problem, table, j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
-        cand, blo, bhi = _expand_once(problem, box, j, bias)
-        ok, cand_slacks = region.is_box_feasible(box.replaced(j, cand).intervals)
-        if ok:
-            interval, binding_lo, binding_hi, slacks = cand, blo, bhi, cand_slacks
-            break
-    else:
-        interval, binding_lo, binding_hi = before, "numerical", "numerical"
-    new_box = box.replaced(j, interval)
-    step = ExpansionStep(j, before, interval, binding_lo, binding_hi)
-    return new_box, step, slacks
+        cand, blo, bhi = _expand_once(problem, box, j, bias, budgets)
+        column = table.column(j, cand)
+        slacks = table.slacks(j, column)
+        if all(sl >= 0.0 for sl in slacks):
+            table.swap(j, cand, column)
+            return ExpansionStep(j, before, cand, blo, bhi), slacks
+    return ExpansionStep(j, before, before, "numerical", "numerical"), table.slacks()
 
 
 def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
@@ -356,7 +393,13 @@ def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
     the seed coordinate, and cannot be extended at either endpoint by
     more than a hair without breaking a constraint or the ambient bound.
     """
-    return _expand_step(problem, box, j, None)[0]
+    if not box.intervals[j].contains(problem.seed[j]):
+        raise SeedNotContained(
+            f"interval {box.intervals[j]} of factor {j} does not contain seed {problem.seed[j]}"
+        )
+    table = _TermMax(problem, box)
+    _expand_step(problem, table, j)
+    return table.box
 
 
 # --- greedy solve -----------------------------------------------------------
@@ -382,23 +425,22 @@ def solve_greedy(
     if sorted(order) != list(range(problem.dim)):
         raise SchemaError(f"ranking {order} is not a permutation of 0..{problem.dim - 1}")
 
-    region = problem.region()
-    box = Orthotope.point(problem.seed)
-    ok, slacks = region.is_box_feasible(box.intervals)
-    if not ok:
+    table = _TermMax(problem, Orthotope.point(problem.seed))
+    slacks = table.slacks()
+    if not all(sl >= 0.0 for sl in slacks):
         raise InfeasibleInput("seed point box is infeasible")
 
     steps = []
     for j in order:
-        box, step, new_slacks = _expand_step(problem, box, j, slacks)
+        step, new_slacks = _expand_step(problem, table, j)
         steps.append(step)
         for old, new in zip(slacks, new_slacks):
             if new > old + 1e-9 * max(1.0, abs(old)):
                 raise CddError("internal error: constraint slack grew during expansion")
         slacks = new_slacks
 
-    certificate = verify_maximality(problem, box, eps)
-    return SolveResult(box, order, tuple(steps), certificate)
+    certificate = _certify(problem, table, eps)
+    return SolveResult(table.box, order, tuple(steps), certificate)
 
 
 # --- maximality -------------------------------------------------------------
@@ -411,15 +453,21 @@ def verify_maximality(
     Each of the 2N faces must either sit within eps*width of an ambient
     bound or become infeasible when pushed outward by eps*width (exact
     box-maximum test).  The certificate names the blocker per face.
+    An explicit ``eps`` must be a positive finite number.
     """
+    return _certify(problem, _TermMax(problem, box), eps)
+
+
+def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> MaximalityCertificate:
+    """``verify_maximality`` of ``table.box``; each face push swaps one column."""
     epsilon = problem.tolerance if eps is None else float(eps)
-    region = problem.region()
-    ok, _ = region.is_box_feasible(box.intervals)
-    if not ok:
+    if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
+    if not all(sl >= 0.0 for sl in table.slacks()):
         raise InfeasibleInput("maximality is only defined for feasible boxes")
 
     faces = []
-    for j, (var, interval) in enumerate(zip(problem.variables, box.intervals)):
+    for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
         push = epsilon * var.ambient.width
         for side in ("lo", "hi"):
             if side == "lo":
@@ -431,8 +479,8 @@ def verify_maximality(
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            feasible, slacks = region.is_box_feasible(box.replaced(j, candidate).intervals)
-            if feasible:
+            slacks = table.slacks(j, table.column(j, candidate))
+            if all(sl >= 0.0 for sl in slacks):
                 faces.append(FaceCheck(j, side, None, margin=min(slacks) if slacks else math.inf))
             else:
                 worst = min(range(len(slacks)), key=lambda i: slacks[i])
@@ -583,7 +631,7 @@ def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
     for i, (s, bound) in enumerate(problem.constrained_pairs()):
         feasible &= lattice_sum(s.beta0, [term_tables[j][i] for j in range(n)]) <= bound
 
-    volume = np.where(feasible, functools.reduce(np.multiply.outer, widths), -1.0)
+    volume = np.where(feasible, reduce(np.multiply.outer, widths), -1.0)
     flat_best = int(np.argmax(volume))
     if volume.flat[flat_best] < 0:
         # no feasible grid box with positive volume; report the seed point box

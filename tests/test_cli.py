@@ -257,3 +257,65 @@ def test_solve_infinite_bound_means_unconstrained(tmp_path, capsys):
     code, out, _ = run_cli("solve", path, "--out", str(tmp_path), "--json", capsys=capsys)
     assert code == 0
     assert json.loads(out)["certificate"]["maximal"] is True
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "-1"])
+def test_solve_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
+    code, _, err = run_cli(
+        "solve", problem_path("emissions.json"), "--out", str(tmp_path), "--epsilon", epsilon,
+        capsys=capsys,
+    )
+    assert code == 2
+    assert "epsilon" in err
+
+
+def _break_missing_steps(doc):
+    del doc["steps"]
+    return doc
+
+
+def _break_top_level_list(doc):
+    return [doc]
+
+
+def _break_interval_order(doc):
+    doc["orthotope"][0]["lo"] = doc["orthotope"][0]["hi"] + 1.0
+    return doc
+
+
+def _break_factor_range(doc):
+    doc["steps"][0]["factor"] = 7
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_break_missing_steps, _break_top_level_list, _break_interval_order, _break_factor_range],
+)
+def test_malformed_stored_result_exits_2(tmp_path, capsys, edit):
+    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
+    path = tmp_path / "emissions_solution.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, _, err = run_cli("verify", problem_path("emissions.json"), str(path), capsys=capsys)
+    assert code == 2 and "error" in err
+    code, _, err = run_cli(
+        "rosetta", problem_path("emissions.json"), "--solution", str(path),
+        "--resolution", "5", "--out", str(tmp_path), capsys=capsys,
+    )
+    assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["variables"][0].update(hi=doc["variables"][0]["lo"]),
+        lambda doc: doc["variables"][0].update(lo="low"),
+        lambda doc: doc.update(ranking=[1, "x", 2]),
+    ],
+    ids=["lo-equals-hi", "non-numeric-lo", "non-integer-ranking"],
+)
+def test_solve_bad_problem_entry_exits_2(tmp_path, capsys, edit):
+    path = _edited_problem(tmp_path, edit)
+    code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+    assert code == 2
+    assert "error" in err

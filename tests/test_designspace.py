@@ -67,6 +67,26 @@ def test_schema_violations():
         load_problem(bad)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["variables"][0].update(hi=doc["variables"][0]["lo"]),
+        lambda doc: doc["variables"][1].update(lo="low"),
+        lambda doc: doc.update(ranking=[0, 1.5]),
+        lambda doc: doc.update(ranking=[0, "1"]),
+        lambda doc: doc["constraints"][0].update(bound="high"),
+        lambda doc: doc.update(tolerance=[1e-6]),
+    ],
+    ids=["lo-equals-hi", "non-numeric-lo", "float-ranking", "string-ranking", "non-numeric-bound",
+         "list-tolerance"],
+)
+def test_malformed_entries_raise_schema_error(edit):
+    doc = json.loads(data_path("adas.json").read_text())
+    edit(doc)
+    with pytest.raises(SchemaError):
+        load_problem(doc)
+
+
 def test_unknown_surface_reference():
     doc = json.loads(data_path("adas.json").read_text())
     doc["constraints"][0]["surface"] = "HC"

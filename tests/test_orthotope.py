@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,8 +9,13 @@ from cddkit import data_path, load_problem
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
 from cddkit.errors import CapExceeded, InfeasibleInput, SeedNotContained
 from cddkit.orthotope import (
+    FaceCheck,
+    MaximalityCertificate,
     Orthotope,
     SolveResult,
+    _expand_step,
+    _TermMax,
+    _budgets,
     auto_rank,
     expand_factor,
     oracle_check_steps,
@@ -57,6 +63,26 @@ def test_auto_rank_emissions_at_center(emissions):
     #   x2: |-0.04| + |-0.21| + |0.01| = 0.26
     problem = emissions.with_seed((0.5, 0.5, 0.5))
     assert auto_rank(problem) == (1, 0, 2)
+
+
+def test_auto_rank_adds_left_to_right():
+    # variable 1 scores 1.0 + 1.1e-16 + 1.1e-16: left to right that is 1.0,
+    # a tie with variable 0 broken by index; a compensated sum would make it
+    # 1.0000000000000002 and put variable 1 first
+    problem = DesignProblem(
+        variables=(
+            DesignVariable("x0", "", Interval(-1.0, 1.0)),
+            DesignVariable("x1", "", Interval(-1.0, 1.0)),
+        ),
+        surfaces=tuple(
+            QuadraticResponseSurface(f"z{i}", "", 0.0, (l0, l1), (0.0, 0.0))
+            for i, (l0, l1) in enumerate([(1.0, 1.0), (0.0, 1.1e-16), (0.0, 1.1e-16)])
+        ),
+        constraints=(),
+        seed=(0.0, 0.0),
+        name="near-tie",
+    )
+    assert auto_rank(problem) == (0, 1)
 
 
 def test_explicit_ranking_bypasses_auto(emissions):
@@ -391,3 +417,89 @@ def test_greedy_replay_at_scale_on_offset_domain():
     assert result.certificate.maximal
     assert verify_maximality(problem, box).maximal
     assert max(box.widths()) > 0.0
+
+
+# --- term-max table ------------------------------------------------------------
+
+TABLE_SHAPES = tuple(itertools.product((1, 5, 30, 100), (1, 10, 30)))
+TABLE_SCALES = (1e-4, 1.0, 1e3, 1e6)
+
+
+def table_problems():
+    """Two seeded problems per shape, one plain and one on a 1600-2000 offset domain."""
+    rng = random.Random(3003)
+    for i, (n, m) in enumerate(TABLE_SHAPES):
+        for k, shifted in enumerate((False, True)):
+            offset = rng.uniform(1600.0, 2000.0) if shifted else 0.0
+            scale = TABLE_SCALES[(i + k) % len(TABLE_SCALES)]
+            yield random_problem(rng, n, m, scale=scale, offset=offset)
+
+
+def reference_certificate(problem, box):
+    """The face-wise certificate, one ``is_box_feasible`` call per face."""
+    region = problem.region()
+    eps = problem.tolerance
+    faces = []
+    for j, (var, iv) in enumerate(zip(problem.variables, box.intervals)):
+        push = eps * var.ambient.width
+        for side, room, candidate in (
+            ("lo", iv.lo - var.ambient.lo, Interval(iv.lo - push, iv.hi)),
+            ("hi", var.ambient.hi - iv.hi, Interval(iv.lo, iv.hi + push)),
+        ):
+            if room < push:
+                faces.append(FaceCheck(j, side, "ambient", room))
+                continue
+            ok, slacks = region.is_box_feasible(box.replaced(j, candidate).intervals)
+            if ok:
+                faces.append(FaceCheck(j, side, None, min(slacks) if slacks else math.inf))
+            else:
+                worst = min(range(len(slacks)), key=lambda i: slacks[i])
+                faces.append(FaceCheck(j, side, problem.constraints[worst].surface, -slacks[worst]))
+    return MaximalityCertificate(tuple(faces), eps)
+
+
+def reference_budgets(problem, box, j):
+    """Budget and roundoff noise per constraint, one term at a time in coordinate order."""
+    out = []
+    for c in problem.constraints:
+        s = problem.surface_by_name(c.surface)
+        rest, magnitude = c.bound - s.beta0, abs(c.bound) + abs(s.beta0)
+        for k, iv in enumerate(box.intervals):
+            if k != j:
+                tm = s.term_extremum(k, iv, "max")[0]
+                rest -= tm
+                magnitude += abs(tm)
+        out.append((s, rest, (2 * problem.dim + 3) * 2.220446049250313e-16 * magnitude))
+    return out
+
+
+def test_term_max_table_matches_exact_box_checks():
+    for problem in table_problems():
+        region = problem.region()
+        table = _TermMax(problem, Orthotope.point(problem.seed))
+        assert table.slacks() == region.is_box_feasible(table.box.intervals)[1]
+        for j in auto_rank(problem):
+            if problem.dim <= 30:
+                assert _budgets(problem, table, j) == reference_budgets(problem, table.box, j)
+            _, slacks = _expand_step(problem, table, j)
+            assert slacks == region.is_box_feasible(table.box.intervals)[1]
+        result = solve_greedy(problem)
+        assert result.orthotope == table.box
+        reference = reference_certificate(problem, table.box)
+        assert verify_maximality(problem, table.box) == reference == result.certificate
+
+
+def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
+    n, m = 100, 30
+    problem = random_problem(random.Random(77), n, m)
+    calls = 0
+    original = QuadraticResponseSurface.term_extremum
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(QuadraticResponseSurface, "term_extremum", counted)
+    assert solve_greedy(problem).certificate.maximal
+    assert calls <= 8 * n * m
