@@ -8,16 +8,37 @@ kernel (parsing, Tarski satisfaction, conceptual graphs) provides the
 formal substrate for turning requirement sentences into constraints.
 """
 
+from importlib import import_module
 from importlib.resources import files
 from pathlib import Path
 
-from . import designspace, modeltheory, orthotope, rosetta, surface
-from .designspace import DesignProblem, FeasibleRegion, load_problem, quantify_requirement
-from .orthotope import Orthotope, SolveResult, auto_rank, oracle_solve, solve_greedy, verify_maximality
-from .rosetta import build_report, emit, project_orthotope
-from .surface import Interval, QuadraticResponseSurface
-
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it (a submodule maps to itself).
+# Each is imported on first access (PEP 562), so ``import cddkit`` loads no
+# layer, and numpy only loads with a layer that builds a lattice.
+_EXPORTS = {
+    "DesignProblem": "designspace",
+    "FeasibleRegion": "designspace",
+    "Interval": "surface",
+    "Orthotope": "orthotope",
+    "QuadraticResponseSurface": "surface",
+    "SolveResult": "orthotope",
+    "auto_rank": "orthotope",
+    "build_report": "rosetta",
+    "designspace": "designspace",
+    "emit": "rosetta",
+    "load_problem": "designspace",
+    "modeltheory": "modeltheory",
+    "oracle_solve": "orthotope",
+    "orthotope": "orthotope",
+    "project_orthotope": "rosetta",
+    "quantify_requirement": "designspace",
+    "rosetta": "rosetta",
+    "solve_greedy": "orthotope",
+    "surface": "surface",
+    "verify_maximality": "orthotope",
+}
 
 
 def data_path(name: str) -> Path:
@@ -25,26 +46,17 @@ def data_path(name: str) -> Path:
     return Path(str(files("cddkit").joinpath("data", name)))
 
 
-__all__ = [
-    "DesignProblem",
-    "FeasibleRegion",
-    "Interval",
-    "Orthotope",
-    "QuadraticResponseSurface",
-    "SolveResult",
-    "auto_rank",
-    "build_report",
-    "data_path",
-    "designspace",
-    "emit",
-    "load_problem",
-    "modeltheory",
-    "oracle_solve",
-    "orthotope",
-    "project_orthotope",
-    "quantify_requirement",
-    "rosetta",
-    "solve_greedy",
-    "surface",
-    "verify_maximality",
-]
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_EXPORTS[name]}", __name__)
+    value = module if name == _EXPORTS[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
+
+__all__ = sorted([*_EXPORTS, "data_path"])

@@ -13,23 +13,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .designspace import load_problem, quantify_requirement
 from .errors import CddError, InfeasibleSeed, SchemaError
-from .modeltheory import (
-    Interpretation,
-    check_theory,
-    graph_to_sentence,
-    load_graph,
-    load_structure,
-    load_theory,
-    to_text,
-)
-from .orthotope import SolveResult, oracle_check_steps, oracle_solve, solve_greedy, verify_maximality
-from .rosetta import build_report, emit
+
+if TYPE_CHECKING:
+    from .orthotope import SolveResult
+
+# Each command imports the layers it runs inside its own body, so that a
+# call starts only what it needs: numpy loads with the lattice layers
+# (verify's grid oracle, rosetta) and never for solve, evaluate, quantify
+# or logic.
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE_SEED = 3
@@ -38,10 +36,14 @@ EXIT_DISAGREEMENT = 5
 
 
 def _load_problem_file(path: str):
+    from .designspace import load_problem
+
     return load_problem(Path(path).read_text())
 
 
 def _load_result_file(path: str, problem) -> SolveResult:
+    from .orthotope import SolveResult
+
     result = SolveResult.from_json(json.loads(Path(path).read_text()))
     for step in result.steps:
         if not 0 <= step.factor < problem.dim:
@@ -56,6 +58,9 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
         raise CddError(f"malformed point {text!r}: {exc}") from exc
     if len(point) != dim:
         raise CddError(f"point {text!r} has {len(point)} coordinates, problem needs {dim}")
+    for i, v in enumerate(point):
+        if not math.isfinite(v):
+            raise CddError(f"point coordinate {i} is {v!r}; coordinates must be finite")
     return point
 
 
@@ -102,6 +107,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_quantify(args) -> int:
+    from .designspace import quantify_requirement
+
     problem = _load_problem_file(args.problem)
     constraint = quantify_requirement(args.requirement, problem)
     if args.json:
@@ -112,6 +119,8 @@ def cmd_quantify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .orthotope import solve_greedy
+
     problem = _load_problem_file(args.problem)
     ranking = _parse_ranking(args.ranking) if args.ranking else None
     result = solve_greedy(problem, ranking=ranking, eps=args.epsilon)
@@ -137,6 +146,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .orthotope import oracle_check_steps, oracle_solve, verify_maximality
+
     problem = _load_problem_file(args.problem)
     result = _load_result_file(args.result, problem)
 
@@ -184,6 +195,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rosetta(args) -> int:
+    from .rosetta import build_report, emit
+
     problem = _load_problem_file(args.problem)
     solution = None
     if args.solution:
@@ -205,6 +218,16 @@ def cmd_rosetta(args) -> int:
 
 
 def cmd_logic(args) -> int:
+    from .modeltheory import (
+        Interpretation,
+        check_theory,
+        graph_to_sentence,
+        load_graph,
+        load_structure,
+        load_theory,
+        to_text,
+    )
+
     if args.graph:
         graph = load_graph(Path(args.graph).read_text())
         sig, sentence = graph_to_sentence(graph)

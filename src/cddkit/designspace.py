@@ -12,9 +12,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     BoxOutsideAmbient,
@@ -26,6 +24,9 @@ from .errors import (
     UnsupportedRelation,
 )
 from .surface import Interval, QuadraticResponseSurface
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DesignVariable",
@@ -103,11 +104,20 @@ class DesignProblem:
         if self.ranking is not None:
             object.__setattr__(self, "ranking", tuple(int(i) for i in self.ranking))
 
+        # the name is the stem of every file a solve or report writes
+        if self.name in ("", ".", "..") or any(ch in self.name for ch in "/\\\0"):
+            raise SchemaError(
+                f"problem name {self.name!r} must be a plain file stem: "
+                "not empty, '.' or '..', and without '/', '\\' or NUL"
+            )
         n = len(self.variables)
         if n == 0:
             raise SchemaError("a problem needs at least one design variable")
         if len(self.seed) != n:
             raise DimensionMismatch(f"seed has {len(self.seed)} coordinates for {n} variables")
+        for var, x in zip(self.variables, self.seed):
+            if not math.isfinite(x):
+                raise SchemaError(f"seed coordinate {x!r} of {var.name!r} is not finite")
         for s in self.surfaces:
             if s.dim != n:
                 raise DimensionMismatch(f"surface {s.name!r} has dimension {s.dim}, problem has {n}")
@@ -121,8 +131,8 @@ class DesignProblem:
                 raise SchemaError(f"constraint on {c.surface!r} has a NaN bound")
         if self.ranking is not None and sorted(self.ranking) != list(range(n)):
             raise SchemaError(f"ranking {self.ranking} is not a permutation of 0..{n - 1}")
-        if not self.tolerance > 0:
-            raise SchemaError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise SchemaError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
         for var, x in zip(self.variables, self.seed):
             if not var.ambient.contains(x):
@@ -217,6 +227,8 @@ class FeasibleRegion:
         return None
 
     def grid_axes(self, resolution) -> list[np.ndarray]:
+        import numpy as np
+
         p = self.problem
         counts = self._axis_counts(resolution)
         return [
@@ -252,6 +264,8 @@ class FeasibleRegion:
 
     def grid_values(self, axes: Sequence[np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Every surface's values on the product lattice of ``axes``, and its feasibility mask."""
+        import numpy as np
+
         p = self.problem
         values = {
             s.name: lattice_sum(s.beta0, [s.term(j, axis) for j, axis in enumerate(axes)])
@@ -269,6 +283,8 @@ def lattice_sum(beta0: float, per_axis: Sequence[np.ndarray]) -> np.ndarray:
     The one lattice evaluator: it adds in the order of ``evaluate``, so
     every entry equals the scalar evaluation bit for bit.
     """
+    import numpy as np
+
     n = len(per_axis)
     total = np.full(tuple(len(v) for v in per_axis), beta0)
     for j, v in enumerate(per_axis):

@@ -21,9 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .designspace import DesignProblem, FeasibleRegion, lattice_sum
 from .errors import (
@@ -34,6 +32,9 @@ from .errors import (
     SeedNotContained,
 )
 from .surface import Interval, QuadraticResponseSurface
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Orthotope",
@@ -597,6 +598,8 @@ def oracle_solve(
 
 
 def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
+    import numpy as np
+
     n = problem.dim
     k = min(resolution, VOLUME_SEARCH_RESOLUTION[n])
     region = problem.region()

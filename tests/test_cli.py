@@ -319,3 +319,50 @@ def test_solve_bad_problem_entry_exits_2(tmp_path, capsys, edit):
     code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "0,0,-inf", "1e400,0,0"])
+def test_evaluate_non_finite_point_exits_2(capsys, point):
+    code, out, err = run_cli(
+        "evaluate", problem_path("emissions.json"), "--point", point, "--json", capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "point coordinate" in err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.update(seed=[float("nan"), 0.0, 0.0]), "seed"),
+        (lambda doc: doc.update(seed=[0.0, float("-inf"), 0.0]), "seed"),
+        (lambda doc: doc.update(tolerance=float("inf")), "tolerance"),
+    ],
+    ids=["nan-seed", "infinite-seed", "infinite-tolerance"],
+)
+def test_solve_non_finite_seed_or_tolerance_exits_2(tmp_path, capsys, edit, field):
+    path = _edited_problem(tmp_path, edit)
+    code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+    assert code == 2
+    assert field in err
+
+
+def test_finite_seed_outside_ambient_still_exits_3(tmp_path, capsys):
+    path = _edited_problem(tmp_path, lambda doc: doc.update(seed=[1.5, 0.0, 0.0]))
+    code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+    assert code == 3
+    assert "ambient" in err
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "sub\\escaped", "nul\0name", "..", ".", ""])
+@pytest.mark.parametrize("command", ["solve", "rosetta"])
+def test_problem_name_cannot_leave_out_dir(tmp_path, capsys, name, command):
+    work = tmp_path / "work"
+    work.mkdir()
+    path = _edited_problem(work, lambda doc: doc.update(name=name))
+    out = work / "D"
+    extra = ["--resolution", "5"] if command == "rosetta" else []
+    code, _, err = run_cli(command, path, *extra, "--out", str(out), capsys=capsys)
+    assert code == 2
+    assert "name" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["edited.json", "work"]

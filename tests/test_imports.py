@@ -1,0 +1,107 @@
+"""Each command loads only the layers it runs; numpy only with a lattice.
+
+The checks run in fresh interpreters, because this test process has
+long since imported everything.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cddkit
+from cddkit import data_path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# the children import the same cddkit as this process, from any working directory
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cddkit.__file__).resolve().parent.parent)}
+
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from cddkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _python(code, *args, cwd=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, cwd=cwd, env=CHILD_ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _modules_after(argv):
+    payload = json.loads(_python(_RUN_MAIN, json.dumps(argv)))
+    assert payload["code"] == 0
+    return set(payload["modules"])
+
+
+NUMERIC_ONLY = {"numpy", "cddkit.rosetta", "cddkit.modeltheory"}
+LOGIC_ONLY = {"numpy", "cddkit.orthotope", "cddkit.designspace", "cddkit.rosetta"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["evaluate", str(data_path("emissions.json")), "--point", "0,0,0"], NUMERIC_ONLY),
+        (["quantify", str(data_path("adas.json")), "CO2 <= 30"], NUMERIC_ONLY),
+        (["logic", "--graph", str(data_path("logic/cdd_graph.json"))], LOGIC_ONLY),
+        (
+            [
+                "logic",
+                "--theory", str(data_path("logic/orthogonality_theory.json")),
+                "--structure", str(data_path("logic/triangle_345.json")),
+            ],
+            LOGIC_ONLY,
+        ),
+    ],
+    ids=["evaluate", "quantify", "logic-graph", "logic-theory"],
+)
+def test_command_imports_only_its_layers(argv, absent):
+    assert not _modules_after(argv) & absent
+
+
+def test_solve_pipeline_import_sets(tmp_path):
+    problem = str(data_path("emissions.json"))
+    solution = str(tmp_path / "emissions_solution.json")
+    assert not _modules_after(["solve", problem, "--out", str(tmp_path)]) & NUMERIC_ONLY
+    for argv in (
+        ["verify", problem, solution, "--resolution", "21"],
+        ["rosetta", problem, "--solution", solution, "--resolution", "5", "--out", str(tmp_path)],
+    ):
+        loaded = _modules_after(argv)
+        assert "numpy" in loaded
+        assert "cddkit.modeltheory" not in loaded
+
+
+def test_import_cddkit_loads_no_numpy():
+    assert _python("import sys, cddkit; print('numpy' in sys.modules)").strip() == "False"
+
+
+def test_every_public_name_resolves():
+    for name in cddkit.__all__:
+        assert getattr(cddkit, name) is not None, name
+    assert set(cddkit.__all__) <= set(dir(cddkit))
+    assert cddkit.build_report is cddkit.rosetta.build_report
+    assert cddkit.Interval is cddkit.surface.Interval
+    namespace = {}
+    exec("from cddkit import *", namespace)
+    assert set(cddkit.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        cddkit.no_such_name
+
+
+def test_readme_library_example_runs(tmp_path):
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    _python(example, cwd=tmp_path)
+    assert (tmp_path / "out" / "emissions_M.svg").is_file()
