@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,59 +181,95 @@ def build_report(
 
 
 # --- CSV ---------------------------------------------------------------------
+#
+# Files are streamed to their open file, never assembled in memory first.
+# A lattice array is formatted once per emit call (M cells share each
+# surface's values, N cells each coordinate array, every cell the mask), and
+# within it once per distinct float; ``format(v, "")`` of a ``tolist()``
+# float is ``repr(float(v))`` of the numpy scalar.  A float repr or a 0/1
+# flag never needs CSV quoting, so only the name and bound fields go through
+# ``csv.writer``, once per cell.
 
 def _num(v) -> str:
     return "" if v is None else repr(float(v))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv_writer(out):
+    return csv.writer(out, lineterminator="\n")
+
+
+def _csv_fields(*fields) -> str:
+    """``fields`` as ``csv.writer`` quotes them in a row, without the line end."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    path.write_text(buf.getvalue())
+    # the writer quotes line-terminator characters, so keep the file's one
+    _csv_writer(buf).writerow(fields)
+    return buf.getvalue()[:-1]
+
+
+def _texts(values, spec: str = "") -> list[str]:
+    """``format(float(v), spec)`` for each value, formatting each distinct float once.
+
+    Values are told apart by their bits, so ``-0.0`` keeps its sign.  An
+    empty ``spec`` gives ``repr``.
+    """
+    values = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    distinct, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = [format(v, spec) for v in distinct.view(np.float64).tolist()]
+    return [texts[i] for i in index.tolist()]
+
+
+def _per_array(convert):
+    """``convert(array)``, computed once per distinct array object."""
+    done = {}
+
+    def get(array):
+        key = id(array)
+        if key not in done:
+            done[key] = (array, convert(array))  # the array pins its id
+        return done[key][1]
+
+    return get
 
 
 def _emit_csv(report: RosettaReport, out_dir: Path) -> list[Path]:
     stem = report.problem_name
-    paths = []
+    floats = _per_array(_texts)
+    flags = _per_array(lambda a: np.asarray(a).astype(int).tolist())
 
     q_path = out_dir / f"{stem}_Q.csv"
-    _write_csv(
-        q_path,
-        ["objective", *report.variable_names],
-        (
-            [name, *(_num(v) for v in row)]
-            for name, row in zip(report.objective_names, report.q_matrix)
-        ),
-    )
-    paths.append(q_path)
+    with q_path.open("w") as out:
+        writer = _csv_writer(out)
+        writer.writerow(["objective", *report.variable_names])
+        writer.writerows(
+            [name, *map(_num, row)] for name, row in zip(report.objective_names, report.q_matrix)
+        )
 
     m_path = out_dir / f"{stem}_M.csv"
-    _write_csv(
-        m_path,
-        ["obj_a", "obj_b", "z_a", "z_b", "feasible", "bound_a", "bound_b"],
-        (
-            [cell.obj_a, cell.obj_b, _num(za), _num(zb), int(f), _num(cell.bound_a), _num(cell.bound_b)]
-            for cell in report.m_cells
-            for za, zb, f in zip(cell.z_a, cell.z_b, cell.feasible)
-        ),
-    )
-    paths.append(m_path)
+    with m_path.open("w") as out:
+        _csv_writer(out).writerow(["obj_a", "obj_b", "z_a", "z_b", "feasible", "bound_a", "bound_b"])
+        for cell in report.m_cells:
+            names = _csv_fields(cell.obj_a, cell.obj_b)
+            bounds = _csv_fields(_num(cell.bound_a), _num(cell.bound_b))
+            out.writelines(
+                f"{names},{za},{zb},{f},{bounds}\n"
+                for za, zb, f in zip(floats(cell.z_a), floats(cell.z_b), flags(cell.feasible))
+            )
 
     n_path = out_dir / f"{stem}_N.csv"
-
-    def n_rows():
+    with n_path.open("w") as out:
+        writer = _csv_writer(out)
+        writer.writerow(["kind", "var_a", "var_b", "c1", "c2", "c3", "c4"])
         for cell in report.n_cells:
-            for xa, xb, f in zip(cell.x_a, cell.x_b, cell.feasible):
-                yield ["point", cell.var_a, cell.var_b, _num(xa), _num(xb), int(f), ""]
-            for iv_a, iv_b in cell.rects:
-                yield ["rect", cell.var_a, cell.var_b, _num(iv_a.lo), _num(iv_a.hi), _num(iv_b.lo), _num(iv_b.hi)]
-
-    _write_csv(n_path, ["kind", "var_a", "var_b", "c1", "c2", "c3", "c4"], n_rows())
-    paths.append(n_path)
-    return paths
+            names = _csv_fields("point", cell.var_a, cell.var_b)
+            out.writelines(
+                f"{names},{xa},{xb},{f},\n"
+                for xa, xb, f in zip(floats(cell.x_a), floats(cell.x_b), flags(cell.feasible))
+            )
+            writer.writerows(
+                ["rect", cell.var_a, cell.var_b, _num(iv_a.lo), _num(iv_a.hi), _num(iv_b.lo), _num(iv_b.hi)]
+                for iv_a, iv_b in cell.rects
+            )
+    return [q_path, m_path, n_path]
 
 
 # --- SVG ---------------------------------------------------------------------
@@ -268,31 +305,36 @@ class _CellFrame:
     def border(self) -> str:
         return (
             f'<rect x="{self.x0:.2f}" y="{self.y0:.2f}" width="{self.size:.2f}" '
-            f'height="{self.size:.2f}" fill="none" stroke="#999999" stroke-width="1"/>'
+            f'height="{self.size:.2f}" fill="none" stroke="#999999" stroke-width="1"/>\n'
         )
 
 
-def _svg_header(title: str) -> list[str]:
-    return [
+def _xml_text(text: str) -> str:
+    # xml.sax.saxutils.escape, whose import pulls in urllib.request (about 26 ms)
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _svg_header(title: str) -> str:
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_CANVAS:.0f}" '
-        f'height="{SVG_CANVAS:.0f}" viewBox="0 0 {SVG_CANVAS:.0f} {SVG_CANVAS:.0f}">',
-        f'<title>{title}</title>',
-        f'<rect x="0" y="0" width="{SVG_CANVAS:.0f}" height="{SVG_CANVAS:.0f}" fill="#ffffff"/>',
-    ]
+        f'height="{SVG_CANVAS:.0f}" viewBox="0 0 {SVG_CANVAS:.0f} {SVG_CANVAS:.0f}">\n'
+        f'<title>{_xml_text(title)}</title>\n'
+        f'<rect x="0" y="0" width="{SVG_CANVAS:.0f}" height="{SVG_CANVAS:.0f}" fill="#ffffff"/>\n'
+    )
 
 
-def _svg_dots(frame: _CellFrame, xs, ys, mask, color_true="#4477aa", color_false="#cccccc") -> list[str]:
-    px = frame.x(xs)
-    py = frame.y(ys)
-    parts = []
-    for x, y, ok in zip(px, py, mask):
-        color = color_true if ok else color_false
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{color}"/>')
-    return parts
+def _svg_dots(out, frame: _CellFrame, xs, ys, mask, color_true="#4477aa", color_false="#cccccc") -> None:
+    out.writelines(
+        f'<circle cx="{x}" cy="{y}" r="1.5" fill="{color_true if ok else color_false}"/>\n'
+        for x, y, ok in zip(_texts(frame.x(xs), ".2f"), _texts(frame.y(ys), ".2f"), np.asarray(mask).tolist())
+    )
 
 
 def _svg_label(x: float, y: float, text: str, size: int = 13) -> str:
-    return f'<text x="{x:.2f}" y="{y:.2f}" font-family="monospace" font-size="{size}">{text}</text>'
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}" font-family="monospace" font-size="{size}">'
+        f'{_xml_text(text)}</text>\n'
+    )
 
 
 def _data_range(*arrays) -> tuple[float, float]:
@@ -303,6 +345,11 @@ def _data_range(*arrays) -> tuple[float, float]:
     return lo, hi
 
 
+def _drawn(bound: float | None) -> bool:
+    """Whether a bound gets a line: not when absent or infinite (unconstrained)."""
+    return bound is not None and math.isfinite(bound)
+
+
 def _emit_svg_m(report: RosettaReport, out_dir: Path) -> Path:
     names = report.objective_names
     k = len(names)
@@ -311,43 +358,43 @@ def _emit_svg_m(report: RosettaReport, out_dir: Path) -> Path:
     for cell in report.m_cells:
         for name, arr, bound in ((cell.obj_a, cell.z_a, cell.bound_a), (cell.obj_b, cell.z_b, cell.bound_b)):
             lo, hi = _data_range(arr)
-            if bound is not None:
+            if _drawn(bound):
                 lo, hi = min(lo, bound), max(hi, bound)
             if name in ranges:
                 lo = min(lo, ranges[name][0])
                 hi = max(hi, ranges[name][1])
             ranges[name] = (lo, hi)
 
-    parts = _svg_header(f"{report.problem_name}: objective pairings")
-    for row in range(k):
-        for col in range(k):
-            frame = _CellFrame(row, col, k, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
-            if row == col:
-                parts.append(frame.border())
-                parts.append(_svg_label(frame.x0 + 8, frame.y0 + frame.size / 2, names[row]))
-                continue
-            if row < col:
-                continue
-            cell = cells.get((names[col], names[row]))
-            if cell is None:
-                continue
-            parts.append(frame.border())
-            parts.extend(_svg_dots(frame, cell.z_a, cell.z_b, cell.feasible))
-            if cell.bound_a is not None:
-                x = frame.x([cell.bound_a])[0]
-                parts.append(
-                    f'<line x1="{x:.2f}" y1="{frame.py[0]:.2f}" x2="{x:.2f}" y2="{frame.py[1]:.2f}" '
-                    f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>'
-                )
-            if cell.bound_b is not None:
-                y = frame.y([cell.bound_b])[0]
-                parts.append(
-                    f'<line x1="{frame.px[0]:.2f}" y1="{y:.2f}" x2="{frame.px[1]:.2f}" y2="{y:.2f}" '
-                    f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>'
-                )
-    parts.append("</svg>")
     path = out_dir / f"{report.problem_name}_M.svg"
-    path.write_text("\n".join(parts) + "\n")
+    with path.open("w") as out:
+        out.write(_svg_header(f"{report.problem_name}: objective pairings"))
+        for row in range(k):
+            for col in range(k):
+                frame = _CellFrame(row, col, k, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
+                if row == col:
+                    out.write(frame.border())
+                    out.write(_svg_label(frame.x0 + 8, frame.y0 + frame.size / 2, names[row]))
+                    continue
+                if row < col:
+                    continue
+                cell = cells.get((names[col], names[row]))
+                if cell is None:
+                    continue
+                out.write(frame.border())
+                _svg_dots(out, frame, cell.z_a, cell.z_b, cell.feasible)
+                if _drawn(cell.bound_a):
+                    x = frame.x([cell.bound_a])[0]
+                    out.write(
+                        f'<line x1="{x:.2f}" y1="{frame.py[0]:.2f}" x2="{x:.2f}" y2="{frame.py[1]:.2f}" '
+                        f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>\n'
+                    )
+                if _drawn(cell.bound_b):
+                    y = frame.y([cell.bound_b])[0]
+                    out.write(
+                        f'<line x1="{frame.px[0]:.2f}" y1="{y:.2f}" x2="{frame.px[1]:.2f}" y2="{y:.2f}" '
+                        f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>\n'
+                    )
+        out.write("</svg>\n")
     return path
 
 
@@ -362,43 +409,43 @@ def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
     for summary in report.summaries:
         ranges.setdefault(summary.var, _data_range(summary.edges))
 
-    parts = _svg_header(f"{report.problem_name}: variable pairings")
-    for row in range(n):
-        for col in range(n):
-            frame = _CellFrame(row, col, n, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
-            if row == col:
-                parts.append(frame.border())
-                summary = report.summaries[row]
-                total = summary.total_counts.max() or 1
-                width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
-                for i, edge in enumerate(summary.edges):
-                    h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
-                    x = frame.x([edge])[0] - width / 2
-                    parts.append(
-                        f'<rect x="{x:.2f}" y="{frame.py[0] - h:.2f}" width="{width:.2f}" '
-                        f'height="{h:.2f}" fill="#88ccee"/>'
-                    )
-                parts.append(_svg_label(frame.x0 + 8, frame.y0 + 16, names[row]))
-                continue
-            if row < col:
-                continue
-            cell = cells.get((names[col], names[row]))
-            if cell is None:
-                continue
-            parts.append(frame.border())
-            parts.extend(_svg_dots(frame, cell.x_a, cell.x_b, cell.feasible))
-            for iv_a, iv_b in cell.rects:
-                x0 = frame.x([iv_a.lo])[0]
-                x1 = frame.x([iv_a.hi])[0]
-                y0 = frame.y([iv_b.hi])[0]
-                y1 = frame.y([iv_b.lo])[0]
-                parts.append(
-                    f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
-                    f'fill="#ccbb44" fill-opacity="0.45" stroke="#997700" stroke-width="1"/>'
-                )
-    parts.append("</svg>")
     path = out_dir / f"{report.problem_name}_N.svg"
-    path.write_text("\n".join(parts) + "\n")
+    with path.open("w") as out:
+        out.write(_svg_header(f"{report.problem_name}: variable pairings"))
+        for row in range(n):
+            for col in range(n):
+                frame = _CellFrame(row, col, n, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
+                if row == col:
+                    out.write(frame.border())
+                    summary = report.summaries[row]
+                    total = summary.total_counts.max() or 1
+                    width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
+                    for i, edge in enumerate(summary.edges):
+                        h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
+                        x = frame.x([edge])[0] - width / 2
+                        out.write(
+                            f'<rect x="{x:.2f}" y="{frame.py[0] - h:.2f}" width="{width:.2f}" '
+                            f'height="{h:.2f}" fill="#88ccee"/>\n'
+                        )
+                    out.write(_svg_label(frame.x0 + 8, frame.y0 + 16, names[row]))
+                    continue
+                if row < col:
+                    continue
+                cell = cells.get((names[col], names[row]))
+                if cell is None:
+                    continue
+                out.write(frame.border())
+                _svg_dots(out, frame, cell.x_a, cell.x_b, cell.feasible)
+                for iv_a, iv_b in cell.rects:
+                    x0 = frame.x([iv_a.lo])[0]
+                    x1 = frame.x([iv_a.hi])[0]
+                    y0 = frame.y([iv_b.hi])[0]
+                    y1 = frame.y([iv_b.lo])[0]
+                    out.write(
+                        f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
+                        f'fill="#ccbb44" fill-opacity="0.45" stroke="#997700" stroke-width="1"/>\n'
+                    )
+        out.write("</svg>\n")
     return path
 
 
@@ -406,30 +453,30 @@ def _emit_svg_q(report: RosettaReport, out_dir: Path) -> Path:
     rows = len(report.objective_names)
     cols = len(report.variable_names)
     grid = max(rows, cols)
-    parts = _svg_header(f"{report.problem_name}: objective-variable sensitivities")
     flat = [v for row in report.q_matrix for v in row]
     scale = max(abs(v) for v in flat) or 1.0
-    for r in range(rows):
-        for c in range(cols):
-            frame = _CellFrame(r, c, grid, (-1, 1), (-1, 1))
-            parts.append(frame.border())
-            slope = report.q_matrix[r][c] / scale
-            xs = frame.x([-0.8, 0.8])
-            ys = frame.y([-0.8 * slope, 0.8 * slope])
-            parts.append(
-                f'<line x1="{xs[0]:.2f}" y1="{ys[0]:.2f}" x2="{xs[1]:.2f}" y2="{ys[1]:.2f}" '
-                f'stroke="#4477aa" stroke-width="2"/>'
-            )
-            parts.append(
-                _svg_label(frame.x0 + 6, frame.y0 + frame.size - 6, f"{report.q_matrix[r][c]:.6g}", size=12)
-            )
-            if r == 0:
-                parts.append(_svg_label(frame.x0 + 6, SVG_MARGIN - 8, report.variable_names[c]))
-            if c == 0:
-                parts.append(_svg_label(4, frame.y0 + 16, report.objective_names[r], size=11))
-    parts.append("</svg>")
     path = out_dir / f"{report.problem_name}_Q.svg"
-    path.write_text("\n".join(parts) + "\n")
+    with path.open("w") as out:
+        out.write(_svg_header(f"{report.problem_name}: objective-variable sensitivities"))
+        for r in range(rows):
+            for c in range(cols):
+                frame = _CellFrame(r, c, grid, (-1, 1), (-1, 1))
+                out.write(frame.border())
+                slope = report.q_matrix[r][c] / scale
+                xs = frame.x([-0.8, 0.8])
+                ys = frame.y([-0.8 * slope, 0.8 * slope])
+                out.write(
+                    f'<line x1="{xs[0]:.2f}" y1="{ys[0]:.2f}" x2="{xs[1]:.2f}" y2="{ys[1]:.2f}" '
+                    f'stroke="#4477aa" stroke-width="2"/>\n'
+                )
+                out.write(
+                    _svg_label(frame.x0 + 6, frame.y0 + frame.size - 6, f"{report.q_matrix[r][c]:.6g}", size=12)
+                )
+                if r == 0:
+                    out.write(_svg_label(frame.x0 + 6, SVG_MARGIN - 8, report.variable_names[c]))
+                if c == 0:
+                    out.write(_svg_label(4, frame.y0 + 16, report.objective_names[r], size=11))
+        out.write("</svg>\n")
     return path
 
 

@@ -1,14 +1,19 @@
 import csv
+import dataclasses
 import io
 import random
+import warnings
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
 from cddkit.orthotope import Orthotope, solve_greedy
-from cddkit.rosetta import build_report, emit, project_orthotope
+from cddkit.rosetta import SVG_CANVAS, SVG_MARGIN, _CellFrame, _data_range, build_report, emit, project_orthotope
 from cddkit.surface import Interval
 
-from conftest import random_problem
+from conftest import load_bundled, random_problem
 
 
 def test_q_matrix_is_exact_sensitivities(emissions):
@@ -143,3 +148,278 @@ def test_report_on_two_variable_problem():
     assert len(report.n_cells) == 1
     assert len(report.summaries) == 2
     assert report.q_matrix and len(report.q_matrix[0]) == 2
+
+
+# --- reference writer ---------------------------------------------------------
+#
+# The plain formatting rules: every row through ``csv.writer`` with
+# ``repr(float(v))`` per numpy scalar and ``int(f)`` per flag, every SVG dot
+# formatted from numpy scalars, and each file joined in memory and written
+# with ``Path.write_text``.  ``emit`` must write the same bytes.
+
+def _ref_num(v):
+    return "" if v is None else repr(float(v))
+
+
+def _ref_csv(report):
+    def text(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+        return buf.getvalue()
+
+    q = text(
+        ["objective", *report.variable_names],
+        ([name, *(_ref_num(v) for v in row)] for name, row in zip(report.objective_names, report.q_matrix)),
+    )
+    m = text(
+        ["obj_a", "obj_b", "z_a", "z_b", "feasible", "bound_a", "bound_b"],
+        (
+            [c.obj_a, c.obj_b, _ref_num(za), _ref_num(zb), int(f), _ref_num(c.bound_a), _ref_num(c.bound_b)]
+            for c in report.m_cells
+            for za, zb, f in zip(c.z_a, c.z_b, c.feasible)
+        ),
+    )
+    n_rows = []
+    for c in report.n_cells:
+        for xa, xb, f in zip(c.x_a, c.x_b, c.feasible):
+            n_rows.append(["point", c.var_a, c.var_b, _ref_num(xa), _ref_num(xb), int(f), ""])
+        for a, b in c.rects:
+            n_rows.append(["rect", c.var_a, c.var_b, _ref_num(a.lo), _ref_num(a.hi), _ref_num(b.lo), _ref_num(b.hi)])
+    n = text(["kind", "var_a", "var_b", "c1", "c2", "c3", "c4"], n_rows)
+    stem = report.problem_name
+    return {f"{stem}_Q.csv": q, f"{stem}_M.csv": m, f"{stem}_N.csv": n}
+
+
+def _ref_border(frame):
+    return (
+        f'<rect x="{frame.x0:.2f}" y="{frame.y0:.2f}" width="{frame.size:.2f}" '
+        f'height="{frame.size:.2f}" fill="none" stroke="#999999" stroke-width="1"/>'
+    )
+
+
+def _ref_label(x, y, text, size=13):
+    return f'<text x="{x:.2f}" y="{y:.2f}" font-family="monospace" font-size="{size}">{text}</text>'
+
+
+def _ref_header(title):
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_CANVAS:.0f}" '
+        f'height="{SVG_CANVAS:.0f}" viewBox="0 0 {SVG_CANVAS:.0f} {SVG_CANVAS:.0f}">',
+        f"<title>{title}</title>",
+        f'<rect x="0" y="0" width="{SVG_CANVAS:.0f}" height="{SVG_CANVAS:.0f}" fill="#ffffff"/>',
+    ]
+
+
+def _ref_dots(frame, xs, ys, mask):
+    return [
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{"#4477aa" if ok else "#cccccc"}"/>'
+        for x, y, ok in zip(frame.x(xs), frame.y(ys), mask)
+    ]
+
+
+def _ref_svg(report):
+    stem = report.problem_name
+    dash = 'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>'
+
+    names = report.objective_names
+    k = len(names)
+    cells = {(c.obj_a, c.obj_b): c for c in report.m_cells}
+    ranges = {}
+    for c in report.m_cells:
+        for name, arr, bound in ((c.obj_a, c.z_a, c.bound_a), (c.obj_b, c.z_b, c.bound_b)):
+            lo, hi = _data_range(arr)
+            if bound is not None:
+                lo, hi = min(lo, bound), max(hi, bound)
+            if name in ranges:
+                lo, hi = min(lo, ranges[name][0]), max(hi, ranges[name][1])
+            ranges[name] = (lo, hi)
+    m = _ref_header(f"{stem}: objective pairings")
+    for row in range(k):
+        for col in range(row + 1):
+            frame = _CellFrame(row, col, k, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
+            if row == col:
+                m += [_ref_border(frame), _ref_label(frame.x0 + 8, frame.y0 + frame.size / 2, names[row])]
+                continue
+            c = cells.get((names[col], names[row]))
+            if c is None:
+                continue
+            m += [_ref_border(frame), *_ref_dots(frame, c.z_a, c.z_b, c.feasible)]
+            if c.bound_a is not None:
+                x = frame.x([c.bound_a])[0]
+                m.append(f'<line x1="{x:.2f}" y1="{frame.py[0]:.2f}" x2="{x:.2f}" y2="{frame.py[1]:.2f}" {dash}')
+            if c.bound_b is not None:
+                y = frame.y([c.bound_b])[0]
+                m.append(f'<line x1="{frame.px[0]:.2f}" y1="{y:.2f}" x2="{frame.px[1]:.2f}" y2="{y:.2f}" {dash}')
+
+    names = report.variable_names
+    n = len(names)
+    cells = {(c.var_a, c.var_b): c for c in report.n_cells}
+    ranges = {}
+    for c in report.n_cells:
+        ranges.setdefault(c.var_a, _data_range(c.x_a))
+        ranges.setdefault(c.var_b, _data_range(c.x_b))
+    for summary in report.summaries:
+        ranges.setdefault(summary.var, _data_range(summary.edges))
+    nn = _ref_header(f"{stem}: variable pairings")
+    for row in range(n):
+        for col in range(row + 1):
+            frame = _CellFrame(row, col, n, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
+            if row == col:
+                nn.append(_ref_border(frame))
+                summary = report.summaries[row]
+                total = summary.total_counts.max() or 1
+                width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
+                for i, edge in enumerate(summary.edges):
+                    h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
+                    x = frame.x([edge])[0] - width / 2
+                    nn.append(
+                        f'<rect x="{x:.2f}" y="{frame.py[0] - h:.2f}" width="{width:.2f}" '
+                        f'height="{h:.2f}" fill="#88ccee"/>'
+                    )
+                nn.append(_ref_label(frame.x0 + 8, frame.y0 + 16, names[row]))
+                continue
+            c = cells.get((names[col], names[row]))
+            if c is None:
+                continue
+            nn += [_ref_border(frame), *_ref_dots(frame, c.x_a, c.x_b, c.feasible)]
+            for a, b in c.rects:
+                x0, x1 = frame.x([a.lo])[0], frame.x([a.hi])[0]
+                y0, y1 = frame.y([b.hi])[0], frame.y([b.lo])[0]
+                nn.append(
+                    f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
+                    f'fill="#ccbb44" fill-opacity="0.45" stroke="#997700" stroke-width="1"/>'
+                )
+
+    rows, cols = len(report.objective_names), len(report.variable_names)
+    scale = max(abs(v) for row in report.q_matrix for v in row) or 1.0
+    q = _ref_header(f"{stem}: objective-variable sensitivities")
+    for r in range(rows):
+        for c in range(cols):
+            frame = _CellFrame(r, c, max(rows, cols), (-1, 1), (-1, 1))
+            slope = report.q_matrix[r][c] / scale
+            xs = frame.x([-0.8, 0.8])
+            ys = frame.y([-0.8 * slope, 0.8 * slope])
+            q += [
+                _ref_border(frame),
+                f'<line x1="{xs[0]:.2f}" y1="{ys[0]:.2f}" x2="{xs[1]:.2f}" y2="{ys[1]:.2f}" '
+                f'stroke="#4477aa" stroke-width="2"/>',
+                _ref_label(frame.x0 + 6, frame.y0 + frame.size - 6, f"{report.q_matrix[r][c]:.6g}", size=12),
+            ]
+            if r == 0:
+                q.append(_ref_label(frame.x0 + 6, SVG_MARGIN - 8, report.variable_names[c]))
+            if c == 0:
+                q.append(_ref_label(4, frame.y0 + 16, report.objective_names[r], size=11))
+    return {
+        f"{stem}_{key}.svg": "\n".join(parts + ["</svg>"]) + "\n"
+        for key, parts in (("M", m), ("N", nn), ("Q", q))
+    }
+
+
+# names csv.writer must quote: a comma, a double quote, edge spaces, a newline
+_QUOTED_VARIABLES = ("speed, rpm", ' torque "Nm"', "egr ")
+_QUOTED_SURFACES = ("CO2\nper km", ' "NOx"', "soot, dry ")
+
+
+def _emit_cases():
+    rng = random.Random(2024)
+    for n in (1, 2, 3):
+        for m in (1, 3):
+            for scale, offset in ((1.0, 0.0), (1e6, 0.0), (1.0, 1800.0)):
+                problem = random_problem(rng, dim=n, count=m, scale=scale, offset=offset)
+                if m == 3:
+                    # the last objective is reported but not constrained
+                    problem = dataclasses.replace(problem, constraints=problem.constraints[:2])
+                yield f"n{n}-m{m}-scale{scale:g}-offset{offset:g}", problem
+    base = random_problem(rng, dim=3, count=3)
+    variables = tuple(
+        DesignVariable(name, v.unit, v.ambient) for name, v in zip(_QUOTED_VARIABLES, base.variables)
+    )
+    surfaces = tuple(dataclasses.replace(s, name=name) for name, s in zip(_QUOTED_SURFACES, base.surfaces))
+    constraints = tuple(
+        ObjectiveConstraint(name, c.bound) for name, c in zip(_QUOTED_SURFACES, base.constraints)
+    )
+    yield "quoted-names", DesignProblem(
+        variables=variables, surfaces=surfaces, constraints=constraints, seed=base.seed, name="quoted"
+    )
+
+
+@pytest.mark.parametrize("problem", [pytest.param(p, id=case) for case, p in _emit_cases()])
+@pytest.mark.parametrize("solved", [False, True], ids=["bare", "solved"])
+def test_emit_bytes_match_reference_writer(problem, solved, tmp_path):
+    report = build_report(problem, solve_greedy(problem) if solved else None, resolution=6)
+    _assert_emits_reference(report, tmp_path)
+
+
+def test_emit_keeps_signed_zeros_and_tiny_values_apart(emissions, tmp_path):
+    # 0.0 and -0.0 compare equal but print differently, in one array and across cells
+    report = build_report(emissions, resolution=4)
+    size = len(report.m_cells[0].z_a)
+    odd = np.resize([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e300, 2.0 ** -1074 * 3], size)
+    m_cell = dataclasses.replace(report.m_cells[0], z_a=odd)
+    n_cell = dataclasses.replace(report.n_cells[0], x_b=-report.n_cells[0].x_b)
+    report = dataclasses.replace(
+        report, m_cells=(m_cell, *report.m_cells[1:]), n_cells=(n_cell, *report.n_cells[1:])
+    )
+    _assert_emits_reference(report, tmp_path)
+
+
+def _assert_emits_reference(report, tmp_path):
+    for fmt, reference in (("csv", _ref_csv(report)), ("svg", _ref_svg(report))):
+        paths = emit(report, fmt, tmp_path / "emit")
+        assert sorted(p.name for p in paths) == sorted(reference)
+        for path in paths:
+            expected = tmp_path / "ref" / path.name
+            expected.parent.mkdir(exist_ok=True)
+            expected.write_text(reference[path.name])
+            assert path.read_bytes() == expected.read_bytes(), path.name
+
+
+# --- SVG text and unconstrained bounds ------------------------------------------
+
+def test_svg_text_is_xml_escaped(tmp_path):
+    base = random_problem(random.Random(8), dim=2, count=2)
+    names = ("CO2&more", "NOx<x>")
+    problem = DesignProblem(
+        variables=(DesignVariable("speed<rpm>", "", base.variables[0].ambient), base.variables[1]),
+        surfaces=tuple(dataclasses.replace(s, name=name) for name, s in zip(names, base.surfaces)),
+        constraints=tuple(ObjectiveConstraint(name, c.bound) for name, c in zip(names, base.constraints)),
+        seed=base.seed,
+        name="R&D<x>",
+    )
+    paths = emit(build_report(problem, solve_greedy(problem), resolution=4), "svg", tmp_path)
+    assert len(paths) == 3
+    for path in paths:
+        root = ET.parse(path).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        assert root.find(f"{ns}title").text.startswith("R&D<x>: ")
+        labels = {t.text for t in root.iter(f"{ns}text")}
+        if path.name.endswith("_M.svg"):
+            assert set(names) <= labels
+        else:
+            assert "speed<rpm>" in labels
+
+
+def test_infinite_bound_draws_no_line(tmp_path):
+    adas = load_bundled("adas.json")
+    constraints = tuple(
+        dataclasses.replace(c, bound=float("inf")) if c.surface == "CO2" else c for c in adas.constraints
+    )
+    problem = dataclasses.replace(adas, constraints=constraints, name="infbound")
+    report = build_report(problem, solve_greedy(problem), resolution=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = emit(report, "svg", tmp_path)
+        emit(report, "csv", tmp_path)
+    m_svg = next(p for p in paths if p.name == "infbound_M.svg")
+    root = ET.parse(m_svg).getroot()
+    values = [v for el in root.iter() for v in el.attrib.values()]
+    assert not [v for v in values if "nan" in v or "inf" in v]
+    cxs = {el.attrib["cx"] for el in root.iter("{http://www.w3.org/2000/svg}circle")}
+    assert len(cxs) > 1
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}line"))) == 1  # the CO bound only
+    with (tmp_path / "infbound_M.csv").open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["bound_a"] for r in rows if r["obj_a"] == "CO2"} == {"inf"}
