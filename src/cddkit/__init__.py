@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it (a submodule maps to itself).
 # Each is imported on first access (PEP 562), so ``import cddkit`` loads no
-# layer, and numpy only loads with a layer that builds a lattice.
+# layer.
 _EXPORTS = {
     "DesignProblem": "designspace",
     "FeasibleRegion": "designspace",

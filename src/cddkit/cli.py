@@ -25,9 +25,9 @@ if TYPE_CHECKING:
     from .orthotope import SolveResult
 
 # Each command imports the layers it runs inside its own body, so that a
-# call starts only what it needs: numpy loads with the lattice layers
-# (verify's grid oracle, rosetta) and never for solve, evaluate, quantify
-# or logic.
+# call starts only what it needs: logic loads no numeric layer, and no
+# numeric command loads the logic kernel; only rosetta loads the report
+# layer.  The package has no runtime dependency to import.
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE_SEED = 3

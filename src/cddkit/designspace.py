@@ -12,7 +12,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import (
     BoxOutsideAmbient,
@@ -24,9 +24,6 @@ from .errors import (
     UnsupportedRelation,
 )
 from .surface import Interval, QuadraticResponseSurface
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "DesignVariable",
@@ -226,15 +223,19 @@ class FeasibleRegion:
                 return at
         return None
 
-    def grid_axes(self, resolution) -> list[np.ndarray]:
-        import numpy as np
+    def grid_axes(self, resolution) -> list[list[float]]:
+        """Inclusive regular lattice axes over the ambient box, one list per variable.
 
+        Point i of an r-point axis is ``i*step + lo`` with
+        ``step = (hi - lo) / (r - 1)``, and the last point is ``hi`` exactly.
+        """
         p = self.problem
-        counts = self._axis_counts(resolution)
-        return [
-            np.linspace(v.ambient.lo, v.ambient.hi, r)
-            for v, r in zip(p.variables, counts)
-        ]
+        axes = []
+        for v, r in zip(p.variables, self._axis_counts(resolution)):
+            lo, hi = v.ambient.lo, v.ambient.hi
+            step = (hi - lo) / (r - 1)
+            axes.append([i * step + lo for i in range(r - 1)] + [hi])
+        return axes
 
     def _axis_counts(self, resolution) -> tuple[int, ...]:
         p = self.problem
@@ -246,49 +247,46 @@ class FeasibleRegion:
                 raise DimensionMismatch(f"{len(counts)} resolutions for dimension {p.dim}")
         if any(r < 2 for r in counts):
             raise SchemaError("grid resolution must be at least 2 per axis")
-        total = 1
-        for r in counts:
-            total *= r
+        total = math.prod(counts)
         if total > grid_cap():
             raise CapExceeded(f"lattice of {total} points exceeds cap {grid_cap()}")
         return counts
 
-    def grid_feasible_set(self, resolution) -> np.ndarray:
-        """Boolean feasibility lattice over the ambient box, row-major.
+    def grid_feasible_set(self, resolution) -> list[bool]:
+        """Feasibility of each point of the lattice over the ambient box, row-major.
 
         The inclusive regular lattice has ``resolution`` points per axis
-        (or one count per axis).  Entry order matches sequential
-        row-major evaluation.
+        (or one count per axis); its shape is the tuple of axis lengths.
+        Entry order matches sequential row-major evaluation.
         """
         return self.grid_values(self.grid_axes(resolution))[1]
 
-    def grid_values(self, axes: Sequence[np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Every surface's values on the product lattice of ``axes``, and its feasibility mask."""
-        import numpy as np
+    def grid_values(self, axes: Sequence[Sequence[float]]) -> tuple[dict[str, list[float]], list[bool]]:
+        """Every surface's values on the product lattice of ``axes``, and its feasibility mask.
 
+        Both are flat and row-major, like ``lattice_sum``.
+        """
         p = self.problem
         values = {
-            s.name: lattice_sum(s.beta0, [s.term(j, axis) for j, axis in enumerate(axes)])
+            s.name: lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
             for s in p.surfaces
         }
-        mask = np.ones(tuple(len(a) for a in axes), dtype=bool)
+        mask = [True] * math.prod(len(a) for a in axes)
         for c in p.constraints:
-            mask &= values[c.surface] <= c.bound
+            bound = c.bound
+            mask = [ok and z <= bound for ok, z in zip(mask, values[c.surface])]
         return values, mask
 
 
-def lattice_sum(beta0: float, per_axis: Sequence[np.ndarray]) -> np.ndarray:
-    """``beta0`` plus ``per_axis[j]`` along each axis j of their product lattice.
+def lattice_sum(beta0: float, per_axis: Sequence[Sequence[float]]) -> list[float]:
+    """``beta0`` plus ``per_axis[j]`` along each axis j of their product lattice, row-major.
 
     The one lattice evaluator: it adds in the order of ``evaluate``, so
     every entry equals the scalar evaluation bit for bit.
     """
-    import numpy as np
-
-    n = len(per_axis)
-    total = np.full(tuple(len(v) for v in per_axis), beta0)
-    for j, v in enumerate(per_axis):
-        total = total + v.reshape([-1 if k == j else 1 for k in range(n)])
+    total = [beta0]
+    for axis in per_axis:
+        total = [t + v for t in total for v in axis]
     return total
 
 
@@ -308,6 +306,8 @@ def load_problem(text_or_doc) -> DesignProblem:
     for key in ("variables", "surfaces", "constraints", "seed"):
         if key not in doc:
             raise SchemaError(f"problem document missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise SchemaError(f"problem key {key!r} must be a JSON array, got {json.dumps(doc[key])}")
 
     variables = []
     for entry in doc["variables"]:

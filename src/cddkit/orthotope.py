@@ -18,10 +18,11 @@ maximality, since a strictly containing box must extend some face.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .designspace import DesignProblem, FeasibleRegion, lattice_sum
 from .errors import (
@@ -32,9 +33,6 @@ from .errors import (
     SeedNotContained,
 )
 from .surface import Interval, QuadraticResponseSurface
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Orthotope",
@@ -527,7 +525,7 @@ def _check_oracle_limits(problem: DesignProblem, resolution: int) -> None:
 
 def _grid_sweep(
     region: FeasibleRegion,
-    axes: list[np.ndarray],
+    axes: list[list[float]],
     box: Orthotope,
     j: int,
     seed_j: float,
@@ -546,7 +544,7 @@ def _grid_sweep(
     for g in grid:
         if g < seed_j - tiny:
             continue
-        upper = float(max(g, seed_j))
+        upper = max(g, seed_j)
         work[j] = Interval(min(box.intervals[j].lo, seed_j), upper)
         if region.is_box_feasible(work)[0]:
             hi = upper
@@ -557,7 +555,7 @@ def _grid_sweep(
     for g in grid[::-1]:
         if g > seed_j + tiny:
             continue
-        lower = float(min(g, seed_j))
+        lower = min(g, seed_j)
         work[j] = Interval(lower, max(hi, seed_j))
         if region.is_box_feasible(work)[0]:
             lo = lower
@@ -598,53 +596,41 @@ def oracle_solve(
 
 
 def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
-    import numpy as np
-
     n = problem.dim
     k = min(resolution, VOLUME_SEARCH_RESOLUTION[n])
-    region = problem.region()
-    axes = region.grid_axes(k)
+    axes = problem.region().grid_axes(k)
 
     pair_lists = []
-    for j, grid in enumerate(axes):
-        seed_j = problem.seed[j]
-        a0 = int(np.searchsorted(grid, seed_j, side="right") - 1)
-        a0 = max(0, min(a0, len(grid) - 1))
-        b0 = int(np.searchsorted(grid, seed_j, side="left"))
-        b0 = max(0, min(b0, len(grid) - 1))
+    for grid, seed_j in zip(axes, problem.seed):
+        last = len(grid) - 1
+        a0 = max(0, min(bisect_right(grid, seed_j) - 1, last))
+        b0 = max(0, min(bisect_left(grid, seed_j), last))
         pairs = [(a, b) for a in range(a0 + 1) for b in range(b0, len(grid)) if a < b]
-        if not pairs:
-            pairs = [(a0, b0)]
-        pair_lists.append(pairs)
+        pair_lists.append(pairs or [(a0, b0)])
 
-    term_tables = []
-    widths = []
-    for j, (grid, pairs) in enumerate(zip(axes, pair_lists)):
-        per_surface = []
-        for s, _ in problem.constrained_pairs():
-            vals = np.array(
-                [s.term_extremum(j, Interval(grid[a], grid[b]), "max")[0] for a, b in pairs]
-            )
-            per_surface.append(vals)
-        term_tables.append(per_surface)
-        widths.append(np.array([grid[b] - grid[a] for a, b in pairs]))
+    # every candidate box, row-major over the pair lists
+    feasible = [True] * math.prod(len(pairs) for pairs in pair_lists)
+    for s, bound in problem.constrained_pairs():
+        tables = [
+            [s.term_extremum(j, Interval(grid[a], grid[b]), "max")[0] for a, b in pairs]
+            for j, (grid, pairs) in enumerate(zip(axes, pair_lists))
+        ]
+        feasible = [ok and z <= bound for ok, z in zip(feasible, lattice_sum(s.beta0, tables))]
 
-    shape = tuple(len(p) for p in pair_lists)
-    feasible = np.ones(shape, dtype=bool)
-    for i, (s, bound) in enumerate(problem.constrained_pairs()):
-        feasible &= lattice_sum(s.beta0, [term_tables[j][i] for j in range(n)]) <= bound
-
-    volume = np.where(feasible, reduce(np.multiply.outer, widths), -1.0)
-    flat_best = int(np.argmax(volume))
-    if volume.flat[flat_best] < 0:
+    widths = [[grid[b] - grid[a] for a, b in pairs] for grid, pairs in zip(axes, pair_lists)]
+    volumes = reduce(lambda acc, w: [t * v for t in acc for v in w], widths)  # (w0*w1)*w2, row-major
+    volume = [v if ok else -1.0 for v, ok in zip(volumes, feasible)]
+    best = max(volume)
+    if best < 0:
         # no feasible grid box with positive volume; report the seed point box
         return Orthotope.point(problem.seed)
-    best = np.unravel_index(flat_best, shape)
+    flat = volume.index(best)  # the first maximum
     intervals = []
-    for j, idx in enumerate(best):
-        a, b = pair_lists[j][idx]
-        intervals.append(Interval(float(axes[j][a]), float(axes[j][b])))
-    return Orthotope(tuple(intervals))
+    for j in reversed(range(n)):
+        flat, i = divmod(flat, len(pair_lists[j]))
+        a, b = pair_lists[j][i]
+        intervals.append(Interval(axes[j][a], axes[j][b]))
+    return Orthotope(tuple(reversed(intervals)))
 
 
 def oracle_check_steps(

@@ -13,9 +13,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
-
-import numpy as np
 
 from .designspace import DesignProblem
 from .orthotope import Orthotope, SolveResult
@@ -36,9 +35,9 @@ class MCell:
 
     obj_a: str
     obj_b: str
-    z_a: np.ndarray
-    z_b: np.ndarray
-    feasible: np.ndarray
+    z_a: tuple[float, ...]
+    z_b: tuple[float, ...]
+    feasible: tuple[bool, ...]
     bound_a: float | None
     bound_b: float | None
 
@@ -49,9 +48,9 @@ class NCell:
 
     var_a: str
     var_b: str
-    x_a: np.ndarray
-    x_b: np.ndarray
-    feasible: np.ndarray
+    x_a: tuple[float, ...]
+    x_b: tuple[float, ...]
+    feasible: tuple[bool, ...]
     rects: tuple[tuple[Interval, Interval], ...]
 
 
@@ -60,9 +59,9 @@ class AxisSummary:
     """Feasible-value histogram of one variable, shown on N diagonal cells."""
 
     var: str
-    edges: np.ndarray
-    feasible_counts: np.ndarray
-    total_counts: np.ndarray
+    edges: tuple[float, ...]
+    feasible_counts: tuple[int, ...]
+    total_counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -100,15 +99,18 @@ def build_report(
     """
     region = problem.region()
     axes = region.grid_axes(resolution)
-    shape = tuple(len(a) for a in axes)
     n = problem.dim
+    size = math.prod(len(a) for a in axes)
+    # flat index i sits at entry (i // inner[j]) % len(axes[j]) of axis j
+    inner = [math.prod(len(a) for a in axes[j + 1:]) for j in range(n)]
 
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = [g.reshape(-1) for g in grids]
-
-    lattice, feasible_grid = region.grid_values(axes)
-    values = {name: z.reshape(-1) for name, z in lattice.items()}
-    feasible = feasible_grid.reshape(-1)
+    coords = [
+        tuple(x for x in axis for _ in range(inner[j])) * (size // (inner[j] * len(axis)))
+        for j, axis in enumerate(axes)
+    ]
+    lattice, mask = region.grid_values(axes)
+    values = {name: tuple(z) for name, z in lattice.items()}
+    feasible = tuple(mask)
 
     bounds = {c.surface: c.bound for c in problem.constraints}
 
@@ -152,18 +154,15 @@ def build_report(
 
     summaries = []
     for j, axis in enumerate(axes):
-        other_axes = tuple(d for d in range(n) if d != j)
-        feas = feasible_grid.sum(axis=other_axes).astype(int) if other_axes else feasible_grid.astype(int)
-        per_value = 1
-        for d in other_axes:
-            per_value *= shape[d]
-        total = np.full(len(axis), per_value, dtype=int)
+        counts = [0] * len(axis)
+        for i in compress(range(size), feasible):
+            counts[i // inner[j] % len(axis)] += 1
         summaries.append(
             AxisSummary(
                 var=problem.variables[j].name,
-                edges=axis,
-                feasible_counts=feas,
-                total_counts=total,
+                edges=tuple(axis),
+                feasible_counts=tuple(counts),
+                total_counts=(size // len(axis),) * len(axis),
             )
         )
 
@@ -185,10 +184,10 @@ def build_report(
 # Files are streamed to their open file, never assembled in memory first.
 # A lattice array is formatted once per emit call (M cells share each
 # surface's values, N cells each coordinate array, every cell the mask), and
-# within it once per distinct float; ``format(v, "")`` of a ``tolist()``
-# float is ``repr(float(v))`` of the numpy scalar.  A float repr or a 0/1
-# flag never needs CSV quoting, so only the name and bound fields go through
-# ``csv.writer``, once per cell.
+# within an array that repeats its values, once per distinct float;
+# ``format(v, "")`` is ``repr(v)``.  A float repr or a 0/1 flag never needs
+# CSV quoting, so only the name and bound fields go through ``csv.writer``,
+# once per cell.
 
 def _num(v) -> str:
     return "" if v is None else repr(float(v))
@@ -207,15 +206,16 @@ def _csv_fields(*fields) -> str:
 
 
 def _texts(values, spec: str = "") -> list[str]:
-    """``format(float(v), spec)`` for each value, formatting each distinct float once.
+    """``format(v, spec)`` for each float; a repeated value is formatted once.
 
-    Values are told apart by their bits, so ``-0.0`` keeps its sign.  An
-    empty ``spec`` gives ``repr``.
+    Zeros are formatted one by one: ``-0.0 == 0.0``, but the two print
+    apart.  An empty ``spec`` gives ``repr``.
     """
-    values = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    distinct, index = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = [format(v, spec) for v in distinct.view(np.float64).tolist()]
-    return [texts[i] for i in index.tolist()]
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):  # mostly distinct: a lookup would cost more than it saves
+        return list(map(format, values, repeat(spec)))
+    texts = dict(zip(distinct, map(format, distinct, repeat(spec))))
+    return [texts[v] if v else format(v, spec) for v in values]
 
 
 def _per_array(convert):
@@ -234,7 +234,7 @@ def _per_array(convert):
 def _emit_csv(report: RosettaReport, out_dir: Path) -> list[Path]:
     stem = report.problem_name
     floats = _per_array(_texts)
-    flags = _per_array(lambda a: np.asarray(a).astype(int).tolist())
+    flags = _per_array(lambda a: list(map(int, a)))
 
     q_path = out_dir / f"{stem}_Q.csv"
     with q_path.open("w") as out:
@@ -274,11 +274,12 @@ def _emit_csv(report: RosettaReport, out_dir: Path) -> list[Path]:
 
 # --- SVG ---------------------------------------------------------------------
 
-def _scale(values, lo, hi, pix_lo, pix_hi):
+def _scale(values, lo, hi, pix_lo, pix_hi) -> list[float]:
     span = hi - lo
     if span <= 0:
         span = 1.0
-    return pix_lo + (np.asarray(values, dtype=float) - lo) / span * (pix_hi - pix_lo)
+    gain = pix_hi - pix_lo
+    return [pix_lo + (v - lo) / span * gain for v in values]
 
 
 class _CellFrame:
@@ -326,7 +327,7 @@ def _svg_header(title: str) -> str:
 def _svg_dots(out, frame: _CellFrame, xs, ys, mask, color_true="#4477aa", color_false="#cccccc") -> None:
     out.writelines(
         f'<circle cx="{x}" cy="{y}" r="1.5" fill="{color_true if ok else color_false}"/>\n'
-        for x, y, ok in zip(_texts(frame.x(xs), ".2f"), _texts(frame.y(ys), ".2f"), np.asarray(mask).tolist())
+        for x, y, ok in zip(_texts(frame.x(xs), ".2f"), _texts(frame.y(ys), ".2f"), mask)
     )
 
 
@@ -337,9 +338,8 @@ def _svg_label(x: float, y: float, text: str, size: int = 13) -> str:
     )
 
 
-def _data_range(*arrays) -> tuple[float, float]:
-    lo = min(float(np.min(a)) for a in arrays)
-    hi = max(float(np.max(a)) for a in arrays)
+def _data_range(values) -> tuple[float, float]:
+    lo, hi = min(values), max(values)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     return lo, hi
@@ -418,7 +418,7 @@ def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
                 if row == col:
                     out.write(frame.border())
                     summary = report.summaries[row]
-                    total = summary.total_counts.max() or 1
+                    total = max(summary.total_counts) or 1
                     width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
                     for i, edge in enumerate(summary.edges):
                         h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
@@ -454,7 +454,7 @@ def _emit_svg_q(report: RosettaReport, out_dir: Path) -> Path:
     cols = len(report.variable_names)
     grid = max(rows, cols)
     flat = [v for row in report.q_matrix for v in row]
-    scale = max(abs(v) for v in flat) or 1.0
+    scale = max((abs(v) for v in flat), default=0.0) or 1.0
     path = out_dir / f"{report.problem_name}_Q.svg"
     with path.open("w") as out:
         out.write(_svg_header(f"{report.problem_name}: objective-variable sensitivities"))

@@ -72,3 +72,18 @@ def random_problem(
         seed=tuple(seed),
         name="random",
     )
+
+
+def numpy_lattice_sum(beta0, per_axis):
+    """The numpy broadcast sum that ``designspace.lattice_sum`` replaced, shaped like the lattice.
+
+    Kept as a reference: the library itself has no numpy path.
+    """
+    import numpy as np
+
+    per_axis = [np.asarray(v, dtype=float) for v in per_axis]
+    n = len(per_axis)
+    total = np.full(tuple(len(v) for v in per_axis), beta0)
+    for j, v in enumerate(per_axis):
+        total = total + v.reshape([-1 if k == j else 1 for k in range(n)])
+    return total

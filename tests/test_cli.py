@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +320,27 @@ def test_solve_bad_problem_entry_exits_2(tmp_path, capsys, edit):
     code, _, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_rosetta_without_surfaces_writes_six_files(tmp_path, capsys):
+    path = _edited_problem(tmp_path, lambda doc: doc.update(surfaces=[], constraints=[]))
+    out = tmp_path / "report"
+    code, stdout, err = run_cli("rosetta", path, "--resolution", "5", "--out", str(out), capsys=capsys)
+    assert code == 0, err
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted(f"emissions_{m}.{ext}" for m in "MNQ" for ext in ("csv", "svg"))
+    assert sorted(Path(line).name for line in stdout.split()) == written
+
+
+@pytest.mark.parametrize("key", ["variables", "surfaces", "constraints", "seed"])
+def test_solve_non_array_problem_key_exits_2(tmp_path, capsys, key):
+    # a number or null is not iterable, and a string iterates by character
+    for value in (5, None, "000"):
+        path = _edited_problem(tmp_path, lambda doc: doc.update({key: value}))
+        code, out, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+        assert code == 2, value
+        assert out == ""
+        assert key in err and "JSON array" in err
 
 
 @pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "0,0,-inf", "1e400,0,0"])

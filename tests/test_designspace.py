@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cddkit import data_path, load_problem, quantify_requirement
-from cddkit.designspace import DesignProblem, ObjectiveConstraint, grid_cap
+from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, grid_cap, lattice_sum
 from cddkit.errors import (
     BoxOutsideAmbient,
     CapExceeded,
@@ -18,7 +18,7 @@ from cddkit.errors import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import random_problem
+from conftest import numpy_lattice_sum, random_problem
 
 
 def test_bundled_adas_loads(adas):
@@ -193,7 +193,7 @@ def test_grid_corner_count():
     rng = random.Random(29)
     problem = random_problem(rng, dim=2)
     mask = problem.region().grid_feasible_set(2)
-    assert mask.shape == (2, 2)
+    assert len(mask) == 4
 
 
 def test_grid_unconstrained_all_feasible():
@@ -206,22 +206,23 @@ def test_grid_unconstrained_all_feasible():
         seed=problem.seed,
         name="open",
     )
-    assert unconstrained.region().grid_feasible_set(7).all()
+    mask = unconstrained.region().grid_feasible_set(7)
+    assert len(mask) == 49 and all(mask)
 
 
 def test_emissions_grid_fraction_strictly_between_zero_and_one(emissions):
     mask = emissions.region().grid_feasible_set(101)
-    fraction = mask.mean()
+    fraction = sum(mask) / len(mask)
     assert 0.0 < fraction < 1.0
 
 
 def test_grid_matches_pointwise_evaluation(emissions):
     region = emissions.region()
     mask = region.grid_feasible_set(5)
-    axes = region.grid_axes(5)
-    for idx in np.ndindex(mask.shape):
-        point = [axes[d][idx[d]] for d in range(3)]
-        assert mask[idx] == region.is_point_feasible(point)[0]
+    points = list(itertools.product(*region.grid_axes(5)))
+    assert len(mask) == len(points) == 125
+    for flagged, point in zip(mask, points):
+        assert flagged == region.is_point_feasible(point)[0]
 
 
 def test_grid_cap(monkeypatch, emissions):
@@ -311,3 +312,65 @@ def test_box_feasible_implies_every_corner_feasible():
         for corner in itertools.product(*box):
             assert region.is_point_feasible(corner)[0], (box, corner)
     assert exercised >= 500
+
+
+# --- numpy as the reference implementation of the lattice ----------------------
+#
+# The lattice is plain Python; numpy is only the yardstick here.  Values are
+# compared by ``float.hex``, so a signed zero or a one-ulp difference shows.
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def test_grid_axes_match_numpy_linspace():
+    rng = random.Random(6100)
+    cases = 0
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-6, 6)
+        offset = rng.choice((0.0, rng.uniform(-1600.0, 1600.0)))
+        lo = offset + scale * rng.uniform(-2.0, 1.0)
+        hi = lo + scale * rng.uniform(1e-3, 3.0)
+        if not lo < hi:
+            continue
+        r = rng.choice((2, 3, rng.randint(2, 201)))
+        variable = DesignVariable("x", "", Interval(lo, hi))
+        problem = DesignProblem((variable,), (), (), (lo,), name="axis")
+        (axis,) = problem.region().grid_axes(r)
+        assert _hex(axis) == _hex(np.linspace(lo, hi, r)), (lo, hi, r)
+        cases += 1
+    assert cases >= 1900
+
+
+def _numpy_lattice_sum(beta0, per_axis):
+    return numpy_lattice_sum(beta0, per_axis).reshape(-1)
+
+
+def test_lattice_sum_matches_numpy_broadcast_sum():
+    rng = random.Random(6101)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        scale = 10.0 ** rng.randint(-4, 6)
+        beta0 = rng.choice((0.0, -0.0, scale * rng.uniform(-2.0, 2.0)))
+        per_axis = [
+            [rng.choice((0.0, -0.0, scale * rng.uniform(-2.0, 2.0))) for _ in range(rng.randint(1, 7))]
+            for _ in range(n)
+        ]
+        assert _hex(lattice_sum(beta0, per_axis)) == _hex(_numpy_lattice_sum(beta0, per_axis))
+
+
+def test_grid_values_match_numpy_on_bundled_problems():
+    for name in ("emissions.json", "adas.json", "adas_tall.json"):
+        problem = load_problem(data_path(name).read_text())
+        region = problem.region()
+        axes = region.grid_axes(21)
+        values, mask = region.grid_values(axes)
+        reference = {
+            s.name: _numpy_lattice_sum(s.beta0, [s.term(j, np.asarray(a)) for j, a in enumerate(axes)])
+            for s in problem.surfaces
+        }
+        reference_mask = np.ones(len(mask), dtype=bool)
+        for c in problem.constraints:
+            reference_mask &= reference[c.surface] <= c.bound
+        assert {k: _hex(v) for k, v in values.items()} == {k: _hex(v) for k, v in reference.items()}
+        assert mask == reference_mask.tolist()

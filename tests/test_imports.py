@@ -1,9 +1,10 @@
-"""Each command loads only the layers it runs; numpy only with a lattice.
+"""Each command loads only the layers it runs, and none loads numpy.
 
 The checks run in fresh interpreters, because this test process has
 long since imported everything.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -78,8 +79,57 @@ def test_solve_pipeline_import_sets(tmp_path):
         ["rosetta", problem, "--solution", solution, "--resolution", "5", "--out", str(tmp_path)],
     ):
         loaded = _modules_after(argv)
-        assert "numpy" in loaded
+        assert "numpy" not in loaded
         assert "cddkit.modeltheory" not in loaded
+
+
+_RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+from cddkit.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append({"code": code, "out": out.getvalue()})
+print(json.dumps(results))
+"""
+
+
+def test_every_command_runs_with_numpy_blocked(tmp_path):
+    golden = Path(__file__).resolve().parent / "golden"
+    runs = [
+        ["evaluate", str(data_path("emissions.json")), "--point", "0,0,0"],
+        ["quantify", str(data_path("adas.json")), "CO2 <= 30"],
+        ["logic", "--graph", str(data_path("logic/cdd_graph.json"))],
+        [
+            "logic",
+            "--theory", str(data_path("logic/orthogonality_theory.json")),
+            "--structure", str(data_path("logic/triangle_345.json")),
+        ],
+    ]
+    names = ("emissions", "adas", "adas_tall")
+    for name in names:
+        problem, solution = str(data_path(f"{name}.json")), str(tmp_path / f"{name}_solution.json")
+        runs += [
+            ["solve", problem, "--out", str(tmp_path)],
+            ["verify", problem, solution, "--json"],
+            ["rosetta", problem, "--solution", solution, "--out", str(tmp_path / name)],
+        ]
+    results = json.loads(_python(_RUN_WITHOUT_NUMPY, json.dumps(runs)))
+    assert [r["code"] for r in results] == [0] * len(runs)
+
+    verify_out = {argv[1]: r["out"] for argv, r in zip(runs, results) if argv[0] == "verify"}
+    for name in names:
+        solution = (tmp_path / f"{name}_solution.json").read_bytes()
+        assert solution == (golden / f"{name}_solution.json").read_bytes()
+        assert verify_out[str(data_path(f"{name}.json"))] == (golden / f"{name}_verify.json").read_text()
+        digests = "".join(
+            f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+            for path in sorted((tmp_path / name).iterdir())
+        )
+        assert digests == (golden / f"{name}_rosetta.sha256").read_text()
 
 
 def test_import_cddkit_loads_no_numpy():

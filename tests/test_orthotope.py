@@ -1,21 +1,25 @@
+import functools
 import itertools
 import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cddkit import data_path, load_problem
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
-from cddkit.errors import CapExceeded, InfeasibleInput, SeedNotContained
+from cddkit.errors import CapExceeded, InfeasibleInput, InfeasibleSeed, SeedNotContained
 from cddkit.orthotope import (
     FaceCheck,
     MaximalityCertificate,
     Orthotope,
     SolveResult,
     _expand_step,
+    VOLUME_SEARCH_RESOLUTION,
     _TermMax,
     _budgets,
+    _volume_search,
     auto_rank,
     expand_factor,
     oracle_check_steps,
@@ -25,7 +29,7 @@ from cddkit.orthotope import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import random_problem
+from conftest import numpy_lattice_sum, random_problem
 
 
 def one_dim_problem(beta0=0.0, linear=0.0, quadratic=1.0, bound=4.0, ambient=(-10.0, 10.0), seed=0.0):
@@ -503,3 +507,105 @@ def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
     monkeypatch.setattr(QuadraticResponseSurface, "term_extremum", counted)
     assert solve_greedy(problem).certificate.maximal
     assert calls <= 8 * n * m
+
+
+# --- the max-volume search against its numpy implementation -----------------------
+
+def _numpy_volume_search(problem, resolution):
+    # the numpy implementation that _volume_search replaced, kept as its reference
+    n = problem.dim
+    k = min(resolution, VOLUME_SEARCH_RESOLUTION[n])
+    axes = [np.linspace(v.ambient.lo, v.ambient.hi, k) for v in problem.variables]
+
+    pair_lists = []
+    for j, grid in enumerate(axes):
+        seed_j = problem.seed[j]
+        a0 = int(np.searchsorted(grid, seed_j, side="right") - 1)
+        a0 = max(0, min(a0, len(grid) - 1))
+        b0 = int(np.searchsorted(grid, seed_j, side="left"))
+        b0 = max(0, min(b0, len(grid) - 1))
+        pairs = [(a, b) for a in range(a0 + 1) for b in range(b0, len(grid)) if a < b]
+        if not pairs:
+            pairs = [(a0, b0)]
+        pair_lists.append(pairs)
+
+    term_tables = []
+    widths = []
+    for j, (grid, pairs) in enumerate(zip(axes, pair_lists)):
+        per_surface = []
+        for s, _ in problem.constrained_pairs():
+            vals = np.array(
+                [s.term_extremum(j, Interval(grid[a], grid[b]), "max")[0] for a, b in pairs]
+            )
+            per_surface.append(vals)
+        term_tables.append(per_surface)
+        widths.append(np.array([grid[b] - grid[a] for a, b in pairs]))
+
+    shape = tuple(len(p) for p in pair_lists)
+    feasible = np.ones(shape, dtype=bool)
+    for i, (s, bound) in enumerate(problem.constrained_pairs()):
+        feasible &= numpy_lattice_sum(s.beta0, [term_tables[j][i] for j in range(n)]) <= bound
+
+    volume = np.where(feasible, functools.reduce(np.multiply.outer, widths), -1.0)
+    flat_best = int(np.argmax(volume))
+    if volume.flat[flat_best] < 0:
+        return Orthotope.point(problem.seed)
+    best = np.unravel_index(flat_best, shape)
+    intervals = []
+    for j, idx in enumerate(best):
+        a, b = pair_lists[j][idx]
+        intervals.append(Interval(float(axes[j][a]), float(axes[j][b])))
+    return Orthotope(tuple(intervals))
+
+
+def _volume_cases():
+    """Seeded N <= 3 problems: plain and offset domains, seeds on ambient bounds and grid points, tight bounds."""
+    rng = random.Random(6102)
+    for case in range(90):
+        n = 1 + case % 3
+        scale = 10.0 ** rng.randint(-3, 6)
+        offset = rng.uniform(1600.0, 2000.0) if case % 2 else 0.0
+        base = random_problem(rng, n, rng.randint(1, 3), scale, offset)
+        seed = list(base.seed)
+        kind = case % 5
+        if kind == 1:  # a seed coordinate on an ambient bound
+            j = rng.randrange(n)
+            seed[j] = rng.choice((base.variables[j].ambient.lo, base.variables[j].ambient.hi))
+        elif kind == 2:  # every seed coordinate on the lattice
+            seed = [v.ambient.lo + (v.ambient.hi - v.ambient.lo) / 2 for v in base.variables]
+        # a share of each surface's rise over the ambient box; tight bounds leave few feasible boxes
+        share = rng.choice((1e-6, 1e-2, 0.3, 0.6, 0.9))
+        ambient = base.ambient_box()
+        constraints = tuple(
+            ObjectiveConstraint(s.name, s.evaluate(seed) + share * (s.box_extremum(ambient)[0] - s.evaluate(seed)))
+            for s in base.surfaces
+        )
+        # the largest lattices, 201 / 41 / 21 points per axis for N = 1 / 2 / 3, cost seconds
+        resolution = rng.choice(((2, 11, 21, 201), (2, 11, 21), (2, 5, 11))[n - 1])
+        try:
+            yield DesignProblem(
+                base.variables, base.surfaces, constraints, tuple(seed), tolerance=5e-324, name="volume"
+            ), resolution
+        except InfeasibleSeed:  # the slack rounded away at this scale
+            continue
+    # symmetric in x0 and x1, so mirrored boxes tie on volume and the first one must win
+    for offset, share in ((0.0, 0.3), (0.0, 0.6), (1800.0, 0.4)):
+        variables = tuple(DesignVariable(f"x{j}", "", Interval(offset, offset + 1.0)) for j in range(2))
+        surface = QuadraticResponseSurface("z", "", 0.5, (-0.3, -0.3), (1.0, 1.0))
+        seed = (offset + 0.5, offset + 0.5)
+        rise = surface.box_extremum(tuple(v.ambient for v in variables))[0] - surface.evaluate(seed)
+        bound = surface.evaluate(seed) + share * rise
+        yield DesignProblem(variables, (surface,), (ObjectiveConstraint("z", bound),), seed, name="tie"), 21
+
+
+def test_volume_search_matches_numpy_reference():
+    cases = seed_boxes = 0
+    for problem, resolution in _volume_cases():
+        got = _volume_search(problem, resolution)
+        expected = _numpy_volume_search(problem, resolution)
+        hexes = [[(iv.lo.hex(), iv.hi.hex()) for iv in box.intervals] for box in (got, expected)]
+        assert hexes[0] == hexes[1], (problem, resolution)
+        cases += 1
+        seed_boxes += got == Orthotope.point(problem.seed)
+    assert cases >= 70
+    assert seed_boxes > 0 and cases - seed_boxes >= 25  # both outcomes occur

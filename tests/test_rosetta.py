@@ -10,7 +10,7 @@ import pytest
 
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
 from cddkit.orthotope import Orthotope, solve_greedy
-from cddkit.rosetta import SVG_CANVAS, SVG_MARGIN, _CellFrame, _data_range, build_report, emit, project_orthotope
+from cddkit.rosetta import SVG_CANVAS, SVG_MARGIN, _CellFrame, build_report, emit, project_orthotope
 from cddkit.surface import Interval
 
 from conftest import load_bundled, random_problem
@@ -150,12 +150,46 @@ def test_report_on_two_variable_problem():
     assert report.q_matrix and len(report.q_matrix[0]) == 2
 
 
+def test_report_lattices_match_numpy_reference():
+    # coordinates as numpy.meshgrid, histograms as mask sums over the other axes
+    rng = random.Random(6103)
+    for n in (1, 2, 3):
+        for resolution in (2, 5, (3, 4, 6)[:n]):
+            problem = random_problem(rng, dim=n, count=2)
+            report = build_report(problem, resolution=resolution)
+            axes = [np.asarray(a) for a in problem.region().grid_axes(resolution)]
+            grids = np.meshgrid(*axes, indexing="ij")
+            mask = np.asarray(problem.region().grid_values(axes)[1]).reshape(grids[0].shape)
+            pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+            for cell, (j, k) in zip(report.n_cells, pairs):
+                assert cell.x_a == tuple(grids[j].reshape(-1).tolist())
+                assert cell.x_b == tuple(grids[k].reshape(-1).tolist())
+                assert cell.feasible == tuple(mask.reshape(-1).tolist())
+            for j, summary in enumerate(report.summaries):
+                other = tuple(d for d in range(n) if d != j)
+                assert summary.edges == tuple(axes[j].tolist())
+                assert summary.feasible_counts == tuple(mask.sum(axis=other).tolist())
+                assert summary.total_counts == (mask.size // len(axes[j]),) * len(axes[j])
+
+
+def test_frame_map_matches_numpy_bit_for_bit():
+    rng = random.Random(6104)
+    for _ in range(200):
+        scale = 10.0 ** rng.randint(-6, 6)
+        lo = rng.uniform(-2.0, 2.0) * scale
+        hi = lo + rng.choice((0.0, rng.uniform(1e-3, 3.0) * scale))
+        frame = _CellFrame(rng.randrange(3), rng.randrange(3), 3, (lo, hi), (lo, hi))
+        values = [lo + rng.uniform(-0.5, 1.5) * (hi - lo or 1.0) for _ in range(50)] + [0.0, -0.0, lo, hi]
+        for got, expected in ((frame.x(values), _ref_x(frame, values)), (frame.y(values), _ref_y(frame, values))):
+            assert [v.hex() for v in got] == [float(v).hex() for v in expected]
+
+
 # --- reference writer ---------------------------------------------------------
 #
 # The plain formatting rules: every row through ``csv.writer`` with
-# ``repr(float(v))`` per numpy scalar and ``int(f)`` per flag, every SVG dot
-# formatted from numpy scalars, and each file joined in memory and written
-# with ``Path.write_text``.  ``emit`` must write the same bytes.
+# ``repr(float(v))`` per value and ``int(f)`` per flag, every SVG coordinate
+# mapped onto the canvas with numpy arrays, and each file joined in memory
+# and written with ``Path.write_text``.  ``emit`` must write the same bytes.
 
 def _ref_num(v):
     return "" if v is None else repr(float(v))
@@ -213,10 +247,32 @@ def _ref_header(title):
     ]
 
 
+def _ref_scale(values, lo, hi, pix_lo, pix_hi):
+    span = hi - lo
+    if span <= 0:
+        span = 1.0
+    return pix_lo + (np.asarray(values, dtype=float) - lo) / span * (pix_hi - pix_lo)
+
+
+def _ref_x(frame, values):
+    return _ref_scale(values, *frame.x_range, *frame.px)
+
+
+def _ref_y(frame, values):
+    return _ref_scale(values, *frame.y_range, *frame.py)
+
+
+def _data_range(values):
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    return lo, hi
+
+
 def _ref_dots(frame, xs, ys, mask):
     return [
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{"#4477aa" if ok else "#cccccc"}"/>'
-        for x, y, ok in zip(frame.x(xs), frame.y(ys), mask)
+        for x, y, ok in zip(_ref_x(frame, xs), _ref_y(frame, ys), mask)
     ]
 
 
@@ -248,10 +304,10 @@ def _ref_svg(report):
                 continue
             m += [_ref_border(frame), *_ref_dots(frame, c.z_a, c.z_b, c.feasible)]
             if c.bound_a is not None:
-                x = frame.x([c.bound_a])[0]
+                x = _ref_x(frame, [c.bound_a])[0]
                 m.append(f'<line x1="{x:.2f}" y1="{frame.py[0]:.2f}" x2="{x:.2f}" y2="{frame.py[1]:.2f}" {dash}')
             if c.bound_b is not None:
-                y = frame.y([c.bound_b])[0]
+                y = _ref_y(frame, [c.bound_b])[0]
                 m.append(f'<line x1="{frame.px[0]:.2f}" y1="{y:.2f}" x2="{frame.px[1]:.2f}" y2="{y:.2f}" {dash}')
 
     names = report.variable_names
@@ -270,11 +326,11 @@ def _ref_svg(report):
             if row == col:
                 nn.append(_ref_border(frame))
                 summary = report.summaries[row]
-                total = summary.total_counts.max() or 1
+                total = np.max(summary.total_counts) or 1
                 width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
                 for i, edge in enumerate(summary.edges):
                     h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
-                    x = frame.x([edge])[0] - width / 2
+                    x = _ref_x(frame, [edge])[0] - width / 2
                     nn.append(
                         f'<rect x="{x:.2f}" y="{frame.py[0] - h:.2f}" width="{width:.2f}" '
                         f'height="{h:.2f}" fill="#88ccee"/>'
@@ -286,8 +342,8 @@ def _ref_svg(report):
                 continue
             nn += [_ref_border(frame), *_ref_dots(frame, c.x_a, c.x_b, c.feasible)]
             for a, b in c.rects:
-                x0, x1 = frame.x([a.lo])[0], frame.x([a.hi])[0]
-                y0, y1 = frame.y([b.hi])[0], frame.y([b.lo])[0]
+                x0, x1 = _ref_x(frame, [a.lo])[0], _ref_x(frame, [a.hi])[0]
+                y0, y1 = _ref_y(frame, [b.hi])[0], _ref_y(frame, [b.lo])[0]
                 nn.append(
                     f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
                     f'fill="#ccbb44" fill-opacity="0.45" stroke="#997700" stroke-width="1"/>'
@@ -300,8 +356,8 @@ def _ref_svg(report):
         for c in range(cols):
             frame = _CellFrame(r, c, max(rows, cols), (-1, 1), (-1, 1))
             slope = report.q_matrix[r][c] / scale
-            xs = frame.x([-0.8, 0.8])
-            ys = frame.y([-0.8 * slope, 0.8 * slope])
+            xs = _ref_x(frame, [-0.8, 0.8])
+            ys = _ref_y(frame, [-0.8 * slope, 0.8 * slope])
             q += [
                 _ref_border(frame),
                 f'<line x1="{xs[0]:.2f}" y1="{ys[0]:.2f}" x2="{xs[1]:.2f}" y2="{ys[1]:.2f}" '
@@ -357,9 +413,9 @@ def test_emit_keeps_signed_zeros_and_tiny_values_apart(emissions, tmp_path):
     # 0.0 and -0.0 compare equal but print differently, in one array and across cells
     report = build_report(emissions, resolution=4)
     size = len(report.m_cells[0].z_a)
-    odd = np.resize([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e300, 2.0 ** -1074 * 3], size)
+    odd = tuple(np.resize([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e300, 2.0 ** -1074 * 3], size).tolist())
     m_cell = dataclasses.replace(report.m_cells[0], z_a=odd)
-    n_cell = dataclasses.replace(report.n_cells[0], x_b=-report.n_cells[0].x_b)
+    n_cell = dataclasses.replace(report.n_cells[0], x_b=tuple(-x for x in report.n_cells[0].x_b))
     report = dataclasses.replace(
         report, m_cells=(m_cell, *report.m_cells[1:]), n_cells=(n_cell, *report.n_cells[1:])
     )

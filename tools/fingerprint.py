@@ -87,8 +87,10 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
             [oracle.greedy_box.to_json(), oracle.volume_box.to_json(), list(oracle.ranking)]
         ).encode()
     if n <= MASK_MAX_DIM:
-        mask = problem.region().grid_feasible_set(ROSETTA_RESOLUTION.get(n, 2))
-        out["mask"] = repr(mask.shape).encode() + mask.tobytes()
+        resolution = ROSETTA_RESOLUTION.get(n, 2)
+        mask = problem.region().grid_feasible_set(resolution)
+        # the bytes of the shape and of a numpy bool array, as earlier digests hashed them
+        out["mask"] = repr((resolution,) * n).encode() + bytes(mask)
     if n in ROSETTA_RESOLUTION:
         report = build_report(problem, result, ROSETTA_RESOLUTION[n])
         paths = emit(report, "csv", work) + emit(report, "svg", work)
