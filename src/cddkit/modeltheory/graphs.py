@@ -58,6 +58,8 @@ class ConceptualGraph:
     def __post_init__(self):
         object.__setattr__(self, "concepts", tuple(self.concepts))
         object.__setattr__(self, "relations", tuple(self.relations))
+        if not self.concepts:
+            raise SchemaError("a conceptual graph needs at least one concept")
         concept_ids = [c.id for c in self.concepts]
         if len(set(concept_ids)) != len(concept_ids):
             raise SchemaError("concept ids must be unique")
@@ -126,13 +128,20 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
     return sig, body
 
 
+def _entries(doc: dict, key: str) -> list[dict]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SchemaError(f"graph {key!r} must be a JSON array of objects, got {entries!r}")
+    return entries
+
+
 def load_graph(text_or_doc) -> ConceptualGraph:
     """Load ``{"concepts": [{"id","type","referent"?}], "relations": [...]}``."""
     doc = json.loads(text_or_doc) if isinstance(text_or_doc, (str, bytes)) else text_or_doc
     if not isinstance(doc, dict) or "concepts" not in doc:
         raise SchemaError("graph document needs a 'concepts' array")
     concepts = []
-    for entry in doc["concepts"]:
+    for entry in _entries(doc, "concepts"):
         try:
             concepts.append(
                 ConceptNode(
@@ -144,12 +153,15 @@ def load_graph(text_or_doc) -> ConceptualGraph:
         except KeyError as exc:
             raise SchemaError(f"concept entry missing key {exc.args[0]!r}") from exc
     relations = []
-    for entry in doc.get("relations", []):
+    for entry in _entries(doc, "relations"):
         try:
+            args = entry["args"]
+            if not isinstance(args, list):
+                raise SchemaError(f"relation {entry.get('name')!r} args must be a JSON array")
             relations.append(
                 RelationNode(
                     name=str(entry["name"]),
-                    args=tuple(str(a) for a in entry["args"]),
+                    args=tuple(str(a) for a in args),
                     id=str(entry["id"]) if "id" in entry else None,
                 )
             )

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from ..errors import (
@@ -82,6 +84,8 @@ def coerce_value(v) -> DomainValue:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise SchemaError(f"{v!r} is not a domain value: numbers must be finite")
         return Fraction(str(v))
     if isinstance(v, str):
         if _RATIONAL_TEXT.match(v):
@@ -284,73 +288,161 @@ class Theory:
 
 
 # --- evaluation -----------------------------------------------------------------
+#
+# A formula is compiled once into nested closures, one per node.  Every
+# closure takes ``(rels, fns, env)``: the relation extensions and the
+# functions by structure name, and the variable assignment.  Symbols are
+# looked up by name when their atom or term is evaluated, so a missing
+# one raises only if the evaluation reaches it.  Quantifiers bind their
+# variable in ``env`` in place and put the outer value back afterwards.
 
-def _eval_term(term, struct, fmap, env, bound):
+_UNBOUND = object()
+
+
+def _free_variable(names, env) -> FreeVariable:
+    name = next(n for n in names if n not in env)
+    return FreeVariable(f"no value for variable {name!r}")
+
+
+def _compile_term(term, fmap, bound):
     if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise FreeVariable(f"no value for variable {term.name!r}") from None
+        name = term.name
+
+        def var(rels, fns, env):
+            try:
+                return env[name]
+            except KeyError:
+                raise FreeVariable(f"no value for variable {name!r}") from None
+
+        return var
     if isinstance(term, Lit):
-        return term.value
+        value = term.value
+        return lambda rels, fns, env: value
     if isinstance(term, Apply):
         target = fmap.get(term.func, term.func)
-        fn = struct.functions.get(target)
-        if fn is None:
-            raise UnknownSymbol(f"structure has no function {target!r}")
-        args = tuple(_eval_term(a, struct, fmap, env, bound) for a in term.args)
-        if isinstance(fn, BuiltinFunction):
-            if any(not isinstance(a, Fraction) for a in args):
-                raise CddError(f"builtin function {target!r} applied to a non-numeric value")
-            return fn.evaluate(args, bound)
-        try:
-            return fn[args]
-        except KeyError:
-            raise CddError(f"function {target!r} undefined on {args!r}") from None
+        values = _compile_args(term.args, fmap, bound)
+
+        def apply(rels, fns, env):
+            fn = fns.get(target)
+            if fn is None:
+                raise UnknownSymbol(f"structure has no function {target!r}")
+            args = values(rels, fns, env)
+            if isinstance(fn, BuiltinFunction):
+                if any(not isinstance(a, Fraction) for a in args):
+                    raise CddError(f"builtin function {target!r} applied to a non-numeric value")
+                return fn.evaluate(args, bound)
+            try:
+                return fn[args]
+            except KeyError:
+                raise CddError(f"function {target!r} undefined on {args!r}") from None
+
+        return apply
     raise TypeError(f"not a term: {term!r}")
 
 
-def _eval_formula(f, struct, pmap, fmap, env, bound):
+def _compile_args(terms, fmap, bound):
+    """One closure for the tuple of argument values, left to right."""
+    parts = [_compile_term(t, fmap, bound) for t in terms]
+    if len(parts) == 1:
+        (only,) = parts
+        return lambda rels, fns, env: (only(rels, fns, env),)
+    return lambda rels, fns, env: tuple([part(rels, fns, env) for part in parts])
+
+
+def _compile_formula(f, domain, pmap, fmap, bound):
+    """A closure ``(rels, fns, env) -> bool``; quantifiers range over ``domain``."""
     if isinstance(f, Atom):
         target = pmap.get(f.pred, f.pred)
-        rel = struct.relations.get(target)
-        if rel is None:
-            raise UnknownSymbol(f"structure has no relation {target!r}")
-        args = tuple(_eval_term(a, struct, fmap, env, bound) for a in f.args)
-        return args in rel
+        if f.args and all(isinstance(t, Var) for t in f.args):
+            names = tuple(t.name for t in f.args)
+            get = itemgetter(*names)
+            single = len(names) == 1
+
+            def var_atom(rels, fns, env):
+                rel = rels.get(target)
+                if rel is None:
+                    raise UnknownSymbol(f"structure has no relation {target!r}")
+                try:
+                    return ((get(env),) if single else get(env)) in rel
+                except KeyError:
+                    raise _free_variable(names, env) from None
+
+            return var_atom
+        values = _compile_args(f.args, fmap, bound)
+
+        def atom(rels, fns, env):
+            rel = rels.get(target)
+            if rel is None:
+                raise UnknownSymbol(f"structure has no relation {target!r}")
+            return values(rels, fns, env) in rel
+
+        return atom
     if isinstance(f, Eq):
-        return _eval_term(f.left, struct, fmap, env, bound) == _eval_term(
-            f.right, struct, fmap, env, bound
-        )
+        left = _compile_term(f.left, fmap, bound)
+        right = _compile_term(f.right, fmap, bound)
+        return lambda rels, fns, env: left(rels, fns, env) == right(rels, fns, env)
     if isinstance(f, Not):
-        return not _eval_formula(f.body, struct, pmap, fmap, env, bound)
-    if isinstance(f, And):
-        return _eval_formula(f.left, struct, pmap, fmap, env, bound) and _eval_formula(
-            f.right, struct, pmap, fmap, env, bound
-        )
-    if isinstance(f, Or):
-        return _eval_formula(f.left, struct, pmap, fmap, env, bound) or _eval_formula(
-            f.right, struct, pmap, fmap, env, bound
-        )
-    if isinstance(f, Implies):
-        return (not _eval_formula(f.left, struct, pmap, fmap, env, bound)) or _eval_formula(
-            f.right, struct, pmap, fmap, env, bound
-        )
+        body = _compile_formula(f.body, domain, pmap, fmap, bound)
+        return lambda rels, fns, env: not body(rels, fns, env)
+    if isinstance(f, (And, Or, Implies)):
+        left = _compile_formula(f.left, domain, pmap, fmap, bound)
+        right = _compile_formula(f.right, domain, pmap, fmap, bound)
+        if isinstance(f, And):
+            return lambda rels, fns, env: left(rels, fns, env) and right(rels, fns, env)
+        if isinstance(f, Or):
+            return lambda rels, fns, env: left(rels, fns, env) or right(rels, fns, env)
+        return lambda rels, fns, env: (not left(rels, fns, env)) or right(rels, fns, env)
     if isinstance(f, Forall):
-        for e in struct.domain:
-            env2 = dict(env)
-            env2[f.var] = e
-            if not _eval_formula(f.body, struct, pmap, fmap, env2, bound):
-                return False
-        return True
+        var = f.var
+        body = _compile_formula(f.body, domain, pmap, fmap, bound)
+
+        def forall(rels, fns, env):
+            outer = env.get(var, _UNBOUND)
+            result = True
+            for e in domain:
+                env[var] = e
+                if not body(rels, fns, env):
+                    result = False
+                    break
+            if outer is _UNBOUND:
+                del env[var]
+            else:
+                env[var] = outer
+            return result
+
+        return forall
     if isinstance(f, Exists):
-        for e in struct.domain:
-            env2 = dict(env)
-            env2[f.var] = e
-            if _eval_formula(f.body, struct, pmap, fmap, env2, bound):
-                return True
-        return False
+        var = f.var
+        body = _compile_formula(f.body, domain, pmap, fmap, bound)
+
+        def exists(rels, fns, env):
+            outer = env.get(var, _UNBOUND)
+            result = False
+            for e in domain:
+                env[var] = e
+                if body(rels, fns, env):
+                    result = True
+                    break
+            if outer is _UNBOUND:
+                del env[var]
+            else:
+                env[var] = outer
+            return result
+
+        return exists
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _truth(struct, formula, interp, assignment, bound) -> bool:
+    if has_quantifier(formula) and not struct.domain:
+        raise DomainEmpty("quantified formula over an empty domain")
+    pmap, fmap = {}, {}
+    if interp is not None:
+        interp.check_against(struct)
+        pmap, fmap = interp.predicate_map, interp.function_map
+    env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
+    evaluate = _compile_formula(formula, struct.domain, pmap, fmap, bound)
+    return evaluate(struct.relations, struct.functions, env)
 
 
 def holds(
@@ -361,15 +453,7 @@ def holds(
     max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Truth of a possibly open formula under an explicit variable assignment."""
-    if has_quantifier(formula) and not struct.domain:
-        raise DomainEmpty("quantified formula over an empty domain")
-    pmap, fmap = {}, {}
-    if interp is not None:
-        interp.check_against(struct)
-        pmap = dict(interp.predicate_map)
-        fmap = dict(interp.function_map)
-    env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
-    return _eval_formula(formula, struct, pmap, fmap, env, max_magnitude)
+    return _truth(struct, formula, interp, assignment, max_magnitude)
 
 
 def satisfies(
@@ -380,13 +464,14 @@ def satisfies(
 ) -> bool:
     """Tarski truth of a sentence in a structure under an interpretation.
 
-    Compositional recursion with exhaustive quantification over the
-    finite domain; deterministic by construction.
+    The sentence is compiled once and evaluated compositionally, with
+    exhaustive quantification over the finite domain; deterministic by
+    construction.
     """
     free = free_variables(sentence)
     if free:
         raise FreeVariable(f"not a sentence, free variables: {', '.join(sorted(free))}")
-    return holds(struct, sentence, interp, None, max_magnitude)
+    return _truth(struct, sentence, interp, None, max_magnitude)
 
 
 def check_theory(
@@ -398,7 +483,8 @@ def check_theory(
     """Per-sentence truth values; the structure models the theory iff all hold."""
     if interp is None:
         interp = Interpretation.identity(theory.signature)
-    return [satisfies(struct, s, interp, max_magnitude) for s in theory.sentences]
+    # a Theory holds sentences only, so satisfies' free-variable check is decided
+    return [_truth(struct, s, interp, None, max_magnitude) for s in theory.sentences]
 
 
 # --- exhaustive model enumeration ---------------------------------------------
@@ -444,9 +530,22 @@ def enumerate_models(
     if total > count_cap:
         raise CapExceeded(f"{total} candidate structures exceed cap {count_cap}")
 
-    interp = Interpretation.identity(sig)
     pred_names = [n for n, _ in sig.predicates]
     fn_names = [n for n, _ in sig.functions]
+    # Each candidate is checked on its bare relation sets and function
+    # tables; only a model becomes a RelationalStructure, through the
+    # validating constructor.  What satisfies would check per candidate is
+    # decided by construction: the sentence is closed and well formed
+    # (checked above), the domain is nonempty, every symbol of the
+    # signature gets a relation or a table under its own name (the
+    # identity interpretation), every tuple has its symbol's arity, every
+    # table is total over the domain, and the tokens e0, e1, ... are not
+    # rational text, so coercion leaves them as they are.
+    identity = Interpretation.identity(sig)
+    evaluate = _compile_formula(
+        sentence, domain, identity.predicate_map, identity.function_map, DEFAULT_MAGNITUDE_BOUND
+    )
+    env: dict = {}
 
     models = []
     rel_choices = [range(2 ** len(rel_tuples[n])) for n in pred_names]
@@ -463,24 +562,42 @@ def enumerate_models(
         functions = {}
         for name, out in zip(fn_names, outputs):
             functions[name] = dict(zip(fn_inputs[name], out))
-        struct = RelationalStructure(domain=domain, relations=relations, functions=functions)
-        if satisfies(struct, sentence, interp):
-            models.append(struct)
+        if evaluate(relations, functions, env):
+            models.append(
+                RelationalStructure(domain=domain, relations=relations, functions=functions)
+            )
     return models
 
 
 # --- JSON loading ----------------------------------------------------------------
 
+def _json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _decode_function(name: str, doc) -> object:
     if isinstance(doc, dict) and "params" in doc:
-        return BuiltinFunction(params=tuple(doc["params"]), body=doc["body"])
+        params = _json_array(doc["params"], f"function {name!r} params")
+        if not all(isinstance(p, str) for p in params):
+            raise SchemaError(f"function {name!r} params must be names")
+        if "body" not in doc:
+            raise SchemaError(f"function {name!r} needs a 'body'")
+        return BuiltinFunction(params=tuple(params), body=doc["body"])
     if isinstance(doc, dict) and "table" in doc:
         table = {}
-        for entry in doc["table"]:
+        for entry in _json_array(doc["table"], f"function {name!r} table"):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise SchemaError(f"function {name!r} table entries must be [args, value]")
             args, value = entry
-            table[tuple(args)] = value
+            table[tuple(_json_array(args, f"function {name!r} table arguments"))] = value
         return table
     if isinstance(doc, (int, float, str)):
         # a bare value is a constant (nullary table)
@@ -494,14 +611,20 @@ def load_structure(text_or_doc) -> tuple[Signature | None, RelationalStructure]:
     if not isinstance(doc, dict) or "domain" not in doc:
         raise SchemaError("structure document needs a 'domain' array")
     sig = Signature.from_json(doc["signature"]) if "signature" in doc else None
-    relations = {
-        name: [tuple(t) for t in tuples] for name, tuples in doc.get("relations", {}).items()
-    }
+    relations = {}
+    for name, tuples in _json_object(doc.get("relations", {}), "structure 'relations'").items():
+        relations[name] = [
+            tuple(_json_array(t, f"relation {name!r} tuple"))
+            for t in _json_array(tuples, f"relation {name!r}")
+        ]
     functions = {
-        name: _decode_function(name, fdoc) for name, fdoc in doc.get("functions", {}).items()
+        name: _decode_function(name, fdoc)
+        for name, fdoc in _json_object(doc.get("functions", {}), "structure 'functions'").items()
     }
     struct = RelationalStructure(
-        domain=tuple(doc["domain"]), relations=relations, functions=functions
+        domain=tuple(_json_array(doc["domain"], "structure 'domain'")),
+        relations=relations,
+        functions=functions,
     )
     if sig is not None:
         Interpretation.identity(sig).check_against(struct)
@@ -516,11 +639,14 @@ def load_theory(text_or_doc, signature: Signature | None = None) -> Theory:
     doc = json.loads(text_or_doc) if isinstance(text_or_doc, (str, bytes)) else text_or_doc
     if not isinstance(doc, dict) or "sentences" not in doc:
         raise SchemaError("theory document needs a 'sentences' array")
+    texts = _json_array(doc["sentences"], "theory 'sentences'")
+    if not all(isinstance(text, str) for text in texts):
+        raise SchemaError("theory 'sentences' must be strings")
     if "signature" in doc:
         signature = Signature.from_json(doc["signature"])
     if signature is None:
         raise SchemaError("theory document needs a signature")
-    sentences = tuple(parse_sentence(text, signature) for text in doc["sentences"])
+    sentences = tuple(parse_sentence(text, signature) for text in texts)
     return Theory(
         name=str(doc.get("name", "theory")), signature=signature, sentences=sentences
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ..errors import ArityMismatch, UnknownSymbol
+from ..errors import ArityMismatch, SchemaError, UnknownSymbol
 
 __all__ = [
     "Var",
@@ -128,13 +128,13 @@ class Signature:
         object.__setattr__(self, "functions", tuple((str(n), int(a)) for n, a in self.functions))
         names = [n for n, _ in self.predicates] + [n for n, _ in self.functions]
         if len(set(names)) != len(names):
-            raise ValueError("symbol names must be unique across predicates and functions")
+            raise SchemaError("symbol names must be unique across predicates and functions")
         for n, a in self.predicates:
             if a < 1:
-                raise ValueError(f"predicate {n!r} must have arity >= 1")
+                raise SchemaError(f"predicate {n!r} must have arity >= 1")
         for n, a in self.functions:
             if a < 0:
-                raise ValueError(f"function {n!r} must have arity >= 0")
+                raise SchemaError(f"function {n!r} must have arity >= 0")
 
     def predicate_arity(self, name: str) -> int | None:
         for n, a in self.predicates:
@@ -159,10 +159,24 @@ class Signature:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Signature":
-        return cls(
-            predicates=tuple((str(n), int(a)) for n, a in doc.get("predicates", [])),
-            functions=tuple((str(n), int(a)) for n, a in doc.get("functions", [])),
-        )
+        if not isinstance(doc, dict):
+            raise SchemaError(f"a signature must be a JSON object, got {doc!r}")
+        return cls(predicates=_symbols(doc, "predicates"), functions=_symbols(doc, "functions"))
+
+
+def _symbols(doc: dict, key: str) -> tuple[tuple[str, int], ...]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"signature {key!r} must be a JSON array, got {entries!r}")
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and type(entry[1]) is int
+        ):
+            raise SchemaError(f"signature {key!r} entry {entry!r} is not a [name, arity] pair")
+    return tuple((name, arity) for name, arity in entries)
 
 
 # --- structural queries ------------------------------------------------------

@@ -324,10 +324,23 @@ def _svg_header(title: str) -> str:
     )
 
 
+def _pixel_texts(scale, values) -> list[str]:
+    """``.2f`` texts of ``scale(values)``; a repeated value is scaled and formatted once.
+
+    Unlike ``_texts``, zeros need no care: every pixel offset is at least
+    ``SVG_MARGIN``, so ``scale`` maps 0.0 and -0.0 to the same pixel.
+    """
+    distinct = list(set(values))
+    if 2 * len(distinct) > len(values):  # mostly distinct: a lookup would cost more than it saves
+        return list(map(format, scale(values), repeat(".2f")))
+    texts = dict(zip(distinct, map(format, scale(distinct), repeat(".2f"))))
+    return [texts[v] for v in values]
+
+
 def _svg_dots(out, frame: _CellFrame, xs, ys, mask, color_true="#4477aa", color_false="#cccccc") -> None:
     out.writelines(
         f'<circle cx="{x}" cy="{y}" r="1.5" fill="{color_true if ok else color_false}"/>\n'
-        for x, y, ok in zip(_texts(frame.x(xs), ".2f"), _texts(frame.y(ys), ".2f"), mask)
+        for x, y, ok in zip(_pixel_texts(frame.x, xs), _pixel_texts(frame.y, ys), mask)
     )
 
 

@@ -388,3 +388,87 @@ def test_problem_name_cannot_leave_out_dir(tmp_path, capsys, name, command):
     assert code == 2
     assert "name" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["edited.json", "work"]
+
+
+# --- malformed logic documents ------------------------------------------------------
+
+_SIGNATURE = '{"predicates": [["R", 2]], "functions": []}'
+_STRUCTURE = '{"domain": [1], "relations": {"R": [[1, 1]]}}'
+_THEORY = '{"signature": %s, "sentences": ["forall x. R(x, x)"]}' % _SIGNATURE
+
+
+def _logic_exits_2(tmp_path, capsys, kind, text):
+    docs = {"structure": _STRUCTURE, "theory": _THEORY, kind: text}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc)
+    if kind == "graph":
+        args = ["--graph", str(paths["graph"])]
+    else:
+        args = ["--theory", str(paths["theory"]), "--structure", str(paths["structure"])]
+    code, out, err = run_cli("logic", *args, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_logic_well_formed_documents_exit_0(tmp_path, capsys):
+    (tmp_path / "structure.json").write_text(_STRUCTURE)
+    (tmp_path / "theory.json").write_text(_THEORY)
+    code, out, _ = run_cli(
+        "logic", "--theory", str(tmp_path / "theory.json"),
+        "--structure", str(tmp_path / "structure.json"), capsys=capsys,
+    )
+    assert code == 0
+    assert "model: yes" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"domain": [3, NaN]}',
+        '{"domain": [3, Infinity]}',
+        '{"domain": [3, 1e400]}',
+        '{"domain": 5}',
+        '{"domain": [1], "relations": {"R": 5}}',
+        '{"domain": [1], "relations": {"R": [5]}}',
+        '{"domain": [1], "functions": {"f": {"table": 5}}}',
+        '{"domain": [1], "functions": {"f": {"params": 5}}}',
+    ],
+    ids=["nan", "infinity", "1e400", "domain-5", "relation-5", "tuple-5", "table-5", "params-5"],
+)
+def test_logic_malformed_structure_exits_2(tmp_path, capsys, text):
+    _logic_exits_2(tmp_path, capsys, "structure", text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"signature": %s, "sentences": [5]}' % _SIGNATURE,
+        '{"signature": %s, "sentences": "forall x. x = x"}' % _SIGNATURE,
+        '{"signature": [], "sentences": []}',
+        '{"signature": {"predicates": 7}, "sentences": []}',
+        '{"signature": {"predicates": [["R", "a"]]}, "sentences": []}',
+        '{"signature": {"predicates": [["R", 0]]}, "sentences": []}',
+        '{"signature": {"predicates": [["R", 1]], "functions": [["R", 0]]}, "sentences": []}',
+    ],
+    ids=["sentence-5", "sentences-string", "signature-array", "predicates-7",
+         "arity-text", "arity-0", "duplicate-name"],
+)
+def test_logic_malformed_theory_exits_2(tmp_path, capsys, text):
+    _logic_exits_2(tmp_path, capsys, "theory", text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"concepts": [5]}',
+        '{"concepts": [{"id": "a", "type": "T"}], "relations": 5}',
+        '{"concepts": []}',
+        '{"concepts": [{"id": "a", "type": "T"}], "relations": [{"name": "R", "args": 5}]}',
+    ],
+    ids=["concept-5", "relations-5", "no-concepts", "args-5"],
+)
+def test_logic_malformed_graph_exits_2(tmp_path, capsys, text):
+    _logic_exits_2(tmp_path, capsys, "graph", text)

@@ -1,0 +1,457 @@
+"""The compiled evaluator against the tree walker it replaced.
+
+``_eval_term``, ``_eval_formula``, ``reference_holds``,
+``reference_satisfies`` and the body of ``reference_enumerate_models``
+are the previous implementation, copied verbatim (only the names of the
+entry points changed).  The tests compare the current ``holds``,
+``satisfies``, ``check_theory`` and ``enumerate_models`` with them on
+seeded random formulas and structures: the same truth value, or an
+exception of the same type.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from typing import Mapping
+
+import pytest
+
+from cddkit.errors import (
+    CapExceeded,
+    CddError,
+    DomainEmpty,
+    EvaluationOverflow,
+    FreeVariable,
+    SchemaError,
+    UnknownSymbol,
+)
+from cddkit.modeltheory import (
+    And,
+    Apply,
+    Atom,
+    BuiltinFunction,
+    Eq,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    Interpretation,
+    Lit,
+    Not,
+    Or,
+    RelationalStructure,
+    Signature,
+    Theory,
+    Var,
+    check_theory,
+    check_well_formed,
+    enumerate_models,
+    free_variables,
+    has_quantifier,
+    holds,
+    parse_sentence,
+    satisfies,
+)
+from cddkit.modeltheory.structures import (
+    DEFAULT_MAGNITUDE_BOUND,
+    ENUMERATION_COUNT_CAP,
+    ENUMERATION_DOMAIN_CAP,
+    DomainValue,
+    coerce_value,
+)
+
+
+# --- reference: the previous tree walker ---------------------------------------
+
+def _eval_term(term, struct, fmap, env, bound):
+    if isinstance(term, Var):
+        try:
+            return env[term.name]
+        except KeyError:
+            raise FreeVariable(f"no value for variable {term.name!r}") from None
+    if isinstance(term, Lit):
+        return term.value
+    if isinstance(term, Apply):
+        target = fmap.get(term.func, term.func)
+        fn = struct.functions.get(target)
+        if fn is None:
+            raise UnknownSymbol(f"structure has no function {target!r}")
+        args = tuple(_eval_term(a, struct, fmap, env, bound) for a in term.args)
+        if isinstance(fn, BuiltinFunction):
+            if any(not isinstance(a, Fraction) for a in args):
+                raise CddError(f"builtin function {target!r} applied to a non-numeric value")
+            return fn.evaluate(args, bound)
+        try:
+            return fn[args]
+        except KeyError:
+            raise CddError(f"function {target!r} undefined on {args!r}") from None
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _eval_formula(f, struct, pmap, fmap, env, bound):
+    if isinstance(f, Atom):
+        target = pmap.get(f.pred, f.pred)
+        rel = struct.relations.get(target)
+        if rel is None:
+            raise UnknownSymbol(f"structure has no relation {target!r}")
+        args = tuple(_eval_term(a, struct, fmap, env, bound) for a in f.args)
+        return args in rel
+    if isinstance(f, Eq):
+        return _eval_term(f.left, struct, fmap, env, bound) == _eval_term(
+            f.right, struct, fmap, env, bound
+        )
+    if isinstance(f, Not):
+        return not _eval_formula(f.body, struct, pmap, fmap, env, bound)
+    if isinstance(f, And):
+        return _eval_formula(f.left, struct, pmap, fmap, env, bound) and _eval_formula(
+            f.right, struct, pmap, fmap, env, bound
+        )
+    if isinstance(f, Or):
+        return _eval_formula(f.left, struct, pmap, fmap, env, bound) or _eval_formula(
+            f.right, struct, pmap, fmap, env, bound
+        )
+    if isinstance(f, Implies):
+        return (not _eval_formula(f.left, struct, pmap, fmap, env, bound)) or _eval_formula(
+            f.right, struct, pmap, fmap, env, bound
+        )
+    if isinstance(f, Forall):
+        for e in struct.domain:
+            env2 = dict(env)
+            env2[f.var] = e
+            if not _eval_formula(f.body, struct, pmap, fmap, env2, bound):
+                return False
+        return True
+    if isinstance(f, Exists):
+        for e in struct.domain:
+            env2 = dict(env)
+            env2[f.var] = e
+            if _eval_formula(f.body, struct, pmap, fmap, env2, bound):
+                return True
+        return False
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_holds(
+    struct: RelationalStructure,
+    formula: Formula,
+    interp: Interpretation | None = None,
+    assignment: Mapping[str, DomainValue] | None = None,
+    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
+) -> bool:
+    """Truth of a possibly open formula under an explicit variable assignment."""
+    if has_quantifier(formula) and not struct.domain:
+        raise DomainEmpty("quantified formula over an empty domain")
+    pmap, fmap = {}, {}
+    if interp is not None:
+        interp.check_against(struct)
+        pmap = dict(interp.predicate_map)
+        fmap = dict(interp.function_map)
+    env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
+    return _eval_formula(formula, struct, pmap, fmap, env, max_magnitude)
+
+
+def reference_satisfies(
+    struct: RelationalStructure,
+    sentence: Formula,
+    interp: Interpretation | None = None,
+    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
+) -> bool:
+    """Tarski truth of a sentence in a structure under an interpretation.
+
+    Compositional recursion with exhaustive quantification over the
+    finite domain; deterministic by construction.
+    """
+    free = free_variables(sentence)
+    if free:
+        raise FreeVariable(f"not a sentence, free variables: {', '.join(sorted(free))}")
+    return reference_holds(struct, sentence, interp, None, max_magnitude)
+
+
+def reference_enumerate_models(
+    sig: Signature,
+    sentence: Formula,
+    domain_size: int,
+    domain_cap: int = ENUMERATION_DOMAIN_CAP,
+    count_cap: int = ENUMERATION_COUNT_CAP,
+) -> list[RelationalStructure]:
+    """All structures over a canonical domain of the given size that
+    satisfy the sentence.
+
+    Enumeration order is deterministic: relation extensions run through
+    ascending bitmask order per symbol (tuple index = bit index), with
+    later symbols cycling fastest; function tables likewise.
+    """
+    if domain_size < 1:
+        raise SchemaError("domain size must be at least 1")
+    if domain_size > domain_cap:
+        raise CapExceeded(f"domain size {domain_size} exceeds cap {domain_cap}")
+    for name, arity in sig.functions:
+        if arity > 2:
+            raise CapExceeded(f"function symbol {name!r} of arity {arity} > 2 not enumerable")
+    check_well_formed(sentence, sig)
+    if free_variables(sentence):
+        raise FreeVariable("enumerate_models needs a sentence")
+
+    domain = tuple(f"e{i}" for i in range(domain_size))
+
+    total = 1
+    rel_tuples = {}
+    for name, arity in sig.predicates:
+        tuples = list(itertools.product(domain, repeat=arity))
+        rel_tuples[name] = tuples
+        total *= 2 ** len(tuples)
+    fn_inputs = {}
+    for name, arity in sig.functions:
+        inputs = list(itertools.product(domain, repeat=arity))
+        fn_inputs[name] = inputs
+        total *= domain_size ** len(inputs)
+    if total > count_cap:
+        raise CapExceeded(f"{total} candidate structures exceed cap {count_cap}")
+
+    interp = Interpretation.identity(sig)
+    pred_names = [n for n, _ in sig.predicates]
+    fn_names = [n for n, _ in sig.functions]
+
+    models = []
+    rel_choices = [range(2 ** len(rel_tuples[n])) for n in pred_names]
+    fn_choices = [
+        itertools.product(domain, repeat=len(fn_inputs[n])) for n in fn_names
+    ]
+    for combo in itertools.product(*rel_choices, *[list(c) for c in fn_choices]):
+        masks = combo[: len(pred_names)]
+        outputs = combo[len(pred_names):]
+        relations = {}
+        for name, mask in zip(pred_names, masks):
+            tuples = rel_tuples[name]
+            relations[name] = frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+        functions = {}
+        for name, out in zip(fn_names, outputs):
+            functions[name] = dict(zip(fn_inputs[name], out))
+        struct = RelationalStructure(domain=domain, relations=relations, functions=functions)
+        if reference_satisfies(struct, sentence, interp):
+            models.append(struct)
+    return models
+
+
+# --- random formulas and structures --------------------------------------------
+
+PREDICATES = (("P", 1), ("R", 2))
+TABLES = (("c", 0), ("f", 1), ("g", 2))
+# cube overflows a small magnitude bound; both need an all-rational domain
+BUILTINS = {
+    "h": BuiltinFunction(params=("x",), body=["*", "x", "x", "x"]),
+    "k": BuiltinFunction(params=("x", "y"), body=["-", "x", ["*", 2, "y"]]),
+}
+FUNCTIONS = TABLES + (("h", 1), ("k", 2))
+VARIABLES = ("x", "y", "z")
+
+
+def _random_term(rng, depth):
+    if depth == 0 or rng.random() < 0.5:
+        if rng.random() < 0.85:
+            return Var(rng.choice(VARIABLES))
+        return Lit(Fraction(rng.choice((-1, 0, 1, 2, 5))))
+    name, arity = rng.choice(FUNCTIONS)
+    return Apply(name, tuple(_random_term(rng, depth - 1) for _ in range(arity)))
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.65:
+            name, arity = rng.choice(PREDICATES)
+            return Atom(name, tuple(_random_term(rng, 2) for _ in range(arity)))
+        return Eq(_random_term(rng, 2), _random_term(rng, 2))
+    kind = rng.choice((Not, And, Or, Implies, Forall, Exists, Forall, Exists))
+    if kind is Not:
+        return Not(_random_formula(rng, depth - 1))
+    if kind in (Forall, Exists):
+        # the same few names throughout, so inner quantifiers often shadow outer ones
+        return kind(rng.choice(VARIABLES), _random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def _random_structure(rng):
+    size = rng.randint(1, 3)
+    rational = rng.random() < 0.5
+    if rational:
+        domain = tuple(rng.sample([Fraction(v) for v in (-1, 0, 1, 2, 3)], size))
+    else:
+        domain = tuple(f"t{i}" for i in range(size))
+    relations = {}
+    for name, arity in PREDICATES:
+        if rng.random() < 0.9:  # sometimes absent: only an evaluated atom may raise
+            tuples = itertools.product(domain, repeat=arity)
+            relations[name] = frozenset(t for t in tuples if rng.random() < 0.5)
+    functions = {}
+    for name, arity in TABLES:
+        if rng.random() < 0.9:
+            inputs = itertools.product(domain, repeat=arity)
+            functions[name] = {args: rng.choice(domain) for args in inputs}
+    if rational:
+        functions.update({n: fn for n, fn in BUILTINS.items() if rng.random() < 0.9})
+    return RelationalStructure(domain=domain, relations=relations, functions=functions)
+
+
+def _random_assignment(rng, struct):
+    # open: some variables unbound, some bound outside the domain
+    outside = (Fraction(7), "stranger")
+    return {
+        v: rng.choice(struct.domain + outside if rng.random() < 0.2 else struct.domain)
+        for v in VARIABLES
+        if rng.random() < 0.7
+    }
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except CddError as exc:
+        return type(exc)
+
+
+def test_holds_matches_reference_on_random_formulas():
+    rng = random.Random(20240717)
+    seen = set()
+    for _ in range(3000):
+        struct = _random_structure(rng)
+        formula = _random_formula(rng, rng.randint(0, 4))
+        assignment = _random_assignment(rng, struct)
+        before = dict(assignment)
+        bound = rng.choice((20, DEFAULT_MAGNITUDE_BOUND))
+        expected = _outcome(reference_holds, struct, formula, None, assignment, bound)
+        assert _outcome(holds, struct, formula, None, assignment, bound) == expected, formula
+        assert assignment == before
+        seen.add(expected)
+    # every verdict and every evaluation error occurred
+    assert seen == {True, False, FreeVariable, UnknownSymbol, CddError, EvaluationOverflow}
+
+
+def test_satisfies_and_check_theory_match_reference_under_an_interpretation():
+    rng = random.Random(515)
+    sig = Signature(predicates=PREDICATES, functions=TABLES)
+    renamed = {name: f"{name}_ext" for name, _ in PREDICATES + TABLES}
+    interp = Interpretation(
+        signature=sig,
+        predicate_map={n: renamed[n] for n, _ in PREDICATES},
+        function_map={n: renamed[n] for n, _ in TABLES},
+    )
+    for _ in range(300):
+        struct = _random_structure(rng)
+        struct = RelationalStructure(
+            domain=struct.domain,
+            relations={renamed[n]: r for n, r in struct.relations.items()},
+            functions={renamed.get(n, n): fn for n, fn in struct.functions.items()},
+        )
+        sentences = []
+        while len(sentences) < 3:
+            formula = _random_formula(rng, rng.randint(1, 4))
+            if "h" in repr(formula) or "k" in repr(formula):
+                continue
+            for var in sorted(free_variables(formula)):
+                formula = Forall(var, formula)
+            sentences.append(formula)
+        for sentence in sentences:
+            expected = _outcome(reference_satisfies, struct, sentence, interp)
+            assert _outcome(satisfies, struct, sentence, interp) == expected
+        theory = Theory(name="random", signature=sig, sentences=tuple(sentences))
+        expected = _outcome(lambda: [reference_satisfies(struct, s, interp) for s in sentences])
+        assert _outcome(check_theory, theory, struct, interp) == expected
+
+
+def test_shadowed_quantifier_restores_the_outer_binding():
+    struct = RelationalStructure(domain=("a", "b"), relations={"P": [("a",)]})
+    # inside the exists x is each element in turn; after it, x is "a" again
+    formula = And(Exists("x", Not(Atom("P", (Var("x"),)))), Atom("P", (Var("x"),)))
+    assignment = {"x": "a"}
+    assert holds(struct, formula, assignment=assignment) is True
+    assert reference_holds(struct, formula, assignment=assignment) is True
+    assert assignment == {"x": "a"}
+    # an unbound variable is unbound again once its quantifier is done
+    formula = Or(Forall("y", Atom("P", (Var("y"),))), Atom("P", (Var("y"),)))
+    with pytest.raises(FreeVariable):
+        holds(struct, formula)
+    # exists x. (forall x. P(x) or Q) and P(x): the inner x runs over the domain,
+    # then the outer x is the witness again
+    tautology = Or(Atom("P", (Var("x"),)), Not(Atom("P", (Var("x"),))))
+    nested = Exists("x", And(Forall("x", tautology), Atom("P", (Var("x"),))))
+    assert satisfies(struct, nested) is True
+    assert satisfies(struct, Exists("x", And(Forall("x", tautology), Not(Atom("P", (Var("x"),)))))) is True
+    assert satisfies(struct, Forall("x", And(Exists("x", Atom("P", (Var("x"),))), Atom("P", (Var("x"),))))) is False
+
+
+def test_missing_relation_raises_only_when_its_atom_is_evaluated():
+    sig = Signature(predicates=(("P", 1), ("Q", 1)))
+    sentence = parse_sentence("exists x. P(x) or Q(x)", sig)
+    struct = RelationalStructure(domain=("a", "b"), relations={"P": [("a",)]})
+    assert satisfies(struct, sentence) is True
+    assert reference_satisfies(struct, sentence) is True
+    unlucky = RelationalStructure(domain=("a", "b"), relations={"P": [("b",)]})
+    with pytest.raises(UnknownSymbol):
+        satisfies(unlucky, sentence)
+
+
+# --- enumeration ---------------------------------------------------------------------
+
+def _random_sentence(rng, sig):
+    """A closed formula over the signature's symbols and the variables x, y."""
+
+    def term(depth):
+        if depth == 0 or not sig.functions or rng.random() < 0.5:
+            return Var(rng.choice("xy"))
+        name, arity = rng.choice(sig.functions)
+        return Apply(name, tuple(term(depth - 1) for _ in range(arity)))
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            if sig.predicates and rng.random() < 0.7:
+                name, arity = rng.choice(sig.predicates)
+                return Atom(name, tuple(term(1) for _ in range(arity)))
+            return Eq(term(1), term(1))
+        kind = rng.choice((Not, And, Or, Implies, Forall, Exists))
+        if kind is Not:
+            return Not(formula(depth - 1))
+        if kind in (Forall, Exists):
+            return kind(rng.choice("xy"), formula(depth - 1))
+        return kind(formula(depth - 1), formula(depth - 1))
+
+    sentence = formula(3)
+    for var in sorted(free_variables(sentence)):
+        sentence = rng.choice((Forall, Exists))(var, sentence)
+    return sentence
+
+
+def _candidates(sig, size):
+    total = 1
+    for _, arity in sig.predicates:
+        total *= 2 ** (size**arity)
+    for _, arity in sig.functions:
+        total *= size ** (size**arity)
+    return total
+
+
+ENUMERATION_SIGNATURES = [
+    Signature(predicates=((p, pa),), functions=((f, fa),))
+    for p, pa in PREDICATES
+    for f, fa in TABLES
+]
+
+
+@pytest.mark.parametrize("sig", ENUMERATION_SIGNATURES, ids=repr)
+def test_enumerate_models_matches_reference(sig):
+    rng = random.Random(repr(sig))
+    for size in (1, 2, 3):
+        candidates = _candidates(sig, size)
+        if candidates > 15_000:
+            continue
+        for _ in range(1 if candidates > 2_000 else 3):
+            sentence = _random_sentence(rng, sig)
+            models = enumerate_models(sig, sentence, size)
+            assert models == reference_enumerate_models(sig, sentence, size)
+
+
+def test_enumerate_binary_function_tables_of_size_3_match_reference():
+    sig = Signature(functions=(("g", 2),))
+    sentence = parse_sentence("forall x. forall y. g(x, y) = g(y, x)", sig)
+    models = enumerate_models(sig, sentence, 3)
+    assert len(models) == 3**6
+    assert models == reference_enumerate_models(sig, sentence, 3)

@@ -167,3 +167,17 @@ def test_print_parse_roundtrip_on_random_formulas():
 def test_parse_formula_allows_open_formulas():
     ast = parse_formula("P(v1, v2)", PRED_SIG)
     assert free_variables(ast) == {"v1", "v2"}
+
+
+def test_signature_rejects_bad_symbols_with_schema_error():
+    from cddkit.errors import SchemaError
+
+    with pytest.raises(SchemaError):
+        Signature(predicates=(("R", 0),))
+    with pytest.raises(SchemaError):
+        Signature(predicates=(("R", 1),), functions=(("R", 0),))
+    with pytest.raises(SchemaError):
+        Signature(functions=(("f", -1),))
+    with pytest.raises(SchemaError):
+        Signature.from_json({"predicates": [["R", 2.0]]})
+    assert Signature.from_json({"predicates": [["R", 2]]}) == Signature(predicates=(("R", 2),))
