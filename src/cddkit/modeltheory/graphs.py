@@ -17,19 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import HigherOrderGraph, SchemaError
+from .structures import _RATIONAL_TEXT, coerce_value
 from .syntax import And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var
 
 __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence", "load_graph"]
 
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_RATIONAL_TEXT = re.compile(r"^-?\d+(?:/\d+|\.\d+)?$")
 
 
 @dataclass(frozen=True)
 class ConceptNode:
     id: str
     type: str
-    referent: str | Fraction | None = None
+    referent: str | int | float | Fraction | None = None  # as read from JSON
 
     def __post_init__(self):
         if not _IDENT.match(self.type):
@@ -92,16 +92,18 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
             name = f"v{counter}"
             variables.append(name)
             terms[c.id] = Var(name)
-        elif isinstance(c.referent, Fraction):
-            terms[c.id] = Lit(c.referent)
-        elif _RATIONAL_TEXT.match(str(c.referent)):
-            terms[c.id] = Lit(Fraction(str(c.referent)))
+        elif isinstance(c.referent, str) and not _RATIONAL_TEXT.match(c.referent):
+            if not _IDENT.match(c.referent):
+                raise SchemaError(f"referent {c.referent!r} is neither a rational nor an identifier")
+            constants.append(c.referent)
+            terms[c.id] = Apply(c.referent, ())
         else:
-            ref = str(c.referent)
-            if not _IDENT.match(ref):
-                raise SchemaError(f"referent {ref!r} is neither a rational nor an identifier")
-            constants.append(ref)
-            terms[c.id] = Apply(ref, ())
+            # numbers and numeric text become exact rationals; booleans, NaN,
+            # infinities and any other JSON value are refused
+            try:
+                terms[c.id] = Lit(coerce_value(c.referent))
+            except SchemaError as exc:
+                raise SchemaError(f"referent of concept {c.id!r}: {exc}") from exc
 
     predicates: dict[str, int] = {}
     for c in graph.concepts:

@@ -218,14 +218,14 @@ class _TermMax:
     def column(self, j: int, interval: Interval) -> list[float]:
         return [s.term_extremum(j, interval, "max")[0] for s, _ in self.pairs]
 
-    def slacks(self, j: int = 0, column: list[float] | None = None) -> tuple[float, ...]:
-        """Per-constraint slack of the box, or of the box with column j replaced by ``column``."""
-        if column is None:
-            column = [row[j] for row in self.rows]
-        return tuple(
-            bound - reduce(add, row[j + 1 :], reduce(add, row[:j], s.beta0) + c)
-            for (s, bound), row, c in zip(self.pairs, self.rows, column)
-        )
+    def slack(self, i: int, j: int, c: float) -> float:
+        """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""
+        (s, bound), row = self.pairs[i], self.rows[i]
+        return bound - reduce(add, row[j + 1 :], reduce(add, row[:j], s.beta0) + c)
+
+    def slacks(self) -> tuple[float, ...]:
+        """Left-to-right slack of every constraint over the box."""
+        return tuple(self.slack(i, 0, row[0]) for i, row in enumerate(self.rows))
 
     def swap(self, j: int, interval: Interval, column: list[float]) -> None:
         self.box = self.box.replaced(j, interval)
@@ -330,6 +330,8 @@ def _admitted_interval(
 
 
 _FLOAT_EPS = 2.220446049250313e-16
+# while the magnitudes of a sum stay below this, no left-to-right partial sum can overflow
+_SUM_LIMIT = 2.0**1022
 
 
 def _budgets(problem: DesignProblem, table: _TermMax, j: int) -> list[tuple]:
@@ -366,23 +368,52 @@ def _expand_once(
     return Interval(lo, hi), binding_lo, binding_hi
 
 
-def _expand_step(
-    problem: DesignProblem, table: _TermMax, j: int
-) -> tuple[ExpansionStep, tuple[float, ...]]:
-    """One audited expansion of factor j of ``table.box``, in place, plus the slacks of the new box."""
+def _fits(table: _TermMax, j: int, column: list[float], budgets: list, spread: float) -> bool:
+    """Whether every left-to-right slack is >= 0 with column j of the table replaced by ``column``.
+
+    Constraint i's slack is estimated as ``rest - c`` from its budget,
+    which is within ``noise + spread * |c|`` of the left-to-right sum
+    (README, "Verification notes").  Only an estimate that close to 0,
+    or one whose sums could overflow, is summed left to right.
+    """
+    limit = spread * _SUM_LIMIT
+    for i, ((_, rest, noise), c) in enumerate(zip(budgets, column)):
+        estimate = rest - c
+        error = noise + spread * abs(c)
+        if not (error < abs(estimate) and error < limit):
+            estimate = table.slack(i, j, c)
+        if not estimate >= 0.0:
+            return False
+    return True
+
+
+def _check_no_growth(table: _TermMax, j: int, column: list[float]) -> None:
+    """Raise if replacing column j by ``column`` grows some constraint's slack beyond roundoff."""
+    for i, (row, c) in enumerate(zip(table.rows, column)):
+        # rounded addition is monotone in each operand, so a term that
+        # did not fall cannot grow the slack
+        if c < row[j]:
+            old, new = table.slack(i, j, row[j]), table.slack(i, j, c)
+            if new > old + 1e-9 * max(1.0, abs(old)):
+                raise CddError("internal error: constraint slack grew during expansion")
+
+
+def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
+    """One audited expansion of factor j of ``table.box``, in place."""
     box = table.box
     before = box.intervals[j]
     budgets = _budgets(problem, table, j)
+    spread = (2 * problem.dim + 3) * _FLOAT_EPS
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
         cand, blo, bhi = _expand_once(problem, box, j, bias, budgets)
         column = table.column(j, cand)
-        slacks = table.slacks(j, column)
-        if all(sl >= 0.0 for sl in slacks):
+        if _fits(table, j, column, budgets, spread):
+            _check_no_growth(table, j, column)
             table.swap(j, cand, column)
-            return ExpansionStep(j, before, cand, blo, bhi), slacks
-    return ExpansionStep(j, before, before, "numerical", "numerical"), table.slacks()
+            return ExpansionStep(j, before, cand, blo, bhi)
+    return ExpansionStep(j, before, before, "numerical", "numerical")
 
 
 def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
@@ -412,7 +443,7 @@ def solve_greedy(
 
     Expansion order is the explicit ranking argument, then the problem's
     own ranking, then the sensitivity auto-ranking.  Feasibility and
-    slack shrinkage are asserted after every step; the result carries a
+    slack shrinkage are asserted at every step; the result carries a
     face-wise maximality certificate.
     """
     if ranking is not None:
@@ -425,19 +456,10 @@ def solve_greedy(
         raise SchemaError(f"ranking {order} is not a permutation of 0..{problem.dim - 1}")
 
     table = _TermMax(problem, Orthotope.point(problem.seed))
-    slacks = table.slacks()
-    if not all(sl >= 0.0 for sl in slacks):
+    if not all(sl >= 0.0 for sl in table.slacks()):
         raise InfeasibleInput("seed point box is infeasible")
 
-    steps = []
-    for j in order:
-        step, new_slacks = _expand_step(problem, table, j)
-        steps.append(step)
-        for old, new in zip(slacks, new_slacks):
-            if new > old + 1e-9 * max(1.0, abs(old)):
-                raise CddError("internal error: constraint slack grew during expansion")
-        slacks = new_slacks
-
+    steps = [_expand_step(problem, table, j) for j in order]
     certificate = _certify(problem, table, eps)
     return SolveResult(table.box, order, tuple(steps), certificate)
 
@@ -462,8 +484,12 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     epsilon = problem.tolerance if eps is None else float(eps)
     if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
         raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
-    if not all(sl >= 0.0 for sl in table.slacks()):
+    slacks = table.slacks()
+    if not all(sl >= 0.0 for sl in slacks):
         raise InfeasibleInput("maximality is only defined for feasible boxes")
+    spread = (2 * problem.dim + 3) * _FLOAT_EPS
+    noises = [spread * reduce(add, map(abs, row), abs(bound) + abs(s.beta0))
+              for (s, bound), row in zip(table.pairs, table.rows)]
 
     faces = []
     for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
@@ -478,15 +504,43 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            slacks = table.slacks(j, table.column(j, candidate))
-            if all(sl >= 0.0 for sl in slacks):
-                faces.append(FaceCheck(j, side, None, margin=min(slacks) if slacks else math.inf))
+            pushed = _face_slacks(table, j, table.column(j, candidate), slacks, noises, spread)
+            if all(sl >= 0.0 for sl in pushed.values()):
+                faces.append(FaceCheck(j, side, None, margin=min(pushed.values(), default=math.inf)))
             else:
-                worst = min(range(len(slacks)), key=lambda i: slacks[i])
+                worst = min(pushed, key=pushed.__getitem__)
                 faces.append(
-                    FaceCheck(j, side, problem.constraints[worst].surface, margin=-slacks[worst])
+                    FaceCheck(j, side, problem.constraints[worst].surface, margin=-pushed[worst])
                 )
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
+
+
+def _face_slacks(
+    table: _TermMax,
+    j: int,
+    column: list[float],
+    slacks: tuple[float, ...],
+    noises: list[float],
+    spread: float,
+) -> dict[int, float]:
+    """Left-to-right slack, with column j replaced, of each constraint that could hold the least one.
+
+    Constraint i is estimated as ``(slacks[i] + rows[i][j]) - c``, within
+    ``noises[i] + spread * |c|`` of its left-to-right sum.  A constraint
+    whose lowest possible slack lies above the least highest one can
+    neither hold nor tie the least slack, so it is left out.  If some
+    sum could overflow or is not finite, every constraint is summed.
+    """
+    limit = spread * _SUM_LIMIT
+    ranges = []
+    for sl, row, c, noise in zip(slacks, table.rows, column, noises):
+        estimate = (sl + row[j]) - c
+        error = noise + spread * abs(c)
+        if not error < limit:
+            return {i: table.slack(i, j, value) for i, value in enumerate(column)}
+        ranges.append((estimate - error, estimate + error))
+    ceiling = min((high for _, high in ranges), default=math.inf)
+    return {i: table.slack(i, j, column[i]) for i, (low, _) in enumerate(ranges) if low <= ceiling}
 
 
 # --- brute-force grid oracle -------------------------------------------------

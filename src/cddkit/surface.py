@@ -97,18 +97,21 @@ class QuadraticResponseSurface:
         Candidates are the two endpoints plus the vertex when it falls
         inside.  Ties prefer the lower coordinate.  Returns (value, x).
         """
-        candidates = [interval.lo]
-        vertex = self.term_vertex(j)
-        if vertex is not None and interval.lo < vertex < interval.hi:
-            candidates.append(vertex)
-        if interval.hi != interval.lo:
-            candidates.append(interval.hi)
-        best_x = candidates[0]
-        best_v = self.term(j, best_x)
-        for x in candidates[1:]:
-            v = self.term(j, x)
-            if (mode == "max" and v > best_v) or (mode == "min" and v < best_v):
-                best_v, best_x = v, x
+        l, q = self.linear[j], self.quadratic[j]
+        lo, hi = interval.lo, interval.hi
+        best_v, best_x = l * lo + q * lo * lo, lo
+        # the mode as a sign: -v > -w is exactly v < w, and any other mode never moves off lo
+        sign = 1.0 if mode == "max" else -1.0 if mode == "min" else 0.0
+        if q != 0.0:
+            x = -l / (2.0 * q)
+            if lo < x < hi:
+                v = l * x + q * x * x
+                if sign * v > sign * best_v:
+                    best_v, best_x = v, x
+        if hi != lo:
+            v = l * hi + q * hi * hi
+            if sign * v > sign * best_v:
+                best_v, best_x = v, hi
         return best_v, best_x
 
     def evaluate(self, point: Sequence[float]) -> float:

@@ -467,8 +467,27 @@ def test_logic_malformed_theory_exits_2(tmp_path, capsys, text):
         '{"concepts": [{"id": "a", "type": "T"}], "relations": 5}',
         '{"concepts": []}',
         '{"concepts": [{"id": "a", "type": "T"}], "relations": [{"name": "R", "args": 5}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": NaN}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": Infinity}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": -Infinity}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": 1e400}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": true}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": false}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": [1]}]}',
+        '{"concepts": [{"id": "a", "type": "T", "referent": {"n": 1}}]}',
     ],
-    ids=["concept-5", "relations-5", "no-concepts", "args-5"],
+    ids=["concept-5", "relations-5", "no-concepts", "args-5", "referent-nan", "referent-infinity",
+         "referent-minus-infinity", "referent-1e400", "referent-true", "referent-false",
+         "referent-array", "referent-object"],
 )
 def test_logic_malformed_graph_exits_2(tmp_path, capsys, text):
     _logic_exits_2(tmp_path, capsys, "graph", text)
+
+
+def test_logic_graph_number_referents_are_exact_rationals(tmp_path, capsys):
+    referents = [1e-7, 3, 2.5, -0.0, "7/3", "0.125", "unit_1"]
+    doc = {"concepts": [{"id": f"c{i}", "type": "T", "referent": r} for i, r in enumerate(referents)]}
+    (tmp_path / "graph.json").write_text(json.dumps(doc))
+    code, out, err = run_cli("logic", "--graph", str(tmp_path / "graph.json"), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.strip() == "T(1/10000000) and T(3) and T(5/2) and T(0) and T(7/3) and T(1/8) and T(unit_1)"

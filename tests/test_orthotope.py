@@ -3,14 +3,25 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
-from cddkit import data_path, load_problem
+from cddkit import data_path, load_problem, orthotope
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
-from cddkit.errors import CapExceeded, InfeasibleInput, InfeasibleSeed, SeedNotContained
+from cddkit.errors import (
+    CapExceeded,
+    CddError,
+    InfeasibleInput,
+    InfeasibleSeed,
+    SchemaError,
+    SeedNotContained,
+)
 from cddkit.orthotope import (
+    ExpansionStep,
     FaceCheck,
     MaximalityCertificate,
     Orthotope,
@@ -19,6 +30,7 @@ from cddkit.orthotope import (
     VOLUME_SEARCH_RESOLUTION,
     _TermMax,
     _budgets,
+    _expand_once,
     _volume_search,
     auto_rank,
     expand_factor,
@@ -477,7 +489,21 @@ def reference_budgets(problem, box, j):
     return out
 
 
-def test_term_max_table_matches_exact_box_checks():
+def test_term_max_table_matches_exact_box_checks(monkeypatch):
+    tries = []
+    column, fits = _TermMax.column, orthotope._fits
+
+    def recorded_column(self, j, interval):
+        self.tried = interval
+        return column(self, j, interval)
+
+    def recorded_fits(table, j, *args):
+        decision = fits(table, j, *args)
+        tries.append((table.box.replaced(j, table.tried), decision))
+        return decision
+
+    monkeypatch.setattr(_TermMax, "column", recorded_column)
+    monkeypatch.setattr(orthotope, "_fits", recorded_fits)
     for problem in table_problems():
         region = problem.region()
         table = _TermMax(problem, Orthotope.point(problem.seed))
@@ -485,8 +511,12 @@ def test_term_max_table_matches_exact_box_checks():
         for j in auto_rank(problem):
             if problem.dim <= 30:
                 assert _budgets(problem, table, j) == reference_budgets(problem, table.box, j)
-            _, slacks = _expand_step(problem, table, j)
-            assert slacks == region.is_box_feasible(table.box.intervals)[1]
+            tries.clear()
+            _expand_step(problem, table, j)
+            assert tries
+            for box, decision in tries:
+                assert decision == region.is_box_feasible(box.intervals)[0]
+            assert table.slacks() == region.is_box_feasible(table.box.intervals)[1]
         result = solve_greedy(problem)
         assert result.orthotope == table.box
         reference = reference_certificate(problem, table.box)
@@ -507,6 +537,263 @@ def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
     monkeypatch.setattr(QuadraticResponseSurface, "term_extremum", counted)
     assert solve_greedy(problem).certificate.maximal
     assert calls <= 8 * n * m
+
+
+# --- filtered expansion and certificate against the left-to-right ones they replaced ---
+# The earlier slack method, expansion step and certificate, kept verbatim as the reference.
+
+class ReferenceTable(_TermMax):
+    """The term-max table with its earlier slack method, which sums every constraint."""
+
+    def slacks(self, j: int = 0, column: list[float] | None = None) -> tuple[float, ...]:
+        """Per-constraint slack of the box, or of the box with column j replaced by ``column``."""
+        if column is None:
+            column = [row[j] for row in self.rows]
+        return tuple(
+            bound - reduce(add, row[j + 1 :], reduce(add, row[:j], s.beta0) + c)
+            for (s, bound), row, c in zip(self.pairs, self.rows, column)
+        )
+
+
+def reference_expand_step(
+    problem: DesignProblem, table: _TermMax, j: int
+) -> tuple[ExpansionStep, tuple[float, ...]]:
+    """One audited expansion of factor j of ``table.box``, in place, plus the slacks of the new box."""
+    box = table.box
+    before = box.intervals[j]
+    budgets = _budgets(problem, table, j)
+    # exact budgets first; on a roundoff trip, retreat by escalating
+    # noise-scaled slack, and fall back to no growth
+    for bias in (0.0, 1.0, 32.0, 1024.0):
+        cand, blo, bhi = _expand_once(problem, box, j, bias, budgets)
+        column = table.column(j, cand)
+        slacks = table.slacks(j, column)
+        if all(sl >= 0.0 for sl in slacks):
+            table.swap(j, cand, column)
+            return ExpansionStep(j, before, cand, blo, bhi), slacks
+    return ExpansionStep(j, before, before, "numerical", "numerical"), table.slacks()
+
+
+def reference_certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> MaximalityCertificate:
+    """``verify_maximality`` of ``table.box``; each face push swaps one column."""
+    epsilon = problem.tolerance if eps is None else float(eps)
+    if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
+    if not all(sl >= 0.0 for sl in table.slacks()):
+        raise InfeasibleInput("maximality is only defined for feasible boxes")
+
+    faces = []
+    for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
+        push = epsilon * var.ambient.width
+        for side in ("lo", "hi"):
+            if side == "lo":
+                room = interval.lo - var.ambient.lo
+                candidate = Interval(interval.lo - push, interval.hi)
+            else:
+                room = var.ambient.hi - interval.hi
+                candidate = Interval(interval.lo, interval.hi + push)
+            if room < push:
+                faces.append(FaceCheck(j, side, "ambient", margin=room))
+                continue
+            slacks = table.slacks(j, table.column(j, candidate))
+            if all(sl >= 0.0 for sl in slacks):
+                faces.append(FaceCheck(j, side, None, margin=min(slacks) if slacks else math.inf))
+            else:
+                worst = min(range(len(slacks)), key=lambda i: slacks[i])
+                faces.append(
+                    FaceCheck(j, side, problem.constraints[worst].surface, margin=-slacks[worst])
+                )
+    return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
+
+
+def reference_solve(problem, eps=None):
+    """``solve_greedy`` with the expansion step, slack-growth check and certificate above."""
+    order = problem.ranking if problem.ranking is not None else auto_rank(problem)
+    table = ReferenceTable(problem, Orthotope.point(problem.seed))
+    slacks = table.slacks()
+    if not all(sl >= 0.0 for sl in slacks):
+        raise InfeasibleInput("seed point box is infeasible")
+    steps = []
+    for j in order:
+        step, new_slacks = reference_expand_step(problem, table, j)
+        steps.append(step)
+        for old, new in zip(slacks, new_slacks):
+            if new > old + 1e-9 * max(1.0, abs(old)):
+                raise CddError("internal error: constraint slack grew during expansion")
+        slacks = new_slacks
+    return SolveResult(table.box, order, tuple(steps), reference_certify(problem, table, eps))
+
+
+def assert_same_as_reference(problem, boxes=(), eps_values=(None,)):
+    """Solve, steps and certificates (of the result and of ``boxes``) equal the references, NaN and signed zeros included."""
+    expected = reference_solve(problem)
+    assert repr(solve_greedy(problem)) == repr(expected)
+    for box in (expected.orthotope, *boxes):
+        for eps in eps_values:
+            assert repr(verify_maximality(problem, box, eps)) == repr(
+                reference_certify(problem, ReferenceTable(problem, box), eps)
+            )
+    return expected
+
+
+FILTER_SHAPES = tuple(itertools.product((1, 2, 3, 10, 30, 100), (1, 3, 30)))
+
+
+def test_filtered_solve_matches_left_to_right_solve():
+    rng = random.Random(8008)
+    for i, (n, m) in enumerate(FILTER_SHAPES):
+        for k, shifted in enumerate((False, True)):
+            offset = rng.uniform(1600.0, 2000.0) if shifted else 0.0
+            scale = TABLE_SCALES[(i + k) % len(TABLE_SCALES)]
+            problem = random_problem(rng, n, m, scale=scale, offset=offset)
+            # the certificate also of part-grown boxes, whose free faces report their least slack
+            partial = Orthotope.point(problem.seed)
+            for j in auto_rank(problem)[: max(1, n // 2)]:
+                partial = expand_factor(problem, partial, j)
+            eps_values = (None, 1e-12, 0.05) if n <= 10 else (None,)
+            assert_same_as_reference(problem, (Orthotope.point(problem.seed), partial), eps_values)
+
+
+def _counting_slack(monkeypatch):
+    """Record (constraint, column) of every left-to-right slack the table sums."""
+    summed = []
+    slack = _TermMax.slack
+
+    def counted(self, i, j, c):
+        summed.append((i, j))
+        return slack(self, i, j, c)
+
+    monkeypatch.setattr(_TermMax, "slack", counted)
+    return summed
+
+
+def test_constraint_exhausted_to_zero_slack_is_summed(monkeypatch):
+    # z0 = x0 reaches its bound exactly, so its slack is 0 for every later factor
+    problem = DesignProblem(
+        variables=(DesignVariable("x0", "", Interval(0.0, 2.0)), DesignVariable("x1", "", Interval(0.0, 2.0))),
+        surfaces=(
+            QuadraticResponseSurface("z0", "", 0.0, (1.0, 0.0), (0.0, 0.0)),
+            QuadraticResponseSurface("z1", "", 0.0, (0.5, 1.0), (0.0, 0.25)),
+        ),
+        constraints=(ObjectiveConstraint("z0", 1.0), ObjectiveConstraint("z1", 3.0)),
+        seed=(0.5, 0.5),
+        ranking=(0, 1),
+    )
+    summed = _counting_slack(monkeypatch)
+    result = assert_same_as_reference(problem, eps_values=(None, 1e-12))
+    assert result.orthotope.intervals[0].hi == 1.0
+    assert problem.region().is_box_feasible(result.orthotope.intervals)[1][0] == 0.0
+    summed.clear()
+    solve_greedy(problem)
+    # the estimate of z0 while x1 grows is 0, inside its error bound, so it is summed left to right
+    assert (0, 1) in summed
+
+
+def test_identical_surfaces_tie_for_the_blocker():
+    rng = random.Random(515)
+    for n in (1, 3, 12):
+        base = random_problem(rng, n, 2)
+        twin = replace(base.surfaces[0], name="twin")
+        bound = base.constraints[0].bound
+        problem = replace(
+            base,
+            surfaces=(base.surfaces[0], twin, base.surfaces[1]),
+            constraints=(base.constraints[0], ObjectiveConstraint("twin", bound), base.constraints[1]),
+        )
+        result = assert_same_as_reference(problem, eps_values=(None, 0.05))
+        blockers = {f.blocked_by for f in result.certificate.faces}
+        assert base.surfaces[0].name in blockers and "twin" not in blockers
+
+
+def test_surfaces_a_few_ulps_apart_keep_the_exact_blocker():
+    # the twin's linear coefficients sit a few ulps off, so roundoff decides which slack is least
+    rng = random.Random(616)
+    blockers = set()
+    for k in range(30):
+        n = (2, 10, 30)[k % 3]
+        base = random_problem(rng, n, 2, scale=(1.0, 1e6)[k % 2], offset=(0.0, 1800.0)[k % 2])
+        linear = list(base.surfaces[0].linear)
+        for col in range(n):
+            for _ in range(rng.randint(0, 3)):
+                linear[col] = math.nextafter(linear[col], rng.choice((math.inf, -math.inf)))
+        twin = replace(base.surfaces[0], name="twin", linear=tuple(linear))
+        problem = replace(
+            base,
+            surfaces=(base.surfaces[0], twin, base.surfaces[1]),
+            constraints=(
+                base.constraints[0],
+                ObjectiveConstraint("twin", base.constraints[0].bound),
+                base.constraints[1],
+            ),
+        )
+        result = assert_same_as_reference(problem)
+        blockers |= {f.blocked_by for f in result.certificate.faces}
+    assert {"z0", "twin"} <= blockers
+
+
+def test_overflowing_terms_take_the_full_pass(monkeypatch):
+    # pushed far enough, one term overflows to NaN (-inf + inf) and one to inf
+    problem = DesignProblem(
+        variables=(
+            DesignVariable("x0", "", Interval(-2e10, 0.0)),
+            DesignVariable("x1", "", Interval(0.0, 4e10)),
+            DesignVariable("x2", "", Interval(-1.0, 1.0)),
+        ),
+        surfaces=(
+            QuadraticResponseSurface("nan", "", 0.0, (1e298, 0.0, 1.0), (1e288, 0.0, 0.0)),
+            QuadraticResponseSurface("inf", "", 0.0, (0.0, 0.0, 0.5), (0.0, 1e288, 1.0)),
+            QuadraticResponseSurface("plain", "", 0.0, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)),
+        ),
+        constraints=(
+            ObjectiveConstraint("nan", 1e300),
+            ObjectiveConstraint("inf", 1e307),
+            ObjectiveConstraint("plain", 1.5),
+        ),
+        seed=(-1.0, 1.0, 0.0),
+    )
+    box = Orthotope((Interval(-1e10, 0.0), Interval(0.0, 1e9), Interval(-0.5, 0.5)))
+    assert problem.region().is_box_feasible(box.intervals)[0]
+    column = _TermMax(problem, box).column
+    assert math.isnan(column(0, Interval(-1.8e10, 0.0))[0])
+    assert column(1, Interval(0.0, 1.7e10))[1] == math.inf
+    assert_same_as_reference(problem, (box,), eps_values=(None, 0.4))
+
+    summed = _counting_slack(monkeypatch)
+    faces = verify_maximality(problem, box, 0.4).faces
+    assert [f.blocked_by for f in faces] == ["nan", "ambient", "ambient", "inf", "ambient", "ambient"]
+    assert math.isnan(faces[0].margin) and faces[3].margin == math.inf
+    # the precheck sums each constraint once, and each of the two pushed faces sums all three
+    assert sorted(summed) == sorted([(0, 0), (1, 0), (2, 0)] * 2 + [(0, 1), (1, 1), (2, 1)])
+
+
+def test_magnitudes_near_the_overflow_limit_are_summed(monkeypatch):
+    # with a bound of 1e308 some partial sum could overflow, so the error bound is not trusted
+    problem = one_dim_problem(linear=1.0, quadratic=0.0, bound=1e308)
+    summed = _counting_slack(monkeypatch)
+    assert repr(solve_greedy(problem)) == repr(reference_solve(problem))
+    # seed check, the one expansion try and the certificate's precheck
+    assert summed == [(0, 0)] * 3
+
+
+def test_slack_growth_beyond_roundoff_is_an_internal_error(monkeypatch):
+    problem = random_problem(random.Random(21), 3, 2)
+    column = _TermMax.column
+
+    def falling(self, j, interval):
+        # a term maximum that falls as its interval grows would give back design space
+        return [value - 1e-3 for value in column(self, j, interval)]
+
+    monkeypatch.setattr(_TermMax, "column", falling)
+    with pytest.raises(CddError, match="slack grew"):
+        solve_greedy(problem)
+
+
+def test_solve_sums_at_most_n_times_m_slacks(monkeypatch):
+    n, m = 100, 30
+    problem = random_problem(random.Random(77), n, m)
+    summed = _counting_slack(monkeypatch)
+    assert solve_greedy(problem).certificate.maximal
+    assert len(summed) <= n * m
 
 
 # --- the max-volume search against its numpy implementation -----------------------

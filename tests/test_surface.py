@@ -166,3 +166,59 @@ def test_separability_against_grid_oracle():
 def test_surface_json_roundtrip(table):
     for s in table.values():
         assert QuadraticResponseSurface.from_json(json.loads(json.dumps(s.to_json()))) == s
+
+
+# --- term_extremum against the candidate-list implementation it replaced ----------
+
+def reference_term_extremum(self, j, interval, mode="max"):
+    # the earlier body of QuadraticResponseSurface.term_extremum, verbatim
+    candidates = [interval.lo]
+    vertex = self.term_vertex(j)
+    if vertex is not None and interval.lo < vertex < interval.hi:
+        candidates.append(vertex)
+    if interval.hi != interval.lo:
+        candidates.append(interval.hi)
+    best_x = candidates[0]
+    best_v = self.term(j, best_x)
+    for x in candidates[1:]:
+        v = self.term(j, x)
+        if (mode == "max" and v > best_v) or (mode == "min" and v < best_v):
+            best_v, best_x = v, x
+    return best_v, best_x
+
+
+def _term_cases():
+    """(linear, quadratic, lo, hi) covering degenerate terms, point intervals, vertices on endpoints and signed zeros."""
+    rng = random.Random(4242)
+    cases = [
+        (l, q, lo, hi)
+        for l in (0.0, -0.0, 1.5, -2.0)
+        for q in (0.0, -0.0, 0.5, -1.0)
+        for lo, hi in ((-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (-1.0, 1.0), (0.0, 2.0), (-2.0, -0.0), (1.0, 1.0))
+    ]
+    for scale in (1e-4, 1e-2, 1.0, 1e3, 1e6):
+        for offset in (0.0, 1600.0, 1800.0, 2000.0):
+            for _ in range(12):
+                lo = offset + rng.uniform(-2.0, 1.0)
+                hi = lo + rng.choice((0.0, rng.uniform(0.0, 2.0)))
+                l, q = scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-1.0, 1.0)
+                cases.append((l, q, lo, hi))
+                cases.append((rng.choice((0.0, l)), rng.choice((0.0, q)), lo, hi))
+                # the vertex -l/(2q) on an endpoint, and an endpoint on the vertex as computed
+                cases.append((-2.0 * q * lo, q, lo, hi))
+                cases.append((-2.0 * q * hi, q, lo, hi))
+                if q != 0.0:
+                    vertex = -l / (2.0 * q)
+                    cases.append((l, q, vertex, max(vertex, hi)))
+                    cases.append((l, q, min(lo, vertex), vertex))
+    return cases
+
+
+def test_term_extremum_matches_candidate_list_implementation():
+    for l, q, lo, hi in _term_cases():
+        s = QuadraticResponseSurface("z", "", 0.0, (l,), (q,))
+        interval = Interval(lo, hi)
+        for mode in ("max", "min", "other"):
+            value, x = s.term_extremum(0, interval, mode)
+            ref_value, ref_x = reference_term_extremum(s, 0, interval, mode)
+            assert (value.hex(), x.hex()) == (ref_value.hex(), ref_x.hex()), (l, q, lo, hi, mode)
