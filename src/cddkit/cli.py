@@ -81,6 +81,9 @@ def cmd_evaluate(args) -> int:
     region = problem.region()
     feasible, slacks = region.is_point_feasible(point)
     values = {s.name: s.evaluate(point) for s in problem.surfaces}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise CddError(f"objective {name!r} is {value!r} at the point: its surface overflows there")
     if args.json:
         print(
             _dump_json(

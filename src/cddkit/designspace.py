@@ -81,8 +81,8 @@ class DesignProblem:
     """A full constraint-driven design problem.
 
     The seed must lie in the ambient box and satisfy every constraint
-    with slack of at least ``tolerance``; the greedy solver anchors its
-    expansion there.
+    with slack of at least ``tolerance`` (a NaN slack does not); the
+    greedy solver anchors its expansion there.
     """
 
     variables: tuple[DesignVariable, ...]
@@ -136,7 +136,9 @@ class DesignProblem:
                 raise InfeasibleSeed(f"seed coordinate {x} outside ambient bounds of {var.name!r}")
         for c in self.constraints:
             slack = c.bound - self.surface_by_name(c.surface).evaluate(self.seed)
-            if slack < self.tolerance:
+            # the only seed check: the solver and the oracle start from the seed point box,
+            # whose left-to-right slack is this one; a NaN slack violates it too
+            if not slack >= self.tolerance:
                 raise InfeasibleSeed(f"seed violates {c} (slack {slack:.3g})")
 
     @property

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import HigherOrderGraph, SchemaError
-from .structures import _RATIONAL_TEXT, coerce_value
-from .syntax import And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var
+from .structures import coerce_value
+from .syntax import RATIONAL_LITERAL, And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var
 
 __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence", "load_graph"]
 
@@ -92,7 +92,7 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
             name = f"v{counter}"
             variables.append(name)
             terms[c.id] = Var(name)
-        elif isinstance(c.referent, str) and not _RATIONAL_TEXT.match(c.referent):
+        elif isinstance(c.referent, str) and not RATIONAL_LITERAL.fullmatch(c.referent):
             if not _IDENT.match(c.referent):
                 raise SchemaError(f"referent {c.referent!r} is neither a rational nor an identifier")
             constants.append(c.referent)

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from ..errors import ArityMismatch, FreeVariable, ParseError, UnknownSymbol
 from .syntax import (
+    RATIONAL_LITERAL,
     And,
     Apply,
     Atom,
@@ -43,9 +44,9 @@ __all__ = ["parse_sentence", "parse_formula"]
 KEYWORDS = {"forall", "exists", "and", "or", "not"}
 
 _TOKEN = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
-  | (?P<number>-?\d+(?:\.\d+|/\d+)?)
+  | (?P<number>{RATIONAL_LITERAL.pattern})
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<punct>[().,=])
@@ -164,7 +165,7 @@ class _Parser:
         tok = self.current
         if tok.kind == "(":
             self.advance()
-            inner = self.implication_no_eof()
+            inner = self.implication()
             self.expect(")", "')'")
             return inner
         if tok.kind == "ident" and self.sig.predicate_arity(tok.text) is not None:
@@ -180,13 +181,6 @@ class _Parser:
         self.expect("=", "'=' after a term")
         right = self.term()
         return Eq(left, right)
-
-    def implication_no_eof(self) -> Formula:
-        left = self.disjunction()
-        if self.current.kind == "arrow":
-            self.advance()
-            return Implies(left, self.implication_no_eof())
-        return left
 
     def termlist(self, head: _Token) -> tuple[Term, ...]:
         self.expect("(", f"'(' after symbol {head.text!r}")

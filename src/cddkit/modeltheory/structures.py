@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -31,6 +30,7 @@ from ..errors import (
     UnknownSymbol,
 )
 from .syntax import (
+    RATIONAL_LITERAL,
     And,
     Apply,
     Atom,
@@ -69,8 +69,6 @@ DEFAULT_MAGNITUDE_BOUND = 10**100
 ENUMERATION_DOMAIN_CAP = 4
 ENUMERATION_COUNT_CAP = 2**20
 
-_RATIONAL_TEXT = re.compile(r"^-?\d+(?:/\d+|\.\d+)?$")
-
 _ARITH_OPS = ("+", "-", "*")
 
 
@@ -88,7 +86,7 @@ def coerce_value(v) -> DomainValue:
             raise SchemaError(f"{v!r} is not a domain value: numbers must be finite")
         return Fraction(str(v))
     if isinstance(v, str):
-        if _RATIONAL_TEXT.match(v):
+        if RATIONAL_LITERAL.fullmatch(v):
             return Fraction(v)
         return v
     raise SchemaError(f"cannot use {v!r} as a domain value")
@@ -118,7 +116,7 @@ class BuiltinFunction:
         if isinstance(node, str):
             if node in env:
                 return env[node]
-            if _RATIONAL_TEXT.match(node):
+            if RATIONAL_LITERAL.fullmatch(node):
                 return Fraction(node)
             raise SchemaError(f"unknown name {node!r} in arithmetic expression")
         if isinstance(node, (int, Fraction)):

@@ -8,6 +8,7 @@ quantifiers.  A sentence is a formula with no free variables.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -38,6 +39,10 @@ __all__ = [
 
 
 # --- terms ---------------------------------------------------------------
+
+# the one spelling of a rational literal: sentences, domain values, function
+# bodies and graph referents all use it
+RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
 
 @dataclass(frozen=True)
 class Var:

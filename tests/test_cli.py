@@ -376,6 +376,60 @@ def test_finite_seed_outside_ambient_still_exits_3(tmp_path, capsys):
     assert "ambient" in err
 
 
+def _one_variable_problem(tmp_path, linear, quadratic, seed):
+    """z = linear*x + quadratic*x**2 on [0, 20] with bound 1."""
+    doc = {
+        "name": "overflow",
+        "variables": [{"name": "x", "lo": 0.0, "hi": 20.0}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [linear], "quadratic": [quadratic]}],
+        "constraints": [{"surface": "z", "bound": 1.0}],
+        "seed": [seed],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "linear, quadratic, shown", [(1e308, -1e308, "nan"), (0.0, 1e308, "inf"), (0.0, -1e308, "-inf")]
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_evaluate_non_finite_objective_exits_2(tmp_path, capsys, linear, quadratic, shown, mode):
+    path = _one_variable_problem(tmp_path, linear, quadratic, seed=0.0)
+    assert run_cli("evaluate", path, "--point", "1e-300", *mode, capsys=capsys)[0] == 0
+    code, out, err = run_cli("evaluate", path, "--point", "10", *mode, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"'z' is {shown} " in err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("solve", ["--out", "OUT"]),
+        ("verify", ["RESULT"]),
+        ("evaluate", ["--point", "0"]),
+        ("quantify", ["z <= 1"]),
+        ("rosetta", ["--resolution", "5", "--out", "OUT"]),
+    ],
+)
+def test_nan_seed_slack_exits_3(tmp_path, capsys, command, extra):
+    # 1e308*x - 1e308*x**2 is inf - inf at the seed, so the seed's slack is NaN
+    path = _one_variable_problem(tmp_path, 1e308, -1e308, seed=10.0)
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({
+        "orthotope": [{"lo": 10.0, "hi": 10.0}],
+        "ranking": [0],
+        "steps": [],
+        "certificate": {"epsilon": 1e-6, "faces": []},
+    }))
+    paths = {"RESULT": str(result), "OUT": str(tmp_path / "out")}
+    code, out, err = run_cli(command, path, *(paths.get(arg, arg) for arg in extra), capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert "seed violates z <= 1.0 (slack nan)" in err
+
+
 @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "sub\\escaped", "nul\0name", "..", ".", ""])
 @pytest.mark.parametrize("command", ["solve", "rosetta"])
 def test_problem_name_cannot_leave_out_dir(tmp_path, capsys, name, command):

@@ -22,6 +22,8 @@ from cddkit.modeltheory import (
     parse_sentence,
     to_text,
 )
+from cddkit.modeltheory.parser import _lex
+from cddkit.modeltheory.structures import coerce_value
 
 TRIANGLE_SIG = Signature(functions=(("P1", 2), ("P2", 1)))
 PRED_SIG = Signature(predicates=(("P", 2),))
@@ -118,6 +120,29 @@ def test_rational_literals():
     ast = parse_sentence("f(1/2) = 0.25", sig)
     assert ast == Eq(Apply("f", (Lit(Fraction(1, 2)),)), Lit(Fraction(1, 4)))
     assert parse_sentence(to_text(ast), sig) == ast
+
+
+def test_parenthesized_implication_nests_to_the_right():
+    sig = Signature(predicates=(("P", 1), ("Q", 1), ("R", 1)))
+    ast = parse_sentence("forall v. (P(v) -> Q(v) -> R(v)) and P(v)", sig)
+    assert ast.body == And(
+        Implies(Atom("P", (Var("v"),)), Implies(Atom("Q", (Var("v"),)), Atom("R", (Var("v"),)))),
+        Atom("P", (Var("v"),)),
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["7", "-7", "7/3", "-2.5", "0.25", "007", "1e-7", "7/", ".5", "5.", "+5", " 5", "5\n", "1/2/3"]
+)
+def test_sentences_and_domain_values_share_one_rational_syntax(text):
+    # the sentence lexer reads the whole text as one literal exactly when a domain
+    # value made of that text is a rational
+    try:
+        tokens = _lex(text)
+    except ParseError:
+        tokens = []
+    one_literal = [(t.kind, t.text) for t in tokens] == [("number", text), ("eof", "")]
+    assert one_literal == isinstance(coerce_value(text), Fraction)
 
 
 def test_constants_parse_as_nullary_applications():
