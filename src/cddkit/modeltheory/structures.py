@@ -75,6 +75,12 @@ _ARITH_OPS = ("+", "-", "*")
 def coerce_value(v) -> DomainValue:
     """JSON value to a domain value: numbers and numeric strings become
     exact rationals, everything else stays an opaque token."""
+    # str first: a Fraction test goes through ABCMeta.__instancecheck__,
+    # and most values are tokens
+    if isinstance(v, str):
+        if RATIONAL_LITERAL.fullmatch(v):
+            return Fraction(v)
+        return v
     if isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
@@ -85,10 +91,6 @@ def coerce_value(v) -> DomainValue:
         if not math.isfinite(v):
             raise SchemaError(f"{v!r} is not a domain value: numbers must be finite")
         return Fraction(str(v))
-    if isinstance(v, str):
-        if RATIONAL_LITERAL.fullmatch(v):
-            return Fraction(v)
-        return v
     raise SchemaError(f"cannot use {v!r} as a domain value")
 
 
@@ -156,13 +158,13 @@ class RelationalStructure:
     functions: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        domain = tuple(coerce_value(v) for v in self.domain)
+        domain = tuple(map(coerce_value, self.domain))
         object.__setattr__(self, "domain", domain)
         domain_set = set(domain)
 
         relations = {}
         for name, tuples in self.relations.items():
-            normalized = frozenset(tuple(coerce_value(v) for v in t) for t in tuples)
+            normalized = frozenset(tuple(map(coerce_value, t)) for t in tuples)
             arities = {len(t) for t in normalized}
             if len(arities) > 1:
                 raise SchemaError(f"relation {name!r} mixes tuple lengths {sorted(arities)}")
@@ -188,8 +190,7 @@ class RelationalStructure:
                 raise SchemaError(f"function {name!r} must be a table or a builtin")
             table = {}
             for key, value in fn.items():
-                k = tuple(coerce_value(v) for v in key)
-                table[k] = coerce_value(value)
+                table[tuple(map(coerce_value, key))] = coerce_value(value)
             arities = {len(k) for k in table}
             if len(arities) > 1:
                 raise SchemaError(f"function {name!r} mixes argument counts {sorted(arities)}")
@@ -287,11 +288,22 @@ class Theory:
 
 # --- evaluation -----------------------------------------------------------------
 #
-# A formula is compiled once into nested closures, one per node.  Every
-# closure takes ``(rels, fns, env)``: the relation extensions and the
-# functions by structure name, and the variable assignment.  Symbols are
-# looked up by name when their atom or term is evaluated, so a missing
-# one raises only if the evaluation reaches it.  Quantifiers bind their
+# A formula is compiled once into nested closures, one per node, whose
+# truth values are sets of candidates: an int with bit c set when the
+# formula holds on candidate c.  Every closure takes ``(rels, fns, env,
+# care)``: the relation and function tables by structure name, the
+# variable assignment, and the nonzero set of candidates that reach the
+# node.  A formula returns the subset of ``care`` where it holds; a term
+# returns ``{value: candidates}``, which partitions ``care``.  A relation
+# table maps a tuple to the candidates that contain it (an absent tuple
+# is in none), and a function table maps an argument tuple to ``{value:
+# candidates}``.  ``and``, ``or`` and ``->`` pass their right side only
+# the candidates that reach it, and quantifiers narrow the set as they
+# go, so a node runs on a candidate exactly when a short-circuit walk of
+# that candidate alone reaches it.  One structure is the one-candidate
+# case: ``care`` is 1 and so is every table entry, and errors are raised
+# where the walk raises them.  Symbols are looked up by name when their
+# atom or term is reached, before its arguments.  Quantifiers bind their
 # variable in ``env`` in place and put the outer value back afterwards.
 
 _UNBOUND = object()
@@ -303,52 +315,74 @@ def _free_variable(names, env) -> FreeVariable:
 
 
 def _compile_term(term, fmap, bound):
+    """A closure ``(rels, fns, env, care) -> {value: candidates}``."""
     if isinstance(term, Var):
         name = term.name
 
-        def var(rels, fns, env):
+        def var(rels, fns, env, care):
             try:
-                return env[name]
+                return {env[name]: care}
             except KeyError:
                 raise FreeVariable(f"no value for variable {name!r}") from None
 
         return var
     if isinstance(term, Lit):
         value = term.value
-        return lambda rels, fns, env: value
+        return lambda rels, fns, env, care: {value: care}
     if isinstance(term, Apply):
         target = fmap.get(term.func, term.func)
-        values = _compile_args(term.args, fmap, bound)
+        combos = _compile_args(term.args, fmap, bound)
 
-        def apply(rels, fns, env):
+        def apply(rels, fns, env, care):
             fn = fns.get(target)
             if fn is None:
                 raise UnknownSymbol(f"structure has no function {target!r}")
-            args = values(rels, fns, env)
-            if isinstance(fn, BuiltinFunction):
-                if any(not isinstance(a, Fraction) for a in args):
-                    raise CddError(f"builtin function {target!r} applied to a non-numeric value")
-                return fn.evaluate(args, bound)
-            try:
-                return fn[args]
-            except KeyError:
-                raise CddError(f"function {target!r} undefined on {args!r}") from None
+            out = {}
+            for args, bits in combos(rels, fns, env, care):
+                if isinstance(fn, BuiltinFunction):
+                    if any(not isinstance(a, Fraction) for a in args):
+                        raise CddError(f"builtin function {target!r} applied to a non-numeric value")
+                    value = fn.evaluate(args, bound)
+                    out[value] = out.get(value, 0) | bits
+                    continue
+                try:
+                    values = fn[args]
+                except KeyError:
+                    raise CddError(f"function {target!r} undefined on {args!r}") from None
+                for value, value_bits in values.items():
+                    hit = bits & value_bits
+                    if hit:
+                        out[value] = out.get(value, 0) | hit
+            return out
 
         return apply
     raise TypeError(f"not a term: {term!r}")
 
 
 def _compile_args(terms, fmap, bound):
-    """One closure for the tuple of argument values, left to right."""
+    """A closure for the argument tuples that occur, ``[(args, candidates)]``.
+
+    Each argument is evaluated on all of ``care``, left to right, before
+    any tuple is formed.
+    """
     parts = [_compile_term(t, fmap, bound) for t in terms]
-    if len(parts) == 1:
-        (only,) = parts
-        return lambda rels, fns, env: (only(rels, fns, env),)
-    return lambda rels, fns, env: tuple([part(rels, fns, env) for part in parts])
+
+    def combos(rels, fns, env, care):
+        out = [((), care)]
+        for values in [part(rels, fns, env, care) for part in parts]:
+            out = [
+                (args + (value,), hit)
+                for args, bits in out
+                for value, value_bits in values.items()
+                if (hit := bits & value_bits)
+            ]
+        return out
+
+    return combos
 
 
 def _compile_formula(f, domain, pmap, fmap, bound):
-    """A closure ``(rels, fns, env) -> bool``; quantifiers range over ``domain``."""
+    """A closure ``(rels, fns, env, care) -> candidates``; quantifiers range over ``domain``."""
     if isinstance(f, Atom):
         target = pmap.get(f.pred, f.pred)
         if f.args and all(isinstance(t, Var) for t in f.args):
@@ -356,91 +390,134 @@ def _compile_formula(f, domain, pmap, fmap, bound):
             get = itemgetter(*names)
             single = len(names) == 1
 
-            def var_atom(rels, fns, env):
+            def var_atom(rels, fns, env, care):
                 rel = rels.get(target)
                 if rel is None:
                     raise UnknownSymbol(f"structure has no relation {target!r}")
                 try:
-                    return ((get(env),) if single else get(env)) in rel
+                    return rel.get((get(env),) if single else get(env), 0) & care
                 except KeyError:
                     raise _free_variable(names, env) from None
 
             return var_atom
-        values = _compile_args(f.args, fmap, bound)
+        combos = _compile_args(f.args, fmap, bound)
 
-        def atom(rels, fns, env):
+        def atom(rels, fns, env, care):
             rel = rels.get(target)
             if rel is None:
                 raise UnknownSymbol(f"structure has no relation {target!r}")
-            return values(rels, fns, env) in rel
+            out = 0
+            for args, bits in combos(rels, fns, env, care):
+                out |= rel.get(args, 0) & bits
+            return out
 
         return atom
     if isinstance(f, Eq):
         left = _compile_term(f.left, fmap, bound)
         right = _compile_term(f.right, fmap, bound)
-        return lambda rels, fns, env: left(rels, fns, env) == right(rels, fns, env)
+
+        def eq(rels, fns, env, care):
+            left_values = left(rels, fns, env, care)
+            right_values = right(rels, fns, env, care)
+            out = 0
+            for value, bits in left_values.items():
+                out |= bits & right_values.get(value, 0)
+            return out
+
+        return eq
     if isinstance(f, Not):
         body = _compile_formula(f.body, domain, pmap, fmap, bound)
-        return lambda rels, fns, env: not body(rels, fns, env)
+        return lambda rels, fns, env, care: care ^ body(rels, fns, env, care)
     if isinstance(f, (And, Or, Implies)):
         left = _compile_formula(f.left, domain, pmap, fmap, bound)
         right = _compile_formula(f.right, domain, pmap, fmap, bound)
         if isinstance(f, And):
-            return lambda rels, fns, env: left(rels, fns, env) and right(rels, fns, env)
+
+            def conj(rels, fns, env, care):
+                hit = left(rels, fns, env, care)
+                return right(rels, fns, env, hit) if hit else 0
+
+            return conj
         if isinstance(f, Or):
-            return lambda rels, fns, env: left(rels, fns, env) or right(rels, fns, env)
-        return lambda rels, fns, env: (not left(rels, fns, env)) or right(rels, fns, env)
+
+            def disj(rels, fns, env, care):
+                hit = left(rels, fns, env, care)
+                rest = care ^ hit
+                return hit | right(rels, fns, env, rest) if rest else hit
+
+            return disj
+
+        def implies(rels, fns, env, care):
+            hit = left(rels, fns, env, care)
+            return (care ^ hit) | right(rels, fns, env, hit) if hit else care
+
+        return implies
     if isinstance(f, Forall):
         var = f.var
         body = _compile_formula(f.body, domain, pmap, fmap, bound)
 
-        def forall(rels, fns, env):
+        def forall(rels, fns, env, care):
             outer = env.get(var, _UNBOUND)
-            result = True
+            alive = care
             for e in domain:
                 env[var] = e
-                if not body(rels, fns, env):
-                    result = False
+                alive = body(rels, fns, env, alive)
+                if not alive:
                     break
             if outer is _UNBOUND:
                 del env[var]
             else:
                 env[var] = outer
-            return result
+            return alive
 
         return forall
     if isinstance(f, Exists):
         var = f.var
         body = _compile_formula(f.body, domain, pmap, fmap, bound)
 
-        def exists(rels, fns, env):
+        def exists(rels, fns, env, care):
             outer = env.get(var, _UNBOUND)
-            result = False
+            pending = care
             for e in domain:
                 env[var] = e
-                if body(rels, fns, env):
-                    result = True
+                pending ^= body(rels, fns, env, pending)
+                if not pending:
                     break
             if outer is _UNBOUND:
                 del env[var]
             else:
                 env[var] = outer
-            return result
+            return care ^ pending
 
         return exists
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _truth(struct, formula, interp, assignment, bound) -> bool:
-    if has_quantifier(formula) and not struct.domain:
-        raise DomainEmpty("quantified formula over an empty domain")
-    pmap, fmap = {}, {}
-    if interp is not None:
-        interp.check_against(struct)
-        pmap, fmap = interp.predicate_map, interp.function_map
-    env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
-    evaluate = _compile_formula(formula, struct.domain, pmap, fmap, bound)
-    return evaluate(struct.relations, struct.functions, env)
+def _one_candidate(relations, functions):
+    """The tables of one structure as the one-candidate case: every set is 1."""
+    rels = {name: dict.fromkeys(tuples, 1) for name, tuples in relations.items()}
+    fns = {
+        name: fn if isinstance(fn, BuiltinFunction) else {args: {value: 1} for args, value in fn.items()}
+        for name, fn in functions.items()
+    }
+    return rels, fns
+
+
+def _truths(struct, formulas, interp, assignment, bound) -> list[bool]:
+    """The truth of each formula in turn, with the structure as one candidate."""
+    rels, fns = _one_candidate(struct.relations, struct.functions)
+    verdicts = []
+    for formula in formulas:
+        if has_quantifier(formula) and not struct.domain:
+            raise DomainEmpty("quantified formula over an empty domain")
+        pmap, fmap = {}, {}
+        if interp is not None:
+            interp.check_against(struct)
+            pmap, fmap = interp.predicate_map, interp.function_map
+        env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
+        evaluate = _compile_formula(formula, struct.domain, pmap, fmap, bound)
+        verdicts.append(bool(evaluate(rels, fns, env, 1)))
+    return verdicts
 
 
 def holds(
@@ -451,7 +528,7 @@ def holds(
     max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Truth of a possibly open formula under an explicit variable assignment."""
-    return _truth(struct, formula, interp, assignment, max_magnitude)
+    return _truths(struct, [formula], interp, assignment, max_magnitude)[0]
 
 
 def satisfies(
@@ -469,7 +546,7 @@ def satisfies(
     free = free_variables(sentence)
     if free:
         raise FreeVariable(f"not a sentence, free variables: {', '.join(sorted(free))}")
-    return _truth(struct, sentence, interp, None, max_magnitude)
+    return _truths(struct, [sentence], interp, None, max_magnitude)[0]
 
 
 def check_theory(
@@ -482,10 +559,31 @@ def check_theory(
     if interp is None:
         interp = Interpretation.identity(theory.signature)
     # a Theory holds sentences only, so satisfies' free-variable check is decided
-    return [_truth(struct, s, interp, None, max_magnitude) for s in theory.sentences]
+    return _truths(struct, theory.sentences, interp, None, max_magnitude)
 
 
 # --- exhaustive model enumeration ---------------------------------------------
+
+def _digit_set(total: int, stride: int, radix: int, digit: int) -> int:
+    """The candidates ``c < total`` with ``(c // stride) % radix == digit``.
+
+    That is one run of ``stride`` bits in every period of ``stride *
+    radix``; the period divides ``total``, and the copies are made by
+    shift-or doubling.
+    """
+    period = stride * radix
+    unit = ((1 << stride) - 1) << (digit * stride)
+    out, filled, count = 0, 0, total // period
+    while True:
+        if count & 1:
+            out |= unit << filled
+            filled += period
+        count >>= 1
+        if not count:
+            return out
+        unit |= unit << period
+        period *= 2
+
 
 def enumerate_models(
     sig: Signature,
@@ -499,7 +597,8 @@ def enumerate_models(
 
     Enumeration order is deterministic: relation extensions run through
     ascending bitmask order per symbol (tuple index = bit index), with
-    later symbols cycling fastest; function tables likewise.
+    later symbols cycling fastest; function tables likewise.  One
+    evaluation decides every candidate at once, and only a model is built.
     """
     if domain_size < 1:
         raise SchemaError("domain size must be at least 1")
@@ -513,57 +612,78 @@ def enumerate_models(
         raise FreeVariable("enumerate_models needs a sentence")
 
     domain = tuple(f"e{i}" for i in range(domain_size))
-
-    total = 1
-    rel_tuples = {}
-    for name, arity in sig.predicates:
-        tuples = list(itertools.product(domain, repeat=arity))
-        rel_tuples[name] = tuples
-        total *= 2 ** len(tuples)
-    fn_inputs = {}
-    for name, arity in sig.functions:
-        inputs = list(itertools.product(domain, repeat=arity))
-        fn_inputs[name] = inputs
-        total *= domain_size ** len(inputs)
+    # (name, inputs, radix, is a relation): a relation's inputs are its
+    # tuples, each in or out; a function's are its argument tuples, each
+    # mapped to one of domain_size values
+    symbols = [
+        (name, list(itertools.product(domain, repeat=arity)), 2, True)
+        for name, arity in sig.predicates
+    ] + [
+        (name, list(itertools.product(domain, repeat=arity)), domain_size, False)
+        for name, arity in sig.functions
+    ]
+    total = math.prod(radix ** len(inputs) for _, inputs, radix, _ in symbols)
     if total > count_cap:
         raise CapExceeded(f"{total} candidate structures exceed cap {count_cap}")
 
-    pred_names = [n for n, _ in sig.predicates]
-    fn_names = [n for n, _ in sig.functions]
-    # Each candidate is checked on its bare relation sets and function
-    # tables; only a model becomes a RelationalStructure, through the
-    # validating constructor.  What satisfies would check per candidate is
-    # decided by construction: the sentence is closed and well formed
-    # (checked above), the domain is nonempty, every symbol of the
-    # signature gets a relation or a table under its own name (the
-    # identity interpretation), every tuple has its symbol's arity, every
-    # table is total over the domain, and the tokens e0, e1, ... are not
-    # rational text, so coercion leaves them as they are.
-    identity = Interpretation.identity(sig)
-    evaluate = _compile_formula(
-        sentence, domain, identity.predicate_map, identity.function_map, DEFAULT_MAGNITUDE_BOUND
-    )
-    env: dict = {}
+    # Candidate c is a mixed-radix number with one digit per input, read as
+    # (c // weight) % radix, the later symbols cycling fastest.  Within a
+    # relation, tuple i is bit i of its mask; within a function, the first
+    # input is the most significant digit, as itertools.product orders the
+    # output tuples.
+    places = []  # (name, radix, is a relation, [(input, weight)])
+    stride = total
+    for name, inputs, radix, is_relation in symbols:
+        stride //= radix ** len(inputs)
+        last = len(inputs) - 1
+        weights = [stride * radix ** (i if is_relation else last - i) for i in range(len(inputs))]
+        places.append((name, radix, is_relation, list(zip(inputs, weights))))
 
+    def candidate(c):
+        relations, functions = {}, {}
+        for name, radix, is_relation, digits in places:
+            if is_relation:
+                relations[name] = frozenset(t for t, weight in digits if c // weight % 2)
+            else:
+                functions[name] = {args: domain[c // weight % radix] for args, weight in digits}
+        return relations, functions
+
+    # the tables of all candidates at once
+    rels, fns = {}, {}
+    for name, radix, is_relation, digits in places:
+        if is_relation:
+            rels[name] = {t: _digit_set(total, weight, 2, 1) for t, weight in digits}
+        else:
+            fns[name] = {
+                args: {value: _digit_set(total, weight, radix, k) for k, value in enumerate(domain)}
+                for args, weight in digits
+            }
+
+    # What satisfies would check per candidate is decided by construction:
+    # the sentence is closed and well formed (checked above), the domain is
+    # nonempty, every symbol of the signature has a table under its own
+    # name (so no symbol map is needed), and the tokens e0, e1, ... are
+    # not rational text, so coercion leaves them as they are.
+    evaluate = _compile_formula(sentence, domain, {}, {}, DEFAULT_MAGNITUDE_BOUND)
+    try:
+        hits = evaluate(rels, fns, {}, (1 << total) - 1)
+    except CddError:
+        # Only a table function applied to a value outside the domain, a
+        # literal, fails here.  Replay the candidates in order, one at a
+        # time, so that the first one that fails raises what it raises alone.
+        for c in range(total):
+            evaluate(*_one_candidate(*candidate(c)), {}, 1)
+        raise
+
+    # only a model becomes a RelationalStructure, through the validating
+    # constructor, in ascending candidate order
     models = []
-    rel_choices = [range(2 ** len(rel_tuples[n])) for n in pred_names]
-    fn_choices = [
-        itertools.product(domain, repeat=len(fn_inputs[n])) for n in fn_names
-    ]
-    for combo in itertools.product(*rel_choices, *[list(c) for c in fn_choices]):
-        masks = combo[: len(pred_names)]
-        outputs = combo[len(pred_names):]
-        relations = {}
-        for name, mask in zip(pred_names, masks):
-            tuples = rel_tuples[name]
-            relations[name] = frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
-        functions = {}
-        for name, out in zip(fn_names, outputs):
-            functions[name] = dict(zip(fn_inputs[name], out))
-        if evaluate(relations, functions, env):
-            models.append(
-                RelationalStructure(domain=domain, relations=relations, functions=functions)
-            )
+    bits = bin(hits)[:1:-1]  # character c is bit c
+    c = bits.find("1")
+    while c >= 0:
+        relations, functions = candidate(c)
+        models.append(RelationalStructure(domain=domain, relations=relations, functions=functions))
+        c = bits.find("1", c + 1)
     return models
 
 

@@ -392,10 +392,16 @@ def test_missing_relation_raises_only_when_its_atom_is_evaluated():
 
 # --- enumeration ---------------------------------------------------------------------
 
-def _random_sentence(rng, sig):
-    """A closed formula over the signature's symbols and the variables x, y."""
+def _random_sentence(rng, sig, literals=0.0):
+    """A closed formula over the signature's symbols and the variables x, y.
+
+    With ``literals`` > 0, each term is that likely to be a rational
+    literal, which is never in an enumeration domain.
+    """
 
     def term(depth):
+        if literals and rng.random() < literals:
+            return Lit(Fraction(rng.choice((0, 1, 5))))
         if depth == 0 or not sig.functions or rng.random() < 0.5:
             return Var(rng.choice("xy"))
         name, arity = rng.choice(sig.functions)
@@ -435,8 +441,17 @@ ENUMERATION_SIGNATURES = [
     for f, fa in TABLES
 ]
 
+MIXED_SIGNATURES = [
+    # two predicates and two functions: four digits with different radices
+    Signature(predicates=(("P", 1), ("Q", 1)), functions=(("c", 0), ("f", 1))),
+    Signature(predicates=(("R", 2), ("P", 1)), functions=(("f", 1), ("c", 0))),
+    # constants beside a predicate, and functions alone
+    Signature(predicates=(("P", 1),), functions=(("c", 0), ("d", 0))),
+    Signature(functions=(("c", 0), ("d", 0), ("f", 1))),
+]
 
-@pytest.mark.parametrize("sig", ENUMERATION_SIGNATURES, ids=repr)
+
+@pytest.mark.parametrize("sig", ENUMERATION_SIGNATURES + MIXED_SIGNATURES, ids=repr)
 def test_enumerate_models_matches_reference(sig):
     rng = random.Random(repr(sig))
     for size in (1, 2, 3):
@@ -455,3 +470,73 @@ def test_enumerate_binary_function_tables_of_size_3_match_reference():
     models = enumerate_models(sig, sentence, 3)
     assert len(models) == 3**6
     assert models == reference_enumerate_models(sig, sentence, 3)
+
+
+def _result(fn, *args):
+    """The value, or the type and message of the toolkit error raised."""
+    try:
+        return fn(*args)
+    except CddError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("sig", MIXED_SIGNATURES[:2] + ENUMERATION_SIGNATURES[:3], ids=repr)
+def test_enumerate_models_with_literals_matches_reference(sig):
+    """Literals in atoms, in ``=`` and as function arguments: the same
+    models, or the same error as the first candidate that raises."""
+    rng = random.Random(f"literals {sig!r}")
+    seen = set()
+    for size in (1, 2):
+        if _candidates(sig, size) > 2_000:
+            continue
+        for _ in range(25):
+            sentence = _random_sentence(rng, sig, literals=0.15)
+            expected = _result(reference_enumerate_models, sig, sentence, size)
+            assert _result(enumerate_models, sig, sentence, size) == expected, sentence
+            seen.add(type(expected) if isinstance(expected, list) else expected[0])
+    assert list in seen
+    if any(arity for _, arity in sig.functions):
+        assert CddError in seen
+
+
+def test_undefined_application_raises_only_when_reached():
+    sig = Signature(predicates=(("P", 1), ("Q", 1)), functions=(("f", 1),))
+    # never reached: the left side of the "or" holds on every candidate
+    unreachable = parse_sentence("forall x. (P(x) or not P(x)) or f(5) = x", sig)
+    models = enumerate_models(sig, unreachable, 2)
+    assert len(models) == _candidates(sig, 2)
+    assert models == reference_enumerate_models(sig, unreachable, 2)
+    # reached on some candidates only, and with a different literal on
+    # different ones: the first candidate in enumeration order that reaches
+    # an application decides the error (Q cycles faster than P, so a
+    # candidate with Q but no P comes first and reaches f(7))
+    reachable = parse_sentence("exists x. (P(x) and f(5) = x) or (Q(x) and f(7) = x)", sig)
+    expected = _result(reference_enumerate_models, sig, reachable, 2)
+    assert expected == (CddError, "function 'f' undefined on (Fraction(7, 1),)")
+    assert _result(enumerate_models, sig, reachable, 2) == expected
+    # literals outside an application are just values outside the domain
+    harmless = parse_sentence("forall x. not P(5) and not 5 = x and (f(x) = x or 1 = 1)", sig)
+    models = enumerate_models(sig, harmless, 2)
+    assert len(models) == _candidates(sig, 2)
+    assert models == reference_enumerate_models(sig, harmless, 2)
+
+
+def test_enumeration_at_the_count_cap():
+    # P/1 and R/2 on four elements: 2**4 * 2**16 = 2**20 candidates, the cap
+    sig = Signature(predicates=(("P", 1), ("R", 2)))
+    sentence = parse_sentence(
+        "forall x. forall y. (R(x, y) -> R(y, x)) and (P(x) -> R(x, x))", sig
+    )
+    assert _candidates(sig, 4) == ENUMERATION_COUNT_CAP
+    models = enumerate_models(sig, sentence, 4)
+    # per element (P(x), R(x, x)) is one of 3 of its 4 pairs, and each of the
+    # 6 unordered pairs of distinct elements is in R both ways or not at all
+    assert len(models) == 3**4 * 2**6
+    domain = ("e0", "e1", "e2", "e3")
+    # P is the slower digit: the first model is empty, the last is full
+    assert models[0] == RelationalStructure(domain=domain, relations={"P": [], "R": []})
+    assert models[-1] == RelationalStructure(
+        domain=domain,
+        relations={"P": [(v,) for v in domain], "R": list(itertools.product(domain, repeat=2))},
+    )
+    assert all(satisfies(m, sentence) for m in models[:: len(models) // 50])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cddkit import data_path
-from cddkit.errors import DomainEmpty, EvaluationOverflow, FreeVariable
+from cddkit.errors import DomainEmpty, EvaluationOverflow, FreeVariable, SchemaError
 from cddkit.modeltheory import (
     And,
     Atom,
@@ -27,6 +27,7 @@ from cddkit.modeltheory import (
     parse_sentence,
     satisfies,
 )
+from cddkit.modeltheory.structures import coerce_value
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +260,40 @@ def test_fraction_domains_from_json():
         '{"domain": [1, "1/2", 0.25], "relations": {}, "functions": {}}'
     )
     assert struct.domain == (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (Fraction(-3, 4), Fraction(-3, 4)),
+        (7, Fraction(7)),
+        (-2, Fraction(-2)),
+        (True, SchemaError),
+        (False, SchemaError),
+        (0.25, Fraction(1, 4)),
+        (0.1, Fraction(1, 10)),  # through its shortest repr, not its binary value
+        (float("nan"), SchemaError),
+        (float("inf"), SchemaError),
+        (float("-inf"), SchemaError),
+        ("5", Fraction(5)),
+        ("-3/4", Fraction(-3, 4)),
+        ("2.50", Fraction(5, 2)),
+        ("5\n", "5\n"),  # not rational text: an opaque token
+        (" 5", " 5"),
+        ("e0", "e0"),
+        ("t1", "t1"),
+        ("", ""),
+        (None, SchemaError),
+        ([1], SchemaError),
+        ((1,), SchemaError),
+        (b"5", SchemaError),
+    ],
+    ids=repr,
+)
+def test_coerce_value_maps_each_kind_of_input(value, expected):
+    if expected is SchemaError:
+        with pytest.raises(SchemaError):
+            coerce_value(value)
+        return
+    result = coerce_value(value)
+    assert type(result) is type(expected) and result == expected
