@@ -30,7 +30,6 @@ _EXPORTS = {
     "emit": "rosetta",
     "load_problem": "designspace",
     "modeltheory": "modeltheory",
-    "oracle_solve": "orthotope",
     "orthotope": "orthotope",
     "project_orthotope": "rosetta",
     "quantify_requirement": "designspace",

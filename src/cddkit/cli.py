@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CddError, InfeasibleSeed, SchemaError
+from .errors import CapExceeded, CddError, InfeasibleSeed, SchemaError
 
 if TYPE_CHECKING:
     from .orthotope import SolveResult
@@ -72,7 +72,8 @@ def _parse_ranking(text: str) -> tuple[int, ...]:
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2)
+    # strict JSON: callers write an infinite bound or slack, meaning unconstrained, as null
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def cmd_evaluate(args) -> int:
@@ -84,20 +85,20 @@ def cmd_evaluate(args) -> int:
     for name, value in values.items():
         if not math.isfinite(value):
             raise CddError(f"objective {name!r} is {value!r} at the point: its surface overflows there")
+    slack_by_name = {c.surface: sl for c, sl in zip(problem.constraints, slacks)}
     if args.json:
         print(
             _dump_json(
                 {
                     "point": list(point),
                     "objectives": values,
-                    "slacks": {c.surface: sl for c, sl in zip(problem.constraints, slacks)},
+                    "slacks": {name: None if sl == math.inf else sl for name, sl in slack_by_name.items()},
                     "feasible": feasible,
                 }
             )
         )
         return 0
     bounds = {c.surface: c.bound for c in problem.constraints}
-    slack_by_name = {c.surface: sl for c, sl in zip(problem.constraints, slacks)}
     print(f"problem: {problem.name}   point: {', '.join(repr(v) for v in point)}")
     print(f"{'objective':<12} {'value':>14} {'bound':>12} {'slack':>14}")
     for name, value in values.items():
@@ -115,7 +116,8 @@ def cmd_quantify(args) -> int:
     problem = _load_problem_file(args.problem)
     constraint = quantify_requirement(args.requirement, problem)
     if args.json:
-        print(_dump_json({"surface": constraint.surface, "op": "<=", "bound": constraint.bound}))
+        bound = None if constraint.bound == math.inf else constraint.bound
+        print(_dump_json({"surface": constraint.surface, "op": "<=", "bound": bound}))
     else:
         print(str(constraint))
     return 0
@@ -149,28 +151,30 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .orthotope import oracle_check_steps, oracle_solve, verify_maximality
+    from .orthotope import ORACLE_MAX_DIM, ORACLE_MAX_RESOLUTION, oracle_check_steps, verify_maximality
 
     problem = _load_problem_file(args.problem)
     result = _load_result_file(args.result, problem)
+    if not 2 <= args.resolution <= ORACLE_MAX_RESOLUTION:
+        raise CapExceeded(f"resolution {args.resolution} outside the grid cap 2..{ORACLE_MAX_RESOLUTION}")
 
     failures = []
-    region = problem.region()
-    feasible, slacks = region.is_box_feasible(result.orthotope.intervals)
+    feasible, slacks = problem.region().is_box_feasible(result.orthotope.intervals)
     if not feasible:
         worst = min(range(len(slacks)), key=lambda i: slacks[i])
         failures.append(
             f"stored box violates {problem.constraints[worst]} by {-slacks[worst]:.3g}"
         )
-
-    if feasible:
+    else:
         certificate = verify_maximality(problem, result.orthotope, eps=args.epsilon)
         for face in certificate.faces:
             if not face.blocked:
                 failures.append(f"face {face.axis}/{face.side} can still expand")
 
-        checks = oracle_check_steps(problem, result, args.resolution)
-        for check in checks:
+    # the grid replay sweeps a lattice over the ambient box, so it runs only at desk scale
+    replayed = feasible and problem.dim <= ORACLE_MAX_DIM
+    if replayed:
+        for check in oracle_check_steps(problem, result, args.resolution):
             if not check.ok:
                 failures.append(
                     f"step for factor {check.factor}: stored "
@@ -179,18 +183,18 @@ def cmd_verify(args) -> int:
                     f"(tolerance {check.tolerance:.3g})"
                 )
 
-    oracle = oracle_solve(problem, args.resolution)
     payload = {
         "problem": problem.name,
         "agreement": not failures,
         "failures": failures,
-        "oracle_greedy_box": oracle.greedy_box.to_json(),
-        "oracle_volume_box": oracle.volume_box.to_json() if oracle.volume_box else None,
+        "steps_replayed": replayed,
     }
     if args.json:
         print(_dump_json(payload))
     else:
         print(f"problem: {problem.name}   resolution: {args.resolution}")
+        if feasible and not replayed:
+            print(f"step replay skipped: the grid replay takes at most {ORACLE_MAX_DIM} variables")
         for line in failures:
             print(f"FAIL {line}")
         print(f"agreement: {'yes' if not failures else 'no'}")

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -151,9 +151,6 @@ class DesignProblem:
                 return s
         raise UnknownSurfaceReference(f"no surface named {name!r}")
 
-    def ambient_box(self) -> tuple[Interval, ...]:
-        return tuple(v.ambient for v in self.variables)
-
     def ambient_widths(self) -> tuple[float, ...]:
         return tuple(v.ambient.width for v in self.variables)
 
@@ -162,12 +159,6 @@ class DesignProblem:
 
     def region(self) -> "FeasibleRegion":
         return FeasibleRegion(self)
-
-    def with_seed(self, seed: Sequence[float]) -> "DesignProblem":
-        return replace(self, seed=tuple(seed))
-
-    def with_ranking(self, ranking: Sequence[int] | None) -> "DesignProblem":
-        return replace(self, ranking=None if ranking is None else tuple(ranking))
 
 
 @dataclass(frozen=True)
@@ -211,19 +202,6 @@ class FeasibleRegion:
                     f"interval [{interval.lo}, {interval.hi}] of {var.name!r} "
                     f"outside ambient [{var.ambient.lo}, {var.ambient.hi}]"
                 )
-
-    def violation_witness(self, box: Sequence[Interval]) -> tuple[float, ...] | None:
-        """A point of the box violating some constraint, or None if feasible.
-
-        The witness is the analytic attaining point of the violated
-        surface maximum, so the check is exact.
-        """
-        p = self.problem
-        for s, bound in p.constrained_pairs():
-            worst, at = s.box_extremum(box, "max")
-            if worst > bound:
-                return at
-        return None
 
     def grid_axes(self, resolution) -> list[list[float]]:
         """Inclusive regular lattice axes over the ambient box, one list per variable.
@@ -387,4 +365,7 @@ def quantify_requirement(text: str, problem: DesignProblem) -> ObjectiveConstrai
         raise UnsupportedRelation(f"relation {op!r} not supported; only '<=' is")
     if all(s.name != name for s in problem.surfaces):
         raise UnknownSurfaceReference(f"requirement names unknown surface {name!r}")
+    if bound == -math.inf:
+        # no point meets it, so no problem holding it could load
+        raise SchemaError(f"requirement {text!r} has bound -inf, which no design meets")
     return ObjectiveConstraint(name, bound)

@@ -611,6 +611,16 @@ def enumerate_models(
     if free_variables(sentence):
         raise FreeVariable("enumerate_models needs a sentence")
 
+    # the count's base-2 exponent meets the cap first, so that a signature far
+    # over it lists no tuple and builds no count thousands of digits long; an
+    # exponent past the float range (arity 512 and up on 4 elements) is inf
+    shape = [(2, domain_size**arity) for _, arity in sig.predicates]
+    shape += [(domain_size, domain_size**arity) for _, arity in sig.functions]
+    bits = sum(n * math.log2(radix) if n.bit_length() < 1000 else math.inf for radix, n in shape)
+    total = math.prod(radix**n for radix, n in shape) if bits <= count_cap.bit_length() else None
+    if total is None or total > count_cap:
+        raise CapExceeded(f"2^{bits:.6g} candidate structures exceed cap {count_cap}")
+
     domain = tuple(f"e{i}" for i in range(domain_size))
     # (name, inputs, radix, is a relation): a relation's inputs are its
     # tuples, each in or out; a function's are its argument tuples, each
@@ -622,9 +632,6 @@ def enumerate_models(
         (name, list(itertools.product(domain, repeat=arity)), domain_size, False)
         for name, arity in sig.functions
     ]
-    total = math.prod(radix ** len(inputs) for _, inputs, radix, _ in symbols)
-    if total > count_cap:
-        raise CapExceeded(f"{total} candidate structures exceed cap {count_cap}")
 
     # Candidate c is a mixed-radix number with one digit per input, read as
     # (c // weight) % radix, the later symbols cycling fastest.  Within a

@@ -76,12 +76,6 @@ class Orthotope:
     def widths(self) -> tuple[float, ...]:
         return tuple(iv.width for iv in self.intervals)
 
-    def volume(self) -> float:
-        return math.prod(self.widths())
-
-    def contains_point(self, point: Sequence[float], slack: float = 0.0) -> bool:
-        return all(iv.contains(x, slack) for iv, x in zip(self.intervals, point))
-
     def replaced(self, j: int, interval: Interval) -> "Orthotope":
         items = list(self.intervals)
         items[j] = interval
@@ -138,7 +132,9 @@ class MaximalityCertificate:
             "epsilon": self.epsilon,
             "maximal": self.maximal,
             "faces": [
-                {"axis": f.axis, "side": f.side, "blocked_by": f.blocked_by, "margin": f.margin}
+                # a margin past every float (the pushed objective overflows) is written as null
+                {"axis": f.axis, "side": f.side, "blocked_by": f.blocked_by,
+                 "margin": f.margin if math.isfinite(f.margin) else None}
                 for f in self.faces
             ],
         }
@@ -146,7 +142,8 @@ class MaximalityCertificate:
     @classmethod
     def from_json(cls, doc: dict) -> "MaximalityCertificate":
         faces = tuple(
-            FaceCheck(int(f["axis"]), str(f["side"]), f["blocked_by"], float(f["margin"]))
+            FaceCheck(int(f["axis"]), str(f["side"]), f["blocked_by"],
+                      math.inf if f["margin"] is None else float(f["margin"]))
             for f in doc["faces"]
         )
         return cls(faces=faces, epsilon=float(doc["epsilon"]))
@@ -610,6 +607,7 @@ def _grid_sweep(
     return lo, hi
 
 
+# no command calls this; perfbench's traced verify replay imports and times it
 def oracle_solve(
     problem: DesignProblem,
     resolution: int,

@@ -12,14 +12,13 @@ results are summed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, SchemaError
 
-__all__ = ["Interval", "QuadraticResponseSurface", "load_surfaces"]
+__all__ = ["Interval", "QuadraticResponseSurface"]
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,11 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval", slack: float = 0.0) -> bool:
-        return self.lo - slack <= other.lo and other.hi <= self.hi + slack
+    def contains_interval(self, other: "Interval") -> bool:
+        return self.lo <= other.lo and other.hi <= self.hi
 
     def __iter__(self) -> Iterator[float]:
         yield self.lo
@@ -84,13 +83,6 @@ class QuadraticResponseSurface:
         """Value of the coordinate-j contribution linear[j]*x + quadratic[j]*x**2."""
         return self.linear[j] * x + self.quadratic[j] * x * x
 
-    def term_vertex(self, j: int) -> float | None:
-        """Stationary point of the coordinate-j term, or None if the term is linear."""
-        q = self.quadratic[j]
-        if q == 0.0:
-            return None
-        return -self.linear[j] / (2.0 * q)
-
     def term_extremum(self, j: int, interval: Interval, mode: str = "max") -> tuple[float, float]:
         """Exact extremum of the coordinate-j term over an interval.
 
@@ -120,11 +112,6 @@ class QuadraticResponseSurface:
         for j, x in enumerate(point):
             acc += self.term(j, x)
         return acc
-
-    def gradient(self, point: Sequence[float]) -> tuple[float, ...]:
-        """Partial derivatives linear[j] + 2*quadratic[j]*x[j], exact."""
-        self._check_dim(len(point))
-        return tuple(self.linear[j] + 2.0 * self.quadratic[j] * x for j, x in enumerate(point))
 
     def sensitivity(self, j: int, point: Sequence[float]) -> float:
         """Slope of this objective along coordinate j at a design point."""
@@ -175,10 +162,3 @@ class QuadraticResponseSurface:
                 raise
             raise SchemaError(f"malformed surface document: {exc}") from exc
 
-
-def load_surfaces(text_or_doc) -> list[QuadraticResponseSurface]:
-    """Load a JSON array of surface documents (text, path content, or parsed list)."""
-    doc = json.loads(text_or_doc) if isinstance(text_or_doc, str) else text_or_doc
-    if not isinstance(doc, list):
-        raise SchemaError("expected a JSON array of surface documents")
-    return [QuadraticResponseSurface.from_json(item) for item in doc]

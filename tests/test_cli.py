@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,9 @@ import pytest
 
 from cddkit import data_path
 from cddkit.cli import main
+from cddkit.orthotope import SolveResult
+
+from conftest import random_problem
 
 
 def run_cli(*args, capsys=None):
@@ -126,6 +131,133 @@ def test_verify_resolution_over_cap_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def _random_problem_file(tmp_path, dim):
+    """A seeded random problem with ``dim`` variables and three constraints, as a problem document."""
+    problem = random_problem(random.Random(dim), dim=dim, count=3)
+    doc = {
+        "name": f"random{dim}",
+        "variables": [{"name": v.name, "lo": v.ambient.lo, "hi": v.ambient.hi} for v in problem.variables],
+        "surfaces": [s.to_json() for s in problem.surfaces],
+        "constraints": [{"surface": c.surface, "bound": c.bound} for c in problem.constraints],
+        "seed": list(problem.seed),
+    }
+    path = tmp_path / f"random{dim}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("dim", [4, 10])
+def test_verify_above_three_variables_skips_only_the_step_replay(tmp_path, capsys, dim):
+    path = _random_problem_file(tmp_path, dim)
+    assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
+    solution = str(tmp_path / f"random{dim}_solution.json")
+    code, out, _ = run_cli("verify", path, solution, "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "problem": f"random{dim}", "agreement": True, "failures": [], "steps_replayed": False
+    }
+    code, out, _ = run_cli("verify", path, solution, capsys=capsys)
+    assert code == 0
+    assert "step replay skipped: the grid replay takes at most 3 variables" in out
+    assert out.endswith("agreement: yes\n")
+
+
+def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
+    path = _random_problem_file(tmp_path, 10)
+    assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
+    solution = tmp_path / "random10_solution.json"
+    doc = json.loads(solution.read_text())
+    # halfway from a constraint-blocked upper face to its ambient bound: the box
+    # maximum only grows with the box, so the pushed face breaks that constraint
+    faces = doc["certificate"]["faces"]
+    face = next(f for f in faces if f["side"] == "hi" and f["blocked_by"] != "ambient")
+    ambient_hi = json.loads(Path(path).read_text())["variables"][face["axis"]]["hi"]
+    interval = doc["orthotope"][face["axis"]]
+    interval["hi"] = (interval["hi"] + ambient_hi) / 2.0
+    solution.write_text(json.dumps(doc))
+    code, out, _ = run_cli("verify", path, str(solution), "--json", capsys=capsys)
+    assert code == 5
+    payload = json.loads(out)
+    assert payload["agreement"] is False and payload["steps_replayed"] is False
+    assert len(payload["failures"]) == 1
+    assert payload["failures"][0].startswith(f"stored box violates {face['blocked_by']} <= ")
+
+
+@pytest.mark.parametrize("dim", [3, 10])
+@pytest.mark.parametrize("resolution", ["1", "202"])
+def test_verify_resolution_outside_the_grid_range_exits_2_at_any_n(tmp_path, capsys, dim, resolution):
+    path = _random_problem_file(tmp_path, dim)
+    assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
+    solution = str(tmp_path / f"random{dim}_solution.json")
+    code, out, err = run_cli("verify", path, solution, "--resolution", resolution, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "cap" in err and resolution in err
+
+
+def _strict_json(text):
+    """Parse ``text`` as JSON proper: ``Infinity``, ``-Infinity`` and ``NaN`` are refused."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_output_is_strict_with_an_infinite_bound(tmp_path, capsys):
+    def unbound_nox(doc):
+        doc["constraints"][1]["bound"] = float("inf")  # written as Infinity, which the format allows
+
+    path = _edited_problem(tmp_path, unbound_nox)
+    code, out, _ = run_cli("evaluate", path, "--point", "0,0,0", "--json", capsys=capsys)
+    assert code == 0
+    assert _strict_json(out)["slacks"]["NOx"] is None
+    code, out, _ = run_cli("quantify", path, "NOx <= 1e999", "--json", capsys=capsys)
+    assert code == 0
+    assert _strict_json(out) == {"surface": "NOx", "op": "<=", "bound": None}
+    code, out, _ = run_cli("solve", path, "--out", str(tmp_path), "--json", capsys=capsys)
+    assert code == 0
+    solution = tmp_path / "emissions_solution.json"
+    assert _strict_json(out) == _strict_json(solution.read_text())
+    code, out, _ = run_cli("verify", path, str(solution), "--json", capsys=capsys)
+    assert code == 0
+    assert _strict_json(out)["agreement"] is True
+
+
+def test_quantify_minus_infinite_bound_exits_2(capsys):
+    code, out, err = run_cli(
+        "quantify", problem_path("emissions.json"), "NOx <= -1e999", "--json", capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "-inf" in err
+
+
+def test_overflowing_face_margin_is_written_as_null(tmp_path, capsys):
+    # pushing either face by 0.1 * 20 takes 1.7e308 * x**2 past the float range,
+    # so both faces are blocked with an infinite margin
+    doc = {
+        "name": "huge",
+        "variables": [{"name": "x", "lo": -10.0, "hi": 10.0}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [0.0], "quadratic": [1.7e308]}],
+        "constraints": [{"surface": "z", "bound": 1.7e308}],
+        "seed": [0.0],
+        "tolerance": 0.1,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("solve", str(path), "--out", str(tmp_path), "--json", capsys=capsys)
+    assert code == 0
+    faces = _strict_json(out)["certificate"]["faces"]
+    assert [(f["blocked_by"], f["margin"]) for f in faces] == [("z", None), ("z", None)]
+    solution = tmp_path / "huge_solution.json"
+    stored = SolveResult.from_json(_strict_json(solution.read_text()))
+    assert [f.margin for f in stored.certificate.faces] == [math.inf, math.inf]
+    code, out, _ = run_cli("verify", str(path), str(solution), "--json", capsys=capsys)
+    assert code == 0
+    assert _strict_json(out)["agreement"] is True
 
 
 def test_infeasible_seed_exits_3(tmp_path, capsys):

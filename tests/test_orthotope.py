@@ -77,7 +77,7 @@ def test_auto_rank_emissions_at_center(emissions):
     #   x0: |-0.91| + |4.16| + |-0.07| = 5.14
     #   x1: |-5.04| + |1.17| + |-0.15| = 6.36
     #   x2: |-0.04| + |-0.21| + |0.01| = 0.26
-    problem = emissions.with_seed((0.5, 0.5, 0.5))
+    problem = replace(emissions, seed=(0.5, 0.5, 0.5))
     assert auto_rank(problem) == (1, 0, 2)
 
 
@@ -102,7 +102,7 @@ def test_auto_rank_adds_left_to_right():
 
 
 def test_explicit_ranking_bypasses_auto(emissions):
-    problem = emissions.with_ranking((2, 0, 1))
+    problem = replace(emissions, ranking=(2, 0, 1))
     result = solve_greedy(problem)
     assert result.ranking == (2, 0, 1)
 
@@ -244,7 +244,7 @@ def test_expand_enlarges_an_already_grown_box():
 def test_unconstrained_solve_returns_ambient_box():
     problem = unconstrained_problem()
     result = solve_greedy(problem)
-    assert result.orthotope.intervals == problem.ambient_box()
+    assert result.orthotope.intervals == tuple(v.ambient for v in problem.variables)
     assert result.certificate.maximal
     assert all(f.blocked_by == "ambient" for f in result.certificate.faces)
 
@@ -280,7 +280,7 @@ def test_solve_output_is_feasible_and_contains_seed(emissions):
     result = solve_greedy(emissions)
     region = emissions.region()
     assert region.is_box_feasible(result.orthotope.intervals)[0]
-    assert result.orthotope.contains_point(emissions.seed)
+    assert all(iv.contains(x) for iv, x in zip(result.orthotope.intervals, emissions.seed))
 
 
 def test_two_rankings_give_distinct_maximal_boxes(adas):
@@ -327,7 +327,8 @@ def test_randomized_solves_are_feasible_and_maximal():
         region = problem.region()
         assert region.is_box_feasible(result.orthotope.intervals)[0]
         assert result.certificate.maximal
-        assert result.orthotope.contains_point(problem.seed, slack=1e-12)
+        for iv, x in zip(result.orthotope.intervals, problem.seed):
+            assert iv.lo - 1e-12 <= x <= iv.hi + 1e-12
 
 
 def test_bound_near_the_float_limit_admits_the_whole_convex_range():
@@ -369,7 +370,7 @@ def test_shrunk_box_is_not_maximal(emissions):
 
 def test_verify_maximality_rejects_infeasible_box(emissions):
     with pytest.raises(InfeasibleInput):
-        verify_maximality(emissions, Orthotope(tuple(emissions.ambient_box())))
+        verify_maximality(emissions, Orthotope(tuple(v.ambient for v in emissions.variables)))
 
 
 def test_certificate_names_blockers(emissions):
@@ -393,8 +394,8 @@ def test_oracle_one_dimensional_parabola():
 def test_oracle_unconstrained_reaches_ambient_exactly():
     problem = unconstrained_problem()
     result = oracle_solve(problem, 51)
-    assert result.greedy_box.intervals == problem.ambient_box()
-    assert result.volume_box.intervals == problem.ambient_box()
+    assert result.greedy_box.intervals == tuple(v.ambient for v in problem.variables)
+    assert result.volume_box.intervals == tuple(v.ambient for v in problem.variables)
 
 
 def test_oracle_caps():
@@ -407,7 +408,7 @@ def test_oracle_caps():
 def test_greedy_volume_dominates_grid_volume(emissions):
     result = solve_greedy(emissions)
     oracle = oracle_solve(emissions, 201)
-    assert result.orthotope.volume() >= 0.99 * oracle.greedy_box.volume()
+    assert math.prod(result.orthotope.widths()) >= 0.99 * math.prod(oracle.greedy_box.widths())
 
 
 def test_step_checks_pass_on_bundled_problems(emissions, adas, adas_tall):
@@ -799,7 +800,7 @@ def vertex_seed_problem(rng, n, m, scale, lo, hi):
         surfaces.append(QuadraticResponseSurface(f"z{i}", "", scale * rng.uniform(-2.0, 2.0), linear, quadratic))
     seed = []
     for j in range(n):
-        x = surfaces[0].term_vertex(j)
+        x = -surfaces[0].linear[j] / (2.0 * surfaces[0].quadratic[j])
         for _ in range(rng.randint(0, 40)):
             x = math.nextafter(x, rng.choice((lo, hi)))
         seed.append(x)
@@ -953,7 +954,7 @@ def _volume_cases():
             seed = [v.ambient.lo + (v.ambient.hi - v.ambient.lo) / 2 for v in base.variables]
         # a share of each surface's rise over the ambient box; tight bounds leave few feasible boxes
         share = rng.choice((1e-6, 1e-2, 0.3, 0.6, 0.9))
-        ambient = base.ambient_box()
+        ambient = tuple(v.ambient for v in base.variables)
         constraints = tuple(
             ObjectiveConstraint(s.name, s.evaluate(seed) + share * (s.box_extremum(ambient)[0] - s.evaluate(seed)))
             for s in base.surfaces

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cddkit import data_path
-from cddkit.errors import DomainEmpty, EvaluationOverflow, FreeVariable, SchemaError
+from cddkit.errors import CapExceeded, DomainEmpty, EvaluationOverflow, FreeVariable, SchemaError
 from cddkit.modeltheory import (
     And,
     Atom,
@@ -237,6 +237,30 @@ def test_enumeration_caps():
     big = Signature(predicates=(("R", 2), ("S", 2), ("T", 2)))
     with pytest.raises(Exception):
         enumerate_models(big, parse_sentence("forall v. R(v,v)", big), 4)
+
+
+def test_enumeration_cap_is_decided_before_the_count_is_built():
+    # 2^16384 candidates: a count with 4,933 digits, which Python refuses to format
+    sig = Signature(predicates=(("R", 7),))
+    sentence = parse_sentence("forall x. R(x, x, x, x, x, x, x)", sig)
+    with pytest.raises(CapExceeded, match=r"^2\^16384 candidate structures exceed cap"):
+        enumerate_models(sig, sentence, 4)
+    # 2^(2^1200): an exponent past the float range
+    sig = Signature(predicates=(("R", 600),))
+    with pytest.raises(CapExceeded, match=r"^2\^inf candidate structures exceed cap"):
+        enumerate_models(sig, parse_sentence("exists x. x = x", sig), 4)
+    # the cap is exact: 2^16 candidates pass a cap of 2^16 and exceed one of 2^16 - 1
+    sig = Signature(predicates=(("R", 2),))
+    sentence = parse_sentence("forall x. R(x, x)", sig)
+    assert len(enumerate_models(sig, sentence, 4, count_cap=2**16)) == 2**12
+    with pytest.raises(CapExceeded, match=r"^2\^16 candidate"):
+        enumerate_models(sig, sentence, 4, count_cap=2**16 - 1)
+    # 3^3 function tables: 27 candidates
+    sig = Signature(functions=(("f", 1),))
+    sentence = parse_sentence("forall x. f(x) = x", sig)
+    assert len(enumerate_models(sig, sentence, 3, count_cap=27)) == 1
+    with pytest.raises(CapExceeded, match=r"^2\^4\.75489 candidate"):
+        enumerate_models(sig, sentence, 3, count_cap=26)
 
 
 def test_enumeration_with_function_symbols():
