@@ -208,6 +208,9 @@ class FeasibleRegion:
 
         Point i of an r-point axis is ``i*step + lo`` with
         ``step = (hi - lo) / (r - 1)``, and the last point is ``hi`` exactly.
+        The grid cap bounds each axis, not their product: a sweep along one
+        axis at a time builds no lattice, and ``grid_values`` caps the one
+        it builds.
         """
         p = self.problem
         axes = []
@@ -227,9 +230,10 @@ class FeasibleRegion:
                 raise DimensionMismatch(f"{len(counts)} resolutions for dimension {p.dim}")
         if any(r < 2 for r in counts):
             raise SchemaError("grid resolution must be at least 2 per axis")
-        total = math.prod(counts)
-        if total > grid_cap():
-            raise CapExceeded(f"lattice of {total} points exceeds cap {grid_cap()}")
+        # every lattice holds at least as many points as its longest axis
+        longest = max(counts, default=0)
+        if longest > grid_cap():
+            raise CapExceeded(f"axis of {longest} points exceeds cap {grid_cap()}")
         return counts
 
     def grid_feasible_set(self, resolution) -> list[bool]:
@@ -244,14 +248,18 @@ class FeasibleRegion:
     def grid_values(self, axes: Sequence[Sequence[float]]) -> tuple[dict[str, list[float]], list[bool]]:
         """Every surface's values on the product lattice of ``axes``, and its feasibility mask.
 
-        Both are flat and row-major, like ``lattice_sum``.
+        Both are flat and row-major, like ``lattice_sum``.  Raises
+        ``CapExceeded`` when the lattice has more than ``grid_cap()`` points.
         """
+        total, cap = math.prod(len(a) for a in axes), grid_cap()
+        if total > cap:
+            raise CapExceeded(f"lattice of {total} points exceeds cap {cap}")
         p = self.problem
         values = {
             s.name: lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
             for s in p.surfaces
         }
-        mask = [True] * math.prod(len(a) for a in axes)
+        mask = [True] * total
         for c in p.constraints:
             bound = c.bound
             mask = [ok and z <= bound for ok, z in zip(mask, values[c.surface])]

@@ -75,13 +75,11 @@ _ARITH_OPS = ("+", "-", "*")
 def coerce_value(v) -> DomainValue:
     """JSON value to a domain value: numbers and numeric strings become
     exact rationals, everything else stays an opaque token."""
-    # str first: a Fraction test goes through ABCMeta.__instancecheck__,
-    # and most values are tokens
+    # the JSON kinds first: a Fraction test of any other value goes through
+    # ABCMeta.__instancecheck__, and only Python callers pass a Fraction
     if isinstance(v, str):
         if RATIONAL_LITERAL.fullmatch(v):
             return Fraction(v)
-        return v
-    if isinstance(v, Fraction):
         return v
     if isinstance(v, bool):
         raise SchemaError("booleans are not domain values")
@@ -91,6 +89,8 @@ def coerce_value(v) -> DomainValue:
         if not math.isfinite(v):
             raise SchemaError(f"{v!r} is not a domain value: numbers must be finite")
         return Fraction(str(v))
+    if isinstance(v, Fraction):
+        return v
     raise SchemaError(f"cannot use {v!r} as a domain value")
 
 
@@ -149,6 +149,12 @@ class BuiltinFunction:
         raise SchemaError(f"malformed arithmetic expression {node!r}")
 
 
+def _first_repeat(values):
+    """The first value that occurs a second time."""
+    seen = set()
+    return next(v for v in values if v in seen or seen.add(v))
+
+
 @dataclass(frozen=True)
 class RelationalStructure:
     """A finite domain with relation extensions and total functions."""
@@ -161,6 +167,8 @@ class RelationalStructure:
         domain = tuple(map(coerce_value, self.domain))
         object.__setattr__(self, "domain", domain)
         domain_set = set(domain)
+        if len(domain_set) < len(domain):
+            raise SchemaError(f"domain repeats the value {_first_repeat(domain)!r}")
 
         relations = {}
         for name, tuples in self.relations.items():
@@ -191,6 +199,9 @@ class RelationalStructure:
             table = {}
             for key, value in fn.items():
                 table[tuple(map(coerce_value, key))] = coerce_value(value)
+            if len(table) < len(fn):
+                repeat = _first_repeat(tuple(map(coerce_value, key)) for key in fn)
+                raise SchemaError(f"function {name!r} table repeats the arguments {repeat!r}")
             arities = {len(k) for k in table}
             if len(arities) > 1:
                 raise SchemaError(f"function {name!r} mixes argument counts {sorted(arities)}")
@@ -682,16 +693,30 @@ def enumerate_models(
             evaluate(*_one_candidate(*candidate(c)), {}, 1)
         raise
 
-    # only a model becomes a RelationalStructure, through the validating
-    # constructor, in ascending candidate order
+    # only a model becomes a RelationalStructure, in ascending candidate order
     models = []
     bits = bin(hits)[:1:-1]  # character c is bit c
     c = bits.find("1")
     while c >= 0:
-        relations, functions = candidate(c)
-        models.append(RelationalStructure(domain=domain, relations=relations, functions=functions))
+        models.append(_model(domain, *candidate(c)))
         c = bits.find("1", c + 1)
     return models
+
+
+def _model(domain, relations, functions) -> RelationalStructure:
+    """A structure from fields that are canonical by construction, checked by nothing.
+
+    ``domain`` is a tuple of distinct domain values, ``relations`` maps each
+    name to a frozenset of tuples over it, and ``functions`` maps each name
+    to a total ``{args: value}`` table over it that no other structure
+    holds.  These are the fields ``RelationalStructure.__post_init__`` would
+    make of them, so ``enumerate_models`` skips re-checking tables it built.
+    """
+    struct = object.__new__(RelationalStructure)
+    object.__setattr__(struct, "domain", domain)
+    object.__setattr__(struct, "relations", relations)
+    object.__setattr__(struct, "functions", functions)
+    return struct
 
 
 # --- JSON loading ----------------------------------------------------------------
@@ -722,7 +747,12 @@ def _decode_function(name: str, doc) -> object:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise SchemaError(f"function {name!r} table entries must be [args, value]")
             args, value = entry
-            table[tuple(_json_array(args, f"function {name!r} table arguments"))] = value
+            args = tuple(_json_array(args, f"function {name!r} table arguments"))
+            if any(isinstance(a, (list, dict)) for a in args):
+                raise SchemaError(f"function {name!r} table arguments must be values, got {list(args)!r}")
+            if args in table:
+                raise SchemaError(f"function {name!r} table repeats the arguments {list(args)!r}")
+            table[args] = value
         return table
     if isinstance(doc, (int, float, str)):
         # a bare value is a constant (nullary table)

@@ -99,6 +99,10 @@ def build_report(
     """
     region = problem.region()
     axes = region.grid_axes(resolution)
+    # first, since grid_values is where the lattice size meets the grid cap
+    lattice, mask = region.grid_values(axes)
+    values = {name: tuple(z) for name, z in lattice.items()}
+    feasible = tuple(mask)
     n = problem.dim
     size = math.prod(len(a) for a in axes)
     # flat index i sits at entry (i // inner[j]) % len(axes[j]) of axis j
@@ -108,9 +112,6 @@ def build_report(
         tuple(x for x in axis for _ in range(inner[j])) * (size // (inner[j] * len(axis)))
         for j, axis in enumerate(axes)
     ]
-    lattice, mask = region.grid_values(axes)
-    values = {name: tuple(z) for name, z in lattice.items()}
-    feasible = tuple(mask)
 
     bounds = {c.surface: c.bound for c in problem.constraints}
 

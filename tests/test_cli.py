@@ -9,6 +9,8 @@ import pytest
 
 from cddkit import data_path
 from cddkit.cli import main
+from cddkit.errors import SchemaError
+from cddkit.modeltheory import RelationalStructure, load_structure
 from cddkit.orthotope import SolveResult
 
 from conftest import random_problem
@@ -131,6 +133,25 @@ def test_verify_resolution_over_cap_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_verify_grid_cap_bounds_the_lattice_not_the_step_replay(tmp_path, capsys, monkeypatch):
+    # the replay sweeps one axis at a time, about 2*N*r box checks, while the
+    # full 201^3 lattice (8,120,601 points) is over this cap
+    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
+    args = ["verify", problem_path("emissions.json"), str(tmp_path / "emissions_solution.json")]
+    default = run_cli(*args, capsys=capsys)
+    default_json = run_cli(*args, "--json", capsys=capsys)
+    monkeypatch.setenv("CDD_MAX_GRID", "1000000")
+    assert run_cli(*args, capsys=capsys) == default
+    assert run_cli(*args, "--json", capsys=capsys) == default_json
+    assert default[0] == 0 and default_json[0] == 0
+    # where a lattice is built, the cap still holds
+    code, out, err = run_cli(
+        "rosetta", problem_path("emissions.json"), "--resolution", "101", "--out", str(tmp_path), capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: lattice of 1030301 points exceeds cap 1000000\n"
 
 
 def _random_problem_file(tmp_path, dim):
@@ -597,6 +618,7 @@ def _logic_exits_2(tmp_path, capsys, kind, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    return err
 
 
 def test_logic_well_formed_documents_exit_0(tmp_path, capsys):
@@ -621,11 +643,49 @@ def test_logic_well_formed_documents_exit_0(tmp_path, capsys):
         '{"domain": [1], "relations": {"R": [5]}}',
         '{"domain": [1], "functions": {"f": {"table": 5}}}',
         '{"domain": [1], "functions": {"f": {"params": 5}}}',
+        '{"domain": [1], "functions": {"f": {"table": [[[[1]], 1]]}}}',
     ],
-    ids=["nan", "infinity", "1e400", "domain-5", "relation-5", "tuple-5", "table-5", "params-5"],
+    ids=["nan", "infinity", "1e400", "domain-5", "relation-5", "tuple-5", "table-5", "params-5",
+         "table-args-nested"],
 )
 def test_logic_malformed_structure_exits_2(tmp_path, capsys, text):
     _logic_exits_2(tmp_path, capsys, "structure", text)
+
+
+def test_logic_structure_repeating_a_domain_value_exits_2(tmp_path, capsys):
+    # 1 and "1" are the same rational; the table is total over {1, 2}
+    doc = {"domain": [1, "1", 2], "functions": {"f": {"table": [[[1], 2], [[2], 1]]}}}
+    message = "domain repeats the value Fraction(1, 1)"
+    with pytest.raises(SchemaError) as info:
+        load_structure(doc)
+    assert str(info.value) == message
+    with pytest.raises(SchemaError) as info:
+        RelationalStructure(domain=(1, "1"))
+    assert str(info.value) == message
+    assert _logic_exits_2(tmp_path, capsys, "structure", json.dumps(doc)) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "table, repeat",
+    [
+        ([[[1], 2], [[1], 1], [[2], 1]], "[1]"),  # in the document
+        ([[[1], 2], [["1"], 1], [[2], 1]], "(Fraction(1, 1),)"),  # after coercion
+    ],
+    ids=["as-written", "after-coercion"],
+)
+def test_logic_structure_repeating_a_function_argument_exits_2(tmp_path, capsys, table, repeat):
+    doc = {"domain": [1, 2], "functions": {"f": {"table": table}}}
+    message = f"function 'f' table repeats the arguments {repeat}"
+    with pytest.raises(SchemaError) as info:
+        load_structure(doc)
+    assert str(info.value) == message
+    assert _logic_exits_2(tmp_path, capsys, "structure", json.dumps(doc)) == f"error: {message}\n"
+
+
+def test_structure_repeating_a_function_argument_after_coercion_is_refused():
+    with pytest.raises(SchemaError) as info:
+        RelationalStructure(domain=(1, 2), functions={"f": {(1,): 2, ("1",): 1, (2,): 1}})
+    assert str(info.value) == "function 'f' table repeats the arguments (Fraction(1, 1),)"
 
 
 @pytest.mark.parametrize(

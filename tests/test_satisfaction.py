@@ -29,6 +29,8 @@ from cddkit.modeltheory import (
 )
 from cddkit.modeltheory.structures import coerce_value
 
+from test_evaluator import MIXED_SIGNATURES, _candidates
+
 
 @pytest.fixture(scope="module")
 def orthogonality():
@@ -277,6 +279,50 @@ def test_enumeration_with_function_symbols():
         if satisfies(struct, sentence):
             brute += 1
     assert len(models) == brute
+
+
+# the logic-enumerate cases of perfbench/logic.py, with their domain sizes
+_BENCHMARK_CASES = [
+    ((("R", 2),), (), "forall x. forall y. R(x, y) -> R(y, x)", (2, 3, 4)),
+    ((("R", 2),), (), "forall x. forall y. forall z. R(x, y) and R(y, z) -> R(x, z)", (2, 3)),
+    ((("R", 2),), (), "forall x. R(x, x)", (2, 3)),
+    ((("P", 1),), (("f", 1),), "forall x. P(x) -> P(f(x))", (2, 3, 4)),
+]
+_CANONICAL_CASES = [
+    (Signature(predicates=preds, functions=fns), text, size)
+    for preds, fns, text, sizes in _BENCHMARK_CASES
+    for size in sizes
+] + [
+    # every candidate is a model
+    (sig, "forall x. x = x", size)
+    for sig in MIXED_SIGNATURES
+    for size in (1, 2, 3)
+    if _candidates(sig, size) <= 15_000
+]
+
+
+@pytest.mark.parametrize("sig, text, size", _CANONICAL_CASES, ids=str)
+def test_enumerated_models_are_canonical(sig, text, size):
+    """Each model is built without the constructor's checks, so it must be
+    what the constructor makes of its own fields, with no table shared."""
+    models = enumerate_models(sig, parse_sentence(text, sig), size)
+    assert models
+    domain = tuple(f"e{i}" for i in range(size))
+    predicates, functions = dict(sig.predicates), dict(sig.functions)
+    for m in models:
+        assert m == RelationalStructure(domain=m.domain, relations=m.relations, functions=m.functions)
+        assert type(m.domain) is tuple and m.domain == domain
+        assert type(m.relations) is dict and m.relations.keys() == predicates.keys()
+        for name, tuples in m.relations.items():
+            assert type(tuples) is frozenset
+            assert all(type(t) is tuple and len(t) == predicates[name] for t in tuples)
+        assert type(m.functions) is dict and m.functions.keys() == functions.keys()
+        for name, table in m.functions.items():
+            assert type(table) is dict and len(table) == size ** functions[name]
+            assert all(type(args) is tuple and len(args) == functions[name] for args in table)
+            assert all(type(v) is str for v in table.values())
+    tables = [table for m in models for table in m.functions.values()]
+    assert len({id(table) for table in tables}) == len(tables)
 
 
 def test_fraction_domains_from_json():
