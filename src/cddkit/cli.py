@@ -35,16 +35,31 @@ EXIT_CERTIFICATE = 4
 EXIT_DISAGREEMENT = 5
 
 
+def _read_document(path: str):
+    """The JSON document in a file; the one place a command parses one.
+
+    Malformed text raises ``SchemaError`` (exit 2), never a traceback:
+    a decoding error, an integer literal past Python's digit limit (both
+    ``ValueError``) and nesting past the recursion limit.
+    """
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def _load_problem_file(path: str):
     from .designspace import load_problem
 
-    return load_problem(Path(path).read_text())
+    return load_problem(_read_document(path))
 
 
 def _load_result_file(path: str, problem) -> SolveResult:
     from .orthotope import SolveResult
 
-    result = SolveResult.from_json(json.loads(Path(path).read_text()))
+    result = SolveResult.from_json(_read_document(path))
     for step in result.steps:
         if not 0 <= step.factor < problem.dim:
             raise SchemaError(f"step factor {step.factor} outside 0..{problem.dim - 1}")
@@ -236,7 +251,7 @@ def cmd_logic(args) -> int:
     )
 
     if args.graph:
-        graph = load_graph(Path(args.graph).read_text())
+        graph = load_graph(_read_document(args.graph))
         sig, sentence = graph_to_sentence(graph)
         if args.json:
             print(_dump_json({"signature": sig.to_json(), "sentence": to_text(sentence)}))
@@ -246,8 +261,8 @@ def cmd_logic(args) -> int:
     if not (args.theory and args.structure):
         print("logic needs --theory and --structure, or --graph", file=sys.stderr)
         return EXIT_VALIDATION
-    sig, struct = load_structure(Path(args.structure).read_text())
-    theory = load_theory(Path(args.theory).read_text(), signature=sig)
+    sig, struct = load_structure(_read_document(args.structure))
+    theory = load_theory(_read_document(args.theory), signature=sig)
     verdicts = check_theory(theory, struct, Interpretation.identity(theory.signature))
     if args.json:
         print(
@@ -329,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleSeed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_SEED
-    except (CddError, OSError, json.JSONDecodeError) as exc:
+    except (CddError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

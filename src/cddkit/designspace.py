@@ -209,8 +209,8 @@ class FeasibleRegion:
         Point i of an r-point axis is ``i*step + lo`` with
         ``step = (hi - lo) / (r - 1)``, and the last point is ``hi`` exactly.
         The grid cap bounds each axis, not their product: a sweep along one
-        axis at a time builds no lattice, and ``grid_values`` caps the one
-        it builds.
+        axis at a time builds no lattice, and ``grid_feasible_set`` caps the
+        one it builds.
         """
         p = self.problem
         axes = []
@@ -241,29 +241,19 @@ class FeasibleRegion:
 
         The inclusive regular lattice has ``resolution`` points per axis
         (or one count per axis); its shape is the tuple of axis lengths.
-        Entry order matches sequential row-major evaluation.
+        Each constraint's surface is evaluated with ``lattice_sum``, so the
+        values equal ``evaluate``'s bit for bit.  Raises ``CapExceeded``
+        when the lattice has more than ``grid_cap()`` points.
         """
-        return self.grid_values(self.grid_axes(resolution))[1]
-
-    def grid_values(self, axes: Sequence[Sequence[float]]) -> tuple[dict[str, list[float]], list[bool]]:
-        """Every surface's values on the product lattice of ``axes``, and its feasibility mask.
-
-        Both are flat and row-major, like ``lattice_sum``.  Raises
-        ``CapExceeded`` when the lattice has more than ``grid_cap()`` points.
-        """
+        axes = self.grid_axes(resolution)
         total, cap = math.prod(len(a) for a in axes), grid_cap()
         if total > cap:
             raise CapExceeded(f"lattice of {total} points exceeds cap {cap}")
-        p = self.problem
-        values = {
-            s.name: lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
-            for s in p.surfaces
-        }
         mask = [True] * total
-        for c in p.constraints:
-            bound = c.bound
-            mask = [ok and z <= bound for ok, z in zip(mask, values[c.surface])]
-        return values, mask
+        for s, bound in self.problem.constrained_pairs():
+            values = lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
+            mask = [ok and z <= bound for ok, z in zip(mask, values)]
+        return mask
 
 
 def lattice_sum(beta0: float, per_axis: Sequence[Sequence[float]]) -> list[float]:
@@ -309,7 +299,7 @@ def load_problem(text_or_doc) -> DesignProblem:
             )
         except KeyError as exc:
             raise SchemaError(f"variable entry missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed variable entry: {exc}") from exc
 
     surfaces = [QuadraticResponseSurface.from_json(entry) for entry in doc["surfaces"]]
@@ -321,7 +311,7 @@ def load_problem(text_or_doc) -> DesignProblem:
             constraint = ObjectiveConstraint(str(entry["surface"]), float(entry["bound"]))
         except KeyError as exc:
             raise SchemaError(f"constraint entry missing key {exc.args[0]!r}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed constraint entry: {exc}") from exc
         if op != "<=":
             raise SchemaError(f"constraint operator must be '<=', got {op!r}")
@@ -335,11 +325,11 @@ def load_problem(text_or_doc) -> DesignProblem:
 
     try:
         seed = tuple(float(v) for v in doc["seed"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed seed: {exc}") from exc
     try:
         tolerance = float(doc.get("tolerance", DEFAULT_TOLERANCE))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed tolerance: {exc}") from exc
 
     return DesignProblem(

@@ -193,7 +193,7 @@ class SolveResult:
             )
         except KeyError as exc:
             raise SchemaError(f"solve result missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed solve result: {exc}") from exc
 
 
@@ -388,6 +388,44 @@ def _fits(table: _TermMax, j: int, column: list[float], budgets: list, spread: f
         if not estimate >= 0.0:
             return False
     return True
+
+
+def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Sequence[float]) -> list[bool]:
+    """``is_box_feasible`` of ``table.box`` with x_j fixed at x and x_k at y, for each (x, y) in xs × ys, row-major.
+
+    Needs j < k.  The point's cells are ``term(j, x)`` and ``term(k, y)``,
+    which is what ``term_extremum`` gives for a point interval.  As in
+    ``_fits``, constraint i's slack is estimated as ``(rest - tj) - tk``,
+    with ``rest`` its budget without cells j and k.  That estimate rounds
+    N + 1 times, as the left-to-right slack does, so the two are within
+    ``noise + spread * (|tj| + |tk|)`` of each other; only an estimate that
+    close to 0, or one whose sums could overflow, is summed left to right.
+    """
+    spread = (2 * len(table.box.intervals) + 3) * _FLOAT_EPS
+    limit = spread * _SUM_LIMIT
+    verdicts = [True] * (len(xs) * len(ys))
+    for (s, bound), row in zip(table.pairs, table.rows):
+        others = row[:j] + row[j + 1 : k] + row[k + 1 :]
+        rest = reduce(sub, others, bound - s.beta0)
+        noise = spread * reduce(add, map(abs, others), abs(bound) + abs(s.beta0))
+
+        def summed(tj: float, tk: float) -> float:
+            cells = row.copy()
+            cells[j], cells[k] = tj, tk
+            return bound - reduce(add, cells, s.beta0)
+
+        tks = [s.term(k, y) for y in ys]
+        errors_k = [spread * abs(tk) for tk in tks]
+        fits = []
+        for tj in (s.term(j, x) for x in xs):
+            head, error_j = rest - tj, noise + spread * abs(tj)
+            for tk, error_k in zip(tks, errors_k):
+                estimate, error = head - tk, error_j + error_k
+                if not (error < abs(estimate) and error < limit):
+                    estimate = summed(tj, tk)
+                fits.append(estimate >= 0.0)
+        verdicts = [ok and fit for ok, fit in zip(verdicts, fits)]
+    return verdicts
 
 
 def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:

@@ -1,10 +1,24 @@
 """ROSETTA matrix reports: objective pairings (M), variable pairings (N),
 and the objective-by-variable sensitivity grid (Q), emitted as CSV or SVG.
 
-Scatter payloads come from deterministic lattice sampling of the
-surfaces rather than measured experiment data, so reruns are
-byte-identical.  Solution orthotopes overlay the N cells as their exact
-two-dimensional projections.
+Every cell shows one stated quantity at no more than r² points, for a
+resolution r, so a report costs time polynomial in the number of
+variables N.  The *held box* is the solution box, or the seed point
+when there is no solution.
+
+- N cell (j, k): an r×r grid on (x_j, x_k) over their ambient
+  intervals.  A point is feasible when the held box is, with x_j and
+  x_k fixed at the point and every other coordinate over its held
+  interval: ``is_box_feasible`` of that box, bit for bit.  The held box
+  itself is drawn as a rectangle.
+- N diagonal j: the interval of x_j that ``expand_factor`` admits with
+  every other interval of the held box in place.
+- M cell (a, b): (z_a, z_b) at the first r² points of a Kronecker
+  sequence over the ambient box (``sample_points``), each z equal to
+  ``evaluate`` and each point coloured by ``is_point_feasible``.
+- Q: the analytic sensitivities at the seed.
+
+Nothing is random, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,14 +27,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import product
 from pathlib import Path
 
-from .designspace import DesignProblem
-from .orthotope import Orthotope, SolveResult
+from .designspace import DesignProblem, grid_cap
+from .errors import CapExceeded
+from .orthotope import Orthotope, SolveResult, _slice_verdicts, _TermMax, expand_factor
 from .surface import Interval
 
-__all__ = ["RosettaReport", "build_report", "project_orthotope", "emit"]
+__all__ = ["RosettaReport", "build_report", "project_orthotope", "sample_points", "emit"]
 
 DEFAULT_RESOLUTION = 21
 
@@ -31,7 +46,7 @@ SVG_CELL_PAD = 0.08
 
 @dataclass(frozen=True)
 class MCell:
-    """One objective pairing: sampled (z_a, z_b) dots plus constraint lines."""
+    """One objective pairing: (z_a, z_b) at the sample points, their feasibility, the bounds."""
 
     obj_a: str
     obj_b: str
@@ -44,7 +59,12 @@ class MCell:
 
 @dataclass(frozen=True)
 class NCell:
-    """One variable pairing: lattice dots with feasibility plus projected boxes."""
+    """One variable pairing: an r×r grid, its verdicts and the held box's projection.
+
+    ``x_a`` and ``x_b`` are the grid's r values on each axis, and
+    ``feasible`` holds the verdict of each point of their product,
+    row-major (x_a slowest).
+    """
 
     var_a: str
     var_b: str
@@ -55,13 +75,13 @@ class NCell:
 
 
 @dataclass(frozen=True)
-class AxisSummary:
-    """Feasible-value histogram of one variable, shown on N diagonal cells."""
+class Diagonal:
+    """One N diagonal cell: a variable's ambient, held and admitted intervals."""
 
     var: str
-    edges: tuple[float, ...]
-    feasible_counts: tuple[int, ...]
-    total_counts: tuple[int, ...]
+    ambient: Interval
+    held: Interval
+    admitted: Interval
 
 
 @dataclass(frozen=True)
@@ -72,7 +92,7 @@ class RosettaReport:
     q_matrix: tuple[tuple[float, ...], ...]
     m_cells: tuple[MCell, ...]
     n_cells: tuple[NCell, ...]
-    summaries: tuple[AxisSummary, ...]
+    diagonals: tuple[Diagonal, ...]
     design_point: tuple[float, ...]
     resolution: int
 
@@ -87,6 +107,32 @@ def project_orthotope(box: Orthotope, j: int, k: int) -> tuple[Interval, Interva
     return box.intervals[j], box.intervals[k]
 
 
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    p = 2
+    while len(primes) < count:
+        if all(p % q for q in primes if q * q <= p):
+            primes.append(p)
+        p += 1
+    return primes
+
+
+def sample_points(problem: DesignProblem, count: int) -> list[tuple[float, ...]]:
+    """The first ``count`` points of a Kronecker sequence over the ambient box.
+
+    Point t = 1, 2, ... has ``x_j = lo_j + frac(t * a_j) * (hi_j - lo_j)``,
+    at most ``hi_j``, where ``a_j = frac(sqrt(p_j))`` and p_j is the
+    (j+1)-th prime.  Every step is a correctly rounded float operation,
+    so the points are the same on every platform.
+    """
+    steps = [math.sqrt(p) % 1.0 for p in _primes(problem.dim)]
+    ambients = [v.ambient for v in problem.variables]
+    return [
+        tuple(min(iv.hi, iv.lo + t * a % 1.0 * iv.width) for iv, a in zip(ambients, steps))
+        for t in range(1, count + 1)
+    ]
+
+
 def build_report(
     problem: DesignProblem,
     solution: SolveResult | Orthotope | None = None,
@@ -94,87 +140,68 @@ def build_report(
 ) -> RosettaReport:
     """Assemble the three matrices from a problem and an optional solution.
 
-    Q holds the analytic sensitivities at the seed.  M and N sample the
-    inclusive ambient lattice at the given per-axis resolution, row-major.
+    ``resolution`` is r, the points per axis of an N cell; every cell has
+    at most r² points, which ``grid_cap()`` bounds.  A solution box must
+    lie in the ambient box and contain the seed.
     """
+    count, cap = resolution * resolution, grid_cap()
+    if count > cap:
+        raise CapExceeded(f"report cell of {count} points exceeds cap {cap}")
     region = problem.region()
     axes = region.grid_axes(resolution)
-    # first, since grid_values is where the lattice size meets the grid cap
-    lattice, mask = region.grid_values(axes)
-    values = {name: tuple(z) for name, z in lattice.items()}
-    feasible = tuple(mask)
     n = problem.dim
-    size = math.prod(len(a) for a in axes)
-    # flat index i sits at entry (i // inner[j]) % len(axes[j]) of axis j
-    inner = [math.prod(len(a) for a in axes[j + 1:]) for j in range(n)]
-
-    coords = [
-        tuple(x for x in axis for _ in range(inner[j])) * (size // (inner[j] * len(axis)))
-        for j, axis in enumerate(axes)
-    ]
-
-    bounds = {c.surface: c.bound for c in problem.constraints}
+    box = solution.orthotope if isinstance(solution, SolveResult) else solution
+    held = box if box is not None else Orthotope.point(problem.seed)
+    table = _TermMax(problem, held)
 
     q_matrix = tuple(
         tuple(s.sensitivity(j, problem.seed) for j in range(n)) for s in problem.surfaces
     )
 
-    m_cells = []
+    points = sample_points(problem, count)
+    values = {s.name: tuple(s.evaluate(p) for p in points) for s in problem.surfaces}
+    # is_point_feasible of each point: its slacks, and it lies in the ambient box
+    feasible = [True] * count
+    for c in problem.constraints:
+        feasible = [ok and c.bound - z >= 0.0 for ok, z in zip(feasible, values[c.surface])]
+    feasible = tuple(feasible)
+    bounds = {c.surface: c.bound for c in problem.constraints}
     names = [s.name for s in problem.surfaces]
-    for i in range(len(names)):
-        for k in range(i + 1, len(names)):
-            m_cells.append(
-                MCell(
-                    obj_a=names[i],
-                    obj_b=names[k],
-                    z_a=values[names[i]],
-                    z_b=values[names[k]],
-                    feasible=feasible,
-                    bound_a=bounds.get(names[i]),
-                    bound_b=bounds.get(names[k]),
-                )
-            )
+    m_cells = tuple(
+        MCell(names[a], names[b], values[names[a]], values[names[b]], feasible,
+              bounds.get(names[a]), bounds.get(names[b]))
+        for a in range(len(names))
+        for b in range(a + 1, len(names))
+    )
 
-    box = solution.orthotope if isinstance(solution, SolveResult) else solution
     n_cells = []
     for j in range(n):
         for k in range(j + 1, n):
-            rects = ()
-            if box is not None:
-                rects = (project_orthotope(box, j, k),)
+            xs, ys = axes[j], axes[k]
             n_cells.append(
                 NCell(
                     var_a=problem.variables[j].name,
                     var_b=problem.variables[k].name,
-                    x_a=coords[j],
-                    x_b=coords[k],
-                    feasible=feasible,
-                    rects=rects,
+                    x_a=tuple(xs),
+                    x_b=tuple(ys),
+                    feasible=tuple(_slice_verdicts(table, j, k, xs, ys)),
+                    rects=() if box is None else (project_orthotope(box, j, k),),
                 )
             )
 
-    summaries = []
-    for j, axis in enumerate(axes):
-        counts = [0] * len(axis)
-        for i in compress(range(size), feasible):
-            counts[i // inner[j] % len(axis)] += 1
-        summaries.append(
-            AxisSummary(
-                var=problem.variables[j].name,
-                edges=tuple(axis),
-                feasible_counts=tuple(counts),
-                total_counts=(size // len(axis),) * len(axis),
-            )
-        )
+    diagonals = tuple(
+        Diagonal(var.name, var.ambient, held.intervals[j], expand_factor(problem, held, j).intervals[j])
+        for j, var in enumerate(problem.variables)
+    )
 
     return RosettaReport(
         problem_name=problem.name,
         objective_names=tuple(names),
         variable_names=tuple(v.name for v in problem.variables),
         q_matrix=q_matrix,
-        m_cells=tuple(m_cells),
+        m_cells=m_cells,
         n_cells=tuple(n_cells),
-        summaries=tuple(summaries),
+        diagonals=diagonals,
         design_point=problem.seed,
         resolution=resolution,
     )
@@ -182,64 +209,28 @@ def build_report(
 
 # --- CSV ---------------------------------------------------------------------
 #
-# Files are streamed to their open file, never assembled in memory first.
-# A lattice array is formatted once per emit call (M cells share each
-# surface's values, N cells each coordinate array, every cell the mask), and
-# within an array that repeats its values, once per distinct float;
-# ``format(v, "")`` is ``repr(v)``.  A float repr or a 0/1 flag never needs
-# CSV quoting, so only the name and bound fields go through ``csv.writer``,
-# once per cell.
+# Each file is streamed to its open file.  A float ``repr`` or a 0/1 flag
+# never needs CSV quoting, so only names and bounds go through
+# ``csv.writer``, once per cell.
 
 def _num(v) -> str:
     return "" if v is None else repr(float(v))
-
-
-def _csv_writer(out):
-    return csv.writer(out, lineterminator="\n")
 
 
 def _csv_fields(*fields) -> str:
     """``fields`` as ``csv.writer`` quotes them in a row, without the line end."""
     buf = io.StringIO()
     # the writer quotes line-terminator characters, so keep the file's one
-    _csv_writer(buf).writerow(fields)
+    csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()[:-1]
-
-
-def _texts(values, spec: str = "") -> list[str]:
-    """``format(v, spec)`` for each float; a repeated value is formatted once.
-
-    Zeros are formatted one by one: ``-0.0 == 0.0``, but the two print
-    apart.  An empty ``spec`` gives ``repr``.
-    """
-    distinct = set(values)
-    if 2 * len(distinct) > len(values):  # mostly distinct: a lookup would cost more than it saves
-        return list(map(format, values, repeat(spec)))
-    texts = dict(zip(distinct, map(format, distinct, repeat(spec))))
-    return [texts[v] if v else format(v, spec) for v in values]
-
-
-def _per_array(convert):
-    """``convert(array)``, computed once per distinct array object."""
-    done = {}
-
-    def get(array):
-        key = id(array)
-        if key not in done:
-            done[key] = (array, convert(array))  # the array pins its id
-        return done[key][1]
-
-    return get
 
 
 def _emit_csv(report: RosettaReport, out_dir: Path) -> list[Path]:
     stem = report.problem_name
-    floats = _per_array(_texts)
-    flags = _per_array(lambda a: list(map(int, a)))
 
     q_path = out_dir / f"{stem}_Q.csv"
     with q_path.open("w") as out:
-        writer = _csv_writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["objective", *report.variable_names])
         writer.writerows(
             [name, *map(_num, row)] for name, row in zip(report.objective_names, report.q_matrix)
@@ -247,28 +238,28 @@ def _emit_csv(report: RosettaReport, out_dir: Path) -> list[Path]:
 
     m_path = out_dir / f"{stem}_M.csv"
     with m_path.open("w") as out:
-        _csv_writer(out).writerow(["obj_a", "obj_b", "z_a", "z_b", "feasible", "bound_a", "bound_b"])
-        for cell in report.m_cells:
-            names = _csv_fields(cell.obj_a, cell.obj_b)
-            bounds = _csv_fields(_num(cell.bound_a), _num(cell.bound_b))
+        out.write("obj_a,obj_b,z_a,z_b,feasible,bound_a,bound_b\n")
+        for c in report.m_cells:
+            names = _csv_fields(c.obj_a, c.obj_b)
+            bounds = _csv_fields(_num(c.bound_a), _num(c.bound_b))
             out.writelines(
-                f"{names},{za},{zb},{f},{bounds}\n"
-                for za, zb, f in zip(floats(cell.z_a), floats(cell.z_b), flags(cell.feasible))
+                f"{names},{za!r},{zb!r},{f:d},{bounds}\n" for za, zb, f in zip(c.z_a, c.z_b, c.feasible)
             )
 
     n_path = out_dir / f"{stem}_N.csv"
     with n_path.open("w") as out:
-        writer = _csv_writer(out)
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["kind", "var_a", "var_b", "c1", "c2", "c3", "c4"])
-        for cell in report.n_cells:
-            names = _csv_fields("point", cell.var_a, cell.var_b)
-            out.writelines(
-                f"{names},{xa},{xb},{f},\n"
-                for xa, xb, f in zip(floats(cell.x_a), floats(cell.x_b), flags(cell.feasible))
-            )
+        writer.writerows(
+            ["interval", d.var, d.var, *map(_num, (d.admitted.lo, d.admitted.hi, d.held.lo, d.held.hi))]
+            for d in report.diagonals
+        )
+        for c in report.n_cells:
+            names = _csv_fields("point", c.var_a, c.var_b)
+            grid = product(map(repr, c.x_a), list(map(repr, c.x_b)))
+            out.writelines(f"{names},{xa},{xb},{f:d},\n" for (xa, xb), f in zip(grid, c.feasible))
             writer.writerows(
-                ["rect", cell.var_a, cell.var_b, _num(iv_a.lo), _num(iv_a.hi), _num(iv_b.lo), _num(iv_b.hi)]
-                for iv_a, iv_b in cell.rects
+                ["rect", c.var_a, c.var_b, *map(_num, (a.lo, a.hi, b.lo, b.hi))] for a, b in c.rects
             )
     return [q_path, m_path, n_path]
 
@@ -325,23 +316,15 @@ def _svg_header(title: str) -> str:
     )
 
 
-def _pixel_texts(scale, values) -> list[str]:
-    """``.2f`` texts of ``scale(values)``; a repeated value is scaled and formatted once.
-
-    Unlike ``_texts``, zeros need no care: every pixel offset is at least
-    ``SVG_MARGIN``, so ``scale`` maps 0.0 and -0.0 to the same pixel.
-    """
-    distinct = list(set(values))
-    if 2 * len(distinct) > len(values):  # mostly distinct: a lookup would cost more than it saves
-        return list(map(format, scale(values), repeat(".2f")))
-    texts = dict(zip(distinct, map(format, scale(distinct), repeat(".2f"))))
-    return [texts[v] for v in values]
+def _pixels(values) -> list[str]:
+    return [f"{v:.2f}" for v in values]
 
 
-def _svg_dots(out, frame: _CellFrame, xs, ys, mask, color_true="#4477aa", color_false="#cccccc") -> None:
+def _svg_dots(out, xy, mask) -> None:
+    """One dot per (x, y) pair of pixel texts, coloured by its flag."""
     out.writelines(
-        f'<circle cx="{x}" cy="{y}" r="1.5" fill="{color_true if ok else color_false}"/>\n'
-        for x, y, ok in zip(_pixel_texts(frame.x, xs), _pixel_texts(frame.y, ys), mask)
+        f'<circle cx="{x}" cy="{y}" r="1.5" fill="{"#4477aa" if ok else "#cccccc"}"/>\n'
+        for (x, y), ok in zip(xy, mask)
     )
 
 
@@ -395,7 +378,7 @@ def _emit_svg_m(report: RosettaReport, out_dir: Path) -> Path:
                 if cell is None:
                     continue
                 out.write(frame.border())
-                _svg_dots(out, frame, cell.z_a, cell.z_b, cell.feasible)
+                _svg_dots(out, zip(_pixels(frame.x(cell.z_a)), _pixels(frame.y(cell.z_b))), cell.feasible)
                 if _drawn(cell.bound_a):
                     x = frame.x([cell.bound_a])[0]
                     out.write(
@@ -416,12 +399,7 @@ def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
     names = report.variable_names
     n = len(names)
     cells = {(c.var_a, c.var_b): c for c in report.n_cells}
-    ranges = {}
-    for cell in report.n_cells:
-        ranges.setdefault(cell.var_a, _data_range(cell.x_a))
-        ranges.setdefault(cell.var_b, _data_range(cell.x_b))
-    for summary in report.summaries:
-        ranges.setdefault(summary.var, _data_range(summary.edges))
+    ranges = {d.var: (d.ambient.lo, d.ambient.hi) for d in report.diagonals}
 
     path = out_dir / f"{report.problem_name}_N.svg"
     with path.open("w") as out:
@@ -431,16 +409,15 @@ def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
                 frame = _CellFrame(row, col, n, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
                 if row == col:
                     out.write(frame.border())
-                    summary = report.summaries[row]
-                    total = max(summary.total_counts) or 1
-                    width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
-                    for i, edge in enumerate(summary.edges):
-                        h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
-                        x = frame.x([edge])[0] - width / 2
-                        out.write(
-                            f'<rect x="{x:.2f}" y="{frame.py[0] - h:.2f}" width="{width:.2f}" '
-                            f'height="{h:.2f}" fill="#88ccee"/>\n'
-                        )
+                    # the admitted interval as a bar, the held one as a band across its middle third
+                    diagonal = report.diagonals[row]
+                    top, bottom = frame.py[1], frame.py[0]
+                    third = (bottom - top) / 3
+                    out.write(_interval_bar(frame, diagonal.admitted, top, bottom, 'fill="#88ccee"'))
+                    out.write(
+                        _interval_bar(frame, diagonal.held, top + third, bottom - third,
+                                      'fill="#ccbb44" stroke="#997700" stroke-width="1"')
+                    )
                     out.write(_svg_label(frame.x0 + 8, frame.y0 + 16, names[row]))
                     continue
                 if row < col:
@@ -449,7 +426,7 @@ def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
                 if cell is None:
                     continue
                 out.write(frame.border())
-                _svg_dots(out, frame, cell.x_a, cell.x_b, cell.feasible)
+                _svg_dots(out, product(_pixels(frame.x(cell.x_a)), _pixels(frame.y(cell.x_b))), cell.feasible)
                 for iv_a, iv_b in cell.rects:
                     x0 = frame.x([iv_a.lo])[0]
                     x1 = frame.x([iv_a.hi])[0]
@@ -461,6 +438,11 @@ def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
                     )
         out.write("</svg>\n")
     return path
+
+
+def _interval_bar(frame: _CellFrame, iv: Interval, top: float, bottom: float, style: str) -> str:
+    x0, x1 = frame.x([iv.lo, iv.hi])
+    return f'<rect x="{x0:.2f}" y="{top:.2f}" width="{x1 - x0:.2f}" height="{bottom - top:.2f}" {style}/>\n'
 
 
 def _emit_svg_q(report: RosettaReport, out_dir: Path) -> Path:

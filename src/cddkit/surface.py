@@ -157,7 +157,7 @@ class QuadraticResponseSurface:
             )
         except KeyError as exc:
             raise SchemaError(f"surface document missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, DimensionMismatch):
                 raise
             raise SchemaError(f"malformed surface document: {exc}") from exc

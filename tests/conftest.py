@@ -74,6 +74,17 @@ def random_problem(
     )
 
 
+def problem_document(problem: DesignProblem) -> dict:
+    """The JSON problem document of a problem whose constraints all use ``<=``."""
+    return {
+        "name": problem.name,
+        "variables": [{"name": v.name, "lo": v.ambient.lo, "hi": v.ambient.hi} for v in problem.variables],
+        "surfaces": [s.to_json() for s in problem.surfaces],
+        "constraints": [{"surface": c.surface, "bound": c.bound} for c in problem.constraints],
+        "seed": list(problem.seed),
+    }
+
+
 def numpy_lattice_sum(beta0, per_axis):
     """The numpy broadcast sum that ``designspace.lattice_sum`` replaced, shaped like the lattice.
 

@@ -13,7 +13,7 @@ from cddkit.errors import SchemaError
 from cddkit.modeltheory import RelationalStructure, load_structure
 from cddkit.orthotope import SolveResult
 
-from conftest import random_problem
+from conftest import problem_document, random_problem
 
 
 def run_cli(*args, capsys=None):
@@ -146,26 +146,32 @@ def test_verify_grid_cap_bounds_the_lattice_not_the_step_replay(tmp_path, capsys
     assert run_cli(*args, capsys=capsys) == default
     assert run_cli(*args, "--json", capsys=capsys) == default_json
     assert default[0] == 0 and default_json[0] == 0
-    # where a lattice is built, the cap still holds
-    code, out, err = run_cli(
+    # a report cell has r^2 points: 101^2 is under this cap, 1001^2 over it
+    code, _, err = run_cli(
         "rosetta", problem_path("emissions.json"), "--resolution", "101", "--out", str(tmp_path), capsys=capsys
     )
+    assert code == 0, err
+    code, out, err = run_cli(
+        "rosetta", problem_path("emissions.json"), "--resolution", "1001", "--out", str(tmp_path), capsys=capsys
+    )
     assert (code, out) == (2, "")
-    assert err == "error: lattice of 1030301 points exceeds cap 1000000\n"
+    assert err == "error: report cell of 1002001 points exceeds cap 1000000\n"
+
+
+def test_rosetta_resolution_past_the_cap_exits_before_allocating(tmp_path, capsys):
+    code, out, err = run_cli(
+        "rosetta", problem_path("emissions.json"), "--resolution", str(10**6), "--out", str(tmp_path), capsys=capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: report cell of 1000000000000 points exceeds cap 10000000\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _random_problem_file(tmp_path, dim):
     """A seeded random problem with ``dim`` variables and three constraints, as a problem document."""
     problem = random_problem(random.Random(dim), dim=dim, count=3)
-    doc = {
-        "name": f"random{dim}",
-        "variables": [{"name": v.name, "lo": v.ambient.lo, "hi": v.ambient.hi} for v in problem.variables],
-        "surfaces": [s.to_json() for s in problem.surfaces],
-        "constraints": [{"surface": c.surface, "bound": c.bound} for c in problem.constraints],
-        "seed": list(problem.seed),
-    }
     path = tmp_path / f"random{dim}.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({**problem_document(problem), "name": f"random{dim}"}))
     return str(path)
 
 
@@ -595,6 +601,83 @@ def test_problem_name_cannot_leave_out_dir(tmp_path, capsys, name, command):
     assert code == 2
     assert "name" in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["edited.json", "work"]
+
+
+# --- malformed JSON ---------------------------------------------------------------
+
+_MALFORMED_JSON = {
+    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
+    "int-past-digit-limit": '{"seed": [' + "9" * 5000 + "]}",
+    "truncated": '{"name": ',
+    "not-utf8": b'{"name": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("text", _MALFORMED_JSON.values(), ids=_MALFORMED_JSON)
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("solve", ["BAD", "--out", "OUT"]),
+        ("verify", ["BAD", "SOLUTION"]),
+        ("verify", ["PROBLEM", "BAD"]),
+        ("rosetta", ["BAD", "--out", "OUT"]),
+        ("rosetta", ["PROBLEM", "--solution", "BAD", "--out", "OUT"]),
+        ("evaluate", ["BAD", "--point", "0,0,0"]),
+        ("logic", ["--graph", "BAD"]),
+        ("logic", ["--theory", "BAD", "--structure", "STRUCTURE"]),
+        ("logic", ["--theory", "THEORY", "--structure", "BAD"]),
+    ],
+    ids=["solve", "verify-problem", "verify-result", "rosetta-problem", "rosetta-solution", "evaluate",
+         "logic-graph", "logic-theory", "logic-structure"],
+)
+def test_malformed_json_exits_2(tmp_path, capsys, command, args, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode() if isinstance(text, str) else text)
+    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
+    (tmp_path / "structure.json").write_text(_STRUCTURE)
+    (tmp_path / "theory.json").write_text(_THEORY)
+    paths = {
+        "BAD": str(bad),
+        "OUT": str(tmp_path / "out"),
+        "PROBLEM": problem_path("emissions.json"),
+        "SOLUTION": str(tmp_path / "emissions_solution.json"),
+        "STRUCTURE": str(tmp_path / "structure.json"),
+        "THEORY": str(tmp_path / "theory.json"),
+    }
+    code, out, err = run_cli(command, *(paths.get(arg, arg) for arg in args), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+_HUGE = int("9" * 400)  # an exact integer past the float range
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["constraints"][0].update(bound=_HUGE),
+        lambda doc: doc["surfaces"][0].update(beta0=_HUGE),
+        lambda doc: doc["variables"][0].update(hi=_HUGE),
+        lambda doc: doc.update(seed=[_HUGE, 0, 0]),
+        lambda doc: doc.update(tolerance=_HUGE),
+    ],
+    ids=["bound", "beta0", "hi", "seed", "tolerance"],
+)
+def test_problem_integer_past_the_float_range_exits_2(tmp_path, capsys, edit):
+    code, out, err = run_cli("solve", _edited_problem(tmp_path, edit), "--out", str(tmp_path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed ") and "int too large to convert to float" in err
+
+
+def test_result_integer_past_the_float_range_exits_2(tmp_path, capsys):
+    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
+    path = tmp_path / "emissions_solution.json"
+    doc = json.loads(path.read_text())
+    doc["orthotope"][0]["hi"] = _HUGE
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", problem_path("emissions.json"), str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed solve result: ")
 
 
 # --- malformed logic documents ------------------------------------------------------

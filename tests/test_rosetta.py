@@ -1,19 +1,34 @@
 import csv
 import dataclasses
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cddkit
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
-from cddkit.orthotope import Orthotope, solve_greedy
-from cddkit.rosetta import SVG_CANVAS, SVG_MARGIN, _CellFrame, build_report, emit, project_orthotope
-from cddkit.surface import Interval
+from cddkit.errors import CapExceeded
+from cddkit.orthotope import Orthotope, expand_factor, solve_greedy
+from cddkit.rosetta import (
+    SVG_CANVAS,
+    SVG_MARGIN,
+    _CellFrame,
+    build_report,
+    emit,
+    project_orthotope,
+    sample_points,
+)
+from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import load_bundled, random_problem
+from conftest import load_bundled, problem_document, random_problem
 
 
 def test_q_matrix_is_exact_sensitivities(emissions):
@@ -64,19 +79,156 @@ def test_three_variables_give_three_informative_pairs(emissions):
     assert len(report.m_cells) == 3
 
 
-def test_n_cell_feasibility_matches_pointwise(emissions):
-    report = build_report(emissions, resolution=5)
-    region = emissions.region()
+# --- what each cell shows ---------------------------------------------------------
+
+def _boundary_problem():
+    # x0 + x1 <= 1 on the unit square: grid points on the diagonal have slack exactly 0,
+    # so their estimate cannot decide and the slack is summed
+    surface = QuadraticResponseSurface("z", "", 0.0, (1.0, 1.0, 0.5), (0.0, 0.0, 0.0))
+    return DesignProblem(
+        variables=tuple(DesignVariable(f"x{j}", "", Interval(0.0, 1.0)) for j in range(3)),
+        surfaces=(surface,),
+        constraints=(ObjectiveConstraint("z", 1.0),),
+        seed=(0.0, 0.0, 0.0),
+        name="boundary",
+    )
+
+
+def _overflow_problem():
+    # partial sums pass the float range, so every estimate is refused and summed
+    surface = QuadraticResponseSurface("z", "", 0.0, (1e308, 1e308), (0.0, 0.0))
+    return DesignProblem(
+        variables=(DesignVariable("x0", "", Interval(0.0, 1.0)), DesignVariable("x1", "", Interval(0.0, 1.0))),
+        surfaces=(surface,),
+        constraints=(ObjectiveConstraint("z", 1.5e308),),
+        seed=(0.0, 0.0),
+        name="overflow",
+    )
+
+
+def _report_cases():
+    for name in ("emissions.json", "adas.json", "adas_tall.json"):
+        yield name.removesuffix(".json"), load_bundled(name)
+    rng = random.Random(1313)
+    for n in range(4, 9):
+        for scale, offset in ((1.0, 0.0), (1e3, 0.0), (1e6, 1800.0)):
+            problem = random_problem(rng, dim=n, count=rng.randint(1, 5), scale=scale, offset=offset)
+            yield f"n{n}-scale{scale:g}-offset{offset:g}", problem
+    yield "boundary", _boundary_problem()
+    yield "overflow", _overflow_problem()
+
+
+_CASES = [pytest.param(p, id=case) for case, p in _report_cases()]
+_SOLVED = pytest.mark.parametrize("solved", [False, True], ids=["bare", "solved"])
+
+
+def _assert_n_cells_equal_is_box_feasible(problem, solution):
+    held = solution if solution is not None else Orthotope.point(problem.seed)
+    report = build_report(problem, solution, resolution=7)
+    region = problem.region()
+    axes = region.grid_axes(7)
+    pairs = [(j, k) for j in range(problem.dim) for k in range(j + 1, problem.dim)]
+    assert len(report.n_cells) == len(pairs)
+    for cell, (j, k) in zip(report.n_cells, pairs):
+        assert (cell.var_a, cell.var_b) == (problem.variables[j].name, problem.variables[k].name)
+        assert (cell.x_a, cell.x_b) == (tuple(axes[j]), tuple(axes[k]))
+        expected = [
+            region.is_box_feasible(held.replaced(j, Interval(x, x)).replaced(k, Interval(y, y)).intervals)[0]
+            for x in cell.x_a
+            for y in cell.x_b
+        ]
+        assert list(cell.feasible) == expected
+
+
+@pytest.mark.parametrize("problem", _CASES)
+@_SOLVED
+def test_n_cell_verdicts_equal_is_box_feasible(problem, solved):
+    _assert_n_cells_equal_is_box_feasible(problem, solve_greedy(problem).orthotope if solved else None)
+
+
+def test_n_cell_verdicts_on_exact_ties():
+    # each bound is the left-to-right maximum of the seed box at one grid point of the (x0, x1)
+    # slice, so that point's slack is exactly 0 and its estimate may round to either side
+    rng = random.Random(5)
+    ties = 0
+    while ties < 60:
+        problem = random_problem(rng, dim=rng.randint(3, 6), count=1, scale=rng.choice((1.0, 1e3)),
+                                 offset=rng.choice((0.0, 1800.0)))
+        axes = problem.region().grid_axes(7)
+        x, y = rng.choice(axes[0]), rng.choice(axes[1])
+        box = Orthotope.point(problem.seed).replaced(0, Interval(x, x)).replaced(1, Interval(y, y))
+        surface = problem.surfaces[0]
+        bound = surface.box_extremum(box.intervals)[0]
+        if not bound - surface.evaluate(problem.seed) >= problem.tolerance:
+            continue
+        ties += 1
+        problem = dataclasses.replace(problem, constraints=(ObjectiveConstraint(surface.name, bound),))
+        _assert_n_cells_equal_is_box_feasible(problem, None)
+
+
+def test_boundary_points_are_feasible():
+    # the points with x0 + x1 = 1 exactly are feasible, the ones past it are not
+    report = build_report(_boundary_problem(), resolution=5)
     cell = report.n_cells[0]
-    axes = region.grid_axes(5)
-    lattice = [
-        (a, b, c)
-        for a in axes[0]
-        for b in axes[1]
-        for c in axes[2]
-    ]
-    for point, flagged in zip(lattice, cell.feasible):
-        assert flagged == region.is_point_feasible(point)[0]
+    grid = [(x, y) for x in cell.x_a for y in cell.x_b]
+    assert [ok for ok, (x, y) in zip(cell.feasible, grid)] == [x + y <= 1.0 for x, y in grid]
+    assert sum(x + y == 1.0 for x, y in grid) == 5
+
+
+@pytest.mark.parametrize("problem", _CASES)
+@_SOLVED
+def test_diagonals_are_the_admitted_intervals(problem, solved):
+    held = solve_greedy(problem).orthotope if solved else Orthotope.point(problem.seed)
+    report = build_report(problem, held if solved else None, resolution=3)
+    assert len(report.diagonals) == problem.dim
+    for j, (var, diagonal) in enumerate(zip(problem.variables, report.diagonals)):
+        assert (diagonal.var, diagonal.ambient, diagonal.held) == (var.name, var.ambient, held.intervals[j])
+        assert diagonal.admitted == expand_factor(problem, held, j).intervals[j]
+        assert diagonal.admitted.contains_interval(held.intervals[j])
+
+
+@pytest.mark.parametrize("problem", _CASES)
+def test_m_cells_plot_the_sample_points(problem):
+    report = build_report(problem, resolution=6)
+    points = sample_points(problem, 36)
+    region = problem.region()
+    assert all(region.check_inside([Interval(x, x) for x in p]) is None for p in points)
+    feasible = tuple(region.is_point_feasible(p)[0] for p in points)
+    values = {s.name: [s.evaluate(p).hex() for p in points] for s in problem.surfaces}
+    bounds = {c.surface: c.bound for c in problem.constraints}
+    names = [s.name for s in problem.surfaces]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    assert [(c.obj_a, c.obj_b) for c in report.m_cells] == pairs
+    for cell in report.m_cells:
+        assert [z.hex() for z in cell.z_a] == values[cell.obj_a]
+        assert [z.hex() for z in cell.z_b] == values[cell.obj_b]
+        assert cell.feasible == feasible
+        assert (cell.bound_a, cell.bound_b) == (bounds.get(cell.obj_a), bounds.get(cell.obj_b))
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def test_sample_points_match_numpy_reference():
+    # x_j = lo_j + frac(t * frac(sqrt(p_j))) * (hi_j - lo_j), at most hi_j, for t = 1, 2, ...
+    rng = random.Random(6103)
+    for n in (1, 2, 3, 5, 10):
+        for scale, offset in ((1.0, 0.0), (1e-3, 0.0), (1.0, 1800.0)):
+            problem = random_problem(rng, dim=n, count=1, scale=scale, offset=offset)
+            lo = np.array([v.ambient.lo for v in problem.variables])
+            hi = np.array([v.ambient.hi for v in problem.variables])
+            alpha = np.sqrt(np.array(_PRIMES[:n], dtype=float)) % 1.0
+            t = np.arange(1, 101, dtype=float)[:, None]
+            reference = np.minimum(hi, lo + t * alpha % 1.0 * (hi - lo))
+            got = sample_points(problem, 100)
+            assert [[x.hex() for x in p] for p in got] == [[float(x).hex() for x in row] for row in reference]
+
+
+def test_report_cell_cap(monkeypatch, emissions):
+    monkeypatch.setenv("CDD_MAX_GRID", "100")
+    assert len(build_report(emissions, resolution=10).m_cells[0].z_a) == 100
+    with pytest.raises(CapExceeded, match="report cell of 121 points exceeds cap 100"):
+        build_report(emissions, resolution=11)
 
 
 def test_no_solution_means_no_rectangles(emissions):
@@ -146,30 +298,8 @@ def test_report_on_two_variable_problem():
     problem = random_problem(rng, dim=2)
     report = build_report(problem, resolution=6)
     assert len(report.n_cells) == 1
-    assert len(report.summaries) == 2
+    assert len(report.diagonals) == 2
     assert report.q_matrix and len(report.q_matrix[0]) == 2
-
-
-def test_report_lattices_match_numpy_reference():
-    # coordinates as numpy.meshgrid, histograms as mask sums over the other axes
-    rng = random.Random(6103)
-    for n in (1, 2, 3):
-        for resolution in (2, 5, (3, 4, 6)[:n]):
-            problem = random_problem(rng, dim=n, count=2)
-            report = build_report(problem, resolution=resolution)
-            axes = [np.asarray(a) for a in problem.region().grid_axes(resolution)]
-            grids = np.meshgrid(*axes, indexing="ij")
-            mask = np.asarray(problem.region().grid_values(axes)[1]).reshape(grids[0].shape)
-            pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-            for cell, (j, k) in zip(report.n_cells, pairs):
-                assert cell.x_a == tuple(grids[j].reshape(-1).tolist())
-                assert cell.x_b == tuple(grids[k].reshape(-1).tolist())
-                assert cell.feasible == tuple(mask.reshape(-1).tolist())
-            for j, summary in enumerate(report.summaries):
-                other = tuple(d for d in range(n) if d != j)
-                assert summary.edges == tuple(axes[j].tolist())
-                assert summary.feasible_counts == tuple(mask.sum(axis=other).tolist())
-                assert summary.total_counts == (mask.size // len(axes[j]),) * len(axes[j])
 
 
 def test_frame_map_matches_numpy_bit_for_bit():
@@ -216,15 +346,24 @@ def _ref_csv(report):
             for za, zb, f in zip(c.z_a, c.z_b, c.feasible)
         ),
     )
-    n_rows = []
+    n_rows = [
+        ["interval", d.var, d.var, *map(_ref_num, (d.admitted.lo, d.admitted.hi, d.held.lo, d.held.hi))]
+        for d in report.diagonals
+    ]
     for c in report.n_cells:
-        for xa, xb, f in zip(c.x_a, c.x_b, c.feasible):
+        for (xa, xb), f in zip(_ref_grid(c), c.feasible):
             n_rows.append(["point", c.var_a, c.var_b, _ref_num(xa), _ref_num(xb), int(f), ""])
         for a, b in c.rects:
             n_rows.append(["rect", c.var_a, c.var_b, _ref_num(a.lo), _ref_num(a.hi), _ref_num(b.lo), _ref_num(b.hi)])
     n = text(["kind", "var_a", "var_b", "c1", "c2", "c3", "c4"], n_rows)
     stem = report.problem_name
     return {f"{stem}_Q.csv": q, f"{stem}_M.csv": m, f"{stem}_N.csv": n}
+
+
+def _ref_grid(cell):
+    """The (x_a, x_b) points of an N cell, row-major, as numpy's ``meshgrid`` orders them."""
+    xs, ys = np.meshgrid(np.asarray(cell.x_a), np.asarray(cell.x_b), indexing="ij")
+    return list(zip(xs.reshape(-1).tolist(), ys.reshape(-1).tolist()))
 
 
 def _ref_border(frame):
@@ -313,34 +452,29 @@ def _ref_svg(report):
     names = report.variable_names
     n = len(names)
     cells = {(c.var_a, c.var_b): c for c in report.n_cells}
-    ranges = {}
-    for c in report.n_cells:
-        ranges.setdefault(c.var_a, _data_range(c.x_a))
-        ranges.setdefault(c.var_b, _data_range(c.x_b))
-    for summary in report.summaries:
-        ranges.setdefault(summary.var, _data_range(summary.edges))
+    ranges = {d.var: (d.ambient.lo, d.ambient.hi) for d in report.diagonals}
     nn = _ref_header(f"{stem}: variable pairings")
     for row in range(n):
         for col in range(row + 1):
             frame = _CellFrame(row, col, n, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
             if row == col:
                 nn.append(_ref_border(frame))
-                summary = report.summaries[row]
-                total = np.max(summary.total_counts) or 1
-                width = (frame.px[1] - frame.px[0]) / max(1, len(summary.edges))
-                for i, edge in enumerate(summary.edges):
-                    h = (frame.py[0] - frame.py[1]) * summary.feasible_counts[i] / total
-                    x = _ref_x(frame, [edge])[0] - width / 2
-                    nn.append(
-                        f'<rect x="{x:.2f}" y="{frame.py[0] - h:.2f}" width="{width:.2f}" '
-                        f'height="{h:.2f}" fill="#88ccee"/>'
-                    )
+                d = report.diagonals[row]
+                top, bottom = frame.py[1], frame.py[0]
+                third = (bottom - top) / 3
+                for iv, y0, y1, style in (
+                    (d.admitted, top, bottom, 'fill="#88ccee"'),
+                    (d.held, top + third, bottom - third, 'fill="#ccbb44" stroke="#997700" stroke-width="1"'),
+                ):
+                    x0, x1 = _ref_x(frame, [iv.lo, iv.hi])
+                    nn.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" {style}/>')
                 nn.append(_ref_label(frame.x0 + 8, frame.y0 + 16, names[row]))
                 continue
             c = cells.get((names[col], names[row]))
             if c is None:
                 continue
-            nn += [_ref_border(frame), *_ref_dots(frame, c.x_a, c.x_b, c.feasible)]
+            xs, ys = zip(*_ref_grid(c))
+            nn += [_ref_border(frame), *_ref_dots(frame, xs, ys, c.feasible)]
             for a, b in c.rects:
                 x0, x1 = _ref_x(frame, [a.lo])[0], _ref_x(frame, [a.hi])[0]
                 y0, y1 = _ref_y(frame, [b.hi])[0], _ref_y(frame, [b.lo])[0]
@@ -479,3 +613,59 @@ def test_infinite_bound_draws_no_line(tmp_path):
     with (tmp_path / "infbound_M.csv").open(newline="") as f:
         rows = list(csv.DictReader(f))
     assert {r["bound_a"] for r in rows if r["obj_a"] == "CO2"} == {"inf"}
+
+
+# --- cost -----------------------------------------------------------------------
+
+# the children import the same cddkit as this process, from any working directory
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cddkit.__file__).resolve().parent.parent)}
+
+
+# A child forked from this test process would count the pages it shares with it
+# before its exec, so a small interpreter starts the child and reports its rusage.
+_RUSAGE_OF_CHILD = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024]))
+"""
+
+
+def _rosetta_child(tmp_path, problem):
+    """CPU seconds and peak RSS in MiB of one ``cdd rosetta --solution`` child, from its own rusage."""
+    path, solution = tmp_path / f"{problem.name}.json", tmp_path / "solution.json"
+    path.write_text(json.dumps(problem_document(problem)))
+    solution.write_text(json.dumps(solve_greedy(problem).to_json()))
+    argv = [sys.executable, "-m", "cddkit.cli", "rosetta", str(path), "--solution", str(solution),
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUSAGE_OF_CHILD, *argv], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, cpu_s, rss_mib = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return cpu_s, rss_mib
+
+
+def test_report_at_n10_m5_is_cheap(tmp_path):
+    cpu_s, rss_mib = _rosetta_child(tmp_path, random_problem(random.Random(10), dim=10, count=5))
+    assert cpu_s < 1.0
+    assert rss_mib < 50.0
+
+
+def test_report_at_n20_m10_runs(tmp_path):
+    _rosetta_child(tmp_path, random_problem(random.Random(20), dim=20, count=10))
+
+
+# what `cdd rosetta --solution` wrote for emissions, adas and adas_tall when it drew the r^N lattice
+LATTICE_REPORT_BYTES = 5_622_997 + 102_616 + 102_619
+
+
+def test_bundled_reports_are_a_tenth_of_the_lattice_reports(tmp_path):
+    written = 0
+    for name in ("emissions", "adas", "adas_tall"):
+        problem = load_bundled(f"{name}.json")
+        report = build_report(problem, solve_greedy(problem))
+        written += sum(p.stat().st_size for fmt in ("csv", "svg") for p in emit(report, fmt, tmp_path / name))
+    assert written <= LATTICE_REPORT_BYTES / 10

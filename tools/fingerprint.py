@@ -3,7 +3,7 @@
 Solves a fixed, seeded set of random problems and hashes everything the
 package prints or writes for them: the ``solve_greedy`` solution JSON,
 the grid oracle's step checks and boxes (N <= 3), the lattice masks of
-``grid_feasible_set`` and the ROSETTA CSV and SVG bytes.  Two checkouts
+``grid_feasible_set`` (N <= 10) and the ROSETTA CSV and SVG bytes.  Two checkouts
 that print the same digests produce byte-identical outputs on every one
 of those problems, so a refactor that claims to change no output can
 be checked by running this script before and after it:
@@ -40,7 +40,9 @@ ORACLE_MAX_DIM = 3
 ORACLE_RESOLUTION = 41
 VOLUME_RESOLUTION = 11
 MASK_MAX_DIM = 10
-ROSETTA_RESOLUTION = {1: 9, 2: 7, 3: 5, 5: 3}
+MASK_RESOLUTION = {1: 9, 2: 7, 3: 5, 5: 3}  # 2 for the other dimensions
+# a report costs r^2 points per cell, so every dimension gets one
+ROSETTA_RESOLUTION = 5
 
 
 def random_problem(rng: random.Random, n: int, m: int, scale: float, offset: float) -> DesignProblem:
@@ -87,14 +89,13 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
             [oracle.greedy_box.to_json(), oracle.volume_box.to_json(), list(oracle.ranking)]
         ).encode()
     if n <= MASK_MAX_DIM:
-        resolution = ROSETTA_RESOLUTION.get(n, 2)
+        resolution = MASK_RESOLUTION.get(n, 2)
         mask = problem.region().grid_feasible_set(resolution)
         # the bytes of the shape and of a numpy bool array, as earlier digests hashed them
         out["mask"] = repr((resolution,) * n).encode() + bytes(mask)
-    if n in ROSETTA_RESOLUTION:
-        report = build_report(problem, result, ROSETTA_RESOLUTION[n])
-        paths = emit(report, "csv", work) + emit(report, "svg", work)
-        out["rosetta"] = b"".join(p.name.encode() + p.read_bytes() for p in paths)
+    report = build_report(problem, result, ROSETTA_RESOLUTION)
+    paths = emit(report, "csv", work) + emit(report, "svg", work)
+    out["rosetta"] = b"".join(p.name.encode() + p.read_bytes() for p in paths)
     return out
 
 
