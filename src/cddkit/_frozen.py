@@ -1,0 +1,45 @@
+"""The base of the toolkit's immutable value classes."""
+
+from operator import attrgetter
+
+
+class Frozen:
+    """An immutable record whose fields are its ``__slots__``.
+
+    A subclass names its fields, in constructor order, in ``__slots__`` and
+    sets them in its own ``__init__`` with ``object.__setattr__``.  From
+    that tuple alone, without generating code, the base gives it value
+    semantics: equality of the field values (only with an instance of the
+    same class), their tuple's hash, the repr ``Name(field=value, ...)``
+    and ``AttributeError`` on assignment or deletion.  Copies and pickles
+    rebuild an instance through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # one name makes attrgetter return the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)

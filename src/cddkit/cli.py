@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CapExceeded, CddError, InfeasibleSeed, SchemaError
+from .errors import CapExceeded, CddError, InfeasibleSeed, SchemaError, read_json
 
 if TYPE_CHECKING:
     from .orthotope import SolveResult
@@ -36,18 +36,8 @@ EXIT_DISAGREEMENT = 5
 
 
 def _read_document(path: str):
-    """The JSON document in a file; the one place a command parses one.
-
-    Malformed text raises ``SchemaError`` (exit 2), never a traceback:
-    a decoding error, an integer literal past Python's digit limit (both
-    ``ValueError``) and nesting past the recursion limit.
-    """
-    try:
-        return json.loads(Path(path).read_text())
-    except RecursionError:
-        raise SchemaError(f"{path}: JSON nested too deeply to read") from None
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    """The JSON document in a file; malformed text raises ``SchemaError`` (exit 2)."""
+    return read_json(Path(path).read_bytes(), path)
 
 
 def _load_problem_file(path: str):

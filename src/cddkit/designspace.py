@@ -11,9 +11,9 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._frozen import Frozen
 from .errors import (
     BoxOutsideAmbient,
     CapExceeded,
@@ -22,6 +22,7 @@ from .errors import (
     SchemaError,
     UnknownSurfaceReference,
     UnsupportedRelation,
+    read_json,
 )
 from .surface import Interval, QuadraticResponseSurface
 
@@ -52,32 +53,33 @@ def grid_cap() -> int:
         raise SchemaError(f"{GRID_CAP_ENV} must be an integer, got {raw!r}") from exc
 
 
-@dataclass(frozen=True)
-class DesignVariable:
+class DesignVariable(Frozen):
     """A named design factor with its measured ambient bounds."""
 
-    name: str
-    unit: str
-    ambient: Interval
+    __slots__ = ("name", "unit", "ambient")
 
-    def __post_init__(self):
-        if not self.ambient.lo < self.ambient.hi:
-            raise ValueError(f"variable {self.name!r} needs strictly ordered ambient bounds")
+    def __init__(self, name: str, unit: str, ambient: Interval):
+        if not ambient.lo < ambient.hi:
+            raise ValueError(f"variable {name!r} needs strictly ordered ambient bounds")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "ambient", ambient)
 
 
-@dataclass(frozen=True)
-class ObjectiveConstraint:
+class ObjectiveConstraint(Frozen):
     """Upper bound on one objective: surface value <= bound."""
 
-    surface: str
-    bound: float
+    __slots__ = ("surface", "bound")
+
+    def __init__(self, surface: str, bound: float):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "bound", bound)
 
     def __str__(self) -> str:
         return f"{self.surface} <= {self.bound!r}"
 
 
-@dataclass(frozen=True)
-class DesignProblem:
+class DesignProblem(Frozen):
     """A full constraint-driven design problem.
 
     The seed must lie in the ambient box and satisfy every constraint
@@ -85,21 +87,25 @@ class DesignProblem:
     greedy solver anchors its expansion there.
     """
 
-    variables: tuple[DesignVariable, ...]
-    surfaces: tuple[QuadraticResponseSurface, ...]
-    constraints: tuple[ObjectiveConstraint, ...]
-    seed: tuple[float, ...]
-    ranking: tuple[int, ...] | None = None
-    tolerance: float = DEFAULT_TOLERANCE
-    name: str = "problem"
+    __slots__ = ("variables", "surfaces", "constraints", "seed", "ranking", "tolerance", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "seed", tuple(float(v) for v in self.seed))
-        if self.ranking is not None:
-            object.__setattr__(self, "ranking", tuple(int(i) for i in self.ranking))
+    def __init__(
+        self,
+        variables: tuple[DesignVariable, ...],
+        surfaces: tuple[QuadraticResponseSurface, ...],
+        constraints: tuple[ObjectiveConstraint, ...],
+        seed: tuple[float, ...],
+        ranking: tuple[int, ...] | None = None,
+        tolerance: float = DEFAULT_TOLERANCE,
+        name: str = "problem",
+    ):
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "surfaces", tuple(surfaces))
+        object.__setattr__(self, "constraints", tuple(constraints))
+        object.__setattr__(self, "seed", tuple(float(v) for v in seed))
+        object.__setattr__(self, "ranking", None if ranking is None else tuple(int(i) for i in ranking))
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "name", name)
 
         # the name is the stem of every file a solve or report writes
         if self.name in ("", ".", "..") or any(ch in self.name for ch in "/\\\0"):
@@ -161,11 +167,13 @@ class DesignProblem:
         return FeasibleRegion(self)
 
 
-@dataclass(frozen=True)
-class FeasibleRegion:
+class FeasibleRegion(Frozen):
     """Membership queries for the constraint-induced feasible region."""
 
-    problem: DesignProblem
+    __slots__ = ("problem",)
+
+    def __init__(self, problem: DesignProblem):
+        object.__setattr__(self, "problem", problem)
 
     def is_point_feasible(self, point: Sequence[float]) -> tuple[bool, tuple[float, ...]]:
         """Feasibility plus the per-constraint slack vector c - z(point).
@@ -275,7 +283,7 @@ _PROBLEM_KEYS = {"name", "variables", "surfaces", "constraints", "seed", "rankin
 
 def load_problem(text_or_doc) -> DesignProblem:
     """Build a validated problem from its JSON document (text or parsed dict)."""
-    doc = json.loads(text_or_doc) if isinstance(text_or_doc, (str, bytes)) else text_or_doc
+    doc = read_json(text_or_doc, "problem document")
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be a JSON object")
     unknown = set(doc) - _PROBLEM_KEYS

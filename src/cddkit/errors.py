@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON reader that raises them."""
+
+import json
 
 
 class CddError(Exception):
@@ -9,6 +11,24 @@ class CddError(Exception):
 
 class SchemaError(CddError, ValueError):
     """A JSON document does not match the expected schema."""
+
+
+def read_json(text_or_doc, where: str):
+    """``text_or_doc`` parsed as JSON if it is text (str or bytes), else as given.
+
+    The one place the toolkit parses a document.  Malformed text raises
+    ``SchemaError``, never the parser's own error: a decoding error, text
+    that is not UTF-8 and an integer literal past Python's digit limit
+    (all ``ValueError``), and nesting past the recursion limit.
+    """
+    if not isinstance(text_or_doc, (str, bytes)):
+        return text_or_doc
+    try:
+        return json.loads(text_or_doc)
+    except RecursionError:
+        raise SchemaError(f"{where}: JSON nested too deeply to read") from None
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 class UnknownSurfaceReference(SchemaError):

@@ -11,12 +11,11 @@ node.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import HigherOrderGraph, SchemaError
+from .._frozen import Frozen
+from ..errors import HigherOrderGraph, SchemaError, read_json
 from .structures import coerce_value
 from .syntax import RATIONAL_LITERAL, And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var
 
@@ -25,46 +24,44 @@ __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence"
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class ConceptNode:
-    id: str
-    type: str
-    referent: str | int | float | Fraction | None = None  # as read from JSON
+class ConceptNode(Frozen):
+    __slots__ = ("id", "type", "referent")
 
-    def __post_init__(self):
-        if not _IDENT.match(self.type):
-            raise SchemaError(f"concept type {self.type!r} is not an identifier")
-
-
-@dataclass(frozen=True)
-class RelationNode:
-    name: str
-    args: tuple[str, ...]  # concept node ids, ordered
-    id: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if not _IDENT.match(self.name):
-            raise SchemaError(f"relation name {self.name!r} is not an identifier")
-        if len(self.args) < 1:
-            raise SchemaError(f"relation {self.name!r} needs at least one argument")
+    # the referent as read from JSON
+    def __init__(self, id: str, type: str, referent: str | int | float | Fraction | None = None):
+        if not _IDENT.match(type):
+            raise SchemaError(f"concept type {type!r} is not an identifier")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "referent", referent)
 
 
-@dataclass(frozen=True)
-class ConceptualGraph:
-    concepts: tuple[ConceptNode, ...]
-    relations: tuple[RelationNode, ...] = ()
+class RelationNode(Frozen):
+    __slots__ = ("name", "args", "id")
 
-    def __post_init__(self):
-        object.__setattr__(self, "concepts", tuple(self.concepts))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if not self.concepts:
+    def __init__(self, name: str, args: tuple[str, ...], id: str | None = None):
+        args = tuple(args)  # concept node ids, ordered
+        if not _IDENT.match(name):
+            raise SchemaError(f"relation name {name!r} is not an identifier")
+        if len(args) < 1:
+            raise SchemaError(f"relation {name!r} needs at least one argument")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "id", id)
+
+
+class ConceptualGraph(Frozen):
+    __slots__ = ("concepts", "relations")
+
+    def __init__(self, concepts: tuple[ConceptNode, ...], relations: tuple[RelationNode, ...] = ()):
+        concepts, relations = tuple(concepts), tuple(relations)
+        if not concepts:
             raise SchemaError("a conceptual graph needs at least one concept")
-        concept_ids = [c.id for c in self.concepts]
+        concept_ids = [c.id for c in concepts]
         if len(set(concept_ids)) != len(concept_ids):
             raise SchemaError("concept ids must be unique")
-        relation_ids = {r.id for r in self.relations if r.id is not None}
-        for r in self.relations:
+        relation_ids = {r.id for r in relations if r.id is not None}
+        for r in relations:
             for arg in r.args:
                 if arg in relation_ids:
                     raise HigherOrderGraph(
@@ -73,6 +70,8 @@ class ConceptualGraph:
                     )
                 if arg not in concept_ids:
                     raise SchemaError(f"relation {r.name!r} references unknown node {arg!r}")
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "relations", relations)
 
 
 def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
@@ -139,7 +138,7 @@ def _entries(doc: dict, key: str) -> list[dict]:
 
 def load_graph(text_or_doc) -> ConceptualGraph:
     """Load ``{"concepts": [{"id","type","referent"?}], "relations": [...]}``."""
-    doc = json.loads(text_or_doc) if isinstance(text_or_doc, (str, bytes)) else text_or_doc
+    doc = read_json(text_or_doc, "graph document")
     if not isinstance(doc, dict) or "concepts" not in doc:
         raise SchemaError("graph document needs a 'concepts' array")
     concepts = []

@@ -16,9 +16,9 @@ decided by the signature, so parsing requires one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .._frozen import Frozen
 from ..errors import ArityMismatch, FreeVariable, ParseError, UnknownSymbol
 from .syntax import (
     RATIONAL_LITERAL,
@@ -55,11 +55,14 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "keyword", "number", "arrow", "(", ")", ",", ".", "=", "eof"
-    text: str
-    pos: int
+class _Token(Frozen):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        # kind: "ident", "keyword", "number", "arrow", "(", ")", ",", ".", "=", "eof"
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _lex(text: str) -> list[_Token]:

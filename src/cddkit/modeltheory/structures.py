@@ -12,13 +12,12 @@ sentences rather than decided vacuously.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
+from .._frozen import Frozen
 from ..errors import (
     ArityMismatch,
     CapExceeded,
@@ -28,6 +27,7 @@ from ..errors import (
     FreeVariable,
     SchemaError,
     UnknownSymbol,
+    read_json,
 )
 from .syntax import (
     RATIONAL_LITERAL,
@@ -94,8 +94,7 @@ def coerce_value(v) -> DomainValue:
     raise SchemaError(f"cannot use {v!r} as a domain value")
 
 
-@dataclass(frozen=True)
-class BuiltinFunction:
+class BuiltinFunction(Frozen):
     """Exact rational arithmetic in a tiny prefix form.
 
     ``body`` is a parameter name, a rational, or a nested list
@@ -103,8 +102,11 @@ class BuiltinFunction:
     magnitude bound raise instead of silently growing.
     """
 
-    params: tuple[str, ...]
-    body: object
+    __slots__ = ("params", "body")
+
+    def __init__(self, params: tuple[str, ...], body: object):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "body", body)
 
     @property
     def arity(self) -> int:
@@ -155,23 +157,25 @@ def _first_repeat(values):
     return next(v for v in values if v in seen or seen.add(v))
 
 
-@dataclass(frozen=True)
-class RelationalStructure:
+class RelationalStructure(Frozen):
     """A finite domain with relation extensions and total functions."""
 
-    domain: tuple[DomainValue, ...]
-    relations: Mapping[str, frozenset] = field(default_factory=dict)
-    functions: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ("domain", "relations", "functions")
 
-    def __post_init__(self):
-        domain = tuple(map(coerce_value, self.domain))
-        object.__setattr__(self, "domain", domain)
+    # the default mappings are only read: each structure holds new dicts
+    def __init__(
+        self,
+        domain: tuple[DomainValue, ...],
+        relations: Mapping[str, frozenset] = {},
+        functions: Mapping[str, object] = {},
+    ):
+        domain = tuple(map(coerce_value, domain))
         domain_set = set(domain)
         if len(domain_set) < len(domain):
             raise SchemaError(f"domain repeats the value {_first_repeat(domain)!r}")
 
-        relations = {}
-        for name, tuples in self.relations.items():
+        extensions = {}
+        for name, tuples in relations.items():
             normalized = frozenset(tuple(map(coerce_value, t)) for t in tuples)
             arities = {len(t) for t in normalized}
             if len(arities) > 1:
@@ -182,17 +186,16 @@ class RelationalStructure:
                 for v in t:
                     if v not in domain_set:
                         raise SchemaError(f"relation {name!r} tuple entry {v!r} outside the domain")
-            relations[name] = normalized
-        object.__setattr__(self, "relations", relations)
+            extensions[name] = normalized
 
-        functions = {}
-        for name, fn in self.functions.items():
+        tables = {}
+        for name, fn in functions.items():
             if isinstance(fn, BuiltinFunction):
                 if any(not isinstance(v, Fraction) for v in domain):
                     raise SchemaError(
                         f"builtin function {name!r} requires an all-rational domain"
                     )
-                functions[name] = fn
+                tables[name] = fn
                 continue
             if not isinstance(fn, dict):
                 raise SchemaError(f"function {name!r} must be a table or a builtin")
@@ -218,8 +221,10 @@ class RelationalStructure:
                         raise SchemaError(f"function {name!r} argument {v!r} outside the domain")
                 if value not in domain_set:
                     raise SchemaError(f"function {name!r} value {value!r} outside the domain")
-            functions[name] = table
-        object.__setattr__(self, "functions", functions)
+            tables[name] = table
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "relations", extensions)
+        object.__setattr__(self, "functions", tables)
 
     def relation_arity(self, name: str) -> int | None:
         rel = self.relations.get(name)
@@ -236,21 +241,23 @@ class RelationalStructure:
         return len(next(iter(fn))) if fn else 0
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Frozen):
     """Assignment of signature symbols to a structure's relations and functions."""
 
-    signature: Signature
-    predicate_map: Mapping[str, str]
-    function_map: Mapping[str, str]
+    __slots__ = ("signature", "predicate_map", "function_map")
 
-    def __post_init__(self):
-        for name, _ in self.signature.predicates:
-            if name not in self.predicate_map:
+    def __init__(
+        self, signature: Signature, predicate_map: Mapping[str, str], function_map: Mapping[str, str]
+    ):
+        for name, _ in signature.predicates:
+            if name not in predicate_map:
                 raise SchemaError(f"interpretation misses predicate symbol {name!r}")
-        for name, _ in self.signature.functions:
-            if name not in self.function_map:
+        for name, _ in signature.functions:
+            if name not in function_map:
                 raise SchemaError(f"interpretation misses function symbol {name!r}")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "predicate_map", predicate_map)
+        object.__setattr__(self, "function_map", function_map)
 
     @classmethod
     def identity(cls, sig: Signature) -> "Interpretation":
@@ -281,20 +288,20 @@ class Interpretation:
                 )
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Frozen):
     """A named, ordered list of sentences over one signature."""
 
-    name: str
-    signature: Signature
-    sentences: tuple[Formula, ...]
+    __slots__ = ("name", "signature", "sentences")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sentences", tuple(self.sentences))
-        for s in self.sentences:
-            check_well_formed(s, self.signature)
+    def __init__(self, name: str, signature: Signature, sentences: tuple[Formula, ...]):
+        sentences = tuple(sentences)
+        for s in sentences:
+            check_well_formed(s, signature)
             if free_variables(s):
-                raise FreeVariable(f"theory {self.name!r} contains a non-sentence")
+                raise FreeVariable(f"theory {name!r} contains a non-sentence")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "sentences", sentences)
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -709,7 +716,7 @@ def _model(domain, relations, functions) -> RelationalStructure:
     ``domain`` is a tuple of distinct domain values, ``relations`` maps each
     name to a frozenset of tuples over it, and ``functions`` maps each name
     to a total ``{args: value}`` table over it that no other structure
-    holds.  These are the fields ``RelationalStructure.__post_init__`` would
+    holds.  These are the fields ``RelationalStructure.__init__`` would
     make of them, so ``enumerate_models`` skips re-checking tables it built.
     """
     struct = object.__new__(RelationalStructure)
@@ -762,7 +769,7 @@ def _decode_function(name: str, doc) -> object:
 
 def load_structure(text_or_doc) -> tuple[Signature | None, RelationalStructure]:
     """Load ``{"signature"?, "domain", "relations"?, "functions"?}``."""
-    doc = json.loads(text_or_doc) if isinstance(text_or_doc, (str, bytes)) else text_or_doc
+    doc = read_json(text_or_doc, "structure document")
     if not isinstance(doc, dict) or "domain" not in doc:
         raise SchemaError("structure document needs a 'domain' array")
     sig = Signature.from_json(doc["signature"]) if "signature" in doc else None
@@ -791,7 +798,7 @@ def load_theory(text_or_doc, signature: Signature | None = None) -> Theory:
     parsed against the document's signature or the one supplied."""
     from .parser import parse_sentence
 
-    doc = json.loads(text_or_doc) if isinstance(text_or_doc, (str, bytes)) else text_or_doc
+    doc = read_json(text_or_doc, "theory document")
     if not isinstance(doc, dict) or "sentences" not in doc:
         raise SchemaError("theory document needs a 'sentences' array")
     texts = _json_array(doc["sentences"], "theory 'sentences'")

@@ -9,10 +9,10 @@ quantifiers.  A sentence is a formula with no free variables.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .._frozen import Frozen
 from ..errors import ArityMismatch, SchemaError, UnknownSymbol
 
 __all__ = [
@@ -44,20 +44,26 @@ __all__ = [
 # bodies and graph referents all use it
 RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Lit(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Apply:
-    func: str
-    args: tuple["Term", ...] = ()
+class Apply(Frozen):
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple[Term, ...] = ()):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
 
 
 Term = Union[Var, Lit, Apply]
@@ -65,51 +71,67 @@ Term = Union[Var, Lit, Apply]
 
 # --- formulas ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...]
+class Atom(Frozen):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...]):
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Frozen):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Formula):
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+class Forall(Frozen):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Frozen):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
 
 
 Formula = Union[Atom, Eq, Not, And, Or, Implies, Forall, Exists]
@@ -117,29 +139,31 @@ Formula = Union[Atom, Eq, Not, And, Or, Implies, Forall, Exists]
 
 # --- signatures ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Predicate and function symbols with fixed arities.
 
     Equality is built in and never declared.  Nullary function symbols
     are the language's constants.
     """
 
-    predicates: tuple[tuple[str, int], ...] = ()
-    functions: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("predicates", "functions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "predicates", tuple((str(n), int(a)) for n, a in self.predicates))
-        object.__setattr__(self, "functions", tuple((str(n), int(a)) for n, a in self.functions))
-        names = [n for n, _ in self.predicates] + [n for n, _ in self.functions]
+    def __init__(
+        self, predicates: tuple[tuple[str, int], ...] = (), functions: tuple[tuple[str, int], ...] = ()
+    ):
+        predicates = tuple((str(n), int(a)) for n, a in predicates)
+        functions = tuple((str(n), int(a)) for n, a in functions)
+        names = [n for n, _ in predicates] + [n for n, _ in functions]
         if len(set(names)) != len(names):
             raise SchemaError("symbol names must be unique across predicates and functions")
-        for n, a in self.predicates:
+        for n, a in predicates:
             if a < 1:
                 raise SchemaError(f"predicate {n!r} must have arity >= 1")
-        for n, a in self.functions:
+        for n, a in functions:
             if a < 0:
                 raise SchemaError(f"function {n!r} must have arity >= 0")
+        object.__setattr__(self, "predicates", predicates)
+        object.__setattr__(self, "functions", functions)
 
     def predicate_arity(self, name: str) -> int | None:
         for n, a in self.predicates:

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, sub
 from typing import Sequence
 
+from ._frozen import Frozen
 from .designspace import DesignProblem, FeasibleRegion, lattice_sum
 from .errors import (
     CapExceeded,
@@ -60,14 +60,13 @@ ORACLE_MAX_DIM = 3
 VOLUME_SEARCH_RESOLUTION = {1: ORACLE_MAX_RESOLUTION, 2: 41, 3: 21}
 
 
-@dataclass(frozen=True)
-class Orthotope:
+class Orthotope(Frozen):
     """Axis-aligned box: one closed interval per design variable."""
 
-    intervals: tuple[Interval, ...]
+    __slots__ = ("intervals",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+    def __init__(self, intervals: tuple[Interval, ...]):
+        object.__setattr__(self, "intervals", tuple(intervals))
 
     @property
     def dim(self) -> int:
@@ -93,35 +92,45 @@ class Orthotope:
         return cls(tuple(Interval(float(d["lo"]), float(d["hi"])) for d in doc))
 
 
-@dataclass(frozen=True)
-class ExpansionStep:
+class ExpansionStep(Frozen):
     """Audit record for one factor expansion."""
 
-    factor: int
-    before: Interval
-    after: Interval
-    binding_lo: str
-    binding_hi: str
+    __slots__ = ("factor", "before", "after", "binding_lo", "binding_hi")
+
+    def __init__(self, factor: int, before: Interval, after: Interval, binding_lo: str, binding_hi: str):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
+        object.__setattr__(self, "binding_lo", binding_lo)
+        object.__setattr__(self, "binding_hi", binding_hi)
 
 
-@dataclass(frozen=True)
-class FaceCheck:
-    """Outcome of pushing one face outward by the certification epsilon."""
+class FaceCheck(Frozen):
+    """Outcome of pushing one face outward by the certification epsilon.
 
-    axis: int
-    side: str  # "lo" or "hi"
-    blocked_by: str | None  # constraint surface name, "ambient", or None if the face is free
-    margin: float
+    ``side`` is "lo" or "hi"; ``blocked_by`` is a constraint surface name,
+    "ambient", or None if the face is free.
+    """
+
+    __slots__ = ("axis", "side", "blocked_by", "margin")
+
+    def __init__(self, axis: int, side: str, blocked_by: str | None, margin: float):
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "blocked_by", blocked_by)
+        object.__setattr__(self, "margin", margin)
 
     @property
     def blocked(self) -> bool:
         return self.blocked_by is not None
 
 
-@dataclass(frozen=True)
-class MaximalityCertificate:
-    faces: tuple[FaceCheck, ...]
-    epsilon: float
+class MaximalityCertificate(Frozen):
+    __slots__ = ("faces", "epsilon")
+
+    def __init__(self, faces: tuple[FaceCheck, ...], epsilon: float):
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def maximal(self) -> bool:
@@ -149,12 +158,20 @@ class MaximalityCertificate:
         return cls(faces=faces, epsilon=float(doc["epsilon"]))
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    orthotope: Orthotope
-    ranking: tuple[int, ...]
-    steps: tuple[ExpansionStep, ...]
-    certificate: MaximalityCertificate
+class SolveResult(Frozen):
+    __slots__ = ("orthotope", "ranking", "steps", "certificate")
+
+    def __init__(
+        self,
+        orthotope: Orthotope,
+        ranking: tuple[int, ...],
+        steps: tuple[ExpansionStep, ...],
+        certificate: MaximalityCertificate,
+    ):
+        object.__setattr__(self, "orthotope", orthotope)
+        object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         return {
@@ -571,22 +588,30 @@ def _face_slacks(
 
 # --- brute-force grid oracle -------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleResult:
-    greedy_box: Orthotope
-    volume_box: Orthotope | None
-    resolution: int
-    ranking: tuple[int, ...]
+class OracleResult(Frozen):
+    __slots__ = ("greedy_box", "volume_box", "resolution", "ranking")
+
+    def __init__(
+        self, greedy_box: Orthotope, volume_box: Orthotope | None, resolution: int, ranking: tuple[int, ...]
+    ):
+        object.__setattr__(self, "greedy_box", greedy_box)
+        object.__setattr__(self, "volume_box", volume_box)
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "ranking", ranking)
 
 
-@dataclass(frozen=True)
-class StepCheck:
-    factor: int
-    grid_lo: float
-    grid_hi: float
-    stored_lo: float
-    stored_hi: float
-    tolerance: float
+class StepCheck(Frozen):
+    __slots__ = ("factor", "grid_lo", "grid_hi", "stored_lo", "stored_hi", "tolerance")
+
+    def __init__(
+        self, factor: int, grid_lo: float, grid_hi: float, stored_lo: float, stored_hi: float, tolerance: float
+    ):
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "grid_lo", grid_lo)
+        object.__setattr__(self, "grid_hi", grid_hi)
+        object.__setattr__(self, "stored_lo", stored_lo)
+        object.__setattr__(self, "stored_hi", stored_hi)
+        object.__setattr__(self, "tolerance", tolerance)
 
     @property
     def ok(self) -> bool:

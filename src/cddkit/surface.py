@@ -13,26 +13,26 @@ results are summed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._frozen import Frozen
 from .errors import DimensionMismatch, SchemaError
 
 __all__ = ["Interval", "QuadraticResponseSurface"]
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Closed interval [lo, hi]; lo == hi is allowed and means a point."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
+    def __init__(self, lo: float, hi: float):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> float:
@@ -49,27 +49,27 @@ class Interval:
         yield self.hi
 
 
-@dataclass(frozen=True)
-class QuadraticResponseSurface:
+class QuadraticResponseSurface(Frozen):
     """One design objective as a pure-quadratic function of the design point."""
 
-    name: str
-    unit: str
-    beta0: float
-    linear: tuple[float, ...]
-    quadratic: tuple[float, ...]
+    __slots__ = ("name", "unit", "beta0", "linear", "quadratic")
 
-    def __post_init__(self):
-        object.__setattr__(self, "linear", tuple(float(v) for v in self.linear))
-        object.__setattr__(self, "quadratic", tuple(float(v) for v in self.quadratic))
-        if len(self.linear) != len(self.quadratic):
+    def __init__(
+        self, name: str, unit: str, beta0: float, linear: tuple[float, ...], quadratic: tuple[float, ...]
+    ):
+        linear = tuple(float(v) for v in linear)
+        quadratic = tuple(float(v) for v in quadratic)
+        if len(linear) != len(quadratic):
             raise DimensionMismatch(
-                f"surface {self.name!r}: {len(self.linear)} linear vs "
-                f"{len(self.quadratic)} quadratic coefficients"
+                f"surface {name!r}: {len(linear)} linear vs {len(quadratic)} quadratic coefficients"
             )
-        values = (self.beta0, *self.linear, *self.quadratic)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"surface {self.name!r} has non-finite coefficients")
+        if not all(math.isfinite(v) for v in (beta0, *linear, *quadratic)):
+            raise ValueError(f"surface {name!r} has non-finite coefficients")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "quadratic", quadratic)
 
     @property
     def dim(self) -> int:

@@ -1,10 +1,21 @@
 import random
+import sys
 
 import pytest
 
 from cddkit import data_path, load_problem
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
 from cddkit.surface import Interval, QuadraticResponseSurface
+
+
+# text that no loader can parse, by what is wrong with it
+MALFORMED_JSON = {
+    "nested-too-deep": "[" * 100_000 + "]" * 100_000,
+    "truncated": "{",
+    "not-utf8": b'{"name": "\xff"}',
+}
+if hasattr(sys, "get_int_max_str_digits"):  # Python 3.11 and later
+    MALFORMED_JSON["int-past-digit-limit"] = "9" * 5000
 
 
 def load_bundled(name: str) -> DesignProblem:
@@ -24,6 +35,15 @@ def adas():
 @pytest.fixture
 def adas_tall():
     return load_bundled("adas_tall.json")
+
+
+def replace(obj, **changes):
+    """A copy of a value object with ``changes`` applied, built through its constructor.
+
+    The other fields keep their values, read from the class's ``__slots__``.
+    """
+    fields = {name: getattr(obj, name) for name in obj.__slots__}
+    return type(obj)(**{**fields, **changes})
 
 
 def random_surface(

@@ -18,7 +18,7 @@ from cddkit.errors import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import numpy_lattice_sum, random_problem
+from conftest import MALFORMED_JSON, numpy_lattice_sum, random_problem
 
 
 def test_bundled_adas_loads(adas):
@@ -65,6 +65,12 @@ def test_schema_violations():
     bad["ranking"] = [0, 0]
     with pytest.raises(SchemaError):
         load_problem(bad)
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_load_problem_refuses_malformed_text(text):
+    with pytest.raises(SchemaError, match="^problem document: "):
+        load_problem(text)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,8 @@ from cddkit.modeltheory import (
     to_text,
 )
 
+from conftest import MALFORMED_JSON
+
 
 def flatten_conjuncts(formula):
     while isinstance(formula, Exists):
@@ -109,6 +111,12 @@ def test_higher_order_reference_rejected():
                 RelationNode("Includes", ("r1", "a")),
             ),
         )
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_load_graph_refuses_malformed_text(text):
+    with pytest.raises(SchemaError, match="^graph document: "):
+        load_graph(text)
 
 
 def test_relation_needs_arguments():

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -41,7 +40,7 @@ from cddkit.orthotope import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import numpy_lattice_sum, random_problem
+from conftest import numpy_lattice_sum, random_problem, replace
 
 
 def one_dim_problem(beta0=0.0, linear=0.0, quadratic=1.0, bound=4.0, ambient=(-10.0, 10.0), seed=0.0):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -28,7 +27,7 @@ from cddkit.rosetta import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import load_bundled, problem_document, random_problem
+from conftest import load_bundled, problem_document, random_problem, replace
 
 
 def test_q_matrix_is_exact_sensitivities(emissions):
@@ -162,7 +161,7 @@ def test_n_cell_verdicts_on_exact_ties():
         if not bound - surface.evaluate(problem.seed) >= problem.tolerance:
             continue
         ties += 1
-        problem = dataclasses.replace(problem, constraints=(ObjectiveConstraint(surface.name, bound),))
+        problem = replace(problem, constraints=(ObjectiveConstraint(surface.name, bound),))
         _assert_n_cells_equal_is_box_feasible(problem, None)
 
 
@@ -521,13 +520,13 @@ def _emit_cases():
                 problem = random_problem(rng, dim=n, count=m, scale=scale, offset=offset)
                 if m == 3:
                     # the last objective is reported but not constrained
-                    problem = dataclasses.replace(problem, constraints=problem.constraints[:2])
+                    problem = replace(problem, constraints=problem.constraints[:2])
                 yield f"n{n}-m{m}-scale{scale:g}-offset{offset:g}", problem
     base = random_problem(rng, dim=3, count=3)
     variables = tuple(
         DesignVariable(name, v.unit, v.ambient) for name, v in zip(_QUOTED_VARIABLES, base.variables)
     )
-    surfaces = tuple(dataclasses.replace(s, name=name) for name, s in zip(_QUOTED_SURFACES, base.surfaces))
+    surfaces = tuple(replace(s, name=name) for name, s in zip(_QUOTED_SURFACES, base.surfaces))
     constraints = tuple(
         ObjectiveConstraint(name, c.bound) for name, c in zip(_QUOTED_SURFACES, base.constraints)
     )
@@ -548,9 +547,9 @@ def test_emit_keeps_signed_zeros_and_tiny_values_apart(emissions, tmp_path):
     report = build_report(emissions, resolution=4)
     size = len(report.m_cells[0].z_a)
     odd = tuple(np.resize([0.0, -0.0, 5e-324, -5e-324, 0.1, 1e300, 2.0 ** -1074 * 3], size).tolist())
-    m_cell = dataclasses.replace(report.m_cells[0], z_a=odd)
-    n_cell = dataclasses.replace(report.n_cells[0], x_b=tuple(-x for x in report.n_cells[0].x_b))
-    report = dataclasses.replace(
+    m_cell = replace(report.m_cells[0], z_a=odd)
+    n_cell = replace(report.n_cells[0], x_b=tuple(-x for x in report.n_cells[0].x_b))
+    report = replace(
         report, m_cells=(m_cell, *report.m_cells[1:]), n_cells=(n_cell, *report.n_cells[1:])
     )
     _assert_emits_reference(report, tmp_path)
@@ -574,7 +573,7 @@ def test_svg_text_is_xml_escaped(tmp_path):
     names = ("CO2&more", "NOx<x>")
     problem = DesignProblem(
         variables=(DesignVariable("speed<rpm>", "", base.variables[0].ambient), base.variables[1]),
-        surfaces=tuple(dataclasses.replace(s, name=name) for name, s in zip(names, base.surfaces)),
+        surfaces=tuple(replace(s, name=name) for name, s in zip(names, base.surfaces)),
         constraints=tuple(ObjectiveConstraint(name, c.bound) for name, c in zip(names, base.constraints)),
         seed=base.seed,
         name="R&D<x>",
@@ -595,9 +594,9 @@ def test_svg_text_is_xml_escaped(tmp_path):
 def test_infinite_bound_draws_no_line(tmp_path):
     adas = load_bundled("adas.json")
     constraints = tuple(
-        dataclasses.replace(c, bound=float("inf")) if c.surface == "CO2" else c for c in adas.constraints
+        replace(c, bound=float("inf")) if c.surface == "CO2" else c for c in adas.constraints
     )
-    problem = dataclasses.replace(adas, constraints=constraints, name="infbound")
+    problem = replace(adas, constraints=constraints, name="infbound")
     report = build_report(problem, solve_greedy(problem), resolution=9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

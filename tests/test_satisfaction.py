@@ -29,6 +29,7 @@ from cddkit.modeltheory import (
 )
 from cddkit.modeltheory.structures import coerce_value
 
+from conftest import MALFORMED_JSON
 from test_evaluator import MIXED_SIGNATURES, _candidates
 
 
@@ -330,6 +331,18 @@ def test_fraction_domains_from_json():
         '{"domain": [1, "1/2", 0.25], "relations": {}, "functions": {}}'
     )
     assert struct.domain == (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_load_structure_refuses_malformed_text(text):
+    with pytest.raises(SchemaError, match="^structure document: "):
+        load_structure(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON)
+def test_load_theory_refuses_malformed_text(text):
+    with pytest.raises(SchemaError, match="^theory document: "):
+        load_theory(text, signature=Signature(predicates=(("P", 1),)))
 
 
 @pytest.mark.parametrize(
