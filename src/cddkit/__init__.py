@@ -9,7 +9,6 @@ formal substrate for turning requirement sentences into constraints.
 """
 
 from importlib import import_module
-from importlib.resources import files
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -42,7 +41,7 @@ _EXPORTS = {
 
 def data_path(name: str) -> Path:
     """Path of a bundled data file, e.g. data_path('emissions.json')."""
-    return Path(str(files("cddkit").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name
 
 
 def __getattr__(name: str):
