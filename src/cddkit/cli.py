@@ -230,17 +230,12 @@ def cmd_rosetta(args) -> int:
 
 
 def cmd_logic(args) -> int:
-    from .modeltheory import (
-        Interpretation,
-        check_theory,
-        graph_to_sentence,
-        load_graph,
-        load_structure,
-        load_theory,
-        to_text,
-    )
+    # each form imports only its own modules: a graph needs neither the structures nor the parser
+    from .modeltheory import to_text
 
     if args.graph:
+        from .modeltheory import graph_to_sentence, load_graph
+
         graph = load_graph(_read_document(args.graph))
         sig, sentence = graph_to_sentence(graph)
         if args.json:
@@ -251,6 +246,8 @@ def cmd_logic(args) -> int:
     if not (args.theory and args.structure):
         print("logic needs --theory and --structure, or --graph", file=sys.stderr)
         return EXIT_VALIDATION
+    from .modeltheory import Interpretation, check_theory, load_structure, load_theory
+
     sig, struct = load_structure(_read_document(args.structure))
     theory = load_theory(_read_document(args.theory), signature=sig)
     verdicts = check_theory(theory, struct, Interpretation.identity(theory.signature))

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .._frozen import Frozen
 from ..errors import HigherOrderGraph, SchemaError, read_json
-from .structures import coerce_value
-from .syntax import RATIONAL_LITERAL, And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var
+from .syntax import RATIONAL_LITERAL, And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var, coerce_value
 
 __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence", "load_graph"]
 

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .._frozen import Frozen
 from ..errors import (
@@ -34,6 +34,7 @@ from .syntax import (
     And,
     Apply,
     Atom,
+    DomainValue,
     Eq,
     Exists,
     Forall,
@@ -45,12 +46,12 @@ from .syntax import (
     Signature,
     Var,
     check_well_formed,
+    coerce_value,
     free_variables,
     has_quantifier,
 )
 
 __all__ = [
-    "DomainValue",
     "BuiltinFunction",
     "RelationalStructure",
     "Interpretation",
@@ -63,35 +64,11 @@ __all__ = [
     "load_theory",
 ]
 
-DomainValue = Union[Fraction, str]
-
 DEFAULT_MAGNITUDE_BOUND = 10**100
 ENUMERATION_DOMAIN_CAP = 4
 ENUMERATION_COUNT_CAP = 2**20
 
 _ARITH_OPS = ("+", "-", "*")
-
-
-def coerce_value(v) -> DomainValue:
-    """JSON value to a domain value: numbers and numeric strings become
-    exact rationals, everything else stays an opaque token."""
-    # the JSON kinds first: a Fraction test of any other value goes through
-    # ABCMeta.__instancecheck__, and only Python callers pass a Fraction
-    if isinstance(v, str):
-        if RATIONAL_LITERAL.fullmatch(v):
-            return Fraction(v)
-        return v
-    if isinstance(v, bool):
-        raise SchemaError("booleans are not domain values")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise SchemaError(f"{v!r} is not a domain value: numbers must be finite")
-        return Fraction(str(v))
-    if isinstance(v, Fraction):
-        return v
-    raise SchemaError(f"cannot use {v!r} as a domain value")
 
 
 class BuiltinFunction(Frozen):

@@ -8,6 +8,7 @@ quantifiers.  A sentence is a formula with no free variables.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
@@ -16,6 +17,8 @@ from .._frozen import Frozen
 from ..errors import ArityMismatch, SchemaError, UnknownSymbol
 
 __all__ = [
+    "DomainValue",
+    "coerce_value",
     "Var",
     "Lit",
     "Apply",
@@ -43,6 +46,31 @@ __all__ = [
 # the one spelling of a rational literal: sentences, domain values, function
 # bodies and graph referents all use it
 RATIONAL_LITERAL = re.compile(r"-?\d+(?:/\d+|\.\d+)?")
+
+DomainValue = Union[Fraction, str]
+
+
+def coerce_value(v) -> DomainValue:
+    """JSON value to a domain value: numbers and numeric strings become
+    exact rationals, everything else stays an opaque token."""
+    # the JSON kinds first: a Fraction test of any other value goes through
+    # ABCMeta.__instancecheck__, and only Python callers pass a Fraction
+    if isinstance(v, str):
+        if RATIONAL_LITERAL.fullmatch(v):
+            return Fraction(v)
+        return v
+    if isinstance(v, bool):
+        raise SchemaError("booleans are not domain values")
+    if isinstance(v, int):
+        return Fraction(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise SchemaError(f"{v!r} is not a domain value: numbers must be finite")
+        return Fraction(str(v))
+    if isinstance(v, Fraction):
+        return v
+    raise SchemaError(f"cannot use {v!r} as a domain value")
+
 
 class Var(Frozen):
     __slots__ = ("name",)

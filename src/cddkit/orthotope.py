@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     SeedNotContained,
 )
-from .surface import Interval, QuadraticResponseSurface
+from .surface import Interval, extremum
 
 __all__ = [
     "Orthotope",
@@ -219,9 +219,11 @@ class SolveResult(Frozen):
 class _TermMax:
     """Maximum of every coordinate term over one box: per constraint, a row of N floats.
 
-    Each cell is ``term_extremum(k, interval, "max")[0]`` and every sum
-    runs left to right from ``beta0`` (never ``sum`` or ``fsum``), so the
-    slacks equal ``is_box_feasible``'s bit for bit.  Swapping one
+    Each cell is ``extremum(linear[k], quadratic[k], lo, hi)[0]``, the
+    value ``term_extremum(k, interval, "max")`` gives, and every sum runs
+    left to right from ``beta0`` (never ``sum`` or ``fsum``), so the
+    slacks equal ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds
+    the cells' magnitudes, which every roundoff bound sums.  Swapping one
     interval costs one column of M term evaluations.
     """
 
@@ -229,11 +231,15 @@ class _TermMax:
         problem.region().check_inside(box.intervals)
         self.box = box
         self.pairs = problem.constrained_pairs()
-        self.rows = [[s.term_extremum(k, iv, "max")[0] for k, iv in enumerate(box.intervals)]
+        los = [iv.lo for iv in box.intervals]
+        his = [iv.hi for iv in box.intervals]
+        self.rows = [[extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
                      for s, _ in self.pairs]
+        self.abs_rows = [list(map(abs, row)) for row in self.rows]
 
-    def column(self, j: int, interval: Interval) -> list[float]:
-        return [s.term_extremum(j, interval, "max")[0] for s, _ in self.pairs]
+    def column(self, j: int, lo: float, hi: float) -> list[float]:
+        """Cell j of every row, for interval j replaced by [lo, hi]."""
+        return [extremum(s.linear[j], s.quadratic[j], lo, hi)[0] for s, _ in self.pairs]
 
     def slack(self, i: int, j: int, c: float) -> float:
         """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""
@@ -246,8 +252,8 @@ class _TermMax:
 
     def swap(self, j: int, interval: Interval, column: list[float]) -> None:
         self.box = self.box.replaced(j, interval)
-        for row, value in zip(self.rows, column):
-            row[j] = value
+        for row, abs_row, value in zip(self.rows, self.abs_rows, column):
+            row[j], abs_row[j] = value, abs(value)
 
 
 # --- ranking --------------------------------------------------------------
@@ -259,12 +265,12 @@ def auto_rank(problem: DesignProblem) -> tuple[int, ...]:
     (width-weighting normalizes units); higher scores go first, ties
     break by ascending index.
     """
-    widths = problem.ambient_widths()
-    scores = []
-    for j in range(problem.dim):
-        # left to right, never ``sum``: its rounding depends on the Python version
-        total = reduce(add, (abs(s.sensitivity(j, problem.seed)) for s in problem.surfaces), 0.0)
-        scores.append(total * widths[j])
+    # per variable, |sensitivity| summed over the surfaces left to right from 0.0,
+    # never with ``sum``: its rounding depends on the Python version
+    totals = [0.0] * problem.dim
+    for s in problem.surfaces:
+        totals = [t + abs(l + 2.0 * q * x) for t, l, q, x in zip(totals, s.linear, s.quadratic, problem.seed)]
+    scores = [t * w for t, w in zip(totals, problem.ambient_widths())]
     return tuple(sorted(range(problem.dim), key=lambda j: (-scores[j], j)))
 
 
@@ -292,64 +298,61 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None
 
 
 def _admitted_interval(
-    s: QuadraticResponseSurface,
-    j: int,
+    l: float,
+    q: float,
+    seed_term: float,
     budget: float,
     accept: float,
     seed: float,
-    ambient: Interval,
-    floor: Interval,
+    ambient_lo: float,
+    ambient_hi: float,
+    floor_lo: float,
+    floor_hi: float,
 ) -> tuple[float, float]:
-    """Largest interval around the seed where the coordinate-j term of s is <= budget.
+    """Largest interval around the seed where the term ``l*x + q*x*x`` is <= budget.
 
-    ``accept`` (>= budget by the arithmetic noise allowance) decides
-    whether the seed itself counts as inside the solution set; this
-    keeps downhill growth alive when an earlier step has consumed the
-    budget exactly and roundoff puts the seed a hair past the boundary.
-    The result is clamped to the ambient bounds and floored at the
-    current (feasible) interval, so the caller can intersect results
-    across constraints without ever shrinking what it already has; the
-    floor contains the seed.
+    ``seed_term`` is the term's value at the seed.  ``accept`` (>= budget
+    by the arithmetic noise allowance) decides whether the seed itself
+    counts as inside the solution set; this keeps downhill growth alive
+    when an earlier step has consumed the budget exactly and roundoff
+    puts the seed a hair past the boundary.  The result is clamped to the
+    ambient bounds and floored at the current (feasible) interval
+    [floor_lo, floor_hi], so the caller can intersect results across
+    constraints without ever shrinking what it already has; the floor
+    contains the seed.
     """
-
-    def floored(lo: float, hi: float) -> tuple[float, float]:
-        return min(lo, floor.lo), max(hi, floor.hi)
-
-    l, q = s.linear[j], s.quadratic[j]
-    no_growth = floor.lo, floor.hi
-    seed_ok = s.term(j, seed) <= accept
-
     if abs(q) < COEFF_EPS and abs(l) < COEFF_EPS:
         # the coordinate has no effect on this constraint
-        return (ambient.lo, ambient.hi) if accept >= 0.0 else no_growth
+        return (ambient_lo, ambient_hi) if accept >= 0.0 else (floor_lo, floor_hi)
 
+    seed_ok = seed_term <= accept
     if abs(q) < COEFF_EPS:
         if not seed_ok:
-            return no_growth
+            return floor_lo, floor_hi
         x0 = budget / l
         if l > 0.0:
-            return floored(ambient.lo, min(ambient.hi, max(x0, seed)))
-        return floored(max(ambient.lo, min(x0, seed)), ambient.hi)
+            return min(ambient_lo, floor_lo), max(min(ambient_hi, max(x0, seed)), floor_hi)
+        return min(max(ambient_lo, min(x0, seed)), floor_lo), max(ambient_hi, floor_hi)
 
     roots = _quadratic_roots(q, l, -budget)
     if q > 0.0:
         # solution set is the interval between the roots (empty if none)
         if not seed_ok or roots is None:
-            return no_growth
+            return floor_lo, floor_hi
         r1, r2 = roots
-        return floored(max(ambient.lo, min(r1, seed)), min(ambient.hi, max(r2, seed)))
+        return min(max(ambient_lo, min(r1, seed)), floor_lo), max(min(ambient_hi, max(r2, seed)), floor_hi)
 
     # concave: solution set is everything outside the roots
     if roots is None:
         # vertex value is at or below the budget, the whole line qualifies
-        return ambient.lo, ambient.hi
+        return ambient_lo, ambient_hi
     if not seed_ok:
-        return no_growth
+        return floor_lo, floor_hi
     r1, r2 = roots
     # pick the ray nearest the seed
     if abs(seed - r1) <= abs(seed - r2):
-        return floored(ambient.lo, min(ambient.hi, max(r1, seed)))
-    return floored(max(ambient.lo, min(r2, seed)), ambient.hi)
+        return min(ambient_lo, floor_lo), max(min(ambient_hi, max(r1, seed)), floor_hi)
+    return min(max(ambient_lo, min(r2, seed)), floor_lo), max(ambient_hi, floor_hi)
 
 
 _FLOAT_EPS = 2.220446049250313e-16
@@ -358,34 +361,44 @@ _SUM_LIMIT = 2.0**1022
 
 
 def _budgets(problem: DesignProblem, table: _TermMax, j: int) -> list[tuple]:
-    """Per constraint: its surface, the budget left for coordinate j, and that budget's roundoff noise."""
+    """Per constraint: its name, coordinate j's coefficients and term at the seed,
+    the budget left for coordinate j, and that budget's roundoff noise."""
+    x = problem.seed[j]
+    spread = (2 * problem.dim + 3) * _FLOAT_EPS
     out = []
-    for (s, bound), row in zip(table.pairs, table.rows):
-        rest = reduce(sub, row[j + 1 :], reduce(sub, row[:j], bound - s.beta0))
-        magnitude = reduce(add, map(abs, row[:j]), abs(bound) + abs(s.beta0))
-        magnitude = reduce(add, map(abs, row[j + 1 :]), magnitude)
+    for (s, bound), row, abs_row in zip(table.pairs, table.rows, table.abs_rows):
+        # cell j is left out of both sums by setting it to +0.0 for the moment: subtracting
+        # +0.0, or adding it to a sum of magnitudes, leaves every partial sum as it is
+        cell, size = row[j], abs_row[j]
+        row[j] = abs_row[j] = 0.0
+        rest = reduce(sub, row, bound - s.beta0)
+        magnitude = reduce(add, abs_row, abs(bound) + abs(s.beta0))
+        row[j], abs_row[j] = cell, size
+        l, q = s.linear[j], s.quadratic[j]
         # pessimistic slack proportional to the budget's roundoff scale
-        out.append((s, rest, (2 * problem.dim + 3) * _FLOAT_EPS * magnitude))
+        out.append((s.name, l, q, l * x + q * x * x, rest, spread * magnitude))
     return out
 
 
 def _expand_once(
     problem: DesignProblem, box: Orthotope, j: int, bias: float, budgets: list
-) -> tuple[Interval, str, str]:
+) -> tuple[float, float, str, str]:
+    """The candidate interval [lo, hi] of factor j, and the constraint binding each end."""
     seed_j = problem.seed[j]
     ambient = problem.variables[j].ambient
     floor = box.intervals[j]
-
-    lo, hi = ambient.lo, ambient.hi
+    lo, hi = amb_lo, amb_hi = ambient.lo, ambient.hi
+    floor_lo, floor_hi = floor.lo, floor.hi
     binding_lo = binding_hi = "ambient"
-    for s, rest, noise in budgets:
-        tau = bias * noise
-        alo, ahi = _admitted_interval(s, j, rest - tau, rest + 4.0 * noise, seed_j, ambient, floor)
+    for name, l, q, seed_term, rest, noise in budgets:
+        alo, ahi = _admitted_interval(
+            l, q, seed_term, rest - bias * noise, rest + 4.0 * noise, seed_j, amb_lo, amb_hi, floor_lo, floor_hi
+        )
         if alo > lo:
-            lo, binding_lo = alo, s.name
+            lo, binding_lo = alo, name
         if ahi < hi:
-            hi, binding_hi = ahi, s.name
-    return Interval(lo, hi), binding_lo, binding_hi
+            hi, binding_hi = ahi, name
+    return lo, hi, binding_lo, binding_hi
 
 
 def _fits(table: _TermMax, j: int, column: list[float], budgets: list, spread: float) -> bool:
@@ -397,7 +410,7 @@ def _fits(table: _TermMax, j: int, column: list[float], budgets: list, spread: f
     or one whose sums could overflow, is summed left to right.
     """
     limit = spread * _SUM_LIMIT
-    for i, ((_, rest, noise), c) in enumerate(zip(budgets, column)):
+    for i, ((_, _, _, _, rest, noise), c) in enumerate(zip(budgets, column)):
         estimate = rest - c
         error = noise + spread * abs(c)
         if not (error < abs(estimate) and error < limit):
@@ -411,7 +424,7 @@ def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Se
     """``is_box_feasible`` of ``table.box`` with x_j fixed at x and x_k at y, for each (x, y) in xs × ys, row-major.
 
     Needs j < k.  The point's cells are ``term(j, x)`` and ``term(k, y)``,
-    which is what ``term_extremum`` gives for a point interval.  As in
+    which is what ``extremum`` gives for a point interval.  As in
     ``_fits``, constraint i's slack is estimated as ``(rest - tj) - tk``,
     with ``rest`` its budget without cells j and k.  That estimate rounds
     N + 1 times, as the left-to-right slack does, so the two are within
@@ -454,11 +467,12 @@ def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionSt
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
-        cand, blo, bhi = _expand_once(problem, box, j, bias, budgets)
-        column = table.column(j, cand)
+        lo, hi, blo, bhi = _expand_once(problem, box, j, bias, budgets)
+        column = table.column(j, lo, hi)
         if _fits(table, j, column, budgets, spread):
-            table.swap(j, cand, column)
-            return ExpansionStep(j, before, cand, blo, bhi)
+            after = Interval(lo, hi)
+            table.swap(j, after, column)
+            return ExpansionStep(j, before, after, blo, bhi)
     return ExpansionStep(j, before, before, "numerical", "numerical")
 
 
@@ -531,23 +545,21 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     if not all(sl >= 0.0 for sl in slacks):
         raise InfeasibleInput("maximality is only defined for feasible boxes")
     spread = (2 * problem.dim + 3) * _FLOAT_EPS
-    noises = [spread * reduce(add, map(abs, row), abs(bound) + abs(s.beta0))
-              for (s, bound), row in zip(table.pairs, table.rows)]
+    noises = [spread * reduce(add, abs_row, abs(bound) + abs(s.beta0))
+              for (s, bound), abs_row in zip(table.pairs, table.abs_rows)]
 
     faces = []
     for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
-        push = epsilon * var.ambient.width
-        for side in ("lo", "hi"):
-            if side == "lo":
-                room = interval.lo - var.ambient.lo
-                candidate = Interval(interval.lo - push, interval.hi)
-            else:
-                room = var.ambient.hi - interval.hi
-                candidate = Interval(interval.lo, interval.hi + push)
+        ambient, lo, hi = var.ambient, interval.lo, interval.hi
+        push = epsilon * ambient.width
+        for side, room, pushed_lo, pushed_hi in (
+            ("lo", lo - ambient.lo, lo - push, hi),
+            ("hi", ambient.hi - hi, lo, hi + push),
+        ):
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            pushed = _face_slacks(table, j, table.column(j, candidate), slacks, noises, spread)
+            pushed = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), slacks, noises, spread)
             if all(sl >= 0.0 for sl in pushed.values()):
                 faces.append(FaceCheck(j, side, None, margin=min(pushed.values(), default=math.inf)))
             else:
@@ -715,8 +727,8 @@ def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
     feasible = [True] * math.prod(len(pairs) for pairs in pair_lists)
     for s, bound in problem.constrained_pairs():
         tables = [
-            [s.term_extremum(j, Interval(grid[a], grid[b]), "max")[0] for a, b in pairs]
-            for j, (grid, pairs) in enumerate(zip(axes, pair_lists))
+            [extremum(l, q, grid[a], grid[b])[0] for a, b in pairs]
+            for l, q, grid, pairs in zip(s.linear, s.quadratic, axes, pair_lists)
         ]
         feasible = [ok and z <= bound for ok, z in zip(feasible, lattice_sum(s.beta0, tables))]
 

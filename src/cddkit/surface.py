@@ -18,7 +18,30 @@ from typing import Iterator, Sequence
 from ._frozen import Frozen
 from .errors import DimensionMismatch, SchemaError
 
-__all__ = ["Interval", "QuadraticResponseSurface"]
+__all__ = ["Interval", "QuadraticResponseSurface", "extremum"]
+
+
+def extremum(l: float, q: float, lo: float, hi: float, sign: float = 1.0) -> tuple[float, float]:
+    """Exact extremum of the term ``l*x + q*x*x`` over [lo, hi], and where it is attained.
+
+    ``sign`` 1.0 gives the maximum and -1.0 the minimum; 0.0 gives the
+    value at ``lo``.  Candidates are the two endpoints plus the vertex
+    when it falls strictly inside.  Ties prefer the lower coordinate.
+    Every surface extremum, and every cell of the solver's term-max
+    table, is this function.  Returns (value, x).
+    """
+    best_v, best_x = l * lo + q * lo * lo, lo
+    if q != 0.0:
+        x = -l / (2.0 * q)
+        if lo < x < hi:
+            v = l * x + q * x * x
+            if sign * v > sign * best_v:
+                best_v, best_x = v, x
+    if hi != lo:
+        v = l * hi + q * hi * hi
+        if sign * v > sign * best_v:
+            best_v, best_x = v, hi
+    return best_v, best_x
 
 
 class Interval(Frozen):
@@ -84,27 +107,14 @@ class QuadraticResponseSurface(Frozen):
         return self.linear[j] * x + self.quadratic[j] * x * x
 
     def term_extremum(self, j: int, interval: Interval, mode: str = "max") -> tuple[float, float]:
-        """Exact extremum of the coordinate-j term over an interval.
+        """Exact extremum of the coordinate-j term over an interval: ``extremum`` of its coefficients.
 
-        Candidates are the two endpoints plus the vertex when it falls
-        inside.  Ties prefer the lower coordinate.  Returns (value, x).
+        ``mode`` is "max" or "min"; any other mode returns the value at
+        ``interval.lo``.  Returns (value, x).
         """
-        l, q = self.linear[j], self.quadratic[j]
-        lo, hi = interval.lo, interval.hi
-        best_v, best_x = l * lo + q * lo * lo, lo
         # the mode as a sign: -v > -w is exactly v < w, and any other mode never moves off lo
         sign = 1.0 if mode == "max" else -1.0 if mode == "min" else 0.0
-        if q != 0.0:
-            x = -l / (2.0 * q)
-            if lo < x < hi:
-                v = l * x + q * x * x
-                if sign * v > sign * best_v:
-                    best_v, best_x = v, x
-        if hi != lo:
-            v = l * hi + q * hi * hi
-            if sign * v > sign * best_v:
-                best_v, best_x = v, hi
-        return best_v, best_x
+        return extremum(self.linear[j], self.quadratic[j], interval.lo, interval.hi, sign)
 
     def evaluate(self, point: Sequence[float]) -> float:
         self._check_dim(len(point))
@@ -128,10 +138,11 @@ class QuadraticResponseSurface(Frozen):
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
         self._check_dim(len(box))
+        sign = 1.0 if mode == "max" else -1.0
         total = self.beta0
         point = []
-        for j, interval in enumerate(box):
-            value, x = self.term_extremum(j, interval, mode)
+        for l, q, interval in zip(self.linear, self.quadratic, box):
+            value, x = extremum(l, q, interval.lo, interval.hi, sign)
             total += value
             point.append(x)
         return total, tuple(point)

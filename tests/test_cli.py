@@ -429,6 +429,17 @@ def test_solve_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
     assert "epsilon" in err
 
 
+def test_solve_epsilon_whose_push_overflows_blocks_every_face_at_ambient(tmp_path, capsys):
+    # epsilon * width is past every float, so each push overshoots the room left to the ambient bound
+    code, out, _ = run_cli(
+        "solve", problem_path("adas.json"), "--out", str(tmp_path), "--epsilon", "1e308", "--json",
+        capsys=capsys,
+    )
+    assert code == 0
+    faces = json.loads(out)["certificate"]["faces"]
+    assert [f["blocked_by"] for f in faces] == ["ambient"] * 4
+
+
 def _break_missing_steps(doc):
     del doc["steps"]
     return doc

@@ -1,5 +1,6 @@
 """Each command loads only the layers it runs, and none loads numpy,
-``dataclasses`` or ``inspect``.
+``dataclasses`` or ``inspect``; each form of ``cdd logic`` loads only its
+own ``modeltheory`` modules.
 
 The checks run in fresh interpreters, because this test process has
 long since imported everything.
@@ -48,6 +49,9 @@ def _modules_after(argv):
 
 NUMERIC_ONLY = {"numpy", "cddkit.rosetta", "cddkit.modeltheory"}
 LOGIC_ONLY = {"numpy", "cddkit.orthotope", "cddkit.designspace", "cddkit.rosetta"}
+# a conceptual graph needs only the syntax; a theory check needs no graph
+GRAPH_ONLY = LOGIC_ONLY | {"cddkit.modeltheory.structures", "cddkit.modeltheory.parser"}
+THEORY_ONLY = LOGIC_ONLY | {"cddkit.modeltheory.graphs"}
 # standard modules whose import costs a command more than the work it would do
 HEAVY = {"dataclasses", "inspect"}
 
@@ -68,14 +72,14 @@ def heavy():
     [
         (["evaluate", str(data_path("emissions.json")), "--point", "0,0,0"], NUMERIC_ONLY),
         (["quantify", str(data_path("adas.json")), "CO2 <= 30"], NUMERIC_ONLY),
-        (["logic", "--graph", str(data_path("logic/cdd_graph.json"))], LOGIC_ONLY),
+        (["logic", "--graph", str(data_path("logic/cdd_graph.json"))], GRAPH_ONLY),
         (
             [
                 "logic",
                 "--theory", str(data_path("logic/orthogonality_theory.json")),
                 "--structure", str(data_path("logic/triangle_345.json")),
             ],
-            LOGIC_ONLY,
+            THEORY_ONLY,
         ),
     ],
     ids=["evaluate", "quantify", "logic-graph", "logic-theory"],

@@ -5,7 +5,7 @@ import pytest
 
 from cddkit import data_path
 from cddkit.errors import DimensionMismatch
-from cddkit.surface import Interval, QuadraticResponseSurface
+from cddkit.surface import Interval, QuadraticResponseSurface, extremum
 
 from conftest import random_surface
 
@@ -194,7 +194,8 @@ def reference_term_extremum(self, j, interval, mode="max"):
 
 
 def _term_cases():
-    """(linear, quadratic, lo, hi) covering degenerate terms, point intervals, vertices on endpoints and signed zeros."""
+    """(linear, quadratic, lo, hi) covering degenerate terms, point intervals, vertices on endpoints,
+    signed zeros, terms that overflow and subnormal coefficients."""
     rng = random.Random(4242)
     cases = [
         (l, q, lo, hi)
@@ -217,6 +218,14 @@ def _term_cases():
                     vertex = -l / (2.0 * q)
                     cases.append((l, q, vertex, max(vertex, hi)))
                     cases.append((l, q, min(lo, vertex), vertex))
+    # q*x*x or l*x overflows to inf, their sum to inf - inf = NaN, 2*q overflows (the
+    # vertex at a signed zero) and -l/(2*q) overflows; subnormal l, q, 2*q and terms
+    cases += [
+        (l, q, lo, hi)
+        for l in (0.0, 5e-324, -1e-310, 1.0, 1e300, -1e300, 1.7e308)
+        for q in (5e-324, -2.5e-323, 1e-310, -1.0, 1e300, -1e300, 1.7e308, -1.7e308)
+        for lo, hi in ((-1e10, 1e10), (-1.0, 1.0), (0.0, 1e155), (-1e200, -1e100), (1e-300, 2e-300), (-5e-324, 5e-324))
+    ]
     return cases
 
 
@@ -228,3 +237,7 @@ def test_term_extremum_matches_candidate_list_implementation():
             value, x = s.term_extremum(0, interval, mode)
             ref_value, ref_x = reference_term_extremum(s, 0, interval, mode)
             assert (value.hex(), x.hex()) == (ref_value.hex(), ref_x.hex()), (l, q, lo, hi, mode)
+        # the solver's call: the shared function with its default sign, the maximum
+        value, x = extremum(l, q, lo, hi)
+        ref_value, ref_x = reference_term_extremum(s, 0, interval, "max")
+        assert (value.hex(), x.hex()) == (ref_value.hex(), ref_x.hex()), (l, q, lo, hi)
