@@ -4,11 +4,12 @@ Objective constraints (z <= c) are pushed through the surfaces into a
 feasible region of the design space; the solver grows certified-maximal
 axis-aligned boxes from a seed point, and the ROSETTA layer reports the
 objective, variable, and sensitivity pairings.  A small model-theory
-kernel (parsing, Tarski satisfaction, conceptual graphs) provides the
-formal substrate for turning requirement sentences into constraints.
+kernel (parsing, Tarski satisfaction, conceptual graphs) stands beside
+them; requirement sentences ("CO2 <= 30") become constraints through a
+pattern match in ``designspace``, not through the kernel.
 """
 
-from importlib import import_module
+import sys
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -47,7 +48,11 @@ def data_path(name: str) -> Path:
 def __getattr__(name: str):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_EXPORTS[name]}", __name__)
+    qualified = f"{__name__}.{_EXPORTS[name]}"
+    # through the import statement's machinery, which ``-X importtime`` logs;
+    # ``importlib.import_module`` would load the submodule without a line
+    __import__(qualified)
+    module = sys.modules[qualified]
     value = module if name == _EXPORTS[name] else getattr(module, name)
     globals()[name] = value
     return value

@@ -216,6 +216,11 @@ class SolveResult(Frozen):
 
 # --- term-max table ----------------------------------------------------------
 
+_FLOAT_EPS = 2.220446049250313e-16
+# while the magnitudes of a sum stay below this, no left-to-right partial sum can overflow
+_SUM_LIMIT = 2.0**1022
+
+
 class _TermMax:
     """Maximum of every coordinate term over one box: per constraint, a row of N floats.
 
@@ -225,6 +230,11 @@ class _TermMax:
     slacks equal ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds
     the cells' magnitudes, which every roundoff bound sums.  Swapping one
     interval costs one column of M term evaluations.
+
+    It also holds the one float filter of expansion tries, face pushes and
+    ROSETTA slice points (README, "Verification notes"): ``budgets`` and
+    ``charge`` give each slack estimate and its error bound, ``fits`` the
+    sign test, and ``slack`` the one left-to-right sum they fall back to.
     """
 
     def __init__(self, problem: DesignProblem, box: Orthotope):
@@ -236,24 +246,75 @@ class _TermMax:
         self.rows = [[extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
                      for s, _ in self.pairs]
         self.abs_rows = [list(map(abs, row)) for row in self.rows]
+        # a slack estimate's error bound per unit of the magnitudes it sums
+        self.spread = (2 * len(los) + 3) * _FLOAT_EPS
+        self.limit = self.spread * _SUM_LIMIT
 
     def column(self, j: int, lo: float, hi: float) -> list[float]:
         """Cell j of every row, for interval j replaced by [lo, hi]."""
         return [extremum(s.linear[j], s.quadratic[j], lo, hi)[0] for s, _ in self.pairs]
 
+    def write(self, j: int, column: Sequence[float]) -> None:
+        """Set cell j of every row, and its magnitude, to ``column``'s value."""
+        for row, abs_row, value in zip(self.rows, self.abs_rows, column):
+            row[j], abs_row[j] = value, abs(value)
+
+    def swap(self, j: int, interval: Interval, column: list[float]) -> None:
+        self.box = self.box.replaced(j, interval)
+        self.write(j, column)
+
+    def budgets(self, j: int | None = None) -> tuple[list[float], list[float]]:
+        """Per constraint, the budget ``((bound - beta0) - t0) - ...`` without cell j, and its noise,
+        ``spread`` times the magnitudes it sums; with j None, no budgets and the whole rows' noise.
+
+        Cell j is set to +0.0 for the moment: subtracting +0.0, or adding
+        it to a sum of magnitudes, leaves every partial sum as it is.
+        """
+        spread, rests, noises = self.spread, [], []
+        for (s, bound), row, abs_row in zip(self.pairs, self.rows, self.abs_rows):
+            if j is not None:
+                cell, size = row[j], abs_row[j]
+                row[j] = abs_row[j] = 0.0
+                rests.append(reduce(sub, row, bound - s.beta0))
+            noises.append(spread * reduce(add, abs_row, abs(bound) + abs(s.beta0)))
+            if j is not None:
+                row[j], abs_row[j] = cell, size
+        return rests, noises
+
+    def charge(self, budgets: Sequence[tuple], column: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Budgets (tuples ending in ``rest, noise``) charged with a column: lists of ``rest - c`` and
+        ``noise + spread * |c|``.
+
+        Charged with every cell it left out, a budget is a slack estimate
+        and its error bound; a bound that reaches ``limit``, where a
+        partial sum could overflow, is set to inf.
+        """
+        spread, limit, estimates, errors = self.spread, self.limit, [], []
+        for budget, c in zip(budgets, column):
+            error = budget[-1] + spread * abs(c)
+            estimates.append(budget[-2] - c)
+            errors.append(error if error < limit else math.inf)
+        return estimates, errors
+
+    def fits(self, j: int, column: Sequence[float], budgets: Sequence[tuple]) -> bool:
+        """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from
+        budgets without cell j; a slack is summed only where its error bound leaves the sign open."""
+        for i, (estimate, error) in enumerate(zip(*self.charge(budgets, column))):
+            if not error < abs(estimate):
+                estimate = self.slack(i, j, column[i])
+            if not estimate >= 0.0:
+                return False
+        return True
+
     def slack(self, i: int, j: int, c: float) -> float:
         """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""
-        (s, bound), row = self.pairs[i], self.rows[i]
-        return bound - reduce(add, row[j + 1 :], reduce(add, row[:j], s.beta0) + c)
+        (s, bound), cells = self.pairs[i], self.rows[i].copy()
+        cells[j] = c
+        return bound - reduce(add, cells, s.beta0)
 
     def slacks(self) -> tuple[float, ...]:
         """Left-to-right slack of every constraint over the box."""
         return tuple(self.slack(i, 0, row[0]) for i, row in enumerate(self.rows))
-
-    def swap(self, j: int, interval: Interval, column: list[float]) -> None:
-        self.box = self.box.replaced(j, interval)
-        for row, abs_row, value in zip(self.rows, self.abs_rows, column):
-            row[j], abs_row[j] = value, abs(value)
 
 
 # --- ranking --------------------------------------------------------------
@@ -355,29 +416,12 @@ def _admitted_interval(
     return min(max(ambient_lo, min(r2, seed)), floor_lo), max(ambient_hi, floor_hi)
 
 
-_FLOAT_EPS = 2.220446049250313e-16
-# while the magnitudes of a sum stay below this, no left-to-right partial sum can overflow
-_SUM_LIMIT = 2.0**1022
-
-
 def _budgets(problem: DesignProblem, table: _TermMax, j: int) -> list[tuple]:
     """Per constraint: its name, coordinate j's coefficients and term at the seed,
     the budget left for coordinate j, and that budget's roundoff noise."""
     x = problem.seed[j]
-    spread = (2 * problem.dim + 3) * _FLOAT_EPS
-    out = []
-    for (s, bound), row, abs_row in zip(table.pairs, table.rows, table.abs_rows):
-        # cell j is left out of both sums by setting it to +0.0 for the moment: subtracting
-        # +0.0, or adding it to a sum of magnitudes, leaves every partial sum as it is
-        cell, size = row[j], abs_row[j]
-        row[j] = abs_row[j] = 0.0
-        rest = reduce(sub, row, bound - s.beta0)
-        magnitude = reduce(add, abs_row, abs(bound) + abs(s.beta0))
-        row[j], abs_row[j] = cell, size
-        l, q = s.linear[j], s.quadratic[j]
-        # pessimistic slack proportional to the budget's roundoff scale
-        out.append((s.name, l, q, l * x + q * x * x, rest, spread * magnitude))
-    return out
+    return [(s.name, s.linear[j], s.quadratic[j], s.linear[j] * x + s.quadratic[j] * x * x, rest, noise)
+            for (s, _), rest, noise in zip(table.pairs, *table.budgets(j))]
 
 
 def _expand_once(
@@ -401,60 +445,26 @@ def _expand_once(
     return lo, hi, binding_lo, binding_hi
 
 
-def _fits(table: _TermMax, j: int, column: list[float], budgets: list, spread: float) -> bool:
-    """Whether every left-to-right slack is >= 0 with column j of the table replaced by ``column``.
-
-    Constraint i's slack is estimated as ``rest - c`` from its budget,
-    which is within ``noise + spread * |c|`` of the left-to-right sum
-    (README, "Verification notes").  Only an estimate that close to 0,
-    or one whose sums could overflow, is summed left to right.
-    """
-    limit = spread * _SUM_LIMIT
-    for i, ((_, _, _, _, rest, noise), c) in enumerate(zip(budgets, column)):
-        estimate = rest - c
-        error = noise + spread * abs(c)
-        if not (error < abs(estimate) and error < limit):
-            estimate = table.slack(i, j, c)
-        if not estimate >= 0.0:
-            return False
-    return True
-
-
 def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Sequence[float]) -> list[bool]:
     """``is_box_feasible`` of ``table.box`` with x_j fixed at x and x_k at y, for each (x, y) in xs × ys, row-major.
 
-    Needs j < k.  The point's cells are ``term(j, x)`` and ``term(k, y)``,
-    which is what ``extremum`` gives for a point interval.  As in
-    ``_fits``, constraint i's slack is estimated as ``(rest - tj) - tk``,
-    with ``rest`` its budget without cells j and k.  That estimate rounds
-    N + 1 times, as the left-to-right slack does, so the two are within
-    ``noise + spread * (|tj| + |tk|)`` of each other; only an estimate that
-    close to 0, or one whose sums could overflow, is summed left to right.
+    The point's cells are ``term(j, x)`` and ``term(k, y)``, which is what
+    ``extremum`` gives for a point interval.  Column k is +0.0 while the
+    budgets without cell j are taken; for each x, column j holds the terms
+    at x and charges them, and ``table.fits`` decides each y.
     """
-    spread = (2 * len(table.box.intervals) + 3) * _FLOAT_EPS
-    limit = spread * _SUM_LIMIT
-    verdicts = [True] * (len(xs) * len(ys))
-    for (s, bound), row in zip(table.pairs, table.rows):
-        others = row[:j] + row[j + 1 : k] + row[k + 1 :]
-        rest = reduce(sub, others, bound - s.beta0)
-        noise = spread * reduce(add, map(abs, others), abs(bound) + abs(s.beta0))
-
-        def summed(tj: float, tk: float) -> float:
-            cells = row.copy()
-            cells[j], cells[k] = tj, tk
-            return bound - reduce(add, cells, s.beta0)
-
-        tks = [s.term(k, y) for y in ys]
-        errors_k = [spread * abs(tk) for tk in tks]
-        fits = []
-        for tj in (s.term(j, x) for x in xs):
-            head, error_j = rest - tj, noise + spread * abs(tj)
-            for tk, error_k in zip(tks, errors_k):
-                estimate, error = head - tk, error_j + error_k
-                if not (error < abs(estimate) and error < limit):
-                    estimate = summed(tj, tk)
-                fits.append(estimate >= 0.0)
-        verdicts = [ok and fit for ok, fit in zip(verdicts, fits)]
+    held_j, held_k = [row[j] for row in table.rows], [row[k] for row in table.rows]
+    table.write(k, [0.0] * len(held_k))
+    budgets = list(zip(*table.budgets(j)))
+    table.write(k, held_k)
+    columns_k = [[s.term(k, y) for s, _ in table.pairs] for y in ys]
+    verdicts = []
+    for x in xs:
+        column_j = [s.term(j, x) for s, _ in table.pairs]
+        table.write(j, column_j)
+        charged = list(zip(*table.charge(budgets, column_j)))
+        verdicts += [table.fits(k, column_k, charged) for column_k in columns_k]
+    table.write(j, held_j)
     return verdicts
 
 
@@ -463,13 +473,12 @@ def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionSt
     box = table.box
     before = box.intervals[j]
     budgets = _budgets(problem, table, j)
-    spread = (2 * problem.dim + 3) * _FLOAT_EPS
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
         lo, hi, blo, bhi = _expand_once(problem, box, j, bias, budgets)
         column = table.column(j, lo, hi)
-        if _fits(table, j, column, budgets, spread):
+        if table.fits(j, column, budgets):
             after = Interval(lo, hi)
             table.swap(j, after, column)
             return ExpansionStep(j, before, after, blo, bhi)
@@ -544,14 +553,14 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     slacks = table.slacks()
     if not all(sl >= 0.0 for sl in slacks):
         raise InfeasibleInput("maximality is only defined for feasible boxes")
-    spread = (2 * problem.dim + 3) * _FLOAT_EPS
-    noises = [spread * reduce(add, abs_row, abs(bound) + abs(s.beta0))
-              for (s, bound), abs_row in zip(table.pairs, table.abs_rows)]
+    _, noises = table.budgets()
 
     faces = []
     for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
         ambient, lo, hi = var.ambient, interval.lo, interval.hi
         push = epsilon * ambient.width
+        # each constraint's budget without cell j, from the box's slack, and the whole row's noise
+        budgets = [(sl + row[j], noise) for sl, row, noise in zip(slacks, table.rows, noises)]
         for side, room, pushed_lo, pushed_hi in (
             ("lo", lo - ambient.lo, lo - push, hi),
             ("hi", ambient.hi - hi, lo, hi + push),
@@ -559,7 +568,7 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            pushed = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), slacks, noises, spread)
+            pushed = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), budgets)
             if all(sl >= 0.0 for sl in pushed.values()):
                 faces.append(FaceCheck(j, side, None, margin=min(pushed.values(), default=math.inf)))
             else:
@@ -570,32 +579,19 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
 
 
-def _face_slacks(
-    table: _TermMax,
-    j: int,
-    column: list[float],
-    slacks: tuple[float, ...],
-    noises: list[float],
-    spread: float,
-) -> dict[int, float]:
+def _face_slacks(table: _TermMax, j: int, column: list[float], budgets: list) -> dict[int, float]:
     """Left-to-right slack, with column j replaced, of each constraint that could hold the least one.
 
-    Constraint i is estimated as ``(slacks[i] + rows[i][j]) - c``, within
-    ``noises[i] + spread * |c|`` of its left-to-right sum.  A constraint
-    whose lowest possible slack lies above the least highest one can
-    neither hold nor tie the least slack, so it is left out.  If some
-    sum could overflow or is not finite, every constraint is summed.
+    ``budgets`` leave out cell j.  A constraint whose lowest possible
+    slack lies above the least highest one can neither hold nor tie the
+    least slack, so it is left out.  If some sum could overflow or is not
+    finite, every constraint is summed.
     """
-    limit = spread * _SUM_LIMIT
-    ranges = []
-    for sl, row, c, noise in zip(slacks, table.rows, column, noises):
-        estimate = (sl + row[j]) - c
-        error = noise + spread * abs(c)
-        if not error < limit:
-            return {i: table.slack(i, j, value) for i, value in enumerate(column)}
-        ranges.append((estimate - error, estimate + error))
-    ceiling = min((high for _, high in ranges), default=math.inf)
-    return {i: table.slack(i, j, column[i]) for i, (low, _) in enumerate(ranges) if low <= ceiling}
+    estimates, errors = table.charge(budgets, column)
+    if math.inf in errors:
+        return {i: table.slack(i, j, value) for i, value in enumerate(column)}
+    ceiling = min(map(add, estimates, errors), default=math.inf)
+    return {i: table.slack(i, j, column[i]) for i, low in enumerate(map(sub, estimates, errors)) if low <= ceiling}
 
 
 # --- brute-force grid oracle -------------------------------------------------

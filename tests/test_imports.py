@@ -155,6 +155,17 @@ def test_import_cddkit_loads_no_numpy():
     assert _python("import sys, cddkit; print('numpy' in sys.modules)").strip() == "False"
 
 
+def test_lazy_layers_are_logged_by_importtime():
+    # a layer loaded on first access must show in ``-X importtime``, like one loaded by an import statement
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import cddkit; cddkit.orthotope; cddkit.build_report; cddkit.modeltheory"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"cddkit.orthotope", "cddkit.rosetta", "cddkit.modeltheory"} <= logged
+
+
 def test_every_public_name_resolves():
     for name in cddkit.__all__:
         assert getattr(cddkit, name) is not None, name

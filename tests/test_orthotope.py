@@ -522,7 +522,7 @@ def _hex_budgets(budgets):
 
 def test_term_max_table_matches_exact_box_checks(monkeypatch):
     tries = []
-    column, fits = _TermMax.column, orthotope._fits
+    column, fits = _TermMax.column, _TermMax.fits
 
     def recorded_column(self, j, lo, hi):
         self.tried = Interval(lo, hi)
@@ -534,7 +534,7 @@ def test_term_max_table_matches_exact_box_checks(monkeypatch):
         return decision
 
     monkeypatch.setattr(_TermMax, "column", recorded_column)
-    monkeypatch.setattr(orthotope, "_fits", recorded_fits)
+    monkeypatch.setattr(_TermMax, "fits", recorded_fits)
     for problem in table_problems():
         region = problem.region()
         table = _TermMax(problem, Orthotope.point(problem.seed))

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import cddkit
+from cddkit import rosetta
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
 from cddkit.errors import CapExceeded
-from cddkit.orthotope import Orthotope, expand_factor, solve_greedy
+from cddkit.orthotope import Orthotope, _slice_verdicts, _TermMax, expand_factor, solve_greedy
 from cddkit.rosetta import (
     SVG_CANVAS,
     SVG_MARGIN,
@@ -163,6 +164,59 @@ def test_n_cell_verdicts_on_exact_ties():
         ties += 1
         problem = replace(problem, constraints=(ObjectiveConstraint(surface.name, bound),))
         _assert_n_cells_equal_is_box_feasible(problem, None)
+
+
+def _near_limit_problem():
+    # a bound of 1e308 puts every error bound past the overflow limit, though no sum overflows
+    surface = QuadraticResponseSurface("z", "", 0.0, (1.0, 2.0, 3.0), (0.0, 0.0, 0.0))
+    return DesignProblem(
+        variables=tuple(DesignVariable(f"x{j}", "", Interval(0.0, 1.0)) for j in range(3)),
+        surfaces=(surface,),
+        constraints=(ObjectiveConstraint("z", 1e308),),
+        seed=(0.0, 0.0, 0.0),
+        name="near-limit",
+    )
+
+
+@pytest.mark.parametrize("make", [_near_limit_problem, _overflow_problem])
+def test_n_cells_sum_through_the_table_slack(monkeypatch, make):
+    summed = []
+    slack, expand = _TermMax.slack, rosetta.expand_factor
+
+    def counted(self, i, j, c):
+        summed.append((i, j))
+        return slack(self, i, j, c)
+
+    def uncounted(*args):
+        # the diagonals' expansion tries are not N cells
+        start = len(summed)
+        box = expand(*args)
+        del summed[start:]
+        return box
+
+    monkeypatch.setattr(_TermMax, "slack", counted)
+    monkeypatch.setattr(rosetta, "expand_factor", uncounted)
+    problem = make()
+    report = build_report(problem, resolution=5)
+    # one constraint: every point of every cell (x_j, x_k) is summed once, with column k replaced
+    pairs = [(j, k) for j in range(problem.dim) for k in range(j + 1, problem.dim)]
+    assert summed == [(0, k) for _, k in pairs for _ in range(25)]
+    _assert_n_cells_equal_is_box_feasible(problem, None)
+    assert any(report.n_cells[0].feasible)
+
+
+def test_slice_verdicts_in_either_axis_order():
+    rng = random.Random(2121)
+    for _ in range(5):
+        problem = random_problem(rng, dim=4, count=3)
+        table = _TermMax(problem, solve_greedy(problem).orthotope)
+        rows = [list(row) for row in table.rows]
+        axes = problem.region().grid_axes(9)
+        forward = _slice_verdicts(table, 1, 3, axes[1], axes[3])
+        backward = _slice_verdicts(table, 3, 1, axes[3], axes[1])
+        assert backward == [forward[a * 9 + b] for b in range(9) for a in range(9)]
+        assert 0 < sum(forward) < 81
+        assert table.rows == rows
 
 
 def test_boundary_points_are_feasible():
