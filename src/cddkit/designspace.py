@@ -140,11 +140,15 @@ class DesignProblem(Frozen):
         for var, x in zip(self.variables, self.seed):
             if not var.ambient.contains(x):
                 raise InfeasibleSeed(f"seed coordinate {x} outside ambient bounds of {var.name!r}")
-        for c in self.constraints:
-            slack = c.bound - self.surface_by_name(c.surface).evaluate(self.seed)
+        for c, (surface, bound) in zip(self.constraints, self.constrained_pairs()):
+            slack = bound - surface.evaluate(self.seed)
             # the only seed check: the solver and the oracle start from the seed point box,
             # whose left-to-right slack is this one; a NaN slack violates it too
             if not slack >= self.tolerance:
+                if slack >= 0:
+                    raise InfeasibleSeed(
+                        f"seed slack {slack:.3g} on {c} is below the tolerance {self.tolerance:.3g}"
+                    )
                 raise InfeasibleSeed(f"seed violates {c} (slack {slack:.3g})")
 
     @property
@@ -161,7 +165,8 @@ class DesignProblem(Frozen):
         return tuple(v.ambient.width for v in self.variables)
 
     def constrained_pairs(self) -> list[tuple[QuadraticResponseSurface, float]]:
-        return [(self.surface_by_name(c.surface), c.bound) for c in self.constraints]
+        surfaces = {s.name: s for s in self.surfaces}
+        return [(surfaces[c.surface], c.bound) for c in self.constraints]
 
     def region(self) -> "FeasibleRegion":
         return FeasibleRegion(self)

@@ -15,6 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .._frozen import Frozen
@@ -135,7 +136,7 @@ def _first_repeat(values):
 
 
 class RelationalStructure(Frozen):
-    """A finite domain with relation extensions and total functions."""
+    """A finite domain with relation extensions and total functions, in read-only maps."""
 
     __slots__ = ("domain", "relations", "functions")
 
@@ -174,7 +175,7 @@ class RelationalStructure(Frozen):
                     )
                 tables[name] = fn
                 continue
-            if not isinstance(fn, dict):
+            if not isinstance(fn, (dict, MappingProxyType)):
                 raise SchemaError(f"function {name!r} must be a table or a builtin")
             table = {}
             for key, value in fn.items():
@@ -198,10 +199,22 @@ class RelationalStructure(Frozen):
                         raise SchemaError(f"function {name!r} argument {v!r} outside the domain")
                 if value not in domain_set:
                     raise SchemaError(f"function {name!r} value {value!r} outside the domain")
-            tables[name] = table
+            tables[name] = MappingProxyType(table)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "relations", extensions)
-        object.__setattr__(self, "functions", tables)
+        object.__setattr__(self, "relations", MappingProxyType(extensions))
+        object.__setattr__(self, "functions", MappingProxyType(tables))
+
+    # the maps are read-only views of dicts the structure owns; a view
+    # neither hashes nor pickles, so both go through the items
+    def _tables(self, plain):
+        return {k: fn if isinstance(fn, BuiltinFunction) else plain(fn) for k, fn in self.functions.items()}
+
+    def __hash__(self):
+        tables = self._tables(lambda table: frozenset(table.items()))
+        return hash((self.domain, frozenset(self.relations.items()), frozenset(tables.items())))
+
+    def __reduce__(self):
+        return RelationalStructure, (self.domain, dict(self.relations), self._tables(dict))
 
     def relation_arity(self, name: str) -> int | None:
         rel = self.relations.get(name)
@@ -219,7 +232,7 @@ class RelationalStructure(Frozen):
 
 
 class Interpretation(Frozen):
-    """Assignment of signature symbols to a structure's relations and functions."""
+    """Read-only maps from signature symbols to a structure's relations and functions."""
 
     __slots__ = ("signature", "predicate_map", "function_map")
 
@@ -233,8 +246,15 @@ class Interpretation(Frozen):
             if name not in function_map:
                 raise SchemaError(f"interpretation misses function symbol {name!r}")
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "predicate_map", predicate_map)
-        object.__setattr__(self, "function_map", function_map)
+        object.__setattr__(self, "predicate_map", MappingProxyType(dict(predicate_map)))
+        object.__setattr__(self, "function_map", MappingProxyType(dict(function_map)))
+
+    def __hash__(self):
+        maps = (self.predicate_map, self.function_map)
+        return hash((self.signature, *(frozenset(m.items()) for m in maps)))
+
+    def __reduce__(self):
+        return Interpretation, (self.signature, dict(self.predicate_map), dict(self.function_map))
 
     @classmethod
     def identity(cls, sig: Signature) -> "Interpretation":
@@ -594,6 +614,9 @@ def enumerate_models(
     ascending bitmask order per symbol (tuple index = bit index), with
     later symbols cycling fastest; function tables likewise.  One
     evaluation decides every candidate at once, and only a model is built.
+    A model is put together from immutable pieces, the tuple set of each
+    byte of a relation's mask and each read-only function table, that are
+    made once per call and shared by its models; none outlives the call.
     """
     if domain_size < 1:
         raise SchemaError("domain size must be at least 1")
@@ -617,44 +640,56 @@ def enumerate_models(
         raise CapExceeded(f"2^{bits:.6g} candidate structures exceed cap {count_cap}")
 
     domain = tuple(f"e{i}" for i in range(domain_size))
-    # (name, inputs, radix, is a relation): a relation's inputs are its
-    # tuples, each in or out; a function's are its argument tuples, each
-    # mapped to one of domain_size values
-    symbols = [
-        (name, list(itertools.product(domain, repeat=arity)), 2, True)
-        for name, arity in sig.predicates
-    ] + [
-        (name, list(itertools.product(domain, repeat=arity)), domain_size, False)
-        for name, arity in sig.functions
-    ]
+    # (name, arity, radix, is a relation): a relation's inputs are its tuples,
+    # each in or out; a function's are its argument tuples, each mapped to one
+    # of domain_size values
+    symbols = [(name, arity, 2, True) for name, arity in sig.predicates]
+    symbols += [(name, arity, domain_size, False) for name, arity in sig.functions]
 
     # Candidate c is a mixed-radix number with one digit per input, read as
     # (c // weight) % radix, the later symbols cycling fastest.  Within a
     # relation, tuple i is bit i of its mask; within a function, the first
     # input is the most significant digit, as itertools.product orders the
-    # output tuples.
-    places = []  # (name, radix, is a relation, [(input, weight)])
+    # output tuples.  A place is one function's table or one byte of a
+    # relation's mask, eight tuples: its digits together are the value
+    # v = (c // stride) % size, which names its piece.
+    places = []  # (name, stride, size, radix, is a relation, [(input, weight)], {v: piece})
     stride = total
-    for name, inputs, radix, is_relation in symbols:
+    for name, arity, radix, is_relation in symbols:
+        inputs = list(itertools.product(domain, repeat=arity))
         stride //= radix ** len(inputs)
         last = len(inputs) - 1
-        weights = [stride * radix ** (i if is_relation else last - i) for i in range(len(inputs))]
-        places.append((name, radix, is_relation, list(zip(inputs, weights))))
+        digits = [(x, stride * radix ** (i if is_relation else last - i)) for i, x in enumerate(inputs)]
+        step = 8 if is_relation else len(digits)
+        for i in range(0, len(digits), step):
+            part = digits[i : i + step]
+            places.append((name, stride * radix**i, radix ** len(part), radix, is_relation, part, {}))
 
+    # Each piece is made once per call, by the first candidate that has it,
+    # and then shared by every candidate with the same v: it is immutable, a
+    # frozenset of tuples or a read-only table.  A relation of more than
+    # eight tuples is the union of its bytes' pieces.
     def candidate(c):
         relations, functions = {}, {}
-        for name, radix, is_relation, digits in places:
-            if is_relation:
-                relations[name] = frozenset(t for t, weight in digits if c // weight % 2)
-            else:
-                functions[name] = {args: domain[c // weight % radix] for args, weight in digits}
+        for name, stride, size, radix, is_relation, digits, memo in places:
+            v = c // stride % size
+            piece = memo.get(v)
+            if not is_relation:
+                if piece is None:
+                    table = {args: domain[c // weight % radix] for args, weight in digits}
+                    piece = memo[v] = MappingProxyType(table)
+                functions[name] = piece
+                continue
+            if piece is None:
+                piece = memo[v] = frozenset(t for t, weight in digits if c // weight % 2)
+            relations[name] = relations[name] | piece if name in relations else piece
         return relations, functions
 
     # the tables of all candidates at once
     rels, fns = {}, {}
-    for name, radix, is_relation, digits in places:
+    for name, _, _, radix, is_relation, digits, _ in places:
         if is_relation:
-            rels[name] = {t: _digit_set(total, weight, 2, 1) for t, weight in digits}
+            rels.setdefault(name, {}).update((t, _digit_set(total, weight, 2, 1)) for t, weight in digits)
         else:
             fns[name] = {
                 args: {value: _digit_set(total, weight, radix, k) for k, value in enumerate(domain)}
@@ -687,19 +722,25 @@ def enumerate_models(
     return models
 
 
+# the slots' own setters, which Frozen.__setattr__ does not stand in front of
+_set_domain, _set_relations, _set_functions = (
+    getattr(RelationalStructure, name).__set__ for name in RelationalStructure.__slots__
+)
+
+
 def _model(domain, relations, functions) -> RelationalStructure:
     """A structure from fields that are canonical by construction, checked by nothing.
 
-    ``domain`` is a tuple of distinct domain values, ``relations`` maps each
-    name to a frozenset of tuples over it, and ``functions`` maps each name
-    to a total ``{args: value}`` table over it that no other structure
-    holds.  These are the fields ``RelationalStructure.__init__`` would
-    make of them, so ``enumerate_models`` skips re-checking tables it built.
+    ``domain`` is a tuple of distinct domain values, ``relations`` a new dict
+    of a frozenset of tuples over it per name, and ``functions`` a new dict of
+    a total read-only ``{args: value}`` table over it per name; the structure
+    holds read-only views of both.  These are the fields the constructor would
+    make of them, so the slots are set straight through their descriptors.
     """
     struct = object.__new__(RelationalStructure)
-    object.__setattr__(struct, "domain", domain)
-    object.__setattr__(struct, "relations", relations)
-    object.__setattr__(struct, "functions", functions)
+    _set_domain(struct, domain)
+    _set_relations(struct, MappingProxyType(relations))
+    _set_functions(struct, MappingProxyType(functions))
     return struct
 
 

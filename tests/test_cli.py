@@ -297,6 +297,14 @@ def test_infeasible_seed_exits_3(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_seed_slack_below_the_tolerance_exits_3(tmp_path, capsys):
+    # the bundled seed has slack 0.03 on CO2 <= 6.0, which a tolerance of 1 refuses
+    path = _edited_problem(tmp_path, lambda doc: doc.update(tolerance=1.0))
+    code, out, err = run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert "seed slack 0.03 on CO2 <= 6.0 is below the tolerance 1\n" in err and "violates" not in err
+
+
 def test_rosetta_formats(tmp_path, capsys):
     code, out, _ = run_cli(
         "rosetta",

@@ -40,6 +40,24 @@ def test_infeasible_seed_rejected(emissions):
         load_problem(doc)
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        # a slack of at least 0 but under the tolerance is too small, not a violation
+        (0.5000005, "seed slack 5e-07 on z <= 0.5000005 is below the tolerance 1e-06"),
+        (0.5, "seed slack 0 on z <= 0.5 is below the tolerance 1e-06"),
+        (0.4999999, "seed violates z <= 0.4999999 (slack -1e-07)"),
+        (float("-inf"), "seed violates z <= -inf (slack -inf)"),
+    ],
+)
+def test_seed_check_says_whether_the_slack_is_small_or_violated(bound, message):
+    variable = DesignVariable("x", "", Interval(0.0, 1.0))
+    surface = QuadraticResponseSurface("z", "", 0.0, (1.0,), (0.0,))
+    with pytest.raises(InfeasibleSeed) as info:
+        DesignProblem((variable,), (surface,), (ObjectiveConstraint("z", bound),), (0.5,), tolerance=1e-6)
+    assert str(info.value) == message
+
+
 def test_seed_outside_ambient_rejected():
     doc = json.loads(data_path("adas.json").read_text())
     doc["seed"] = [1500.0, 142.0]

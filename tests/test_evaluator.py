@@ -472,6 +472,62 @@ def test_enumerate_binary_function_tables_of_size_3_match_reference():
     assert models == reference_enumerate_models(sig, sentence, 3)
 
 
+# A relation's pieces are the bytes of its mask: 8 tuples make one byte, 9 a
+# full byte and a one-tuple byte, and 16 two full bytes.  (full sentence,
+# selective sentences) per arity
+BYTE_SENTENCES = {
+    2: ("forall x. x = x", (
+        "forall x. forall y. R(x, y) -> R(y, x)",
+        "exists x. forall y. R(x, x) and (R(x, y) -> R(y, y))",
+    )),
+    3: ("forall x. x = x", (
+        "forall x. forall y. R(x, y, y) -> R(y, x, x)",
+        "exists x. forall y. R(x, y, x) or not R(y, y, x)",
+    )),
+}
+
+
+@pytest.mark.parametrize("arity, size", [(3, 2), (2, 3)])
+def test_enumerate_models_at_byte_boundaries_matches_reference(arity, size):
+    sig = Signature(predicates=(("R", arity),))
+    full, selective = BYTE_SENTENCES[arity]
+    for text in (full, *selective):
+        sentence = parse_sentence(text, sig)
+        models = enumerate_models(sig, sentence, size)
+        assert models == reference_enumerate_models(sig, sentence, size)
+        assert 0 < len(models) <= 2 ** (size**arity)
+    assert len(enumerate_models(sig, parse_sentence(full, sig), size)) == 2 ** (size**arity)
+
+
+def test_enumerate_models_on_two_full_bytes():
+    """R/2 on four elements: every candidate in order, decoded here from
+    its mask, and one selective sentence against the reference."""
+    sig = Signature(predicates=(("R", 2),))
+    full, (selective, _) = BYTE_SENTENCES[2]
+    domain = ("e0", "e1", "e2", "e3")
+    tuples = list(itertools.product(domain, repeat=2))
+    models = enumerate_models(sig, parse_sentence(full, sig), 4)
+    assert len(models) == 2**16
+    for mask, m in enumerate(models):
+        assert m.domain == domain and not m.functions
+        assert sorted(m.relations["R"]) == [t for i, t in enumerate(tuples) if mask >> i & 1]
+    sentence = parse_sentence(selective, sig)
+    assert enumerate_models(sig, sentence, 4) == reference_enumerate_models(sig, sentence, 4)
+
+
+def test_back_to_back_enumerations_share_nothing():
+    """Pieces are memoised within one call: a second call over the same
+    signature, with another sentence, builds its own."""
+    sig = MIXED_SIGNATURES[1]
+    first = parse_sentence("forall x. R(x, f(x)) -> P(c)", sig)
+    second = parse_sentence("exists x. R(c, x) and not P(f(x))", sig)
+    calls = [(first, 2), (second, 2), (first, 1), (second, 1), (first, 2)]
+    results = [enumerate_models(sig, s, size) for s, size in calls]
+    for (s, size), models in zip(calls, results):
+        assert models == reference_enumerate_models(sig, s, size)
+    assert results[0] == results[-1] != results[1]
+
+
 def _result(fn, *args):
     """The value, or the type and message of the toolkit error raised."""
     try:

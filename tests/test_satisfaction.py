@@ -1,6 +1,9 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -305,25 +308,39 @@ _CANONICAL_CASES = [
 @pytest.mark.parametrize("sig, text, size", _CANONICAL_CASES, ids=str)
 def test_enumerated_models_are_canonical(sig, text, size):
     """Each model is built without the constructor's checks, so it must be
-    what the constructor makes of its own fields, with no table shared."""
+    what the constructor makes of its own fields, as read-only as that."""
     models = enumerate_models(sig, parse_sentence(text, sig), size)
     assert models
     domain = tuple(f"e{i}" for i in range(size))
     predicates, functions = dict(sig.predicates), dict(sig.functions)
     for m in models:
-        assert m == RelationalStructure(domain=m.domain, relations=m.relations, functions=m.functions)
+        rebuilt = RelationalStructure(domain=m.domain, relations=m.relations, functions=m.functions)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
         assert type(m.domain) is tuple and m.domain == domain
-        assert type(m.relations) is dict and m.relations.keys() == predicates.keys()
+        assert type(m.relations) is MappingProxyType and m.relations.keys() == predicates.keys()
         for name, tuples in m.relations.items():
             assert type(tuples) is frozenset
             assert all(type(t) is tuple and len(t) == predicates[name] for t in tuples)
-        assert type(m.functions) is dict and m.functions.keys() == functions.keys()
+        assert type(m.functions) is MappingProxyType and m.functions.keys() == functions.keys()
         for name, table in m.functions.items():
-            assert type(table) is dict and len(table) == size ** functions[name]
+            assert type(table) is MappingProxyType and len(table) == size ** functions[name]
             assert all(type(args) is tuple and len(args) == functions[name] for args in table)
             assert all(type(v) is str for v in table.values())
-    tables = [table for m in models for table in m.functions.values()]
-    assert len({id(table) for table in tables}) == len(tables)
+        for view in (m.relations, m.functions, *m.functions.values()):
+            with pytest.raises(TypeError):
+                view["new"] = None
+    # the models of one call own their outer maps; only the immutable pieces are shared
+    assert len({id(view) for m in models for view in (m.relations, m.functions)}) == 2 * len(models)
+
+
+def test_enumerated_models_copy_and_pickle_through_the_constructor():
+    sig = MIXED_SIGNATURES[1]
+    models = enumerate_models(sig, parse_sentence("forall x. R(x, f(x)) -> P(c)", sig), 2)
+    assert len(models) > 100
+    for m in models[::7]:
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(clone) is RelationalStructure and clone == m and hash(clone) == hash(m)
+            assert type(clone.functions["f"]) is MappingProxyType
 
 
 def test_fraction_domains_from_json():

@@ -2,7 +2,9 @@
 
 Each class is checked against a ``dataclasses.make_dataclass(...,
 frozen=True)`` reference built from the fields the class declares, in
-order, with their defaults.
+order, with their defaults.  A structure and an interpretation hold
+read-only views of their maps, which the dataclass cannot hash; their
+hash is that of the views' items.
 """
 
 import copy
@@ -10,6 +12,7 @@ import dataclasses
 import importlib
 import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -218,13 +221,59 @@ def test_fields_are_the_slots_in_constructor_order(cls):
     assert not hasattr(obj, "__dict__")
 
 
+# the classes whose maps are read-only views, each with the hashable form of its
+# fields: every map, and every table in one, as a frozenset of its items
+VIEWS = {
+    RelationalStructure: lambda s: (
+        s.domain,
+        frozenset(s.relations.items()),
+        frozenset((name, frozenset(table.items())) for name, table in s.functions.items()),
+    ),
+    Interpretation: lambda i: (i.signature, frozenset(i.predicate_map.items()), frozenset(i.function_map.items())),
+}
+
+
 @pytest.mark.parametrize("cls", CLASSES)
 def test_repr_and_hash_match_the_dataclass(cls):
     kwargs, _ = SAMPLES[cls]
     obj = cls(**kwargs)
+    if cls in VIEWS:
+        # the dataclass holds the same views, which it cannot hash
+        ref = _reference(cls)(**_stored(obj, kwargs))
+        assert repr(obj) == repr(ref)
+        assert hash(obj) == hash(VIEWS[cls](obj)) == hash(cls(**kwargs))
+        return
     ref = _reference(cls)(**kwargs)
     assert repr(obj) == repr(ref)
     assert _hash_or_error(obj) == _hash_or_error(ref)
+
+
+def _views(obj):
+    """Every read-only map of ``obj``, and every table held in one."""
+    maps = [value for value in _stored(obj, obj.__slots__).values() if isinstance(value, MappingProxyType)]
+    return maps + [table for m in maps for table in m.values() if isinstance(table, MappingProxyType)]
+
+
+@pytest.mark.parametrize("cls", [pytest.param(cls, id=cls.__qualname__) for cls in VIEWS])
+def test_maps_are_read_only_views_of_dicts_the_instance_owns(cls):
+    kwargs = copy.deepcopy(SAMPLES[cls][0])
+    obj = cls(**kwargs)
+    views = _views(obj)
+    assert len(views) == {RelationalStructure: 3, Interpretation: 2}[cls]
+    for view in views:
+        with pytest.raises(TypeError):
+            view["new"] = None
+        with pytest.raises(TypeError):
+            del view[next(iter(view), "new")]
+    # the caller's dicts are copied: changing them changes nothing
+    for value in kwargs.values():
+        if isinstance(value, dict):
+            for inner in value.values():
+                if isinstance(inner, dict):
+                    inner.clear()
+            value.clear()
+    assert obj == cls(**SAMPLES[cls][0])
+    assert hash(obj) == hash(cls(**SAMPLES[cls][0]))
 
 
 @pytest.mark.parametrize("cls", CLASSES)

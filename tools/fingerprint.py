@@ -1,18 +1,23 @@
-"""Seeded output fingerprint of the numeric core.
+"""Seeded output fingerprint of the numeric core and the logic kernel.
 
 Solves a fixed, seeded set of random problems and hashes everything the
 package prints or writes for them: the ``solve_greedy`` solution JSON,
 the grid oracle's step checks and boxes (N <= 3), the lattice masks of
-``grid_feasible_set`` (N <= 10) and the ROSETTA CSV and SVG bytes.  Two checkouts
-that print the same digests produce byte-identical outputs on every one
-of those problems, so a refactor that claims to change no output can
-be checked by running this script before and after it:
+``grid_feasible_set`` (N <= 10) and the ROSETTA CSV and SVG bytes.  The
+``logic`` part hashes every model ``enumerate_models`` returns, in order,
+for the ``logic-enumerate`` sentences at their domain sizes and for
+seeded random sentences over signatures that mix relations, unary
+predicates, constants and functions.  Two checkouts that print the same
+digests produce byte-identical outputs on every one of those problems,
+so a refactor that claims to change no output can be checked by running
+this script before and after it:
 
     PYTHONPATH=src python tools/fingerprint.py [--seed 0] [--repeats 13]
 
 The problem mix is every combination of N in {1, 2, 3, 5, 10, 20},
 M in {1, 2, 3, 5, 10}, coefficient scale in {1e-4, 1, 1e3, 1e6} and
 plain or ADAS-style offset domain (1600-2000), ``--repeats`` times.
+The logic part does not depend on ``--repeats``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,22 @@ from pathlib import Path
 
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
 from cddkit.errors import CddError
+from cddkit.modeltheory import (
+    And,
+    Apply,
+    Atom,
+    Eq,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    Signature,
+    Var,
+    enumerate_models,
+    free_variables,
+    parse_sentence,
+)
 from cddkit.orthotope import oracle_check_steps, oracle_solve, solve_greedy
 from cddkit.rosetta import build_report, emit
 from cddkit.surface import Interval, QuadraticResponseSurface
@@ -43,6 +64,23 @@ MASK_MAX_DIM = 10
 MASK_RESOLUTION = {1: 9, 2: 7, 3: 5, 5: 3}  # 2 for the other dimensions
 # a report costs r^2 points per cell, so every dimension gets one
 ROSETTA_RESOLUTION = 5
+# the logic-enumerate sentences of perfbench/logic.py, with their domain sizes
+LOGIC_CASES = (
+    ((("R", 2),), (), "forall x. forall y. R(x, y) -> R(y, x)", (2, 3, 4)),
+    ((("R", 2),), (), "forall x. forall y. forall z. R(x, y) and R(y, z) -> R(x, z)", (2, 3)),
+    ((("R", 2),), (), "forall x. R(x, x)", (2, 3)),
+    ((("P", 1),), (("f", 1),), "forall x. P(x) -> P(f(x))", (2, 3, 4)),
+)
+# (predicates, functions, domain sizes): relations of 8 tuples or fewer and of
+# more than 8, constants and unary and binary functions side by side
+LOGIC_SIGNATURES = (
+    ((("R", 2), ("P", 1)), (("f", 1), ("g", 2)), (1, 2)),
+    ((("R", 3),), (("c", 0),), (1, 2)),
+    ((("R", 2),), (("c", 0),), (1, 2, 3)),
+    ((("P", 1), ("Q", 1)), (("f", 1),), (1, 2, 3)),
+    ((), (("g", 2),), (1, 2)),
+)
+LOGIC_SENTENCES = 12  # per random signature
 
 
 def random_problem(rng: random.Random, n: int, m: int, scale: float, offset: float) -> DesignProblem:
@@ -99,6 +137,63 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
     return out
 
 
+def random_sentence(rng: random.Random, sig: Signature, depth: int = 3):
+    """A closed formula over the signature's symbols and the variables x, y.
+
+    Kept here rather than shared with the tests, like ``random_problem``,
+    so that a change to a test's generator does not move the digests.
+    """
+
+    def term(depth):
+        if depth == 0 or not sig.functions or rng.random() < 0.5:
+            return Var(rng.choice("xy"))
+        name, arity = rng.choice(sig.functions)
+        return Apply(name, tuple(term(depth - 1) for _ in range(arity)))
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            if sig.predicates and rng.random() < 0.7:
+                name, arity = rng.choice(sig.predicates)
+                return Atom(name, tuple(term(1) for _ in range(arity)))
+            return Eq(term(1), term(1))
+        kind = rng.choice((Not, And, Or, Implies, Forall, Exists))
+        if kind is Not:
+            return Not(formula(depth - 1))
+        if kind in (Forall, Exists):
+            return kind(rng.choice("xy"), formula(depth - 1))
+        return kind(formula(depth - 1), formula(depth - 1))
+
+    sentence = formula(depth)
+    for var in sorted(free_variables(sentence)):
+        sentence = rng.choice((Forall, Exists))(var, sentence)
+    return sentence
+
+
+def model_text(model) -> str:
+    """A model as canonical text: relations with their tuples sorted, tables in argument order."""
+    lines = [" ".join(model.domain)]
+    for name, extension in sorted(model.relations.items()):
+        lines.append(f"{name}: " + " ".join(",".join(t) for t in sorted(extension)))
+    for name, table in sorted(model.functions.items()):
+        entries = (",".join(args) + ">" + value for args, value in sorted(table.items()))
+        lines.append(f"{name}: " + " ".join(entries))
+    return "\n".join(lines) + "\n"
+
+
+def logic_problems(seed: int):
+    """(signature, sentence, domain size) for every enumeration the logic part hashes."""
+    for preds, fns, text, sizes in LOGIC_CASES:
+        sig = Signature(predicates=preds, functions=fns)
+        for size in sizes:
+            yield sig, parse_sentence(text, sig), size
+    rng = random.Random(f"logic {seed}")
+    for preds, fns, sizes in LOGIC_SIGNATURES:
+        sig = Signature(predicates=preds, functions=fns)
+        for size in sizes:
+            for _ in range(LOGIC_SENTENCES):
+                yield sig, random_sentence(rng, sig), size
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -122,9 +217,16 @@ def main(argv: list[str] | None = None) -> int:
                     total.update(record)
                     parts.setdefault(key, hashlib.sha256()).update(record)
                     counts[key] = counts.get(key, 0) + 1
+    for index, (sig, sentence, size) in enumerate(logic_problems(args.seed), 1):
+        models = enumerate_models(sig, sentence, size)
+        blob = "".join(map(model_text, models)).encode()
+        record = f"{index}:logic:{size}:{len(models)}:{len(blob)}:".encode() + blob
+        total.update(record)
+        parts.setdefault("logic", hashlib.sha256()).update(record)
+        counts["logic"] = counts.get("logic", 0) + 1
 
     print(f"problems: {problems}")
-    for key in ("solve", "oracle_steps", "oracle_boxes", "mask", "rosetta"):
+    for key in ("solve", "oracle_steps", "oracle_boxes", "mask", "rosetta", "logic"):
         if key in parts:
             print(f"{key:<13} {counts[key]:>5}  {parts[key].hexdigest()}")
     print(f"{'all':<13} {'':>5}  {total.hexdigest()}")
