@@ -155,12 +155,6 @@ class DesignProblem(Frozen):
     def dim(self) -> int:
         return len(self.variables)
 
-    def surface_by_name(self, name: str) -> QuadraticResponseSurface:
-        for s in self.surfaces:
-            if s.name == name:
-                return s
-        raise UnknownSurfaceReference(f"no surface named {name!r}")
-
     def ambient_widths(self) -> tuple[float, ...]:
         return tuple(v.ambient.width for v in self.variables)
 
@@ -216,57 +210,25 @@ class FeasibleRegion(Frozen):
                     f"outside ambient [{var.ambient.lo}, {var.ambient.hi}]"
                 )
 
-    def grid_axes(self, resolution) -> list[list[float]]:
-        """Inclusive regular lattice axes over the ambient box, one list per variable.
+    def grid_axes(self, resolution: int) -> list[list[float]]:
+        """Inclusive regular lattice axes over the ambient box, ``resolution`` points per variable.
 
         Point i of an r-point axis is ``i*step + lo`` with
         ``step = (hi - lo) / (r - 1)``, and the last point is ``hi`` exactly.
         The grid cap bounds each axis, not their product: a sweep along one
-        axis at a time builds no lattice, and ``grid_feasible_set`` caps the
-        one it builds.
+        axis at a time builds no lattice.
         """
-        p = self.problem
-        axes = []
-        for v, r in zip(p.variables, self._axis_counts(resolution)):
-            lo, hi = v.ambient.lo, v.ambient.hi
-            step = (hi - lo) / (r - 1)
-            axes.append([i * step + lo for i in range(r - 1)] + [hi])
-        return axes
-
-    def _axis_counts(self, resolution) -> tuple[int, ...]:
-        p = self.problem
-        if isinstance(resolution, int):
-            counts = (resolution,) * p.dim
-        else:
-            counts = tuple(int(r) for r in resolution)
-            if len(counts) != p.dim:
-                raise DimensionMismatch(f"{len(counts)} resolutions for dimension {p.dim}")
-        if any(r < 2 for r in counts):
+        cap = grid_cap()
+        if resolution < 2:
             raise SchemaError("grid resolution must be at least 2 per axis")
-        # every lattice holds at least as many points as its longest axis
-        longest = max(counts, default=0)
-        if longest > grid_cap():
-            raise CapExceeded(f"axis of {longest} points exceeds cap {grid_cap()}")
-        return counts
-
-    def grid_feasible_set(self, resolution) -> list[bool]:
-        """Feasibility of each point of the lattice over the ambient box, row-major.
-
-        The inclusive regular lattice has ``resolution`` points per axis
-        (or one count per axis); its shape is the tuple of axis lengths.
-        Each constraint's surface is evaluated with ``lattice_sum``, so the
-        values equal ``evaluate``'s bit for bit.  Raises ``CapExceeded``
-        when the lattice has more than ``grid_cap()`` points.
-        """
-        axes = self.grid_axes(resolution)
-        total, cap = math.prod(len(a) for a in axes), grid_cap()
-        if total > cap:
-            raise CapExceeded(f"lattice of {total} points exceeds cap {cap}")
-        mask = [True] * total
-        for s, bound in self.problem.constrained_pairs():
-            values = lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
-            mask = [ok and z <= bound for ok, z in zip(mask, values)]
-        return mask
+        if resolution > cap:
+            raise CapExceeded(f"axis of {resolution} points exceeds cap {cap}")
+        axes = []
+        for v in self.problem.variables:
+            lo, hi = v.ambient.lo, v.ambient.hi
+            step = (hi - lo) / (resolution - 1)
+            axes.append([i * step + lo for i in range(resolution - 1)] + [hi])
+        return axes
 
 
 def lattice_sum(beta0: float, per_axis: Sequence[Sequence[float]]) -> list[float]:

@@ -75,16 +75,18 @@ _ARITH_OPS = ("+", "-", "*")
 class BuiltinFunction(Frozen):
     """Exact rational arithmetic in a tiny prefix form.
 
-    ``body`` is a parameter name, a rational, or a nested list
-    ``[op, arg, ...]`` with op one of + - *.  Results exceeding the
-    magnitude bound raise instead of silently growing.
+    ``body`` is a parameter name, a rational, or a nested sequence
+    ``[op, arg, ...]`` with op one of + - *; every nested list is kept
+    as a tuple, so the body cannot change and the function hashes.
+    Results exceeding the magnitude bound raise instead of silently
+    growing.
     """
 
     __slots__ = ("params", "body")
 
     def __init__(self, params: tuple[str, ...], body: object):
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "body", _frozen_body(body))
 
     @property
     def arity(self) -> int:
@@ -127,6 +129,11 @@ class BuiltinFunction(Frozen):
                 )
             return result
         raise SchemaError(f"malformed arithmetic expression {node!r}")
+
+
+def _frozen_body(node):
+    """An arithmetic expression with every list, at any depth, turned into a tuple."""
+    return tuple(map(_frozen_body, node)) if isinstance(node, (list, tuple)) else node
 
 
 def _first_repeat(values):

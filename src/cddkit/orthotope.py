@@ -232,8 +232,9 @@ class _TermMax:
     interval costs one column of M term evaluations.
 
     It also holds the one float filter of expansion tries, face pushes and
-    ROSETTA slice points (README, "Verification notes"): ``budgets`` and
-    ``charge`` give each slack estimate and its error bound, ``fits`` the
+    ROSETTA slice points (README, "Verification notes"): ``budgets`` gives
+    a budget pair, the parallel lists ``(rests, noises)``, and ``charge``
+    turns one into slack estimates and their error bounds; ``fits`` is the
     sign test, and ``slack`` the one left-to-right sum they fall back to.
     """
 
@@ -281,25 +282,27 @@ class _TermMax:
                 row[j], abs_row[j] = cell, size
         return rests, noises
 
-    def charge(self, budgets: Sequence[tuple], column: Sequence[float]) -> tuple[list[float], list[float]]:
-        """Budgets (tuples ending in ``rest, noise``) charged with a column: lists of ``rest - c`` and
-        ``noise + spread * |c|``.
+    def charge(
+        self, rests: Sequence[float], noises: Sequence[float], column: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """A budget pair charged with a column: the lists of ``rest - c`` and ``noise + spread * |c|``.
 
-        Charged with every cell it left out, a budget is a slack estimate
-        and its error bound; a bound that reaches ``limit``, where a
-        partial sum could overflow, is set to inf.
+        The result is a budget pair too, so charging it again charges a
+        second left-out cell.  Charged with every cell it left out, a
+        budget is a slack estimate and its error bound; a bound that
+        reaches ``limit``, where a partial sum could overflow, is set to inf.
         """
         spread, limit, estimates, errors = self.spread, self.limit, [], []
-        for budget, c in zip(budgets, column):
-            error = budget[-1] + spread * abs(c)
-            estimates.append(budget[-2] - c)
+        for rest, noise, c in zip(rests, noises, column):
+            error = noise + spread * abs(c)
+            estimates.append(rest - c)
             errors.append(error if error < limit else math.inf)
         return estimates, errors
 
-    def fits(self, j: int, column: Sequence[float], budgets: Sequence[tuple]) -> bool:
-        """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from
-        budgets without cell j; a slack is summed only where its error bound leaves the sign open."""
-        for i, (estimate, error) in enumerate(zip(*self.charge(budgets, column))):
+    def fits(self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]) -> bool:
+        """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from the
+        budget pair without cell j; a slack is summed only where its error bound leaves the sign open."""
+        for i, (estimate, error) in enumerate(zip(*self.charge(rests, noises, column))):
             if not error < abs(estimate):
                 estimate = self.slack(i, j, column[i])
             if not estimate >= 0.0:
@@ -359,16 +362,7 @@ def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float] | None
 
 
 def _admitted_interval(
-    l: float,
-    q: float,
-    seed_term: float,
-    budget: float,
-    accept: float,
-    seed: float,
-    ambient_lo: float,
-    ambient_hi: float,
-    floor_lo: float,
-    floor_hi: float,
+    l: float, q: float, seed_term: float, budget: float, accept: float, seed: float
 ) -> tuple[float, float]:
     """Largest interval around the seed where the term ``l*x + q*x*x`` is <= budget.
 
@@ -376,72 +370,69 @@ def _admitted_interval(
     by the arithmetic noise allowance) decides whether the seed itself
     counts as inside the solution set; this keeps downhill growth alive
     when an earlier step has consumed the budget exactly and roundoff
-    puts the seed a hair past the boundary.  The result is clamped to the
-    ambient bounds and floored at the current (feasible) interval
-    [floor_lo, floor_hi], so the caller can intersect results across
-    constraints without ever shrinking what it already has; the floor
-    contains the seed.
+    puts the seed a hair past the boundary.  An end is infinite where
+    the solution set is a ray or the whole line.  A refused seed admits
+    nothing, the empty interval (inf, -inf), which the caller's floor
+    replaces by the current interval.
     """
     if abs(q) < COEFF_EPS and abs(l) < COEFF_EPS:
         # the coordinate has no effect on this constraint
-        return (ambient_lo, ambient_hi) if accept >= 0.0 else (floor_lo, floor_hi)
+        return (-math.inf, math.inf) if accept >= 0.0 else (math.inf, -math.inf)
 
     seed_ok = seed_term <= accept
     if abs(q) < COEFF_EPS:
         if not seed_ok:
-            return floor_lo, floor_hi
+            return math.inf, -math.inf
         x0 = budget / l
         if l > 0.0:
-            return min(ambient_lo, floor_lo), max(min(ambient_hi, max(x0, seed)), floor_hi)
-        return min(max(ambient_lo, min(x0, seed)), floor_lo), max(ambient_hi, floor_hi)
+            return -math.inf, max(x0, seed)
+        return min(x0, seed), math.inf
 
     roots = _quadratic_roots(q, l, -budget)
     if q > 0.0:
         # solution set is the interval between the roots (empty if none)
         if not seed_ok or roots is None:
-            return floor_lo, floor_hi
+            return math.inf, -math.inf
         r1, r2 = roots
-        return min(max(ambient_lo, min(r1, seed)), floor_lo), max(min(ambient_hi, max(r2, seed)), floor_hi)
+        return min(r1, seed), max(r2, seed)
 
     # concave: solution set is everything outside the roots
     if roots is None:
         # vertex value is at or below the budget, the whole line qualifies
-        return ambient_lo, ambient_hi
+        return -math.inf, math.inf
     if not seed_ok:
-        return floor_lo, floor_hi
+        return math.inf, -math.inf
     r1, r2 = roots
     # pick the ray nearest the seed
     if abs(seed - r1) <= abs(seed - r2):
-        return min(ambient_lo, floor_lo), max(min(ambient_hi, max(r1, seed)), floor_hi)
-    return min(max(ambient_lo, min(r2, seed)), floor_lo), max(ambient_hi, floor_hi)
-
-
-def _budgets(problem: DesignProblem, table: _TermMax, j: int) -> list[tuple]:
-    """Per constraint: its name, coordinate j's coefficients and term at the seed,
-    the budget left for coordinate j, and that budget's roundoff noise."""
-    x = problem.seed[j]
-    return [(s.name, s.linear[j], s.quadratic[j], s.linear[j] * x + s.quadratic[j] * x * x, rest, noise)
-            for (s, _), rest, noise in zip(table.pairs, *table.budgets(j))]
+        return -math.inf, max(r1, seed)
+    return min(r2, seed), math.inf
 
 
 def _expand_once(
-    problem: DesignProblem, box: Orthotope, j: int, bias: float, budgets: list
+    problem: DesignProblem, table: _TermMax, j: int, bias: float, rests: list[float], noises: list[float]
 ) -> tuple[float, float, str, str]:
-    """The candidate interval [lo, hi] of factor j, and the constraint binding each end."""
-    seed_j = problem.seed[j]
+    """The candidate interval [lo, hi] of factor j, and the constraint binding each end.
+
+    Each constraint's admitted interval is clamped to the ambient bounds
+    and floored at the current (feasible) interval, so intersecting them
+    never shrinks what the box already has; the floor contains the seed.
+    """
+    x = problem.seed[j]
     ambient = problem.variables[j].ambient
-    floor = box.intervals[j]
+    floor = table.box.intervals[j]
     lo, hi = amb_lo, amb_hi = ambient.lo, ambient.hi
     floor_lo, floor_hi = floor.lo, floor.hi
     binding_lo = binding_hi = "ambient"
-    for name, l, q, seed_term, rest, noise in budgets:
-        alo, ahi = _admitted_interval(
-            l, q, seed_term, rest - bias * noise, rest + 4.0 * noise, seed_j, amb_lo, amb_hi, floor_lo, floor_hi
-        )
+    for (s, _), rest, noise in zip(table.pairs, rests, noises):
+        l, q = s.linear[j], s.quadratic[j]
+        raw_lo, raw_hi = _admitted_interval(l, q, l * x + q * x * x, rest - bias * noise, rest + 4.0 * noise, x)
+        alo = min(max(amb_lo, raw_lo), floor_lo)
+        ahi = max(min(amb_hi, raw_hi), floor_hi)
         if alo > lo:
-            lo, binding_lo = alo, name
+            lo, binding_lo = alo, s.name
         if ahi < hi:
-            hi, binding_hi = ahi, name
+            hi, binding_hi = ahi, s.name
     return lo, hi, binding_lo, binding_hi
 
 
@@ -450,35 +441,35 @@ def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Se
 
     The point's cells are ``term(j, x)`` and ``term(k, y)``, which is what
     ``extremum`` gives for a point interval.  Column k is +0.0 while the
-    budgets without cell j are taken; for each x, column j holds the terms
-    at x and charges them, and ``table.fits`` decides each y.
+    budget pair without cell j is taken; for each x, column j holds the
+    terms at x and charges them, and ``table.fits`` charges the result
+    again with the terms at each y.
     """
     held_j, held_k = [row[j] for row in table.rows], [row[k] for row in table.rows]
     table.write(k, [0.0] * len(held_k))
-    budgets = list(zip(*table.budgets(j)))
+    rests, noises = table.budgets(j)
     table.write(k, held_k)
     columns_k = [[s.term(k, y) for s, _ in table.pairs] for y in ys]
     verdicts = []
     for x in xs:
         column_j = [s.term(j, x) for s, _ in table.pairs]
         table.write(j, column_j)
-        charged = list(zip(*table.charge(budgets, column_j)))
-        verdicts += [table.fits(k, column_k, charged) for column_k in columns_k]
+        charged = table.charge(rests, noises, column_j)
+        verdicts += [table.fits(k, column_k, *charged) for column_k in columns_k]
     table.write(j, held_j)
     return verdicts
 
 
 def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
     """One audited expansion of factor j of ``table.box``, in place."""
-    box = table.box
-    before = box.intervals[j]
-    budgets = _budgets(problem, table, j)
+    before = table.box.intervals[j]
+    rests, noises = table.budgets(j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
-        lo, hi, blo, bhi = _expand_once(problem, box, j, bias, budgets)
+        lo, hi, blo, bhi = _expand_once(problem, table, j, bias, rests, noises)
         column = table.column(j, lo, hi)
-        if table.fits(j, column, budgets):
+        if table.fits(j, column, rests, noises):
             after = Interval(lo, hi)
             table.swap(j, after, column)
             return ExpansionStep(j, before, after, blo, bhi)
@@ -559,8 +550,8 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
         ambient, lo, hi = var.ambient, interval.lo, interval.hi
         push = epsilon * ambient.width
-        # each constraint's budget without cell j, from the box's slack, and the whole row's noise
-        budgets = [(sl + row[j], noise) for sl, row, noise in zip(slacks, table.rows, noises)]
+        # each constraint's budget without cell j, from the box's slack; the noise is the whole row's
+        rests = [sl + row[j] for sl, row in zip(slacks, table.rows)]
         for side, room, pushed_lo, pushed_hi in (
             ("lo", lo - ambient.lo, lo - push, hi),
             ("hi", ambient.hi - hi, lo, hi + push),
@@ -568,7 +559,7 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            pushed = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), budgets)
+            pushed = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), rests, noises)
             if all(sl >= 0.0 for sl in pushed.values()):
                 faces.append(FaceCheck(j, side, None, margin=min(pushed.values(), default=math.inf)))
             else:
@@ -579,15 +570,17 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
 
 
-def _face_slacks(table: _TermMax, j: int, column: list[float], budgets: list) -> dict[int, float]:
+def _face_slacks(
+    table: _TermMax, j: int, column: list[float], rests: list[float], noises: list[float]
+) -> dict[int, float]:
     """Left-to-right slack, with column j replaced, of each constraint that could hold the least one.
 
-    ``budgets`` leave out cell j.  A constraint whose lowest possible
+    The budget pair leaves out cell j.  A constraint whose lowest possible
     slack lies above the least highest one can neither hold nor tie the
     least slack, so it is left out.  If some sum could overflow or is not
     finite, every constraint is summed.
     """
-    estimates, errors = table.charge(budgets, column)
+    estimates, errors = table.charge(rests, noises, column)
     if math.inf in errors:
         return {i: table.slack(i, j, value) for i, value in enumerate(column)}
     ceiling = min(map(add, estimates, errors), default=math.inf)

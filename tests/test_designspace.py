@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cddkit import data_path, load_problem, quantify_requirement
+from cddkit import build_report, data_path, load_problem, quantify_requirement
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, grid_cap, lattice_sum
 from cddkit.errors import (
     BoxOutsideAmbient,
@@ -216,50 +216,38 @@ def test_feasible_box_contains_only_feasible_lattice_points():
             assert region.is_point_feasible(point)[0]
 
 
-def test_grid_corner_count():
-    rng = random.Random(29)
-    problem = random_problem(rng, dim=2)
-    mask = problem.region().grid_feasible_set(2)
-    assert len(mask) == 4
-
-
-def test_grid_unconstrained_all_feasible():
-    rng = random.Random(31)
-    problem = random_problem(rng, dim=2)
-    unconstrained = DesignProblem(
-        variables=problem.variables,
-        surfaces=problem.surfaces,
-        constraints=(),
-        seed=problem.seed,
-        name="open",
-    )
-    mask = unconstrained.region().grid_feasible_set(7)
-    assert len(mask) == 49 and all(mask)
-
-
-def test_emissions_grid_fraction_strictly_between_zero_and_one(emissions):
-    mask = emissions.region().grid_feasible_set(101)
-    fraction = sum(mask) / len(mask)
-    assert 0.0 < fraction < 1.0
-
-
 def test_grid_matches_pointwise_evaluation(emissions):
+    # the lattice evaluator over the grid axes decides every point as evaluate does
     region = emissions.region()
-    mask = region.grid_feasible_set(5)
-    points = list(itertools.product(*region.grid_axes(5)))
+    axes = region.grid_axes(5)
+    mask = [True] * 125
+    for s, bound in emissions.constrained_pairs():
+        values = lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
+        mask = [ok and z <= bound for ok, z in zip(mask, values)]
+    points = list(itertools.product(*axes))
     assert len(mask) == len(points) == 125
+    assert 0 < sum(mask) < 125
     for flagged, point in zip(mask, points):
         assert flagged == region.is_point_feasible(point)[0]
 
 
 def test_grid_cap(monkeypatch, emissions):
+    # the cap bounds each grid axis, and each report cell's r² points
     with pytest.raises(CapExceeded):
-        emissions.region().grid_feasible_set(1000)
+        emissions.region().grid_axes(10_000_001)
+    with pytest.raises(CapExceeded):
+        build_report(emissions, resolution=3163)
     monkeypatch.setenv("CDD_MAX_GRID", "1000000001")
     assert grid_cap() == 1000000001
     monkeypatch.setenv("CDD_MAX_GRID", "10")
+    assert len(emissions.region().grid_axes(10)[0]) == 10
     with pytest.raises(CapExceeded):
-        emissions.region().grid_feasible_set(3)
+        emissions.region().grid_axes(11)
+    with pytest.raises(CapExceeded):
+        build_report(emissions, resolution=4)
+    monkeypatch.setenv("CDD_MAX_GRID", "ten")
+    with pytest.raises(SchemaError):
+        grid_cap()
 
 
 def test_membership_invariant_under_variable_reordering(emissions):
@@ -384,17 +372,3 @@ def test_lattice_sum_matches_numpy_broadcast_sum():
             for _ in range(n)
         ]
         assert _hex(lattice_sum(beta0, per_axis)) == _hex(_numpy_lattice_sum(beta0, per_axis))
-
-
-def test_grid_feasible_set_matches_numpy_on_bundled_problems():
-    for name in ("emissions.json", "adas.json", "adas_tall.json"):
-        problem = load_problem(data_path(name).read_text())
-        region = problem.region()
-        axes = region.grid_axes(21)
-        mask = region.grid_feasible_set(21)
-        reference_mask = np.ones(len(mask), dtype=bool)
-        for c in problem.constraints:
-            s = problem.surface_by_name(c.surface)
-            values = _numpy_lattice_sum(s.beta0, [s.term(j, np.asarray(a)) for j, a in enumerate(axes)])
-            reference_mask &= values <= c.bound
-        assert mask == reference_mask.tolist()

@@ -28,7 +28,7 @@ from cddkit.orthotope import (
     _expand_step,
     VOLUME_SEARCH_RESOLUTION,
     _TermMax,
-    _budgets,
+    _admitted_interval,
     _expand_once,
     _volume_search,
     auto_rank,
@@ -135,6 +135,112 @@ def test_expand_concave_term_under_budget_reaches_ambient():
     problem = one_dim_problem(linear=1.0, quadratic=-1.0, bound=1.0, ambient=(-3.0, 3.0))
     box = expand_factor(problem, Orthotope.point(problem.seed), 0)
     assert box.intervals[0] == Interval(-3.0, 3.0)
+
+
+INF = math.inf
+
+
+ADMITTED_CASES = [
+    # case, l, q, seed_term, budget, accept, seed, the raw admitted interval
+    ("no effect", 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, (-INF, INF)),
+    ("no effect, refused", 0.0, 0.0, 0.0, -1.0, -1.0, 0.0, (INF, -INF)),
+    ("linear, l > 0", 2.0, 0.0, 0.0, 1.0, 1.0, 0.0, (-INF, 0.5)),
+    ("linear, l < 0", -2.0, 0.0, 0.0, 1.0, 1.0, 0.0, (-0.5, INF)),
+    ("linear, refused", 2.0, 0.0, 2.0, 1.0, 1.0, 1.0, (INF, -INF)),
+    ("convex", 0.0, 1.0, 0.0, 4.0, 4.0, 0.0, (-2.0, 2.0)),
+    ("convex, seed past a root", 0.0, 1.0, 4.0, 4.0, 4.0 + 1e-12, 2.0 + 1e-15, (-2.0, 2.0 + 1e-15)),
+    ("convex, no roots", 0.0, 1.0, 0.0, -1.0, 0.0, 0.0, (INF, -INF)),
+    ("convex, refused", 0.0, 1.0, 9.0, 4.0, 4.0, 3.0, (INF, -INF)),
+    ("concave, no roots", 0.0, -1.0, 0.0, 1.0, 1.0, 0.0, (-INF, INF)),
+    ("concave, ray above", 0.0, -1.0, -2.25, -1.0, -1.0, 1.5, (1.0, INF)),
+    ("concave, ray below", 0.0, -1.0, -2.25, -1.0, -1.0, -1.5, (-INF, -1.0)),
+    ("concave, refused", 0.0, -1.0, -0.25, -1.0, -1.0, 0.5, (INF, -INF)),
+]
+
+
+@pytest.mark.parametrize(
+    "case, l, q, seed_term, budget, accept, seed, expected", ADMITTED_CASES, ids=[c[0] for c in ADMITTED_CASES]
+)
+def test_admitted_interval_raw_result(case, l, q, seed_term, budget, accept, seed, expected):
+    # the term's own interval around the seed, before the caller's ambient clamp and floor:
+    # an infinite end for a ray or the whole line, the empty (inf, -inf) for a refused seed
+    assert _admitted_interval(l, q, seed_term, budget, accept, seed) == expected, case
+
+
+def _two_constraint_table(bounds, ambient=(-10.0, 10.0)):
+    """The term-max table of the box [-1, 1] for constraints a: x**2 <= bounds[0] and b: 2*x**2 <= bounds[1]."""
+    problem = DesignProblem(
+        variables=(DesignVariable("x", "", Interval(*ambient)),),
+        surfaces=(
+            QuadraticResponseSurface("a", "", 0.0, (0.0,), (1.0,)),
+            QuadraticResponseSurface("b", "", 0.0, (0.0,), (2.0,)),
+        ),
+        constraints=(ObjectiveConstraint("a", bounds[0]), ObjectiveConstraint("b", bounds[1])),
+        seed=(0.0,),
+        name="clamp",
+    )
+    return problem, _TermMax(problem, Orthotope((Interval(-1.0, 1.0),)))
+
+
+def test_expand_once_floor_tie_keeps_the_first_binding():
+    # both admitted intervals, [-0.5, 0.5] and [-0.5, 0.5]·√2, lie inside the floor [-1, 1]:
+    # both clamp to its ends, and the first constraint keeps the binding names
+    problem, table = _two_constraint_table((4.0, 8.0))
+    assert _expand_once(problem, table, 0, 0.0, [0.25, 1.0], [0.0, 0.0]) == (-1.0, 1.0, "a", "a")
+    # where the second constraint is the tighter one, the first still binds
+    assert _expand_once(problem, table, 0, 0.0, [0.5, 0.5], [0.0, 0.0]) == (-1.0, 1.0, "a", "a")
+
+
+def test_expand_once_ambient_tie_stays_ambient():
+    # both admitted intervals, [-2, 2] and [-3, 3], reach past the ambient [-1.5, 1.5]
+    problem, table = _two_constraint_table((4.0, 8.0), ambient=(-1.5, 1.5))
+    assert _expand_once(problem, table, 0, 0.0, [4.0, 18.0], [0.0, 0.0]) == (-1.5, 1.5, "ambient", "ambient")
+    assert expand_factor(problem, table.box, 0).intervals[0] == Interval(-1.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "constraints, tries, after, binding",
+    [
+        # an infinite bound makes the budget inf - 0*inf, NaN, so a quadratic term's roots are NaN
+        (
+            [("wild", 0.0, 1.0, INF), ("tight", 0.0, 1.0, 0.25)],
+            [(-0.5, 0.5, "tight", "tight"), (-0.4999999999999997, 0.4999999999999997, "tight", "tight")],
+            (-0.5, 0.5),
+            ("tight", "tight"),
+        ),
+        (
+            [("tight", 0.0, 1.0, 0.25), ("wild", 0.0, 1.0, INF)],
+            [(-0.5, 0.5, "tight", "tight"), (-0.4999999999999997, 0.4999999999999997, "tight", "tight")],
+            (-0.5, 0.5),
+            ("tight", "tight"),
+        ),
+        ([("wild", 1.0, 0.0, INF)], [(-1.0, 1.0, "ambient", "ambient")] * 2, (-1.0, 1.0), ("ambient", "ambient")),
+        ([("wild", -1.0, 0.0, INF)], [(-1.0, 1.0, "ambient", "ambient")] * 2, (-1.0, 1.0), ("ambient", "ambient")),
+        ([("wild", 0.0, -1.0, INF)], [(-1.0, 1.0, "ambient", "ambient")] * 2, (-1.0, 1.0), ("ambient", "ambient")),
+        (
+            [("wild", 0.5, 1.0, INF), ("cap", 1.0, 0.0, 0.5)],
+            [(-1.0, 0.5, "ambient", "cap"), (-1.0, 0.49999999999999944, "ambient", "cap")],
+            (-1.0, 0.5),
+            ("ambient", "cap"),
+        ),
+    ],
+    ids=["convex first", "convex second", "linear, l > 0", "linear, l < 0", "concave", "convex and linear"],
+)
+def test_expand_with_an_infinite_bound(constraints, tries, after, binding):
+    # NaN roots lose every comparison of the clamp, so the ambient bound or another constraint binds
+    problem = DesignProblem(
+        variables=(DesignVariable("x", "", Interval(-1.0, 1.0)),),
+        surfaces=tuple(QuadraticResponseSurface(name, "", 0.0, (l,), (q,)) for name, l, q, _ in constraints),
+        constraints=tuple(ObjectiveConstraint(name, bound) for name, _, _, bound in constraints),
+        seed=(0.25,),
+        name="inf",
+    )
+    table = _TermMax(problem, Orthotope.point(problem.seed))
+    rests, noises = table.budgets(0)
+    assert [_expand_once(problem, table, 0, bias, rests, noises) for bias in (0.0, 1.0)] == tries
+    (step,) = solve_greedy(problem).steps
+    assert (step.after.lo, step.after.hi) == after
+    assert (step.binding_lo, step.binding_hi) == binding
 
 
 def test_expand_requires_seed_in_interval():
@@ -499,25 +605,26 @@ def reference_certificate(problem, box):
 
 
 def reference_budgets(problem, box, j):
-    """Per constraint, one term at a time in coordinate order: name, coefficients and
-    term at the seed of coordinate j, budget and roundoff noise."""
-    out = []
+    """Per constraint, one term at a time in coordinate order: the budget of coordinate j
+    and its roundoff noise, as a pair of lists."""
+    surfaces = {s.name: s for s in problem.surfaces}
+    rests, noises = [], []
     for c in problem.constraints:
-        s = problem.surface_by_name(c.surface)
+        s = surfaces[c.surface]
         rest, magnitude = c.bound - s.beta0, abs(c.bound) + abs(s.beta0)
         for k, iv in enumerate(box.intervals):
             if k != j:
                 tm = s.term_extremum(k, iv, "max")[0]
                 rest -= tm
                 magnitude += abs(tm)
-        noise = (2 * problem.dim + 3) * 2.220446049250313e-16 * magnitude
-        out.append((s.name, s.linear[j], s.quadratic[j], s.term(j, problem.seed[j]), rest, noise))
-    return out
+        rests.append(rest)
+        noises.append((2 * problem.dim + 3) * 2.220446049250313e-16 * magnitude)
+    return rests, noises
 
 
 def _hex_budgets(budgets):
-    """Budgets with every float as its hex spelling, so that signed zeros and NaNs compare exactly."""
-    return [(name, *(v.hex() for v in floats)) for name, *floats in budgets]
+    """A budget pair with every float as its hex spelling, so that signed zeros and NaNs compare exactly."""
+    return [[v.hex() for v in values] for values in budgets]
 
 
 def test_term_max_table_matches_exact_box_checks(monkeypatch):
@@ -528,8 +635,8 @@ def test_term_max_table_matches_exact_box_checks(monkeypatch):
         self.tried = Interval(lo, hi)
         return column(self, j, lo, hi)
 
-    def recorded_fits(table, j, *args):
-        decision = fits(table, j, *args)
+    def recorded_fits(table, j, column, rests, noises):
+        decision = fits(table, j, column, rests, noises)
         tries.append((table.box.replaced(j, table.tried), decision))
         return decision
 
@@ -541,7 +648,7 @@ def test_term_max_table_matches_exact_box_checks(monkeypatch):
         assert table.slacks() == region.is_box_feasible(table.box.intervals)[1]
         for j in auto_rank(problem):
             if problem.dim <= 30:
-                assert _hex_budgets(_budgets(problem, table, j)) == _hex_budgets(reference_budgets(problem, table.box, j))
+                assert _hex_budgets(table.budgets(j)) == _hex_budgets(reference_budgets(problem, table.box, j))
             tries.clear()
             _expand_step(problem, table, j)
             assert tries
@@ -589,13 +696,12 @@ class ReferenceTable(_TermMax):
 
 def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
     """One audited expansion of factor j of ``table.box``, in place."""
-    box = table.box
-    before = box.intervals[j]
-    budgets = _budgets(problem, table, j)
+    before = table.box.intervals[j]
+    rests, noises = table.budgets(j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
     for bias in (0.0, 1.0, 32.0, 1024.0):
-        lo, hi, blo, bhi = _expand_once(problem, box, j, bias, budgets)
+        lo, hi, blo, bhi = _expand_once(problem, table, j, bias, rests, noises)
         cand = Interval(lo, hi)
         column = table.column(j, lo, hi)
         if all(sl >= 0.0 for sl in table.slacks(j, column)):

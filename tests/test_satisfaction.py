@@ -113,6 +113,31 @@ def test_arithmetic_magnitude_bound():
     assert satisfies(struct, sentence, max_magnitude=100)
 
 
+def test_builtin_body_is_frozen():
+    doc = {"domain": [0, 1, 2], "functions": {"k": {"params": ["x", "y"], "body": ["-", "x", ["*", 2, "y"]]}}}
+    _, struct = load_structure(doc)
+    k = struct.functions["k"]
+    # every nested list is kept as a tuple, so the structure hashes and the body cannot change
+    assert k.body == ("-", "x", ("*", 2, "y"))
+    assert hash(struct) == hash(load_structure(doc)[1])
+    with pytest.raises(AttributeError):
+        k.body.append("x")
+    with pytest.raises(TypeError):
+        k.body[2][1] = 3
+    # the loader's document is left as it was, and changing it afterwards does not reach the function
+    doc["functions"]["k"]["body"][2][1] = 3
+    assert k.body == ("-", "x", ("*", 2, "y"))
+    assert k == BuiltinFunction(params=("x", "y"), body=["-", "x", ["*", 2, "y"]])
+    # evaluation, and a pickle or deep-copy round trip, are unchanged
+    assert k.evaluate((Fraction(5), Fraction(1)), 100) == 3
+    sig = Signature(predicates=(), functions=(("k", 2),))
+    sentence = parse_sentence("forall v. k(v, 0) = v", sig)
+    for copied in (pickle.loads(pickle.dumps(struct)), copy.deepcopy(struct)):
+        assert copied == struct and hash(copied) == hash(struct)
+        assert copied.functions["k"].body == k.body
+        assert satisfies(copied, sentence) and satisfies(struct, sentence)
+
+
 def test_interpretation_maps_symbols_to_structure_names():
     sig = Signature(predicates=(("Red", 1),))
     struct = RelationalStructure(domain=("a", "b"), relations={"painted": [("a",)]})

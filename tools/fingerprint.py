@@ -2,12 +2,12 @@
 
 Solves a fixed, seeded set of random problems and hashes everything the
 package prints or writes for them: the ``solve_greedy`` solution JSON,
-the grid oracle's step checks and boxes (N <= 3), the lattice masks of
-``grid_feasible_set`` (N <= 10) and the ROSETTA CSV and SVG bytes.  The
-``logic`` part hashes every model ``enumerate_models`` returns, in order,
-for the ``logic-enumerate`` sentences at their domain sizes and for
-seeded random sentences over signatures that mix relations, unary
-predicates, constants and functions.  Two checkouts that print the same
+the grid oracle's step checks and boxes (N <= 3) and the ROSETTA CSV
+and SVG bytes.  The ``logic`` part hashes every model
+``enumerate_models`` returns, in order, for the ``logic-enumerate``
+sentences at their domain sizes and for seeded random sentences over
+signatures that mix relations, unary predicates, constants and
+functions.  Two checkouts that print the same
 digests produce byte-identical outputs on every one of those problems,
 so a refactor that claims to change no output can be checked by running
 this script before and after it:
@@ -60,8 +60,6 @@ OFFSET = (1600.0, 2000.0)
 ORACLE_MAX_DIM = 3
 ORACLE_RESOLUTION = 41
 VOLUME_RESOLUTION = 11
-MASK_MAX_DIM = 10
-MASK_RESOLUTION = {1: 9, 2: 7, 3: 5, 5: 3}  # 2 for the other dimensions
 # a report costs r^2 points per cell, so every dimension gets one
 ROSETTA_RESOLUTION = 5
 # the logic-enumerate sentences of perfbench/logic.py, with their domain sizes
@@ -116,8 +114,7 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
         return out
     out["solve"] = json.dumps(result.to_json(), indent=2).encode()
 
-    n = problem.dim
-    if n <= ORACLE_MAX_DIM:
+    if problem.dim <= ORACLE_MAX_DIM:
         checks = oracle_check_steps(problem, result, ORACLE_RESOLUTION)
         out["oracle_steps"] = repr(
             [(c.factor, c.grid_lo, c.grid_hi, c.tolerance, c.ok) for c in checks]
@@ -126,11 +123,6 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
         out["oracle_boxes"] = json.dumps(
             [oracle.greedy_box.to_json(), oracle.volume_box.to_json(), list(oracle.ranking)]
         ).encode()
-    if n <= MASK_MAX_DIM:
-        resolution = MASK_RESOLUTION.get(n, 2)
-        mask = problem.region().grid_feasible_set(resolution)
-        # the bytes of the shape and of a numpy bool array, as earlier digests hashed them
-        out["mask"] = repr((resolution,) * n).encode() + bytes(mask)
     report = build_report(problem, result, ROSETTA_RESOLUTION)
     paths = emit(report, "csv", work) + emit(report, "svg", work)
     out["rosetta"] = b"".join(p.name.encode() + p.read_bytes() for p in paths)
@@ -226,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         counts["logic"] = counts.get("logic", 0) + 1
 
     print(f"problems: {problems}")
-    for key in ("solve", "oracle_steps", "oracle_boxes", "mask", "rosetta", "logic"):
+    for key in ("solve", "oracle_steps", "oracle_boxes", "rosetta", "logic"):
         if key in parts:
             print(f"{key:<13} {counts[key]:>5}  {parts[key].hexdigest()}")
     print(f"{'all':<13} {'':>5}  {total.hexdigest()}")
