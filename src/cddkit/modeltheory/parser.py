@@ -11,6 +11,12 @@ Quantifiers are prenex.  Precedence: "not" binds tightest, then "and",
 then "or", then "->" (right associative).  Identifiers are C-style.
 Whether an identifier is a variable, a constant, or a function is
 decided by the signature, so parsing requires one.
+
+A sentence opens at most ``PARENTHESIS_LIMIT`` parentheses and argument
+lists inside one another, and its syntax tree, counting every quantifier,
+connective, atom and term, is at most ``SENTENCE_DEPTH_LIMIT`` levels high
+(both in ``syntax``).  Deeper text is a parse error, so that parsing,
+checking, evaluating and printing a sentence never run out of stack.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from fractions import Fraction
 from .._frozen import Frozen
 from ..errors import ArityMismatch, FreeVariable, ParseError, UnknownSymbol
 from .syntax import (
+    PARENTHESIS_LIMIT,
     RATIONAL_LITERAL,
+    SENTENCE_DEPTH_LIMIT,
     And,
     Apply,
     Atom,
@@ -36,7 +44,9 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    formula_children,
     free_variables,
+    too_deep,
 )
 
 __all__ = ["parse_sentence", "parse_formula"]
@@ -95,6 +105,7 @@ class _Parser:
         self.index = 0
         self.sig = sig
         self.bound: list[str] = []
+        self.open = 0  # parentheses and argument lists open around the current token
 
     # -- token helpers ------------------------------------------------------
 
@@ -117,6 +128,20 @@ class _Parser:
     def at_keyword(self, word: str) -> bool:
         return self.current.kind == "keyword" and self.current.text == word
 
+    def nested(self, parse):
+        """``parse()`` inside the parenthesis or argument list just opened.
+
+        The only recursion of the parser goes through here, so its depth
+        is bounded by the parenthesis limit.
+        """
+        if self.open == PARENTHESIS_LIMIT:
+            opening = self.tokens[self.index - 1]
+            raise ParseError(f"parentheses nested more than {PARENTHESIS_LIMIT} deep", opening.pos)
+        self.open += 1
+        inner = parse()
+        self.open -= 1
+        return inner
+
     # -- grammar --------------------------------------------------------------
 
     def sentence(self) -> Formula:
@@ -135,14 +160,19 @@ class _Parser:
         self.expect("eof", "end of input")
         for word, name in reversed(quants):
             body = Forall(name, body) if word == "forall" else Exists(name, body)
+        if too_deep(body, formula_children, SENTENCE_DEPTH_LIMIT):
+            raise ParseError(f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep", 0)
         return body
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.current.kind == "arrow":
+        parts = [self.disjunction()]
+        while self.current.kind == "arrow":
             self.advance()
-            return Implies(left, self.implication())
-        return left
+            parts.append(self.disjunction())
+        out = parts.pop()
+        while parts:
+            out = Implies(parts.pop(), out)
+        return out
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
@@ -159,16 +189,20 @@ class _Parser:
         return left
 
     def negation(self) -> Formula:
-        if self.at_keyword("not"):
+        count = 0
+        while self.at_keyword("not"):
             self.advance()
-            return Not(self.negation())
-        return self.atom()
+            count += 1
+        out = self.atom()
+        for _ in range(count):
+            out = Not(out)
+        return out
 
     def atom(self) -> Formula:
         tok = self.current
         if tok.kind == "(":
             self.advance()
-            inner = self.implication()
+            inner = self.nested(self.implication)
             self.expect(")", "')'")
             return inner
         if tok.kind == "ident" and self.sig.predicate_arity(tok.text) is not None:
@@ -187,11 +221,15 @@ class _Parser:
 
     def termlist(self, head: _Token) -> tuple[Term, ...]:
         self.expect("(", f"'(' after symbol {head.text!r}")
+        args = self.nested(self.arguments)
+        self.expect(")", "')' closing the argument list")
+        return args
+
+    def arguments(self) -> tuple[Term, ...]:
         args = [self.term()]
         while self.current.kind == ",":
             self.advance()
             args.append(self.term())
-        self.expect(")", "')' closing the argument list")
         return tuple(args)
 
     def term(self) -> Term:

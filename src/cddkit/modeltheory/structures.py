@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+from collections import deque
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -31,6 +33,7 @@ from ..errors import (
     read_json,
 )
 from .syntax import (
+    BODY_DEPTH_LIMIT,
     RATIONAL_LITERAL,
     And,
     Apply,
@@ -50,6 +53,7 @@ from .syntax import (
     coerce_value,
     free_variables,
     has_quantifier,
+    too_deep,
 )
 
 __all__ = [
@@ -76,15 +80,18 @@ class BuiltinFunction(Frozen):
     """Exact rational arithmetic in a tiny prefix form.
 
     ``body`` is a parameter name, a rational, or a nested sequence
-    ``[op, arg, ...]`` with op one of + - *; every nested list is kept
-    as a tuple, so the body cannot change and the function hashes.
-    Results exceeding the magnitude bound raise instead of silently
-    growing.
+    ``[op, arg, ...]`` with op one of + - *, at most ``BODY_DEPTH_LIMIT``
+    levels deep; every nested list is kept as a tuple, so the body
+    cannot change and the function hashes.  Results exceeding the
+    magnitude bound raise instead of silently growing.
     """
 
     __slots__ = ("params", "body")
 
     def __init__(self, params: tuple[str, ...], body: object):
+        # measured before anything recurses: each sequence and each leaf is a level
+        if too_deep(body, lambda node: node if isinstance(node, (list, tuple)) else (), BODY_DEPTH_LIMIT):
+            raise SchemaError(f"function body more than {BODY_DEPTH_LIMIT} levels deep")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "body", _frozen_body(body))
 
@@ -109,7 +116,8 @@ class BuiltinFunction(Frozen):
             return Fraction(str(node))
         if isinstance(node, (list, tuple)) and node and node[0] in _ARITH_OPS:
             op = node[0]
-            args = [self._eval(a, env, bound) for a in node[1:]]
+            # map, not a comprehension (a frame of its own): one frame per level
+            args = list(map(self._eval, node[1:], itertools.repeat(env), itertools.repeat(bound)))
             if not args:
                 raise SchemaError(f"operator {op!r} needs arguments")
             if op == "-" and len(args) == 1:
@@ -614,16 +622,14 @@ def enumerate_models(
     domain_cap: int = ENUMERATION_DOMAIN_CAP,
     count_cap: int = ENUMERATION_COUNT_CAP,
 ) -> list[RelationalStructure]:
-    """All structures over a canonical domain of the given size that
-    satisfy the sentence.
+    """All structures over a canonical domain of the given size that satisfy the sentence.
 
     Enumeration order is deterministic: relation extensions run through
     ascending bitmask order per symbol (tuple index = bit index), with
     later symbols cycling fastest; function tables likewise.  One
-    evaluation decides every candidate at once, and only a model is built.
-    A model is put together from immutable pieces, the tuple set of each
-    byte of a relation's mask and each read-only function table, that are
-    made once per call and shared by its models; none outlives the call.
+    evaluation decides every candidate at once, and only the models are
+    built, one field at a time across the whole list, from immutable
+    pieces made once per call (none outlives it).
     """
     if domain_size < 1:
         raise SchemaError("domain size must be at least 1")
@@ -647,9 +653,8 @@ def enumerate_models(
         raise CapExceeded(f"2^{bits:.6g} candidate structures exceed cap {count_cap}")
 
     domain = tuple(f"e{i}" for i in range(domain_size))
-    # (name, arity, radix, is a relation): a relation's inputs are its tuples,
-    # each in or out; a function's are its argument tuples, each mapped to one
-    # of domain_size values
+    # (name, arity, radix, is a relation): a relation's inputs are its tuples, each
+    # in or out; a function's are its argument tuples, each mapped to a domain value
     symbols = [(name, arity, 2, True) for name, arity in sig.predicates]
     symbols += [(name, arity, domain_size, False) for name, arity in sig.functions]
 
@@ -657,50 +662,56 @@ def enumerate_models(
     # (c // weight) % radix, the later symbols cycling fastest.  Within a
     # relation, tuple i is bit i of its mask; within a function, the first
     # input is the most significant digit, as itertools.product orders the
-    # output tuples.  A place is one function's table or one byte of a
-    # relation's mask, eight tuples: its digits together are the value
-    # v = (c // stride) % size, which names its piece.
-    places = []  # (name, stride, size, radix, is a relation, [(input, weight)], {v: piece})
+    # output tuples.  A place is one function's table or one byte (eight tuples)
+    # of a relation's mask: its digits make v = (c // stride) % size, which names
+    # its piece, and the digit of an input of weight stride * w is v // w % radix.
+    places = []  # (name, stride, size, radix, is a relation, [(input, w)], {v: piece})
     stride = total
     for name, arity, radix, is_relation in symbols:
         inputs = list(itertools.product(domain, repeat=arity))
         stride //= radix ** len(inputs)
         last = len(inputs) - 1
-        digits = [(x, stride * radix ** (i if is_relation else last - i)) for i, x in enumerate(inputs)]
+        digits = [(x, radix ** (i % 8 if is_relation else last - i)) for i, x in enumerate(inputs)]
         step = 8 if is_relation else len(digits)
         for i in range(0, len(digits), step):
             part = digits[i : i + step]
             places.append((name, stride * radix**i, radix ** len(part), radix, is_relation, part, {}))
 
-    # Each piece is made once per call, by the first candidate that has it,
-    # and then shared by every candidate with the same v: it is immutable, a
-    # frozenset of tuples or a read-only table.  A relation of more than
-    # eight tuples is the union of its bytes' pieces.
-    def candidate(c):
-        relations, functions = {}, {}
+    # The relations and the functions of candidates cs as two lists of views,
+    # decoded one place at a time across all of cs.  A piece (a frozenset of
+    # tuples or a read-only table) is made when a decode first meets its v and
+    # shared by every candidate with that v; a relation of more than eight
+    # tuples is the union of its bytes' pieces.  An empty side is one view.
+    sides = ([name for name, _ in sig.predicates], [name for name, _ in sig.functions])
+
+    def maps(cs):
+        fields = {}  # name -> [piece of each candidate]
         for name, stride, size, radix, is_relation, digits, memo in places:
-            v = c // stride % size
-            piece = memo.get(v)
-            if not is_relation:
-                if piece is None:
-                    table = {args: domain[c // weight % radix] for args, weight in digits}
-                    piece = memo[v] = MappingProxyType(table)
-                functions[name] = piece
-                continue
-            if piece is None:
-                piece = memo[v] = frozenset(t for t, weight in digits if c // weight % 2)
-            relations[name] = relations[name] | piece if name in relations else piece
-        return relations, functions
+            vs = [c // stride % size for c in cs]
+            for v in set(vs).difference(memo):
+                if is_relation:
+                    memo[v] = frozenset(t for t, w in digits if v // w % 2)
+                else:
+                    memo[v] = MappingProxyType({args: domain[v // w % radix] for args, w in digits})
+            pieces = list(map(memo.__getitem__, vs))
+            fields[name] = list(map(or_, fields[name], pieces)) if name in fields else pieces
+        views = []
+        for names in sides:
+            dicts = [{names[0]: piece} for piece in fields[names[0]]] if names else []
+            for name in names[1:]:
+                deque(map(dict.__setitem__, dicts, itertools.repeat(name), fields[name]), 0)
+            views.append(list(map(MappingProxyType, dicts)) if names else [MappingProxyType({})] * len(cs))
+        return views
 
     # the tables of all candidates at once
     rels, fns = {}, {}
-    for name, _, _, radix, is_relation, digits, _ in places:
+    for name, stride, _, radix, is_relation, digits, _ in places:
         if is_relation:
-            rels.setdefault(name, {}).update((t, _digit_set(total, weight, 2, 1)) for t, weight in digits)
+            rels.setdefault(name, {}).update((t, _digit_set(total, stride * w, 2, 1)) for t, w in digits)
         else:
             fns[name] = {
-                args: {value: _digit_set(total, weight, radix, k) for k, value in enumerate(domain)}
-                for args, weight in digits
+                args: {value: _digit_set(total, stride * w, radix, k) for k, value in enumerate(domain)}
+                for args, w in digits
             }
 
     # What satisfies would check per candidate is decided by construction:
@@ -716,39 +727,28 @@ def enumerate_models(
         # literal, fails here.  Replay the candidates in order, one at a
         # time, so that the first one that fails raises what it raises alone.
         for c in range(total):
-            evaluate(*_one_candidate(*candidate(c)), {}, 1)
+            (relations,), (functions,) = maps([c])
+            evaluate(*_one_candidate(relations, functions), {}, 1)
         raise
 
     # only a model becomes a RelationalStructure, in ascending candidate order
-    models = []
-    bits = bin(hits)[:1:-1]  # character c is bit c
-    c = bits.find("1")
-    while c >= 0:
-        models.append(_model(domain, *candidate(c)))
-        c = bits.find("1", c + 1)
-    return models
+    # (character c of the reversed binary text is bit c)
+    return _models(domain, *maps([m.start() for m in re.finditer("1", bin(hits)[:1:-1])]))
 
 
-# the slots' own setters, which Frozen.__setattr__ does not stand in front of
-_set_domain, _set_relations, _set_functions = (
-    getattr(RelationalStructure, name).__set__ for name in RelationalStructure.__slots__
-)
+def _models(domain, relations, functions) -> list[RelationalStructure]:
+    """Structures from fields that are canonical by construction, checked by nothing.
 
-
-def _model(domain, relations, functions) -> RelationalStructure:
-    """A structure from fields that are canonical by construction, checked by nothing.
-
-    ``domain`` is a tuple of distinct domain values, ``relations`` a new dict
-    of a frozenset of tuples over it per name, and ``functions`` a new dict of
-    a total read-only ``{args: value}`` table over it per name; the structure
-    holds read-only views of both.  These are the fields the constructor would
-    make of them, so the slots are set straight through their descriptors.
+    ``relations`` and ``functions`` hold one read-only view per structure, of a
+    frozenset of tuples and of a total read-only ``{args: value}`` table per
+    name, over the distinct values of ``domain``: the fields the constructor
+    would make, set one field at a time across the list by the slots' setters.
     """
-    struct = object.__new__(RelationalStructure)
-    _set_domain(struct, domain)
-    _set_relations(struct, MappingProxyType(relations))
-    _set_functions(struct, MappingProxyType(functions))
-    return struct
+    models = list(map(object.__new__, itertools.repeat(RelationalStructure, len(relations))))
+    for name, values in zip(RelationalStructure.__slots__, (itertools.repeat(domain), relations, functions)):
+        # the slot's own setter (Frozen.__setattr__ refuses) on every model; the deque keeps no result
+        deque(map(getattr(RelationalStructure, name).__set__, models, values), 0)
+    return models
 
 
 # --- JSON loading ----------------------------------------------------------------

@@ -41,6 +41,42 @@ __all__ = [
 ]
 
 
+# How deep text may nest.  Each walk of a sentence (checking, compiling,
+# evaluating, printing it) takes a Python frame per level of its syntax tree,
+# and evaluating a builtin function one per level of its body, so a sentence
+# at its limit that applies a body at its limit takes about 800 frames, inside
+# Python's default limit of 1,000.  Parsing takes about six frames for each
+# parenthesis or argument list open around a token.
+SENTENCE_DEPTH_LIMIT = 500
+BODY_DEPTH_LIMIT = 300
+PARENTHESIS_LIMIT = 100
+
+
+def too_deep(root, children, limit: int) -> bool:
+    """Whether the tree under ``root`` is more than ``limit`` levels deep.
+
+    The levels are walked one at a time and no further than the limit, so
+    no depth, nor a cycle, makes this recurse or run on.
+    """
+    level = [root]
+    for _ in range(limit):
+        level = [child for node in level for child in children(node)]
+        if not level:
+            return False
+    return True
+
+
+def formula_children(node) -> tuple:
+    """The formulas and terms right under a syntax node, each a level below it."""
+    if isinstance(node, (Atom, Apply)):
+        return node.args
+    if isinstance(node, (Eq, And, Or, Implies)):
+        return (node.left, node.right)
+    if isinstance(node, (Not, Forall, Exists)):
+        return (node.body,)
+    return ()
+
+
 # --- terms ---------------------------------------------------------------
 
 # the one spelling of a rational literal: sentences, domain values, function

@@ -11,6 +11,7 @@ from cddkit import data_path
 from cddkit.cli import main
 from cddkit.errors import SchemaError
 from cddkit.modeltheory import RelationalStructure, load_structure
+from cddkit.modeltheory.syntax import BODY_DEPTH_LIMIT, PARENTHESIS_LIMIT, SENTENCE_DEPTH_LIMIT
 from cddkit.orthotope import SolveResult
 
 from conftest import problem_document, random_problem
@@ -765,6 +766,78 @@ def test_logic_structure_repeating_a_domain_value_exits_2(tmp_path, capsys):
         RelationalStructure(domain=(1, "1"))
     assert str(info.value) == message
     assert _logic_exits_2(tmp_path, capsys, "structure", json.dumps(doc)) == f"error: {message}\n"
+
+
+_DEEP_SENTENCES = {
+    "parentheses": "(" * 200 + "R(x, x)" + ")" * 200,
+    "not": "not " * 1000 + "R(x, x)",
+    "and": " and ".join(["R(x, x)"] * 1000),
+    "or": " or ".join(["R(x, x)"] * 1000),
+    "->": " -> ".join(["R(x, x)"] * 1000),
+}
+
+
+@pytest.mark.parametrize("shape", _DEEP_SENTENCES)
+def test_logic_deeply_nested_sentence_exits_2(tmp_path, capsys, shape):
+    theory = {"signature": json.loads(_SIGNATURE), "sentences": ["forall x. " + _DEEP_SENTENCES[shape]]}
+    err = _logic_exits_2(tmp_path, capsys, "theory", json.dumps(theory))
+    if shape == "parentheses":
+        # the 101st parenthesis, after "forall x. "
+        assert err == f"error: parentheses nested more than {PARENTHESIS_LIMIT} deep at offset 110\n"
+    else:
+        assert err == f"error: syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep at offset 0\n"
+
+
+def _nested_sum(levels):
+    """x + x + ... as a builtin body ``levels`` deep: its lists, then the leaves."""
+    body = "x"
+    for _ in range(levels - 1):
+        body = ["+", body, "x"]
+    return body
+
+
+def _run_logic(tmp_path, capsys, theory, structure):
+    paths = {}
+    for name, doc in (("theory", theory), ("structure", structure)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return run_cli("logic", "--theory", str(paths["theory"]), "--structure", str(paths["structure"]),
+                   capsys=capsys)
+
+
+def test_logic_deeply_nested_builtin_body_exits_2(tmp_path, capsys):
+    structure = {"domain": [0, 1], "functions": {"sq": {"params": ["x"], "body": _nested_sum(600)}}}
+    theory = {"signature": {"functions": [["sq", 1]]}, "sentences": ["forall x. sq(x) = sq(x)"]}
+    code, out, err = _run_logic(tmp_path, capsys, theory, structure)
+    assert (code, out, err) == (2, "", f"error: function body more than {BODY_DEPTH_LIMIT} levels deep\n")
+
+
+def test_logic_sentence_and_body_at_their_limits_evaluate(tmp_path, capsys):
+    """The deepest evaluation the limits allow: the first conjunct of a chain
+    as high as a sentence may be applies a builtin as deep as a body may be."""
+    structure = {"domain": [0, 1], "functions": {"sq": {"params": ["x"], "body": _nested_sum(BODY_DEPTH_LIMIT)}}}
+    # forall, k - 1 ands, the equation, sq(...) and x: k + 3 levels
+    chain = " and ".join(["sq(x) = sq(x)"] * (SENTENCE_DEPTH_LIMIT - 3))
+    theory = {"signature": {"functions": [["sq", 1]]}, "sentences": ["forall x. " + chain]}
+    code, out, err = _run_logic(tmp_path, capsys, theory, structure)
+    assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
+
+
+@pytest.mark.parametrize("concepts", [50, (SENTENCE_DEPTH_LIMIT - 1) // 2, (SENTENCE_DEPTH_LIMIT + 1) // 2])
+def test_logic_graph_sentence_reads_back_within_the_depth_limit(tmp_path, capsys, concepts):
+    # k concepts without referents: k exists, k - 1 ands, an atom and a variable
+    graph = {"concepts": [{"id": f"c{i}", "type": "T"} for i in range(concepts)], "relations": []}
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    code, out, _ = run_cli("logic", "--graph", str(tmp_path / "graph.json"), "--json", capsys=capsys)
+    assert code == 0
+    doc = json.loads(out)
+    theory = {"signature": doc["signature"], "sentences": [doc["sentence"]]}
+    code, out, err = _run_logic(tmp_path, capsys, theory, {"domain": [0], "relations": {"T": [[0]]}})
+    if 2 * concepts + 1 <= SENTENCE_DEPTH_LIMIT:
+        assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
+    else:
+        message = f"error: syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep at offset 0\n"
+        assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(

@@ -15,14 +15,17 @@ from cddkit.modeltheory import (
     Lit,
     Not,
     Or,
+    RelationalStructure,
     Signature,
     Var,
     free_variables,
     parse_formula,
     parse_sentence,
+    satisfies,
     to_text,
 )
 from cddkit.modeltheory.parser import _lex
+from cddkit.modeltheory.syntax import PARENTHESIS_LIMIT, SENTENCE_DEPTH_LIMIT
 from cddkit.modeltheory.structures import coerce_value
 
 TRIANGLE_SIG = Signature(functions=(("P1", 2), ("P2", 1)))
@@ -206,3 +209,62 @@ def test_signature_rejects_bad_symbols_with_schema_error():
     with pytest.raises(SchemaError):
         Signature.from_json({"predicates": [["R", 2.0]]})
     assert Signature.from_json({"predicates": [["R", 2]]}) == Signature(predicates=(("R", 2),))
+
+
+# --- nesting limits ----------------------------------------------------------------
+
+DEEP_SIG = Signature(predicates=(("P", 1),), functions=(("a", 0), ("f", 1)))
+
+# text of each shape at a size k, and the largest k within the limits: k
+# parentheses around P(a) open k + 1 levels, as its argument list opens one;
+# in the syntax tree the atom P(...) and the constant a are a level each, so
+# a chain of k operands is k + 1 levels high
+DEEP_SHAPES = {
+    "parentheses": (lambda k: "(" * k + "P(a)" + ")" * k, PARENTHESIS_LIMIT - 1),
+    "terms": (lambda k: "P(" + "f(" * k + "a" + ")" * k + ")", PARENTHESIS_LIMIT - 1),
+    "not": (lambda k: "not " * k + "P(a)", SENTENCE_DEPTH_LIMIT - 2),
+    "and": (lambda k: " and ".join(["P(a)"] * k), SENTENCE_DEPTH_LIMIT - 1),
+    "or": (lambda k: " or ".join(["P(a)"] * k), SENTENCE_DEPTH_LIMIT - 1),
+    "->": (lambda k: " -> ".join(["P(a)"] * k), SENTENCE_DEPTH_LIMIT - 1),
+    "quantifiers": (lambda k: "".join(f"forall v{i}. " for i in range(k)) + "P(v0)", SENTENCE_DEPTH_LIMIT - 2),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_sentence_at_the_nesting_limit_parses_evaluates_and_prints(shape):
+    text, k = DEEP_SHAPES[shape]
+    sentence = parse_sentence(text(k), DEEP_SIG)
+    struct = RelationalStructure(domain=(0,), relations={"P": {(0,)}}, functions={"a": {(): 0}, "f": {(0,): 0}})
+    assert satisfies(struct, sentence) == (shape != "not" or k % 2 == 0)
+    # printed and read back to the same text: == on syntax trees recurses
+    # about three frames per level, so it is not the check at this depth
+    printed = to_text(sentence)
+    assert to_text(parse_sentence(printed, DEEP_SIG)) == printed
+    with pytest.raises(ParseError, match="nested more than|levels deep"):
+        parse_sentence(text(k + 1), DEEP_SIG)
+
+
+@pytest.mark.parametrize(
+    "shape, k",
+    [("parentheses", 200), ("not", 1000), ("and", 1000), ("or", 1000), ("->", 1000), ("terms", 1000),
+     ("quantifiers", 1000)],
+)
+def test_deeply_nested_sentence_is_a_parse_error(shape, k):
+    text, _ = DEEP_SHAPES[shape]
+    with pytest.raises(ParseError) as info:
+        parse_sentence(text(k), DEEP_SIG)
+    # the parenthesis that opens one level too many: argument lists of
+    # "P(f(f(..." open at offsets 1, 3, 5, ...
+    offset = {"parentheses": PARENTHESIS_LIMIT, "terms": 2 * PARENTHESIS_LIMIT + 1}.get(shape)
+    if offset is None:
+        assert str(info.value) == f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep at offset 0"
+    else:
+        assert str(info.value) == f"parentheses nested more than {PARENTHESIS_LIMIT} deep at offset {offset}"
+
+
+def test_chains_keep_their_associativity():
+    sig = Signature(predicates=(("P", 1), ("Q", 1), ("R", 1)), functions=(("a", 0),))
+    p, q, r = (Atom(name, (Apply("a", ()),)) for name in "PQR")
+    assert parse_sentence("P(a) -> Q(a) -> R(a)", sig) == Implies(p, Implies(q, r))
+    assert parse_sentence("P(a) and Q(a) and R(a)", sig) == And(And(p, q), r)
+    assert parse_sentence("not not P(a) or Q(a)", sig) == Or(Not(Not(p)), q)

@@ -30,7 +30,8 @@ from cddkit.modeltheory import (
     parse_sentence,
     satisfies,
 )
-from cddkit.modeltheory.structures import coerce_value
+from cddkit.modeltheory.structures import DEFAULT_MAGNITUDE_BOUND, coerce_value
+from cddkit.modeltheory.syntax import BODY_DEPTH_LIMIT
 
 from conftest import MALFORMED_JSON
 from test_evaluator import MIXED_SIGNATURES, _candidates
@@ -96,6 +97,32 @@ def test_ground_sentence_over_empty_domain_is_decided():
     sig = Signature()
     assert satisfies(struct, parse_sentence("3 = 3", sig))
     assert not satisfies(struct, parse_sentence("3 = 4", sig))
+
+
+def _nested_body(levels):
+    """x + 1 + 1 ... as a body ``levels`` deep: its lists, then the leaves."""
+    body = "x"
+    for _ in range(levels - 1):
+        body = ["+", body, "1"]
+    return body
+
+
+def test_builtin_body_at_the_nesting_limit_evaluates():
+    sq = BuiltinFunction(params=("x",), body=_nested_body(BODY_DEPTH_LIMIT))
+    assert sq.evaluate((Fraction(2),), DEFAULT_MAGNITUDE_BOUND) == 2 + BODY_DEPTH_LIMIT - 1
+    struct = RelationalStructure(domain=(0, 1), functions={"sq": sq})
+    sig = Signature(functions=(("sq", 1),))
+    assert satisfies(struct, parse_sentence("forall x. sq(x) = sq(x)", sig))
+
+
+@pytest.mark.parametrize("levels", [BODY_DEPTH_LIMIT + 1, 600])
+def test_builtin_body_past_the_nesting_limit_is_refused(levels):
+    message = f"function body more than {BODY_DEPTH_LIMIT} levels deep"
+    with pytest.raises(SchemaError, match=message):
+        BuiltinFunction(params=("x",), body=_nested_body(levels))
+    doc = {"domain": [0, 1], "functions": {"sq": {"params": ["x"], "body": _nested_body(levels)}}}
+    with pytest.raises(SchemaError, match=message):
+        load_structure(doc)
 
 
 def test_arithmetic_magnitude_bound():
@@ -354,8 +381,33 @@ def test_enumerated_models_are_canonical(sig, text, size):
         for view in (m.relations, m.functions, *m.functions.values()):
             with pytest.raises(TypeError):
                 view["new"] = None
-    # the models of one call own their outer maps; only the immutable pieces are shared
-    assert len({id(view) for m in models for view in (m.relations, m.functions)}) == 2 * len(models)
+    # the models of one call own their outer maps, except that a side with no
+    # symbol is one empty view for all of them; only immutable pieces are shared
+    for views, symbols in (
+        ([m.relations for m in models], sig.predicates),
+        ([m.functions for m in models], sig.functions),
+    ):
+        assert len(set(map(id, views))) == (len(models) if symbols else 1)
+
+
+def test_enumerations_share_no_piece_across_calls():
+    """Pieces are memoised for one call only: a second call on the same
+    signature builds its own frozensets and tables, which are as read-only."""
+    sig = MIXED_SIGNATURES[1]  # R/2 and P/1 beside f/1 and the constant c
+    sentence = parse_sentence("forall x. x = x", sig)  # every candidate is a model
+    first, second = enumerate_models(sig, sentence, 2), enumerate_models(sig, sentence, 2)
+    assert first == second and len(first) == 2**4 * 2**2 * 2**2 * 2
+
+    def pieces(models):
+        return [piece for m in models for piece in (*m.relations.values(), *m.functions.values())]
+
+    # within a call the pieces are shared: R has 16 extensions, P 4, f 4 tables and c 2
+    assert len(set(map(id, pieces(first)))) == 16 + 4 + 4 + 2
+    assert not set(map(id, pieces(first))) & set(map(id, pieces(second)))
+    for m in first + second:
+        for view in (m.relations, m.functions, *m.functions.values()):
+            with pytest.raises(TypeError):
+                view["new"] = None
 
 
 def test_enumerated_models_copy_and_pickle_through_the_constructor():
