@@ -16,7 +16,22 @@ from fractions import Fraction
 
 from .._frozen import Frozen
 from ..errors import HigherOrderGraph, SchemaError, read_json
-from .syntax import RATIONAL_LITERAL, And, Apply, Atom, Exists, Formula, Lit, Signature, Term, Var, coerce_value
+from .syntax import (
+    RATIONAL_LITERAL,
+    SENTENCE_DEPTH_LIMIT,
+    And,
+    Apply,
+    Atom,
+    Exists,
+    Formula,
+    Lit,
+    Signature,
+    Term,
+    Var,
+    coerce_value,
+    formula_children,
+    too_deep,
+)
 
 __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence", "load_graph"]
 
@@ -78,7 +93,10 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
 
     Returns the derived signature and a closed existential sentence:
     a conjunction of one type atom per concept and one atom per
-    relation node, quantifying over concepts without referents.
+    relation node, quantifying over concepts without referents.  A
+    sentence more than ``SENTENCE_DEPTH_LIMIT`` levels deep, which the
+    parser would refuse, is refused here: about 250 concepts without
+    referents, each of which adds an ``exists`` and an ``and``.
     """
     terms: dict[str, Term] = {}
     variables = []
@@ -125,6 +143,8 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
         body = And(body, atom)
     for name in reversed(variables):
         body = Exists(name, body)
+    if too_deep(body, formula_children, SENTENCE_DEPTH_LIMIT):
+        raise SchemaError(f"the graph's sentence is more than {SENTENCE_DEPTH_LIMIT} levels deep")
     return sig, body
 
 

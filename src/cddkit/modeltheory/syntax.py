@@ -77,6 +77,85 @@ def formula_children(node) -> tuple:
     return ()
 
 
+# --- nodes ---------------------------------------------------------------
+
+class _Hashed:
+    """Stands in a tuple for a nested value whose hash is known, so the tuple hashes as it would."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+class _Node:
+    """Equality, hash and repr of a ``Frozen`` syntax node, each walked with an explicit stack.
+
+    They give what ``Frozen``'s give, value for value, hash for hash and
+    character for character, but a tree of any depth compares, hashes and
+    prints without recursion.  A node class lists this before ``Frozen``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, _Node) and a.__class__ is b.__class__:
+                pairs += zip(a._values(a), b._values(b))
+            elif a.__class__ is tuple and b.__class__ is tuple and len(a) == len(b):
+                pairs += zip(a, b)
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        nested, stack = [], [self]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, _Node):
+                nested.append((value, value._values(value)))
+                stack += nested[-1][1]
+            elif value.__class__ is tuple:
+                nested.append((value, value))
+                stack += value
+        # each nested value comes after its parent, so reversed, after its children
+        hashes = {}
+        for value, fields in reversed(nested):
+            hashes[id(value)] = hash(tuple(_Hashed(hashes[id(f)]) if id(f) in hashes else f for f in fields))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        out, stack = [], [(False, self)]
+        while stack:
+            literal, value = stack.pop()
+            if literal:
+                out.append(value)
+            elif isinstance(value, _Node):
+                parts = [(True, f"{value.__class__.__qualname__}(")]
+                for k, (name, field) in enumerate(zip(value.__slots__, value._values(value))):
+                    parts += [(True, f"{', ' if k else ''}{name}="), (False, field)]
+                stack += reversed([*parts, (True, ")")])
+            elif value.__class__ is tuple:
+                parts = [(True, "(")]
+                for k, item in enumerate(value):
+                    if k:
+                        parts.append((True, ", "))
+                    parts.append((False, item))
+                stack += reversed([*parts, (True, ",)" if len(value) == 1 else ")")])
+            else:
+                out.append(repr(value))
+        return "".join(out)
+
+
 # --- terms ---------------------------------------------------------------
 
 # the one spelling of a rational literal: sentences, domain values, function
@@ -108,21 +187,21 @@ def coerce_value(v) -> DomainValue:
     raise SchemaError(f"cannot use {v!r} as a domain value")
 
 
-class Var(Frozen):
+class Var(_Node, Frozen):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
 
-class Lit(Frozen):
+class Lit(_Node, Frozen):
     __slots__ = ("value",)
 
     def __init__(self, value: Fraction):
         object.__setattr__(self, "value", value)
 
 
-class Apply(Frozen):
+class Apply(_Node, Frozen):
     __slots__ = ("func", "args")
 
     def __init__(self, func: str, args: tuple[Term, ...] = ()):
@@ -135,7 +214,7 @@ Term = Union[Var, Lit, Apply]
 
 # --- formulas ------------------------------------------------------------
 
-class Atom(Frozen):
+class Atom(_Node, Frozen):
     __slots__ = ("pred", "args")
 
     def __init__(self, pred: str, args: tuple[Term, ...]):
@@ -143,7 +222,7 @@ class Atom(Frozen):
         object.__setattr__(self, "args", args)
 
 
-class Eq(Frozen):
+class Eq(_Node, Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
@@ -151,14 +230,14 @@ class Eq(Frozen):
         object.__setattr__(self, "right", right)
 
 
-class Not(Frozen):
+class Not(_Node, Frozen):
     __slots__ = ("body",)
 
     def __init__(self, body: Formula):
         object.__setattr__(self, "body", body)
 
 
-class And(Frozen):
+class And(_Node, Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -166,7 +245,7 @@ class And(Frozen):
         object.__setattr__(self, "right", right)
 
 
-class Or(Frozen):
+class Or(_Node, Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -174,7 +253,7 @@ class Or(Frozen):
         object.__setattr__(self, "right", right)
 
 
-class Implies(Frozen):
+class Implies(_Node, Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
@@ -182,7 +261,7 @@ class Implies(Frozen):
         object.__setattr__(self, "right", right)
 
 
-class Forall(Frozen):
+class Forall(_Node, Frozen):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: Formula):
@@ -190,7 +269,7 @@ class Forall(Frozen):
         object.__setattr__(self, "body", body)
 
 
-class Exists(Frozen):
+class Exists(_Node, Frozen):
     __slots__ = ("var", "body")
 
     def __init__(self, var: str, body: Formula):

@@ -221,15 +221,28 @@ _FLOAT_EPS = 2.220446049250313e-16
 _SUM_LIMIT = 2.0**1022
 
 
+class _LeftToRight(float):
+    """A float that starts a builtin ``sum`` left to right: ``((start + c0) + c1) + ...``.
+
+    CPython 3.12+ compensates a float ``sum`` only while its running total
+    is exactly a ``float``; from a subclass start, ``sum`` takes its generic
+    loop on every version, one ``+`` per cell in order, as ``reduce(add)``
+    does, with no Python call per cell.
+    """
+
+    __slots__ = ()
+
+
 class _TermMax:
     """Maximum of every coordinate term over one box: per constraint, a row of N floats.
 
     Each cell is ``extremum(linear[k], quadratic[k], lo, hi)[0]``, the
     value ``term_extremum(k, interval, "max")`` gives, and every sum runs
-    left to right from ``beta0`` (never ``sum`` or ``fsum``), so the
-    slacks equal ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds
-    the cells' magnitudes, which every roundoff bound sums.  Swapping one
-    interval costs one column of M term evaluations.
+    left to right, ``sum`` from a ``_LeftToRight`` start, so the slacks
+    equal ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds the cells'
+    magnitudes, which every roundoff bound sums, and ``neg_rows`` their
+    negations, which the budgets add: x - y is exactly x + (-y).  Swapping
+    one interval costs one column of M term evaluations.
 
     It also holds the one float filter of expansion tries, face pushes and
     ROSETTA slice points (README, "Verification notes"): ``budgets`` gives
@@ -247,6 +260,11 @@ class _TermMax:
         self.rows = [[extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
                      for s, _ in self.pairs]
         self.abs_rows = [list(map(abs, row)) for row in self.rows]
+        self.neg_rows = [[-c for c in row] for row in self.rows]
+        # per constraint, the start of its budget, noise and slack sums
+        self.budget_starts = [_LeftToRight(bound - s.beta0) for s, bound in self.pairs]
+        self.noise_starts = [_LeftToRight(abs(bound) + abs(s.beta0)) for s, bound in self.pairs]
+        self.slack_starts = [_LeftToRight(s.beta0) for s, _ in self.pairs]
         # a slack estimate's error bound per unit of the magnitudes it sums
         self.spread = (2 * len(los) + 3) * _FLOAT_EPS
         self.limit = self.spread * _SUM_LIMIT
@@ -256,9 +274,9 @@ class _TermMax:
         return [extremum(s.linear[j], s.quadratic[j], lo, hi)[0] for s, _ in self.pairs]
 
     def write(self, j: int, column: Sequence[float]) -> None:
-        """Set cell j of every row, and its magnitude, to ``column``'s value."""
-        for row, abs_row, value in zip(self.rows, self.abs_rows, column):
-            row[j], abs_row[j] = value, abs(value)
+        """Set cell j of every row, its magnitude and its negation, to ``column``'s value."""
+        for row, abs_row, neg_row, value in zip(self.rows, self.abs_rows, self.neg_rows, column):
+            row[j], abs_row[j], neg_row[j] = value, abs(value), -value
 
     def swap(self, j: int, interval: Interval, column: list[float]) -> None:
         self.box = self.box.replaced(j, interval)
@@ -268,18 +286,22 @@ class _TermMax:
         """Per constraint, the budget ``((bound - beta0) - t0) - ...`` without cell j, and its noise,
         ``spread`` times the magnitudes it sums; with j None, no budgets and the whole rows' noise.
 
-        Cell j is set to +0.0 for the moment: subtracting +0.0, or adding
-        it to a sum of magnitudes, leaves every partial sum as it is.
+        The budget adds the negated row, ``((bound - beta0) + -t0) + ...``,
+        with cell j set to -0.0 for the moment, and the noise adds the
+        magnitudes with cell j at +0.0: x + (-0.0) is x for every x, as
+        x - (+0.0) is, and adding +0.0 to a sum of magnitudes leaves it.
         """
         spread, rests, noises = self.spread, [], []
-        for (s, bound), row, abs_row in zip(self.pairs, self.rows, self.abs_rows):
+        for neg_row, abs_row, rest_start, noise_start in zip(
+            self.neg_rows, self.abs_rows, self.budget_starts, self.noise_starts
+        ):
             if j is not None:
-                cell, size = row[j], abs_row[j]
-                row[j] = abs_row[j] = 0.0
-                rests.append(reduce(sub, row, bound - s.beta0))
-            noises.append(spread * reduce(add, abs_row, abs(bound) + abs(s.beta0)))
+                cell, size = neg_row[j], abs_row[j]
+                neg_row[j], abs_row[j] = -0.0, 0.0
+                rests.append(sum(neg_row, rest_start))
+            noises.append(spread * sum(abs_row, noise_start))
             if j is not None:
-                row[j], abs_row[j] = cell, size
+                neg_row[j], abs_row[j] = cell, size
         return rests, noises
 
     def charge(
@@ -311,9 +333,11 @@ class _TermMax:
 
     def slack(self, i: int, j: int, c: float) -> float:
         """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""
-        (s, bound), cells = self.pairs[i], self.rows[i].copy()
-        cells[j] = c
-        return bound - reduce(add, cells, s.beta0)
+        row = self.rows[i]
+        cell, row[j] = row[j], c
+        total = sum(row, self.slack_starts[i])
+        row[j] = cell
+        return self.pairs[i][1] - total
 
     def slacks(self) -> tuple[float, ...]:
         """Left-to-right slack of every constraint over the box."""

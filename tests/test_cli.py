@@ -823,21 +823,22 @@ def test_logic_sentence_and_body_at_their_limits_evaluate(tmp_path, capsys):
     assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
 
 
-@pytest.mark.parametrize("concepts", [50, (SENTENCE_DEPTH_LIMIT - 1) // 2, (SENTENCE_DEPTH_LIMIT + 1) // 2])
+@pytest.mark.parametrize("concepts", [50, (SENTENCE_DEPTH_LIMIT - 1) // 2, (SENTENCE_DEPTH_LIMIT + 1) // 2, 1000])
 def test_logic_graph_sentence_reads_back_within_the_depth_limit(tmp_path, capsys, concepts):
     # k concepts without referents: k exists, k - 1 ands, an atom and a variable
     graph = {"concepts": [{"id": f"c{i}", "type": "T"} for i in range(concepts)], "relations": []}
     (tmp_path / "graph.json").write_text(json.dumps(graph))
-    code, out, _ = run_cli("logic", "--graph", str(tmp_path / "graph.json"), "--json", capsys=capsys)
+    code, out, err = run_cli("logic", "--graph", str(tmp_path / "graph.json"), "--json", capsys=capsys)
+    if 2 * concepts + 1 > SENTENCE_DEPTH_LIMIT:
+        # cdd never prints a sentence its own parser refuses
+        message = f"error: the graph's sentence is more than {SENTENCE_DEPTH_LIMIT} levels deep\n"
+        assert (code, out, err) == (2, "", message)
+        return
     assert code == 0
     doc = json.loads(out)
     theory = {"signature": doc["signature"], "sentences": [doc["sentence"]]}
     code, out, err = _run_logic(tmp_path, capsys, theory, {"domain": [0], "relations": {"T": [[0]]}})
-    if 2 * concepts + 1 <= SENTENCE_DEPTH_LIMIT:
-        assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
-    else:
-        message = f"error: syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep at offset 0\n"
-        assert (code, out, err) == (2, "", message)
+    assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,12 @@ from cddkit.modeltheory import (
     free_variables,
     graph_to_sentence,
     load_graph,
+    parse_sentence,
     satisfies,
     to_text,
 )
+
+from cddkit.modeltheory.syntax import SENTENCE_DEPTH_LIMIT
 
 from conftest import MALFORMED_JSON
 
@@ -84,6 +87,21 @@ def test_smallest_graph():
     sig, sentence = graph_to_sentence(graph)
     assert to_text(sentence) == "exists v1. T(v1)"
     assert sig.predicates == (("T", 1),)
+
+
+@pytest.mark.parametrize("referent", [None, "unit"])
+def test_graph_sentence_past_the_depth_limit_is_refused(referent):
+    # without referents each concept adds an exists and an and: k concepts make
+    # 2k + 1 levels; with a constant referent, k - 1 ands, an atom and the constant
+    fits = (SENTENCE_DEPTH_LIMIT - 1) // 2 if referent is None else SENTENCE_DEPTH_LIMIT - 1
+    for k in (fits, fits + 1):
+        graph = ConceptualGraph(concepts=tuple(ConceptNode(f"c{i}", "T", referent) for i in range(k)))
+        if k == fits:
+            sig, sentence = graph_to_sentence(graph)
+            assert parse_sentence(to_text(sentence), sig) == sentence
+        else:
+            with pytest.raises(SchemaError, match=f"^the graph's sentence is more than {SENTENCE_DEPTH_LIMIT} levels deep$"):
+                graph_to_sentence(graph)
 
 
 def test_fixed_referents_become_constants():

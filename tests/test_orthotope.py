@@ -5,10 +5,13 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from operator import add
+from operator import add, sub
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cddkit import cli, data_path, load_problem, orthotope
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
@@ -27,6 +30,7 @@ from cddkit.orthotope import (
     SolveResult,
     _expand_step,
     VOLUME_SEARCH_RESOLUTION,
+    _LeftToRight,
     _TermMax,
     _admitted_interval,
     _expand_once,
@@ -676,6 +680,105 @@ def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
     monkeypatch.setattr(orthotope, "extremum", counted)
     assert solve_greedy(problem).certificate.maximal
     assert 0 < calls <= 8 * n * m
+
+
+# --- left-to-right sums ---------------------------------------------------------
+# Every sum of the table adds its cells one at a time in order, as ``reduce``
+# does.  A compensated sum, which CPython 3.12+ ``sum`` makes from a plain
+# float start, differs on the rows below; so do a budget negated from an
+# add-sum (+0.0 and -0.0 swap) and a budget that adds +0.0 for the left-out
+# cell where the table adds -0.0.
+
+# (beta0, bound, row): four cells per row, one constraint each
+SUM_CASES = (
+    (0.0, 0.0, (1e16, 1.0, -1e16, 1.0)),  # 1e16 + 1.0 rounds back to 1e16
+    (0.0, 1.0, (-1e16, 1.0, 1e16, -1.0)),
+    (0.0, 2.0, (1.0, 1e-16, 1e-16, -1.0)),  # 0.0 left to right, 2e-16 compensated
+    (0.0, 5e-324, (5e-324, -0.0, -5e-324, 0.0)),  # subnormals and signed zeros
+    (0.0, 1.0, (1.0, 0.0, 0.0, 0.0)),  # budgets of exactly +0.0 left to right
+    (0.0, -0.0, (0.0, 0.0, 0.0, 0.0)),  # budgets of exactly -0.0
+    (-0.0, -0.0, (-0.0, -0.0, -0.0, -0.0)),  # sums of -0.0 from -0.0
+    (0.5, 1.0, (math.inf, 1.0, 2.0, 3.0)),
+    (0.5, 1.0, (1.0, -math.inf, 1.0, 0.0)),
+    (0.5, 1.0, (math.inf, -math.inf, 1.0, 0.0)),  # inf - inf: NaN
+)
+
+
+def _same_float(a, b):
+    """Bit for bit, signed zeros included; any NaN matches any NaN."""
+    return math.isnan(a) and math.isnan(b) or a.hex() == b.hex()
+
+
+def sum_table():
+    """A term-max table whose constraints and rows are the ``SUM_CASES``.
+
+    Its bounds reach past the seed check (a bound of -0.0 leaves the seed
+    a slack of -0.0), so the table reads them from a stand-in problem.
+    """
+    variables = tuple(DesignVariable(f"x{k}", "", Interval(-1.0, 1.0)) for k in range(4))
+    surfaces = tuple(
+        QuadraticResponseSurface(f"z{i}", "", beta0, (0.0,) * 4, (0.0,) * 4)
+        for i, (beta0, _, _) in enumerate(SUM_CASES)
+    )
+    problem = DesignProblem(variables, surfaces, (), seed=(0.0,) * 4, name="sums")
+    pairs = tuple((s, bound) for s, (_, bound, _) in zip(surfaces, SUM_CASES))
+    stand_in = SimpleNamespace(region=problem.region, constrained_pairs=lambda: pairs)
+    table = _TermMax(stand_in, Orthotope.point(problem.seed))
+    for j in range(4):
+        table.write(j, [row[j] for _, _, row in SUM_CASES])
+    return table
+
+
+def test_sum_cases_tell_left_to_right_from_compensated_sums():
+    rows = [row for _, _, row in SUM_CASES]
+    assert any(math.fsum(row) != reduce(add, row) for row in rows[:3])
+    rests = [reduce(sub, row[1:], bound - beta0) for beta0, bound, row in SUM_CASES]
+    negated = [-reduce(add, row[1:], beta0 - bound) for beta0, bound, row in SUM_CASES]
+    assert "0x0.0p+0" in map(float.hex, rests) and "-0x0.0p+0" in map(float.hex, rests)
+    assert not all(map(_same_float, rests, negated))
+
+
+def test_table_sums_match_reduce_bit_for_bit():
+    table = sum_table()
+    rows = [list(row) for _, _, row in SUM_CASES]
+    bounds = [(s.beta0, bound) for s, bound in table.pairs]
+    spread = table.spread
+
+    def noise(beta0, bound, cells):
+        return spread * reduce(add, map(abs, cells), abs(bound) + abs(beta0))
+
+    for j in range(4):
+        rests, noises = table.budgets(j)
+        for (beta0, bound), row, rest, error in zip(bounds, rows, rests, noises):
+            cells = row[:j] + [0.0] + row[j + 1 :]
+            assert type(rest) is float and _same_float(rest, reduce(sub, cells, bound - beta0))
+            assert type(error) is float and _same_float(error, noise(beta0, bound, cells))
+        for i, ((beta0, bound), row) in enumerate(zip(bounds, rows)):
+            for c in (row[j], 1.0, 0.0, -0.0, 1e16, -1e16, 5e-324, math.inf, -math.inf):
+                expected = bound - reduce(add, row[:j] + [c] + row[j + 1 :], beta0)
+                assert _same_float(table.slack(i, j, c), expected)
+    rests, noises = table.budgets()
+    assert rests == [] and all(map(_same_float, noises, (noise(b0, b, row) for (b0, b), row in zip(bounds, rows))))
+    expected = [bound - reduce(add, row, beta0) for (beta0, bound), row in zip(bounds, rows)]
+    assert all(map(_same_float, table.slacks(), expected))
+    # every sum leaves the table as it found it
+    for row, abs_row, neg_row, cells in zip(table.rows, table.abs_rows, table.neg_rows, rows):
+        assert [c.hex() for c in row] == [c.hex() for c in cells]
+        assert [c.hex() for c in abs_row] == [abs(c).hex() for c in cells]
+        assert [c.hex() for c in neg_row] == [(-c).hex() for c in cells]
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e16, -1e16, math.inf, -math.inf]
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(st.one_of(st.floats(), _EDGE_FLOATS), max_size=12), st.one_of(st.floats(), _EDGE_FLOATS))
+def test_left_to_right_start_sums_as_reduce(cells, start):
+    total = sum(cells, _LeftToRight(start))
+    assert _same_float(total, reduce(add, cells, start))
+    assert not cells or type(total) is float
 
 
 # --- filtered expansion and certificate against the left-to-right ones they replaced ---

@@ -236,12 +236,98 @@ def test_sentence_at_the_nesting_limit_parses_evaluates_and_prints(shape):
     sentence = parse_sentence(text(k), DEEP_SIG)
     struct = RelationalStructure(domain=(0,), relations={"P": {(0,)}}, functions={"a": {(): 0}, "f": {(0,): 0}})
     assert satisfies(struct, sentence) == (shape != "not" or k % 2 == 0)
-    # printed and read back to the same text: == on syntax trees recurses
-    # about three frames per level, so it is not the check at this depth
-    printed = to_text(sentence)
-    assert to_text(parse_sentence(printed, DEEP_SIG)) == printed
+    # printed and read back to the same tree
+    assert parse_sentence(to_text(sentence), DEEP_SIG) == sentence
     with pytest.raises(ParseError, match="nested more than|levels deep"):
         parse_sentence(text(k + 1), DEEP_SIG)
+
+
+# per shape, a syntax tree SENTENCE_DEPTH_LIMIT levels high around an innermost
+# constant c, and its repr: k - 1 ands over k atoms, k nots, k quantifiers or
+# k applications of f, with an atom and the constant below them
+_K = SENTENCE_DEPTH_LIMIT - 2
+
+
+def _atom(c):
+    return Atom("P", (Apply(c, ()),))
+
+
+def _atom_text(c):
+    return f"Atom(pred='P', args=(Apply(func='{c}', args=()),))"
+
+
+def _chain(c):
+    tree = _atom(c)
+    for _ in range(_K - 1):
+        tree = And(tree, _atom("a"))
+    return tree
+
+
+def _chain_text(c):
+    text = _atom_text(c)
+    for _ in range(_K - 1):
+        text = f"And(left={text}, right={_atom_text('a')})"
+    return text
+
+
+def _applications(c):
+    term = Apply(c, ())
+    for _ in range(_K):
+        term = Apply("f", (term,))
+    return Atom("P", (term,))
+
+
+def _nots(c):
+    tree = _atom(c)
+    for _ in range(_K):
+        tree = Not(tree)
+    return tree
+
+
+def _quantifiers(c):
+    tree = _atom(c)
+    for i in reversed(range(_K)):
+        tree = Forall(f"v{i}", tree)
+    return tree
+
+
+DEEP_TREES = {
+    "and": (_chain, _chain_text),
+    "applications": (
+        _applications,
+        lambda c: "Atom(pred='P', args=(" + "Apply(func='f', args=(" * _K + f"Apply(func='{c}', args=())"
+        + ",))" * _K + ",))",
+    ),
+    "not": (_nots, lambda c: "Not(body=" * _K + _atom_text(c) + ")" * _K),
+    "quantifiers": (
+        _quantifiers,
+        lambda c: "".join(f"Forall(var='v{i}', body=" for i in range(_K)) + _atom_text(c) + ")" * _K,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_TREES)
+def test_trees_at_the_depth_limit_compare_hash_and_print(shape):
+    build, text = DEEP_TREES[shape]
+    a, b, other = build("a"), build("a"), build("b")
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other
+    assert len({a, b, other}) == 2
+    assert repr(a) == text("a") and repr(other) == text("b")
+
+
+def test_syntax_reprs_and_equality_are_the_field_values():
+    f = Forall("x", Or(Eq(Var("x"), Lit(Fraction(1, 2))), Implies(Atom("P", (Var("x"), Apply("c"))), Not(Atom("Q", ())))))
+    assert repr(f) == (
+        "Forall(var='x', body=Or(left=Eq(left=Var(name='x'), right=Lit(value=Fraction(1, 2))), "
+        "right=Implies(left=Atom(pred='P', args=(Var(name='x'), Apply(func='c', args=()))), "
+        "right=Not(body=Atom(pred='Q', args=())))))"
+    )
+    g = Forall("x", Or(Eq(Var("x"), Lit(Fraction(2, 4))), f.body.right))
+    assert f == g and hash(f) == hash(g)
+    assert Var("x") != "x" and Var("x") != Lit(Fraction(1)) and Apply("f", (Var("x"),)) != Apply("f", ())
+    assert Atom("P", (Var("x"),)) != Atom("P", (Var("y"),))
+    assert And(Atom("P", ()), Atom("Q", ())) != Or(Atom("P", ()), Atom("Q", ()))
 
 
 @pytest.mark.parametrize(
