@@ -22,6 +22,7 @@ maximality, since a strictly containing box must extend some face.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add, sub
@@ -224,13 +225,20 @@ _SUM_LIMIT = 2.0**1022
 class _LeftToRight(float):
     """A float that starts a builtin ``sum`` left to right: ``((start + c0) + c1) + ...``.
 
-    CPython 3.12+ compensates a float ``sum`` only while its running total
-    is exactly a ``float``; from a subclass start, ``sum`` takes its generic
-    loop on every version, one ``+`` per cell in order, as ``reduce(add)``
-    does, with no Python call per cell.
+    CPython 3.12+ compensates a float ``sum`` (Neumaier) only while its
+    running total is exactly a ``float``; from a subclass start, ``sum``
+    takes its generic loop on every version, one ``+`` per cell in order,
+    as ``reduce(add)`` does, with no Python call per cell.  The table starts
+    its sums with it on CPython 3.12+ and on other implementations.
     """
 
     __slots__ = ()
+
+
+# The start of every table sum.  Before 3.12, CPython sums from a plain ``float``
+# in a C loop of uncompensated ``double`` additions, left to right, several times
+# faster per cell than the generic loop that ``_LeftToRight`` takes.
+_SUM_START = float if sys.implementation.name == "cpython" and sys.version_info < (3, 12) else _LeftToRight
 
 
 class _TermMax:
@@ -238,11 +246,14 @@ class _TermMax:
 
     Each cell is ``extremum(linear[k], quadratic[k], lo, hi)[0]``, the
     value ``term_extremum(k, interval, "max")`` gives, and every sum runs
-    left to right, ``sum`` from a ``_LeftToRight`` start, so the slacks
-    equal ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds the cells'
+    left to right, ``sum`` from a ``_SUM_START`` start (a plain float on
+    CPython before 3.12, ``_LeftToRight`` elsewhere), so the slacks equal
+    ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds the cells'
     magnitudes, which every roundoff bound sums, and ``neg_rows`` their
     negations, which the budgets add: x - y is exactly x + (-y).  Swapping
-    one interval costs one column of M term evaluations.
+    one interval costs one column of M term evaluations.  ``linear[k]``
+    and ``quadratic[k]`` are factor k's coefficients in every constrained
+    surface, and ``names`` the constrained surfaces, in constraint order.
 
     It also holds the one float filter of expansion tries, face pushes and
     ROSETTA slice points (README, "Verification notes"): ``budgets`` gives
@@ -257,21 +268,28 @@ class _TermMax:
         self.pairs = problem.constrained_pairs()
         los = [iv.lo for iv in box.intervals]
         his = [iv.hi for iv in box.intervals]
-        self.rows = [[extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
-                     for s, _ in self.pairs]
-        self.abs_rows = [list(map(abs, row)) for row in self.rows]
-        self.neg_rows = [[-c for c in row] for row in self.rows]
+        # per factor, its coefficient in every constrained surface; empty with no constraint
+        self.linear = list(zip(*(s.linear for s, _ in self.pairs))) or [()] * len(los)
+        self.quadratic = list(zip(*(s.quadratic for s, _ in self.pairs))) or [()] * len(los)
+        self.names = tuple(s.name for s, _ in self.pairs)
+        self.rows, self.abs_rows, self.neg_rows = [], [], []
         # per constraint, the start of its budget, noise and slack sums
-        self.budget_starts = [_LeftToRight(bound - s.beta0) for s, bound in self.pairs]
-        self.noise_starts = [_LeftToRight(abs(bound) + abs(s.beta0)) for s, bound in self.pairs]
-        self.slack_starts = [_LeftToRight(s.beta0) for s, _ in self.pairs]
+        self.budget_starts, self.noise_starts, self.slack_starts = [], [], []
+        for s, bound in self.pairs:
+            row = [extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
+            self.rows.append(row)
+            self.abs_rows.append(list(map(abs, row)))
+            self.neg_rows.append([-c for c in row])
+            self.budget_starts.append(_SUM_START(bound - s.beta0))
+            self.noise_starts.append(_SUM_START(abs(bound) + abs(s.beta0)))
+            self.slack_starts.append(_SUM_START(s.beta0))
         # a slack estimate's error bound per unit of the magnitudes it sums
         self.spread = (2 * len(los) + 3) * _FLOAT_EPS
         self.limit = self.spread * _SUM_LIMIT
 
     def column(self, j: int, lo: float, hi: float) -> list[float]:
         """Cell j of every row, for interval j replaced by [lo, hi]."""
-        return [extremum(s.linear[j], s.quadratic[j], lo, hi)[0] for s, _ in self.pairs]
+        return [extremum(l, q, lo, hi)[0] for l, q in zip(self.linear[j], self.quadratic[j])]
 
     def write(self, j: int, column: Sequence[float]) -> None:
         """Set cell j of every row, its magnitude and its negation, to ``column``'s value."""
@@ -325,7 +343,7 @@ class _TermMax:
         """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from the
         budget pair without cell j; a slack is summed only where its error bound leaves the sign open."""
         for i, (estimate, error) in enumerate(zip(*self.charge(rests, noises, column))):
-            if not error < abs(estimate):
+            if not (estimate > error or estimate < -error):
                 estimate = self.slack(i, j, column[i])
             if not estimate >= 0.0:
                 return False
@@ -399,18 +417,21 @@ def _admitted_interval(
     nothing, the empty interval (inf, -inf), which the caller's floor
     replaces by the current interval.
     """
-    if abs(q) < COEFF_EPS and abs(l) < COEFF_EPS:
+    small_q = -COEFF_EPS < q < COEFF_EPS
+    if small_q and -COEFF_EPS < l < COEFF_EPS:
         # the coordinate has no effect on this constraint
         return (-math.inf, math.inf) if accept >= 0.0 else (math.inf, -math.inf)
 
+    # ``seed if seed < a else a`` is ``min(a, seed)`` and ``seed if seed > a else a`` is
+    # ``max(a, seed)``, operands in the builtins' order, so a tie keeps a's sign of zero
     seed_ok = seed_term <= accept
-    if abs(q) < COEFF_EPS:
+    if small_q:
         if not seed_ok:
             return math.inf, -math.inf
         x0 = budget / l
         if l > 0.0:
-            return -math.inf, max(x0, seed)
-        return min(x0, seed), math.inf
+            return -math.inf, seed if seed > x0 else x0
+        return seed if seed < x0 else x0, math.inf
 
     roots = _quadratic_roots(q, l, -budget)
     if q > 0.0:
@@ -418,7 +439,7 @@ def _admitted_interval(
         if not seed_ok or roots is None:
             return math.inf, -math.inf
         r1, r2 = roots
-        return min(r1, seed), max(r2, seed)
+        return seed if seed < r1 else r1, seed if seed > r2 else r2
 
     # concave: solution set is everything outside the roots
     if roots is None:
@@ -429,8 +450,8 @@ def _admitted_interval(
     r1, r2 = roots
     # pick the ray nearest the seed
     if abs(seed - r1) <= abs(seed - r2):
-        return -math.inf, max(r1, seed)
-    return min(r2, seed), math.inf
+        return -math.inf, seed if seed > r1 else r1
+    return seed if seed < r2 else r2, math.inf
 
 
 def _expand_once(
@@ -441,22 +462,23 @@ def _expand_once(
     Each constraint's admitted interval is clamped to the ambient bounds
     and floored at the current (feasible) interval, so intersecting them
     never shrinks what the box already has; the floor contains the seed.
+    Since ``lo`` never falls below the ambient ``lo``, the clamp and floor,
+    ``min(max(ambient_lo, raw_lo), floor_lo)``, raise ``lo`` exactly when
+    both ``raw_lo`` and ``floor_lo`` lie above it, to the lesser of the two
+    (NaN, infinite and signed-zero ends included); ``hi`` mirrors it.
     """
     x = problem.seed[j]
     ambient = problem.variables[j].ambient
     floor = table.box.intervals[j]
-    lo, hi = amb_lo, amb_hi = ambient.lo, ambient.hi
+    lo, hi = ambient.lo, ambient.hi
     floor_lo, floor_hi = floor.lo, floor.hi
     binding_lo = binding_hi = "ambient"
-    for (s, _), rest, noise in zip(table.pairs, rests, noises):
-        l, q = s.linear[j], s.quadratic[j]
+    for l, q, name, rest, noise in zip(table.linear[j], table.quadratic[j], table.names, rests, noises):
         raw_lo, raw_hi = _admitted_interval(l, q, l * x + q * x * x, rest - bias * noise, rest + 4.0 * noise, x)
-        alo = min(max(amb_lo, raw_lo), floor_lo)
-        ahi = max(min(amb_hi, raw_hi), floor_hi)
-        if alo > lo:
-            lo, binding_lo = alo, s.name
-        if ahi < hi:
-            hi, binding_hi = ahi, s.name
+        if raw_lo > lo and floor_lo > lo:
+            lo, binding_lo = min(raw_lo, floor_lo), name
+        if raw_hi < hi and floor_hi < hi:
+            hi, binding_hi = max(raw_hi, floor_hi), name
     return lo, hi, binding_lo, binding_hi
 
 
@@ -532,12 +554,13 @@ def solve_greedy(
     """
     if ranking is not None:
         order = tuple(int(i) for i in ranking)
+        if sorted(order) != list(range(problem.dim)):
+            raise SchemaError(f"ranking {order} is not a permutation of 0..{problem.dim - 1}")
     elif problem.ranking is not None:
+        # ``DesignProblem`` has checked its own ranking, and ``auto_rank`` returns a permutation
         order = problem.ranking
     else:
         order = auto_rank(problem)
-    if sorted(order) != list(range(problem.dim)):
-        raise SchemaError(f"ranking {order} is not a permutation of 0..{problem.dim - 1}")
 
     table = _TermMax(problem, Orthotope.point(problem.seed))
     steps = [_expand_step(problem, table, j) for j in order]
@@ -583,32 +606,40 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            pushed = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), rests, noises)
-            if all(sl >= 0.0 for sl in pushed.values()):
-                faces.append(FaceCheck(j, side, None, margin=min(pushed.values(), default=math.inf)))
+            feasible, least, worst = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), rests, noises)
+            if feasible:
+                faces.append(FaceCheck(j, side, None, margin=least))
             else:
-                worst = min(pushed, key=pushed.__getitem__)
-                faces.append(
-                    FaceCheck(j, side, problem.constraints[worst].surface, margin=-pushed[worst])
-                )
+                faces.append(FaceCheck(j, side, table.names[worst], margin=-least))
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
 
 
 def _face_slacks(
     table: _TermMax, j: int, column: list[float], rests: list[float], noises: list[float]
-) -> dict[int, float]:
-    """Left-to-right slack, with column j replaced, of each constraint that could hold the least one.
+) -> tuple[bool, float, int]:
+    """Left-to-right slack, with column j replaced, of each constraint that could hold the least one:
+    whether every such slack is >= 0, the least one (inf if none) and its constraint's index.
 
     The budget pair leaves out cell j.  A constraint whose lowest possible
     slack lies above the least highest one can neither hold nor tie the
     least slack, so it is left out.  If some sum could overflow or is not
-    finite, every constraint is summed.
+    finite, every constraint is summed.  As with ``min``, the first of
+    tied slacks wins, and a NaN first slack stays the least.
     """
     estimates, errors = table.charge(rests, noises, column)
     if math.inf in errors:
-        return {i: table.slack(i, j, value) for i, value in enumerate(column)}
-    ceiling = min(map(add, estimates, errors), default=math.inf)
-    return {i: table.slack(i, j, column[i]) for i, low in enumerate(map(sub, estimates, errors)) if low <= ceiling}
+        candidates = range(len(column))
+    else:
+        ceiling = min(map(add, estimates, errors), default=math.inf)
+        candidates = [i for i, low in enumerate(map(sub, estimates, errors)) if low <= ceiling]
+    feasible, least, worst = True, math.inf, -1
+    for i in candidates:
+        slack = table.slack(i, j, column[i])
+        if not slack >= 0.0:
+            feasible = False
+        if worst < 0 or slack < least:
+            least, worst = slack, i
+    return feasible, least, worst
 
 
 # --- brute-force grid oracle -------------------------------------------------

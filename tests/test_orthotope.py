@@ -3,14 +3,16 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
-from operator import add, sub
+from operator import add, neg, sub
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cddkit import cli, data_path, load_problem, orthotope
@@ -30,10 +32,12 @@ from cddkit.orthotope import (
     SolveResult,
     _expand_step,
     VOLUME_SEARCH_RESOLUTION,
+    _SUM_START,
     _LeftToRight,
     _TermMax,
     _admitted_interval,
     _expand_once,
+    _quadratic_roots,
     _volume_search,
     auto_rank,
     expand_factor,
@@ -159,6 +163,20 @@ ADMITTED_CASES = [
     ("concave, ray above", 0.0, -1.0, -2.25, -1.0, -1.0, 1.5, (1.0, INF)),
     ("concave, ray below", 0.0, -1.0, -2.25, -1.0, -1.0, -1.5, (-INF, -1.0)),
     ("concave, refused", 0.0, -1.0, -0.25, -1.0, -1.0, 0.5, (INF, -INF)),
+    # a root of one zero sign against a seed of the other: the root's sign is kept, as
+    # ``max(root, seed)`` and ``min(root, seed)`` keep their first operand on a tie
+    ("linear, l > 0, root -0.0, seed 0.0", 2.0, 0.0, 0.0, -0.0, 0.0, 0.0, (-INF, -0.0)),
+    ("linear, l > 0, root 0.0, seed -0.0", 2.0, 0.0, -0.0, 0.0, 0.0, -0.0, (-INF, 0.0)),
+    ("linear, l < 0, root -0.0, seed 0.0", -2.0, 0.0, -0.0, 0.0, 0.0, 0.0, (-0.0, INF)),
+    ("linear, l < 0, root 0.0, seed -0.0", -2.0, 0.0, 0.0, -0.0, 0.0, -0.0, (0.0, INF)),
+    ("convex, lower root -0.0, seed 0.0", -1.0, 1.0, 0.0, 0.0, 0.0, 0.0, (-0.0, 1.0)),
+    ("convex, lower root 0.0, seed -0.0", -1.0, 1.0, 0.0, -0.0, 0.0, -0.0, (0.0, 1.0)),
+    ("convex, upper root 0.0, seed -0.0", 1.0, 1.0, 0.0, 0.0, 0.0, -0.0, (-1.0, 0.0)),
+    ("convex, upper root -0.0, seed 0.0", 1.0, 1.0, 0.0, -0.0, 0.0, 0.0, (-1.0, -0.0)),
+    ("concave, ray below, root 0.0, seed -0.0", 1.0, -1.0, 0.0, 0.0, 0.0, -0.0, (-INF, 0.0)),
+    ("concave, ray below, root -0.0, seed 0.0", 1.0, -1.0, 0.0, -0.0, 0.0, 0.0, (-INF, -0.0)),
+    ("concave, ray above, root -0.0, seed 0.0", -1.0, -1.0, 0.0, 0.0, 0.0, 0.0, (-0.0, INF)),
+    ("concave, ray above, root 0.0, seed -0.0", -1.0, -1.0, 0.0, -0.0, 0.0, -0.0, (0.0, INF)),
 ]
 
 
@@ -167,8 +185,102 @@ ADMITTED_CASES = [
 )
 def test_admitted_interval_raw_result(case, l, q, seed_term, budget, accept, seed, expected):
     # the term's own interval around the seed, before the caller's ambient clamp and floor:
-    # an infinite end for a ray or the whole line, the empty (inf, -inf) for a refused seed
-    assert _admitted_interval(l, q, seed_term, budget, accept, seed) == expected, case
+    # an infinite end for a ray or the whole line, the empty (inf, -inf) for a refused seed;
+    # compared by hex spelling, so that the sign of a zero end counts
+    result = _admitted_interval(l, q, seed_term, budget, accept, seed)
+    assert list(map(float.hex, result)) == list(map(float.hex, expected)), case
+
+
+def reference_admitted_interval(l, q, seed_term, budget, accept, seed):
+    """``_admitted_interval`` as it was written with ``abs``, ``min`` and ``max``, kept as the reference."""
+    if abs(q) < orthotope.COEFF_EPS and abs(l) < orthotope.COEFF_EPS:
+        return (-math.inf, math.inf) if accept >= 0.0 else (math.inf, -math.inf)
+    seed_ok = seed_term <= accept
+    if abs(q) < orthotope.COEFF_EPS:
+        if not seed_ok:
+            return math.inf, -math.inf
+        x0 = budget / l
+        if l > 0.0:
+            return -math.inf, max(x0, seed)
+        return min(x0, seed), math.inf
+    roots = _quadratic_roots(q, l, -budget)
+    if q > 0.0:
+        if not seed_ok or roots is None:
+            return math.inf, -math.inf
+        r1, r2 = roots
+        return min(r1, seed), max(r2, seed)
+    if roots is None:
+        return -math.inf, math.inf
+    if not seed_ok:
+        return math.inf, -math.inf
+    r1, r2 = roots
+    if abs(seed - r1) <= abs(seed - r2):
+        return -math.inf, max(r1, seed)
+    return min(r2, seed), math.inf
+
+
+def _outcome(f, *args):
+    """The hex spelling of each float ``f`` returns (every NaN spelt ``nan``), or the exception it raises."""
+    try:
+        return ["nan" if math.isnan(v) else v.hex() for v in f(*args)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+# ties of signed zeros, subnormals, coefficients at the cut-off, infinities and NaN
+_TIE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, math.inf, -math.inf, math.nan]
+)
+_ANY_FLOAT = st.one_of(_TIE_FLOATS, st.floats())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT)
+def test_admitted_interval_chooses_as_min_and_max(l, q, seed_term, budget, accept, seed):
+    args = (l, q, seed_term, budget, accept, seed)
+    assert _outcome(_admitted_interval, *args) == _outcome(reference_admitted_interval, *args)
+
+
+def reference_clamp(ambient, floor, names, raws):
+    """``_expand_once``'s intersection as it was written: each raw interval clamped with ``min`` and ``max``."""
+    lo, hi, binding_lo, binding_hi = ambient.lo, ambient.hi, "ambient", "ambient"
+    for name, (raw_lo, raw_hi) in zip(names, raws):
+        alo = min(max(ambient.lo, raw_lo), floor.lo)
+        ahi = max(min(ambient.hi, raw_hi), floor.hi)
+        if alo > lo:
+            lo, binding_lo = alo, name
+        if ahi < hi:
+            hi, binding_hi = ahi, name
+    return lo, hi, binding_lo, binding_hi
+
+
+_FINITE_TIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    st.lists(st.one_of(_FINITE_TIES, st.floats(-4.0, 4.0)), min_size=5, max_size=5),
+    st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=4),
+)
+def test_expand_once_clamps_as_min_and_max(ends, raws):
+    # ambient lo <= floor lo <= seed <= floor hi <= ambient hi, and raw intervals anywhere
+    amb_lo, floor_lo, seed, floor_hi, amb_hi = sorted(ends)
+    assume(amb_lo < amb_hi)
+    names = [f"c{i}" for i in range(len(raws))]
+    problem = DesignProblem(
+        variables=(DesignVariable("x", "", Interval(amb_lo, amb_hi)),),
+        surfaces=tuple(QuadraticResponseSurface(name, "", 0.0, (0.0,), (0.0,)) for name in names),
+        constraints=tuple(ObjectiveConstraint(name, 1.0) for name in names),
+        seed=(seed,),
+        name="clamp",
+    )
+    floor = Interval(floor_lo, floor_hi)
+    table = _TermMax(problem, Orthotope((floor,)))
+    given_raws = iter(raws)
+    with mock.patch.object(orthotope, "_admitted_interval", lambda *args: next(given_raws)):
+        lo, hi, binding_lo, binding_hi = _expand_once(problem, table, 0, 0.0, [0.0] * len(raws), [0.0] * len(raws))
+    ref_lo, ref_hi, ref_binding_lo, ref_binding_hi = reference_clamp(problem.variables[0].ambient, floor, names, raws)
+    assert (lo.hex(), hi.hex(), binding_lo, binding_hi) == (ref_lo.hex(), ref_hi.hex(), ref_binding_lo, ref_binding_hi)
 
 
 def _two_constraint_table(bounds, ambient=(-10.0, 10.0)):
@@ -781,6 +893,16 @@ def test_left_to_right_start_sums_as_reduce(cells, start):
     assert not cells or type(total) is float
 
 
+def test_sum_start_adds_left_to_right_on_this_python():
+    # the start the table uses sums every case as ``reduce`` does, on whichever version runs it
+    for beta0, bound, row in SUM_CASES:
+        assert _same_float(sum(row, _SUM_START(beta0)), reduce(add, row, beta0))
+        assert _same_float(sum(map(neg, row), _SUM_START(bound - beta0)), reduce(sub, row, bound - beta0))
+    if sys.implementation.name == "cpython" and sys.version_info >= (3, 12):
+        # a plain float start would compensate there, so the table must keep the subclass
+        assert not all(_same_float(sum(row, beta0), reduce(add, row, beta0)) for beta0, _, row in SUM_CASES)
+
+
 # --- filtered expansion and certificate against the left-to-right ones they replaced ---
 # The earlier slack method, expansion step and certificate, kept verbatim as the reference.
 
@@ -932,6 +1054,28 @@ def test_identical_surfaces_tie_for_the_blocker():
         result = assert_same_as_reference(problem, eps_values=(None, 0.05))
         blockers = {f.blocked_by for f in result.certificate.faces}
         assert base.surfaces[0].name in blockers and "twin" not in blockers
+
+
+@pytest.mark.parametrize("first", ["plus", "minus"])
+def test_tied_face_slacks_keep_the_first_constraint(first):
+    # z = x under bounds 0.0 and -0.0: pushed to [-1.5, 0.0], the slacks are +0.0 and -0.0,
+    # both >= 0, and the face's margin is the first one's; pushed to [-1.5, 1.0], both are -1.0
+    # and the first constraint blocks the face
+    bounds = {"plus": 0.0, "minus": -0.0}
+    order = (first, "minus" if first == "plus" else "plus")
+    problem = DesignProblem(
+        variables=(DesignVariable("x", "", Interval(-2.0, 2.0)),),
+        surfaces=tuple(QuadraticResponseSurface(name, "", 0.0, (1.0,), (0.0,)) for name in order),
+        constraints=tuple(ObjectiveConstraint(name, bounds[name]) for name in order),
+        seed=(-1.0,),
+        name="tie",
+    )
+    box = Orthotope((Interval(-1.5, -1.0),))
+    free = verify_maximality(problem, box, 0.25).faces[1]
+    assert (free.blocked_by, free.margin.hex()) == (None, bounds[first].hex())
+    blocked = verify_maximality(problem, box, 0.5).faces[1]
+    assert (blocked.blocked_by, blocked.margin) == (first, 1.0)
+    assert_same_as_reference(problem, (box,), eps_values=(0.25, 0.5))
 
 
 def test_surfaces_a_few_ulps_apart_keep_the_exact_blocker():

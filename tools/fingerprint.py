@@ -7,7 +7,9 @@ and SVG bytes.  The ``logic`` part hashes every model
 ``enumerate_models`` returns, in order, for the ``logic-enumerate``
 sentences at their domain sizes and for seeded random sentences over
 signatures that mix relations, unary predicates, constants and
-functions.  Two checkouts that print the same
+functions.  The ``zero_budget`` part hashes the solution JSON of eight
+fixed problems whose last budget cancels to exactly +0.0 or -0.0
+before a linear term.  Two checkouts that print the same
 digests produce byte-identical outputs on every one of those problems,
 so a refactor that claims to change no output can be checked by running
 this script before and after it:
@@ -17,7 +19,7 @@ this script before and after it:
 The problem mix is every combination of N in {1, 2, 3, 5, 10, 20},
 M in {1, 2, 3, 5, 10}, coefficient scale in {1e-4, 1, 1e3, 1e6} and
 plain or ADAS-style offset domain (1600-2000), ``--repeats`` times.
-The logic part does not depend on ``--repeats``.
+The logic and zero_budget parts do not depend on ``--repeats``.
 """
 
 from __future__ import annotations
@@ -129,6 +131,31 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
     return out
 
 
+def zero_budget_problems():
+    """Problems z = x0 + l1*x1 whose budget for x1 cancels to exactly +0.0 or -0.0.
+
+    Under the bound 1.0, x0 grows to 1.0 and spends the budget: 1.0 - 1.0
+    is +0.0.  Under the bound -0.0 with beta0 0.0, x0 stops at -0.0, every
+    addend of x1's budget is -0.0 and so is the budget.  x1's end is then
+    ``budget / l1`` against a seed of +0.0 or -0.0, so the sign of the
+    budget, and which operand a tie keeps, reach the solution JSON.
+    """
+    for bound, lo0, seed0 in ((1.0, 0.0, 0.5), (-0.0, -2.0, -1.0)):
+        for l1 in (1.0, -1.0):
+            for seed1 in (0.0, -0.0):
+                yield DesignProblem(
+                    variables=(
+                        DesignVariable("x0", "", Interval(lo0, 2.0)),
+                        DesignVariable("x1", "", Interval(-1.0, 1.0)),
+                    ),
+                    surfaces=(QuadraticResponseSurface("z", "", 0.0, (1.0, l1), (0.0, 0.0)),),
+                    constraints=(ObjectiveConstraint("z", bound),),
+                    seed=(seed0, seed1),
+                    ranking=(0, 1),
+                    name="zero",
+                )
+
+
 def random_sentence(rng: random.Random, sig: Signature, depth: int = 3):
     """A closed formula over the signature's symbols and the variables x, y.
 
@@ -216,9 +243,15 @@ def main(argv: list[str] | None = None) -> int:
         total.update(record)
         parts.setdefault("logic", hashlib.sha256()).update(record)
         counts["logic"] = counts.get("logic", 0) + 1
+    for index, problem in enumerate(zero_budget_problems(), 1):
+        blob = json.dumps(solve_greedy(problem).to_json(), indent=2).encode()
+        record = f"{index}:zero_budget:{len(blob)}:".encode() + blob
+        total.update(record)
+        parts.setdefault("zero_budget", hashlib.sha256()).update(record)
+        counts["zero_budget"] = counts.get("zero_budget", 0) + 1
 
     print(f"problems: {problems}")
-    for key in ("solve", "oracle_steps", "oracle_boxes", "rosetta", "logic"):
+    for key in ("solve", "oracle_steps", "oracle_boxes", "rosetta", "logic", "zero_budget"):
         if key in parts:
             print(f"{key:<13} {counts[key]:>5}  {parts[key].hexdigest()}")
     print(f"{'all':<13} {'':>5}  {total.hexdigest()}")
