@@ -53,6 +53,8 @@ def _load_result_file(path: str, problem) -> SolveResult:
     for step in result.steps:
         if not 0 <= step.factor < problem.dim:
             raise SchemaError(f"step factor {step.factor} outside 0..{problem.dim - 1}")
+        for interval in (step.before, step.after):
+            problem.variables[step.factor].check_inside(interval)
     return result
 
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import sys
 from typing import Sequence
 
 from ._frozen import Frozen
@@ -24,7 +25,7 @@ from .errors import (
     UnsupportedRelation,
     read_json,
 )
-from .surface import Interval, QuadraticResponseSurface
+from .surface import Interval, QuadraticResponseSurface, extremum
 
 __all__ = [
     "DesignVariable",
@@ -64,6 +65,14 @@ class DesignVariable(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "ambient", ambient)
+
+    def check_inside(self, interval: Interval) -> None:
+        """Raise ``BoxOutsideAmbient`` unless the interval lies inside the ambient bounds."""
+        if not self.ambient.contains_interval(interval):
+            raise BoxOutsideAmbient(
+                f"interval [{interval.lo}, {interval.hi}] of {self.name!r} "
+                f"outside ambient [{self.ambient.lo}, {self.ambient.hi}]"
+            )
 
 
 class ObjectiveConstraint(Frozen):
@@ -140,10 +149,9 @@ class DesignProblem(Frozen):
         for var, x in zip(self.variables, self.seed):
             if not var.ambient.contains(x):
                 raise InfeasibleSeed(f"seed coordinate {x} outside ambient bounds of {var.name!r}")
-        for c, (surface, bound) in zip(self.constraints, self.constrained_pairs()):
-            slack = bound - surface.evaluate(self.seed)
-            # the only seed check: the solver and the oracle start from the seed point box,
-            # whose left-to-right slack is this one; a NaN slack violates it too
+        # the only seed check: the solver and the grid replay start from the seed point box,
+        # whose table slacks are these bit for bit; a NaN slack violates it too
+        for c, slack in zip(self.constraints, self.region().is_point_feasible(self.seed)[1]):
             if not slack >= self.tolerance:
                 if slack >= 0:
                     raise InfeasibleSeed(
@@ -167,7 +175,7 @@ class DesignProblem(Frozen):
 
 
 class FeasibleRegion(Frozen):
-    """Membership queries for the constraint-induced feasible region."""
+    """Membership queries for the constraint-induced feasible region: a box's verdict is its ``_TermMax``."""
 
     __slots__ = ("problem",)
 
@@ -175,7 +183,7 @@ class FeasibleRegion(Frozen):
         object.__setattr__(self, "problem", problem)
 
     def is_point_feasible(self, point: Sequence[float]) -> tuple[bool, tuple[float, ...]]:
-        """Feasibility plus the per-constraint slack vector c - z(point).
+        """Feasibility plus the per-constraint slack vector c - z(point), the table's over [x, x] bit for bit.
 
         A point outside the ambient box is infeasible no matter the slacks.
         """
@@ -189,13 +197,12 @@ class FeasibleRegion(Frozen):
     def is_box_feasible(self, box: Sequence[Interval]) -> tuple[bool, tuple[float, ...]]:
         """Exact box feasibility via per-constraint worst case.
 
-        Returns the per-constraint worst slack c - max(z over box); the
-        box is feasible iff all are >= 0.  The box must lie inside the
-        ambient bounds.
+        Returns the per-constraint worst slack c - max(z over box), the
+        term-max table's ``slacks()``; the box is feasible iff all are
+        >= 0.  The box must lie inside the ambient bounds.
         """
         self.check_inside(box)
-        pairs = self.problem.constrained_pairs()
-        slacks = tuple(bound - s.box_extremum(box, "max")[0] for s, bound in pairs)
+        slacks = _TermMax(self.problem.constrained_pairs(), box).slacks()
         return all(sl >= 0.0 for sl in slacks), slacks
 
     def check_inside(self, box: Sequence[Interval]) -> None:
@@ -204,11 +211,7 @@ class FeasibleRegion(Frozen):
         if len(box) != p.dim:
             raise DimensionMismatch(f"box has {len(box)} intervals for dimension {p.dim}")
         for var, interval in zip(p.variables, box):
-            if not var.ambient.contains_interval(interval):
-                raise BoxOutsideAmbient(
-                    f"interval [{interval.lo}, {interval.hi}] of {var.name!r} "
-                    f"outside ambient [{var.ambient.lo}, {var.ambient.hi}]"
-                )
+            var.check_inside(interval)
 
     def grid_axes(self, resolution: int) -> list[list[float]]:
         """Inclusive regular lattice axes over the ambient box, ``resolution`` points per variable.
@@ -241,6 +244,155 @@ def lattice_sum(beta0: float, per_axis: Sequence[Sequence[float]]) -> list[float
     for axis in per_axis:
         total = [t + v for t in total for v in axis]
     return total
+
+
+# --- term-max table ----------------------------------------------------------
+
+_FLOAT_EPS = 2.220446049250313e-16
+# while the magnitudes of a sum stay below this, no left-to-right partial sum can overflow
+_SUM_LIMIT = 2.0**1022
+
+
+class _LeftToRight(float):
+    """A float that starts a builtin ``sum`` left to right: ``((start + c0) + c1) + ...``.
+
+    CPython 3.12+ compensates a float ``sum`` (Neumaier) only while its
+    running total is exactly a ``float``; from a subclass start, ``sum``
+    takes its generic loop on every version, one ``+`` per cell in order,
+    as ``reduce(add)`` does, with no Python call per cell.  The table starts
+    its sums with it on CPython 3.12+ and on other implementations.
+    """
+
+    __slots__ = ()
+
+
+# The start of every table sum.  Before 3.12, CPython sums from a plain ``float``
+# in a C loop of uncompensated ``double`` additions, left to right, several times
+# faster per cell than the generic loop that ``_LeftToRight`` takes.
+_SUM_START = float if sys.implementation.name == "cpython" and sys.version_info < (3, 12) else _LeftToRight
+
+
+class _TermMax:
+    """Maximum of every coordinate term over one box: per constraint, a row of N floats.
+
+    The only code that decides whether a box is feasible.  ``pairs`` are
+    the constrained ``(surface, bound)`` pairs, ``intervals`` the box as a
+    list of ``Interval``s that the caller has checked against the ambient
+    bounds.  Each cell is ``extremum(linear[k], quadratic[k], lo, hi)[0]``,
+    and every sum runs left to right, ``sum`` from a ``_SUM_START`` start
+    (a plain float on CPython before 3.12, ``_LeftToRight`` elsewhere), as
+    ``evaluate`` adds a point's terms.  ``abs_rows`` holds the cells'
+    magnitudes, which every roundoff bound sums, and ``neg_rows`` their
+    negations, which the budgets add: x - y is exactly x + (-y).  Swapping
+    one interval costs one column of M term evaluations.  ``linear[k]``
+    and ``quadratic[k]`` are factor k's coefficients in every constrained
+    surface, and ``names`` the constrained surfaces, in constraint order.
+
+    It also holds the one float filter of expansion tries, face pushes,
+    grid replay points and ROSETTA slice points (README, "Verification
+    notes"): ``budgets`` gives a budget pair, the parallel lists
+    ``(rests, noises)``, and ``charge`` turns one into slack estimates and
+    their error bounds; ``fits`` is the sign test, and ``slack`` the one
+    left-to-right sum they fall back to.
+    """
+
+    def __init__(self, pairs: Sequence[tuple[QuadraticResponseSurface, float]], intervals: Sequence[Interval]):
+        self.intervals = list(intervals)
+        self.pairs = pairs
+        los = [iv.lo for iv in self.intervals]
+        his = [iv.hi for iv in self.intervals]
+        # per factor, its coefficient in every constrained surface; empty with no constraint
+        self.linear = list(zip(*(s.linear for s, _ in self.pairs))) or [()] * len(los)
+        self.quadratic = list(zip(*(s.quadratic for s, _ in self.pairs))) or [()] * len(los)
+        self.names = tuple(s.name for s, _ in self.pairs)
+        self.rows, self.abs_rows, self.neg_rows = [], [], []
+        # per constraint, the start of its budget, noise and slack sums
+        self.budget_starts, self.noise_starts, self.slack_starts = [], [], []
+        for s, bound in self.pairs:
+            row = [extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
+            self.rows.append(row)
+            self.abs_rows.append(list(map(abs, row)))
+            self.neg_rows.append([-c for c in row])
+            self.budget_starts.append(_SUM_START(bound - s.beta0))
+            self.noise_starts.append(_SUM_START(abs(bound) + abs(s.beta0)))
+            self.slack_starts.append(_SUM_START(s.beta0))
+        # a slack estimate's error bound per unit of the magnitudes it sums
+        self.spread = (2 * len(los) + 3) * _FLOAT_EPS
+        self.limit = self.spread * _SUM_LIMIT
+
+    def column(self, j: int, lo: float, hi: float) -> list[float]:
+        """Cell j of every row, for interval j replaced by [lo, hi]."""
+        return [extremum(l, q, lo, hi)[0] for l, q in zip(self.linear[j], self.quadratic[j])]
+
+    def write(self, j: int, column: Sequence[float]) -> None:
+        """Set cell j of every row, its magnitude and its negation, to ``column``'s value."""
+        for row, abs_row, neg_row, value in zip(self.rows, self.abs_rows, self.neg_rows, column):
+            row[j], abs_row[j], neg_row[j] = value, abs(value), -value
+
+    def swap(self, j: int, interval: Interval, column: list[float]) -> None:
+        self.intervals[j] = interval
+        self.write(j, column)
+
+    def budgets(self, j: int | None = None) -> tuple[list[float], list[float]]:
+        """Per constraint, the budget ``((bound - beta0) - t0) - ...`` without cell j, and its noise,
+        ``spread`` times the magnitudes it sums; with j None, no budgets and the whole rows' noise.
+
+        The budget adds the negated row, ``((bound - beta0) + -t0) + ...``,
+        with cell j set to -0.0 for the moment, and the noise adds the
+        magnitudes with cell j at +0.0: x + (-0.0) is x for every x, as
+        x - (+0.0) is, and adding +0.0 to a sum of magnitudes leaves it.
+        """
+        spread, rests, noises = self.spread, [], []
+        for neg_row, abs_row, rest_start, noise_start in zip(
+            self.neg_rows, self.abs_rows, self.budget_starts, self.noise_starts
+        ):
+            if j is not None:
+                cell, size = neg_row[j], abs_row[j]
+                neg_row[j], abs_row[j] = -0.0, 0.0
+                rests.append(sum(neg_row, rest_start))
+            noises.append(spread * sum(abs_row, noise_start))
+            if j is not None:
+                neg_row[j], abs_row[j] = cell, size
+        return rests, noises
+
+    def charge(
+        self, rests: Sequence[float], noises: Sequence[float], column: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """A budget pair charged with a column: the lists of ``rest - c`` and ``noise + spread * |c|``.
+
+        The result is a budget pair too, so charging it again charges a
+        second left-out cell.  Charged with every cell it left out, a
+        budget is a slack estimate and its error bound; a bound that
+        reaches ``limit``, where a partial sum could overflow, is set to inf.
+        """
+        spread, limit, estimates, errors = self.spread, self.limit, [], []
+        for rest, noise, c in zip(rests, noises, column):
+            error = noise + spread * abs(c)
+            estimates.append(rest - c)
+            errors.append(error if error < limit else math.inf)
+        return estimates, errors
+
+    def fits(self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]) -> bool:
+        """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from the
+        budget pair without cell j; a slack is summed only where its error bound leaves the sign open."""
+        for i, (estimate, error) in enumerate(zip(*self.charge(rests, noises, column))):
+            if not (estimate > error or estimate < -error):
+                estimate = self.slack(i, j, column[i])
+            if not estimate >= 0.0:
+                return False
+        return True
+
+    def slack(self, i: int, j: int, c: float) -> float:
+        """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""
+        row = self.rows[i]
+        cell, row[j] = row[j], c
+        total = sum(row, self.slack_starts[i])
+        row[j] = cell
+        return self.pairs[i][1] - total
+
+    def slacks(self) -> tuple[float, ...]:
+        """Left-to-right slack of every constraint over the box."""
+        return tuple(self.slack(i, 0, row[0]) for i, row in enumerate(self.rows))
 
 
 # --- loading and quantification ------------------------------------------

@@ -22,14 +22,13 @@ maximality, since a strictly containing box must extend some face.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add, sub
 from typing import Sequence
 
 from ._frozen import Frozen
-from .designspace import DesignProblem, FeasibleRegion, lattice_sum
+from .designspace import DesignProblem, _TermMax, lattice_sum
 from .errors import (
     CapExceeded,
     InfeasibleInput,
@@ -215,153 +214,6 @@ class SolveResult(Frozen):
             raise SchemaError(f"malformed solve result: {exc}") from exc
 
 
-# --- term-max table ----------------------------------------------------------
-
-_FLOAT_EPS = 2.220446049250313e-16
-# while the magnitudes of a sum stay below this, no left-to-right partial sum can overflow
-_SUM_LIMIT = 2.0**1022
-
-
-class _LeftToRight(float):
-    """A float that starts a builtin ``sum`` left to right: ``((start + c0) + c1) + ...``.
-
-    CPython 3.12+ compensates a float ``sum`` (Neumaier) only while its
-    running total is exactly a ``float``; from a subclass start, ``sum``
-    takes its generic loop on every version, one ``+`` per cell in order,
-    as ``reduce(add)`` does, with no Python call per cell.  The table starts
-    its sums with it on CPython 3.12+ and on other implementations.
-    """
-
-    __slots__ = ()
-
-
-# The start of every table sum.  Before 3.12, CPython sums from a plain ``float``
-# in a C loop of uncompensated ``double`` additions, left to right, several times
-# faster per cell than the generic loop that ``_LeftToRight`` takes.
-_SUM_START = float if sys.implementation.name == "cpython" and sys.version_info < (3, 12) else _LeftToRight
-
-
-class _TermMax:
-    """Maximum of every coordinate term over one box: per constraint, a row of N floats.
-
-    Each cell is ``extremum(linear[k], quadratic[k], lo, hi)[0]``, the
-    value ``term_extremum(k, interval, "max")`` gives, and every sum runs
-    left to right, ``sum`` from a ``_SUM_START`` start (a plain float on
-    CPython before 3.12, ``_LeftToRight`` elsewhere), so the slacks equal
-    ``is_box_feasible``'s bit for bit.  ``abs_rows`` holds the cells'
-    magnitudes, which every roundoff bound sums, and ``neg_rows`` their
-    negations, which the budgets add: x - y is exactly x + (-y).  Swapping
-    one interval costs one column of M term evaluations.  ``linear[k]``
-    and ``quadratic[k]`` are factor k's coefficients in every constrained
-    surface, and ``names`` the constrained surfaces, in constraint order.
-
-    It also holds the one float filter of expansion tries, face pushes and
-    ROSETTA slice points (README, "Verification notes"): ``budgets`` gives
-    a budget pair, the parallel lists ``(rests, noises)``, and ``charge``
-    turns one into slack estimates and their error bounds; ``fits`` is the
-    sign test, and ``slack`` the one left-to-right sum they fall back to.
-    """
-
-    def __init__(self, problem: DesignProblem, box: Orthotope):
-        problem.region().check_inside(box.intervals)
-        self.box = box
-        self.pairs = problem.constrained_pairs()
-        los = [iv.lo for iv in box.intervals]
-        his = [iv.hi for iv in box.intervals]
-        # per factor, its coefficient in every constrained surface; empty with no constraint
-        self.linear = list(zip(*(s.linear for s, _ in self.pairs))) or [()] * len(los)
-        self.quadratic = list(zip(*(s.quadratic for s, _ in self.pairs))) or [()] * len(los)
-        self.names = tuple(s.name for s, _ in self.pairs)
-        self.rows, self.abs_rows, self.neg_rows = [], [], []
-        # per constraint, the start of its budget, noise and slack sums
-        self.budget_starts, self.noise_starts, self.slack_starts = [], [], []
-        for s, bound in self.pairs:
-            row = [extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
-            self.rows.append(row)
-            self.abs_rows.append(list(map(abs, row)))
-            self.neg_rows.append([-c for c in row])
-            self.budget_starts.append(_SUM_START(bound - s.beta0))
-            self.noise_starts.append(_SUM_START(abs(bound) + abs(s.beta0)))
-            self.slack_starts.append(_SUM_START(s.beta0))
-        # a slack estimate's error bound per unit of the magnitudes it sums
-        self.spread = (2 * len(los) + 3) * _FLOAT_EPS
-        self.limit = self.spread * _SUM_LIMIT
-
-    def column(self, j: int, lo: float, hi: float) -> list[float]:
-        """Cell j of every row, for interval j replaced by [lo, hi]."""
-        return [extremum(l, q, lo, hi)[0] for l, q in zip(self.linear[j], self.quadratic[j])]
-
-    def write(self, j: int, column: Sequence[float]) -> None:
-        """Set cell j of every row, its magnitude and its negation, to ``column``'s value."""
-        for row, abs_row, neg_row, value in zip(self.rows, self.abs_rows, self.neg_rows, column):
-            row[j], abs_row[j], neg_row[j] = value, abs(value), -value
-
-    def swap(self, j: int, interval: Interval, column: list[float]) -> None:
-        self.box = self.box.replaced(j, interval)
-        self.write(j, column)
-
-    def budgets(self, j: int | None = None) -> tuple[list[float], list[float]]:
-        """Per constraint, the budget ``((bound - beta0) - t0) - ...`` without cell j, and its noise,
-        ``spread`` times the magnitudes it sums; with j None, no budgets and the whole rows' noise.
-
-        The budget adds the negated row, ``((bound - beta0) + -t0) + ...``,
-        with cell j set to -0.0 for the moment, and the noise adds the
-        magnitudes with cell j at +0.0: x + (-0.0) is x for every x, as
-        x - (+0.0) is, and adding +0.0 to a sum of magnitudes leaves it.
-        """
-        spread, rests, noises = self.spread, [], []
-        for neg_row, abs_row, rest_start, noise_start in zip(
-            self.neg_rows, self.abs_rows, self.budget_starts, self.noise_starts
-        ):
-            if j is not None:
-                cell, size = neg_row[j], abs_row[j]
-                neg_row[j], abs_row[j] = -0.0, 0.0
-                rests.append(sum(neg_row, rest_start))
-            noises.append(spread * sum(abs_row, noise_start))
-            if j is not None:
-                neg_row[j], abs_row[j] = cell, size
-        return rests, noises
-
-    def charge(
-        self, rests: Sequence[float], noises: Sequence[float], column: Sequence[float]
-    ) -> tuple[list[float], list[float]]:
-        """A budget pair charged with a column: the lists of ``rest - c`` and ``noise + spread * |c|``.
-
-        The result is a budget pair too, so charging it again charges a
-        second left-out cell.  Charged with every cell it left out, a
-        budget is a slack estimate and its error bound; a bound that
-        reaches ``limit``, where a partial sum could overflow, is set to inf.
-        """
-        spread, limit, estimates, errors = self.spread, self.limit, [], []
-        for rest, noise, c in zip(rests, noises, column):
-            error = noise + spread * abs(c)
-            estimates.append(rest - c)
-            errors.append(error if error < limit else math.inf)
-        return estimates, errors
-
-    def fits(self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]) -> bool:
-        """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from the
-        budget pair without cell j; a slack is summed only where its error bound leaves the sign open."""
-        for i, (estimate, error) in enumerate(zip(*self.charge(rests, noises, column))):
-            if not (estimate > error or estimate < -error):
-                estimate = self.slack(i, j, column[i])
-            if not estimate >= 0.0:
-                return False
-        return True
-
-    def slack(self, i: int, j: int, c: float) -> float:
-        """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""
-        row = self.rows[i]
-        cell, row[j] = row[j], c
-        total = sum(row, self.slack_starts[i])
-        row[j] = cell
-        return self.pairs[i][1] - total
-
-    def slacks(self) -> tuple[float, ...]:
-        """Left-to-right slack of every constraint over the box."""
-        return tuple(self.slack(i, 0, row[0]) for i, row in enumerate(self.rows))
-
-
 # --- ranking --------------------------------------------------------------
 
 def auto_rank(problem: DesignProblem) -> tuple[int, ...]:
@@ -469,7 +321,7 @@ def _expand_once(
     """
     x = problem.seed[j]
     ambient = problem.variables[j].ambient
-    floor = table.box.intervals[j]
+    floor = table.intervals[j]
     lo, hi = ambient.lo, ambient.hi
     floor_lo, floor_hi = floor.lo, floor.hi
     binding_lo = binding_hi = "ambient"
@@ -483,22 +335,21 @@ def _expand_once(
 
 
 def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Sequence[float]) -> list[bool]:
-    """``is_box_feasible`` of ``table.box`` with x_j fixed at x and x_k at y, for each (x, y) in xs × ys, row-major.
+    """``is_box_feasible`` of the table's box with x_j fixed at x and x_k at y, for each (x, y) in xs × ys.
 
-    The point's cells are ``term(j, x)`` and ``term(k, y)``, which is what
-    ``extremum`` gives for a point interval.  Column k is +0.0 while the
-    budget pair without cell j is taken; for each x, column j holds the
-    terms at x and charges them, and ``table.fits`` charges the result
-    again with the terms at each y.
+    Row-major.  The point's cells are the columns over [x, x] and [y, y].
+    Column k is +0.0 while the budget pair without cell j is taken; for
+    each x, column j holds the cells at x and charges them, and
+    ``table.fits`` charges the result again with the cells at each y.
     """
     held_j, held_k = [row[j] for row in table.rows], [row[k] for row in table.rows]
     table.write(k, [0.0] * len(held_k))
     rests, noises = table.budgets(j)
     table.write(k, held_k)
-    columns_k = [[s.term(k, y) for s, _ in table.pairs] for y in ys]
+    columns_k = [table.column(k, y, y) for y in ys]
     verdicts = []
     for x in xs:
-        column_j = [s.term(j, x) for s, _ in table.pairs]
+        column_j = table.column(j, x, x)
         table.write(j, column_j)
         charged = table.charge(rests, noises, column_j)
         verdicts += [table.fits(k, column_k, *charged) for column_k in columns_k]
@@ -507,8 +358,8 @@ def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Se
 
 
 def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
-    """One audited expansion of factor j of ``table.box``, in place."""
-    before = table.box.intervals[j]
+    """One audited expansion of factor j of the table's box, in place."""
+    before = table.intervals[j]
     rests, noises = table.budgets(j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
@@ -533,9 +384,10 @@ def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
         raise SeedNotContained(
             f"interval {box.intervals[j]} of factor {j} does not contain seed {problem.seed[j]}"
         )
-    table = _TermMax(problem, box)
+    problem.region().check_inside(box.intervals)
+    table = _TermMax(problem.constrained_pairs(), box.intervals)
     _expand_step(problem, table, j)
-    return table.box
+    return Orthotope(table.intervals)
 
 
 # --- greedy solve -----------------------------------------------------------
@@ -562,10 +414,11 @@ def solve_greedy(
     else:
         order = auto_rank(problem)
 
-    table = _TermMax(problem, Orthotope.point(problem.seed))
+    # the seed point box needs no ambient check: ``DesignProblem`` has checked the seed
+    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     steps = [_expand_step(problem, table, j) for j in order]
     certificate = _certify(problem, table, eps)
-    return SolveResult(table.box, order, tuple(steps), certificate)
+    return SolveResult(Orthotope(table.intervals), order, tuple(steps), certificate)
 
 
 # --- maximality -------------------------------------------------------------
@@ -580,11 +433,12 @@ def verify_maximality(
     box-maximum test).  The certificate names the blocker per face.
     An explicit ``eps`` must be a positive finite number.
     """
-    return _certify(problem, _TermMax(problem, box), eps)
+    problem.region().check_inside(box.intervals)
+    return _certify(problem, _TermMax(problem.constrained_pairs(), box.intervals), eps)
 
 
 def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> MaximalityCertificate:
-    """``verify_maximality`` of ``table.box``; each face push swaps one column."""
+    """``verify_maximality`` of the table's box; each face push swaps one column."""
     epsilon = problem.tolerance if eps is None else float(eps)
     if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
         raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
@@ -594,7 +448,7 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     _, noises = table.budgets()
 
     faces = []
-    for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
+    for j, (var, interval) in enumerate(zip(problem.variables, table.intervals)):
         ambient, lo, hi = var.ambient, interval.lo, interval.hi
         push = epsilon * ambient.width
         # each constraint's budget without cell j, from the box's slack; the noise is the whole row's
@@ -684,44 +538,37 @@ def _check_oracle_limits(problem: DesignProblem, resolution: int) -> None:
         raise CapExceeded(f"grid oracle resolution capped at {ORACLE_MAX_RESOLUTION}")
 
 
-def _grid_sweep(
-    region: FeasibleRegion,
-    axes: list[list[float]],
-    box: Orthotope,
-    j: int,
-    seed_j: float,
-) -> tuple[float, float]:
-    """Widest grid-endpoint interval for axis j, other axes held as given.
+def _grid_sweep(table: _TermMax, axes: list[list[float]], j: int, seed_j: float) -> tuple[float, float]:
+    """Widest grid-endpoint interval for axis j, the table's other intervals held.
 
     Endpoints extend independently from the seed anchor; the first
     infeasible grid point stops each sweep (the admitted set along one
-    axis is an interval, so feasibility is monotone).
+    axis is an interval, so feasibility is monotone).  A grid point's
+    verdict is ``table.fits`` of its column, ``is_box_feasible``'s verdict
+    bit for bit, from one budget pair without cell j.
     """
     grid = axes[j]
     tiny = 1e-12 * max(1.0, abs(grid[-1] - grid[0]))
-    work = list(box.intervals)
+    rests, noises = table.budgets(j)
+    held_lo = min(table.intervals[j].lo, seed_j)
 
     hi = seed_j
     for g in grid:
         if g < seed_j - tiny:
             continue
         upper = max(g, seed_j)
-        work[j] = Interval(min(box.intervals[j].lo, seed_j), upper)
-        if region.is_box_feasible(work)[0]:
-            hi = upper
-        else:
+        if not table.fits(j, table.column(j, held_lo, upper), rests, noises):
             break
+        hi = upper
 
     lo = seed_j
     for g in grid[::-1]:
         if g > seed_j + tiny:
             continue
         lower = min(g, seed_j)
-        work[j] = Interval(lower, max(hi, seed_j))
-        if region.is_box_feasible(work)[0]:
-            lo = lower
-        else:
+        if not table.fits(j, table.column(j, lower, max(hi, seed_j)), rests, noises):
             break
+        lo = lower
 
     return lo, hi
 
@@ -742,17 +589,16 @@ def oracle_solve(
     stay tractable.
     """
     _check_oracle_limits(problem, resolution)
-    region = problem.region()
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
-    axes = region.grid_axes(resolution)
+    axes = problem.region().grid_axes(resolution)
 
-    box = Orthotope.point(problem.seed)
+    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     for j in order:
-        lo, hi = _grid_sweep(region, axes, box, j, problem.seed[j])
-        box = box.replaced(j, Interval(lo, hi))
+        lo, hi = _grid_sweep(table, axes, j, problem.seed[j])
+        table.swap(j, Interval(lo, hi), table.column(j, lo, hi))
 
     volume_box = _volume_search(problem, resolution) if include_volume_box else None
-    return OracleResult(greedy_box=box, volume_box=volume_box, resolution=resolution, ranking=order)
+    return OracleResult(Orthotope(table.intervals), volume_box, resolution, order)
 
 
 def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
@@ -800,27 +646,19 @@ def oracle_check_steps(
     For step t the sweep runs with the stored intervals of all earlier
     steps in place, so the grid endpoint is guaranteed within one grid
     step of the exact endpoint; disagreement beyond that flags the step.
+    A stored interval outside its ambient bounds raises ``BoxOutsideAmbient``.
     """
     _check_oracle_limits(problem, resolution)
-    region = problem.region()
-    axes = region.grid_axes(resolution)
-    box = Orthotope.point(problem.seed)
+    axes = problem.region().grid_axes(resolution)
+    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
 
     checks = []
     for step in result.steps:
         j = step.factor
-        lo, hi = _grid_sweep(region, axes, box, j, problem.seed[j])
+        problem.variables[j].check_inside(step.after)
+        lo, hi = _grid_sweep(table, axes, j, problem.seed[j])
         width = problem.variables[j].ambient.width
         tol = width / (resolution - 1) + 1e-9 * max(1.0, width)
-        checks.append(
-            StepCheck(
-                factor=j,
-                grid_lo=lo,
-                grid_hi=hi,
-                stored_lo=step.after.lo,
-                stored_hi=step.after.hi,
-                tolerance=tol,
-            )
-        )
-        box = box.replaced(j, step.after)
+        checks.append(StepCheck(j, lo, hi, step.after.lo, step.after.hi, tol))
+        table.swap(j, step.after, table.column(j, step.after.lo, step.after.hi))
     return checks

@@ -9,13 +9,13 @@ when there is no solution.
 - N cell (j, k): an r×r grid on (x_j, x_k) over their ambient
   intervals.  A point is feasible when the held box is, with x_j and
   x_k fixed at the point and every other coordinate over its held
-  interval: ``is_box_feasible`` of that box, bit for bit.  The held box
-  itself is drawn as a rectangle.
+  interval: ``is_box_feasible`` of that box, decided by the held box's
+  term-max table.  The held box itself is drawn as a rectangle.
 - N diagonal j: the interval of x_j that ``expand_factor`` admits with
   every other interval of the held box in place.
 - M cell (a, b): (z_a, z_b) at the first r² points of a Kronecker
   sequence over the ambient box (``sample_points``), each z equal to
-  ``evaluate`` and each point coloured by ``is_point_feasible``.
+  ``evaluate`` and each point coloured by ``is_point_feasible`` of its z.
 - Q: the analytic sensitivities at the seed.
 
 Nothing is random, so reruns are byte-identical.
@@ -30,9 +30,9 @@ from itertools import product
 from pathlib import Path
 
 from ._frozen import Frozen
-from .designspace import DesignProblem, grid_cap
+from .designspace import DesignProblem, _TermMax, grid_cap
 from .errors import CapExceeded
-from .orthotope import Orthotope, SolveResult, _slice_verdicts, _TermMax, expand_factor
+from .orthotope import Orthotope, SolveResult, _slice_verdicts, expand_factor
 from .surface import Interval
 
 __all__ = ["RosettaReport", "build_report", "project_orthotope", "sample_points", "emit"]
@@ -198,7 +198,8 @@ def build_report(
     n = problem.dim
     box = solution.orthotope if isinstance(solution, SolveResult) else solution
     held = box if box is not None else Orthotope.point(problem.seed)
-    table = _TermMax(problem, held)
+    region.check_inside(held.intervals)
+    table = _TermMax(problem.constrained_pairs(), held.intervals)
 
     q_matrix = tuple(
         tuple(s.sensitivity(j, problem.seed) for j in range(n)) for s in problem.surfaces

@@ -32,7 +32,8 @@ def extremum(l: float, q: float, lo: float, hi: float, sign: float = 1.0) -> tup
     """
     best_v, best_x = l * lo + q * lo * lo, lo
     if q != 0.0:
-        x = -l / (2.0 * q)
+        # not -l / (2.0 * q): 2.0 * q overflows for |q| >= 2**1023 and puts the vertex at a zero
+        x = -l / q / 2.0
         if lo < x < hi:
             v = l * x + q * x * x
             if sign * v > sign * best_v:

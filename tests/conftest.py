@@ -105,6 +105,19 @@ def problem_document(problem: DesignProblem) -> dict:
     }
 
 
+def reference_is_box_feasible(problem: DesignProblem, box):
+    """``FeasibleRegion.is_box_feasible`` from before the term-max table decided it, verbatim.
+
+    One ``box_extremum`` per constraint, so a test that compares the table
+    with it compares two independent sums.
+    """
+    region = problem.region()
+    region.check_inside(box)
+    pairs = problem.constrained_pairs()
+    slacks = tuple(bound - s.box_extremum(box, "max")[0] for s, bound in pairs)
+    return all(sl >= 0.0 for sl in slacks), slacks
+
+
 def numpy_lattice_sum(beta0, per_axis):
     """The numpy broadcast sum that ``designspace.lattice_sum`` replaced, shaped like the lattice.
 

@@ -486,6 +486,34 @@ def test_malformed_stored_result_exits_2(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize(
+    "dim, index, end",
+    [(3, 0, "after"), (3, 1, "after"), (3, 2, "after"), (3, 0, "before"), (4, 3, "after")],
+    ids=["first-step", "middle-step", "last-step", "before", "four-variables"],
+)
+def test_stored_step_outside_the_ambient_box_exits_2(tmp_path, capsys, dim, index, end):
+    # refused where the result loads, at every N: verify once exited 2 only where a later
+    # sweep met the step, 5 on the last step and 0 where no replay ran, and rosetta 0
+    path = problem_path("emissions.json") if dim == 3 else _random_problem_file(tmp_path, dim)
+    stem = json.loads(Path(path).read_text())["name"]
+    assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
+    solution = tmp_path / f"{stem}_solution.json"
+    doc = json.loads(solution.read_text())
+    step = doc["steps"][index]
+    step[end]["hi"] = 1e9
+    solution.write_text(json.dumps(doc))
+    var = json.loads(Path(path).read_text())["variables"][step["factor"]]
+    message = (
+        f"error: interval [{step[end]['lo']!r}, 1000000000.0] of {var['name']!r} "
+        f"outside ambient [{float(var['lo'])!r}, {float(var['hi'])!r}]\n"
+    )
+    for args in (
+        ("verify", path, str(solution)),
+        ("rosetta", path, "--solution", str(solution), "--resolution", "5", "--out", str(tmp_path / "report")),
+    ):
+        assert run_cli(*args, capsys=capsys) == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda doc: doc["variables"][0].update(hi=doc["variables"][0]["lo"]),

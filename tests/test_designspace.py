@@ -2,12 +2,14 @@ import itertools
 import json
 import math
 import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
 from cddkit import build_report, data_path, load_problem, quantify_requirement
-from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, grid_cap, lattice_sum
+from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax, grid_cap, lattice_sum
 from cddkit.errors import (
     BoxOutsideAmbient,
     CapExceeded,
@@ -167,6 +169,54 @@ def test_point_box_matches_point_feasibility(emissions):
     assert ok
     _, point_slacks = region.is_point_feasible(emissions.seed)
     assert slacks == pytest.approx(point_slacks, abs=1e-12)
+
+
+# rows of terms whose sum depends on the order of addition: left to right the first is 1.0,
+# right to left 0.0 and compensated 2.0
+ORDERED_ROWS = ((1e16, 1.0, -1e16, 1.0), (-1e16, 1.0, 1e16, -1.0), (1.0, 1e-16, 1e-16, -1.0))
+
+
+def ordered_problem(rows, bound, tolerance=1e-6):
+    """Each row as the terms of one surface at x = (1, 1, 1, 1): linear coefficients, no quadratic ones."""
+    return DesignProblem(
+        variables=tuple(DesignVariable(f"x{k}", "", Interval(0.0, 2.0)) for k in range(4)),
+        surfaces=tuple(QuadraticResponseSurface(f"z{i}", "", 0.0, row, (0.0,) * 4) for i, row in enumerate(rows)),
+        constraints=tuple(ObjectiveConstraint(f"z{i}", bound) for i in range(len(rows))),
+        seed=(1.0,) * 4,
+        tolerance=tolerance,
+    )
+
+
+def test_every_verdict_adds_left_to_right():
+    problem = ordered_problem(ORDERED_ROWS, 10.0)
+    region = problem.region()
+    point = (1.0,) * 4
+    box = [Interval(1.0, 1.0)] * 4
+    expected = [(10.0 - reduce(add, row, 0.0)).hex() for row in ORDERED_ROWS]
+    assert expected[0] == (9.0).hex()
+    assert list(map(float.hex, region.is_box_feasible(box)[1])) == expected
+    assert list(map(float.hex, region.is_point_feasible(point)[1])) == expected
+    assert list(map(float.hex, _TermMax(problem.constrained_pairs(), box).slacks())) == expected
+    # the seed check reads the same slack: 1.5 - 1.0 is below the tolerance 1.0 (right to
+    # left it would be 1.5), and 2.0 - 1.0 meets it (compensated it would be 0.0)
+    with pytest.raises(InfeasibleSeed, match="below the tolerance"):
+        ordered_problem(ORDERED_ROWS[:1], 1.5, tolerance=1.0)
+    ordered_problem(ORDERED_ROWS[:1], 2.0, tolerance=1.0)
+
+
+def test_box_verdict_sees_a_vertex_past_an_overflowing_two_q():
+    # z = 1e308*x - 0.9e308*x**2 <= 2e307 on [0, 1]: the exact maximum is 2.78e307, at x = 5/9;
+    # 2.0 * q overflows to -inf there, which once put the vertex at x = 0.0 and passed the box
+    problem = DesignProblem(
+        variables=(DesignVariable("x", "", Interval(0.0, 1.0)),),
+        surfaces=(QuadraticResponseSurface("z", "", 0.0, (1e308,), (-0.9e308,)),),
+        constraints=(ObjectiveConstraint("z", 2e307),),
+        seed=(0.0,),
+    )
+    region = problem.region()
+    assert not region.is_point_feasible((0.5555,))[0]
+    feasible, (slack,) = region.is_box_feasible((Interval(0.0, 1.0),))
+    assert not feasible and slack < -7e306
 
 
 def test_full_ambient_box_infeasible(emissions):

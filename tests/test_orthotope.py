@@ -7,7 +7,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add, neg, sub
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,8 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cddkit import cli, data_path, load_problem, orthotope
-from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
+from cddkit import cli, data_path, designspace, load_problem, orthotope
+from cddkit.designspace import _SUM_START, DesignProblem, DesignVariable, ObjectiveConstraint, _LeftToRight, _TermMax
 from cddkit.errors import (
     CapExceeded,
     InfeasibleInput,
@@ -32,9 +31,6 @@ from cddkit.orthotope import (
     SolveResult,
     _expand_step,
     VOLUME_SEARCH_RESOLUTION,
-    _SUM_START,
-    _LeftToRight,
-    _TermMax,
     _admitted_interval,
     _expand_once,
     _quadratic_roots,
@@ -48,7 +44,7 @@ from cddkit.orthotope import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import numpy_lattice_sum, random_problem, replace
+from conftest import numpy_lattice_sum, random_problem, reference_is_box_feasible, replace
 
 
 def one_dim_problem(beta0=0.0, linear=0.0, quadratic=1.0, bound=4.0, ambient=(-10.0, 10.0), seed=0.0):
@@ -275,7 +271,7 @@ def test_expand_once_clamps_as_min_and_max(ends, raws):
         name="clamp",
     )
     floor = Interval(floor_lo, floor_hi)
-    table = _TermMax(problem, Orthotope((floor,)))
+    table = _TermMax(problem.constrained_pairs(), (floor,))
     given_raws = iter(raws)
     with mock.patch.object(orthotope, "_admitted_interval", lambda *args: next(given_raws)):
         lo, hi, binding_lo, binding_hi = _expand_once(problem, table, 0, 0.0, [0.0] * len(raws), [0.0] * len(raws))
@@ -295,7 +291,7 @@ def _two_constraint_table(bounds, ambient=(-10.0, 10.0)):
         seed=(0.0,),
         name="clamp",
     )
-    return problem, _TermMax(problem, Orthotope((Interval(-1.0, 1.0),)))
+    return problem, _TermMax(problem.constrained_pairs(), (Interval(-1.0, 1.0),))
 
 
 def test_expand_once_floor_tie_keeps_the_first_binding():
@@ -311,7 +307,7 @@ def test_expand_once_ambient_tie_stays_ambient():
     # both admitted intervals, [-2, 2] and [-3, 3], reach past the ambient [-1.5, 1.5]
     problem, table = _two_constraint_table((4.0, 8.0), ambient=(-1.5, 1.5))
     assert _expand_once(problem, table, 0, 0.0, [4.0, 18.0], [0.0, 0.0]) == (-1.5, 1.5, "ambient", "ambient")
-    assert expand_factor(problem, table.box, 0).intervals[0] == Interval(-1.5, 1.5)
+    assert expand_factor(problem, Orthotope(table.intervals), 0).intervals[0] == Interval(-1.5, 1.5)
 
 
 @pytest.mark.parametrize(
@@ -351,7 +347,7 @@ def test_expand_with_an_infinite_bound(constraints, tries, after, binding):
         seed=(0.25,),
         name="inf",
     )
-    table = _TermMax(problem, Orthotope.point(problem.seed))
+    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     rests, noises = table.budgets(0)
     assert [_expand_once(problem, table, 0, bias, rests, noises) for bias in (0.0, 1.0)] == tries
     (step,) = solve_greedy(problem).steps
@@ -698,8 +694,7 @@ def table_problems():
 
 
 def reference_certificate(problem, box):
-    """The face-wise certificate, one ``is_box_feasible`` call per face."""
-    region = problem.region()
+    """The face-wise certificate, one ``reference_is_box_feasible`` call per face."""
     eps = problem.tolerance
     faces = []
     for j, (var, iv) in enumerate(zip(problem.variables, box.intervals)):
@@ -711,7 +706,7 @@ def reference_certificate(problem, box):
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", room))
                 continue
-            ok, slacks = region.is_box_feasible(box.replaced(j, candidate).intervals)
+            ok, slacks = reference_is_box_feasible(problem, box.replaced(j, candidate).intervals)
             if ok:
                 faces.append(FaceCheck(j, side, None, min(slacks) if slacks else math.inf))
             else:
@@ -753,35 +748,36 @@ def test_term_max_table_matches_exact_box_checks(monkeypatch):
 
     def recorded_fits(table, j, column, rests, noises):
         decision = fits(table, j, column, rests, noises)
-        tries.append((table.box.replaced(j, table.tried), decision))
+        tries.append((Orthotope(table.intervals).replaced(j, table.tried), decision))
         return decision
 
     monkeypatch.setattr(_TermMax, "column", recorded_column)
     monkeypatch.setattr(_TermMax, "fits", recorded_fits)
     for problem in table_problems():
-        region = problem.region()
-        table = _TermMax(problem, Orthotope.point(problem.seed))
-        assert table.slacks() == region.is_box_feasible(table.box.intervals)[1]
+        table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+        assert table.slacks() == reference_is_box_feasible(problem, table.intervals)[1]
         for j in auto_rank(problem):
             if problem.dim <= 30:
-                assert _hex_budgets(table.budgets(j)) == _hex_budgets(reference_budgets(problem, table.box, j))
+                box = Orthotope(table.intervals)
+                assert _hex_budgets(table.budgets(j)) == _hex_budgets(reference_budgets(problem, box, j))
             tries.clear()
             _expand_step(problem, table, j)
             assert tries
             for box, decision in tries:
-                assert decision == region.is_box_feasible(box.intervals)[0]
-            assert table.slacks() == region.is_box_feasible(table.box.intervals)[1]
+                assert decision == reference_is_box_feasible(problem, box.intervals)[0]
+            assert table.slacks() == reference_is_box_feasible(problem, table.intervals)[1]
+        box = Orthotope(table.intervals)
         result = solve_greedy(problem)
-        assert result.orthotope == table.box
-        reference = reference_certificate(problem, table.box)
-        assert verify_maximality(problem, table.box) == reference == result.certificate
+        assert result.orthotope == box
+        reference = reference_certificate(problem, box)
+        assert verify_maximality(problem, box) == reference == result.certificate
 
 
 def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
     n, m = 100, 30
     problem = random_problem(random.Random(77), n, m)
     calls = 0
-    original = orthotope.extremum
+    original = designspace.extremum
 
     def counted(*args):
         nonlocal calls
@@ -789,7 +785,7 @@ def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
         return original(*args)
 
     # every cell of the term-max table, and every column a try or face push swaps in
-    monkeypatch.setattr(orthotope, "extremum", counted)
+    monkeypatch.setattr(designspace, "extremum", counted)
     assert solve_greedy(problem).certificate.maximal
     assert 0 < calls <= 8 * n * m
 
@@ -825,17 +821,13 @@ def sum_table():
     """A term-max table whose constraints and rows are the ``SUM_CASES``.
 
     Its bounds reach past the seed check (a bound of -0.0 leaves the seed
-    a slack of -0.0), so the table reads them from a stand-in problem.
+    a slack of -0.0), so no problem holds them: the table takes the pairs.
     """
-    variables = tuple(DesignVariable(f"x{k}", "", Interval(-1.0, 1.0)) for k in range(4))
-    surfaces = tuple(
-        QuadraticResponseSurface(f"z{i}", "", beta0, (0.0,) * 4, (0.0,) * 4)
-        for i, (beta0, _, _) in enumerate(SUM_CASES)
+    pairs = tuple(
+        (QuadraticResponseSurface(f"z{i}", "", beta0, (0.0,) * 4, (0.0,) * 4), bound)
+        for i, (beta0, bound, _) in enumerate(SUM_CASES)
     )
-    problem = DesignProblem(variables, surfaces, (), seed=(0.0,) * 4, name="sums")
-    pairs = tuple((s, bound) for s, (_, bound, _) in zip(surfaces, SUM_CASES))
-    stand_in = SimpleNamespace(region=problem.region, constrained_pairs=lambda: pairs)
-    table = _TermMax(stand_in, Orthotope.point(problem.seed))
+    table = _TermMax(pairs, (Interval(0.0, 0.0),) * 4)
     for j in range(4):
         table.write(j, [row[j] for _, _, row in SUM_CASES])
     return table
@@ -920,8 +912,8 @@ class ReferenceTable(_TermMax):
 
 
 def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
-    """One audited expansion of factor j of ``table.box``, in place."""
-    before = table.box.intervals[j]
+    """One audited expansion of factor j of the table's box, in place."""
+    before = table.intervals[j]
     rests, noises = table.budgets(j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
@@ -936,7 +928,7 @@ def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> Ex
 
 
 def reference_certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> MaximalityCertificate:
-    """``verify_maximality`` of ``table.box``; each face push swaps one column."""
+    """``verify_maximality`` of the table's box; each face push swaps one column."""
     epsilon = problem.tolerance if eps is None else float(eps)
     if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
         raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
@@ -944,7 +936,7 @@ def reference_certify(problem: DesignProblem, table: _TermMax, eps: float | None
         raise InfeasibleInput("maximality is only defined for feasible boxes")
 
     faces = []
-    for j, (var, interval) in enumerate(zip(problem.variables, table.box.intervals)):
+    for j, (var, interval) in enumerate(zip(problem.variables, table.intervals)):
         push = epsilon * var.ambient.width
         for side in ("lo", "hi"):
             if side == "lo":
@@ -970,9 +962,9 @@ def reference_certify(problem: DesignProblem, table: _TermMax, eps: float | None
 def reference_solve(problem, eps=None):
     """``solve_greedy`` with the expansion step and certificate above."""
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
-    table = ReferenceTable(problem, Orthotope.point(problem.seed))
+    table = ReferenceTable(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     steps = tuple(reference_expand_step(problem, table, j) for j in order)
-    return SolveResult(table.box, order, steps, reference_certify(problem, table, eps))
+    return SolveResult(Orthotope(table.intervals), order, steps, reference_certify(problem, table, eps))
 
 
 def assert_same_as_reference(problem, boxes=(), eps_values=(None,)):
@@ -982,7 +974,7 @@ def assert_same_as_reference(problem, boxes=(), eps_values=(None,)):
     for box in (expected.orthotope, *boxes):
         for eps in eps_values:
             assert repr(verify_maximality(problem, box, eps)) == repr(
-                reference_certify(problem, ReferenceTable(problem, box), eps)
+                reference_certify(problem, ReferenceTable(problem.constrained_pairs(), box.intervals), eps)
             )
     return expected
 
@@ -1126,7 +1118,7 @@ def test_overflowing_terms_take_the_full_pass(monkeypatch):
     )
     box = Orthotope((Interval(-1e10, 0.0), Interval(0.0, 1e9), Interval(-0.5, 0.5)))
     assert problem.region().is_box_feasible(box.intervals)[0]
-    column = _TermMax(problem, box).column
+    column = _TermMax(problem.constrained_pairs(), box.intervals).column
     assert math.isnan(column(0, -1.8e10, 0.0)[0])
     assert column(1, 0.0, 1.7e10)[1] == math.inf
     assert_same_as_reference(problem, (box,), eps_values=(None, 0.4))

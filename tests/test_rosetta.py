@@ -14,9 +14,9 @@ import pytest
 
 import cddkit
 from cddkit import rosetta
-from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint
+from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax
 from cddkit.errors import CapExceeded
-from cddkit.orthotope import Orthotope, _slice_verdicts, _TermMax, expand_factor, solve_greedy
+from cddkit.orthotope import Orthotope, _slice_verdicts, expand_factor, solve_greedy
 from cddkit.rosetta import (
     SVG_CANVAS,
     SVG_MARGIN,
@@ -28,7 +28,7 @@ from cddkit.rosetta import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import load_bundled, problem_document, random_problem, replace
+from conftest import load_bundled, problem_document, random_problem, reference_is_box_feasible, replace
 
 
 def test_q_matrix_is_exact_sensitivities(emissions):
@@ -133,7 +133,7 @@ def _assert_n_cells_equal_is_box_feasible(problem, solution):
         assert (cell.var_a, cell.var_b) == (problem.variables[j].name, problem.variables[k].name)
         assert (cell.x_a, cell.x_b) == (tuple(axes[j]), tuple(axes[k]))
         expected = [
-            region.is_box_feasible(held.replaced(j, Interval(x, x)).replaced(k, Interval(y, y)).intervals)[0]
+            reference_is_box_feasible(problem, held.replaced(j, Interval(x, x)).replaced(k, Interval(y, y)).intervals)[0]
             for x in cell.x_a
             for y in cell.x_b
         ]
@@ -209,7 +209,7 @@ def test_slice_verdicts_in_either_axis_order():
     rng = random.Random(2121)
     for _ in range(5):
         problem = random_problem(rng, dim=4, count=3)
-        table = _TermMax(problem, solve_greedy(problem).orthotope)
+        table = _TermMax(problem.constrained_pairs(), solve_greedy(problem).orthotope.intervals)
         rows = [list(row) for row in table.rows]
         axes = problem.region().grid_axes(9)
         forward = _slice_verdicts(table, 1, 3, axes[1], axes[3])

@@ -175,11 +175,12 @@ def test_surface_json_roundtrip(table):
 # --- term_extremum against the candidate-list implementation it replaced ----------
 
 def reference_term_extremum(self, j, interval, mode="max"):
-    # the earlier body of QuadraticResponseSurface.term_extremum, verbatim
+    # the earlier body of QuadraticResponseSurface.term_extremum, verbatim but for the
+    # vertex, which takes ``extremum``'s formula: -l / (2.0 * q) overflows for |q| >= 2**1023
     candidates = [interval.lo]
     # the stationary point of the term, which a linear term lacks
     q = self.quadratic[j]
-    vertex = -self.linear[j] / (2.0 * q) if q != 0.0 else None
+    vertex = -self.linear[j] / q / 2.0 if q != 0.0 else None
     if vertex is not None and interval.lo < vertex < interval.hi:
         candidates.append(vertex)
     if interval.hi != interval.lo:
@@ -215,7 +216,7 @@ def _term_cases():
                 cases.append((-2.0 * q * lo, q, lo, hi))
                 cases.append((-2.0 * q * hi, q, lo, hi))
                 if q != 0.0:
-                    vertex = -l / (2.0 * q)
+                    vertex = -l / q / 2.0
                     cases.append((l, q, vertex, max(vertex, hi)))
                     cases.append((l, q, min(lo, vertex), vertex))
     # q*x*x or l*x overflows to inf, their sum to inf - inf = NaN, 2*q overflows (the

@@ -3,7 +3,10 @@
 Solves a fixed, seeded set of random problems and hashes everything the
 package prints or writes for them: the ``solve_greedy`` solution JSON,
 the grid oracle's step checks and boxes (N <= 3) and the ROSETTA CSV
-and SVG bytes.  The ``logic`` part hashes every model
+and SVG bytes.  The ``checks`` part hashes the verdicts and slacks of
+``is_box_feasible`` for the solved box, each step's box and the ambient
+box, and of ``is_point_feasible`` at the seed and at the solved box's
+lower and upper corners.  The ``logic`` part hashes every model
 ``enumerate_models`` returns, in order, for the ``logic-enumerate``
 sentences at their domain sizes and for seeded random sentences over
 signatures that mix relations, unary predicates, constants and
@@ -115,6 +118,7 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
         out["solve"] = f"{type(exc).__name__}: {exc}".encode()
         return out
     out["solve"] = json.dumps(result.to_json(), indent=2).encode()
+    out["checks"] = feasibility_checks(problem, result)
 
     if problem.dim <= ORACLE_MAX_DIM:
         checks = oracle_check_steps(problem, result, ORACLE_RESOLUTION)
@@ -129,6 +133,21 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
     paths = emit(report, "csv", work) + emit(report, "svg", work)
     out["rosetta"] = b"".join(p.name.encode() + p.read_bytes() for p in paths)
     return out
+
+
+def feasibility_checks(problem: DesignProblem, result) -> bytes:
+    """Each box and point verdict of the ``checks`` part on one line: the verdict, then every slack as hex."""
+    region = problem.region()
+    box = [Interval(x, x) for x in problem.seed]
+    boxes = [result.orthotope.intervals]
+    for step in result.steps:
+        box[step.factor] = step.after
+        boxes.append(tuple(box))
+    boxes.append(tuple(v.ambient for v in problem.variables))
+    corners = [tuple(iv.lo for iv in result.orthotope.intervals), tuple(iv.hi for iv in result.orthotope.intervals)]
+    verdicts = [region.is_box_feasible(b) for b in boxes]
+    verdicts += [region.is_point_feasible(p) for p in (problem.seed, *corners)]
+    return "".join(f"{ok:d} {' '.join(map(float.hex, slacks))}\n" for ok, slacks in verdicts).encode()
 
 
 def zero_budget_problems():
@@ -251,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         counts["zero_budget"] = counts.get("zero_budget", 0) + 1
 
     print(f"problems: {problems}")
-    for key in ("solve", "oracle_steps", "oracle_boxes", "rosetta", "logic", "zero_budget"):
+    for key in ("solve", "checks", "oracle_steps", "oracle_boxes", "rosetta", "logic", "zero_budget"):
         if key in parts:
             print(f"{key:<13} {counts[key]:>5}  {parts[key].hexdigest()}")
     print(f"{'all':<13} {'':>5}  {total.hexdigest()}")
