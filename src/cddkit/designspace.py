@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedRelation,
     read_json,
 )
-from .surface import Interval, QuadraticResponseSurface, extremum
+from .surface import Interval, QuadraticResponseSurface
 
 __all__ = [
     "DesignVariable",
@@ -55,13 +55,18 @@ def grid_cap() -> int:
 
 
 class DesignVariable(Frozen):
-    """A named design factor with its measured ambient bounds."""
+    """A named design factor with its measured ambient bounds, strictly ordered and of finite width."""
 
     __slots__ = ("name", "unit", "ambient")
 
     def __init__(self, name: str, unit: str, ambient: Interval):
         if not ambient.lo < ambient.hi:
             raise ValueError(f"variable {name!r} needs strictly ordered ambient bounds")
+        # every grid step, face push and certificate margin is a fraction of the width
+        if not math.isfinite(ambient.width):
+            raise ValueError(
+                f"variable {name!r} has ambient bounds [{ambient.lo!r}, {ambient.hi!r}] whose width overflows"
+            )
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "ambient", ambient)
@@ -278,51 +283,73 @@ class _TermMax:
     The only code that decides whether a box is feasible.  ``pairs`` are
     the constrained ``(surface, bound)`` pairs, ``intervals`` the box as a
     list of ``Interval``s that the caller has checked against the ambient
-    bounds.  Each cell is ``extremum(linear[k], quadratic[k], lo, hi)[0]``,
-    and every sum runs left to right, ``sum`` from a ``_SUM_START`` start
-    (a plain float on CPython before 3.12, ``_LeftToRight`` elsewhere), as
-    ``evaluate`` adds a point's terms.  ``abs_rows`` holds the cells'
-    magnitudes, which every roundoff bound sums, and ``neg_rows`` their
-    negations, which the budgets add: x - y is exactly x + (-y).  Swapping
-    one interval costs one column of M term evaluations.  ``linear[k]``
-    and ``quadratic[k]`` are factor k's coefficients in every constrained
-    surface, and ``names`` the constrained surfaces, in constraint order.
+    bounds.  ``column`` is the only cell kernel: each cell is
+    ``extremum(linear[k], quadratic[k], lo, hi)[0]`` bit for bit, computed
+    inline, and the rows are built from the columns.  Every sum runs left
+    to right, ``sum`` from a ``_SUM_START`` start (a plain float on CPython
+    before 3.12, ``_LeftToRight`` elsewhere), as ``evaluate`` adds a
+    point's terms.  ``abs_rows`` holds the cells' magnitudes, which every
+    roundoff bound sums, and ``neg_rows`` their negations, which the
+    budgets add: x - y is exactly x + (-y).  Swapping one interval costs
+    one column of M term evaluations.  ``linear[k]`` and ``quadratic[k]``
+    are factor k's coefficients in every constrained surface, and
+    ``names`` the constrained surfaces, in constraint order.
 
     It also holds the one float filter of expansion tries, face pushes,
     grid replay points and ROSETTA slice points (README, "Verification
     notes"): ``budgets`` gives a budget pair, the parallel lists
-    ``(rests, noises)``, and ``charge`` turns one into slack estimates and
-    their error bounds; ``fits`` is the sign test, and ``slack`` the one
-    left-to-right sum they fall back to.
+    ``(rests, noises)``.  Charged with a column, a budget gives each
+    constraint's slack estimate ``rest - c`` and its error bound
+    ``noise + spread * |c|``, inf from ``limit`` on.  ``fits`` is the sign
+    test and ``face_slacks`` the least slack of a face push, each in one
+    pass over the column; ``charge`` keeps the charged lists, for a budget
+    charged twice, and ``slack`` is the one left-to-right sum they all
+    fall back to.
     """
 
     def __init__(self, pairs: Sequence[tuple[QuadraticResponseSurface, float]], intervals: Sequence[Interval]):
         self.intervals = list(intervals)
         self.pairs = pairs
-        los = [iv.lo for iv in self.intervals]
-        his = [iv.hi for iv in self.intervals]
         # per factor, its coefficient in every constrained surface; empty with no constraint
-        self.linear = list(zip(*(s.linear for s, _ in self.pairs))) or [()] * len(los)
-        self.quadratic = list(zip(*(s.quadratic for s, _ in self.pairs))) or [()] * len(los)
+        self.linear = list(zip(*(s.linear for s, _ in self.pairs))) or [()] * len(self.intervals)
+        self.quadratic = list(zip(*(s.quadratic for s, _ in self.pairs))) or [()] * len(self.intervals)
         self.names = tuple(s.name for s, _ in self.pairs)
-        self.rows, self.abs_rows, self.neg_rows = [], [], []
+        columns = [self.column(j, iv.lo, iv.hi) for j, iv in enumerate(self.intervals)]
+        self.rows = [list(row) for row in zip(*columns)]
+        self.abs_rows = [list(map(abs, row)) for row in self.rows]
+        self.neg_rows = [[-c for c in row] for row in self.rows]
         # per constraint, the start of its budget, noise and slack sums
-        self.budget_starts, self.noise_starts, self.slack_starts = [], [], []
-        for s, bound in self.pairs:
-            row = [extremum(l, q, lo, hi)[0] for l, q, lo, hi in zip(s.linear, s.quadratic, los, his)]
-            self.rows.append(row)
-            self.abs_rows.append(list(map(abs, row)))
-            self.neg_rows.append([-c for c in row])
-            self.budget_starts.append(_SUM_START(bound - s.beta0))
-            self.noise_starts.append(_SUM_START(abs(bound) + abs(s.beta0)))
-            self.slack_starts.append(_SUM_START(s.beta0))
+        self.budget_starts = [_SUM_START(bound - s.beta0) for s, bound in self.pairs]
+        self.noise_starts = [_SUM_START(abs(bound) + abs(s.beta0)) for s, bound in self.pairs]
+        self.slack_starts = [_SUM_START(s.beta0) for s, _ in self.pairs]
         # a slack estimate's error bound per unit of the magnitudes it sums
-        self.spread = (2 * len(los) + 3) * _FLOAT_EPS
+        self.spread = (2 * len(self.intervals) + 3) * _FLOAT_EPS
         self.limit = self.spread * _SUM_LIMIT
 
     def column(self, j: int, lo: float, hi: float) -> list[float]:
-        """Cell j of every row, for interval j replaced by [lo, hi]."""
-        return [extremum(l, q, lo, hi)[0] for l, q in zip(self.linear[j], self.quadratic[j])]
+        """Cell j of every row, for interval j replaced by [lo, hi]: each term's maximum.
+
+        ``extremum(l, q, lo, hi)[0]`` inline, bit for bit: the value at
+        ``lo``, then the vertex ``-l / q / 2.0`` if it lies strictly inside,
+        then the value at ``hi``, each kept only if strictly greater, so a
+        tie or a NaN keeps the earlier value.  A call to ``extremum`` would
+        cost about a third of each cell, so the kernel makes none.
+        """
+        cells = []
+        for l, q in zip(self.linear[j], self.quadratic[j]):
+            best = l * lo + q * lo * lo
+            if q != 0.0:
+                x = -l / q / 2.0
+                if lo < x < hi:
+                    v = l * x + q * x * x
+                    if v > best:
+                        best = v
+            if hi != lo:
+                v = l * hi + q * hi * hi
+                if v > best:
+                    best = v
+            cells.append(best)
+        return cells
 
     def write(self, j: int, column: Sequence[float]) -> None:
         """Set cell j of every row, its magnitude and its negation, to ``column``'s value."""
@@ -374,13 +401,54 @@ class _TermMax:
 
     def fits(self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]) -> bool:
         """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from the
-        budget pair without cell j; a slack is summed only where its error bound leaves the sign open."""
-        for i, (estimate, error) in enumerate(zip(*self.charge(rests, noises, column))):
-            if not (estimate > error or estimate < -error):
-                estimate = self.slack(i, j, column[i])
+        budget pair without cell j; a slack is summed only where its error bound leaves the sign open.
+
+        One pass charges and tests each constraint in turn and stops at the
+        first that fails; an error bound from ``limit`` on leaves every sign open.
+        """
+        spread, limit = self.spread, self.limit
+        for i, (rest, noise, c) in enumerate(zip(rests, noises, column)):
+            estimate, error = rest - c, noise + spread * abs(c)
+            if not (error < limit and (estimate > error or estimate < -error)):
+                estimate = self.slack(i, j, c)
             if not estimate >= 0.0:
                 return False
         return True
+
+    def face_slacks(
+        self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]
+    ) -> tuple[bool, float, int]:
+        """Left-to-right slack, with column j replaced, of each constraint that could hold the least one:
+        whether every such slack is >= 0, the least one (inf if none) and its constraint's index.
+
+        The budget pair leaves out cell j.  A constraint whose lowest possible
+        slack lies above the least highest one can neither hold nor tie the
+        least slack, so it is left out.  The ceiling, that least highest
+        slack, is ``min``'s: the first value wins ties and a NaN first value
+        stays.  If some error bound reaches ``limit``, every constraint is
+        summed.  As with ``min``, the first of tied slacks wins, and a NaN
+        first slack stays the least.
+        """
+        spread, limit, lows, ceiling = self.spread, self.limit, [], math.inf
+        for rest, noise, c in zip(rests, noises, column):
+            estimate, error = rest - c, noise + spread * abs(c)
+            if not error < limit:
+                candidates = range(len(column))
+                break
+            high = estimate + error
+            if high < ceiling or not lows:
+                ceiling = high
+            lows.append(estimate - error)
+        else:
+            candidates = [i for i, low in enumerate(lows) if low <= ceiling]
+        feasible, least, worst = True, math.inf, -1
+        for i in candidates:
+            slack = self.slack(i, j, column[i])
+            if not slack >= 0.0:
+                feasible = False
+            if worst < 0 or slack < least:
+                least, worst = slack, i
+        return feasible, least, worst
 
     def slack(self, i: int, j: int, c: float) -> float:
         """Left-to-right slack of constraint i, with cell j of its row replaced by ``c``."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import reduce
-from operator import add, sub
 from typing import Sequence
 
 from ._frozen import Frozen
@@ -460,40 +459,12 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", margin=room))
                 continue
-            feasible, least, worst = _face_slacks(table, j, table.column(j, pushed_lo, pushed_hi), rests, noises)
+            feasible, least, worst = table.face_slacks(j, table.column(j, pushed_lo, pushed_hi), rests, noises)
             if feasible:
                 faces.append(FaceCheck(j, side, None, margin=least))
             else:
                 faces.append(FaceCheck(j, side, table.names[worst], margin=-least))
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
-
-
-def _face_slacks(
-    table: _TermMax, j: int, column: list[float], rests: list[float], noises: list[float]
-) -> tuple[bool, float, int]:
-    """Left-to-right slack, with column j replaced, of each constraint that could hold the least one:
-    whether every such slack is >= 0, the least one (inf if none) and its constraint's index.
-
-    The budget pair leaves out cell j.  A constraint whose lowest possible
-    slack lies above the least highest one can neither hold nor tie the
-    least slack, so it is left out.  If some sum could overflow or is not
-    finite, every constraint is summed.  As with ``min``, the first of
-    tied slacks wins, and a NaN first slack stays the least.
-    """
-    estimates, errors = table.charge(rests, noises, column)
-    if math.inf in errors:
-        candidates = range(len(column))
-    else:
-        ceiling = min(map(add, estimates, errors), default=math.inf)
-        candidates = [i for i, low in enumerate(map(sub, estimates, errors)) if low <= ceiling]
-    feasible, least, worst = True, math.inf, -1
-    for i in candidates:
-        slack = table.slack(i, j, column[i])
-        if not slack >= 0.0:
-            feasible = False
-        if worst < 0 or slack < least:
-            least, worst = slack, i
-    return feasible, least, worst
 
 
 # --- brute-force grid oracle -------------------------------------------------

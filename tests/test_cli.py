@@ -513,6 +513,36 @@ def test_stored_step_outside_the_ambient_box_exits_2(tmp_path, capsys, dim, inde
         assert run_cli(*args, capsys=capsys) == (2, "", message)
 
 
+def test_ambient_width_that_overflows_exits_2(tmp_path, capsys):
+    # x on [-1e308, 1e308] under z = x <= 1 once solved to [-1e308, 1.0] with both faces "ambient",
+    # and verify passed its step check on a lattice of NaN and inf points
+    doc = {
+        "name": "wide",
+        "variables": [{"name": "x", "lo": -5.0, "hi": 5.0}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [1.0], "quadratic": [0.0]}],
+        "constraints": [{"surface": "z", "bound": 1.0}],
+        "seed": [0.0],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("solve", str(path), "--out", str(tmp_path), capsys=capsys)[0] == 0
+    doc["variables"][0].update(lo=-1e308, hi=1e308)
+    path.write_text(json.dumps(doc))
+    message = (
+        "error: malformed variable entry: variable 'x' has ambient bounds [-1e+308, 1e+308] "
+        "whose width overflows\n"
+    )
+    solution = str(tmp_path / "wide_solution.json")
+    for args in (
+        ("evaluate", str(path), "--point", "0"),
+        ("solve", str(path), "--out", str(tmp_path / "again")),
+        ("verify", str(path), solution),
+        ("rosetta", str(path), "--solution", solution, "--resolution", "5", "--out", str(tmp_path / "report")),
+    ):
+        assert run_cli(*args, capsys=capsys) == (2, "", message), args
+    assert not (tmp_path / "again").exists() and not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize(
     "edit",
     [

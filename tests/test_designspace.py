@@ -113,6 +113,26 @@ def test_malformed_entries_raise_schema_error(edit):
         load_problem(doc)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7976931348623157e308, 1e300)])
+def test_ambient_width_that_overflows_is_refused(lo, hi):
+    # hi - lo rounds to inf: every grid step, face push and margin would be inf or NaN
+    with pytest.raises(ValueError, match="^variable 'x' has ambient bounds .* whose width overflows$"):
+        DesignVariable("x", "", Interval(lo, hi))
+    doc = {
+        "name": "wide",
+        "variables": [{"name": "x", "lo": lo, "hi": hi}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [1.0], "quadratic": [0.0]}],
+        "constraints": [{"surface": "z", "bound": 1.0}],
+        "seed": [0.0],
+    }
+    with pytest.raises(SchemaError, match="^malformed variable entry: .* whose width overflows$"):
+        load_problem(doc)
+
+
+def test_largest_finite_ambient_width_is_accepted():
+    assert DesignVariable("x", "", Interval(-8.9e307, 8.9e307)).ambient.width == 1.78e308
+
+
 def test_unknown_surface_reference():
     doc = json.loads(data_path("adas.json").read_text())
     doc["constraints"][0]["surface"] = "HC"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cddkit import cli, data_path, designspace, load_problem, orthotope
+from cddkit import cli, data_path, load_problem, orthotope
 from cddkit.designspace import _SUM_START, DesignProblem, DesignVariable, ObjectiveConstraint, _LeftToRight, _TermMax
 from cddkit.errors import (
     CapExceeded,
@@ -776,18 +776,19 @@ def test_term_max_table_matches_exact_box_checks(monkeypatch):
 def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
     n, m = 100, 30
     problem = random_problem(random.Random(77), n, m)
-    calls = 0
-    original = designspace.extremum
+    cells = 0
+    original = _TermMax.column
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
+    def counted(self, j, lo, hi):
+        nonlocal cells
+        column = original(self, j, lo, hi)
+        cells += len(column)
+        return column
 
     # every cell of the term-max table, and every column a try or face push swaps in
-    monkeypatch.setattr(designspace, "extremum", counted)
+    monkeypatch.setattr(_TermMax, "column", counted)
     assert solve_greedy(problem).certificate.maximal
-    assert 0 < calls <= 8 * n * m
+    assert 0 < cells <= 8 * n * m
 
 
 # --- left-to-right sums ---------------------------------------------------------
@@ -893,6 +894,109 @@ def test_sum_start_adds_left_to_right_on_this_python():
     if sys.implementation.name == "cpython" and sys.version_info >= (3, 12):
         # a plain float start would compensate there, so the table must keep the subclass
         assert not all(_same_float(sum(row, beta0), reduce(add, row, beta0)) for beta0, _, row in SUM_CASES)
+
+
+# --- single-pass filters against the charged ones they replaced ---
+# ``fits`` and ``face_slacks`` once charged the whole column with ``charge`` and then read
+# the two lists; the earlier forms, kept verbatim, are the references.
+
+def reference_fits(table, j, column, rests, noises):
+    """``_TermMax.fits`` as it read ``charge``'s lists."""
+    for i, (estimate, error) in enumerate(zip(*table.charge(rests, noises, column))):
+        if not (estimate > error or estimate < -error):
+            estimate = table.slack(i, j, column[i])
+        if not estimate >= 0.0:
+            return False
+    return True
+
+
+def reference_face_slacks(table, j, column, rests, noises):
+    """The certificate's face check as it read ``charge``'s lists."""
+    estimates, errors = table.charge(rests, noises, column)
+    if math.inf in errors:
+        candidates = range(len(column))
+    else:
+        ceiling = min(map(add, estimates, errors), default=math.inf)
+        candidates = [i for i, low in enumerate(map(sub, estimates, errors)) if low <= ceiling]
+    feasible, least, worst = True, math.inf, -1
+    for i in candidates:
+        slack = table.slack(i, j, column[i])
+        if not slack >= 0.0:
+            feasible = False
+        if worst < 0 or slack < least:
+            least, worst = slack, i
+    return feasible, least, worst
+
+
+def _filter_table(linear, bounds, points):
+    """A table whose cell (i, k) is ``linear[i][k] * points[k]`` (+0.0 added), with bound ``bounds[i]``."""
+    pairs = [
+        (QuadraticResponseSurface(f"z{i}", "", 0.0, tuple(row), (0.0,) * len(row)), bound)
+        for i, (row, bound) in enumerate(zip(linear, bounds))
+    ]
+    return _TermMax(pairs, [Interval(x, x) for x in points])
+
+
+def _assert_filters_match(table, j, column, rests, noises):
+    """The single-pass ``fits`` and ``face_slacks`` decide as the charged references, bit for bit."""
+    assert table.fits(j, column, rests, noises) == reference_fits(table, j, column, rests, noises)
+    feasible, least, worst = table.face_slacks(j, column, rests, noises)
+    ref_feasible, ref_least, ref_worst = reference_face_slacks(table, j, column, rests, noises)
+    assert (feasible, least.hex(), worst) == (ref_feasible, ref_least.hex(), ref_worst)
+
+
+# finite coefficients whose cells tie, are subnormal or overflow to +-inf at x = 2.0
+_FILTER_COEFFS = st.sampled_from([0.0, -0.0, 5e-324, 0.5, -0.5, 1.0, -1.0, 2.0, 1.7e308, -1.7e308])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(st.data())
+def test_single_pass_filters_match_the_charged_ones(data):
+    n, m = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 5))
+    linear = data.draw(st.lists(st.lists(_FILTER_COEFFS, min_size=n, max_size=n), min_size=m, max_size=m))
+    bounds = data.draw(st.lists(_TIE_FLOATS, min_size=m, max_size=m))
+    points = data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=n, max_size=n))
+    table = _filter_table(linear, bounds, points)
+    j = data.draw(st.integers(0, n - 1))
+    # error bounds below, at and over ``limit``, and NaN; estimates NaN where a rest or a cell is
+    limit = table.limit
+    noise = st.one_of(
+        st.sampled_from([0.0, 1e-300, 1e-16, 1.0, limit / 2, math.nextafter(limit, 0.0), limit, math.inf, math.nan]),
+        st.floats(0.0, 4.0),
+    )
+    column = data.draw(st.lists(st.one_of(_TIE_FLOATS, st.floats(-4.0, 4.0)), min_size=m, max_size=m))
+    rests = data.draw(
+        st.lists(st.one_of(_TIE_FLOATS, st.sampled_from([1e300, -1e300]), st.floats(-4.0, 4.0)), min_size=m, max_size=m)
+    )
+    noises = data.draw(st.lists(noise, min_size=m, max_size=m))
+    _assert_filters_match(table, j, column, rests, noises)
+
+
+@pytest.mark.parametrize(
+    "rests, noises, column",
+    [
+        # the first upper bound is NaN: ``min`` keeps it, so no slack is summed
+        ([math.nan, 1.0, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        # a NaN estimate after the first: it neither lowers the ceiling nor passes the filter
+        ([1.0, math.nan, -1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+        # errors exactly at ``limit`` (every slack summed) and one ulp below it (filtered); the
+        # estimate -1e300 lies past both, and the summed slack is 0.0
+        ([-1e300, 2.0, 3.0], ["limit", 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([-1e300, 2.0, 3.0], ["below", 0.0, 0.0], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, math.inf], [0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 3.0], [0.0, math.nan, 0.0], [0.0, 0.0, 0.0]),
+        # tied estimates and error bounds: the first of the tied slacks wins
+        ([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0.0, -0.0, 0.0]),
+        ([-0.5, -0.5, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ],
+)
+def test_single_pass_filters_match_the_charged_ones_at_the_edges(rests, noises, column):
+    # three constraints whose slacks all tie: bound 0.5 less 0.25 + 0.25 at every cell
+    table = _filter_table([[0.25, 0.25]] * 3, [0.5, 0.5, 0.5], [1.0, 1.0])
+    marks = {"limit": table.limit, "below": math.nextafter(table.limit, 0.0)}
+    noises = [marks[v] if isinstance(v, str) else v for v in noises]
+    for j in (0, 1):
+        _assert_filters_match(table, j, column, rests, noises)
 
 
 # --- filtered expansion and certificate against the left-to-right ones they replaced ---

@@ -1,9 +1,13 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cddkit import data_path
+from cddkit.designspace import _TermMax
 from cddkit.errors import DimensionMismatch
 from cddkit.surface import Interval, QuadraticResponseSurface, extremum
 
@@ -242,3 +246,41 @@ def test_term_extremum_matches_candidate_list_implementation():
         value, x = extremum(l, q, lo, hi)
         ref_value, ref_x = reference_term_extremum(s, 0, interval, "max")
         assert (value.hex(), x.hex()) == (ref_value.hex(), ref_x.hex()), (l, q, lo, hi)
+
+
+def _assert_column_is_extremum(terms, lo, hi):
+    """``_TermMax.column`` over [lo, hi] of one factor whose coefficient in constraint i is
+    ``terms[i]``, and the rows the table builds from it, are ``extremum``'s maxima by ``float.hex``."""
+    pairs = [(QuadraticResponseSurface(f"z{i}", "", 0.0, (l,), (q,)), 0.0) for i, (l, q) in enumerate(terms)]
+    table = _TermMax(pairs, [Interval(lo, hi)])
+    expected = [extremum(l, q, lo, hi)[0].hex() for l, q in terms]
+    assert [c.hex() for c in table.column(0, lo, hi)] == expected, (terms, lo, hi)
+    assert [row[0].hex() for row in table.rows] == expected, (terms, lo, hi)
+
+
+def test_term_max_column_is_extremum_on_the_term_cases():
+    # one column per interval, one constraint per term over it
+    cases = sorted(_term_cases(), key=lambda case: (case[2], case[3]))
+    for (lo, hi), group in itertools.groupby(cases, key=lambda case: (case[2], case[3])):
+        _assert_column_is_extremum([(l, q) for l, q, _, _ in group], lo, hi)
+
+
+# signed zeros, subnormals, the smallest normal, and coefficients whose terms overflow
+# to +-inf, and their sums to NaN, over wide intervals
+_EDGE_COEFFS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300, 1.7e308, -1.7e308]
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_ENDS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e10, -1e10, 1e155, -1e155, 1e300, -1e300])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(st.one_of(_EDGE_COEFFS, _FINITE), st.one_of(_EDGE_COEFFS, _FINITE)), min_size=1, max_size=6),
+    st.one_of(_EDGE_ENDS, _FINITE),
+    st.one_of(_EDGE_ENDS, _FINITE),
+    st.booleans(),
+)
+def test_term_max_column_is_extremum(terms, a, b, point):
+    lo, hi = (a, a) if point else (min(a, b), max(a, b))
+    _assert_column_is_extremum(terms, lo, hi)
