@@ -7,12 +7,14 @@ class Frozen:
     """An immutable record whose fields are its ``__slots__``.
 
     A subclass names its fields, in constructor order, in ``__slots__`` and
-    sets them in its own ``__init__`` with ``object.__setattr__``.  From
+    sets them in its ``__init__`` with ``object.__setattr__`` (the syntax
+    nodes share one, from ``modeltheory.syntax._Node``).  From
     that tuple alone, without generating code, the base gives it value
     semantics: equality of the field values (only with an instance of the
     same class), their tuple's hash, the repr ``Name(field=value, ...)``
     and ``AttributeError`` on assignment or deletion.  Copies and pickles
-    rebuild an instance through its constructor.
+    rebuild an instance through its constructor, but for a syntax node's
+    deep copy, which is the node itself.
     """
 
     __slots__ = ()

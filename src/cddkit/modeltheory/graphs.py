@@ -29,8 +29,6 @@ from .syntax import (
     Term,
     Var,
     coerce_value,
-    formula_children,
-    too_deep,
 )
 
 __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence", "load_graph"]
@@ -95,8 +93,9 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
     a conjunction of one type atom per concept and one atom per
     relation node, quantifying over concepts without referents.  A
     sentence more than ``SENTENCE_DEPTH_LIMIT`` levels deep, which the
-    parser would refuse, is refused here: about 250 concepts without
-    referents, each of which adds an ``exists`` and an ``and``.
+    syntax nodes' constructor refuses, is refused with the graph's own
+    message: about 250 concepts without referents, each of which adds an
+    ``exists`` and an ``and``.
     """
     terms: dict[str, Term] = {}
     variables = []
@@ -138,13 +137,14 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
 
     atoms: list[Formula] = [Atom(c.type, (terms[c.id],)) for c in graph.concepts]
     atoms += [Atom(r.name, tuple(terms[a] for a in r.args)) for r in graph.relations]
-    body = atoms[0]
-    for atom in atoms[1:]:
-        body = And(body, atom)
-    for name in reversed(variables):
-        body = Exists(name, body)
-    if too_deep(body, formula_children, SENTENCE_DEPTH_LIMIT):
-        raise SchemaError(f"the graph's sentence is more than {SENTENCE_DEPTH_LIMIT} levels deep")
+    try:
+        body = atoms[0]
+        for atom in atoms[1:]:
+            body = And(body, atom)
+        for name in reversed(variables):
+            body = Exists(name, body)
+    except SchemaError:
+        raise SchemaError(f"the graph's sentence is more than {SENTENCE_DEPTH_LIMIT} levels deep") from None
     return sig, body
 
 

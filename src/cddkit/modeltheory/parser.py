@@ -15,8 +15,9 @@ decided by the signature, so parsing requires one.
 A sentence opens at most ``PARENTHESIS_LIMIT`` parentheses and argument
 lists inside one another, and its syntax tree, counting every quantifier,
 connective, atom and term, is at most ``SENTENCE_DEPTH_LIMIT`` levels high
-(both in ``syntax``).  Deeper text is a parse error, so that parsing,
-checking, evaluating and printing a sentence never run out of stack.
+(both in ``syntax``; the syntax nodes' constructor enforces the second).
+Deeper text is a parse error, so that parsing, checking, evaluating and
+printing a sentence never run out of stack.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import re
 from fractions import Fraction
 
 from .._frozen import Frozen
-from ..errors import ArityMismatch, FreeVariable, ParseError, UnknownSymbol
+from ..errors import ArityMismatch, FreeVariable, ParseError, SchemaError, UnknownSymbol
 from .syntax import (
     PARENTHESIS_LIMIT,
     RATIONAL_LITERAL,
-    SENTENCE_DEPTH_LIMIT,
     And,
     Apply,
     Atom,
@@ -44,9 +44,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    formula_children,
     free_variables,
-    too_deep,
 )
 
 __all__ = ["parse_sentence", "parse_formula"]
@@ -156,12 +154,13 @@ class _Parser:
             self.expect(".", "'.' after the quantified variable")
             quants.append((word, name_tok.text))
             self.bound.append(name_tok.text)
-        body = self.implication()
-        self.expect("eof", "end of input")
-        for word, name in reversed(quants):
-            body = Forall(name, body) if word == "forall" else Exists(name, body)
-        if too_deep(body, formula_children, SENTENCE_DEPTH_LIMIT):
-            raise ParseError(f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep", 0)
+        try:  # only the nodes built here raise a SchemaError: a tree past the depth limit
+            body = self.implication()
+            self.expect("eof", "end of input")
+            for word, name in reversed(quants):
+                body = Forall(name, body) if word == "forall" else Exists(name, body)
+        except SchemaError as exc:
+            raise ParseError(str(exc), 0) from None
         return body
 
     def implication(self) -> Formula:

@@ -361,14 +361,21 @@ def _compile_term(term, fmap, bound):
         return lambda rels, fns, env, care: {value: care}
     if isinstance(term, Apply):
         target = fmap.get(term.func, term.func)
-        combos = _compile_args(term.args, fmap, bound)
+        # loops, not comprehensions (a frame each): compiling and evaluating
+        # a term take one frame per level
+        parts = []
+        for t in term.args:
+            parts.append(_compile_term(t, fmap, bound))
 
         def apply(rels, fns, env, care):
             fn = fns.get(target)
             if fn is None:
                 raise UnknownSymbol(f"structure has no function {target!r}")
+            values = []
+            for part in parts:
+                values.append(part(rels, fns, env, care))
             out = {}
-            for args, bits in combos(rels, fns, env, care):
+            for args, bits in _arg_tuples(values, care):
                 if isinstance(fn, BuiltinFunction):
                     if any(not isinstance(a, Fraction) for a in args):
                         raise CddError(f"builtin function {target!r} applied to a non-numeric value")
@@ -389,26 +396,22 @@ def _compile_term(term, fmap, bound):
     raise TypeError(f"not a term: {term!r}")
 
 
-def _compile_args(terms, fmap, bound):
-    """A closure for the argument tuples that occur, ``[(args, candidates)]``.
+def _arg_tuples(values, care):
+    """The argument tuples that occur, ``[(args, candidates)]``.
 
-    Each argument is evaluated on all of ``care``, left to right, before
-    any tuple is formed.
+    ``values`` holds each argument's values, ``{value: candidates}``, every
+    one evaluated on all of ``care``, left to right, before any tuple is
+    formed.
     """
-    parts = [_compile_term(t, fmap, bound) for t in terms]
-
-    def combos(rels, fns, env, care):
-        out = [((), care)]
-        for values in [part(rels, fns, env, care) for part in parts]:
-            out = [
-                (args + (value,), hit)
-                for args, bits in out
-                for value, value_bits in values.items()
-                if (hit := bits & value_bits)
-            ]
-        return out
-
-    return combos
+    out = [((), care)]
+    for arg_values in values:
+        out = [
+            (args + (value,), hit)
+            for args, bits in out
+            for value, value_bits in arg_values.items()
+            if (hit := bits & value_bits)
+        ]
+    return out
 
 
 def _compile_formula(f, domain, pmap, fmap, bound):
@@ -430,14 +433,14 @@ def _compile_formula(f, domain, pmap, fmap, bound):
                     raise _free_variable(names, env) from None
 
             return var_atom
-        combos = _compile_args(f.args, fmap, bound)
+        parts = [_compile_term(t, fmap, bound) for t in f.args]
 
         def atom(rels, fns, env, care):
             rel = rels.get(target)
             if rel is None:
                 raise UnknownSymbol(f"structure has no relation {target!r}")
             out = 0
-            for args, bits in combos(rels, fns, env, care):
+            for args, bits in _arg_tuples([part(rels, fns, env, care) for part in parts], care):
                 out |= rel.get(args, 0) & bits
             return out
 

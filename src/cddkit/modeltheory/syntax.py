@@ -41,12 +41,14 @@ __all__ = [
 ]
 
 
-# How deep text may nest.  Each walk of a sentence (checking, compiling,
-# evaluating, printing it) takes a Python frame per level of its syntax tree,
-# and evaluating a builtin function one per level of its body, so a sentence
-# at its limit that applies a body at its limit takes about 800 frames, inside
-# Python's default limit of 1,000.  Parsing takes about six frames for each
-# parenthesis or argument list open around a token.
+# How deep a sentence and a function body may nest.  Each walk of a sentence
+# (checking, compiling, evaluating, printing it) takes a Python frame per level
+# of its syntax tree, and evaluating a builtin function one per level of its
+# body, so a sentence at its limit that applies a body at its limit takes about
+# 800 frames, inside Python's default limit of 1,000.  A syntax node's
+# constructor refuses a tree past the sentence limit, however it is built.
+# Parsing takes about six frames for each parenthesis or argument list open
+# around a token.
 SENTENCE_DEPTH_LIMIT = 500
 BODY_DEPTH_LIMIT = 300
 PARENTHESIS_LIMIT = 100
@@ -66,17 +68,6 @@ def too_deep(root, children, limit: int) -> bool:
     return True
 
 
-def formula_children(node) -> tuple:
-    """The formulas and terms right under a syntax node, each a level below it."""
-    if isinstance(node, (Atom, Apply)):
-        return node.args
-    if isinstance(node, (Eq, And, Or, Implies)):
-        return (node.left, node.right)
-    if isinstance(node, (Not, Forall, Exists)):
-        return (node.body,)
-    return ()
-
-
 # --- nodes ---------------------------------------------------------------
 
 class _Hashed:
@@ -92,14 +83,36 @@ class _Hashed:
 
 
 class _Node:
-    """Equality, hash and repr of a ``Frozen`` syntax node, each walked with an explicit stack.
+    """The constructor, equality, hash and repr of a ``Frozen`` syntax node.
 
-    They give what ``Frozen``'s give, value for value, hash for hash and
-    character for character, but a tree of any depth compares, hashes and
-    prints without recursion.  A node class lists this before ``Frozen``.
+    The constructor takes the fields of ``__slots__`` by position or by
+    name and records the node's height, outside the fields, refusing a tree
+    more than ``SENTENCE_DEPTH_LIMIT`` levels high.  Equality, hash and repr
+    give what ``Frozen``'s give, value for value, hash for hash and character
+    for character, each walked with an explicit stack, not recursion.  A
+    node class lists this before ``Frozen``.
     """
 
-    __slots__ = ()
+    __slots__ = ("_height",)
+
+    def __init__(self, *args, **named):
+        names = self.__slots__
+        if len(args) + len(named) != len(names) or named and not named.keys() <= set(names[len(args):]):
+            raise TypeError(f"{self.__class__.__qualname__} takes the fields {', '.join(names)}")
+        if named:
+            args += tuple(named[name] for name in names[len(args):])
+        height = 1
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+            for child in value if value.__class__ is tuple else (value,):
+                if isinstance(child, _Node) and child._height >= height:
+                    height = child._height + 1
+        if height > SENTENCE_DEPTH_LIMIT:
+            raise SchemaError(f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep")
+        object.__setattr__(self, "_height", height)
+
+    def __deepcopy__(self, memo):
+        return self  # every field is immutable all the way down
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -190,23 +203,16 @@ def coerce_value(v) -> DomainValue:
 class Var(_Node, Frozen):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Lit(_Node, Frozen):
     __slots__ = ("value",)
-
-    def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", value)
 
 
 class Apply(_Node, Frozen):
     __slots__ = ("func", "args")
 
     def __init__(self, func: str, args: tuple[Term, ...] = ()):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "args", args)
+        super().__init__(func, args)
 
 
 Term = Union[Var, Lit, Apply]
@@ -217,64 +223,33 @@ Term = Union[Var, Lit, Apply]
 class Atom(_Node, Frozen):
     __slots__ = ("pred", "args")
 
-    def __init__(self, pred: str, args: tuple[Term, ...]):
-        object.__setattr__(self, "pred", pred)
-        object.__setattr__(self, "args", args)
-
 
 class Eq(_Node, Frozen):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Not(_Node, Frozen):
     __slots__ = ("body",)
 
-    def __init__(self, body: Formula):
-        object.__setattr__(self, "body", body)
-
 
 class And(_Node, Frozen):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Or(_Node, Frozen):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class Implies(_Node, Frozen):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Forall(_Node, Frozen):
     __slots__ = ("var", "body")
 
-    def __init__(self, var: str, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "body", body)
-
 
 class Exists(_Node, Frozen):
     __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "body", body)
 
 
 Formula = Union[Atom, Eq, Not, And, Or, Implies, Forall, Exists]
@@ -451,7 +426,11 @@ def term_text(term: Term) -> str:
     if isinstance(term, Apply):
         if not term.args:
             return term.func
-        return f"{term.func}({', '.join(term_text(a) for a in term.args)})"
+        # a loop, not a comprehension or map (a frame or a C call more): one frame per level
+        args = []
+        for a in term.args:
+            args.append(term_text(a))
+        return f"{term.func}({', '.join(args)})"
     raise TypeError(f"not a term: {term!r}")
 
 

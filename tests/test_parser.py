@@ -1,9 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from cddkit.errors import ArityMismatch, FreeVariable, ParseError, UnknownSymbol
+from cddkit.errors import ArityMismatch, FreeVariable, ParseError, SchemaError, UnknownSymbol
 from cddkit.modeltheory import (
     And,
     Apply,
@@ -18,6 +19,8 @@ from cddkit.modeltheory import (
     RelationalStructure,
     Signature,
     Var,
+    check_well_formed,
+    enumerate_models,
     free_variables,
     parse_formula,
     parse_sentence,
@@ -316,6 +319,87 @@ def test_trees_at_the_depth_limit_compare_hash_and_print(shape):
     assert repr(a) == text("a") and repr(other) == text("b")
 
 
+# per node kind, a tree two levels high and a step that builds it one level
+# higher, with a node of that kind last: Atom and Eq nest applications of f
+_P_A = Atom("P", (Apply("a"),))
+BUILT_SHAPES = {
+    "Not": (_P_A, Not),
+    "And": (_P_A, lambda tree: And(tree, _P_A)),
+    "Or": (_P_A, lambda tree: Or(tree, _P_A)),
+    "Implies": (_P_A, lambda tree: Implies(_P_A, tree)),
+    "Forall": (Atom("P", (Var("x"),)), lambda tree: Forall("x", tree)),
+    "Exists": (Atom("P", (Var("x"),)), lambda tree: Exists("x", tree)),
+    "Atom": (_P_A, lambda tree: Atom("P", (Apply("f", tree.args),))),
+    "Eq": (Eq(Apply("a"), Apply("a")), lambda tree: Eq(Apply("f", (tree.left,)), tree.right)),
+}
+
+
+def _built_at_the_limit(kind):
+    tree, grow = BUILT_SHAPES[kind]
+    for _ in range(SENTENCE_DEPTH_LIMIT - 2):
+        tree = grow(tree)
+    return tree
+
+
+def _refused_by(build):
+    """The class of the node whose constructor refused ``build()``."""
+    with pytest.raises(SchemaError, match=f"^syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep$") as info:
+        build()
+    return type(info.traceback[-1].locals["self"])
+
+
+@pytest.mark.parametrize("kind", BUILT_SHAPES)
+def test_a_tree_built_in_code_past_the_depth_limit_is_refused_where_it_crosses(kind):
+    tree = _built_at_the_limit(kind)
+    grow = BUILT_SHAPES[kind][1]
+    assert _refused_by(lambda: grow(tree)).__name__ == kind
+    if kind in ("Atom", "Eq"):
+        # an application 499 levels high, and one above it that would be 501
+        term = Apply("f", (tree.args[0] if kind == "Atom" else tree.left,))
+        assert _refused_by(lambda: Apply("f", (term,))) is Apply
+
+
+@pytest.mark.parametrize("kind", BUILT_SHAPES)
+def test_a_tree_built_in_code_at_the_depth_limit_passes_every_walk(kind):
+    tree, twin = _built_at_the_limit(kind), _built_at_the_limit(kind)
+    assert free_variables(tree) == frozenset()
+    check_well_formed(tree, DEEP_SIG)
+    text = to_text(tree)
+    if kind in ("Atom", "Eq"):
+        # nests more argument lists than the parser reads
+        assert text.count("f(") == SENTENCE_DEPTH_LIMIT - 2
+    else:
+        assert parse_sentence(text, DEEP_SIG) == tree
+    struct = RelationalStructure(
+        domain=("e0",), relations={"P": {("e0",)}}, functions={"a": {(): "e0"}, "f": {("e0",): "e0"}}
+    )
+    assert satisfies(struct, tree)
+    universe = enumerate_models(DEEP_SIG, Eq(Apply("a"), Apply("a")), 1)
+    assert struct in universe
+    assert enumerate_models(DEEP_SIG, tree, 1) == [model for model in universe if satisfies(model, tree)]
+    assert tree is not twin and tree == twin and hash(tree) == hash(twin)
+    assert repr(tree) == repr(twin) and repr(tree).startswith(f"{kind}(")
+    clone = copy.copy(tree)
+    assert clone is not tree and clone == tree and hash(clone) == hash(tree)
+    assert copy.deepcopy(tree) is tree
+
+
+def test_a_nodes_height_is_not_a_field():
+    tree = Not(_P_A)
+    for cls in (Var, Lit, Apply, Atom, Eq, Not, And, Or, Implies, Forall, Exists):
+        assert "_height" not in cls.__slots__
+    assert repr(tree) == "Not(body=Atom(pred='P', args=(Apply(func='a', args=()),)))"
+    assert tree.__reduce__() == (Not, (_P_A,))
+
+
+def test_nodes_take_their_fields_by_position_or_by_name():
+    assert Forall(body=_P_A, var="x") == Forall("x", body=_P_A) == Forall("x", _P_A)
+    assert Apply("a") == Apply("a", ()) == Apply(func="a") == Apply(args=(), func="a")
+    for build in (Not, lambda: Not(_P_A, _P_A), lambda: Not(formula=_P_A), lambda: Forall("x", var="y")):
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_syntax_reprs_and_equality_are_the_field_values():
     f = Forall("x", Or(Eq(Var("x"), Lit(Fraction(1, 2))), Implies(Atom("P", (Var("x"), Apply("c"))), Not(Atom("Q", ())))))
     assert repr(f) == (
@@ -346,6 +430,16 @@ def test_deeply_nested_sentence_is_a_parse_error(shape, k):
         assert str(info.value) == f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep at offset 0"
     else:
         assert str(info.value) == f"parentheses nested more than {PARENTHESIS_LIMIT} deep at offset {offset}"
+
+
+# text that is malformed past the point where its tree crosses the depth
+# limit: the depth is refused first (these once gave "found ')' at offset
+# 2405" and an UnknownSymbol for the undeclared Q)
+@pytest.mark.parametrize("text", ["not " * 600 + "P(a) )", " and ".join(["P(a)"] * 599 + ["Q(a)"])])
+def test_the_depth_limit_is_refused_before_a_later_error(text):
+    with pytest.raises(ParseError) as info:
+        parse_sentence(text, DEEP_SIG)
+    assert str(info.value) == f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep at offset 0"
 
 
 def test_chains_keep_their_associativity():
