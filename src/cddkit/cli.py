@@ -92,6 +92,10 @@ def cmd_evaluate(args) -> int:
     for name, value in values.items():
         if not math.isfinite(value):
             raise CddError(f"objective {name!r} is {value!r} at the point: its surface overflows there")
+    for c, sl in zip(problem.constraints, slacks):
+        # only an infinite bound gives an infinite slack that is not an overflow
+        if math.isfinite(c.bound) and not math.isfinite(sl):
+            raise CddError(f"slack of constraint '{c}' is {sl!r} at the point: it overflows there")
     slack_by_name = {c.surface: sl for c, sl in zip(problem.constraints, slacks)}
     if args.json:
         print(

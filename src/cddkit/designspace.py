@@ -85,10 +85,6 @@ class ObjectiveConstraint(Frozen):
 
     __slots__ = ("surface", "bound")
 
-    def __init__(self, surface: str, bound: float):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "bound", bound)
-
     def __str__(self) -> str:
         return f"{self.surface} <= {self.bound!r}"
 
@@ -183,9 +179,6 @@ class FeasibleRegion(Frozen):
     """Membership queries for the constraint-induced feasible region: a box's verdict is its ``_TermMax``."""
 
     __slots__ = ("problem",)
-
-    def __init__(self, problem: DesignProblem):
-        object.__setattr__(self, "problem", problem)
 
     def is_point_feasible(self, point: Sequence[float]) -> tuple[bool, tuple[float, ...]]:
         """Feasibility plus the per-constraint slack vector c - z(point), the table's over [x, x] bit for bit.

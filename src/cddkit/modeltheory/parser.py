@@ -23,7 +23,6 @@ printing a sentence never run out of stack.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .._frozen import Frozen
 from ..errors import ArityMismatch, FreeVariable, ParseError, SchemaError, UnknownSymbol
@@ -44,6 +43,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    coerce_value,
     free_variables,
 )
 
@@ -64,13 +64,8 @@ _TOKEN = re.compile(
 
 
 class _Token(Frozen):
+    # kind: "ident", "keyword", "number", "arrow", "(", ")", ",", ".", "=", "eof"
     __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        # kind: "ident", "keyword", "number", "arrow", "(", ")", ",", ".", "=", "eof"
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
 
 
 def _lex(text: str) -> list[_Token]:
@@ -235,7 +230,11 @@ class _Parser:
         tok = self.current
         if tok.kind == "number":
             self.advance()
-            return Lit(Fraction(tok.text))
+            try:
+                value = coerce_value(tok.text)
+            except SchemaError as exc:  # a zero denominator, at the literal itself
+                raise ParseError(str(exc), tok.pos) from None
+            return Lit(value)
         if tok.kind != "ident":
             raise ParseError(f"found {tok.text or 'end of input'!r}", tok.pos, "a term")
         self.advance()

@@ -34,7 +34,6 @@ from ..errors import (
 )
 from .syntax import (
     BODY_DEPTH_LIMIT,
-    RATIONAL_LITERAL,
     And,
     Apply,
     Atom,
@@ -53,7 +52,6 @@ from .syntax import (
     coerce_value,
     free_variables,
     has_quantifier,
-    too_deep,
 )
 
 __all__ = [
@@ -89,9 +87,6 @@ class BuiltinFunction(Frozen):
     __slots__ = ("params", "body")
 
     def __init__(self, params: tuple[str, ...], body: object):
-        # measured before anything recurses: each sequence and each leaf is a level
-        if too_deep(body, lambda node: node if isinstance(node, (list, tuple)) else (), BODY_DEPTH_LIMIT):
-            raise SchemaError(f"function body more than {BODY_DEPTH_LIMIT} levels deep")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "body", _frozen_body(body))
 
@@ -107,9 +102,10 @@ class BuiltinFunction(Frozen):
         if isinstance(node, str):
             if node in env:
                 return env[node]
-            if RATIONAL_LITERAL.fullmatch(node):
-                return Fraction(node)
-            raise SchemaError(f"unknown name {node!r} in arithmetic expression")
+            value = coerce_value(node)
+            if isinstance(value, str):
+                raise SchemaError(f"unknown name {node!r} in arithmetic expression")
+            return value
         if isinstance(node, (int, Fraction)):
             return Fraction(node)
         if isinstance(node, float):
@@ -139,9 +135,19 @@ class BuiltinFunction(Frozen):
         raise SchemaError(f"malformed arithmetic expression {node!r}")
 
 
-def _frozen_body(node):
-    """An arithmetic expression with every list, at any depth, turned into a tuple."""
-    return tuple(map(_frozen_body, node)) if isinstance(node, (list, tuple)) else node
+def _frozen_body(node, level=1):
+    """An arithmetic expression with every list, at any depth, turned into a tuple.
+
+    Each sequence and each leaf is a level, ``node`` being at ``level``.  A
+    body more than ``BODY_DEPTH_LIMIT`` levels deep, or one that contains
+    itself, is refused at its first node past the limit, one frame per level.
+    """
+    if level > BODY_DEPTH_LIMIT:
+        raise SchemaError(f"function body more than {BODY_DEPTH_LIMIT} levels deep")
+    if not isinstance(node, (list, tuple)):
+        return node
+    # map, not a comprehension (a frame of its own): one frame per level
+    return tuple(map(_frozen_body, node, itertools.repeat(level + 1)))
 
 
 def _first_repeat(values):
@@ -748,9 +754,9 @@ def _models(domain, relations, functions) -> list[RelationalStructure]:
     would make, set one field at a time across the list by the slots' setters.
     """
     models = list(map(object.__new__, itertools.repeat(RelationalStructure, len(relations))))
-    for name, values in zip(RelationalStructure.__slots__, (itertools.repeat(domain), relations, functions)):
-        # the slot's own setter (Frozen.__setattr__ refuses) on every model; the deque keeps no result
-        deque(map(getattr(RelationalStructure, name).__set__, models, values), 0)
+    for set_field, values in zip(RelationalStructure._setters, (itertools.repeat(domain), relations, functions)):
+        # the slot's own setter on every model; the deque keeps no result
+        deque(map(set_field, models, values), 0)
     return models
 
 

@@ -54,20 +54,6 @@ BODY_DEPTH_LIMIT = 300
 PARENTHESIS_LIMIT = 100
 
 
-def too_deep(root, children, limit: int) -> bool:
-    """Whether the tree under ``root`` is more than ``limit`` levels deep.
-
-    The levels are walked one at a time and no further than the limit, so
-    no depth, nor a cycle, makes this recurse or run on.
-    """
-    level = [root]
-    for _ in range(limit):
-        level = [child for node in level for child in children(node)]
-        if not level:
-            return False
-    return True
-
-
 # --- nodes ---------------------------------------------------------------
 
 class _Hashed:
@@ -85,9 +71,9 @@ class _Hashed:
 class _Node:
     """The constructor, equality, hash and repr of a ``Frozen`` syntax node.
 
-    The constructor takes the fields of ``__slots__`` by position or by
-    name and records the node's height, outside the fields, refusing a tree
-    more than ``SENTENCE_DEPTH_LIMIT`` levels high.  Equality, hash and repr
+    The constructor sets the fields through ``Frozen``'s and records the
+    node's height, outside the fields, refusing a tree more than
+    ``SENTENCE_DEPTH_LIMIT`` levels high.  Equality, hash and repr
     give what ``Frozen``'s give, value for value, hash for hash and character
     for character, each walked with an explicit stack, not recursion.  A
     node class lists this before ``Frozen``.
@@ -96,14 +82,9 @@ class _Node:
     __slots__ = ("_height",)
 
     def __init__(self, *args, **named):
-        names = self.__slots__
-        if len(args) + len(named) != len(names) or named and not named.keys() <= set(names[len(args):]):
-            raise TypeError(f"{self.__class__.__qualname__} takes the fields {', '.join(names)}")
-        if named:
-            args += tuple(named[name] for name in names[len(args):])
+        super().__init__(*args, **named)
         height = 1
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for value in self._values(self):
             for child in value if value.__class__ is tuple else (value,):
                 if isinstance(child, _Node) and child._height >= height:
                     height = child._height + 1
@@ -180,12 +161,19 @@ DomainValue = Union[Fraction, str]
 
 def coerce_value(v) -> DomainValue:
     """JSON value to a domain value: numbers and numeric strings become
-    exact rationals, everything else stays an opaque token."""
+    exact rationals, everything else stays an opaque token.
+
+    This is the one place where literal text becomes a ``Fraction``; a
+    literal with a zero denominator, such as ``1/0``, is a ``SchemaError``.
+    """
     # the JSON kinds first: a Fraction test of any other value goes through
     # ABCMeta.__instancecheck__, and only Python callers pass a Fraction
     if isinstance(v, str):
         if RATIONAL_LITERAL.fullmatch(v):
-            return Fraction(v)
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise SchemaError(f"literal {v!r} has a zero denominator") from None
         return v
     if isinstance(v, bool):
         raise SchemaError("booleans are not domain values")

@@ -96,13 +96,6 @@ class ExpansionStep(Frozen):
 
     __slots__ = ("factor", "before", "after", "binding_lo", "binding_hi")
 
-    def __init__(self, factor: int, before: Interval, after: Interval, binding_lo: str, binding_hi: str):
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
-        object.__setattr__(self, "binding_lo", binding_lo)
-        object.__setattr__(self, "binding_hi", binding_hi)
-
 
 class FaceCheck(Frozen):
     """Outcome of pushing one face outward by the certification epsilon.
@@ -113,12 +106,6 @@ class FaceCheck(Frozen):
 
     __slots__ = ("axis", "side", "blocked_by", "margin")
 
-    def __init__(self, axis: int, side: str, blocked_by: str | None, margin: float):
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "blocked_by", blocked_by)
-        object.__setattr__(self, "margin", margin)
-
     @property
     def blocked(self) -> bool:
         return self.blocked_by is not None
@@ -126,10 +113,6 @@ class FaceCheck(Frozen):
 
 class MaximalityCertificate(Frozen):
     __slots__ = ("faces", "epsilon")
-
-    def __init__(self, faces: tuple[FaceCheck, ...], epsilon: float):
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def maximal(self) -> bool:
@@ -159,18 +142,6 @@ class MaximalityCertificate(Frozen):
 
 class SolveResult(Frozen):
     __slots__ = ("orthotope", "ranking", "steps", "certificate")
-
-    def __init__(
-        self,
-        orthotope: Orthotope,
-        ranking: tuple[int, ...],
-        steps: tuple[ExpansionStep, ...],
-        certificate: MaximalityCertificate,
-    ):
-        object.__setattr__(self, "orthotope", orthotope)
-        object.__setattr__(self, "ranking", ranking)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         return {
@@ -457,42 +428,26 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
             ("hi", ambient.hi - hi, lo, hi + push),
         ):
             if room < push:
-                faces.append(FaceCheck(j, side, "ambient", margin=room))
+                faces.append(FaceCheck(j, side, "ambient", room))
                 continue
             feasible, least, worst = table.face_slacks(j, table.column(j, pushed_lo, pushed_hi), rests, noises)
             if feasible:
-                faces.append(FaceCheck(j, side, None, margin=least))
+                faces.append(FaceCheck(j, side, None, least))
             else:
-                faces.append(FaceCheck(j, side, table.names[worst], margin=-least))
-    return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
+                faces.append(FaceCheck(j, side, table.names[worst], -least))
+    return MaximalityCertificate(tuple(faces), epsilon)
 
 
 # --- brute-force grid oracle -------------------------------------------------
 
 class OracleResult(Frozen):
-    __slots__ = ("greedy_box", "volume_box", "resolution", "ranking")
+    """The grid oracle's greedy box, and its max-volume grid box or None when not searched."""
 
-    def __init__(
-        self, greedy_box: Orthotope, volume_box: Orthotope | None, resolution: int, ranking: tuple[int, ...]
-    ):
-        object.__setattr__(self, "greedy_box", greedy_box)
-        object.__setattr__(self, "volume_box", volume_box)
-        object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "ranking", ranking)
+    __slots__ = ("greedy_box", "volume_box", "resolution", "ranking")
 
 
 class StepCheck(Frozen):
     __slots__ = ("factor", "grid_lo", "grid_hi", "stored_lo", "stored_hi", "tolerance")
-
-    def __init__(
-        self, factor: int, grid_lo: float, grid_hi: float, stored_lo: float, stored_hi: float, tolerance: float
-    ):
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "grid_lo", grid_lo)
-        object.__setattr__(self, "grid_hi", grid_hi)
-        object.__setattr__(self, "stored_lo", stored_lo)
-        object.__setattr__(self, "stored_hi", stored_hi)
-        object.__setattr__(self, "tolerance", tolerance)
 
     @property
     def ok(self) -> bool:

@@ -49,24 +49,6 @@ class MCell(Frozen):
 
     __slots__ = ("obj_a", "obj_b", "z_a", "z_b", "feasible", "bound_a", "bound_b")
 
-    def __init__(
-        self,
-        obj_a: str,
-        obj_b: str,
-        z_a: tuple[float, ...],
-        z_b: tuple[float, ...],
-        feasible: tuple[bool, ...],
-        bound_a: float | None,
-        bound_b: float | None,
-    ):
-        object.__setattr__(self, "obj_a", obj_a)
-        object.__setattr__(self, "obj_b", obj_b)
-        object.__setattr__(self, "z_a", z_a)
-        object.__setattr__(self, "z_b", z_b)
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "bound_a", bound_a)
-        object.__setattr__(self, "bound_b", bound_b)
-
 
 class NCell(Frozen):
     """One variable pairing: an r×r grid, its verdicts and the held box's projection.
@@ -78,33 +60,11 @@ class NCell(Frozen):
 
     __slots__ = ("var_a", "var_b", "x_a", "x_b", "feasible", "rects")
 
-    def __init__(
-        self,
-        var_a: str,
-        var_b: str,
-        x_a: tuple[float, ...],
-        x_b: tuple[float, ...],
-        feasible: tuple[bool, ...],
-        rects: tuple[tuple[Interval, Interval], ...],
-    ):
-        object.__setattr__(self, "var_a", var_a)
-        object.__setattr__(self, "var_b", var_b)
-        object.__setattr__(self, "x_a", x_a)
-        object.__setattr__(self, "x_b", x_b)
-        object.__setattr__(self, "feasible", feasible)
-        object.__setattr__(self, "rects", rects)
-
 
 class Diagonal(Frozen):
     """One N diagonal cell: a variable's ambient, held and admitted intervals."""
 
     __slots__ = ("var", "ambient", "held", "admitted")
-
-    def __init__(self, var: str, ambient: Interval, held: Interval, admitted: Interval):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "held", held)
-        object.__setattr__(self, "admitted", admitted)
 
 
 class RosettaReport(Frozen):
@@ -119,28 +79,6 @@ class RosettaReport(Frozen):
         "design_point",
         "resolution",
     )
-
-    def __init__(
-        self,
-        problem_name: str,
-        objective_names: tuple[str, ...],
-        variable_names: tuple[str, ...],
-        q_matrix: tuple[tuple[float, ...], ...],
-        m_cells: tuple[MCell, ...],
-        n_cells: tuple[NCell, ...],
-        diagonals: tuple[Diagonal, ...],
-        design_point: tuple[float, ...],
-        resolution: int,
-    ):
-        object.__setattr__(self, "problem_name", problem_name)
-        object.__setattr__(self, "objective_names", objective_names)
-        object.__setattr__(self, "variable_names", variable_names)
-        object.__setattr__(self, "q_matrix", q_matrix)
-        object.__setattr__(self, "m_cells", m_cells)
-        object.__setattr__(self, "n_cells", n_cells)
-        object.__setattr__(self, "diagonals", diagonals)
-        object.__setattr__(self, "design_point", design_point)
-        object.__setattr__(self, "resolution", resolution)
 
 
 def project_orthotope(box: Orthotope, j: int, k: int) -> tuple[Interval, Interval]:

@@ -640,6 +640,25 @@ def test_evaluate_non_finite_objective_exits_2(tmp_path, capsys, linear, quadrat
     assert err.startswith("error:") and f"'z' is {shown} " in err
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_evaluate_overflowing_slack_exits_2(tmp_path, capsys, mode):
+    # z = 1e308*x0 + 1e308*x1 overflows to -inf at the seed, so the seed's slack is +inf and the problem loads
+    doc = {
+        "name": "overflow",
+        "variables": [{"name": "x0", "lo": -1.0, "hi": 1.0}, {"name": "x1", "lo": -1.0, "hi": 1.0}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [1e308, 1e308], "quadratic": [0.0, 0.0]}],
+        "constraints": [{"surface": "z", "bound": -1.7e308}],
+        "seed": [-1.0, -1.0],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("evaluate", str(path), "--point", "0,0", *mode, capsys=capsys)[0] == 0
+    # z = 1.7e308 is finite, but bound - z overflows to -inf
+    code, out, err = run_cli("evaluate", str(path), "--point", "1.0,0.7", *mode, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: slack of constraint 'z <= -1.7e+308' is -inf at the point: it overflows there\n"
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -897,6 +916,38 @@ def test_logic_graph_sentence_reads_back_within_the_depth_limit(tmp_path, capsys
     theory = {"signature": doc["signature"], "sentences": [doc["sentence"]]}
     code, out, err = _run_logic(tmp_path, capsys, theory, {"domain": [0], "relations": {"T": [[0]]}})
     assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
+
+
+_ZERO_DENOMINATOR = "error: literal '1/0' has a zero denominator"
+_CONSTANT_THEORY = {"signature": {"predicates": [["P", 1]], "functions": [["a", 0]]}, "sentences": ["P(a)"]}
+_SQUARE_THEORY = {"signature": {"functions": [["sq", 1]]}, "sentences": ["forall x. sq(x) = sq(x)"]}
+
+
+@pytest.mark.parametrize(
+    "theory, structure, message",
+    [
+        (_CONSTANT_THEORY, {"domain": ["1/0"], "functions": {"a": "1/0"}}, _ZERO_DENOMINATOR),
+        (_CONSTANT_THEORY, {"domain": [0], "relations": {"P": [["1/0"]]}, "functions": {"a": 0}},
+         _ZERO_DENOMINATOR),
+        (_CONSTANT_THEORY, {"domain": [0], "relations": {"P": [[0]]}, "functions": {"a": "1/0"}},
+         _ZERO_DENOMINATOR),
+        (_SQUARE_THEORY, {"domain": [0, 1], "functions": {"sq": {"params": ["x"], "body": ["+", "x", "1/0"]}}},
+         _ZERO_DENOMINATOR),
+        # at the literal's own offset
+        ({**_CONSTANT_THEORY, "sentences": ["P(a) and a = 1/0"]},
+         {"domain": [0], "relations": {"P": [[0]]}, "functions": {"a": 0}}, _ZERO_DENOMINATOR + " at offset 13"),
+    ],
+    ids=["domain-value", "relation-entry", "function-constant", "builtin-body", "sentence"],
+)
+def test_logic_zero_denominator_exits_2(tmp_path, capsys, theory, structure, message):
+    assert _run_logic(tmp_path, capsys, theory, structure) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_logic_graph_zero_denominator_referent_exits_2(tmp_path, capsys, mode):
+    (tmp_path / "graph.json").write_text(json.dumps({"concepts": [{"id": "c", "type": "T", "referent": "1/0"}]}))
+    code, out, err = run_cli("logic", "--graph", str(tmp_path / "graph.json"), *mode, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: referent of concept 'c': literal '1/0' has a zero denominator\n")
 
 
 @pytest.mark.parametrize(

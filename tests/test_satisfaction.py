@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -123,6 +124,18 @@ def test_builtin_body_past_the_nesting_limit_is_refused(levels):
     doc = {"domain": [0, 1], "functions": {"sq": {"params": ["x"], "body": _nested_body(levels)}}}
     with pytest.raises(SchemaError, match=message):
         load_structure(doc)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_builtin_body_that_contains_itself_is_refused(copies):
+    # with two copies the levels of a breadth-first walk double, so only a walk
+    # that stops at the limit, one frame per level, finishes
+    body = ["+"]
+    body += [body] * copies
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=f"^function body more than {BODY_DEPTH_LIMIT} levels deep$"):
+        BuiltinFunction(params=("x",), body=body)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_arithmetic_magnitude_bound():
@@ -454,6 +467,10 @@ def test_load_theory_refuses_malformed_text(text):
         (float("-inf"), SchemaError),
         ("5", Fraction(5)),
         ("-3/4", Fraction(-3, 4)),
+        ("0/1", Fraction(0)),
+        ("1/10", Fraction(1, 10)),
+        ("1/0", SchemaError),  # a zero denominator
+        ("-3/00", SchemaError),
         ("2.50", Fraction(5, 2)),
         ("5\n", "5\n"),  # not rational text: an opaque token
         (" 5", " 5"),

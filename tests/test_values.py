@@ -221,6 +221,40 @@ def test_fields_are_the_slots_in_constructor_order(cls):
     assert not hasattr(obj, "__dict__")
 
 
+@pytest.mark.parametrize("cls", CLASSES)
+def test_a_wrong_call_is_a_type_error(cls):
+    kwargs, _ = SAMPLES[cls]
+    names, values = tuple(kwargs), tuple(kwargs.values())
+    required = [v for name, v in kwargs.items() if name not in DEFAULTS.get(cls, {})]
+    # with more than one field, the last two calls pass as many values as there are fields
+    middle = dict(zip(names[1:-1], values[1:-1]))
+    calls = [
+        lambda: cls(*values, None),  # one positional value too many
+        lambda: cls(values[0], **middle, unknown=values[-1]),
+        lambda: cls(values[0], **{names[0]: values[0]}, **middle),  # the first field by position and by name
+    ]
+    if required:
+        calls.append(lambda: cls(*required[:-1]))  # too few fields
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+# the records that only store their fields: their constructor is Frozen's
+STORED = [cls for cls in SAMPLES if cls.__init__ is Frozen.__init__]
+
+
+def test_the_records_that_only_store_their_fields_share_one_constructor():
+    assert {cls.__qualname__ for cls in STORED} == {
+        "ObjectiveConstraint", "FeasibleRegion", "ExpansionStep", "FaceCheck", "MaximalityCertificate",
+        "SolveResult", "OracleResult", "StepCheck", "MCell", "NCell", "Diagonal", "RosettaReport", "_Token",
+    }
+    for cls in STORED:
+        kwargs, _ = SAMPLES[cls]
+        with pytest.raises(TypeError, match=f"^{cls.__qualname__} takes the fields {', '.join(kwargs)}$"):
+            cls(*kwargs.values(), None)
+
+
 # the classes whose maps are read-only views, each with the hashable form of its
 # fields: every map, and every table in one, as a frozenset of its items
 VIEWS = {
