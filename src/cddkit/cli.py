@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CapExceeded, CddError, InfeasibleSeed, SchemaError, read_json
+from .errors import CapExceeded, CddError, InfeasibleSeed, SchemaError, read_json, reading
 
 if TYPE_CHECKING:
     from .orthotope import SolveResult
@@ -59,10 +59,8 @@ def _load_result_file(path: str, problem) -> SolveResult:
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
-    try:
+    with reading(f"point {text!r}"):
         point = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise CddError(f"malformed point {text!r}: {exc}") from exc
     if len(point) != dim:
         raise CddError(f"point {text!r} has {len(point)} coordinates, problem needs {dim}")
     for i, v in enumerate(point):
@@ -72,10 +70,8 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
 
 
 def _parse_ranking(text: str) -> tuple[int, ...]:
-    try:
+    with reading(f"ranking {text!r}"):
         return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise CddError(f"malformed ranking {text!r}: {exc}") from exc
 
 
 def _dump_json(payload) -> str:

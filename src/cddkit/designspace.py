@@ -24,6 +24,7 @@ from .errors import (
     UnknownSurfaceReference,
     UnsupportedRelation,
     read_json,
+    reading,
 )
 from .surface import Interval, QuadraticResponseSurface
 
@@ -477,7 +478,7 @@ def load_problem(text_or_doc) -> DesignProblem:
 
     variables = []
     for entry in doc["variables"]:
-        try:
+        with reading("variable entry"):
             variables.append(
                 DesignVariable(
                     name=str(entry["name"]),
@@ -485,22 +486,14 @@ def load_problem(text_or_doc) -> DesignProblem:
                     ambient=Interval(float(entry["lo"]), float(entry["hi"])),
                 )
             )
-        except KeyError as exc:
-            raise SchemaError(f"variable entry missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed variable entry: {exc}") from exc
 
     surfaces = [QuadraticResponseSurface.from_json(entry) for entry in doc["surfaces"]]
 
     constraints = []
     for entry in doc["constraints"]:
-        try:
+        with reading("constraint entry"):
             op = entry.get("op", "<=")
             constraint = ObjectiveConstraint(str(entry["surface"]), float(entry["bound"]))
-        except KeyError as exc:
-            raise SchemaError(f"constraint entry missing key {exc.args[0]!r}") from exc
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed constraint entry: {exc}") from exc
         if op != "<=":
             raise SchemaError(f"constraint operator must be '<=', got {op!r}")
         constraints.append(constraint)
@@ -511,14 +504,10 @@ def load_problem(text_or_doc) -> DesignProblem:
     elif not (isinstance(ranking, list) and all(type(i) is int for i in ranking)):
         raise SchemaError("ranking must be 'auto' or a list of integer variable indices")
 
-    try:
+    with reading("seed"):
         seed = tuple(float(v) for v in doc["seed"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed seed: {exc}") from exc
-    try:
+    with reading("tolerance"):
         tolerance = float(doc.get("tolerance", DEFAULT_TOLERANCE))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed tolerance: {exc}") from exc
 
     return DesignProblem(
         variables=tuple(variables),

@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the JSON reader that raises them."""
 
 import json
+from contextlib import contextmanager
 
 
 class CddError(Exception):
@@ -29,6 +30,37 @@ def read_json(text_or_doc, where: str):
         raise SchemaError(f"{where}: JSON nested too deeply to read") from None
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+
+
+@contextmanager
+def reading(what: str):
+    """The one policy for a malformed entry of a document, decoded inside this block.
+
+    A toolkit error passes through unchanged.  A ``KeyError`` becomes
+    ``SchemaError("<what> missing key 'k'")``, and a ``TypeError``,
+    ``ValueError``, ``OverflowError`` or ``AttributeError`` becomes
+    ``SchemaError("malformed <what>: ...")``.
+    """
+    try:
+        yield
+    except CddError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"{what} missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
+        raise SchemaError(f"malformed {what}: {exc}") from exc
+
+
+def json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 class UnknownSurfaceReference(SchemaError):

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 
 from .._frozen import Frozen
-from ..errors import HigherOrderGraph, SchemaError, read_json
+from ..errors import HigherOrderGraph, SchemaError, read_json, reading
 from .syntax import (
     RATIONAL_LITERAL,
     SENTENCE_DEPTH_LIMIT,
@@ -162,7 +162,7 @@ def load_graph(text_or_doc) -> ConceptualGraph:
         raise SchemaError("graph document needs a 'concepts' array")
     concepts = []
     for entry in _entries(doc, "concepts"):
-        try:
+        with reading("concept entry"):
             concepts.append(
                 ConceptNode(
                     id=str(entry["id"]),
@@ -170,11 +170,9 @@ def load_graph(text_or_doc) -> ConceptualGraph:
                     referent=entry.get("referent"),
                 )
             )
-        except KeyError as exc:
-            raise SchemaError(f"concept entry missing key {exc.args[0]!r}") from exc
     relations = []
     for entry in _entries(doc, "relations"):
-        try:
+        with reading("relation entry"):
             args = entry["args"]
             if not isinstance(args, list):
                 raise SchemaError(f"relation {entry.get('name')!r} args must be a JSON array")
@@ -185,6 +183,4 @@ def load_graph(text_or_doc) -> ConceptualGraph:
                     id=str(entry["id"]) if "id" in entry else None,
                 )
             )
-        except KeyError as exc:
-            raise SchemaError(f"relation entry missing key {exc.args[0]!r}") from exc
     return ConceptualGraph(concepts=tuple(concepts), relations=tuple(relations))

@@ -30,6 +30,8 @@ from ..errors import (
     FreeVariable,
     SchemaError,
     UnknownSymbol,
+    json_array,
+    json_object,
     read_json,
 )
 from .syntax import (
@@ -762,21 +764,9 @@ def _models(domain, relations, functions) -> list[RelationalStructure]:
 
 # --- JSON loading ----------------------------------------------------------------
 
-def _json_array(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{what} must be a JSON array, got {value!r}")
-    return value
-
-
-def _json_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
 def _decode_function(name: str, doc) -> object:
     if isinstance(doc, dict) and "params" in doc:
-        params = _json_array(doc["params"], f"function {name!r} params")
+        params = json_array(doc["params"], f"function {name!r} params")
         if not all(isinstance(p, str) for p in params):
             raise SchemaError(f"function {name!r} params must be names")
         if "body" not in doc:
@@ -784,11 +774,11 @@ def _decode_function(name: str, doc) -> object:
         return BuiltinFunction(params=tuple(params), body=doc["body"])
     if isinstance(doc, dict) and "table" in doc:
         table = {}
-        for entry in _json_array(doc["table"], f"function {name!r} table"):
+        for entry in json_array(doc["table"], f"function {name!r} table"):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise SchemaError(f"function {name!r} table entries must be [args, value]")
             args, value = entry
-            args = tuple(_json_array(args, f"function {name!r} table arguments"))
+            args = tuple(json_array(args, f"function {name!r} table arguments"))
             if any(isinstance(a, (list, dict)) for a in args):
                 raise SchemaError(f"function {name!r} table arguments must be values, got {list(args)!r}")
             if args in table:
@@ -808,17 +798,17 @@ def load_structure(text_or_doc) -> tuple[Signature | None, RelationalStructure]:
         raise SchemaError("structure document needs a 'domain' array")
     sig = Signature.from_json(doc["signature"]) if "signature" in doc else None
     relations = {}
-    for name, tuples in _json_object(doc.get("relations", {}), "structure 'relations'").items():
+    for name, tuples in json_object(doc.get("relations", {}), "structure 'relations'").items():
         relations[name] = [
-            tuple(_json_array(t, f"relation {name!r} tuple"))
-            for t in _json_array(tuples, f"relation {name!r}")
+            tuple(json_array(t, f"relation {name!r} tuple"))
+            for t in json_array(tuples, f"relation {name!r}")
         ]
     functions = {
         name: _decode_function(name, fdoc)
-        for name, fdoc in _json_object(doc.get("functions", {}), "structure 'functions'").items()
+        for name, fdoc in json_object(doc.get("functions", {}), "structure 'functions'").items()
     }
     struct = RelationalStructure(
-        domain=tuple(_json_array(doc["domain"], "structure 'domain'")),
+        domain=tuple(json_array(doc["domain"], "structure 'domain'")),
         relations=relations,
         functions=functions,
     )
@@ -835,7 +825,7 @@ def load_theory(text_or_doc, signature: Signature | None = None) -> Theory:
     doc = read_json(text_or_doc, "theory document")
     if not isinstance(doc, dict) or "sentences" not in doc:
         raise SchemaError("theory document needs a 'sentences' array")
-    texts = _json_array(doc["sentences"], "theory 'sentences'")
+    texts = json_array(doc["sentences"], "theory 'sentences'")
     if not all(isinstance(text, str) for text in texts):
         raise SchemaError("theory 'sentences' must be strings")
     if "signature" in doc:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .._frozen import Frozen
-from ..errors import ArityMismatch, SchemaError, UnknownSymbol
+from ..errors import ArityMismatch, SchemaError, UnknownSymbol, json_array, json_object
 
 __all__ = [
     "DomainValue",
@@ -56,44 +56,57 @@ PARENTHESIS_LIMIT = 100
 
 # --- nodes ---------------------------------------------------------------
 
-class _Hashed:
-    """Stands in a tuple for a nested value whose hash is known, so the tuple hashes as it would."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-
 class _Node:
-    """The constructor, equality, hash and repr of a ``Frozen`` syntax node.
+    """The constructor, equality, hash, repr and pickle of a ``Frozen`` syntax node.
 
-    The constructor sets the fields through ``Frozen``'s and records the
-    node's height, outside the fields, refusing a tree more than
-    ``SENTENCE_DEPTH_LIMIT`` levels high.  Equality, hash and repr
-    give what ``Frozen``'s give, value for value, hash for hash and character
-    for character, each walked with an explicit stack, not recursion.  A
-    node class lists this before ``Frozen``.
+    The constructor sets the fields through ``Frozen``'s and records, outside
+    the fields, the node's height, refusing a tree more than
+    ``SENTENCE_DEPTH_LIMIT`` levels high, and ``Frozen``'s hash of the field
+    values, which reads each child's recorded hash.  Equality and repr give
+    what ``Frozen``'s give, each walked with an explicit stack, and a pickle
+    or a copy lists the nodes in postorder: none recurses per level.  A node
+    class lists this before ``Frozen``.
     """
 
-    __slots__ = ("_height",)
+    __slots__ = ("_height", "_hash")
 
     def __init__(self, *args, **named):
         super().__init__(*args, **named)
+        values = self._values(self)
         height = 1
-        for value in self._values(self):
+        for value in values:
             for child in value if value.__class__ is tuple else (value,):
                 if isinstance(child, _Node) and child._height >= height:
                     height = child._height + 1
         if height > SENTENCE_DEPTH_LIMIT:
             raise SchemaError(f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep")
         object.__setattr__(self, "_height", height)
+        object.__setattr__(self, "_hash", hash(values))
 
     def __deepcopy__(self, memo):
         return self  # every field is immutable all the way down
+
+    def __reduce__(self):
+        # the distinct nodes in postorder, each child as [its index]: no field
+        # holds a list, which cannot be hashed, so the marker is unambiguous
+        index, entries, stack = {}, [], [self]
+
+        def link(value):
+            return [index[id(value)]] if isinstance(value, _Node) else value
+
+        while stack:
+            node = stack.pop()
+            if id(node) in index:
+                continue
+            fields = node._values(node)
+            unvisited = [c for v in fields for c in (v if v.__class__ is tuple else (v,))
+                         if isinstance(c, _Node) and id(c) not in index]
+            if unvisited:
+                stack += [node, *unvisited]
+                continue
+            index[id(node)] = len(entries)
+            entries.append((node.__class__, _map_fields(link, fields)))
+        return _rebuild, (entries,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -112,20 +125,7 @@ class _Node:
         return True
 
     def __hash__(self):
-        nested, stack = [], [self]
-        while stack:
-            value = stack.pop()
-            if isinstance(value, _Node):
-                nested.append((value, value._values(value)))
-                stack += nested[-1][1]
-            elif value.__class__ is tuple:
-                nested.append((value, value))
-                stack += value
-        # each nested value comes after its parent, so reversed, after its children
-        hashes = {}
-        for value, fields in reversed(nested):
-            hashes[id(value)] = hash(tuple(_Hashed(hashes[id(f)]) if id(f) in hashes else f for f in fields))
-        return hashes[id(self)]
+        return self._hash
 
     def __repr__(self):
         out, stack = [], [(False, self)]
@@ -148,6 +148,23 @@ class _Node:
             else:
                 out.append(repr(value))
         return "".join(out)
+
+
+def _map_fields(f, fields: tuple) -> tuple:
+    """``f`` of each field value, and of each item of a tuple field."""
+    return tuple(tuple(map(f, v)) if v.__class__ is tuple else f(v) for v in fields)
+
+
+def _rebuild(entries):
+    """The tree that ``_Node.__reduce__`` took apart: its last entry, built from the first up."""
+    nodes = []
+
+    def node(value):
+        return nodes[value[0]] if value.__class__ is list else value
+
+    for cls, fields in entries:
+        nodes.append(cls(*_map_fields(node, fields)))
+    return nodes[-1]
 
 
 # --- terms ---------------------------------------------------------------
@@ -294,15 +311,12 @@ class Signature(Frozen):
 
     @classmethod
     def from_json(cls, doc: dict) -> "Signature":
-        if not isinstance(doc, dict):
-            raise SchemaError(f"a signature must be a JSON object, got {doc!r}")
+        json_object(doc, "a signature")
         return cls(predicates=_symbols(doc, "predicates"), functions=_symbols(doc, "functions"))
 
 
 def _symbols(doc: dict, key: str) -> tuple[tuple[str, int], ...]:
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise SchemaError(f"signature {key!r} must be a JSON array, got {entries!r}")
+    entries = json_array(doc.get(key, []), f"signature {key!r}")
     for entry in entries:
         if not (
             isinstance(entry, list)

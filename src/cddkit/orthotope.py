@@ -33,6 +33,7 @@ from .errors import (
     InfeasibleInput,
     SchemaError,
     SeedNotContained,
+    reading,
 )
 from .surface import Interval, extremum
 
@@ -161,7 +162,7 @@ class SolveResult(Frozen):
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolveResult":
-        try:
+        with reading("solve result"):
             steps = tuple(
                 ExpansionStep(
                     factor=int(s["factor"]),
@@ -178,10 +179,6 @@ class SolveResult(Frozen):
                 steps=steps,
                 certificate=MaximalityCertificate.from_json(doc["certificate"]),
             )
-        except KeyError as exc:
-            raise SchemaError(f"solve result missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"malformed solve result: {exc}") from exc
 
 
 # --- ranking --------------------------------------------------------------

@@ -332,10 +332,29 @@ def _drawn(bound: float | None) -> bool:
     return bound is not None and math.isfinite(bound)
 
 
+def _emit_pairings(path: Path, title: str, names, ranges, cells, diagonal, pairing) -> Path:
+    """The lower triangle of a matrix over ``names``: ``diagonal(out, frame, row)`` draws
+    each diagonal cell, and ``pairing(out, frame, cell)`` the cell held under (column, row) name."""
+    k = len(names)
+    with path.open("w") as out:
+        out.write(_svg_header(title))
+        for row in range(k):
+            for col in range(row + 1):
+                cell = cells.get((names[col], names[row]))
+                if row != col and cell is None:
+                    continue
+                frame = _CellFrame(row, col, k, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
+                out.write(frame.border())
+                if row == col:
+                    diagonal(out, frame, row)
+                else:
+                    pairing(out, frame, cell)
+        out.write("</svg>\n")
+    return path
+
+
 def _emit_svg_m(report: RosettaReport, out_dir: Path) -> Path:
     names = report.objective_names
-    k = len(names)
-    cells = {(c.obj_a, c.obj_b): c for c in report.m_cells}
     ranges = {}
     for cell in report.m_cells:
         for name, arr, bound in ((cell.obj_a, cell.z_a, cell.bound_a), (cell.obj_b, cell.z_b, cell.bound_b)):
@@ -347,82 +366,57 @@ def _emit_svg_m(report: RosettaReport, out_dir: Path) -> Path:
                 hi = max(hi, ranges[name][1])
             ranges[name] = (lo, hi)
 
-    path = out_dir / f"{report.problem_name}_M.svg"
-    with path.open("w") as out:
-        out.write(_svg_header(f"{report.problem_name}: objective pairings"))
-        for row in range(k):
-            for col in range(k):
-                frame = _CellFrame(row, col, k, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
-                if row == col:
-                    out.write(frame.border())
-                    out.write(_svg_label(frame.x0 + 8, frame.y0 + frame.size / 2, names[row]))
-                    continue
-                if row < col:
-                    continue
-                cell = cells.get((names[col], names[row]))
-                if cell is None:
-                    continue
-                out.write(frame.border())
-                _svg_dots(out, zip(_pixels(frame.x(cell.z_a)), _pixels(frame.y(cell.z_b))), cell.feasible)
-                if _drawn(cell.bound_a):
-                    x = frame.x([cell.bound_a])[0]
-                    out.write(
-                        f'<line x1="{x:.2f}" y1="{frame.py[0]:.2f}" x2="{x:.2f}" y2="{frame.py[1]:.2f}" '
-                        f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>\n'
-                    )
-                if _drawn(cell.bound_b):
-                    y = frame.y([cell.bound_b])[0]
-                    out.write(
-                        f'<line x1="{frame.px[0]:.2f}" y1="{y:.2f}" x2="{frame.px[1]:.2f}" y2="{y:.2f}" '
-                        f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>\n'
-                    )
-        out.write("</svg>\n")
-    return path
+    def draw_diagonal(out, frame, row):
+        out.write(_svg_label(frame.x0 + 8, frame.y0 + frame.size / 2, names[row]))
+
+    def draw_pairing(out, frame, cell):
+        _svg_dots(out, zip(_pixels(frame.x(cell.z_a)), _pixels(frame.y(cell.z_b))), cell.feasible)
+        if _drawn(cell.bound_a):
+            x = frame.x([cell.bound_a])[0]
+            out.write(
+                f'<line x1="{x:.2f}" y1="{frame.py[0]:.2f}" x2="{x:.2f}" y2="{frame.py[1]:.2f}" '
+                f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>\n'
+            )
+        if _drawn(cell.bound_b):
+            y = frame.y([cell.bound_b])[0]
+            out.write(
+                f'<line x1="{frame.px[0]:.2f}" y1="{y:.2f}" x2="{frame.px[1]:.2f}" y2="{y:.2f}" '
+                f'stroke="#cc3311" stroke-width="1" stroke-dasharray="4 3"/>\n'
+            )
+
+    return _emit_pairings(
+        out_dir / f"{report.problem_name}_M.svg", f"{report.problem_name}: objective pairings", names, ranges,
+        {(c.obj_a, c.obj_b): c for c in report.m_cells}, draw_diagonal, draw_pairing,
+    )
 
 
 def _emit_svg_n(report: RosettaReport, out_dir: Path) -> Path:
     names = report.variable_names
-    n = len(names)
-    cells = {(c.var_a, c.var_b): c for c in report.n_cells}
-    ranges = {d.var: (d.ambient.lo, d.ambient.hi) for d in report.diagonals}
 
-    path = out_dir / f"{report.problem_name}_N.svg"
-    with path.open("w") as out:
-        out.write(_svg_header(f"{report.problem_name}: variable pairings"))
-        for row in range(n):
-            for col in range(n):
-                frame = _CellFrame(row, col, n, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
-                if row == col:
-                    out.write(frame.border())
-                    # the admitted interval as a bar, the held one as a band across its middle third
-                    diagonal = report.diagonals[row]
-                    top, bottom = frame.py[1], frame.py[0]
-                    third = (bottom - top) / 3
-                    out.write(_interval_bar(frame, diagonal.admitted, top, bottom, 'fill="#88ccee"'))
-                    out.write(
-                        _interval_bar(frame, diagonal.held, top + third, bottom - third,
-                                      'fill="#ccbb44" stroke="#997700" stroke-width="1"')
-                    )
-                    out.write(_svg_label(frame.x0 + 8, frame.y0 + 16, names[row]))
-                    continue
-                if row < col:
-                    continue
-                cell = cells.get((names[col], names[row]))
-                if cell is None:
-                    continue
-                out.write(frame.border())
-                _svg_dots(out, product(_pixels(frame.x(cell.x_a)), _pixels(frame.y(cell.x_b))), cell.feasible)
-                for iv_a, iv_b in cell.rects:
-                    x0 = frame.x([iv_a.lo])[0]
-                    x1 = frame.x([iv_a.hi])[0]
-                    y0 = frame.y([iv_b.hi])[0]
-                    y1 = frame.y([iv_b.lo])[0]
-                    out.write(
-                        f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1 - x0:.2f}" height="{y1 - y0:.2f}" '
-                        f'fill="#ccbb44" fill-opacity="0.45" stroke="#997700" stroke-width="1"/>\n'
-                    )
-        out.write("</svg>\n")
-    return path
+    def draw_diagonal(out, frame, row):
+        # the admitted interval as a bar, the held one as a band across its middle third
+        diagonal = report.diagonals[row]
+        top, bottom = frame.py[1], frame.py[0]
+        third = (bottom - top) / 3
+        out.write(_interval_bar(frame, diagonal.admitted, top, bottom, 'fill="#88ccee"'))
+        out.write(
+            _interval_bar(frame, diagonal.held, top + third, bottom - third,
+                          'fill="#ccbb44" stroke="#997700" stroke-width="1"')
+        )
+        out.write(_svg_label(frame.x0 + 8, frame.y0 + 16, names[row]))
+
+    def draw_pairing(out, frame, cell):
+        _svg_dots(out, product(_pixels(frame.x(cell.x_a)), _pixels(frame.y(cell.x_b))), cell.feasible)
+        for iv_a, iv_b in cell.rects:
+            top, bottom = frame.y([iv_b.hi, iv_b.lo])
+            out.write(_interval_bar(frame, iv_a, top, bottom,
+                                    'fill="#ccbb44" fill-opacity="0.45" stroke="#997700" stroke-width="1"'))
+
+    return _emit_pairings(
+        out_dir / f"{report.problem_name}_N.svg", f"{report.problem_name}: variable pairings", names,
+        {d.var: (d.ambient.lo, d.ambient.hi) for d in report.diagonals},
+        {(c.var_a, c.var_b): c for c in report.n_cells}, draw_diagonal, draw_pairing,
+    )
 
 
 def _interval_bar(frame: _CellFrame, iv: Interval, top: float, bottom: float, style: str) -> str:

@@ -16,7 +16,7 @@ import math
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
-from .errors import DimensionMismatch, SchemaError
+from .errors import DimensionMismatch, reading
 
 __all__ = ["Interval", "QuadraticResponseSurface", "extremum"]
 
@@ -24,12 +24,11 @@ __all__ = ["Interval", "QuadraticResponseSurface", "extremum"]
 def extremum(l: float, q: float, lo: float, hi: float, sign: float = 1.0) -> tuple[float, float]:
     """Exact extremum of the term ``l*x + q*x*x`` over [lo, hi], and where it is attained.
 
-    ``sign`` 1.0 gives the maximum and -1.0 the minimum; 0.0 gives the
-    value at ``lo``.  Candidates are the two endpoints plus the vertex
-    when it falls strictly inside.  Ties prefer the lower coordinate.
-    Every surface extremum is this function.  The solver's term-max
-    table computes the same maximum inline, bit for bit
-    (``designspace._TermMax.column``), since the call costs about a
+    ``sign`` 1.0 gives the maximum and -1.0 the minimum.  Candidates are
+    the two endpoints plus the vertex when it falls strictly inside.  Ties
+    prefer the lower coordinate.  Every surface extremum is this function.
+    The solver's term-max table computes the same maximum inline, bit for
+    bit (``designspace._TermMax.column``), since the call costs about a
     third of a cell.  Returns (value, x).
     """
     best_v, best_x = l * lo + q * lo * lo, lo
@@ -45,6 +44,13 @@ def extremum(l: float, q: float, lo: float, hi: float, sign: float = 1.0) -> tup
         if sign * v > sign * best_v:
             best_v, best_x = v, hi
     return best_v, best_x
+
+
+def _sign(mode: str) -> float:
+    """The mode "max" or "min" as ``extremum``'s sign: -v > -w is exactly v < w."""
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+    return 1.0 if mode == "max" else -1.0
 
 
 class Interval(Frozen):
@@ -112,12 +118,9 @@ class QuadraticResponseSurface(Frozen):
     def term_extremum(self, j: int, interval: Interval, mode: str = "max") -> tuple[float, float]:
         """Exact extremum of the coordinate-j term over an interval: ``extremum`` of its coefficients.
 
-        ``mode`` is "max" or "min"; any other mode returns the value at
-        ``interval.lo``.  Returns (value, x).
+        ``mode`` is "max" or "min".  Returns (value, x).
         """
-        # the mode as a sign: -v > -w is exactly v < w, and any other mode never moves off lo
-        sign = 1.0 if mode == "max" else -1.0 if mode == "min" else 0.0
-        return extremum(self.linear[j], self.quadratic[j], interval.lo, interval.hi, sign)
+        return extremum(self.linear[j], self.quadratic[j], interval.lo, interval.hi, _sign(mode))
 
     def evaluate(self, point: Sequence[float]) -> float:
         self._check_dim(len(point))
@@ -138,10 +141,8 @@ class QuadraticResponseSurface(Frozen):
 
         Exactness follows from separability; no sampling is involved.
         """
-        if mode not in ("max", "min"):
-            raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
+        sign = _sign(mode)
         self._check_dim(len(box))
-        sign = 1.0 if mode == "max" else -1.0
         total = self.beta0
         point = []
         for l, q, interval in zip(self.linear, self.quadratic, box):
@@ -161,7 +162,7 @@ class QuadraticResponseSurface(Frozen):
 
     @classmethod
     def from_json(cls, doc: dict) -> "QuadraticResponseSurface":
-        try:
+        with reading("surface document"):
             return cls(
                 name=str(doc["name"]),
                 unit=str(doc.get("unit", "")),
@@ -169,10 +170,3 @@ class QuadraticResponseSurface(Frozen):
                 linear=tuple(float(v) for v in doc["linear"]),
                 quadratic=tuple(float(v) for v in doc["quadratic"]),
             )
-        except KeyError as exc:
-            raise SchemaError(f"surface document missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, DimensionMismatch):
-                raise
-            raise SchemaError(f"malformed surface document: {exc}") from exc
-

@@ -1,4 +1,5 @@
 import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -382,6 +383,26 @@ def test_a_tree_built_in_code_at_the_depth_limit_passes_every_walk(kind):
     clone = copy.copy(tree)
     assert clone is not tree and clone == tree and hash(clone) == hash(tree)
     assert copy.deepcopy(tree) is tree
+    pickled = pickle.loads(pickle.dumps(tree))
+    assert pickled == tree and hash(pickled) == hash(tree) and repr(pickled) == repr(tree)
+
+
+def test_a_not_chain_under_forall_at_the_depth_limit_pickles_and_copies():
+    # the shape that once recursed in the C pickler from 498 levels up
+    tree = Atom("P", (Var("x"),))
+    for _ in range(SENTENCE_DEPTH_LIMIT - 3):
+        tree = Not(tree)
+    tree = Forall("x", tree)
+    assert tree._height == SENTENCE_DEPTH_LIMIT
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(tree, protocol))
+        assert clone is not tree and clone == tree and hash(clone) == hash(tree) and clone._height == tree._height
+    clone = copy.copy(tree)
+    assert clone is not tree and clone == tree and hash(clone) == hash(tree)
+    # a node shared by two parents stays one node
+    shared = And(tree.body, tree.body)
+    clone = pickle.loads(pickle.dumps(shared))
+    assert clone == shared and clone.left is clone.right
 
 
 def test_a_nodes_height_is_not_a_field():
@@ -389,7 +410,20 @@ def test_a_nodes_height_is_not_a_field():
     for cls in (Var, Lit, Apply, Atom, Eq, Not, And, Or, Implies, Forall, Exists):
         assert "_height" not in cls.__slots__
     assert repr(tree) == "Not(body=Atom(pred='P', args=(Apply(func='a', args=()),)))"
-    assert tree.__reduce__() == (Not, (_P_A,))
+    # a pickle lists the nodes in postorder, each child as [its index], and no height
+    rebuild, (entries,) = tree.__reduce__()
+    assert entries == [(Apply, ("a", ())), (Atom, ("P", ([0],))), (Not, ([1],))]
+    assert rebuild(entries) == tree
+
+
+def test_a_nodes_hash_is_its_field_values_hash_taken_when_it_is_built():
+    tree = Forall("x", Or(Atom("P", (Var("x"), Apply("c"))), Not(Eq(Lit(Fraction(1, 2)), Var("x")))))
+    for node in (tree, tree.body, tree.body.left, tree.body.left.args[1], tree.body.right.body.left):
+        assert hash(node) == hash(node._values(node)) == node._hash
+    # a field that cannot be hashed, such as a list of arguments, is refused as the node is built
+    for build in (lambda: Atom("P", [Var("x")]), lambda: Apply("f", (Var("x"), [])), lambda: Lit([1])):
+        with pytest.raises(TypeError, match="unhashable"):
+            build()
 
 
 def test_nodes_take_their_fields_by_position_or_by_name():

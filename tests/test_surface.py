@@ -47,6 +47,18 @@ def test_mismatched_coefficient_lengths():
         QuadraticResponseSurface("bad", "", 0.0, (1.0,), (1.0, 2.0))
 
 
+def test_an_unknown_mode_is_refused_by_both_extrema():
+    # z = x - x**2 peaks at (0.5, 0.25); an unknown mode once answered with the value at lo
+    s = QuadraticResponseSurface("z", "", 0.0, (1.0,), (-1.0,))
+    assert s.term_extremum(0, Interval(0.0, 2.0), "max") == (0.25, 0.5)
+    assert s.box_extremum((Interval(0.0, 2.0),), "max") == (0.25, (0.5,))
+    for extremum_in_mode in (lambda mode: s.term_extremum(0, Interval(0.0, 2.0), mode),
+                             lambda mode: s.box_extremum((Interval(0.0, 2.0),), mode)):
+        for mode in ("maximum", "MAX", "", None):
+            with pytest.raises(ValueError, match="mode must be 'max' or 'min'"):
+                extremum_in_mode(mode)
+
+
 def gradient(s, point):
     return tuple(s.sensitivity(j, point) for j in range(s.dim))
 
@@ -238,10 +250,12 @@ def test_term_extremum_matches_candidate_list_implementation():
     for l, q, lo, hi in _term_cases():
         s = QuadraticResponseSurface("z", "", 0.0, (l,), (q,))
         interval = Interval(lo, hi)
-        for mode in ("max", "min", "other"):
+        for mode in ("max", "min"):
             value, x = s.term_extremum(0, interval, mode)
             ref_value, ref_x = reference_term_extremum(s, 0, interval, mode)
             assert (value.hex(), x.hex()) == (ref_value.hex(), ref_x.hex()), (l, q, lo, hi, mode)
+        with pytest.raises(ValueError, match="mode must be 'max' or 'min', got 'other'"):
+            s.term_extremum(0, interval, "other")
         # the solver's call: the shared function with its default sign, the maximum
         value, x = extremum(l, q, lo, hi)
         ref_value, ref_x = reference_term_extremum(s, 0, interval, "max")
