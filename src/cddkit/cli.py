@@ -74,6 +74,14 @@ def _parse_ranking(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
 
 
+def _parse_epsilon(text: str | None) -> float | None:
+    # a malformed text is refused before any file is read; the solver checks the value
+    if text is None:
+        return None
+    with reading(f"epsilon {text!r}"):
+        return float(text)
+
+
 def _dump_json(payload) -> str:
     # strict JSON: callers write an infinite bound or slack, meaning unconstrained, as null
     return json.dumps(payload, indent=2, allow_nan=False)
@@ -133,9 +141,10 @@ def cmd_quantify(args) -> int:
 def cmd_solve(args) -> int:
     from .orthotope import solve_greedy
 
+    eps = _parse_epsilon(args.epsilon)
     problem = _load_problem_file(args.problem)
     ranking = _parse_ranking(args.ranking) if args.ranking else None
-    result = solve_greedy(problem, ranking=ranking, eps=args.epsilon)
+    result = solve_greedy(problem, ranking=ranking, eps=eps)
 
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,6 +169,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from .orthotope import ORACLE_MAX_DIM, ORACLE_MAX_RESOLUTION, oracle_check_steps, verify_maximality
 
+    eps = _parse_epsilon(args.epsilon)
     problem = _load_problem_file(args.problem)
     result = _load_result_file(args.result, problem)
     if not 2 <= args.resolution <= ORACLE_MAX_RESOLUTION:
@@ -173,7 +183,7 @@ def cmd_verify(args) -> int:
             f"stored box violates {problem.constraints[worst]} by {-slacks[worst]:.3g}"
         )
     else:
-        certificate = verify_maximality(problem, result.orthotope, eps=args.epsilon)
+        certificate = verify_maximality(problem, result.orthotope, eps=eps)
         for face in certificate.faces:
             if not face.blocked:
                 failures.append(f"face {face.axis}/{face.side} can still expand")
@@ -293,7 +303,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="greedy maximal orthotope with certification")
     p.add_argument("problem")
     p.add_argument("--ranking", help="comma-separated variable indices")
-    p.add_argument("--epsilon", type=float, default=None, help="certification epsilon fraction")
+    p.add_argument("--epsilon", help="certification epsilon fraction")
     p.add_argument("--out", help="output directory for the result JSON")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
@@ -302,7 +312,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("result")
     p.add_argument("--resolution", type=int, default=201)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -138,9 +138,14 @@ class DesignProblem(Frozen):
         names = [s.name for s in self.surfaces]
         if len(set(names)) != len(names):
             raise SchemaError("surface names must be unique")
+        constrained = set()
         for c in self.constraints:
             if c.surface not in names:
                 raise UnknownSurfaceReference(f"constraint references unknown surface {c.surface!r}")
+            if c.surface in constrained:
+                # the tighter bound alone decides; a second one would only hide its slack
+                raise SchemaError(f"surface {c.surface!r} has more than one constraint")
+            constrained.add(c.surface)
             if math.isnan(c.bound):
                 raise SchemaError(f"constraint on {c.surface!r} has a NaN bound")
         if self.ranking is not None and sorted(self.ranking) != list(range(n)):

@@ -177,7 +177,8 @@ class RelationalStructure(Frozen):
 
         extensions = {}
         for name, tuples in relations.items():
-            normalized = frozenset(tuple(map(coerce_value, t)) for t in tuples)
+            # checked in the caller's order, so an error names the first bad entry
+            normalized = [tuple(map(coerce_value, t)) for t in tuples]
             arities = {len(t) for t in normalized}
             if len(arities) > 1:
                 raise SchemaError(f"relation {name!r} mixes tuple lengths {sorted(arities)}")
@@ -187,7 +188,7 @@ class RelationalStructure(Frozen):
                 for v in t:
                     if v not in domain_set:
                         raise SchemaError(f"relation {name!r} tuple entry {v!r} outside the domain")
-            extensions[name] = normalized
+            extensions[name] = frozenset(normalized)
 
         tables = {}
         for name, fn in functions.items():

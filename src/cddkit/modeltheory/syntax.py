@@ -41,12 +41,13 @@ __all__ = [
 ]
 
 
-# How deep a sentence and a function body may nest.  Each walk of a sentence
-# (checking, compiling, evaluating, printing it) takes a Python frame per level
-# of its syntax tree, and evaluating a builtin function one per level of its
-# body, so a sentence at its limit that applies a body at its limit takes about
-# 800 frames, inside Python's default limit of 1,000.  A syntax node's
-# constructor refuses a tree past the sentence limit, however it is built.
+# How deep a sentence and a function body may nest.  Compiling, evaluating and
+# printing a sentence each take a Python frame per level of its syntax tree,
+# and evaluating a builtin function one per level of its body, so a sentence
+# at its limit that applies a body at its limit takes about 800 frames, inside
+# Python's default limit of 1,000.  Checking a sentence walks nothing: a syntax
+# node's constructor records what the checks read, and refuses a tree past the
+# sentence limit, however it is built.
 # Parsing takes about six frames for each parenthesis or argument list open
 # around a token.
 SENTENCE_DEPTH_LIMIT = 500
@@ -56,32 +57,60 @@ PARENTHESIS_LIMIT = 100
 
 # --- nodes ---------------------------------------------------------------
 
+# a leaf's facts: shared, and never changed
+_NO_VARIABLES: frozenset[str] = frozenset()
+_NO_SYMBOLS: dict[tuple[str, str, int], None] = {}
+
+
 class _Node:
     """The constructor, equality, hash, repr and pickle of a ``Frozen`` syntax node.
 
-    The constructor sets the fields through ``Frozen``'s and records, outside
-    the fields, the node's height, refusing a tree more than
-    ``SENTENCE_DEPTH_LIMIT`` levels high, and ``Frozen``'s hash of the field
-    values, which reads each child's recorded hash.  Equality and repr give
-    what ``Frozen``'s give, each walked with an explicit stack, and a pickle
-    or a copy lists the nodes in postorder: none recurses per level.  A node
-    class lists this before ``Frozen``.
+    The constructor sets the fields through ``Frozen``'s and records outside
+    them, from the children's records in one pass over them: the node's
+    height, refusing a tree more than ``SENTENCE_DEPTH_LIMIT`` levels high;
+    ``Frozen``'s hash of the field values; the free variables (a ``Var`` is
+    its name, a quantifier removes its variable); the symbols used, one
+    ``(kind, name, argument count)`` key per use in preorder, first
+    occurrence only; and whether a quantifier occurs.  A node that adds
+    nothing to a child's set keeps that child's object.  Equality and repr
+    give what ``Frozen``'s give, each walked with an explicit stack, and a
+    pickle or a copy lists the nodes in postorder: none recurses per level.
+    A node class lists this before ``Frozen``.
     """
 
-    __slots__ = ("_height", "_hash")
+    __slots__ = ("_height", "_hash", "_free", "_symbols", "_quantified")
 
     def __init__(self, *args, **named):
         super().__init__(*args, **named)
         values = self._values(self)
-        height = 1
+        height, free, symbols, quantified = 1, _NO_VARIABLES, _NO_SYMBOLS, False
         for value in values:
             for child in value if value.__class__ is tuple else (value,):
-                if isinstance(child, _Node) and child._height >= height:
-                    height = child._height + 1
+                if isinstance(child, _Node):
+                    if child._height >= height:
+                        height = child._height + 1
+                    if not child._free <= free:
+                        free = child._free if free <= child._free else free | child._free
+                    if not child._symbols.keys() <= symbols.keys():
+                        # the earlier children's uses come first in preorder
+                        symbols = symbols | child._symbols if symbols else child._symbols
+                    quantified = quantified or child._quantified
         if height > SENTENCE_DEPTH_LIMIT:
             raise SchemaError(f"syntax tree more than {SENTENCE_DEPTH_LIMIT} levels deep")
+        cls = self.__class__
+        if cls is Var:
+            free = frozenset(values)
+        elif cls is Atom or cls is Apply:
+            # the node's own use comes before its arguments'
+            symbols = {("predicate" if cls is Atom else "function", values[0], len(values[1])): None} | symbols
+        elif cls is Forall or cls is Exists:
+            free = free - {values[0]} if values[0] in free else free
+            quantified = True
         object.__setattr__(self, "_height", height)
         object.__setattr__(self, "_hash", hash(values))
+        object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_symbols", symbols)
+        object.__setattr__(self, "_quantified", quantified)
 
     def __deepcopy__(self, memo):
         return self  # every field is immutable all the way down
@@ -329,87 +358,31 @@ def _symbols(doc: dict, key: str) -> tuple[tuple[str, int], ...]:
 
 
 # --- structural queries ------------------------------------------------------
-
-def _term_free(term: Term, bound: frozenset[str], acc: set[str]) -> None:
-    if isinstance(term, Var):
-        if term.name not in bound:
-            acc.add(term.name)
-    elif isinstance(term, Apply):
-        for a in term.args:
-            _term_free(a, bound, acc)
-
-
-def _formula_free(f: Formula, bound: frozenset[str], acc: set[str]) -> None:
-    if isinstance(f, Atom):
-        for t in f.args:
-            _term_free(t, bound, acc)
-    elif isinstance(f, Eq):
-        _term_free(f.left, bound, acc)
-        _term_free(f.right, bound, acc)
-    elif isinstance(f, Not):
-        _formula_free(f.body, bound, acc)
-    elif isinstance(f, (And, Or, Implies)):
-        _formula_free(f.left, bound, acc)
-        _formula_free(f.right, bound, acc)
-    elif isinstance(f, (Forall, Exists)):
-        _formula_free(f.body, bound | {f.var}, acc)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-
+#
+# Each reads what the formula's constructor recorded, walking nothing.  The
+# facts count every node of the tree, wherever it stands, so they describe a
+# term built in place of a formula too, which compiling refuses.
 
 def free_variables(f: Formula) -> frozenset[str]:
-    acc: set[str] = set()
-    _formula_free(f, frozenset(), acc)
-    return frozenset(acc)
+    return f._free
 
 
 def is_sentence(f: Formula) -> bool:
-    return not free_variables(f)
+    return not f._free
 
 
 def has_quantifier(f: Formula) -> bool:
-    if isinstance(f, (Forall, Exists)):
-        return True
-    if isinstance(f, Not):
-        return has_quantifier(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return has_quantifier(f.left) or has_quantifier(f.right)
-    return False
-
-
-def _check_term(term: Term, sig: Signature) -> None:
-    if isinstance(term, Apply):
-        arity = sig.function_arity(term.func)
-        if arity is None:
-            raise UnknownSymbol(f"function symbol {term.func!r} not declared")
-        if arity != len(term.args):
-            raise ArityMismatch(f"function {term.func!r} expects {arity} arguments, got {len(term.args)}")
-        for a in term.args:
-            _check_term(a, sig)
+    return f._quantified
 
 
 def check_well_formed(f: Formula, sig: Signature) -> None:
-    """Verify declared symbols and arities; raises on violation."""
-    if isinstance(f, Atom):
-        arity = sig.predicate_arity(f.pred)
+    """Verify declared symbols and arities; raises at the first faulty use in preorder."""
+    for kind, name, count in f._symbols:
+        arity = sig.predicate_arity(name) if kind == "predicate" else sig.function_arity(name)
         if arity is None:
-            raise UnknownSymbol(f"predicate symbol {f.pred!r} not declared")
-        if arity != len(f.args):
-            raise ArityMismatch(f"predicate {f.pred!r} expects {arity} arguments, got {len(f.args)}")
-        for t in f.args:
-            _check_term(t, sig)
-    elif isinstance(f, Eq):
-        _check_term(f.left, sig)
-        _check_term(f.right, sig)
-    elif isinstance(f, Not):
-        check_well_formed(f.body, sig)
-    elif isinstance(f, (And, Or, Implies)):
-        check_well_formed(f.left, sig)
-        check_well_formed(f.right, sig)
-    elif isinstance(f, (Forall, Exists)):
-        check_well_formed(f.body, sig)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+            raise UnknownSymbol(f"{kind} symbol {name!r} not declared")
+        if arity != count:
+            raise ArityMismatch(f"{kind} {name!r} expects {arity} arguments, got {count}")
 
 
 # --- printing ------------------------------------------------------------------

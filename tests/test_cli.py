@@ -48,6 +48,20 @@ def test_evaluate_json_output(capsys):
     assert payload["feasible"] is True
 
 
+@pytest.mark.parametrize("mode", ["text", "json"])
+def test_evaluate_refuses_a_second_bound_on_one_objective(tmp_path, capsys, mode):
+    doc = json.loads(data_path("emissions.json").read_text())
+    doc["constraints"].append({"surface": "CO2", "op": "<=", "bound": 11.0})
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    json_flag = ["--json"] if mode == "json" else []
+    code, out, err = run_cli("evaluate", str(path), "--point", "0,0,0", *json_flag, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: surface 'CO2' has more than one constraint\n")
+    # with the one bound of 6, the slack at the seed is 0.03
+    code, out, _ = run_cli("evaluate", problem_path("emissions.json"), "--point", "0,0,0", "--json", capsys=capsys)
+    assert code == 0 and round(json.loads(out)["slacks"]["CO2"], 9) == 0.03
+
+
 def test_evaluate_malformed_point_exits_2(capsys):
     code, _, err = run_cli(
         "evaluate", problem_path("emissions.json"), "--point", "0,zero,0", capsys=capsys
@@ -436,6 +450,17 @@ def test_solve_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
     )
     assert code == 2
     assert "epsilon" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("epsilon", ["x", "", "1e-6,1e-6", "None"])
+def test_an_epsilon_that_is_not_a_number_exits_2_with_one_error_line(tmp_path, capsys, command, epsilon):
+    # the text is read before any file, so a missing result does not come first
+    files = [problem_path("emissions.json"), str(tmp_path / "missing.json")] if command == "verify" else [
+        problem_path("emissions.json"), "--out", str(tmp_path)]
+    code, out, err = run_cli(command, *files, f"--epsilon={epsilon}", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed epsilon {epsilon!r}: could not convert string to float: {epsilon!r}\n"
 
 
 def test_solve_epsilon_whose_push_overflows_blocks_every_face_at_ambient(tmp_path, capsys):

@@ -140,6 +140,21 @@ def test_unknown_surface_reference():
         load_problem(doc)
 
 
+def test_a_second_constraint_on_a_surface_is_refused():
+    # CO2 <= 6 and CO2 <= 11 on emissions: slack 0.03 at the seed binds, and the
+    # 11 bound, with slack 5.03, would have hidden it
+    doc = json.loads(data_path("emissions.json").read_text())
+    doc["constraints"].append({"surface": "CO2", "op": "<=", "bound": 11.0})
+    with pytest.raises(SchemaError, match="^surface 'CO2' has more than one constraint$"):
+        load_problem(doc)
+    problem = load_problem(data_path("emissions.json").read_text())
+    for twin in (problem.constraints[0], ObjectiveConstraint("CO2", 11.0)):
+        with pytest.raises(SchemaError, match="^surface 'CO2' has more than one constraint$"):
+            DesignProblem(problem.variables, problem.surfaces, (*problem.constraints, twin), problem.seed)
+    # one bound per surface, in any order, is a problem
+    DesignProblem(problem.variables, problem.surfaces, problem.constraints[::-1], problem.seed)
+
+
 def test_quantify_requirement(adas):
     c = quantify_requirement("CO2 <= 30", adas)
     assert (c.surface, c.bound) == ("CO2", 30.0)

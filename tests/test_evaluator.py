@@ -1,12 +1,16 @@
-"""The compiled evaluator against the tree walker it replaced.
+"""The compiled evaluator and the recorded static facts against the tree walkers they replaced.
 
 ``_eval_term``, ``_eval_formula``, ``reference_holds``,
 ``reference_satisfies`` and the body of ``reference_enumerate_models``
-are the previous implementation, copied verbatim (only the names of the
+are the previous evaluator, and ``reference_free_variables``,
+``reference_has_quantifier`` and ``reference_check_well_formed`` the
+previous static queries, each copied verbatim (only the names of the
 entry points changed).  The tests compare the current ``holds``,
 ``satisfies``, ``check_theory`` and ``enumerate_models`` with them on
 seeded random formulas and structures: the same truth value, or an
-exception of the same type.
+exception of the same type; and ``free_variables``, ``is_sentence``,
+``has_quantifier`` and ``check_well_formed``, which read what a node
+recorded when it was built, on random formulas and signatures.
 """
 
 import itertools
@@ -17,6 +21,7 @@ from typing import Mapping
 import pytest
 
 from cddkit.errors import (
+    ArityMismatch,
     CapExceeded,
     CddError,
     DomainEmpty,
@@ -49,6 +54,7 @@ from cddkit.modeltheory import (
     free_variables,
     has_quantifier,
     holds,
+    is_sentence,
     parse_sentence,
     satisfies,
 )
@@ -59,6 +65,86 @@ from cddkit.modeltheory.structures import (
     DomainValue,
     coerce_value,
 )
+
+
+# --- reference: the previous static queries --------------------------------------
+
+def _term_free(term, bound, acc):
+    if isinstance(term, Var):
+        if term.name not in bound:
+            acc.add(term.name)
+    elif isinstance(term, Apply):
+        for a in term.args:
+            _term_free(a, bound, acc)
+
+
+def _formula_free(f, bound, acc):
+    if isinstance(f, Atom):
+        for t in f.args:
+            _term_free(t, bound, acc)
+    elif isinstance(f, Eq):
+        _term_free(f.left, bound, acc)
+        _term_free(f.right, bound, acc)
+    elif isinstance(f, Not):
+        _formula_free(f.body, bound, acc)
+    elif isinstance(f, (And, Or, Implies)):
+        _formula_free(f.left, bound, acc)
+        _formula_free(f.right, bound, acc)
+    elif isinstance(f, (Forall, Exists)):
+        _formula_free(f.body, bound | {f.var}, acc)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def reference_free_variables(f):
+    acc = set()
+    _formula_free(f, frozenset(), acc)
+    return frozenset(acc)
+
+
+def reference_has_quantifier(f):
+    if isinstance(f, (Forall, Exists)):
+        return True
+    if isinstance(f, Not):
+        return reference_has_quantifier(f.body)
+    if isinstance(f, (And, Or, Implies)):
+        return reference_has_quantifier(f.left) or reference_has_quantifier(f.right)
+    return False
+
+
+def _check_term(term, sig):
+    if isinstance(term, Apply):
+        arity = sig.function_arity(term.func)
+        if arity is None:
+            raise UnknownSymbol(f"function symbol {term.func!r} not declared")
+        if arity != len(term.args):
+            raise ArityMismatch(f"function {term.func!r} expects {arity} arguments, got {len(term.args)}")
+        for a in term.args:
+            _check_term(a, sig)
+
+
+def reference_check_well_formed(f, sig):
+    """Verify declared symbols and arities; raises on violation."""
+    if isinstance(f, Atom):
+        arity = sig.predicate_arity(f.pred)
+        if arity is None:
+            raise UnknownSymbol(f"predicate symbol {f.pred!r} not declared")
+        if arity != len(f.args):
+            raise ArityMismatch(f"predicate {f.pred!r} expects {arity} arguments, got {len(f.args)}")
+        for t in f.args:
+            _check_term(t, sig)
+    elif isinstance(f, Eq):
+        _check_term(f.left, sig)
+        _check_term(f.right, sig)
+    elif isinstance(f, Not):
+        reference_check_well_formed(f.body, sig)
+    elif isinstance(f, (And, Or, Implies)):
+        reference_check_well_formed(f.left, sig)
+        reference_check_well_formed(f.right, sig)
+    elif isinstance(f, (Forall, Exists)):
+        reference_check_well_formed(f.body, sig)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
 
 
 # --- reference: the previous tree walker ---------------------------------------
@@ -139,7 +225,7 @@ def reference_holds(
     max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Truth of a possibly open formula under an explicit variable assignment."""
-    if has_quantifier(formula) and not struct.domain:
+    if reference_has_quantifier(formula) and not struct.domain:
         raise DomainEmpty("quantified formula over an empty domain")
     pmap, fmap = {}, {}
     if interp is not None:
@@ -161,7 +247,7 @@ def reference_satisfies(
     Compositional recursion with exhaustive quantification over the
     finite domain; deterministic by construction.
     """
-    free = free_variables(sentence)
+    free = reference_free_variables(sentence)
     if free:
         raise FreeVariable(f"not a sentence, free variables: {', '.join(sorted(free))}")
     return reference_holds(struct, sentence, interp, None, max_magnitude)
@@ -188,8 +274,8 @@ def reference_enumerate_models(
     for name, arity in sig.functions:
         if arity > 2:
             raise CapExceeded(f"function symbol {name!r} of arity {arity} > 2 not enumerable")
-    check_well_formed(sentence, sig)
-    if free_variables(sentence):
+    reference_check_well_formed(sentence, sig)
+    if reference_free_variables(sentence):
         raise FreeVariable("enumerate_models needs a sentence")
 
     domain = tuple(f"e{i}" for i in range(domain_size))
@@ -388,6 +474,55 @@ def test_missing_relation_raises_only_when_its_atom_is_evaluated():
     unlucky = RelationalStructure(domain=("a", "b"), relations={"P": [("b",)]})
     with pytest.raises(UnknownSymbol):
         satisfies(unlucky, sentence)
+
+
+# --- static facts ----------------------------------------------------------------
+
+def _random_signature(rng):
+    """Each symbol of the random formulas declared with its arity, left out, or declared with another."""
+    declared = {"predicates": [], "functions": []}
+    for side, symbols, least in (("predicates", PREDICATES, 1), ("functions", FUNCTIONS, 0)):
+        for name, arity in symbols:
+            roll = rng.random()
+            if roll < 0.3:
+                declared[side].append((name, arity))
+            elif roll < 0.5:
+                declared[side].append((name, rng.choice([a for a in range(least, 4) if a != arity])))
+    return Signature(**declared)
+
+
+def _uses(node):
+    """(kind, name, argument count) of each atom and application, in preorder."""
+    if isinstance(node, Atom):
+        yield "predicate", node.pred, len(node.args)
+    elif isinstance(node, Apply):
+        yield "function", node.func, len(node.args)
+    for value in node._values(node):
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (Var, Lit, Apply, Atom, Eq, Not, And, Or, Implies, Forall, Exists)):
+                yield from _uses(child)
+
+
+def test_static_facts_match_the_reference_walkers_on_random_formulas():
+    rng = random.Random(24707)
+    errors, several = set(), 0
+    for _ in range(3000):
+        formula = _random_formula(rng, rng.randint(0, 5))
+        sig = _random_signature(rng)
+        free = reference_free_variables(formula)
+        assert free_variables(formula) == free and is_sentence(formula) is not bool(free), formula
+        assert has_quantifier(formula) is reference_has_quantifier(formula), formula
+        # the recorded uses: each distinct one once, where it first occurs in preorder
+        assert list(formula._symbols) == list(dict.fromkeys(_uses(formula))), formula
+        expected = _result(reference_check_well_formed, formula, sig)
+        assert _result(check_well_formed, formula, sig) == expected, formula
+        if expected is not None:
+            errors.add((expected[0], expected[1].split()[0]))
+        arities = {"predicate": sig.predicate_arity, "function": sig.function_arity}
+        several += len({use for use in _uses(formula) if arities[use[0]](use[1]) != use[2]}) > 1
+    # every kind of fault came first, and about half the trees had more than one faulty symbol
+    assert errors == {(e, kind) for e in (UnknownSymbol, ArityMismatch) for kind in ("predicate", "function")}
+    assert several > 1200
 
 
 # --- enumeration ---------------------------------------------------------------------

@@ -23,6 +23,8 @@ from cddkit.modeltheory import (
     check_well_formed,
     enumerate_models,
     free_variables,
+    has_quantifier,
+    is_sentence,
     parse_formula,
     parse_sentence,
     satisfies,
@@ -424,6 +426,59 @@ def test_a_nodes_hash_is_its_field_values_hash_taken_when_it_is_built():
     for build in (lambda: Atom("P", [Var("x")]), lambda: Apply("f", (Var("x"), [])), lambda: Lit([1])):
         with pytest.raises(TypeError, match="unhashable"):
             build()
+
+
+def test_a_nodes_static_facts_are_not_fields():
+    tree = Forall("x", Or(Atom("P", (Var("x"), Apply("c"))), Not(Eq(Lit(Fraction(1, 2)), Var("y")))))
+    assert (tree._free, tree._quantified) == ({"y"}, True)
+    assert list(tree._symbols) == [("predicate", "P", 2), ("function", "c", 0)]
+    for cls in (Var, Lit, Apply, Atom, Eq, Not, And, Or, Implies, Forall, Exists):
+        assert not {"_free", "_symbols", "_quantified"} & set(cls.__slots__)
+    # neither the repr, equality, the hash nor a pickle sees them
+    assert "_free" not in repr(tree) and "_symbols" not in repr(tree) and "_quantified" not in repr(tree)
+    rebuild, (entries,) = tree.__reduce__()
+    assert all(len(fields) == len(cls.__slots__) for cls, fields in entries)
+    assert rebuild(entries) == tree and hash(rebuild(entries)) == hash(tree)
+    # a node that adds nothing to its child's facts keeps the child's objects
+    assert tree.body._symbols is tree.body.left._symbols and Not(tree)._free is tree._free
+
+
+def test_a_term_in_the_place_of_a_formula_is_refused_when_compiled():
+    # the facts count every node, wherever it stands; compiling refuses the tree
+    struct = RelationalStructure(domain=("e0",), functions={"c": {(): "e0"}})
+    assert free_variables(Var("x")) == {"x"} and not has_quantifier(Apply("c"))
+    check_well_formed(Apply("c"), Signature(functions=(("c", 0),)))
+    with pytest.raises(TypeError, match="^not a formula: Apply"):
+        satisfies(struct, Apply("c"))
+
+
+def test_trees_at_the_depth_limit_have_the_right_facts():
+    # a conjunction of 498 distinct atoms, each over its own variable, under
+    # one quantifier: 500 levels; the first atom is the deepest, and first in preorder
+    tree = Atom("P0", (Var("x0"),))
+    for i in range(1, SENTENCE_DEPTH_LIMIT - 2):
+        tree = And(tree, Atom(f"P{i}", (Var(f"x{i}"),)))
+    tree = Exists("x0", tree)
+    assert tree._height == SENTENCE_DEPTH_LIMIT
+    count = SENTENCE_DEPTH_LIMIT - 2
+    assert free_variables(tree) == {f"x{i}" for i in range(1, count)} and not is_sentence(tree)
+    assert has_quantifier(tree) and not has_quantifier(tree.body)
+    assert list(tree._symbols) == [("predicate", f"P{i}", 1) for i in range(count)]
+    sig = Signature(predicates=tuple((f"P{i}", 1) for i in range(count)))
+    check_well_formed(tree, sig)
+    for predicates, message in (
+        (sig.predicates[1:], "^predicate symbol 'P0' not declared$"),
+        ((("P0", 2),) + sig.predicates[1:-1], "^predicate 'P0' expects 2 arguments, got 1$"),
+    ):
+        with pytest.raises((UnknownSymbol, ArityMismatch), match=message):
+            check_well_formed(tree, Signature(predicates=predicates))
+    # each shape built in code at the limit
+    p, a, f = ("predicate", "P", 1), ("function", "a", 0), ("function", "f", 1)
+    uses = {"Forall": [p], "Exists": [p], "Atom": [p, f, a], "Eq": [f, a]}
+    for kind in BUILT_SHAPES:
+        tree = _built_at_the_limit(kind)
+        assert is_sentence(tree) and has_quantifier(tree) is (kind in ("Forall", "Exists"))
+        assert list(tree._symbols) == uses.get(kind, [p, a])
 
 
 def test_nodes_take_their_fields_by_position_or_by_name():

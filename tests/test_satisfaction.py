@@ -1,13 +1,18 @@
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
+import cddkit
 from cddkit import data_path
 from cddkit.errors import CapExceeded, DomainEmpty, EvaluationOverflow, FreeVariable, SchemaError
 from cddkit.modeltheory import (
@@ -197,6 +202,26 @@ def test_table_functions_must_be_total_and_closed():
     struct = RelationalStructure(domain=(0, 1), functions={"f": {(0,): 1, (1,): 0}})
     sig = Signature(functions=(("f", 1),))
     assert satisfies(struct, parse_sentence("forall v. not f(v) = v", sig))
+
+
+def test_a_relation_names_its_first_entry_outside_the_domain_whatever_the_hash_seed():
+    # two entries outside the domain, of which a check in set order would name either by the hash seed
+    code = """if True:
+        from cddkit.modeltheory import RelationalStructure
+        try:
+            RelationalStructure(domain=(3, 4, 5), relations={"Legs": [(3, 4), ("Hyp", 4), (3, "Legs")]})
+        except Exception as exc:
+            print(f"{type(exc).__name__}: {exc}")
+    """
+    src = str(Path(cddkit.__file__).resolve().parent.parent)
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert messages == {"SchemaError: relation 'Legs' tuple entry 'Hyp' outside the domain\n"}
 
 
 # --- compositional semantics --------------------------------------------------

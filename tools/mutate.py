@@ -1,26 +1,33 @@
 """Seeded mutation run of the command-line exit-code contract.
 
 Mutates the bundled problem, solution, structure, theory and graph
-documents and runs each mutant through ``cddkit.cli.main`` in process.
-A mutation deletes a key or a list entry (the whole document too, which
-leaves an empty file), duplicates an entry, or sets a value to one of
+documents, and the ``--point``, ``--ranking`` and ``--epsilon`` texts,
+and runs each mutant through ``cddkit.cli.main`` in process.  A mutation
+deletes a key or a list entry (the whole document too, which leaves an
+empty file), duplicates an entry, or sets a value to one of
 ``SPECIALS``; an input takes one or two.  A problem goes to ``evaluate``
 (at its seed), ``quantify``, ``solve``, ``verify`` (against its own
 solution) or ``rosetta``; a solution to ``verify`` or ``rosetta
 --solution``; a theory or a structure to ``logic --theory --structure``;
-a graph to ``logic --graph``, with or without ``--json``.
+a graph to ``logic --graph``, with or without ``--json``.  A text is
+mutated as the list of its comma-separated items (a problem's seed, its
+solution's ranking, or its certificate's epsilon alone) and written back
+with ``str``, so a special becomes ``None``, ``[]``, ``1e+308`` and so
+on: the point goes to ``evaluate``, the ranking to ``solve`` and the
+epsilon to ``solve`` or ``verify``, each with its unmutated problem.
 
 The contract: every exit code is 0, 2, 3, 4 or 5, no exception escapes
 ``main``, and an exit 2 or 3 prints exactly one line to stderr, which
 starts ``error: ``.  The script prints how often each exit code came up
 and a digest of the (command, exit code, stderr) of every input, with the
 temporary directory masked, so two checkouts that print the same digest
-gave every input the same exit code and the same error text, provided
-both ran under the same ``PYTHONHASHSEED``: a structure's message that
-names the first value outside its domain takes it in set order.  It exits
-1 and lists the breaches when the contract does not hold:
+gave every input the same exit code and the same error text.  Every
+message names what it finds in the order the document gives it, so the
+digest does not depend on ``PYTHONHASHSEED``.  An argparse refusal counts
+as its exit code and its usage text.  The script exits 1 and lists the
+breaches when the contract does not hold:
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python tools/mutate.py [--seed 1] [--count 2000]
+    PYTHONPATH=src python tools/mutate.py [--seed 1] [--count 2000]
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ STRUCTURES = ("triangle_345", "triangle_234")
 THEORY = "orthogonality_theory"
 GRAPHS = ("cdd_graph", "ecs_graph")
 SPECIALS = (0, -0.0, 1e308, -1e308, 5e-324, 2**70, "", None, True, [], {}, "1/0", "nan")
-# (document kind, command): each input draws one, then a bundled document of that kind
+# (mutated kind, command): each input draws one, then a bundled document or text of that kind
 JOBS = (
     ("problem", "evaluate"),
     ("problem", "quantify"),
@@ -59,7 +66,13 @@ JOBS = (
     ("structure", "logic"),
     ("theory", "logic"),
     ("graph", "logic"),
+    ("point", "evaluate"),
+    ("ranking", "solve"),
+    ("epsilon", "solve"),
+    ("epsilon", "verify"),
 )
+# the option that takes each kind of text
+TEXT_OPTIONS = {"point": "--point", "ranking": "--ranking", "epsilon": "--epsilon"}
 CONTRACT_CODES = (0, 2, 3, 4, 5)
 # small grids: the run checks exit codes and messages, not the grid oracle's reach
 VERIFY_RESOLUTION = "21"
@@ -71,14 +84,19 @@ def _read(name: str):
 
 
 def bundled_documents() -> dict:
-    """Every bundled document by kind and name; a problem's solution is its solve result."""
+    """Every bundled document and option text by kind and name; a problem's solution is its solve result."""
     problems = {name: _read(f"{name}.json") for name in PROBLEMS}
+    solutions = {name: solve_greedy(load_problem(doc)).to_json() for name, doc in problems.items()}
     return {
         "problem": problems,
-        "solution": {name: solve_greedy(load_problem(doc)).to_json() for name, doc in problems.items()},
+        "solution": solutions,
         "structure": {name: _read(f"logic/{name}.json") for name in STRUCTURES},
         "theory": {THEORY: _read(f"logic/{THEORY}.json")},
         "graph": {name: _read(f"logic/{name}.json") for name in GRAPHS},
+        # each text as the list of its items
+        "point": {name: doc["seed"] for name, doc in problems.items()},
+        "ranking": {name: solution["ranking"] for name, solution in solutions.items()},
+        "epsilon": {name: [solution["certificate"]["epsilon"]] for name, solution in solutions.items()},
     }
 
 
@@ -96,8 +114,12 @@ def _positions(holder: list) -> list:
     return found
 
 
-def mutate(rng: random.Random, doc) -> str:
-    """The text of a mutated deep copy of ``doc``: one or two deletions, duplications or special values."""
+def mutate(rng: random.Random, doc, as_text: bool = False) -> str:
+    """The JSON text, or with ``as_text`` the option text, of a mutated deep copy of ``doc``.
+
+    It takes one or two deletions, duplications or special values.  An
+    option text joins a list's items with commas.
+    """
     holder = [copy.deepcopy(doc)]
     for _ in range(1 + (rng.random() < 0.3)):
         if not holder:
@@ -113,12 +135,22 @@ def mutate(rng: random.Random, doc) -> str:
             container[rng.choice([k for k in container if k != key])] = copy.deepcopy(container[key])
         else:
             container[key] = copy.deepcopy(rng.choice(SPECIALS))
-    return json.dumps(holder[0]) if holder else ""
+    if not holder:
+        return ""
+    if not as_text:
+        return json.dumps(holder[0])
+    return ",".join(map(str, holder[0])) if isinstance(holder[0], list) else str(holder[0])
 
 
-def _argv(kind: str, command: str, name: str, docs: dict, tmp: Path, rng: random.Random) -> list[str]:
-    """The command line that runs the mutant, written to ``tmp/mutant.json``, beside unmutated companions."""
+def _argv(kind: str, command: str, name: str, docs: dict, tmp: Path, rng: random.Random, text: str) -> list[str]:
+    """The command line that runs the mutant, beside unmutated companions.
+
+    A mutated document is in ``tmp/mutant.json``; a mutated option text is
+    ``text``, given as ``--option=text`` so that argparse takes one that
+    starts with ``-`` as the value.
+    """
     mutant = str(tmp / "mutant.json")
+    options = [f"{TEXT_OPTIONS[kind]}={text}"] if kind in TEXT_OPTIONS else []
 
     def companion(kind, name):
         path = tmp / f"{kind}-{name}.json"
@@ -134,14 +166,14 @@ def _argv(kind: str, command: str, name: str, docs: dict, tmp: Path, rng: random
         return ["logic", "--theory", mutant, "--structure", companion("structure", rng.choice(STRUCTURES))]
     problem = mutant if kind == "problem" else companion("problem", name)
     if command == "evaluate":
-        return ["evaluate", problem, "--point", ",".join(map(repr, docs["problem"][name]["seed"]))]
+        return ["evaluate", problem, *(options or ["--point", ",".join(map(repr, docs["problem"][name]["seed"]))])]
     if command == "quantify":
         return ["quantify", problem, f"{docs['problem'][name]['surfaces'][0]['name']} <= 1"]
     if command == "solve":
-        return ["solve", problem, "--out", out, "--json"]
+        return ["solve", problem, *options, "--out", out, "--json"]
     solution = mutant if kind == "solution" else companion("solution", name)
     if command == "verify":
-        return ["verify", problem, solution, "--resolution", VERIFY_RESOLUTION]
+        return ["verify", problem, solution, "--resolution", VERIFY_RESOLUTION, *options]
     return ["rosetta", problem, "--solution", solution, "--resolution", ROSETTA_RESOLUTION, "--out", out]
 
 
@@ -155,12 +187,16 @@ def run(seed: int, count: int) -> list[tuple[str, int | None, str]]:
         for _ in range(count):
             kind, command = rng.choice(JOBS)
             name = rng.choice(sorted(docs[kind]))
-            (tmp / "mutant.json").write_text(mutate(rng, docs[kind][name]))
-            argv = _argv(kind, command, name, docs, tmp, rng)
+            mutant = mutate(rng, docs[kind][name], as_text=kind in TEXT_OPTIONS)
+            if kind not in TEXT_OPTIONS:
+                (tmp / "mutant.json").write_text(mutant)
+            argv = _argv(kind, command, name, docs, tmp, rng, mutant)
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 try:
                     code = cli_main(argv)
+                except SystemExit as exc:  # argparse refused the command line
+                    code = exc.code
                 except Exception:
                     code = None
                     err.write(traceback.format_exc())
