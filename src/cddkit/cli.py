@@ -74,12 +74,12 @@ def _parse_ranking(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
 
 
-def _parse_epsilon(text: str | None) -> float | None:
-    # a malformed text is refused before any file is read; the solver checks the value
+def _parse_option(what: str, text: str | None, convert):
+    # a malformed text is refused before any file is read; the command checks the value
     if text is None:
         return None
-    with reading(f"epsilon {text!r}"):
-        return float(text)
+    with reading(f"{what} {text!r}"):
+        return convert(text)
 
 
 def _dump_json(payload) -> str:
@@ -141,7 +141,7 @@ def cmd_quantify(args) -> int:
 def cmd_solve(args) -> int:
     from .orthotope import solve_greedy
 
-    eps = _parse_epsilon(args.epsilon)
+    eps = _parse_option("epsilon", args.epsilon, float)
     problem = _load_problem_file(args.problem)
     ranking = _parse_ranking(args.ranking) if args.ranking else None
     result = solve_greedy(problem, ranking=ranking, eps=eps)
@@ -169,11 +169,12 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from .orthotope import ORACLE_MAX_DIM, ORACLE_MAX_RESOLUTION, oracle_check_steps, verify_maximality
 
-    eps = _parse_epsilon(args.epsilon)
+    eps = _parse_option("epsilon", args.epsilon, float)
+    resolution = _parse_option("resolution", args.resolution, int)
     problem = _load_problem_file(args.problem)
     result = _load_result_file(args.result, problem)
-    if not 2 <= args.resolution <= ORACLE_MAX_RESOLUTION:
-        raise CapExceeded(f"resolution {args.resolution} outside the grid cap 2..{ORACLE_MAX_RESOLUTION}")
+    if not 2 <= resolution <= ORACLE_MAX_RESOLUTION:
+        raise CapExceeded(f"resolution {resolution} outside the grid cap 2..{ORACLE_MAX_RESOLUTION}")
 
     failures = []
     feasible, slacks = problem.region().is_box_feasible(result.orthotope.intervals)
@@ -191,7 +192,7 @@ def cmd_verify(args) -> int:
     # the grid replay sweeps a lattice over the ambient box, so it runs only at desk scale
     replayed = feasible and problem.dim <= ORACLE_MAX_DIM
     if replayed:
-        for check in oracle_check_steps(problem, result, args.resolution):
+        for check in oracle_check_steps(problem, result, resolution):
             if not check.ok:
                 failures.append(
                     f"step for factor {check.factor}: stored "
@@ -209,7 +210,7 @@ def cmd_verify(args) -> int:
     if args.json:
         print(_dump_json(payload))
     else:
-        print(f"problem: {problem.name}   resolution: {args.resolution}")
+        print(f"problem: {problem.name}   resolution: {resolution}")
         if feasible and not replayed:
             print(f"step replay skipped: the grid replay takes at most {ORACLE_MAX_DIM} variables")
         for line in failures:
@@ -221,11 +222,12 @@ def cmd_verify(args) -> int:
 def cmd_rosetta(args) -> int:
     from .rosetta import build_report, emit
 
+    resolution = _parse_option("resolution", args.resolution, int)
     problem = _load_problem_file(args.problem)
     solution = None
     if args.solution:
         solution = _load_result_file(args.solution, problem)
-    report = build_report(problem, solution, resolution=args.resolution)
+    report = build_report(problem, solution, resolution=resolution)
     formats = []
     if args.csv:
         formats.append("csv")
@@ -311,7 +313,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="independently check a stored solve result")
     p.add_argument("problem")
     p.add_argument("result")
-    p.add_argument("--resolution", type=int, default=201)
+    p.add_argument("--resolution", default="201")
     p.add_argument("--epsilon")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -319,7 +321,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rosetta", help="emit M/N/Q matrix reports")
     p.add_argument("problem")
     p.add_argument("--solution", help="solve result JSON to overlay")
-    p.add_argument("--resolution", type=int, default=21)
+    p.add_argument("--resolution", default="21")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", help="output directory")

@@ -16,7 +16,7 @@ import math
 import re
 from collections import deque
 from fractions import Fraction
-from operator import itemgetter, or_
+from operator import itemgetter, or_, sub
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -641,7 +641,8 @@ def enumerate_models(
     later symbols cycling fastest; function tables likewise.  One
     evaluation decides every candidate at once, and only the models are
     built, one field at a time across the whole list, from immutable
-    pieces made once per call (none outlives it).
+    pieces made once per call (none outlives it).  Models with equal
+    relations, or equal functions, share one read-only view of them.
     """
     if domain_size < 1:
         raise SchemaError("domain size must be at least 1")
@@ -679,6 +680,7 @@ def enumerate_models(
     # its piece, and the digit of an input of weight stride * w is v // w % radix.
     places = []  # (name, stride, size, radix, is a relation, [(input, w)], {v: piece})
     stride = total
+    k, combos = 0, total  # the number of relation places, and F: the stride after them
     for name, arity, radix, is_relation in symbols:
         inputs = list(itertools.product(domain, repeat=arity))
         stride //= radix ** len(inputs)
@@ -688,18 +690,27 @@ def enumerate_models(
         for i in range(0, len(digits), step):
             part = digits[i : i + step]
             places.append((name, stride * radix**i, radix ** len(part), radix, is_relation, part, {}))
+        if is_relation:
+            k, combos = len(places), stride
 
-    # The relations and the functions of candidates cs as two lists of views,
-    # decoded one place at a time across all of cs.  A piece (a frozenset of
-    # tuples or a read-only table) is made when a decode first meets its v and
-    # shared by every candidate with that v; a relation of more than eight
-    # tuples is the union of its bytes' pieces.  An empty side is one view.
-    sides = ([name for name, _ in sig.predicates], [name for name, _ in sig.functions])
+    # The relations and the functions of candidates cs as two lists of views.
+    # The predicates are the high-order digits, so with F (combos) function-table
+    # combinations c has the relations of candidate c - c % F and the functions
+    # of candidate c % F.  Each side is decoded once per distinct part, one
+    # place at a time, and every candidate with that part shares its view; when
+    # one side has no symbol, the other's parts are the candidates themselves,
+    # all distinct, and are not looked for.  A piece (a frozenset of tuples or
+    # a read-only table) is made when a decode first meets its v and shared by
+    # every part with that v; a relation of more than eight tuples is the union
+    # of its bytes' pieces.  An empty side is one view.
+    sides = (([name for name, _ in sig.predicates], places[:k]), ([name for name, _ in sig.functions], places[k:]))
 
-    def maps(cs):
+    def views(names, side, reps):  # one view per candidate of reps
+        if not names:
+            return [MappingProxyType({})] * len(reps)
         fields = {}  # name -> [piece of each candidate]
-        for name, stride, size, radix, is_relation, digits, memo in places:
-            vs = [c // stride % size for c in cs]
+        for name, stride, size, radix, is_relation, digits, memo in side:
+            vs = [c // stride % size for c in reps]
             for v in set(vs).difference(memo):
                 if is_relation:
                     memo[v] = frozenset(t for t, w in digits if v // w % 2)
@@ -707,13 +718,20 @@ def enumerate_models(
                     memo[v] = MappingProxyType({args: domain[v // w % radix] for args, w in digits})
             pieces = list(map(memo.__getitem__, vs))
             fields[name] = list(map(or_, fields[name], pieces)) if name in fields else pieces
-        views = []
-        for names in sides:
-            dicts = [{names[0]: piece} for piece in fields[names[0]]] if names else []
-            for name in names[1:]:
-                deque(map(dict.__setitem__, dicts, itertools.repeat(name), fields[name]), 0)
-            views.append(list(map(MappingProxyType, dicts)) if names else [MappingProxyType({})] * len(cs))
-        return views
+        dicts = [{names[0]: piece} for piece in fields[names[0]]]
+        for name in names[1:]:
+            deque(map(dict.__setitem__, dicts, itertools.repeat(name), fields[name]), 0)
+        return list(map(MappingProxyType, dicts))
+
+    def maps(cs):
+        if not (sig.predicates and sig.functions):
+            return [views(names, side, cs) for names, side in sides]
+        low = [c % combos for c in cs]
+        out = []
+        for (names, side), parts in zip(sides, (list(map(sub, cs, low)), low)):
+            reps = list(dict.fromkeys(parts))
+            out.append(list(map(dict(zip(reps, views(names, side, reps))).__getitem__, parts)))
+        return out
 
     # the tables of all candidates at once
     rels, fns = {}, {}

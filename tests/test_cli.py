@@ -463,6 +463,48 @@ def test_an_epsilon_that_is_not_a_number_exits_2_with_one_error_line(tmp_path, c
     assert err == f"error: malformed epsilon {epsilon!r}: could not convert string to float: {epsilon!r}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "rosetta"])
+@pytest.mark.parametrize("resolution", ["x", "", "21.0", "1e3", "None", "5,5", "-"])
+def test_a_resolution_that_is_not_an_integer_exits_2_with_one_error_line(tmp_path, capsys, command, resolution):
+    # the text is read before any file, so a missing problem does not come first
+    missing = str(tmp_path / "missing.json")
+    files = [missing, missing] if command == "verify" else [missing, "--out", str(tmp_path)]
+    code, out, err = run_cli(command, *files, f"--resolution={resolution}", capsys=capsys)
+    assert (code, out) == (2, "")
+    reason = f"invalid literal for int() with base 10: {resolution!r}"
+    assert err == f"error: malformed resolution {resolution!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("resolution, shown", [(None, "201"), ("21", "21"), (" +021 ", "21"), ("2_1", "21")])
+def test_verify_reads_a_resolution_as_int_does(tmp_path, capsys, resolution, shown):
+    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
+    option = [] if resolution is None else [f"--resolution={resolution}"]
+    code, out, _ = run_cli(
+        "verify", problem_path("emissions.json"), str(tmp_path / "emissions_solution.json"), *option, capsys=capsys
+    )
+    assert code == 0
+    assert out.splitlines()[0] == f"problem: emissions   resolution: {shown}"
+
+
+@pytest.mark.parametrize("resolution, same_as", [(None, "21"), (" 5", "5"), ("+05", "5")])
+def test_rosetta_reads_a_resolution_as_int_does(tmp_path, capsys, resolution, same_as):
+    def n_matrix(out, *option):
+        args = [problem_path("emissions.json"), *option, "--csv", "--out", str(out)]
+        code, _, _ = run_cli("rosetta", *args, capsys=capsys)
+        assert code == 0
+        return (out / "emissions_N.csv").read_text()
+
+    option = [] if resolution is None else [f"--resolution={resolution}"]
+    assert n_matrix(tmp_path / "text", *option) == n_matrix(tmp_path / "int", "--resolution", same_as)
+
+
+def test_a_negative_point_is_given_with_an_equals_sign(capsys):
+    # "--point -0.5,0,0" reads as an option to argparse; the "=" form takes the value as it is
+    code, out, _ = run_cli("evaluate", problem_path("emissions.json"), "--point=-0.5,0,0", "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["point"] == [-0.5, 0.0, 0.0]
+
+
 def test_solve_epsilon_whose_push_overflows_blocks_every_face_at_ambient(tmp_path, capsys):
     # epsilon * width is past every float, so each push overshoots the room left to the ambient bound
     code, out, _ = run_cli(

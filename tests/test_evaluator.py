@@ -690,6 +690,19 @@ def test_enumerate_models_with_literals_matches_reference(sig):
         assert CddError in seen
 
 
+def test_enumeration_error_is_the_first_failing_candidates():
+    """The replay decodes one candidate at a time, with the decoder that
+    builds the models, so it raises what the first failing candidate raises
+    alone.  That is candidate 8, with P = {e0} and c = e0, on 5; evaluated
+    together, the candidates first reach f(6), which those with P = {e0}
+    and c = e1 (candidate 9 and later) raise."""
+    sig = MIXED_SIGNATURES[1]  # R/2 and P/1 beside f/1 and the constant c
+    sentence = parse_sentence("forall x. (P(x) and not c = x -> f(6) = x) and (P(x) and c = x -> f(5) = x)", sig)
+    with pytest.raises(CddError, match=r"^function 'f' undefined on \(Fraction\(5, 1\),\)$"):
+        enumerate_models(sig, sentence, 2)
+    assert _result(enumerate_models, sig, sentence, 2) == _result(reference_enumerate_models, sig, sentence, 2)
+
+
 def test_undefined_application_raises_only_when_reached():
     sig = Signature(predicates=(("P", 1), ("Q", 1)), functions=(("f", 1),))
     # never reached: the left side of the "or" holds on every candidate

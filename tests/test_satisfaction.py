@@ -419,13 +419,24 @@ def test_enumerated_models_are_canonical(sig, text, size):
         for view in (m.relations, m.functions, *m.functions.values()):
             with pytest.raises(TypeError):
                 view["new"] = None
-    # the models of one call own their outer maps, except that a side with no
-    # symbol is one empty view for all of them; only immutable pieces are shared
+    # the models of one call share one outer view per distinct part on each
+    # side: as many views as parts, and models with equal parts hold the same
+    # object; a side with no symbol is one empty view for all of them
     for views, symbols in (
         ([m.relations for m in models], sig.predicates),
         ([m.functions for m in models], sig.functions),
     ):
-        assert len(set(map(id, views))) == (len(models) if symbols else 1)
+        by_part = {}
+        for view in views:
+            # a relation's piece is a frozenset, a table's a read-only dict
+            part = frozenset(
+                (name, frozenset(piece.items()) if type(piece) is MappingProxyType else piece)
+                for name, piece in view.items()
+            )
+            assert by_part.setdefault(part, view) is view
+        assert len(set(map(id, views))) == len(by_part)
+        if not symbols:
+            assert list(by_part) == [frozenset()]
 
 
 def test_enumerations_share_no_piece_across_calls():

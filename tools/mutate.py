@@ -1,20 +1,23 @@
 """Seeded mutation run of the command-line exit-code contract.
 
 Mutates the bundled problem, solution, structure, theory and graph
-documents, and the ``--point``, ``--ranking`` and ``--epsilon`` texts,
-and runs each mutant through ``cddkit.cli.main`` in process.  A mutation
-deletes a key or a list entry (the whole document too, which leaves an
-empty file), duplicates an entry, or sets a value to one of
-``SPECIALS``; an input takes one or two.  A problem goes to ``evaluate``
-(at its seed), ``quantify``, ``solve``, ``verify`` (against its own
-solution) or ``rosetta``; a solution to ``verify`` or ``rosetta
+documents, and the ``--point``, ``--ranking``, ``--epsilon`` and
+``--resolution`` texts, and runs each mutant through ``cddkit.cli.main``
+in process.  A mutation deletes a key or a list entry (the whole document
+too, which leaves an empty file), duplicates an entry, or sets a value to
+one of ``SPECIALS``; an input takes one or two.  A problem goes to
+``evaluate`` (at its seed), ``quantify``, ``solve``, ``verify`` (against
+its own solution) or ``rosetta``; a solution to ``verify`` or ``rosetta
 --solution``; a theory or a structure to ``logic --theory --structure``;
 a graph to ``logic --graph``, with or without ``--json``.  A text is
 mutated as the list of its comma-separated items (a problem's seed, its
-solution's ranking, or its certificate's epsilon alone) and written back
-with ``str``, so a special becomes ``None``, ``[]``, ``1e+308`` and so
-on: the point goes to ``evaluate``, the ranking to ``solve`` and the
-epsilon to ``solve`` or ``verify``, each with its unmutated problem.
+solution's ranking, its certificate's epsilon alone, or the report's
+grid resolution alone) and written back with ``str``, so a special
+becomes ``None``, ``[]``, ``1e+308`` and so on: the point goes to
+``evaluate``, the ranking to ``solve``, the epsilon to ``solve`` or
+``verify`` and the resolution to ``verify`` or ``rosetta``, each with its
+unmutated problem.  The only specials that read as an integer, 0 and
+2**70, are refused before a grid is made, so every run stays small.
 
 The contract: every exit code is 0, 2, 3, 4 or 5, no exception escapes
 ``main``, and an exit 2 or 3 prints exactly one line to stderr, which
@@ -70,9 +73,11 @@ JOBS = (
     ("ranking", "solve"),
     ("epsilon", "solve"),
     ("epsilon", "verify"),
+    ("resolution", "verify"),
+    ("resolution", "rosetta"),
 )
 # the option that takes each kind of text
-TEXT_OPTIONS = {"point": "--point", "ranking": "--ranking", "epsilon": "--epsilon"}
+TEXT_OPTIONS = {"point": "--point", "ranking": "--ranking", "epsilon": "--epsilon", "resolution": "--resolution"}
 CONTRACT_CODES = (0, 2, 3, 4, 5)
 # small grids: the run checks exit codes and messages, not the grid oracle's reach
 VERIFY_RESOLUTION = "21"
@@ -97,6 +102,7 @@ def bundled_documents() -> dict:
         "point": {name: doc["seed"] for name, doc in problems.items()},
         "ranking": {name: solution["ranking"] for name, solution in solutions.items()},
         "epsilon": {name: [solution["certificate"]["epsilon"]] for name, solution in solutions.items()},
+        "resolution": {name: [int(ROSETTA_RESOLUTION)] for name in problems},
     }
 
 
@@ -147,7 +153,8 @@ def _argv(kind: str, command: str, name: str, docs: dict, tmp: Path, rng: random
 
     A mutated document is in ``tmp/mutant.json``; a mutated option text is
     ``text``, given as ``--option=text`` so that argparse takes one that
-    starts with ``-`` as the value.
+    starts with ``-`` as the value, and last, so that a mutated resolution
+    replaces the fixed one.
     """
     mutant = str(tmp / "mutant.json")
     options = [f"{TEXT_OPTIONS[kind]}={text}"] if kind in TEXT_OPTIONS else []
@@ -174,7 +181,7 @@ def _argv(kind: str, command: str, name: str, docs: dict, tmp: Path, rng: random
     solution = mutant if kind == "solution" else companion("solution", name)
     if command == "verify":
         return ["verify", problem, solution, "--resolution", VERIFY_RESOLUTION, *options]
-    return ["rosetta", problem, "--solution", solution, "--resolution", ROSETTA_RESOLUTION, "--out", out]
+    return ["rosetta", problem, "--solution", solution, "--resolution", ROSETTA_RESOLUTION, "--out", out, *options]
 
 
 def run(seed: int, count: int) -> list[tuple[str, int | None, str]]:
