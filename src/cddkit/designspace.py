@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import sys
 from typing import Sequence
@@ -36,23 +35,11 @@ __all__ = [
     "lattice_sum",
     "load_problem",
     "quantify_requirement",
-    "grid_cap",
 ]
 
 DEFAULT_TOLERANCE = 1e-6
-DEFAULT_GRID_CAP = 10_000_000
-GRID_CAP_ENV = "CDD_MAX_GRID"
-
-
-def grid_cap() -> int:
-    """Lattice size cap; the CDD_MAX_GRID environment variable overrides it."""
-    raw = os.environ.get(GRID_CAP_ENV)
-    if raw is None:
-        return DEFAULT_GRID_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"{GRID_CAP_ENV} must be an integer, got {raw!r}") from exc
+# the most points a grid axis, or a ROSETTA report cell, may have
+GRID_CAP = 10_000_000
 
 
 class DesignVariable(Frozen):
@@ -225,11 +212,10 @@ class FeasibleRegion(Frozen):
         The grid cap bounds each axis, not their product: a sweep along one
         axis at a time builds no lattice.
         """
-        cap = grid_cap()
         if resolution < 2:
             raise SchemaError("grid resolution must be at least 2 per axis")
-        if resolution > cap:
-            raise CapExceeded(f"axis of {resolution} points exceeds cap {cap}")
+        if resolution > GRID_CAP:
+            raise CapExceeded(f"axis of {resolution} points exceeds cap {GRID_CAP}")
         axes = []
         for v in self.problem.variables:
             lo, hi = v.ambient.lo, v.ambient.hi
@@ -300,10 +286,10 @@ class _TermMax:
     ``(rests, noises)``.  Charged with a column, a budget gives each
     constraint's slack estimate ``rest - c`` and its error bound
     ``noise + spread * |c|``, inf from ``limit`` on.  ``fits`` is the sign
-    test and ``face_slacks`` the least slack of a face push, each in one
-    pass over the column; ``charge`` keeps the charged lists, for a budget
-    charged twice, and ``slack`` is the one left-to-right sum they all
-    fall back to.
+    test of a try, which grid replay and slice points are too, and
+    ``face_slacks`` the least slack of a face push, each charging the
+    budget in one pass over the column; ``slack`` is the one
+    left-to-right sum they both fall back to.
     """
 
     def __init__(self, pairs: Sequence[tuple[QuadraticResponseSurface, float]], intervals: Sequence[Interval]):
@@ -380,23 +366,6 @@ class _TermMax:
             if j is not None:
                 neg_row[j], abs_row[j] = cell, size
         return rests, noises
-
-    def charge(
-        self, rests: Sequence[float], noises: Sequence[float], column: Sequence[float]
-    ) -> tuple[list[float], list[float]]:
-        """A budget pair charged with a column: the lists of ``rest - c`` and ``noise + spread * |c|``.
-
-        The result is a budget pair too, so charging it again charges a
-        second left-out cell.  Charged with every cell it left out, a
-        budget is a slack estimate and its error bound; a bound that
-        reaches ``limit``, where a partial sum could overflow, is set to inf.
-        """
-        spread, limit, estimates, errors = self.spread, self.limit, [], []
-        for rest, noise, c in zip(rests, noises, column):
-            error = noise + spread * abs(c)
-            estimates.append(rest - c)
-            errors.append(error if error < limit else math.inf)
-        return estimates, errors
 
     def fits(self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]) -> bool:
         """Whether every left-to-right slack is >= 0 with column j replaced by ``column``, from the

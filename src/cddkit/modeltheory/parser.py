@@ -263,16 +263,14 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     return _Parser(text, sig).sentence()
 
 
-def parse_sentence(text: str, sig: Signature, require_sentence: bool = True) -> Formula:
-    """Parse a sentence over the signature.
+def parse_sentence(text: str, sig: Signature) -> Formula:
+    """Parse a sentence over the signature: any free variable raises.
 
-    With ``require_sentence`` (the default) any free variable raises;
-    printing the result with ``to_text`` and reparsing yields an equal
+    Printing the result with ``to_text`` and reparsing yields an equal
     syntax tree.
     """
     formula = parse_formula(text, sig)
-    if require_sentence:
-        free = free_variables(formula)
-        if free:
-            raise FreeVariable(f"unbound variables: {', '.join(sorted(free))}")
+    free = free_variables(formula)
+    if free:
+        raise FreeVariable(f"unbound variables: {', '.join(sorted(free))}")
     return formula

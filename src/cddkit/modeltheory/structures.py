@@ -69,7 +69,8 @@ __all__ = [
     "load_theory",
 ]
 
-DEFAULT_MAGNITUDE_BOUND = 10**100
+# the largest numerator or denominator a builtin function may compute
+MAGNITUDE_BOUND = 10**100
 ENUMERATION_DOMAIN_CAP = 4
 ENUMERATION_COUNT_CAP = 2**20
 
@@ -82,8 +83,8 @@ class BuiltinFunction(Frozen):
     ``body`` is a parameter name, a rational, or a nested sequence
     ``[op, arg, ...]`` with op one of + - *, at most ``BODY_DEPTH_LIMIT``
     levels deep; every nested list is kept as a tuple, so the body
-    cannot change and the function hashes.  Results exceeding the
-    magnitude bound raise instead of silently growing.
+    cannot change and the function hashes.  Results exceeding
+    ``MAGNITUDE_BOUND`` raise instead of silently growing.
     """
 
     __slots__ = ("params", "body")
@@ -96,11 +97,11 @@ class BuiltinFunction(Frozen):
     def arity(self) -> int:
         return len(self.params)
 
-    def evaluate(self, args: Sequence[Fraction], bound: int) -> Fraction:
+    def evaluate(self, args: Sequence[Fraction]) -> Fraction:
         env = dict(zip(self.params, args))
-        return self._eval(self.body, env, bound)
+        return self._eval(self.body, env)
 
-    def _eval(self, node, env, bound) -> Fraction:
+    def _eval(self, node, env) -> Fraction:
         if isinstance(node, str):
             if node in env:
                 return env[node]
@@ -115,7 +116,7 @@ class BuiltinFunction(Frozen):
         if isinstance(node, (list, tuple)) and node and node[0] in _ARITH_OPS:
             op = node[0]
             # map, not a comprehension (a frame of its own): one frame per level
-            args = list(map(self._eval, node[1:], itertools.repeat(env), itertools.repeat(bound)))
+            args = list(map(self._eval, node[1:], itertools.repeat(env)))
             if not args:
                 raise SchemaError(f"operator {op!r} needs arguments")
             if op == "-" and len(args) == 1:
@@ -129,9 +130,9 @@ class BuiltinFunction(Frozen):
                         result = result - a
                     else:
                         result = result * a
-            if abs(result.numerator) > bound or result.denominator > bound:
+            if abs(result.numerator) > MAGNITUDE_BOUND or result.denominator > MAGNITUDE_BOUND:
                 raise EvaluationOverflow(
-                    f"rational magnitude exceeds the configured bound {bound}"
+                    f"rational magnitude exceeds the configured bound {MAGNITUDE_BOUND}"
                 )
             return result
         raise SchemaError(f"malformed arithmetic expression {node!r}")
@@ -353,7 +354,7 @@ def _free_variable(names, env) -> FreeVariable:
     return FreeVariable(f"no value for variable {name!r}")
 
 
-def _compile_term(term, fmap, bound):
+def _compile_term(term, fmap):
     """A closure ``(rels, fns, env, care) -> {value: candidates}``."""
     if isinstance(term, Var):
         name = term.name
@@ -374,7 +375,7 @@ def _compile_term(term, fmap, bound):
         # a term take one frame per level
         parts = []
         for t in term.args:
-            parts.append(_compile_term(t, fmap, bound))
+            parts.append(_compile_term(t, fmap))
 
         def apply(rels, fns, env, care):
             fn = fns.get(target)
@@ -388,7 +389,7 @@ def _compile_term(term, fmap, bound):
                 if isinstance(fn, BuiltinFunction):
                     if any(not isinstance(a, Fraction) for a in args):
                         raise CddError(f"builtin function {target!r} applied to a non-numeric value")
-                    value = fn.evaluate(args, bound)
+                    value = fn.evaluate(args)
                     out[value] = out.get(value, 0) | bits
                     continue
                 try:
@@ -423,7 +424,7 @@ def _arg_tuples(values, care):
     return out
 
 
-def _compile_formula(f, domain, pmap, fmap, bound):
+def _compile_formula(f, domain, pmap, fmap):
     """A closure ``(rels, fns, env, care) -> candidates``; quantifiers range over ``domain``."""
     if isinstance(f, Atom):
         target = pmap.get(f.pred, f.pred)
@@ -442,7 +443,7 @@ def _compile_formula(f, domain, pmap, fmap, bound):
                     raise _free_variable(names, env) from None
 
             return var_atom
-        parts = [_compile_term(t, fmap, bound) for t in f.args]
+        parts = [_compile_term(t, fmap) for t in f.args]
 
         def atom(rels, fns, env, care):
             rel = rels.get(target)
@@ -455,8 +456,8 @@ def _compile_formula(f, domain, pmap, fmap, bound):
 
         return atom
     if isinstance(f, Eq):
-        left = _compile_term(f.left, fmap, bound)
-        right = _compile_term(f.right, fmap, bound)
+        left = _compile_term(f.left, fmap)
+        right = _compile_term(f.right, fmap)
 
         def eq(rels, fns, env, care):
             left_values = left(rels, fns, env, care)
@@ -468,11 +469,11 @@ def _compile_formula(f, domain, pmap, fmap, bound):
 
         return eq
     if isinstance(f, Not):
-        body = _compile_formula(f.body, domain, pmap, fmap, bound)
+        body = _compile_formula(f.body, domain, pmap, fmap)
         return lambda rels, fns, env, care: care ^ body(rels, fns, env, care)
     if isinstance(f, (And, Or, Implies)):
-        left = _compile_formula(f.left, domain, pmap, fmap, bound)
-        right = _compile_formula(f.right, domain, pmap, fmap, bound)
+        left = _compile_formula(f.left, domain, pmap, fmap)
+        right = _compile_formula(f.right, domain, pmap, fmap)
         if isinstance(f, And):
 
             def conj(rels, fns, env, care):
@@ -496,7 +497,7 @@ def _compile_formula(f, domain, pmap, fmap, bound):
         return implies
     if isinstance(f, Forall):
         var = f.var
-        body = _compile_formula(f.body, domain, pmap, fmap, bound)
+        body = _compile_formula(f.body, domain, pmap, fmap)
 
         def forall(rels, fns, env, care):
             outer = env.get(var, _UNBOUND)
@@ -515,7 +516,7 @@ def _compile_formula(f, domain, pmap, fmap, bound):
         return forall
     if isinstance(f, Exists):
         var = f.var
-        body = _compile_formula(f.body, domain, pmap, fmap, bound)
+        body = _compile_formula(f.body, domain, pmap, fmap)
 
         def exists(rels, fns, env, care):
             outer = env.get(var, _UNBOUND)
@@ -545,7 +546,7 @@ def _one_candidate(relations, functions):
     return rels, fns
 
 
-def _truths(struct, formulas, interp, assignment, bound) -> list[bool]:
+def _truths(struct, formulas, interp, assignment) -> list[bool]:
     """The truth of each formula in turn, with the structure as one candidate."""
     rels, fns = _one_candidate(struct.relations, struct.functions)
     verdicts = []
@@ -557,7 +558,7 @@ def _truths(struct, formulas, interp, assignment, bound) -> list[bool]:
             interp.check_against(struct)
             pmap, fmap = interp.predicate_map, interp.function_map
         env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
-        evaluate = _compile_formula(formula, struct.domain, pmap, fmap, bound)
+        evaluate = _compile_formula(formula, struct.domain, pmap, fmap)
         verdicts.append(bool(evaluate(rels, fns, env, 1)))
     return verdicts
 
@@ -567,17 +568,15 @@ def holds(
     formula: Formula,
     interp: Interpretation | None = None,
     assignment: Mapping[str, DomainValue] | None = None,
-    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Truth of a possibly open formula under an explicit variable assignment."""
-    return _truths(struct, [formula], interp, assignment, max_magnitude)[0]
+    return _truths(struct, [formula], interp, assignment)[0]
 
 
 def satisfies(
     struct: RelationalStructure,
     sentence: Formula,
     interp: Interpretation | None = None,
-    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Tarski truth of a sentence in a structure under an interpretation.
 
@@ -588,20 +587,19 @@ def satisfies(
     free = free_variables(sentence)
     if free:
         raise FreeVariable(f"not a sentence, free variables: {', '.join(sorted(free))}")
-    return _truths(struct, [sentence], interp, None, max_magnitude)[0]
+    return _truths(struct, [sentence], interp, None)[0]
 
 
 def check_theory(
     theory: Theory,
     struct: RelationalStructure,
     interp: Interpretation | None = None,
-    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> list[bool]:
     """Per-sentence truth values; the structure models the theory iff all hold."""
     if interp is None:
         interp = Interpretation.identity(theory.signature)
     # a Theory holds sentences only, so satisfies' free-variable check is decided
-    return _truths(struct, theory.sentences, interp, None, max_magnitude)
+    return _truths(struct, theory.sentences, interp, None)
 
 
 # --- exhaustive model enumeration ---------------------------------------------
@@ -627,13 +625,7 @@ def _digit_set(total: int, stride: int, radix: int, digit: int) -> int:
         period *= 2
 
 
-def enumerate_models(
-    sig: Signature,
-    sentence: Formula,
-    domain_size: int,
-    domain_cap: int = ENUMERATION_DOMAIN_CAP,
-    count_cap: int = ENUMERATION_COUNT_CAP,
-) -> list[RelationalStructure]:
+def enumerate_models(sig: Signature, sentence: Formula, domain_size: int) -> list[RelationalStructure]:
     """All structures over a canonical domain of the given size that satisfy the sentence.
 
     Enumeration order is deterministic: relation extensions run through
@@ -646,8 +638,8 @@ def enumerate_models(
     """
     if domain_size < 1:
         raise SchemaError("domain size must be at least 1")
-    if domain_size > domain_cap:
-        raise CapExceeded(f"domain size {domain_size} exceeds cap {domain_cap}")
+    if domain_size > ENUMERATION_DOMAIN_CAP:
+        raise CapExceeded(f"domain size {domain_size} exceeds cap {ENUMERATION_DOMAIN_CAP}")
     for name, arity in sig.functions:
         if arity > 2:
             raise CapExceeded(f"function symbol {name!r} of arity {arity} > 2 not enumerable")
@@ -661,9 +653,9 @@ def enumerate_models(
     shape = [(2, domain_size**arity) for _, arity in sig.predicates]
     shape += [(domain_size, domain_size**arity) for _, arity in sig.functions]
     bits = sum(n * math.log2(radix) if n.bit_length() < 1000 else math.inf for radix, n in shape)
-    total = math.prod(radix**n for radix, n in shape) if bits <= count_cap.bit_length() else None
-    if total is None or total > count_cap:
-        raise CapExceeded(f"2^{bits:.6g} candidate structures exceed cap {count_cap}")
+    total = math.prod(radix**n for radix, n in shape) if bits <= ENUMERATION_COUNT_CAP.bit_length() else None
+    if total is None or total > ENUMERATION_COUNT_CAP:
+        raise CapExceeded(f"2^{bits:.6g} candidate structures exceed cap {ENUMERATION_COUNT_CAP}")
 
     domain = tuple(f"e{i}" for i in range(domain_size))
     # (name, arity, radix, is a relation): a relation's inputs are its tuples, each
@@ -749,7 +741,7 @@ def enumerate_models(
     # nonempty, every symbol of the signature has a table under its own
     # name (so no symbol map is needed), and the tokens e0, e1, ... are
     # not rational text, so coercion leaves them as they are.
-    evaluate = _compile_formula(sentence, domain, {}, {}, DEFAULT_MAGNITUDE_BOUND)
+    evaluate = _compile_formula(sentence, domain, {}, {})
     try:
         hits = evaluate(rels, fns, {}, (1 << total) - 1)
     except CddError:

@@ -305,21 +305,17 @@ def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Se
     """``is_box_feasible`` of the table's box with x_j fixed at x and x_k at y, for each (x, y) in xs × ys.
 
     Row-major.  The point's cells are the columns over [x, x] and [y, y].
-    Column k is +0.0 while the budget pair without cell j is taken; for
-    each x, column j holds the cells at x and charges them, and
-    ``table.fits`` charges the result again with the cells at each y.
+    For each x, column j holds the cells at x, and each point is decided
+    as a try of column k: ``table.fits`` of its cells at y, from the
+    budget pair of ``table.budgets(k)``.
     """
-    held_j, held_k = [row[j] for row in table.rows], [row[k] for row in table.rows]
-    table.write(k, [0.0] * len(held_k))
-    rests, noises = table.budgets(j)
-    table.write(k, held_k)
+    held_j = [row[j] for row in table.rows]
     columns_k = [table.column(k, y, y) for y in ys]
     verdicts = []
     for x in xs:
-        column_j = table.column(j, x, x)
-        table.write(j, column_j)
-        charged = table.charge(rests, noises, column_j)
-        verdicts += [table.fits(k, column_k, *charged) for column_k in columns_k]
+        table.write(j, table.column(j, x, x))
+        rests, noises = table.budgets(k)
+        verdicts += [table.fits(k, column_k, rests, noises) for column_k in columns_k]
     table.write(j, held_j)
     return verdicts
 

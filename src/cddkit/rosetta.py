@@ -29,8 +29,9 @@ import math
 from itertools import product
 from pathlib import Path
 
+from . import designspace
 from ._frozen import Frozen
-from .designspace import DesignProblem, _TermMax, grid_cap
+from .designspace import DesignProblem, _TermMax
 from .errors import CapExceeded
 from .orthotope import Orthotope, SolveResult, _slice_verdicts, expand_factor
 from .surface import Interval
@@ -125,12 +126,12 @@ def build_report(
     """Assemble the three matrices from a problem and an optional solution.
 
     ``resolution`` is r, the points per axis of an N cell; every cell has
-    at most r² points, which ``grid_cap()`` bounds.  A solution box must
-    lie in the ambient box and contain the seed.
+    at most r² points, which ``designspace.GRID_CAP`` bounds.  A solution
+    box must lie in the ambient box and contain the seed.
     """
-    count, cap = resolution * resolution, grid_cap()
-    if count > cap:
-        raise CapExceeded(f"report cell of {count} points exceeds cap {cap}")
+    count = resolution * resolution
+    if count > designspace.GRID_CAP:
+        raise CapExceeded(f"report cell of {count} points exceeds cap {designspace.GRID_CAP}")
     region = problem.region()
     axes = region.grid_axes(resolution)
     n = problem.dim

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cddkit import data_path
+from cddkit import data_path, designspace
 from cddkit.cli import main
 from cddkit.errors import SchemaError
 from cddkit.modeltheory import RelationalStructure, load_structure
@@ -157,7 +157,7 @@ def test_verify_grid_cap_bounds_the_lattice_not_the_step_replay(tmp_path, capsys
     args = ["verify", problem_path("emissions.json"), str(tmp_path / "emissions_solution.json")]
     default = run_cli(*args, capsys=capsys)
     default_json = run_cli(*args, "--json", capsys=capsys)
-    monkeypatch.setenv("CDD_MAX_GRID", "1000000")
+    monkeypatch.setattr(designspace, "GRID_CAP", 1_000_000)
     assert run_cli(*args, capsys=capsys) == default
     assert run_cli(*args, "--json", capsys=capsys) == default_json
     assert default[0] == 0 and default_json[0] == 0

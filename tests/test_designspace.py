@@ -8,8 +8,8 @@ from operator import add
 import numpy as np
 import pytest
 
-from cddkit import build_report, data_path, load_problem, quantify_requirement
-from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax, grid_cap, lattice_sum
+from cddkit import build_report, data_path, designspace, load_problem, quantify_requirement
+from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax, lattice_sum
 from cddkit.errors import (
     BoxOutsideAmbient,
     CapExceeded,
@@ -318,21 +318,17 @@ def test_grid_matches_pointwise_evaluation(emissions):
 
 def test_grid_cap(monkeypatch, emissions):
     # the cap bounds each grid axis, and each report cell's r² points
-    with pytest.raises(CapExceeded):
+    assert designspace.GRID_CAP == 10_000_000
+    with pytest.raises(CapExceeded, match="^axis of 10000001 points exceeds cap 10000000$"):
         emissions.region().grid_axes(10_000_001)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^report cell of 10004569 points exceeds cap 10000000$"):
         build_report(emissions, resolution=3163)
-    monkeypatch.setenv("CDD_MAX_GRID", "1000000001")
-    assert grid_cap() == 1000000001
-    monkeypatch.setenv("CDD_MAX_GRID", "10")
+    monkeypatch.setattr(designspace, "GRID_CAP", 10)
     assert len(emissions.region().grid_axes(10)[0]) == 10
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^axis of 11 points exceeds cap 10$"):
         emissions.region().grid_axes(11)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="^report cell of 16 points exceeds cap 10$"):
         build_report(emissions, resolution=4)
-    monkeypatch.setenv("CDD_MAX_GRID", "ten")
-    with pytest.raises(SchemaError):
-        grid_cap()
 
 
 def test_membership_invariant_under_variable_reordering(emissions):

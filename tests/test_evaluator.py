@@ -58,10 +58,11 @@ from cddkit.modeltheory import (
     parse_sentence,
     satisfies,
 )
+from cddkit.modeltheory import structures
 from cddkit.modeltheory.structures import (
-    DEFAULT_MAGNITUDE_BOUND,
     ENUMERATION_COUNT_CAP,
     ENUMERATION_DOMAIN_CAP,
+    MAGNITUDE_BOUND,
     DomainValue,
     coerce_value,
 )
@@ -149,7 +150,7 @@ def reference_check_well_formed(f, sig):
 
 # --- reference: the previous tree walker ---------------------------------------
 
-def _eval_term(term, struct, fmap, env, bound):
+def _eval_term(term, struct, fmap, env):
     if isinstance(term, Var):
         try:
             return env[term.name]
@@ -162,11 +163,11 @@ def _eval_term(term, struct, fmap, env, bound):
         fn = struct.functions.get(target)
         if fn is None:
             raise UnknownSymbol(f"structure has no function {target!r}")
-        args = tuple(_eval_term(a, struct, fmap, env, bound) for a in term.args)
+        args = tuple(_eval_term(a, struct, fmap, env) for a in term.args)
         if isinstance(fn, BuiltinFunction):
             if any(not isinstance(a, Fraction) for a in args):
                 raise CddError(f"builtin function {target!r} applied to a non-numeric value")
-            return fn.evaluate(args, bound)
+            return fn.evaluate(args)
         try:
             return fn[args]
         except KeyError:
@@ -174,44 +175,44 @@ def _eval_term(term, struct, fmap, env, bound):
     raise TypeError(f"not a term: {term!r}")
 
 
-def _eval_formula(f, struct, pmap, fmap, env, bound):
+def _eval_formula(f, struct, pmap, fmap, env):
     if isinstance(f, Atom):
         target = pmap.get(f.pred, f.pred)
         rel = struct.relations.get(target)
         if rel is None:
             raise UnknownSymbol(f"structure has no relation {target!r}")
-        args = tuple(_eval_term(a, struct, fmap, env, bound) for a in f.args)
+        args = tuple(_eval_term(a, struct, fmap, env) for a in f.args)
         return args in rel
     if isinstance(f, Eq):
-        return _eval_term(f.left, struct, fmap, env, bound) == _eval_term(
-            f.right, struct, fmap, env, bound
+        return _eval_term(f.left, struct, fmap, env) == _eval_term(
+            f.right, struct, fmap, env
         )
     if isinstance(f, Not):
-        return not _eval_formula(f.body, struct, pmap, fmap, env, bound)
+        return not _eval_formula(f.body, struct, pmap, fmap, env)
     if isinstance(f, And):
-        return _eval_formula(f.left, struct, pmap, fmap, env, bound) and _eval_formula(
-            f.right, struct, pmap, fmap, env, bound
+        return _eval_formula(f.left, struct, pmap, fmap, env) and _eval_formula(
+            f.right, struct, pmap, fmap, env
         )
     if isinstance(f, Or):
-        return _eval_formula(f.left, struct, pmap, fmap, env, bound) or _eval_formula(
-            f.right, struct, pmap, fmap, env, bound
+        return _eval_formula(f.left, struct, pmap, fmap, env) or _eval_formula(
+            f.right, struct, pmap, fmap, env
         )
     if isinstance(f, Implies):
-        return (not _eval_formula(f.left, struct, pmap, fmap, env, bound)) or _eval_formula(
-            f.right, struct, pmap, fmap, env, bound
+        return (not _eval_formula(f.left, struct, pmap, fmap, env)) or _eval_formula(
+            f.right, struct, pmap, fmap, env
         )
     if isinstance(f, Forall):
         for e in struct.domain:
             env2 = dict(env)
             env2[f.var] = e
-            if not _eval_formula(f.body, struct, pmap, fmap, env2, bound):
+            if not _eval_formula(f.body, struct, pmap, fmap, env2):
                 return False
         return True
     if isinstance(f, Exists):
         for e in struct.domain:
             env2 = dict(env)
             env2[f.var] = e
-            if _eval_formula(f.body, struct, pmap, fmap, env2, bound):
+            if _eval_formula(f.body, struct, pmap, fmap, env2):
                 return True
         return False
     raise TypeError(f"not a formula: {f!r}")
@@ -222,7 +223,6 @@ def reference_holds(
     formula: Formula,
     interp: Interpretation | None = None,
     assignment: Mapping[str, DomainValue] | None = None,
-    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Truth of a possibly open formula under an explicit variable assignment."""
     if reference_has_quantifier(formula) and not struct.domain:
@@ -233,14 +233,13 @@ def reference_holds(
         pmap = dict(interp.predicate_map)
         fmap = dict(interp.function_map)
     env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
-    return _eval_formula(formula, struct, pmap, fmap, env, max_magnitude)
+    return _eval_formula(formula, struct, pmap, fmap, env)
 
 
 def reference_satisfies(
     struct: RelationalStructure,
     sentence: Formula,
     interp: Interpretation | None = None,
-    max_magnitude: int = DEFAULT_MAGNITUDE_BOUND,
 ) -> bool:
     """Tarski truth of a sentence in a structure under an interpretation.
 
@@ -250,15 +249,13 @@ def reference_satisfies(
     free = reference_free_variables(sentence)
     if free:
         raise FreeVariable(f"not a sentence, free variables: {', '.join(sorted(free))}")
-    return reference_holds(struct, sentence, interp, None, max_magnitude)
+    return reference_holds(struct, sentence, interp, None)
 
 
 def reference_enumerate_models(
     sig: Signature,
     sentence: Formula,
     domain_size: int,
-    domain_cap: int = ENUMERATION_DOMAIN_CAP,
-    count_cap: int = ENUMERATION_COUNT_CAP,
 ) -> list[RelationalStructure]:
     """All structures over a canonical domain of the given size that
     satisfy the sentence.
@@ -269,8 +266,8 @@ def reference_enumerate_models(
     """
     if domain_size < 1:
         raise SchemaError("domain size must be at least 1")
-    if domain_size > domain_cap:
-        raise CapExceeded(f"domain size {domain_size} exceeds cap {domain_cap}")
+    if domain_size > ENUMERATION_DOMAIN_CAP:
+        raise CapExceeded(f"domain size {domain_size} exceeds cap {ENUMERATION_DOMAIN_CAP}")
     for name, arity in sig.functions:
         if arity > 2:
             raise CapExceeded(f"function symbol {name!r} of arity {arity} > 2 not enumerable")
@@ -291,8 +288,8 @@ def reference_enumerate_models(
         inputs = list(itertools.product(domain, repeat=arity))
         fn_inputs[name] = inputs
         total *= domain_size ** len(inputs)
-    if total > count_cap:
-        raise CapExceeded(f"{total} candidate structures exceed cap {count_cap}")
+    if total > ENUMERATION_COUNT_CAP:
+        raise CapExceeded(f"{total} candidate structures exceed cap {ENUMERATION_COUNT_CAP}")
 
     interp = Interpretation.identity(sig)
     pred_names = [n for n, _ in sig.predicates]
@@ -395,7 +392,7 @@ def _outcome(fn, *args, **kwargs):
         return type(exc)
 
 
-def test_holds_matches_reference_on_random_formulas():
+def test_holds_matches_reference_on_random_formulas(monkeypatch):
     rng = random.Random(20240717)
     seen = set()
     for _ in range(3000):
@@ -403,9 +400,9 @@ def test_holds_matches_reference_on_random_formulas():
         formula = _random_formula(rng, rng.randint(0, 4))
         assignment = _random_assignment(rng, struct)
         before = dict(assignment)
-        bound = rng.choice((20, DEFAULT_MAGNITUDE_BOUND))
-        expected = _outcome(reference_holds, struct, formula, None, assignment, bound)
-        assert _outcome(holds, struct, formula, None, assignment, bound) == expected, formula
+        monkeypatch.setattr(structures, "MAGNITUDE_BOUND", rng.choice((20, MAGNITUDE_BOUND)))
+        expected = _outcome(reference_holds, struct, formula, None, assignment)
+        assert _outcome(holds, struct, formula, None, assignment) == expected, formula
         assert assignment == before
         seen.add(expected)
     # every verdict and every evaluation error occurred

@@ -1,11 +1,12 @@
 """Each command loads only the layers it runs, and none loads numpy,
 ``dataclasses`` or ``inspect``; each form of ``cdd logic`` loads only its
-own ``modeltheory`` modules.
+own ``modeltheory`` modules.  No module reads an environment variable.
 
 The checks run in fresh interpreters, because this test process has
 long since imported everything.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -185,3 +186,20 @@ def test_readme_library_example_runs(tmp_path):
     example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     _python(example, cwd=tmp_path)
     assert (tmp_path / "out" / "emissions_M.svg").is_file()
+
+
+# the names through which Python code reads its process environment
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_an_environment_variable():
+    # every setting is a module constant or an argument, so a run depends on its inputs alone
+    package = Path(cddkit.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & ENVIRONMENT_READERS, path

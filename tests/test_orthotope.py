@@ -34,6 +34,7 @@ from cddkit.orthotope import (
     _admitted_interval,
     _expand_once,
     _quadratic_roots,
+    _slice_verdicts,
     _volume_search,
     auto_rank,
     expand_factor,
@@ -900,9 +901,21 @@ def test_sum_start_adds_left_to_right_on_this_python():
 # ``fits`` and ``face_slacks`` once charged the whole column with ``charge`` and then read
 # the two lists; the earlier forms, kept verbatim, are the references.
 
+def reference_charge(table, rests, noises, column):
+    """``_TermMax.charge``, verbatim: the budget pair charged with a column, as the lists of
+    ``rest - c`` and ``noise + spread * |c|``, each bound from ``limit`` on set to inf.
+    """
+    spread, limit, estimates, errors = table.spread, table.limit, [], []
+    for rest, noise, c in zip(rests, noises, column):
+        error = noise + spread * abs(c)
+        estimates.append(rest - c)
+        errors.append(error if error < limit else math.inf)
+    return estimates, errors
+
+
 def reference_fits(table, j, column, rests, noises):
     """``_TermMax.fits`` as it read ``charge``'s lists."""
-    for i, (estimate, error) in enumerate(zip(*table.charge(rests, noises, column))):
+    for i, (estimate, error) in enumerate(zip(*reference_charge(table, rests, noises, column))):
         if not (estimate > error or estimate < -error):
             estimate = table.slack(i, j, column[i])
         if not estimate >= 0.0:
@@ -912,7 +925,7 @@ def reference_fits(table, j, column, rests, noises):
 
 def reference_face_slacks(table, j, column, rests, noises):
     """The certificate's face check as it read ``charge``'s lists."""
-    estimates, errors = table.charge(rests, noises, column)
+    estimates, errors = reference_charge(table, rests, noises, column)
     if math.inf in errors:
         candidates = range(len(column))
     else:
@@ -997,6 +1010,73 @@ def test_single_pass_filters_match_the_charged_ones_at_the_edges(rests, noises, 
     noises = [marks[v] if isinstance(v, str) else v for v in noises]
     for j in (0, 1):
         _assert_filters_match(table, j, column, rests, noises)
+
+
+# --- N-cell points decided as tries against the twice-charged budget they replaced ---
+
+def reference_slice_verdicts(table, j, k, xs, ys):
+    """``orthotope._slice_verdicts`` as it charged one budget pair without cells j and k twice, verbatim."""
+    held_j, held_k = [row[j] for row in table.rows], [row[k] for row in table.rows]
+    table.write(k, [0.0] * len(held_k))
+    rests, noises = table.budgets(j)
+    table.write(k, held_k)
+    columns_k = [table.column(k, y, y) for y in ys]
+    verdicts = []
+    for x in xs:
+        column_j = table.column(j, x, x)
+        table.write(j, column_j)
+        charged = reference_charge(table, rests, noises, column_j)
+        verdicts += [table.fits(k, column_k, *charged) for column_k in columns_k]
+    table.write(j, held_j)
+    return verdicts
+
+
+# cells l*x + q*x*x that cancel (1e16, 1.0, -1e16, 1.0 left to right is 0.0, exactly 2.0),
+# tie, are subnormal or overflow to +-inf
+_SLICE_LINEAR = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, -1.0, 3.0, 1e16, -1e16, 1.7e308])
+_SLICE_QUADRATIC = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 0.25])
+_SLICE_POINTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_slice_verdicts_match_the_twice_charged_ones(data):
+    n, m = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 5))
+    linear, quadratic = (
+        data.draw(st.lists(st.lists(coeffs, min_size=n, max_size=n), min_size=m, max_size=m))
+        for coeffs in (_SLICE_LINEAR, _SLICE_QUADRATIC)
+    )
+    beta0s = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1e16]), min_size=m, max_size=m))
+    ends = data.draw(st.lists(st.lists(_SLICE_POINTS, min_size=2, max_size=2), min_size=n, max_size=n))
+    held = [Interval(*sorted(pair)) for pair in ends]
+    j, k = data.draw(st.permutations(range(n)))[:2]
+    xs, ys = (data.draw(st.lists(_SLICE_POINTS, min_size=1, max_size=5)) for _ in range(2))
+    surfaces = [
+        QuadraticResponseSurface(f"z{i}", "", beta0, tuple(l), tuple(q))
+        for i, (beta0, l, q) in enumerate(zip(beta0s, linear, quadratic))
+    ]
+
+    def cells(x, y):
+        """Each constraint's row with x_j at x and x_k at y, and its left-to-right sum from beta0."""
+        table = _TermMax([(s, 0.0) for s in surfaces], held)
+        table.write(j, table.column(j, x, x))
+        table.write(k, table.column(k, y, y))
+        return [reduce(add, row, s.beta0) for s, row in zip(surfaces, table.rows)]
+
+    # a bound is drawn, or the sum at one point of the slice, whose slack is then exactly 0.0
+    tie = cells(data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys)))
+    bounds = [
+        total if data.draw(st.booleans()) else data.draw(st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e16, math.inf]))
+        for total in tie
+    ]
+    table = _TermMax(list(zip(surfaces, bounds)), held)
+    before = [[c.hex() for c in row] for row in table.rows]
+    verdicts = _slice_verdicts(table, j, k, xs, ys)
+    assert verdicts == reference_slice_verdicts(table, j, k, xs, ys)
+    # each is the sign of the point's left-to-right slack, and the table is left as it was
+    expected = [all(b - z >= 0.0 for b, z in zip(bounds, cells(x, y))) for x in xs for y in ys]
+    assert verdicts == expected
+    assert [[c.hex() for c in row] for row in table.rows] == before
 
 
 # --- filtered expansion and certificate against the left-to-right ones they replaced ---

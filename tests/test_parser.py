@@ -64,7 +64,7 @@ def test_free_variable_rejected_for_sentences():
     sig = Signature(predicates=(("P", 1),))
     with pytest.raises(FreeVariable):
         parse_sentence("P(v1)", sig)
-    formula = parse_sentence("P(v1)", sig, require_sentence=False)
+    formula = parse_formula("P(v1)", sig)
     assert free_variables(formula) == {"v1"}
 
 

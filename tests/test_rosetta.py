@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import cddkit
-from cddkit import rosetta
+from cddkit import designspace, rosetta
 from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax
 from cddkit.errors import CapExceeded
 from cddkit.orthotope import Orthotope, _slice_verdicts, expand_factor, solve_greedy
@@ -278,7 +278,7 @@ def test_sample_points_match_numpy_reference():
 
 
 def test_report_cell_cap(monkeypatch, emissions):
-    monkeypatch.setenv("CDD_MAX_GRID", "100")
+    monkeypatch.setattr(designspace, "GRID_CAP", 100)
     assert len(build_report(emissions, resolution=10).m_cells[0].z_a) == 100
     with pytest.raises(CapExceeded, match="report cell of 121 points exceeds cap 100"):
         build_report(emissions, resolution=11)

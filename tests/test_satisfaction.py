@@ -36,7 +36,8 @@ from cddkit.modeltheory import (
     parse_sentence,
     satisfies,
 )
-from cddkit.modeltheory.structures import DEFAULT_MAGNITUDE_BOUND, coerce_value
+from cddkit.modeltheory import structures
+from cddkit.modeltheory.structures import coerce_value
 from cddkit.modeltheory.syntax import BODY_DEPTH_LIMIT
 
 from conftest import MALFORMED_JSON
@@ -115,7 +116,7 @@ def _nested_body(levels):
 
 def test_builtin_body_at_the_nesting_limit_evaluates():
     sq = BuiltinFunction(params=("x",), body=_nested_body(BODY_DEPTH_LIMIT))
-    assert sq.evaluate((Fraction(2),), DEFAULT_MAGNITUDE_BOUND) == 2 + BODY_DEPTH_LIMIT - 1
+    assert sq.evaluate((Fraction(2),)) == 2 + BODY_DEPTH_LIMIT - 1
     struct = RelationalStructure(domain=(0, 1), functions={"sq": sq})
     sig = Signature(functions=(("sq", 1),))
     assert satisfies(struct, parse_sentence("forall x. sq(x) = sq(x)", sig))
@@ -143,7 +144,7 @@ def test_builtin_body_that_contains_itself_is_refused(copies):
     assert time.perf_counter() - start < 0.5
 
 
-def test_arithmetic_magnitude_bound():
+def test_arithmetic_magnitude_bound(monkeypatch):
     struct = RelationalStructure(
         domain=(99,),
         functions={"sq": BuiltinFunction(params=("x",), body=["*", "x", "x"])},
@@ -153,9 +154,10 @@ def test_arithmetic_magnitude_bound():
         "forall v. sq(v) = 9801", Signature(functions=(("sq", 1),))
     )
     assert satisfies(struct, ok_sentence)
-    with pytest.raises(EvaluationOverflow):
-        satisfies(struct, ok_sentence, max_magnitude=100)
-    assert satisfies(struct, sentence, max_magnitude=100)
+    monkeypatch.setattr(structures, "MAGNITUDE_BOUND", 100)
+    with pytest.raises(EvaluationOverflow, match="^rational magnitude exceeds the configured bound 100$"):
+        satisfies(struct, ok_sentence)
+    assert satisfies(struct, sentence)
 
 
 def test_builtin_body_is_frozen():
@@ -174,7 +176,7 @@ def test_builtin_body_is_frozen():
     assert k.body == ("-", "x", ("*", 2, "y"))
     assert k == BuiltinFunction(params=("x", "y"), body=["-", "x", ["*", 2, "y"]])
     # evaluation, and a pickle or deep-copy round trip, are unchanged
-    assert k.evaluate((Fraction(5), Fraction(1)), 100) == 3
+    assert k.evaluate((Fraction(5), Fraction(1))) == 3
     sig = Signature(predicates=(), functions=(("k", 2),))
     sentence = parse_sentence("forall v. k(v, 0) = v", sig)
     for copied in (pickle.loads(pickle.dumps(struct)), copy.deepcopy(struct)):
@@ -335,7 +337,7 @@ def test_enumeration_caps():
         enumerate_models(big, parse_sentence("forall v. R(v,v)", big), 4)
 
 
-def test_enumeration_cap_is_decided_before_the_count_is_built():
+def test_enumeration_cap_is_decided_before_the_count_is_built(monkeypatch):
     # 2^16384 candidates: a count with 4,933 digits, which Python refuses to format
     sig = Signature(predicates=(("R", 7),))
     sentence = parse_sentence("forall x. R(x, x, x, x, x, x, x)", sig)
@@ -348,15 +350,19 @@ def test_enumeration_cap_is_decided_before_the_count_is_built():
     # the cap is exact: 2^16 candidates pass a cap of 2^16 and exceed one of 2^16 - 1
     sig = Signature(predicates=(("R", 2),))
     sentence = parse_sentence("forall x. R(x, x)", sig)
-    assert len(enumerate_models(sig, sentence, 4, count_cap=2**16)) == 2**12
-    with pytest.raises(CapExceeded, match=r"^2\^16 candidate"):
-        enumerate_models(sig, sentence, 4, count_cap=2**16 - 1)
+    monkeypatch.setattr(structures, "ENUMERATION_COUNT_CAP", 2**16)
+    assert len(enumerate_models(sig, sentence, 4)) == 2**12
+    monkeypatch.setattr(structures, "ENUMERATION_COUNT_CAP", 2**16 - 1)
+    with pytest.raises(CapExceeded, match=r"^2\^16 candidate structures exceed cap 65535$"):
+        enumerate_models(sig, sentence, 4)
     # 3^3 function tables: 27 candidates
     sig = Signature(functions=(("f", 1),))
     sentence = parse_sentence("forall x. f(x) = x", sig)
-    assert len(enumerate_models(sig, sentence, 3, count_cap=27)) == 1
-    with pytest.raises(CapExceeded, match=r"^2\^4\.75489 candidate"):
-        enumerate_models(sig, sentence, 3, count_cap=26)
+    monkeypatch.setattr(structures, "ENUMERATION_COUNT_CAP", 27)
+    assert len(enumerate_models(sig, sentence, 3)) == 1
+    monkeypatch.setattr(structures, "ENUMERATION_COUNT_CAP", 26)
+    with pytest.raises(CapExceeded, match=r"^2\^4\.75489 candidate structures exceed cap 26$"):
+        enumerate_models(sig, sentence, 3)
 
 
 def test_enumeration_with_function_symbols():
