@@ -6,12 +6,12 @@ nodes.  First-order only: a relation node may not reference another
 relation node.  Translation introduces one existential variable per
 unfixed concept, one constant (or rational literal) per fixed referent,
 a monadic type atom per concept, and one relation atom per relation
-node.
+node.  Every name is checked once, by the graph's ``Signature``.
 """
 
 from __future__ import annotations
 
-import re
+import itertools
 from fractions import Fraction
 
 from .._frozen import Frozen
@@ -33,16 +33,12 @@ from .syntax import (
 
 __all__ = ["ConceptNode", "RelationNode", "ConceptualGraph", "graph_to_sentence", "load_graph"]
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
 
 class ConceptNode(Frozen):
     __slots__ = ("id", "type", "referent")
 
     # the referent as read from JSON
     def __init__(self, id: str, type: str, referent: str | int | float | Fraction | None = None):
-        if not _IDENT.match(type):
-            raise SchemaError(f"concept type {type!r} is not an identifier")
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "referent", referent)
@@ -53,8 +49,6 @@ class RelationNode(Frozen):
 
     def __init__(self, name: str, args: tuple[str, ...], id: str | None = None):
         args = tuple(args)  # concept node ids, ordered
-        if not _IDENT.match(name):
-            raise SchemaError(f"relation name {name!r} is not an identifier")
         if len(args) < 1:
             raise SchemaError(f"relation {name!r} needs at least one argument")
         object.__setattr__(self, "name", name)
@@ -91,25 +85,21 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
 
     Returns the derived signature and a closed existential sentence:
     a conjunction of one type atom per concept and one atom per
-    relation node, quantifying over concepts without referents.  A
-    sentence more than ``SENTENCE_DEPTH_LIMIT`` levels deep, which the
-    syntax nodes' constructor refuses, is refused with the graph's own
-    message: about 250 concepts without referents, each of which adds an
-    ``exists`` and an ``and``.
+    relation node, quantifying over concepts without referents.  The
+    signature, of the concept types, relation names and constant
+    referents, refuses a name the parser would not read, and each
+    variable is the next ``v<n>`` it does not declare.  A sentence more
+    than ``SENTENCE_DEPTH_LIMIT`` levels deep, which the syntax nodes'
+    constructor refuses, is refused with the graph's own message: about
+    250 concepts without referents, each of which adds an ``exists`` and
+    an ``and``.
     """
     terms: dict[str, Term] = {}
-    variables = []
     constants = []
-    counter = 0
     for c in graph.concepts:
         if c.referent is None:
-            counter += 1
-            name = f"v{counter}"
-            variables.append(name)
-            terms[c.id] = Var(name)
-        elif isinstance(c.referent, str) and not RATIONAL_LITERAL.fullmatch(c.referent):
-            if not _IDENT.match(c.referent):
-                raise SchemaError(f"referent {c.referent!r} is neither a rational nor an identifier")
+            continue
+        if isinstance(c.referent, str) and not RATIONAL_LITERAL.fullmatch(c.referent):
             constants.append(c.referent)
             terms[c.id] = Apply(c.referent, ())
         else:
@@ -134,6 +124,13 @@ def graph_to_sentence(graph: ConceptualGraph) -> tuple[Signature, Formula]:
         predicates=tuple(sorted(predicates.items())),
         functions=tuple((name, 0) for name in sorted(set(constants))),
     )
+    declared = {*predicates, *constants}
+    names = (f"v{n}" for n in itertools.count(1))
+    variables = []
+    for c in graph.concepts:
+        if c.referent is None:
+            variables.append(next(n for n in names if n not in declared))
+            terms[c.id] = Var(variables[-1])
 
     atoms: list[Formula] = [Atom(c.type, (terms[c.id],)) for c in graph.concepts]
     atoms += [Atom(r.name, tuple(terms[a] for a in r.args)) for r in graph.relations]

@@ -8,9 +8,9 @@
     term     := ident | rational | ident "(" termlist ")"
 
 Quantifiers are prenex.  Precedence: "not" binds tightest, then "and",
-then "or", then "->" (right associative).  Identifiers are C-style.
-Whether an identifier is a variable, a constant, or a function is
-decided by the signature, so parsing requires one.
+then "or", then "->" (right associative).  Identifiers are C-style, as
+``syntax.IDENTIFIER`` and ``KEYWORDS`` say.  Whether one is a variable, a
+constant, or a function is decided by the signature, so parsing needs one.
 
 A sentence opens at most ``PARENTHESIS_LIMIT`` parentheses and argument
 lists inside one another, and its syntax tree, counting every quantifier,
@@ -27,6 +27,8 @@ import re
 from .._frozen import Frozen
 from ..errors import ArityMismatch, FreeVariable, ParseError, SchemaError, UnknownSymbol
 from .syntax import (
+    IDENTIFIER,
+    KEYWORDS,
     PARENTHESIS_LIMIT,
     RATIONAL_LITERAL,
     And,
@@ -49,13 +51,11 @@ from .syntax import (
 
 __all__ = ["parse_sentence", "parse_formula"]
 
-KEYWORDS = {"forall", "exists", "and", "or", "not"}
-
 _TOKEN = re.compile(
     rf"""
     (?P<ws>\s+)
   | (?P<number>{RATIONAL_LITERAL.pattern})
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>{IDENTIFIER.pattern})
   | (?P<arrow>->)
   | (?P<punct>[().,=])
     """,

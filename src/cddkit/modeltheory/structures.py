@@ -131,11 +131,14 @@ class BuiltinFunction(Frozen):
                     else:
                         result = result * a
             if abs(result.numerator) > MAGNITUDE_BOUND or result.denominator > MAGNITUDE_BOUND:
-                raise EvaluationOverflow(
-                    f"rational magnitude exceeds the configured bound {MAGNITUDE_BOUND}"
-                )
+                raise EvaluationOverflow(f"rational magnitude exceeds the bound {_power_text(MAGNITUDE_BOUND)}")
             return result
         raise SchemaError(f"malformed arithmetic expression {node!r}")
+
+
+def _power_text(n: int) -> str:
+    """``n`` as ``10^k`` when it is a power of ten, else in digits."""
+    return f"10^{len(str(n)) - 1}" if str(n).rstrip("0") == "1" else str(n)
 
 
 def _frozen_body(node, level=1):
@@ -294,20 +297,22 @@ class Interpretation(Frozen):
             target = self.predicate_map[name]
             if target not in struct.relations:
                 raise UnknownSymbol(f"structure has no relation {target!r} for symbol {name!r}")
-            actual = struct.relation_arity(target)
-            if actual is not None and actual != arity:
-                raise ArityMismatch(
-                    f"relation {target!r} has arity {actual}, symbol {name!r} needs {arity}"
-                )
+            _check_arity(struct, "predicate", target, name, arity)
         for name, arity in self.signature.functions:
             target = self.function_map[name]
             if target not in struct.functions:
                 raise UnknownSymbol(f"structure has no function {target!r} for symbol {name!r}")
-            actual = struct.function_arity(target)
-            if actual is not None and actual != arity:
-                raise ArityMismatch(
-                    f"function {target!r} has arity {actual}, symbol {name!r} needs {arity}"
-                )
+            _check_arity(struct, "function", target, name, arity)
+
+
+def _check_arity(struct: RelationalStructure, kind: str, target: str, name: str, needed: int) -> None:
+    """Refuse the structure's ``target`` for symbol ``name`` if its arity is known and not ``needed``."""
+    if kind == "predicate":
+        noun, actual = "relation", struct.relation_arity(target)
+    else:
+        noun, actual = "function", struct.function_arity(target)
+    if actual is not None and actual != needed:
+        raise ArityMismatch(f"{noun} {target!r} has arity {actual}, symbol {name!r} needs {needed}")
 
 
 class Theory(Frozen):
@@ -495,44 +500,29 @@ def _compile_formula(f, domain, pmap, fmap):
             return (care ^ hit) | right(rels, fns, env, hit) if hit else care
 
         return implies
-    if isinstance(f, Forall):
+    if isinstance(f, (Forall, Exists)):
         var = f.var
         body = _compile_formula(f.body, domain, pmap, fmap)
+        universal = isinstance(f, Forall)
 
-        def forall(rels, fns, env, care):
+        def quantifier(rels, fns, env, care):
+            # rest, the undecided candidates: forall keeps those where the body held
+            # on every element so far, exists those with no witness yet (∀ = ¬∃¬)
             outer = env.get(var, _UNBOUND)
-            alive = care
+            rest = care
             for e in domain:
                 env[var] = e
-                alive = body(rels, fns, env, alive)
-                if not alive:
+                hit = body(rels, fns, env, rest)
+                rest = hit if universal else rest ^ hit
+                if not rest:
                     break
             if outer is _UNBOUND:
                 del env[var]
             else:
                 env[var] = outer
-            return alive
+            return rest if universal else care ^ rest
 
-        return forall
-    if isinstance(f, Exists):
-        var = f.var
-        body = _compile_formula(f.body, domain, pmap, fmap)
-
-        def exists(rels, fns, env, care):
-            outer = env.get(var, _UNBOUND)
-            pending = care
-            for e in domain:
-                env[var] = e
-                pending ^= body(rels, fns, env, pending)
-                if not pending:
-                    break
-            if outer is _UNBOUND:
-                del env[var]
-            else:
-                env[var] = outer
-            return care ^ pending
-
-        return exists
+        return quantifier
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -557,6 +547,9 @@ def _truths(struct, formulas, interp, assignment) -> list[bool]:
         if interp is not None:
             interp.check_against(struct)
             pmap, fmap = interp.predicate_map, interp.function_map
+        # a symbol the structure lacks raises UnknownSymbol where it is reached
+        for kind, name, count in formula._symbols:
+            _check_arity(struct, kind, (pmap if kind == "predicate" else fmap).get(name, name), name, count)
         env = {k: coerce_value(v) for k, v in (assignment or {}).items()}
         evaluate = _compile_formula(formula, struct.domain, pmap, fmap)
         verdicts.append(bool(evaluate(rels, fns, env, 1)))

@@ -291,11 +291,17 @@ Formula = Union[Atom, Eq, Not, And, Or, Implies, Forall, Exists]
 
 # --- signatures ------------------------------------------------------------
 
+# the one spelling of a symbol name, which the lexer and Signature both read
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+KEYWORDS = frozenset({"forall", "exists", "and", "or", "not"})
+
+
 class Signature(Frozen):
     """Predicate and function symbols with fixed arities.
 
     Equality is built in and never declared.  Nullary function symbols
-    are the language's constants.
+    are the language's constants.  Every name is a whole ``IDENTIFIER``
+    and not one of the ``KEYWORDS``, so the parser reads each one back.
     """
 
     __slots__ = ("predicates", "functions")
@@ -308,12 +314,14 @@ class Signature(Frozen):
         names = [n for n, _ in predicates] + [n for n, _ in functions]
         if len(set(names)) != len(names):
             raise SchemaError("symbol names must be unique across predicates and functions")
-        for n, a in predicates:
-            if a < 1:
-                raise SchemaError(f"predicate {n!r} must have arity >= 1")
-        for n, a in functions:
-            if a < 0:
-                raise SchemaError(f"function {n!r} must have arity >= 0")
+        for kind, entries, least in (("predicate", predicates, 1), ("function", functions, 0)):
+            for n, a in entries:
+                if n in KEYWORDS:
+                    raise SchemaError(f"{kind} symbol {n!r} is a keyword")
+                if not IDENTIFIER.fullmatch(n):
+                    raise SchemaError(f"{kind} symbol {n!r} is not an identifier")
+                if a < least:
+                    raise SchemaError(f"{kind} {n!r} must have arity >= {least}")
         object.__setattr__(self, "predicates", predicates)
         object.__setattr__(self, "functions", functions)
 

@@ -1050,9 +1050,11 @@ def test_structure_repeating_a_function_argument_after_coercion_is_refused():
         '{"signature": {"predicates": [["R", "a"]]}, "sentences": []}',
         '{"signature": {"predicates": [["R", 0]]}, "sentences": []}',
         '{"signature": {"predicates": [["R", 1]], "functions": [["R", 0]]}, "sentences": []}',
+        '{"signature": {"predicates": [["or", 1]]}, "sentences": []}',
+        '{"signature": {"functions": [["a b", 0]]}, "sentences": []}',
     ],
     ids=["sentence-5", "sentences-string", "signature-array", "predicates-7",
-         "arity-text", "arity-0", "duplicate-name"],
+         "arity-text", "arity-0", "duplicate-name", "keyword-name", "name-with-space"],
 )
 def test_logic_malformed_theory_exits_2(tmp_path, capsys, text):
     _logic_exits_2(tmp_path, capsys, "theory", text)
@@ -1080,6 +1082,33 @@ def test_logic_malformed_theory_exits_2(tmp_path, capsys, text):
 )
 def test_logic_malformed_graph_exits_2(tmp_path, capsys, text):
     _logic_exits_2(tmp_path, capsys, "graph", text)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_logic_graph_with_a_keyword_type_exits_2(tmp_path, capsys, mode):
+    # `exists v1. not(v1)` would not parse back: the graph's signature refuses the name
+    (tmp_path / "graph.json").write_text(json.dumps({"concepts": [{"id": "c", "type": "not"}]}))
+    code, out, err = run_cli("logic", "--graph", str(tmp_path / "graph.json"), *mode, capsys=capsys)
+    assert (code, out, err) == (2, "", "error: predicate symbol 'not' is a keyword\n")
+
+
+def test_logic_graph_variables_skip_declared_names(tmp_path, capsys):
+    # the constant v1 and the types v2 and v4 are declared, so the variables are v3 and v5
+    graph = {
+        "concepts": [{"id": "c", "type": "v2"}, {"id": "d", "type": "U", "referent": "v1"},
+                     {"id": "e", "type": "v4"}],
+        "relations": [{"name": "R", "args": ["c", "d", "e"]}],
+    }
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    code, out, err = run_cli("logic", "--graph", str(tmp_path / "graph.json"), "--json", capsys=capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["sentence"] == "exists v3. exists v5. v2(v3) and U(v1) and v4(v5) and R(v3, v1, v5)"
+    theory = {"signature": doc["signature"], "sentences": [doc["sentence"]]}
+    structure = {"domain": [0], "relations": {"v2": [[0]], "U": [[0]], "v4": [[0]], "R": [[0, 0, 0]]},
+                 "functions": {"v1": 0}}
+    code, out, err = _run_logic(tmp_path, capsys, theory, structure)
+    assert (code, out.splitlines()[-1], err) == (0, "model: yes", "")
 
 
 def test_logic_graph_number_referents_are_exact_rationals(tmp_path, capsys):

@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cddkit import data_path
 from cddkit.errors import HigherOrderGraph, SchemaError
@@ -180,3 +183,69 @@ def test_translation_with_referents_is_satisfiable():
     sig, sentence = graph_to_sentence(graph)
     struct = canonical_structure(graph, sig)
     assert satisfies(struct, sentence)
+
+
+# --- every name the parser reads back, and no other ---------------------------------
+
+# the names a graph may hold: identifiers (some spelled like the variables v1,
+# v2), and keywords, identifiers with a newline or a space, and numbers
+IDENTIFIERS = ("T", "U", "R", "v1", "v2", "v3")
+NAMES = (*IDENTIFIERS, "not", "exists", "and", "T\n", "a b", "", "7", "1/2", "-3")
+
+
+def _accepted(graph):
+    """Whether the graph's names and arities make a signature, decided without the kernel."""
+    identifier = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    arities = {}
+    for name, arity in [(c.type, 1) for c in graph.concepts] + [(r.name, len(r.args)) for r in graph.relations]:
+        if arities.setdefault(name, arity) != arity:
+            return False
+    constants = {c.referent for c in graph.concepts if isinstance(c.referent, str)
+                 and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c.referent)}
+    names = set(arities) | constants
+    return not (set(arities) & constants) and all(
+        identifier.match(n) and n not in {"forall", "exists", "and", "or", "not"} for n in names
+    )
+
+
+@st.composite
+def graphs(draw):
+    # half the graphs take identifiers only, so that many are accepted
+    names = st.sampled_from(draw(st.sampled_from((IDENTIFIERS, NAMES))))
+    referents = st.one_of(st.none(), names, st.integers(-2, 2))
+    concepts = tuple(ConceptNode(f"c{i}", draw(names), draw(referents)) for i in range(draw(st.integers(1, 4))))
+    ids = [c.id for c in concepts]
+    relations = tuple(
+        RelationNode(draw(names), tuple(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3))))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return ConceptualGraph(concepts, relations)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(graphs())
+def test_an_accepted_graph_reads_back_and_any_other_is_refused(graph):
+    if not _accepted(graph):
+        with pytest.raises(SchemaError):
+            graph_to_sentence(graph)
+        return
+    sig, sentence = graph_to_sentence(graph)
+    assert parse_sentence(to_text(sentence), sig) == sentence
+
+
+@pytest.mark.parametrize(
+    "concepts, relations, message",
+    [
+        ((ConceptNode("a", "not"),), (), "predicate symbol 'not' is a keyword"),
+        ((ConceptNode("a", "T\n"),), (), "predicate symbol 'T\\n' is not an identifier"),
+        ((ConceptNode("a", "T"),), (RelationNode("R\n", ("a",)),), "predicate symbol 'R\\n' is not an identifier"),
+        ((ConceptNode("a", "T", "or"),), (), "function symbol 'or' is a keyword"),
+        ((ConceptNode("a", "T", "x y"),), (), "function symbol 'x y' is not an identifier"),
+    ],
+    ids=["keyword-type", "newline-type", "newline-relation", "keyword-referent", "spaced-referent"],
+)
+def test_the_signature_refuses_a_name_the_parser_would_not_read(concepts, relations, message):
+    graph = ConceptualGraph(concepts, relations)  # the nodes take any name; the signature decides
+    with pytest.raises(SchemaError) as info:
+        graph_to_sentence(graph)
+    assert str(info.value) == message

@@ -217,6 +217,30 @@ def test_signature_rejects_bad_symbols_with_schema_error():
     assert Signature.from_json({"predicates": [["R", 2]]}) == Signature(predicates=(("R", 2),))
 
 
+KEYWORD_NAMES = ("forall", "exists", "and", "or", "not")
+
+
+@pytest.mark.parametrize("name", [*KEYWORD_NAMES, "", "R\n", " R", "a b", "1x", "7", "x-y", "é"])
+def test_signature_declares_only_identifiers_that_are_not_keywords(name):
+    fault = "is a keyword" if name in KEYWORD_NAMES else "is not an identifier"
+    with pytest.raises(SchemaError) as info:
+        Signature(predicates=((name, 1),))
+    assert str(info.value) == f"predicate symbol {name!r} {fault}"
+    with pytest.raises(SchemaError) as info:
+        Signature.from_json({"functions": [["c", 0], [name, 0]]})
+    assert str(info.value) == f"function symbol {name!r} {fault}"
+
+
+def test_the_lexer_reads_the_signature_name_rule():
+    from cddkit.modeltheory import parser, syntax
+
+    assert parser.KEYWORDS is syntax.KEYWORDS and parser.IDENTIFIER is syntax.IDENTIFIER
+    # every declarable name is one identifier token, and every keyword is refused
+    sig = Signature(predicates=(("_P9", 1), ("forall_", 1), ("Not", 1)), functions=(("exists2", 0),))
+    sentence = parse_sentence("_P9(exists2) and forall_(exists2) and Not(exists2)", sig)
+    assert parse_sentence(to_text(sentence), sig) == sentence
+
+
 # --- nesting limits ----------------------------------------------------------------
 
 DEEP_SIG = Signature(predicates=(("P", 1),), functions=(("a", 0), ("f", 1)))

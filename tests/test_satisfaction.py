@@ -14,15 +14,25 @@ import pytest
 
 import cddkit
 from cddkit import data_path
-from cddkit.errors import CapExceeded, DomainEmpty, EvaluationOverflow, FreeVariable, SchemaError
+from cddkit.errors import (
+    ArityMismatch,
+    CapExceeded,
+    DomainEmpty,
+    EvaluationOverflow,
+    FreeVariable,
+    SchemaError,
+    UnknownSymbol,
+)
 from cddkit.modeltheory import (
     And,
+    Apply,
     Atom,
     BuiltinFunction,
     Eq,
     Exists,
     Forall,
     Interpretation,
+    Lit,
     Not,
     Or,
     RelationalStructure,
@@ -154,10 +164,17 @@ def test_arithmetic_magnitude_bound(monkeypatch):
         "forall v. sq(v) = 9801", Signature(functions=(("sq", 1),))
     )
     assert satisfies(struct, ok_sentence)
+    # the bound is stated as a power of ten, not in its 101 digits
+    sq7 = "sq(" * 7 + "10" + ")" * 7
+    with pytest.raises(EvaluationOverflow, match=r"^rational magnitude exceeds the bound 10\^100$"):
+        holds(struct, parse_sentence(f"{sq7} = 0", Signature(functions=(("sq", 1),))))
     monkeypatch.setattr(structures, "MAGNITUDE_BOUND", 100)
-    with pytest.raises(EvaluationOverflow, match="^rational magnitude exceeds the configured bound 100$"):
+    with pytest.raises(EvaluationOverflow, match=r"^rational magnitude exceeds the bound 10\^2$"):
         satisfies(struct, ok_sentence)
     assert satisfies(struct, sentence)
+    monkeypatch.setattr(structures, "MAGNITUDE_BOUND", 9000)
+    with pytest.raises(EvaluationOverflow, match="^rational magnitude exceeds the bound 9000$"):
+        satisfies(struct, ok_sentence)
 
 
 def test_builtin_body_is_frozen():
@@ -183,6 +200,29 @@ def test_builtin_body_is_frozen():
         assert copied == struct and hash(copied) == hash(struct)
         assert copied.functions["k"].body == k.body
         assert satisfies(copied, sentence) and satisfies(struct, sentence)
+
+
+def test_a_symbol_used_with_another_arity_than_the_structure_gives_is_refused():
+    # without the check, zip dropped sq's extra argument and R(x) matched no pair
+    binary = RelationalStructure(domain=("a", "b"), relations={"R": [("a", "b")]})
+    with pytest.raises(ArityMismatch) as info:
+        satisfies(binary, Forall("x", Not(Atom("R", (Var("x"),)))))
+    assert str(info.value) == "relation 'R' has arity 2, symbol 'R' needs 1"
+    squares = RelationalStructure(domain=(0, 1), functions={"sq": BuiltinFunction(("x",), ["*", "x", "x"])})
+    with pytest.raises(ArityMismatch) as info:
+        holds(squares, Eq(Apply("sq", (Lit(Fraction(2)), Lit(Fraction(3)))), Lit(Fraction(4))))
+    assert str(info.value) == "function 'sq' has arity 1, symbol 'sq' needs 2"
+    # through an interpretation the message names the structure's symbol, as check_against does
+    sig = Signature(predicates=(("Red", 1),))
+    interp = Interpretation(signature=sig, predicate_map={"Red": "painted"}, function_map={})
+    painted = RelationalStructure(domain=("a",), relations={"painted": [("a",)]})
+    with pytest.raises(ArityMismatch, match="^relation 'painted' has arity 1, symbol 'Red' needs 2$"):
+        holds(painted, Atom("Red", (Var("x"), Var("x"))), interp, {"x": "a"})
+    # a symbol the structure lacks is still refused only where it is reached
+    assert satisfies(binary, Or(Exists("x", Atom("R", (Var("x"), Var("x")))), Forall("x", Eq(Var("x"), Var("x")))))
+    assert satisfies(binary, Or(Forall("x", Eq(Var("x"), Var("x"))), Atom("Q", (Apply("c"),))))
+    with pytest.raises(UnknownSymbol):
+        satisfies(binary, Exists("x", Atom("Q", (Var("x"),))))
 
 
 def test_interpretation_maps_symbols_to_structure_names():
