@@ -32,7 +32,6 @@ __all__ = [
     "ObjectiveConstraint",
     "DesignProblem",
     "FeasibleRegion",
-    "lattice_sum",
     "load_problem",
     "quantify_requirement",
 ]
@@ -224,18 +223,6 @@ class FeasibleRegion(Frozen):
         return axes
 
 
-def lattice_sum(beta0: float, per_axis: Sequence[Sequence[float]]) -> list[float]:
-    """``beta0`` plus ``per_axis[j]`` along each axis j of their product lattice, row-major.
-
-    The one lattice evaluator: it adds in the order of ``evaluate``, so
-    every entry equals the scalar evaluation bit for bit.
-    """
-    total = [beta0]
-    for axis in per_axis:
-        total = [t + v for t in total for v in axis]
-    return total
-
-
 # --- term-max table ----------------------------------------------------------
 
 _FLOAT_EPS = 2.220446049250313e-16
@@ -281,14 +268,14 @@ class _TermMax:
     ``names`` the constrained surfaces, in constraint order.
 
     It also holds the one float filter of expansion tries, face pushes,
-    grid replay points and ROSETTA slice points (README, "Verification
-    notes"): ``budgets`` gives a budget pair, the parallel lists
-    ``(rests, noises)``.  Charged with a column, a budget gives each
-    constraint's slack estimate ``rest - c`` and its error bound
+    grid replay points, ROSETTA slice points and the oracle's max-volume
+    boxes (README, "Verification notes"): ``budgets`` gives a budget pair,
+    the parallel lists ``(rests, noises)``.  Charged with a column, a budget
+    gives each constraint's slack estimate ``rest - c`` and its error bound
     ``noise + spread * |c|``, inf from ``limit`` on.  ``fits`` is the sign
-    test of a try, which grid replay and slice points are too, and
-    ``face_slacks`` the least slack of a face push, each charging the
-    budget in one pass over the column; ``slack`` is the one
+    test of a try, which grid replay points, slice points and max-volume
+    boxes are too, and ``face_slacks`` the least slack of a face push, each
+    charging the budget in one pass over the column; ``slack`` is the one
     left-to-right sum they both fall back to.
     """
 

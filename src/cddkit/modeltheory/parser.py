@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .._frozen import Frozen
-from ..errors import ArityMismatch, FreeVariable, ParseError, SchemaError, UnknownSymbol
+from ..errors import FreeVariable, ParseError, SchemaError, UnknownSymbol
 from .syntax import (
     IDENTIFIER,
     KEYWORDS,
@@ -45,6 +45,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    check_well_formed,
     coerce_value,
     free_variables,
 )
@@ -201,13 +202,7 @@ class _Parser:
             return inner
         if tok.kind == "ident" and self.sig.predicate_arity(tok.text) is not None:
             self.advance()
-            args = self.termlist(tok)
-            arity = self.sig.predicate_arity(tok.text)
-            if arity != len(args):
-                raise ArityMismatch(
-                    f"predicate {tok.text!r} expects {arity} arguments, got {len(args)}"
-                )
-            return Atom(tok.text, args)
+            return Atom(tok.text, self.termlist(tok))
         left = self.term()
         self.expect("=", "'=' after a term")
         right = self.term()
@@ -245,12 +240,7 @@ class _Parser:
         if func_arity is not None:
             if func_arity == 0:
                 return Apply(name, ())
-            args = self.termlist(tok)
-            if func_arity != len(args):
-                raise ArityMismatch(
-                    f"function {name!r} expects {func_arity} arguments, got {len(args)}"
-                )
-            return Apply(name, args)
+            return Apply(name, self.termlist(tok))
         if self.sig.predicate_arity(name) is not None:
             raise ParseError(f"predicate {name!r} used as a term", tok.pos)
         if self.current.kind == "(":
@@ -259,8 +249,14 @@ class _Parser:
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse without requiring closedness; free variables are allowed."""
-    return _Parser(text, sig).sentence()
+    """Parse without requiring closedness; free variables are allowed.
+
+    The parser reads any argument count, and ``check_well_formed`` decides
+    the arities of the whole tree after it.
+    """
+    formula = _Parser(text, sig).sentence()
+    check_well_formed(formula, sig)
+    return formula
 
 
 def parse_sentence(text: str, sig: Signature) -> Formula:

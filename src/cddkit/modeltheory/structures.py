@@ -256,7 +256,8 @@ class RelationalStructure(Frozen):
             return None
         if isinstance(fn, BuiltinFunction):
             return fn.arity
-        return len(next(iter(fn))) if fn else 0
+        # the constructor refuses an empty table: an arity-0 table needs 0**0 = 1 entry
+        return len(next(iter(fn)))
 
 
 class Interpretation(Frozen):
@@ -537,16 +538,16 @@ def _one_candidate(relations, functions):
 
 
 def _truths(struct, formulas, interp, assignment) -> list[bool]:
-    """The truth of each formula in turn, with the structure as one candidate."""
+    """The truth of each formula in turn, with the structure as one candidate; one interpretation check."""
     rels, fns = _one_candidate(struct.relations, struct.functions)
+    pmap, fmap = {}, {}
+    if interp is not None:
+        interp.check_against(struct)
+        pmap, fmap = interp.predicate_map, interp.function_map
     verdicts = []
     for formula in formulas:
         if has_quantifier(formula) and not struct.domain:
             raise DomainEmpty("quantified formula over an empty domain")
-        pmap, fmap = {}, {}
-        if interp is not None:
-            interp.check_against(struct)
-            pmap, fmap = interp.predicate_map, interp.function_map
         # a symbol the structure lacks raises UnknownSymbol where it is reached
         for kind, name, count in formula._symbols:
             _check_arity(struct, kind, (pmap if kind == "predicate" else fmap).get(name, name), name, count)

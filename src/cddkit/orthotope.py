@@ -22,12 +22,11 @@ maximality, since a strictly containing box must extend some face.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from functools import reduce
+from itertools import product
 from typing import Sequence
 
 from ._frozen import Frozen
-from .designspace import DesignProblem, _TermMax, lattice_sum
+from .designspace import DesignProblem, _TermMax
 from .errors import (
     CapExceeded,
     InfeasibleInput,
@@ -35,7 +34,7 @@ from .errors import (
     SeedNotContained,
     reading,
 )
-from .surface import Interval, extremum
+from .surface import Interval
 
 __all__ = [
     "Orthotope",
@@ -503,9 +502,10 @@ def oracle_solve(
     Anchored at the seed point, factors expand over grid endpoints in
     ranking order, each candidate tested by the exact analytic box
     maximum, which bounds every corner evaluation.  A separate
-    exhaustive max-volume grid box is returned for comparison; that
-    search runs on an internally reduced grid above one dimension to
-    stay tractable.
+    max-volume grid box is returned for comparison; that search runs on
+    an internally reduced grid above one dimension to stay tractable.
+    Every box either search tries is decided by the term-max table, as
+    ``is_box_feasible`` decides it.
     """
     _check_oracle_limits(problem, resolution)
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
@@ -521,40 +521,41 @@ def oracle_solve(
 
 
 def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
-    n = problem.dim
-    k = min(resolution, VOLUME_SEARCH_RESOLUTION[n])
-    axes = problem.region().grid_axes(k)
+    """The first grid box of largest volume that the table at the seed accepts, or the seed point box.
 
-    pair_lists = []
-    for grid, seed_j in zip(axes, problem.seed):
-        a0 = bisect_right(grid, seed_j) - 1
-        b0 = bisect_left(grid, seed_j)
-        pairs = [(a, b) for a in range(a0 + 1) for b in range(b0, len(grid)) if a < b]
-        pair_lists.append(pairs or [(a0, b0)])
-
-    # every candidate box, row-major over the pair lists
-    feasible = [True] * math.prod(len(pairs) for pairs in pair_lists)
-    for s, bound in problem.constrained_pairs():
-        tables = [
-            [extremum(l, q, grid[a], grid[b])[0] for a, b in pairs]
-            for l, q, grid, pairs in zip(s.linear, s.quadratic, axes, pair_lists)
+    Each axis offers the intervals between a grid endpoint at or below the
+    seed and one at or above it.  Boxes run row-major; each combination of
+    the outer axes takes one budget pair, and each last-axis column is a try
+    (``fits``), as in ``_slice_verdicts``.  A combination whose volume times
+    the widest last-axis width is not above the best is skipped: rounding is
+    monotone, so none of its boxes could win.
+    """
+    k = min(resolution, VOLUME_SEARCH_RESOLUTION[problem.dim])
+    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+    # per axis, (width, lo, hi, column) of each interval of grid endpoints around the seed
+    *outer, last = [
+        [
+            (grid[b] - grid[a], grid[a], grid[b], table.column(j, grid[a], grid[b]))
+            for a in range(k)
+            for b in range(a + 1, k)
+            if grid[a] <= seed_j <= grid[b]
         ]
-        feasible = [ok and z <= bound for ok, z in zip(feasible, lattice_sum(s.beta0, tables))]
-
-    widths = [[grid[b] - grid[a] for a, b in pairs] for grid, pairs in zip(axes, pair_lists)]
-    volumes = reduce(lambda acc, w: [t * v for t in acc for v in w], widths)  # (w0*w1)*w2, row-major
-    volume = [v if ok else -1.0 for v, ok in zip(volumes, feasible)]
-    best = max(volume)
-    if best < 0:
-        # no feasible grid box with positive volume; report the seed point box
-        return Orthotope.point(problem.seed)
-    flat = volume.index(best)  # the first maximum
-    intervals = []
-    for j in reversed(range(n)):
-        flat, i = divmod(flat, len(pair_lists[j]))
-        a, b = pair_lists[j][i]
-        intervals.append(Interval(axes[j][a], axes[j][b]))
-    return Orthotope(tuple(reversed(intervals)))
+        for j, (grid, seed_j) in enumerate(zip(problem.region().grid_axes(k), problem.seed))
+    ]
+    j, widest = len(outer), max(width for width, *_ in last)
+    best, ends = -1.0, [(x, x) for x in problem.seed]
+    for combo in product(*outer):
+        volume = math.prod(width for width, *_ in combo)
+        if volume * widest <= best:
+            continue
+        for i, (_, _, _, column) in enumerate(combo):
+            table.write(i, column)
+        rests, noises = table.budgets(j)
+        for width, lo, hi, column in last:
+            size = volume * width
+            if size > best and table.fits(j, column, rests, noises):
+                best, ends = size, [(a, b) for _, a, b, _ in combo] + [(lo, hi)]
+    return Orthotope(tuple(Interval(lo, hi) for lo, hi in ends))
 
 
 def oracle_check_steps(

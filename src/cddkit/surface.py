@@ -26,10 +26,11 @@ def extremum(l: float, q: float, lo: float, hi: float, sign: float = 1.0) -> tup
 
     ``sign`` 1.0 gives the maximum and -1.0 the minimum.  Candidates are
     the two endpoints plus the vertex when it falls strictly inside.  Ties
-    prefer the lower coordinate.  Every surface extremum is this function.
-    The solver's term-max table computes the same maximum inline, bit for
-    bit (``designspace._TermMax.column``), since the call costs about a
-    third of a cell.  Returns (value, x).
+    prefer the lower coordinate.  ``term_extremum`` and ``box_extremum``
+    call it; no verdict does.  The term-max table, which decides every box,
+    computes the same maximum inline, bit for bit
+    (``designspace._TermMax.column``), since the call costs about a third
+    of a cell.  Returns (value, x).
     """
     best_v, best_x = l * lo + q * lo * lo, lo
     if q != 0.0:

@@ -119,9 +119,9 @@ def reference_is_box_feasible(problem: DesignProblem, box):
 
 
 def numpy_lattice_sum(beta0, per_axis):
-    """The numpy broadcast sum that ``designspace.lattice_sum`` replaced, shaped like the lattice.
+    """``beta0`` plus ``per_axis[j]`` along each axis j, a numpy broadcast shaped like the lattice.
 
-    Kept as a reference: the library itself has no numpy path.
+    The lattice sum of the numpy reference volume search; the library itself has no numpy path.
     """
     import numpy as np
 

@@ -67,6 +67,12 @@ def test_criterion_1_surface_table_fidelity():
     report(1, f"constants and origin gradients exact, {elapsed * 1e6:.0f} us")
 
 
+def test_table_i_is_the_emissions_problem_surfaces():
+    # the paper's Table I ships beside the bundled problem built from it
+    table = json.loads(data_path("emissions_tableI.json").read_text())
+    assert json.loads(data_path("emissions.json").read_text())["surfaces"] == table
+
+
 def test_criterion_2_gradients_match_finite_differences():
     rng = random.Random(20_240_801)
     h = 1e-4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cddkit import build_report, data_path, designspace, load_problem, quantify_requirement
-from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax, lattice_sum
+from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstraint, _TermMax
 from cddkit.errors import (
     BoxOutsideAmbient,
     CapExceeded,
@@ -20,7 +20,7 @@ from cddkit.errors import (
 )
 from cddkit.surface import Interval, QuadraticResponseSurface
 
-from conftest import MALFORMED_JSON, numpy_lattice_sum, random_problem
+from conftest import MALFORMED_JSON, random_problem
 
 
 def test_bundled_adas_loads(adas):
@@ -301,21 +301,6 @@ def test_feasible_box_contains_only_feasible_lattice_points():
             assert region.is_point_feasible(point)[0]
 
 
-def test_grid_matches_pointwise_evaluation(emissions):
-    # the lattice evaluator over the grid axes decides every point as evaluate does
-    region = emissions.region()
-    axes = region.grid_axes(5)
-    mask = [True] * 125
-    for s, bound in emissions.constrained_pairs():
-        values = lattice_sum(s.beta0, [[s.term(j, x) for x in axis] for j, axis in enumerate(axes)])
-        mask = [ok and z <= bound for ok, z in zip(mask, values)]
-    points = list(itertools.product(*axes))
-    assert len(mask) == len(points) == 125
-    assert 0 < sum(mask) < 125
-    for flagged, point in zip(mask, points):
-        assert flagged == region.is_point_feasible(point)[0]
-
-
 def test_grid_cap(monkeypatch, emissions):
     # the cap bounds each grid axis, and each report cell's r² points
     assert designspace.GRID_CAP == 10_000_000
@@ -436,20 +421,3 @@ def test_grid_axes_match_numpy_linspace():
         assert _hex(axis) == _hex(np.linspace(lo, hi, r)), (lo, hi, r)
         cases += 1
     assert cases >= 1900
-
-
-def _numpy_lattice_sum(beta0, per_axis):
-    return numpy_lattice_sum(beta0, per_axis).reshape(-1)
-
-
-def test_lattice_sum_matches_numpy_broadcast_sum():
-    rng = random.Random(6101)
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        scale = 10.0 ** rng.randint(-4, 6)
-        beta0 = rng.choice((0.0, -0.0, scale * rng.uniform(-2.0, 2.0)))
-        per_axis = [
-            [rng.choice((0.0, -0.0, scale * rng.uniform(-2.0, 2.0))) for _ in range(rng.randint(1, 7))]
-            for _ in range(n)
-        ]
-        assert _hex(lattice_sum(beta0, per_axis)) == _hex(_numpy_lattice_sum(beta0, per_axis))

@@ -1514,6 +1514,19 @@ def _volume_cases():
         yield DesignProblem(variables, (surface,), (ObjectiveConstraint("z", bound),), seed, name="tie"), 21
 
 
+def test_volume_search_boxes_are_feasible():
+    # one rule decides the search's boxes and is_box_feasible: 1e308 * 10 overflows, and
+    # inf - inf is a NaN slack, so [0, 10] is infeasible though its maximum is <= the bound
+    variables = (DesignVariable("x", "", Interval(0.0, 10.0)),)
+    surface = QuadraticResponseSurface("z", "", 0.0, (1e308,), (0.0,))
+    constraints = (ObjectiveConstraint("z", math.inf),)
+    overflow = DesignProblem(variables, (surface,), constraints, (0.5,), name="overflow")
+    assert _volume_search(overflow, 11).intervals == (Interval(0.0, 1.0),)
+    for problem, resolution in [*_volume_cases(), (overflow, 11)]:
+        box = _volume_search(problem, resolution)
+        assert problem.region().is_box_feasible(box.intervals)[0], (problem, resolution)
+
+
 def test_volume_search_matches_numpy_reference():
     cases = seed_boxes = 0
     for problem, resolution in _volume_cases():

@@ -78,6 +78,15 @@ def test_arity_mismatch():
         parse_sentence("forall v. P(v)", PRED_SIG)
     with pytest.raises(ArityMismatch):
         parse_sentence("forall v. P1(v) = P2(v)", TRIANGLE_SIG)
+    # check_well_formed alone decides arity, after the parse: the first fault in
+    # preorder is named, and a syntax error anywhere in the text comes first
+    sig = Signature(predicates=(("P", 2),), functions=(("f", 1), ("a", 0), ("b", 0)))
+    with pytest.raises(ArityMismatch, match="^predicate 'P' expects 2 arguments, got 1$"):
+        parse_sentence("P(f(a, b))", sig)
+    with pytest.raises(ArityMismatch, match="^function 'f' expects 1 arguments, got 2$"):
+        parse_formula("P(f(a, b), a)", sig)
+    with pytest.raises(ParseError):
+        parse_sentence("P(a) and P(a, b", sig)
 
 
 def test_syntax_error_carries_position():

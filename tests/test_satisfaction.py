@@ -75,6 +75,15 @@ def test_scalene_triangle_is_not_a_model(orthogonality):
     assert verdicts == [False, False]
 
 
+def test_check_theory_checks_the_interpretation_once(orthogonality, monkeypatch):
+    theory, s345, _ = orthogonality
+    calls = []
+    check = Interpretation.check_against
+    monkeypatch.setattr(Interpretation, "check_against", lambda self, struct: calls.append(1) or check(self, struct))
+    assert check_theory(theory, s345) == [True, True]
+    assert len(theory.sentences) == 2 and len(calls) == 1
+
+
 def test_single_tautology_theory():
     from cddkit.modeltheory import Theory
 
@@ -107,6 +116,11 @@ def test_empty_domain_rejected_for_quantified_sentences():
     sentence = Forall("v", Eq(Var("v"), Var("v")))
     with pytest.raises(DomainEmpty):
         satisfies(struct, sentence)
+    # the interpretation is checked first, before any formula
+    sig = Signature(predicates=(("Red", 1),))
+    interp = Interpretation(signature=sig, predicate_map={"Red": "painted"}, function_map={})
+    with pytest.raises(UnknownSymbol, match="^structure has no relation 'painted' for symbol 'Red'$"):
+        satisfies(struct, parse_sentence("forall v. Red(v)", sig), interp)
 
 
 def test_ground_sentence_over_empty_domain_is_decided():
@@ -241,7 +255,12 @@ def test_table_functions_must_be_total_and_closed():
         RelationalStructure(domain=(0, 1), functions={"f": {(0,): 1}})
     with pytest.raises(Exception):
         RelationalStructure(domain=(0, 1), functions={"f": {(0,): 5, (1,): 0}})
+    # an empty table is an arity-0 table without its one entry
+    with pytest.raises(SchemaError, match="^function 'c' table has 0 entries, needs 1 to be total$"):
+        RelationalStructure(domain=(0, 1), functions={"c": {}})
+    assert RelationalStructure(domain=(0, 1), functions={"c": {(): 1}}).function_arity("c") == 0
     struct = RelationalStructure(domain=(0, 1), functions={"f": {(0,): 1, (1,): 0}})
+    assert struct.function_arity("f") == 1
     sig = Signature(functions=(("f", 1),))
     assert satisfies(struct, parse_sentence("forall v. not f(v) = v", sig))
 
