@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CapExceeded, CddError, InfeasibleSeed, SchemaError, read_json, reading
+from .errors import CddError, InfeasibleSeed, SchemaError, read_json, reading
 
 if TYPE_CHECKING:
     from .orthotope import SolveResult
@@ -67,11 +67,6 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
         if not math.isfinite(v):
             raise CddError(f"point coordinate {i} is {v!r}; coordinates must be finite")
     return point
-
-
-def _parse_ranking(text: str) -> tuple[int, ...]:
-    with reading(f"ranking {text!r}"):
-        return tuple(int(v) for v in text.split(","))
 
 
 def _parse_option(what: str, text: str | None, convert):
@@ -141,10 +136,9 @@ def cmd_quantify(args) -> int:
 def cmd_solve(args) -> int:
     from .orthotope import solve_greedy
 
-    eps = _parse_option("epsilon", args.epsilon, float)
+    ranking = _parse_option("ranking", args.ranking, lambda text: tuple(int(v) for v in text.split(",")))
     problem = _load_problem_file(args.problem)
-    ranking = _parse_ranking(args.ranking) if args.ranking else None
-    result = solve_greedy(problem, ranking=ranking, eps=eps)
+    result = solve_greedy(problem, ranking=ranking)
 
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -169,12 +163,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from .orthotope import ORACLE_MAX_DIM, ORACLE_MAX_RESOLUTION, oracle_check_steps, verify_maximality
 
-    eps = _parse_option("epsilon", args.epsilon, float)
-    resolution = _parse_option("resolution", args.resolution, int)
     problem = _load_problem_file(args.problem)
     result = _load_result_file(args.result, problem)
-    if not 2 <= resolution <= ORACLE_MAX_RESOLUTION:
-        raise CapExceeded(f"resolution {resolution} outside the grid cap 2..{ORACLE_MAX_RESOLUTION}")
 
     failures = []
     feasible, slacks = problem.region().is_box_feasible(result.orthotope.intervals)
@@ -184,7 +174,7 @@ def cmd_verify(args) -> int:
             f"stored box violates {problem.constraints[worst]} by {-slacks[worst]:.3g}"
         )
     else:
-        certificate = verify_maximality(problem, result.orthotope, eps=eps)
+        certificate = verify_maximality(problem, result.orthotope)
         for face in certificate.faces:
             if not face.blocked:
                 failures.append(f"face {face.axis}/{face.side} can still expand")
@@ -192,7 +182,7 @@ def cmd_verify(args) -> int:
     # the grid replay sweeps a lattice over the ambient box, so it runs only at desk scale
     replayed = feasible and problem.dim <= ORACLE_MAX_DIM
     if replayed:
-        for check in oracle_check_steps(problem, result, resolution):
+        for check in oracle_check_steps(problem, result, ORACLE_MAX_RESOLUTION):
             if not check.ok:
                 failures.append(
                     f"step for factor {check.factor}: stored "
@@ -210,7 +200,7 @@ def cmd_verify(args) -> int:
     if args.json:
         print(_dump_json(payload))
     else:
-        print(f"problem: {problem.name}   resolution: {resolution}")
+        print(f"problem: {problem.name}")
         if feasible and not replayed:
             print(f"step replay skipped: the grid replay takes at most {ORACLE_MAX_DIM} variables")
         for line in failures:
@@ -258,8 +248,7 @@ def cmd_logic(args) -> int:
             print(to_text(sentence))
         return 0
     if not (args.theory and args.structure):
-        print("logic needs --theory and --structure, or --graph", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CddError("logic needs --theory and --structure, or --graph")
     from .modeltheory import Interpretation, check_theory, load_structure, load_theory
 
     sig, struct = load_structure(_read_document(args.structure))
@@ -302,26 +291,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_quantify)
 
-    p = sub.add_parser("solve", help="greedy maximal orthotope with certification")
+    p = sub.add_parser("solve", help="greedy maximal orthotope, certified at the problem's tolerance")
     p.add_argument("problem")
     p.add_argument("--ranking", help="comma-separated variable indices")
-    p.add_argument("--epsilon", help="certification epsilon fraction")
     p.add_argument("--out", help="output directory for the result JSON")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="independently check a stored solve result")
+    p = sub.add_parser("verify", help="independently check a stored solve result at the problem's tolerance")
     p.add_argument("problem")
     p.add_argument("result")
-    p.add_argument("--resolution", default="201")
-    p.add_argument("--epsilon")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rosetta", help="emit M/N/Q matrix reports")
     p.add_argument("problem")
     p.add_argument("--solution", help="solve result JSON to overlay")
-    p.add_argument("--resolution", default="21")
+    p.add_argument("--resolution", default="21", help="grid points per axis (default 21)")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--out", help="output directory")

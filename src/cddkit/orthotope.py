@@ -13,10 +13,11 @@ value rounds differently from an endpoint value.  The seed itself is
 checked once, when the ``DesignProblem`` is built.
 
 A box is maximal when every face is blocked: pushing any face outward
-by an epsilon fraction of the ambient width breaks feasibility, or the
-face already sits on an ambient bound.  For containment-ordered
-orthotopes this face-wise test is equivalent to set-theoretic
-maximality, since a strictly containing box must extend some face.
+by epsilon times the ambient width breaks feasibility, or the face
+already sits on an ambient bound; epsilon is the problem's tolerance.
+For containment-ordered orthotopes this face-wise test is equivalent to
+set-theoretic maximality, since a strictly containing box must extend
+some face.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class ExpansionStep(Frozen):
 
 
 class FaceCheck(Frozen):
-    """Outcome of pushing one face outward by the certification epsilon.
+    """Outcome of pushing one face outward by the problem's tolerance times its ambient width.
 
     ``side`` is "lo" or "hi"; ``blocked_by`` is a constraint surface name,
     "ambient", or None if the face is free.
@@ -354,11 +355,7 @@ def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
 
 # --- greedy solve -----------------------------------------------------------
 
-def solve_greedy(
-    problem: DesignProblem,
-    ranking: Sequence[int] | None = None,
-    eps: float | None = None,
-) -> SolveResult:
+def solve_greedy(problem: DesignProblem, ranking: Sequence[int] | None = None) -> SolveResult:
     """Factor-ranked greedy maximal orthotope anchored at the seed.
 
     Expansion order is the explicit ranking argument, then the problem's
@@ -379,31 +376,26 @@ def solve_greedy(
     # the seed point box needs no ambient check: ``DesignProblem`` has checked the seed
     table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     steps = [_expand_step(problem, table, j) for j in order]
-    certificate = _certify(problem, table, eps)
+    certificate = _certify(problem, table)
     return SolveResult(Orthotope(table.intervals), order, tuple(steps), certificate)
 
 
 # --- maximality -------------------------------------------------------------
 
-def verify_maximality(
-    problem: DesignProblem, box: Orthotope, eps: float | None = None
-) -> MaximalityCertificate:
+def verify_maximality(problem: DesignProblem, box: Orthotope) -> MaximalityCertificate:
     """Face-wise maximality certificate for a feasible box.
 
-    Each of the 2N faces must either sit within eps*width of an ambient
-    bound or become infeasible when pushed outward by eps*width (exact
-    box-maximum test).  The certificate names the blocker per face.
-    An explicit ``eps`` must be a positive finite number.
+    With eps the problem's tolerance, each of the 2N faces must either
+    sit within eps*width of an ambient bound or become infeasible when
+    pushed outward by eps*width (exact box-maximum test).  The
+    certificate names the blocker per face.
     """
     problem.region().check_inside(box.intervals)
-    return _certify(problem, _TermMax(problem.constrained_pairs(), box.intervals), eps)
+    return _certify(problem, _TermMax(problem.constrained_pairs(), box.intervals))
 
 
-def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> MaximalityCertificate:
+def _certify(problem: DesignProblem, table: _TermMax) -> MaximalityCertificate:
     """``verify_maximality`` of the table's box; each face push swaps one column."""
-    epsilon = problem.tolerance if eps is None else float(eps)
-    if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
     slacks = table.slacks()
     if not all(sl >= 0.0 for sl in slacks):
         raise InfeasibleInput("maximality is only defined for feasible boxes")
@@ -412,7 +404,7 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
     faces = []
     for j, (var, interval) in enumerate(zip(problem.variables, table.intervals)):
         ambient, lo, hi = var.ambient, interval.lo, interval.hi
-        push = epsilon * ambient.width
+        push = problem.tolerance * ambient.width
         # each constraint's budget without cell j, from the box's slack; the noise is the whole row's
         rests = [sl + row[j] for sl, row in zip(slacks, table.rows)]
         for side, room, pushed_lo, pushed_hi in (
@@ -427,7 +419,7 @@ def _certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> Maxi
                 faces.append(FaceCheck(j, side, None, least))
             else:
                 faces.append(FaceCheck(j, side, table.names[worst], -least))
-    return MaximalityCertificate(tuple(faces), epsilon)
+    return MaximalityCertificate(tuple(faces), problem.tolerance)
 
 
 # --- brute-force grid oracle -------------------------------------------------
@@ -459,34 +451,32 @@ def _check_oracle_limits(problem: DesignProblem, resolution: int) -> None:
 def _grid_sweep(table: _TermMax, axes: list[list[float]], j: int, seed_j: float) -> tuple[float, float]:
     """Widest grid-endpoint interval for axis j, the table's other intervals held.
 
-    Endpoints extend independently from the seed anchor; the first
-    infeasible grid point stops each sweep (the admitted set along one
-    axis is an interval, so feasibility is monotone).  A grid point's
-    verdict is ``table.fits`` of its column, ``is_box_feasible``'s verdict
-    bit for bit, from one budget pair without cell j.
+    Endpoints extend independently from the seed anchor over the grid
+    points on their own side of it; the first infeasible one stops each
+    sweep (the admitted set along one axis is an interval, so feasibility
+    is monotone).  A grid point's verdict is ``table.fits`` of its column,
+    ``is_box_feasible``'s verdict bit for bit, from one budget pair
+    without cell j.
     """
     grid = axes[j]
-    tiny = 1e-12 * max(1.0, abs(grid[-1] - grid[0]))
     rests, noises = table.budgets(j)
     held_lo = min(table.intervals[j].lo, seed_j)
 
     hi = seed_j
     for g in grid:
-        if g < seed_j - tiny:
+        if g < seed_j:
             continue
-        upper = max(g, seed_j)
-        if not table.fits(j, table.column(j, held_lo, upper), rests, noises):
+        if not table.fits(j, table.column(j, held_lo, g), rests, noises):
             break
-        hi = upper
+        hi = g
 
     lo = seed_j
     for g in grid[::-1]:
-        if g > seed_j + tiny:
+        if g > seed_j:
             continue
-        lower = min(g, seed_j)
-        if not table.fits(j, table.column(j, lower, max(hi, seed_j)), rests, noises):
+        if not table.fits(j, table.column(j, g, hi), rests, noises):
             break
-        lo = lower
+        lo = g
 
     return lo, hi
 

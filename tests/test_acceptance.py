@@ -139,13 +139,14 @@ def test_criterion_4_greedy_solver_on_randomized_problems():
     start = time.perf_counter()
     for _ in range(200):
         problem = random_problem(rng)
-        result = solve_greedy(problem, eps=1e-6)
+        assert problem.tolerance == 1e-6
+        result = solve_greedy(problem)
         region = problem.region()
 
         feasible, _ = region.is_box_feasible(result.orthotope.intervals)
         assert feasible
 
-        certificate = verify_maximality(problem, result.orthotope, eps=1e-6)
+        certificate = verify_maximality(problem, result.orthotope)
         assert certificate.maximal
 
         checks = oracle_check_steps(problem, result, 201)

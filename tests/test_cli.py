@@ -136,20 +136,6 @@ def test_verify_flags_inflated_result(tmp_path, capsys):
     assert "FAIL" in out
 
 
-def test_verify_resolution_over_cap_exits_2(tmp_path, capsys):
-    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
-    code, _, err = run_cli(
-        "verify",
-        problem_path("emissions.json"),
-        str(tmp_path / "emissions_solution.json"),
-        "--resolution",
-        "500",
-        capsys=capsys,
-    )
-    assert code == 2
-    assert "cap" in err
-
-
 def test_verify_grid_cap_bounds_the_lattice_not_the_step_replay(tmp_path, capsys, monkeypatch):
     # the replay sweeps one axis at a time, about 2*N*r box checks, while the
     # full 201^3 lattice (8,120,601 points) is over this cap
@@ -225,18 +211,6 @@ def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
     assert payload["agreement"] is False and payload["steps_replayed"] is False
     assert len(payload["failures"]) == 1
     assert payload["failures"][0].startswith(f"stored box violates {face['blocked_by']} <= ")
-
-
-@pytest.mark.parametrize("dim", [3, 10])
-@pytest.mark.parametrize("resolution", ["1", "202"])
-def test_verify_resolution_outside_the_grid_range_exits_2_at_any_n(tmp_path, capsys, dim, resolution):
-    path = _random_problem_file(tmp_path, dim)
-    assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
-    solution = str(tmp_path / f"random{dim}_solution.json")
-    code, out, err = run_cli("verify", path, solution, "--resolution", resolution, capsys=capsys)
-    assert code == 2
-    assert out == ""
-    assert "cap" in err and resolution in err
 
 
 def _strict_json(text):
@@ -389,6 +363,14 @@ def test_logic_without_inputs_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("given", ["--theory", "--structure"])
+def test_logic_with_one_of_theory_and_structure_exits_2_with_one_error_line(capsys, given):
+    path = str(data_path("logic/orthogonality_theory.json" if given == "--theory" else "logic/triangle_345.json"))
+    code, out, err = run_cli("logic", given, path, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: logic needs --theory and --structure, or --graph\n"
+
+
 def test_quantify(capsys):
     code, out, _ = run_cli(
         "quantify", problem_path("adas.json"), "CO2 <= 30", capsys=capsys
@@ -442,48 +424,45 @@ def test_solve_infinite_bound_means_unconstrained(tmp_path, capsys):
     assert json.loads(out)["certificate"]["maximal"] is True
 
 
-@pytest.mark.parametrize("epsilon", ["nan", "-1"])
-def test_solve_bad_epsilon_exits_2(tmp_path, capsys, epsilon):
-    code, _, err = run_cli(
-        "solve", problem_path("emissions.json"), "--out", str(tmp_path), "--epsilon", epsilon,
-        capsys=capsys,
-    )
-    assert code == 2
-    assert "epsilon" in err
-
-
-@pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("epsilon", ["x", "", "1e-6,1e-6", "None"])
-def test_an_epsilon_that_is_not_a_number_exits_2_with_one_error_line(tmp_path, capsys, command, epsilon):
-    # the text is read before any file, so a missing result does not come first
+@pytest.mark.parametrize(
+    "command, option", [("solve", "--epsilon=1e-6"), ("verify", "--epsilon=1e-6"), ("verify", "--resolution=201")]
+)
+def test_the_certificate_epsilon_and_the_replay_resolution_are_not_options(tmp_path, capsys, command, option):
+    # solve and verify certify at the problem's tolerance, and verify replays at one resolution
     files = [problem_path("emissions.json"), str(tmp_path / "missing.json")] if command == "verify" else [
         problem_path("emissions.json"), "--out", str(tmp_path)]
-    code, out, err = run_cli(command, *files, f"--epsilon={epsilon}", capsys=capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: malformed epsilon {epsilon!r}: could not convert string to float: {epsilon!r}\n"
+    with pytest.raises(SystemExit) as refused:
+        main([command, *files, option])
+    out, err = capsys.readouterr()
+    assert (refused.value.code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {option}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["verify", "rosetta"])
+def test_verify_text_output_names_only_the_problem(tmp_path, capsys):
+    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
+    code, out, _ = run_cli("verify", problem_path("emissions.json"), str(tmp_path / "emissions_solution.json"),
+                           capsys=capsys)
+    assert (code, out) == (0, "problem: emissions\nagreement: yes\n")
+
+
 @pytest.mark.parametrize("resolution", ["x", "", "21.0", "1e3", "None", "5,5", "-"])
-def test_a_resolution_that_is_not_an_integer_exits_2_with_one_error_line(tmp_path, capsys, command, resolution):
+def test_a_resolution_that_is_not_an_integer_exits_2_with_one_error_line(tmp_path, capsys, resolution):
     # the text is read before any file, so a missing problem does not come first
     missing = str(tmp_path / "missing.json")
-    files = [missing, missing] if command == "verify" else [missing, "--out", str(tmp_path)]
-    code, out, err = run_cli(command, *files, f"--resolution={resolution}", capsys=capsys)
+    code, out, err = run_cli("rosetta", missing, "--out", str(tmp_path), f"--resolution={resolution}", capsys=capsys)
     assert (code, out) == (2, "")
     reason = f"invalid literal for int() with base 10: {resolution!r}"
     assert err == f"error: malformed resolution {resolution!r}: {reason}\n"
 
 
-@pytest.mark.parametrize("resolution, shown", [(None, "201"), ("21", "21"), (" +021 ", "21"), ("2_1", "21")])
-def test_verify_reads_a_resolution_as_int_does(tmp_path, capsys, resolution, shown):
-    run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
-    option = [] if resolution is None else [f"--resolution={resolution}"]
-    code, out, _ = run_cli(
-        "verify", problem_path("emissions.json"), str(tmp_path / "emissions_solution.json"), *option, capsys=capsys
-    )
-    assert code == 0
-    assert out.splitlines()[0] == f"problem: emissions   resolution: {shown}"
+def test_an_empty_ranking_exits_2_with_one_error_line(tmp_path, capsys):
+    # an empty text is a given ranking, not an absent one; it is read before the problem file
+    code, out, err = run_cli("solve", problem_path("emissions.json"), "--ranking=", "--out", str(tmp_path),
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: malformed ranking '': invalid literal for int() with base 10: ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("resolution, same_as", [(None, "21"), (" 5", "5"), ("+05", "5")])
@@ -506,14 +485,26 @@ def test_a_negative_point_is_given_with_an_equals_sign(capsys):
 
 
 def test_solve_epsilon_whose_push_overflows_blocks_every_face_at_ambient(tmp_path, capsys):
-    # epsilon * width is past every float, so each push overshoots the room left to the ambient bound
-    code, out, _ = run_cli(
-        "solve", problem_path("adas.json"), "--out", str(tmp_path), "--epsilon", "1e308", "--json",
-        capsys=capsys,
-    )
+    # the box stops inside [-1, 1] at z = 1.5e308, but the push, tolerance * width = 1e308 * 2,
+    # is past every float, so it overshoots the room left to each ambient bound
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "name": "overflow",
+        "variables": [{"name": "x", "lo": -1.0, "hi": 1.0}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [0.0], "quadratic": [1.7e308]}],
+        "constraints": [{"surface": "z", "op": "<=", "bound": 1.5e308}],
+        "seed": [0.0],
+        "tolerance": 1e308,
+    }))
+    code, out, _ = run_cli("solve", str(path), "--out", str(tmp_path), "--json", capsys=capsys)
     assert code == 0
-    faces = json.loads(out)["certificate"]["faces"]
-    assert [f["blocked_by"] for f in faces] == ["ambient"] * 4
+    doc = json.loads(out)
+    (interval,) = doc["orthotope"]
+    assert -1.0 < interval["lo"] < -0.9 and 0.9 < interval["hi"] < 1.0
+    assert doc["certificate"]["epsilon"] == 1e308
+    faces = doc["certificate"]["faces"]
+    assert [f["blocked_by"] for f in faces] == ["ambient"] * 2
+    assert [f["margin"] for f in faces] == [interval["lo"] + 1.0, 1.0 - interval["hi"]]
 
 
 def _break_missing_steps(doc):

@@ -94,7 +94,7 @@ def test_solve_pipeline_import_sets(tmp_path, heavy):
     solution = str(tmp_path / "emissions_solution.json")
     assert not _modules_after(["solve", problem, "--out", str(tmp_path)]) & (NUMERIC_ONLY | heavy)
     for argv in (
-        ["verify", problem, solution, "--resolution", "21"],
+        ["verify", problem, solution],
         ["rosetta", problem, "--solution", solution, "--resolution", "5", "--out", str(tmp_path)],
     ):
         loaded = _modules_after(argv)

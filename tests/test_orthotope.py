@@ -20,7 +20,6 @@ from cddkit.errors import (
     CapExceeded,
     InfeasibleInput,
     InfeasibleSeed,
-    SchemaError,
     SeedNotContained,
 )
 from cddkit.orthotope import (
@@ -438,7 +437,8 @@ def test_randomized_solves_across_scales():
         problem = DesignProblem(
             tuple(variables), tuple(surfaces), constraints, tuple(seed), name="scales"
         )
-        result = solve_greedy(problem, eps=1e-6)
+        assert problem.tolerance == 1e-6
+        result = solve_greedy(problem)
         assert problem.region().is_box_feasible(result.orthotope.intervals)[0]
         assert result.certificate.maximal
 
@@ -577,10 +577,9 @@ def test_quadratic_roots_survive_an_overflowing_discriminant(a, b, c, expected):
 
 def test_shrunk_box_is_not_maximal(emissions):
     result = solve_greedy(emissions)
-    eps = emissions.tolerance
     iv = result.orthotope.intervals[0]
-    shrunk = result.orthotope.replaced(0, Interval(iv.lo, iv.hi - 10 * eps))
-    cert = verify_maximality(emissions, shrunk, eps)
+    shrunk = result.orthotope.replaced(0, Interval(iv.lo, iv.hi - 10 * emissions.tolerance))
+    cert = verify_maximality(emissions, shrunk)
     assert not cert.maximal
     free_faces = [f for f in cert.faces if not f.blocked]
     assert free_faces and all(f.axis == 0 for f in free_faces)
@@ -1111,11 +1110,9 @@ def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> Ex
     return ExpansionStep(j, before, before, "numerical", "numerical")
 
 
-def reference_certify(problem: DesignProblem, table: _TermMax, eps: float | None) -> MaximalityCertificate:
+def reference_certify(problem: DesignProblem, table: _TermMax) -> MaximalityCertificate:
     """``verify_maximality`` of the table's box; each face push swaps one column."""
-    epsilon = problem.tolerance if eps is None else float(eps)
-    if eps is not None and not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise SchemaError(f"certification epsilon must be positive and finite, got {eps!r}")
+    epsilon = problem.tolerance
     if not all(sl >= 0.0 for sl in table.slacks()):
         raise InfeasibleInput("maximality is only defined for feasible boxes")
 
@@ -1143,22 +1140,26 @@ def reference_certify(problem: DesignProblem, table: _TermMax, eps: float | None
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
 
 
-def reference_solve(problem, eps=None):
+def reference_solve(problem):
     """``solve_greedy`` with the expansion step and certificate above."""
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
     table = ReferenceTable(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     steps = tuple(reference_expand_step(problem, table, j) for j in order)
-    return SolveResult(Orthotope(table.intervals), order, steps, reference_certify(problem, table, eps))
+    return SolveResult(Orthotope(table.intervals), order, steps, reference_certify(problem, table))
 
 
-def assert_same_as_reference(problem, boxes=(), eps_values=(None,)):
-    """Solve, steps and certificates (of the result and of ``boxes``) equal the references, NaN and signed zeros included."""
+def assert_same_as_reference(problem, boxes=(), tolerances=(None,)):
+    """Solve, steps and certificates (of the result and of ``boxes``) equal the references, NaN and signed zeros included.
+
+    Each box is certified at each of ``tolerances``, None being the problem's own.
+    """
     expected = reference_solve(problem)
     assert repr(solve_greedy(problem)) == repr(expected)
-    for box in (expected.orthotope, *boxes):
-        for eps in eps_values:
-            assert repr(verify_maximality(problem, box, eps)) == repr(
-                reference_certify(problem, ReferenceTable(problem.constrained_pairs(), box.intervals), eps)
+    for tolerance in tolerances:
+        at = problem if tolerance is None else replace(problem, tolerance=tolerance)
+        for box in (expected.orthotope, *boxes):
+            assert repr(verify_maximality(at, box)) == repr(
+                reference_certify(at, ReferenceTable(at.constrained_pairs(), box.intervals))
             )
     return expected
 
@@ -1177,8 +1178,9 @@ def test_filtered_solve_matches_left_to_right_solve():
             partial = Orthotope.point(problem.seed)
             for j in auto_rank(problem)[: max(1, n // 2)]:
                 partial = expand_factor(problem, partial, j)
-            eps_values = (None, 1e-12, 0.05) if n <= 10 else (None,)
-            assert_same_as_reference(problem, (Orthotope.point(problem.seed), partial), eps_values)
+            # a tolerance is also the least seed slack, here 0.5 * scale or more
+            tolerances = (None, 1e-12, 0.05 * min(1.0, scale)) if n <= 10 else (None,)
+            assert_same_as_reference(problem, (Orthotope.point(problem.seed), partial), tolerances)
 
 
 def _counting_slack(monkeypatch):
@@ -1207,7 +1209,7 @@ def test_constraint_exhausted_to_zero_slack_is_summed(monkeypatch):
         ranking=(0, 1),
     )
     summed = _counting_slack(monkeypatch)
-    result = assert_same_as_reference(problem, eps_values=(None, 1e-12))
+    result = assert_same_as_reference(problem, tolerances=(None, 1e-12))
     assert result.orthotope.intervals[0].hi == 1.0
     assert problem.region().is_box_feasible(result.orthotope.intervals)[1][0] == 0.0
     summed.clear()
@@ -1227,7 +1229,7 @@ def test_identical_surfaces_tie_for_the_blocker():
             surfaces=(base.surfaces[0], twin, base.surfaces[1]),
             constraints=(base.constraints[0], ObjectiveConstraint("twin", bound), base.constraints[1]),
         )
-        result = assert_same_as_reference(problem, eps_values=(None, 0.05))
+        result = assert_same_as_reference(problem, tolerances=(None, 0.05))
         blockers = {f.blocked_by for f in result.certificate.faces}
         assert base.surfaces[0].name in blockers and "twin" not in blockers
 
@@ -1247,11 +1249,11 @@ def test_tied_face_slacks_keep_the_first_constraint(first):
         name="tie",
     )
     box = Orthotope((Interval(-1.5, -1.0),))
-    free = verify_maximality(problem, box, 0.25).faces[1]
+    free = verify_maximality(replace(problem, tolerance=0.25), box).faces[1]
     assert (free.blocked_by, free.margin.hex()) == (None, bounds[first].hex())
-    blocked = verify_maximality(problem, box, 0.5).faces[1]
+    blocked = verify_maximality(replace(problem, tolerance=0.5), box).faces[1]
     assert (blocked.blocked_by, blocked.margin) == (first, 1.0)
-    assert_same_as_reference(problem, (box,), eps_values=(0.25, 0.5))
+    assert_same_as_reference(problem, (box,), tolerances=(0.25, 0.5))
 
 
 def test_surfaces_a_few_ulps_apart_keep_the_exact_blocker():
@@ -1305,10 +1307,11 @@ def test_overflowing_terms_take_the_full_pass(monkeypatch):
     column = _TermMax(problem.constrained_pairs(), box.intervals).column
     assert math.isnan(column(0, -1.8e10, 0.0)[0])
     assert column(1, 0.0, 1.7e10)[1] == math.inf
-    assert_same_as_reference(problem, (box,), eps_values=(None, 0.4))
+    assert_same_as_reference(problem, (box,), tolerances=(None, 0.4))
 
+    wide = replace(problem, tolerance=0.4)
     summed = _counting_slack(monkeypatch)
-    faces = verify_maximality(problem, box, 0.4).faces
+    faces = verify_maximality(wide, box).faces
     assert [f.blocked_by for f in faces] == ["nan", "ambient", "ambient", "inf", "ambient", "ambient"]
     assert math.isnan(faces[0].margin) and faces[3].margin == math.inf
     # the precheck sums each constraint once, and each of the two pushed faces sums all three

@@ -1,23 +1,23 @@
 """Seeded mutation run of the command-line exit-code contract.
 
 Mutates the bundled problem, solution, structure, theory and graph
-documents, and the ``--point``, ``--ranking``, ``--epsilon`` and
-``--resolution`` texts, and runs each mutant through ``cddkit.cli.main``
-in process.  A mutation deletes a key or a list entry (the whole document
-too, which leaves an empty file), duplicates an entry, or sets a value to
-one of ``SPECIALS``; an input takes one or two.  A problem goes to
+documents, and the ``--point``, ``--ranking`` and ``--resolution``
+texts, and runs each mutant through ``cddkit.cli.main`` in process.  A
+mutation deletes a key or a list entry (the whole document too, which
+leaves an empty file), duplicates an entry, or sets a value to one of
+``SPECIALS``; an input takes one or two.  A problem goes to
 ``evaluate`` (at its seed), ``quantify``, ``solve``, ``verify`` (against
 its own solution) or ``rosetta``; a solution to ``verify`` or ``rosetta
 --solution``; a theory or a structure to ``logic --theory --structure``;
 a graph to ``logic --graph``, with or without ``--json``.  A text is
 mutated as the list of its comma-separated items (a problem's seed, its
-solution's ranking, its certificate's epsilon alone, or the report's
-grid resolution alone) and written back with ``str``, so a special
-becomes ``None``, ``[]``, ``1e+308`` and so on: the point goes to
-``evaluate``, the ranking to ``solve``, the epsilon to ``solve`` or
-``verify`` and the resolution to ``verify`` or ``rosetta``, each with its
-unmutated problem.  The only specials that read as an integer, 0 and
-2**70, are refused before a grid is made, so every run stays small.
+solution's ranking, or the report's grid resolution alone) and written
+back with ``str``, so a special becomes ``None``, ``[]``, ``1e+308`` and
+so on: the point goes to ``evaluate``, the ranking to ``solve`` and the
+resolution to ``rosetta``, each with its unmutated problem.  ``verify``
+has no option text and replays at its one resolution.  The only
+specials that read as an integer, 0 and 2**70, are refused before a
+grid is made, so every run stays small.
 
 The contract: every exit code is 0, 2, 3, 4 or 5, no exception escapes
 ``main``, and an exit 2 or 3 prints exactly one line to stderr, which
@@ -71,16 +71,12 @@ JOBS = (
     ("graph", "logic"),
     ("point", "evaluate"),
     ("ranking", "solve"),
-    ("epsilon", "solve"),
-    ("epsilon", "verify"),
-    ("resolution", "verify"),
     ("resolution", "rosetta"),
 )
 # the option that takes each kind of text
-TEXT_OPTIONS = {"point": "--point", "ranking": "--ranking", "epsilon": "--epsilon", "resolution": "--resolution"}
+TEXT_OPTIONS = {"point": "--point", "ranking": "--ranking", "resolution": "--resolution"}
 CONTRACT_CODES = (0, 2, 3, 4, 5)
-# small grids: the run checks exit codes and messages, not the grid oracle's reach
-VERIFY_RESOLUTION = "21"
+# a small grid: the run checks exit codes and messages, not the report's reach
 ROSETTA_RESOLUTION = "5"
 
 
@@ -101,7 +97,6 @@ def bundled_documents() -> dict:
         # each text as the list of its items
         "point": {name: doc["seed"] for name, doc in problems.items()},
         "ranking": {name: solution["ranking"] for name, solution in solutions.items()},
-        "epsilon": {name: [solution["certificate"]["epsilon"]] for name, solution in solutions.items()},
         "resolution": {name: [int(ROSETTA_RESOLUTION)] for name in problems},
     }
 
@@ -180,7 +175,7 @@ def _argv(kind: str, command: str, name: str, docs: dict, tmp: Path, rng: random
         return ["solve", problem, *options, "--out", out, "--json"]
     solution = mutant if kind == "solution" else companion("solution", name)
     if command == "verify":
-        return ["verify", problem, solution, "--resolution", VERIFY_RESOLUTION, *options]
+        return ["verify", problem, solution]
     return ["rosetta", problem, "--solution", solution, "--resolution", ROSETTA_RESOLUTION, "--out", out, *options]
 
 
