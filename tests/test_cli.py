@@ -425,25 +425,69 @@ def test_solve_infinite_bound_means_unconstrained(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, option", [("solve", "--epsilon=1e-6"), ("verify", "--epsilon=1e-6"), ("verify", "--resolution=201")]
+    "command, option",
+    [
+        ("solve", "--epsilon=1e-6"),
+        ("verify", "--epsilon=1e-6"),
+        ("verify", "--resolution=201"),
+        ("solve", "--epsilon nan"),
+        ("solve", "--epsilon -1"),
+        ("verify", "--resolution 500"),
+        ("verify", "--resolution 1"),
+    ],
 )
 def test_the_certificate_epsilon_and_the_replay_resolution_are_not_options(tmp_path, capsys, command, option):
-    # solve and verify certify at the problem's tolerance, and verify replays at one resolution
+    # solve and verify certify at the problem's tolerance, and verify replays at one resolution;
+    # a value given apart from the option is refused with it
     files = [problem_path("emissions.json"), str(tmp_path / "missing.json")] if command == "verify" else [
         problem_path("emissions.json"), "--out", str(tmp_path)]
     with pytest.raises(SystemExit) as refused:
-        main([command, *files, option])
+        main([command, *files, *option.split(" ")])
     out, err = capsys.readouterr()
     assert (refused.value.code, out) == (2, "")
     assert err.endswith(f"error: unrecognized arguments: {option}\n")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_text_output_names_only_the_problem(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["emissions.json", "adas.json", "adas_tall.json"])
+def test_verify_text_output_names_only_the_problem(tmp_path, capsys, name):
+    stem = json.loads(data_path(name).read_text())["name"]
+    run_cli("solve", problem_path(name), "--out", str(tmp_path), capsys=capsys)
+    code, out, _ = run_cli("verify", problem_path(name), str(tmp_path / f"{stem}_solution.json"), capsys=capsys)
+    assert (code, out) == (0, f"problem: {stem}\nagreement: yes\n")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_verify_replays_the_steps_at_the_grid_cap(tmp_path, capsys, monkeypatch, dim):
+    from cddkit import orthotope
+
+    path = _random_problem_file(tmp_path, dim)
+    assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
+    resolutions = []
+    replay = orthotope.oracle_check_steps
+
+    def recorded(problem, result, resolution):
+        resolutions.append(resolution)
+        return replay(problem, result, resolution)
+
+    monkeypatch.setattr(orthotope, "oracle_check_steps", recorded)
+    code, out, _ = run_cli("verify", path, str(tmp_path / f"random{dim}_solution.json"), "--json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["steps_replayed"] is True
+    assert resolutions == [orthotope.ORACLE_MAX_RESOLUTION]
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, -0.0])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_tolerance_that_is_not_positive_exits_2(tmp_path, capsys, command, tolerance):
+    # the certificate is computed at the problem's tolerance, so the problem file refuses a bad one
     run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
-    code, out, _ = run_cli("verify", problem_path("emissions.json"), str(tmp_path / "emissions_solution.json"),
-                           capsys=capsys)
-    assert (code, out) == (0, "problem: emissions\nagreement: yes\n")
+    path = _edited_problem(tmp_path, lambda doc: doc.update(tolerance=tolerance))
+    args = [str(tmp_path / "emissions_solution.json")] if command == "verify" else ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(command, path, *args, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: tolerance must be positive and finite, got {tolerance!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("resolution", ["x", "", "21.0", "1e3", "None", "5,5", "-"])
@@ -463,6 +507,44 @@ def test_an_empty_ranking_exits_2_with_one_error_line(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == "error: malformed ranking '': invalid literal for int() with base 10: ''\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "ranking, piece",
+    [("x", "x"), ("0,,1", ""), ("2,0,1,", ""), ("1.0,0,2", "1.0"), ("0;1;2", "0;1;2"), ("None", "None")],
+)
+def test_a_ranking_that_is_not_integers_exits_2_with_one_error_line(tmp_path, capsys, ranking, piece):
+    # the text is read before any file, so a missing problem does not come first
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli("solve", missing, f"--ranking={ranking}", "--out", str(tmp_path / "out"), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: malformed ranking {ranking!r}: invalid literal for int() with base 10: {piece!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ranking", ["0,1", "0,1,2,3", "0,0,1", "3,0,1", "-1,0,1"])
+def test_a_ranking_that_is_not_a_permutation_exits_2(tmp_path, capsys, ranking):
+    code, out, err = run_cli(
+        "solve", problem_path("emissions.json"), f"--ranking={ranking}", "--out", str(tmp_path / "out"),
+        capsys=capsys,
+    )
+    order = tuple(int(v) for v in ranking.split(","))
+    assert (code, out) == (2, "")
+    assert err == f"error: ranking {order} is not a permutation of 0..2\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ranking", [" 2, 0 ,1 ", "+2,0,1", "2,00,1", "2,0,0_1"])
+def test_solve_reads_a_ranking_as_int_does(tmp_path, capsys, ranking):
+    def solution(out, text):
+        code, _, _ = run_cli("solve", problem_path("emissions.json"), f"--ranking={text}", "--out", str(out),
+                             capsys=capsys)
+        assert code == 0
+        return (out / "emissions_solution.json").read_bytes()
+
+    text = solution(tmp_path / "text", ranking)
+    assert json.loads(text)["ranking"] == [2, 0, 1]
+    assert text == solution(tmp_path / "int", "2,0,1")
 
 
 @pytest.mark.parametrize("resolution, same_as", [(None, "21"), (" 5", "5"), ("+05", "5")])
