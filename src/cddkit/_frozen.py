@@ -10,13 +10,13 @@ class Frozen:
     The base's constructor takes them by position or by name and sets each
     through its slot's own setter; a subclass writes its own ``__init__``
     only to check, normalise or default its input, and sets the fields
-    there with ``object.__setattr__``.  From the slots alone, without
-    generating code, the base gives it value semantics: equality of the
-    field values (only with an instance of the same class), their tuple's
-    hash, the repr ``Name(field=value, ...)`` and ``AttributeError`` on
-    assignment or deletion.  Copies and pickles rebuild an instance
-    through its constructor, but for a syntax node's deep copy, which is
-    the node itself.
+    there with ``object.__setattr__`` or, faster, through ``_setters``.
+    From the slots alone, without generating code, the base gives it value
+    semantics: equality of the field values (only with an instance of the
+    same class), their tuple's hash, the repr ``Name(field=value, ...)``
+    and ``AttributeError`` on assignment or deletion.  Copies and pickles
+    rebuild an instance through its constructor, but for a syntax node's
+    deep copy, which is the node itself.
     """
 
     __slots__ = ()
@@ -31,12 +31,13 @@ class Frozen:
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
 
     def __init__(self, *args, **named):
-        names = self.__slots__
-        if named or len(args) != len(names):
+        setters = self._setters
+        if named or len(args) != len(setters):
+            names = self.__slots__
             if len(args) + len(named) != len(names) or not named.keys() <= set(names[len(args):]):
                 raise TypeError(f"{self.__class__.__qualname__} takes the fields {', '.join(names)}")
             args += tuple(named[name] for name in names[len(args):])
-        for set_field, value in zip(self._setters, args):
+        for set_field, value in zip(setters, args):
             set_field(self, value)
 
     def __eq__(self, other):

@@ -46,16 +46,18 @@ def _load_problem_file(path: str):
     return load_problem(_read_document(path))
 
 
-def _load_result_file(path: str, problem) -> SolveResult:
+def _load_result_file(path: str, problem) -> tuple[SolveResult, dict]:
+    """The stored solve result, and the document it was read from."""
     from .orthotope import SolveResult
 
-    result = SolveResult.from_json(_read_document(path))
+    doc = _read_document(path)
+    result = SolveResult.from_json(doc)
     for step in result.steps:
         if not 0 <= step.factor < problem.dim:
             raise SchemaError(f"step factor {step.factor} outside 0..{problem.dim - 1}")
         for interval in (step.before, step.after):
             problem.variables[step.factor].check_inside(interval)
-    return result
+    return result, doc
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
@@ -160,13 +162,58 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _face_fields(face: dict) -> tuple:
+    margin = face["margin"]
+    return face["axis"], face["side"], face["blocked_by"], None if margin is None else float(margin).hex()
+
+
+def _certificate_mismatches(stored: dict, certificate) -> list[str]:
+    """How the stored certificate document differs from the recomputed certificate, one line per field.
+
+    ``stored`` is a document that ``MaximalityCertificate.from_json`` has
+    read, so every entry of ``faces`` holds the four keys and a margin that
+    is null or converts to a float.  Margins compare by ``float.hex``, and
+    null matches only null.
+    """
+    recomputed = certificate.to_json()
+    failures = []
+    maximal = stored.get("maximal")
+    if maximal is not recomputed["maximal"]:
+        failures.append(
+            f"stored certificate says maximal {json.dumps(maximal)}, recomputed {json.dumps(recomputed['maximal'])}"
+        )
+    faces = list(stored["faces"])
+    if len(faces) != len(recomputed["faces"]):
+        failures.append(f"stored certificate has {len(faces)} faces, recomputed {len(recomputed['faces'])}")
+        return failures
+    for k, (face, expected) in enumerate(zip(faces, recomputed["faces"])):
+        if _face_fields(face) != _face_fields(expected):
+            shown = json.dumps({key: face[key] for key in expected})
+            failures.append(f"stored certificate face {k} is {shown}, recomputed {json.dumps(expected)}")
+    return failures
+
+
+def _step_order_failures(problem, result) -> list[str]:
+    """One line per broken rule of the step record: a permutation ranking, one step per factor in its order."""
+    failures = []
+    ranking, factors = list(result.ranking), [step.factor for step in result.steps]
+    if sorted(ranking) != list(range(problem.dim)):
+        failures.append(f"stored ranking {ranking} is not a permutation of 0..{problem.dim - 1}")
+    if factors != ranking:
+        failures.append(f"stored steps expand factors {factors}, not one per factor in ranking order {ranking}")
+    return failures
+
+
 def cmd_verify(args) -> int:
     from .orthotope import ORACLE_MAX_DIM, ORACLE_MAX_RESOLUTION, oracle_check_steps, verify_maximality
 
     problem = _load_problem_file(args.problem)
-    result = _load_result_file(args.result, problem)
+    result, doc = _load_result_file(args.result, problem)
 
     failures = []
+    epsilon = doc["certificate"]["epsilon"]
+    if epsilon != problem.tolerance:
+        failures.append(f"stored certificate epsilon {json.dumps(epsilon)} is not the tolerance {problem.tolerance!r}")
     feasible, slacks = problem.region().is_box_feasible(result.orthotope.intervals)
     if not feasible:
         worst = min(range(len(slacks)), key=lambda i: slacks[i])
@@ -178,6 +225,8 @@ def cmd_verify(args) -> int:
         for face in certificate.faces:
             if not face.blocked:
                 failures.append(f"face {face.axis}/{face.side} can still expand")
+        failures += _certificate_mismatches(doc["certificate"], certificate)
+    failures += _step_order_failures(problem, result)
 
     # the grid replay sweeps a lattice over the ambient box, so it runs only at desk scale
     replayed = feasible and problem.dim <= ORACLE_MAX_DIM
@@ -216,7 +265,7 @@ def cmd_rosetta(args) -> int:
     problem = _load_problem_file(args.problem)
     solution = None
     if args.solution:
-        solution = _load_result_file(args.solution, problem)
+        solution, _ = _load_result_file(args.solution, problem)
     report = build_report(problem, solution, resolution=resolution)
     formats = []
     if args.csv:

@@ -255,9 +255,11 @@ class _TermMax:
     The only code that decides whether a box is feasible.  ``pairs`` are
     the constrained ``(surface, bound)`` pairs, ``intervals`` the box as a
     list of ``Interval``s that the caller has checked against the ambient
-    bounds.  ``column`` is the only cell kernel: each cell is
+    bounds.  ``column`` is the cell kernel of every box: each cell is
     ``extremum(linear[k], quadratic[k], lo, hi)[0]`` bit for bit, computed
-    inline, and the rows are built from the columns.  Every sum runs left
+    inline, and the constructor builds the rows from the columns, unless
+    it is given them: ``at_seed`` gives the seed point box's rows, whose
+    cells are ``column(j, x, x)`` bit for bit.  Every sum runs left
     to right, ``sum`` from a ``_SUM_START`` start (a plain float on CPython
     before 3.12, ``_LeftToRight`` elsewhere), as ``evaluate`` adds a
     point's terms.  ``abs_rows`` holds the cells' magnitudes, which every
@@ -276,18 +278,27 @@ class _TermMax:
     test of a try, which grid replay points, slice points and max-volume
     boxes are too, and ``face_slacks`` the least slack of a face push, each
     charging the budget in one pass over the column; ``slack`` is the one
-    left-to-right sum they both fall back to.
+    left-to-right sum they both fall back to.  ``slacks`` sums the whole
+    rows in one ``map(sum, ...)`` pass, the same additions as ``slack``
+    with each row's first cell kept.
     """
 
-    def __init__(self, pairs: Sequence[tuple[QuadraticResponseSurface, float]], intervals: Sequence[Interval]):
+    def __init__(
+        self,
+        pairs: Sequence[tuple[QuadraticResponseSurface, float]],
+        intervals: Sequence[Interval],
+        rows: list[list[float]] | None = None,
+    ):
         self.intervals = list(intervals)
         self.pairs = pairs
         # per factor, its coefficient in every constrained surface; empty with no constraint
         self.linear = list(zip(*(s.linear for s, _ in self.pairs))) or [()] * len(self.intervals)
         self.quadratic = list(zip(*(s.quadratic for s, _ in self.pairs))) or [()] * len(self.intervals)
         self.names = tuple(s.name for s, _ in self.pairs)
-        columns = [self.column(j, iv.lo, iv.hi) for j, iv in enumerate(self.intervals)]
-        self.rows = [list(row) for row in zip(*columns)]
+        if rows is None:
+            columns = [self.column(j, iv.lo, iv.hi) for j, iv in enumerate(self.intervals)]
+            rows = [list(row) for row in zip(*columns)]
+        self.rows = rows
         self.abs_rows = [list(map(abs, row)) for row in self.rows]
         self.neg_rows = [[-c for c in row] for row in self.rows]
         # per constraint, the start of its budget, noise and slack sums
@@ -297,6 +308,19 @@ class _TermMax:
         # a slack estimate's error bound per unit of the magnitudes it sums
         self.spread = (2 * len(self.intervals) + 3) * _FLOAT_EPS
         self.limit = self.spread * _SUM_LIMIT
+
+    @classmethod
+    def at_seed(cls, problem: DesignProblem) -> "_TermMax":
+        """The table of the seed point box, built row by row: the box constructor's table bit for bit.
+
+        Each cell is its term's value at the seed, ``l * x + q * x * x``.
+        That is ``column(j, x, x)``: over [x, x] no vertex lies strictly
+        inside and ``hi == lo``, so the kernel keeps its first value, the
+        same expression.  One pass per row makes no column and no transpose.
+        """
+        pairs, seed = problem.constrained_pairs(), problem.seed
+        rows = [[l * x + q * x * x for l, q, x in zip(s.linear, s.quadratic, seed)] for s, _ in pairs]
+        return cls(pairs, [Interval(x, x) for x in seed], rows)
 
     def column(self, j: int, lo: float, hi: float) -> list[float]:
         """Cell j of every row, for interval j replaced by [lo, hi]: each term's maximum.
@@ -341,17 +365,18 @@ class _TermMax:
         magnitudes with cell j at +0.0: x + (-0.0) is x for every x, as
         x - (+0.0) is, and adding +0.0 to a sum of magnitudes leaves it.
         """
-        spread, rests, noises = self.spread, [], []
+        spread = self.spread
+        if j is None:
+            return [], [spread * total for total in map(sum, self.abs_rows, self.noise_starts)]
+        rests, noises = [], []
         for neg_row, abs_row, rest_start, noise_start in zip(
             self.neg_rows, self.abs_rows, self.budget_starts, self.noise_starts
         ):
-            if j is not None:
-                cell, size = neg_row[j], abs_row[j]
-                neg_row[j], abs_row[j] = -0.0, 0.0
-                rests.append(sum(neg_row, rest_start))
+            cell, size = neg_row[j], abs_row[j]
+            neg_row[j], abs_row[j] = -0.0, 0.0
+            rests.append(sum(neg_row, rest_start))
             noises.append(spread * sum(abs_row, noise_start))
-            if j is not None:
-                neg_row[j], abs_row[j] = cell, size
+            neg_row[j], abs_row[j] = cell, size
         return rests, noises
 
     def fits(self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]) -> bool:
@@ -371,22 +396,24 @@ class _TermMax:
         return True
 
     def face_slacks(
-        self, j: int, column: Sequence[float], rests: Sequence[float], noises: Sequence[float]
+        self, j: int, column: Sequence[float], slacks: Sequence[float], noises: Sequence[float]
     ) -> tuple[bool, float, int]:
         """Left-to-right slack, with column j replaced, of each constraint that could hold the least one:
         whether every such slack is >= 0, the least one (inf if none) and its constraint's index.
 
-        The budget pair leaves out cell j.  A constraint whose lowest possible
-        slack lies above the least highest one can neither hold nor tie the
-        least slack, so it is left out.  The ceiling, that least highest
-        slack, is ``min``'s: the first value wins ties and a NaN first value
-        stays.  If some error bound reaches ``limit``, every constraint is
-        summed.  As with ``min``, the first of tied slacks wins, and a NaN
-        first slack stays the least.
+        ``slacks`` are the box's ``slacks()`` and ``noises`` its whole rows'
+        noise, ``budgets()``'s.  Each constraint's budget without cell j is
+        its slack plus the cell, ``sl + row[j]``, formed in the one pass.  A
+        constraint whose lowest possible slack lies above the least highest
+        one can neither hold nor tie the least slack, so it is left out.
+        The ceiling, that least highest slack, is ``min``'s: the first value
+        wins ties and a NaN first value stays.  If some error bound reaches
+        ``limit``, every constraint is summed.  As with ``min``, the first of
+        tied slacks wins, and a NaN first slack stays the least.
         """
         spread, limit, lows, ceiling = self.spread, self.limit, [], math.inf
-        for rest, noise, c in zip(rests, noises, column):
-            estimate, error = rest - c, noise + spread * abs(c)
+        for sl, row, noise, c in zip(slacks, self.rows, noises, column):
+            estimate, error = (sl + row[j]) - c, noise + spread * abs(c)
             if not error < limit:
                 candidates = range(len(column))
                 break
@@ -415,7 +442,8 @@ class _TermMax:
 
     def slacks(self) -> tuple[float, ...]:
         """Left-to-right slack of every constraint over the box."""
-        return tuple(self.slack(i, 0, row[0]) for i, row in enumerate(self.rows))
+        totals = map(sum, self.rows, self.slack_starts)
+        return tuple(bound - total for (_, bound), total in zip(self.pairs, totals))
 
 
 # --- loading and quantification ------------------------------------------

@@ -374,7 +374,7 @@ def solve_greedy(problem: DesignProblem, ranking: Sequence[int] | None = None) -
         order = auto_rank(problem)
 
     # the seed point box needs no ambient check: ``DesignProblem`` has checked the seed
-    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+    table = _TermMax.at_seed(problem)
     steps = [_expand_step(problem, table, j) for j in order]
     certificate = _certify(problem, table)
     return SolveResult(Orthotope(table.intervals), order, tuple(steps), certificate)
@@ -405,8 +405,6 @@ def _certify(problem: DesignProblem, table: _TermMax) -> MaximalityCertificate:
     for j, (var, interval) in enumerate(zip(problem.variables, table.intervals)):
         ambient, lo, hi = var.ambient, interval.lo, interval.hi
         push = problem.tolerance * ambient.width
-        # each constraint's budget without cell j, from the box's slack; the noise is the whole row's
-        rests = [sl + row[j] for sl, row in zip(slacks, table.rows)]
         for side, room, pushed_lo, pushed_hi in (
             ("lo", lo - ambient.lo, lo - push, hi),
             ("hi", ambient.hi - hi, lo, hi + push),
@@ -414,7 +412,7 @@ def _certify(problem: DesignProblem, table: _TermMax) -> MaximalityCertificate:
             if room < push:
                 faces.append(FaceCheck(j, side, "ambient", room))
                 continue
-            feasible, least, worst = table.face_slacks(j, table.column(j, pushed_lo, pushed_hi), rests, noises)
+            feasible, least, worst = table.face_slacks(j, table.column(j, pushed_lo, pushed_hi), slacks, noises)
             if feasible:
                 faces.append(FaceCheck(j, side, None, least))
             else:
@@ -501,7 +499,7 @@ def oracle_solve(
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
     axes = problem.region().grid_axes(resolution)
 
-    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+    table = _TermMax.at_seed(problem)
     for j in order:
         lo, hi = _grid_sweep(table, axes, j, problem.seed[j])
         table.swap(j, Interval(lo, hi), table.column(j, lo, hi))
@@ -521,7 +519,7 @@ def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
     monotone, so none of its boxes could win.
     """
     k = min(resolution, VOLUME_SEARCH_RESOLUTION[problem.dim])
-    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+    table = _TermMax.at_seed(problem)
     # per axis, (width, lo, hi, column) of each interval of grid endpoints around the seed
     *outer, last = [
         [
@@ -560,7 +558,7 @@ def oracle_check_steps(
     """
     _check_oracle_limits(problem, resolution)
     axes = problem.region().grid_axes(resolution)
-    table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+    table = _TermMax.at_seed(problem)
 
     checks = []
     for step in result.steps:

@@ -64,8 +64,9 @@ class Interval(Frozen):
             raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        set_lo, set_hi = self._setters
+        set_lo(self, lo)
+        set_hi(self, hi)
 
     @property
     def width(self) -> float:

@@ -213,6 +213,148 @@ def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
     assert payload["failures"][0].startswith(f"stored box violates {face['blocked_by']} <= ")
 
 
+GOLDEN_EMISSIONS = Path(__file__).parent / "golden" / "emissions_solution.json"
+
+
+def _verify_edited_golden(tmp_path, capsys, edit):
+    """``verify`` on the emissions golden solution after ``edit`` (in place): exit code, FAIL lines, stderr."""
+    doc = json.loads(GOLDEN_EMISSIONS.read_text())
+    edit(doc)
+    path = tmp_path / "edited_solution.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", problem_path("emissions.json"), str(path), capsys=capsys)
+    json_code, json_out, _ = run_cli("verify", problem_path("emissions.json"), str(path), "--json", capsys=capsys)
+    fails = [line[len("FAIL "):] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert json_code == code and json.loads(json_out)["failures"] == fails
+    return code, fails, err
+
+
+def _face(doc, axis, side):
+    return next(f for f in doc["certificate"]["faces"] if f["axis"] == axis and f["side"] == side)
+
+
+def test_the_emissions_golden_verifies():
+    # the cases below edit it: its ranking, steps and face 0/hi are what they assume
+    doc = json.loads(GOLDEN_EMISSIONS.read_text())
+    assert doc["ranking"] == [1, 0, 2] and [s["factor"] for s in doc["steps"]] == [1, 0, 2]
+    assert doc["certificate"]["epsilon"] == 1e-6 and doc["certificate"]["maximal"] is True
+    face = _face(doc, 0, "hi")
+    assert doc["certificate"]["faces"].index(face) == 1
+    assert face["blocked_by"] == "NOx" and face["margin"] == 4.0167770332111274e-06
+    assert main(["verify", problem_path("emissions.json"), str(GOLDEN_EMISSIONS)]) == 0
+
+
+@pytest.mark.parametrize(
+    "edit, fails",
+    [
+        (lambda doc: doc["steps"].append(doc["steps"][0]),
+         ["stored steps expand factors [1, 0, 2, 1], not one per factor in ranking order [1, 0, 2]"]),
+        (lambda doc: doc.update(steps=doc["steps"][:1]),
+         ["stored steps expand factors [1], not one per factor in ranking order [1, 0, 2]"]),
+        (lambda doc: doc.update(steps=[]),
+         ["stored steps expand factors [], not one per factor in ranking order [1, 0, 2]"]),
+        (lambda doc: doc.update(ranking=[0, 1, 2]),
+         ["stored steps expand factors [1, 0, 2], not one per factor in ranking order [0, 1, 2]"]),
+        # a ranking that is no permutation breaks both rules, each with its own line
+        (lambda doc: doc.update(ranking=[1, 1, 2]),
+         ["stored ranking [1, 1, 2] is not a permutation of 0..2",
+          "stored steps expand factors [1, 0, 2], not one per factor in ranking order [1, 1, 2]"]),
+        (lambda doc: doc.update(ranking=[1, 0, 2, 3], steps=doc["steps"] + [doc["steps"][0]]),
+         ["stored ranking [1, 0, 2, 3] is not a permutation of 0..2",
+          "stored steps expand factors [1, 0, 2, 1], not one per factor in ranking order [1, 0, 2, 3]"]),
+    ],
+    ids=["first-step-appended", "steps-cut-to-the-first", "steps-emptied", "ranking-012", "ranking-repeats",
+         "ranking-too-long"],
+)
+def test_verify_refuses_a_step_record_that_is_not_one_step_per_factor_in_ranking_order(tmp_path, capsys, edit, fails):
+    code, got, err = _verify_edited_golden(tmp_path, capsys, edit)
+    assert (code, err) == (5, "")
+    # the replay of a repeated step may add its own lines after these
+    assert got[: len(fails)] == fails
+
+
+def _set_face(axis, side, key, value):
+    return lambda doc: _face(doc, axis, side).update({key: value})
+
+
+_FACE_0_HI = '{"axis": 0, "side": "hi", "blocked_by": "NOx", "margin": 4.0167770332111274e-06}'
+
+
+@pytest.mark.parametrize(
+    "edit, fails",
+    [
+        (lambda doc: doc["certificate"].update(epsilon=0.5),
+         ["stored certificate epsilon 0.5 is not the tolerance 1e-06"]),
+        (lambda doc: doc["certificate"].update(maximal=False),
+         ["stored certificate says maximal false, recomputed true"]),
+        (_set_face(0, "hi", "blocked_by", "CO2"),
+         [f"stored certificate face 1 is {_FACE_0_HI.replace('NOx', 'CO2')}, recomputed {_FACE_0_HI}"]),
+        (_set_face(0, "hi", "margin", 123.0),
+         [f"stored certificate face 1 is {_FACE_0_HI.replace('4.0167770332111274e-06', '123.0')}, "
+          f"recomputed {_FACE_0_HI}"]),
+        # null matches only null, and a margin one ulp off is another margin
+        (_set_face(0, "hi", "margin", None),
+         [f"stored certificate face 1 is {_FACE_0_HI.replace('4.0167770332111274e-06', 'null')}, "
+          f"recomputed {_FACE_0_HI}"]),
+        (_set_face(0, "hi", "margin", math.nextafter(4.0167770332111274e-06, 1.0)),
+         [f"stored certificate face 1 is {_FACE_0_HI.replace('4.0167770332111274e-06', '4.016777033211128e-06')}, "
+          f"recomputed {_FACE_0_HI}"]),
+        (_set_face(0, "hi", "axis", 2),
+         [f"stored certificate face 1 is {_FACE_0_HI.replace('0', '2', 1)}, recomputed {_FACE_0_HI}"]),
+        (_set_face(0, "hi", "side", "lo"),
+         [f"stored certificate face 1 is {_FACE_0_HI.replace('hi', 'lo')}, recomputed {_FACE_0_HI}"]),
+        (lambda doc: doc["certificate"].update(faces=doc["certificate"]["faces"][:5]),
+         ["stored certificate has 5 faces, recomputed 6"]),
+        # a box end moved 7.3e-14 inward, steps left as they were: the face's margin moves
+        (lambda doc: doc["orthotope"][0].update(hi=0.5302153135091),
+         [f"stored certificate face 1 is {_FACE_0_HI}, "
+          f"recomputed {_FACE_0_HI.replace('4.0167770332111274e-06', '4.016776740556338e-06')}"]),
+    ],
+    ids=["epsilon", "maximal", "blocked-by", "margin", "null-margin", "margin-ulp", "axis", "side", "face-count",
+         "box-end-moved-inward"],
+)
+def test_verify_compares_the_stored_certificate_with_the_recomputed_one(tmp_path, capsys, edit, fails):
+    assert _verify_edited_golden(tmp_path, capsys, edit) == (5, fails, "")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["certificate"].update(epsilon="1e-06"),
+        lambda doc: doc["certificate"].update(epsilon=float("nan")),
+        lambda doc: doc["certificate"].pop("maximal"),
+        lambda doc: doc["certificate"].update(maximal=1),
+        lambda doc: doc["certificate"].update(faces={}),
+        lambda doc: doc["certificate"].update(faces=""),
+        _set_face(0, "hi", "axis", "0"),
+        _set_face(0, "hi", "blocked_by", ["NOx"]),
+        _set_face(0, "hi", "blocked_by", {"NOx": None}),
+        _set_face(0, "hi", "margin", "nan"),
+        _set_face(0, "hi", "margin", float("inf")),
+        _set_face(0, "hi", "margin", True),
+    ],
+    ids=["epsilon-text", "epsilon-nan", "maximal-missing", "maximal-1", "faces-object", "faces-text", "axis-text",
+         "blocked-by-array", "blocked-by-object", "margin-text", "margin-infinity", "margin-true"],
+)
+def test_a_certificate_that_loads_but_differs_is_a_fail_line_not_an_error(tmp_path, capsys, edit):
+    code, fails, err = _verify_edited_golden(tmp_path, capsys, edit)
+    assert (code, err, len(fails)) == (5, "", 1)
+    assert fails[0].startswith("stored certificate ")
+
+
+def test_an_infeasible_box_still_has_its_epsilon_and_steps_checked(tmp_path, capsys):
+    def edit(doc):
+        doc["orthotope"][0]["hi"] = 0.6
+        doc["certificate"]["epsilon"] = 0.5
+        doc["steps"].append(doc["steps"][0])
+
+    code, fails, err = _verify_edited_golden(tmp_path, capsys, edit)
+    assert (code, err) == (5, "")
+    assert fails[0] == "stored certificate epsilon 0.5 is not the tolerance 1e-06"
+    assert fails[1].startswith("stored box violates NOx <= ")
+    assert fails[2:] == ["stored steps expand factors [1, 0, 2, 1], not one per factor in ranking order [1, 0, 2]"]
+
+
 def _strict_json(text):
     """Parse ``text`` as JSON proper: ``Infinity``, ``-Infinity`` and ``NaN`` are refused."""
 

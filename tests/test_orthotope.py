@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import add, neg, sub
@@ -791,6 +792,43 @@ def test_solve_term_evaluations_are_linear_in_n_times_m(monkeypatch):
     assert 0 < cells <= 8 * n * m
 
 
+def seed_table_problems():
+    """Seeded random problems over N 1-20, M 1-10 and scales 1e-4-1e6, plain and on 1600-2000
+    offset domains, then the three bundled problems.
+    """
+    rng = random.Random(3303)
+    for scale in (1e-4, 1e-2, 1.0, 1e3, 1e6):
+        for shifted in (False, True):
+            for _ in range(6):
+                offset = rng.uniform(1600.0, 2000.0) if shifted else 0.0
+                yield random_problem(rng, rng.randint(1, 20), rng.randint(1, 10), scale=scale, offset=offset)
+    for name in ("emissions", "adas", "adas_tall"):
+        yield load_problem(data_path(f"{name}.json").read_text())
+
+
+def _hex_rows(rows):
+    return [list(map(float.hex, row)) for row in rows]
+
+
+def test_seed_table_matches_the_box_constructor_over_the_seed_point_box():
+    for problem in seed_table_problems():
+        seeded = _TermMax.at_seed(problem)
+        boxed = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
+        for table in (seeded, boxed):
+            assert table.intervals == list(Orthotope.point(problem.seed).intervals)
+            assert all(type(x) is float for row in table.rows for x in row)
+        for name in ("rows", "abs_rows", "neg_rows"):
+            assert _hex_rows(getattr(seeded, name)) == _hex_rows(getattr(boxed, name)), name
+        for name in ("budget_starts", "noise_starts", "slack_starts"):
+            assert list(map(float.hex, getattr(seeded, name))) == list(map(float.hex, getattr(boxed, name))), name
+        assert (seeded.linear, seeded.quadratic, seeded.names) == (boxed.linear, boxed.quadratic, boxed.names)
+        assert (seeded.spread, seeded.limit) == (boxed.spread, boxed.limit)
+        # the whole-row sums of ``slacks()`` are each constraint's ``slack`` with its first cell kept
+        for table in (seeded, boxed):
+            expected = [table.slack(i, 0, row[0]).hex() for i, row in enumerate(table.rows)]
+            assert list(map(float.hex, table.slacks())) == expected
+
+
 # --- left-to-right sums ---------------------------------------------------------
 # Every sum of the table adds its cells one at a time in order, as ``reduce``
 # does.  A compensated sum, which CPython 3.12+ ``sum`` makes from a plain
@@ -949,11 +987,16 @@ def _filter_table(linear, bounds, points):
     return _TermMax(pairs, [Interval(x, x) for x in points])
 
 
-def _assert_filters_match(table, j, column, rests, noises):
-    """The single-pass ``fits`` and ``face_slacks`` decide as the charged references, bit for bit."""
+def _assert_filters_match(table, j, column, rests, slacks, noises):
+    """The single-pass ``fits`` and ``face_slacks`` decide as the charged references, bit for bit.
+
+    ``fits`` takes the budgets ``rests``; ``face_slacks`` takes box slacks and charges each
+    budget ``sl + row[j]``, which the reference is given.
+    """
     assert table.fits(j, column, rests, noises) == reference_fits(table, j, column, rests, noises)
-    feasible, least, worst = table.face_slacks(j, column, rests, noises)
-    ref_feasible, ref_least, ref_worst = reference_face_slacks(table, j, column, rests, noises)
+    feasible, least, worst = table.face_slacks(j, column, slacks, noises)
+    budgets = [sl + row[j] for sl, row in zip(slacks, table.rows)]
+    ref_feasible, ref_least, ref_worst = reference_face_slacks(table, j, column, budgets, noises)
     assert (feasible, least.hex(), worst) == (ref_feasible, ref_least.hex(), ref_worst)
 
 
@@ -977,11 +1020,13 @@ def test_single_pass_filters_match_the_charged_ones(data):
         st.floats(0.0, 4.0),
     )
     column = data.draw(st.lists(st.one_of(_TIE_FLOATS, st.floats(-4.0, 4.0)), min_size=m, max_size=m))
-    rests = data.draw(
-        st.lists(st.one_of(_TIE_FLOATS, st.sampled_from([1e300, -1e300]), st.floats(-4.0, 4.0)), min_size=m, max_size=m)
+    # budgets for ``fits`` and box slacks for ``face_slacks``, each drawn from the same values
+    budget = st.lists(
+        st.one_of(_TIE_FLOATS, st.sampled_from([1e300, -1e300]), st.floats(-4.0, 4.0)), min_size=m, max_size=m
     )
+    rests, slacks = data.draw(budget), data.draw(budget)
     noises = data.draw(st.lists(noise, min_size=m, max_size=m))
-    _assert_filters_match(table, j, column, rests, noises)
+    _assert_filters_match(table, j, column, rests, slacks, noises)
 
 
 @pytest.mark.parametrize(
@@ -1007,8 +1052,11 @@ def test_single_pass_filters_match_the_charged_ones_at_the_edges(rests, noises, 
     table = _filter_table([[0.25, 0.25]] * 3, [0.5, 0.5, 0.5], [1.0, 1.0])
     marks = {"limit": table.limit, "below": math.nextafter(table.limit, 0.0)}
     noises = [marks[v] if isinstance(v, str) else v for v in noises]
+    # the box slacks whose budget without a cell of 0.25 is each rest, bit for bit
+    slacks = [rest - 0.25 for rest in rests]
+    assert [(sl + 0.25).hex() for sl in slacks] == [rest.hex() for rest in rests]
     for j in (0, 1):
-        _assert_filters_match(table, j, column, rests, noises)
+        _assert_filters_match(table, j, column, rests, slacks, noises)
 
 
 # --- N-cell points decided as tries against the twice-charged budget they replaced ---
@@ -1184,15 +1232,22 @@ def test_filtered_solve_matches_left_to_right_solve():
 
 
 def _counting_slack(monkeypatch):
-    """Record (constraint, column) of every left-to-right slack the table sums."""
+    """Record (constraint, column) of every left-to-right slack the table sums; the whole-row
+    pass of ``slacks()``, which replaces no cell, records (constraint, None) for each row.
+    """
     summed = []
-    slack = _TermMax.slack
+    slack, slacks = _TermMax.slack, _TermMax.slacks
 
     def counted(self, i, j, c):
         summed.append((i, j))
         return slack(self, i, j, c)
 
+    def counted_rows(self):
+        summed.extend((i, None) for i in range(len(self.rows)))
+        return slacks(self)
+
     monkeypatch.setattr(_TermMax, "slack", counted)
+    monkeypatch.setattr(_TermMax, "slacks", counted_rows)
     return summed
 
 
@@ -1314,8 +1369,9 @@ def test_overflowing_terms_take_the_full_pass(monkeypatch):
     faces = verify_maximality(wide, box).faces
     assert [f.blocked_by for f in faces] == ["nan", "ambient", "ambient", "inf", "ambient", "ambient"]
     assert math.isnan(faces[0].margin) and faces[3].margin == math.inf
-    # the precheck sums each constraint once, and each of the two pushed faces sums all three
-    assert sorted(summed) == sorted([(0, 0), (1, 0), (2, 0)] * 2 + [(0, 1), (1, 1), (2, 1)])
+    # the precheck sums each constraint once, in one whole-row pass, and each of the two pushed
+    # faces sums all three
+    assert Counter(summed) == Counter([(i, None) for i in range(3)] + [(i, j) for j in (0, 1) for i in range(3)])
 
 
 def test_magnitudes_near_the_overflow_limit_are_summed(monkeypatch):
@@ -1323,8 +1379,8 @@ def test_magnitudes_near_the_overflow_limit_are_summed(monkeypatch):
     problem = one_dim_problem(linear=1.0, quadratic=0.0, bound=1e308)
     summed = _counting_slack(monkeypatch)
     assert repr(solve_greedy(problem)) == repr(reference_solve(problem))
-    # the one expansion try and the certificate's precheck; the seed was checked on load
-    assert summed == [(0, 0)] * 2
+    # the one expansion try and the certificate's whole-row precheck; the seed was checked on load
+    assert summed == [(0, 0), (0, None)]
 
 
 def vertex_seed_problem(rng, n, m, scale, lo, hi):
