@@ -55,8 +55,7 @@ __all__ = [
 
 COEFF_EPS = 1e-12
 ORACLE_MAX_RESOLUTION = 201
-ORACLE_MAX_DIM = 3
-# exhaustive volume search is informational; capped per dimension to stay desk-scale
+# the max-volume search may try every grid box, a number exponential in N, so it runs only at the dimensions listed
 VOLUME_SEARCH_RESOLUTION = {1: ORACLE_MAX_RESOLUTION, 2: 41, 3: 21}
 
 
@@ -439,11 +438,11 @@ class StepCheck(Frozen):
         )
 
 
-def _check_oracle_limits(problem: DesignProblem, resolution: int) -> None:
-    if problem.dim > ORACLE_MAX_DIM:
-        raise CapExceeded(f"grid oracle supports at most {ORACLE_MAX_DIM} variables")
+def _oracle_axes(problem: DesignProblem, resolution: int) -> list[list[float]]:
+    """The grid axes of the oracle; ``grid_axes`` builds all N at once, so r is capped."""
     if resolution > ORACLE_MAX_RESOLUTION:
         raise CapExceeded(f"grid oracle resolution capped at {ORACLE_MAX_RESOLUTION}")
+    return problem.region().grid_axes(resolution)
 
 
 def _grid_sweep(table: _TermMax, axes: list[list[float]], j: int, seed_j: float) -> tuple[float, float]:
@@ -485,19 +484,19 @@ def oracle_solve(
     resolution: int,
     include_volume_box: bool = True,
 ) -> OracleResult:
-    """Desk-scale brute-force reference solver on the ambient lattice.
+    """Brute-force reference solver on the ambient lattice.
 
     Anchored at the seed point, factors expand over grid endpoints in
     ranking order, each candidate tested by the exact analytic box
     maximum, which bounds every corner evaluation.  A separate
     max-volume grid box is returned for comparison; that search runs on
-    an internally reduced grid above one dimension to stay tractable.
+    an internally reduced grid above one dimension to stay tractable,
+    and raises ``CapExceeded`` above three.
     Every box either search tries is decided by the term-max table, as
     ``is_box_feasible`` decides it.
     """
-    _check_oracle_limits(problem, resolution)
+    axes = _oracle_axes(problem, resolution)
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
-    axes = problem.region().grid_axes(resolution)
 
     table = _TermMax.at_seed(problem)
     for j in order:
@@ -518,6 +517,8 @@ def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
     the widest last-axis width is not above the best is skipped: rounding is
     monotone, so none of its boxes could win.
     """
+    if problem.dim not in VOLUME_SEARCH_RESOLUTION:
+        raise CapExceeded(f"max-volume grid search supports at most {max(VOLUME_SEARCH_RESOLUTION)} variables")
     k = min(resolution, VOLUME_SEARCH_RESOLUTION[problem.dim])
     table = _TermMax.at_seed(problem)
     # per axis, (width, lo, hi, column) of each interval of grid endpoints around the seed
@@ -556,8 +557,7 @@ def oracle_check_steps(
     step of the exact endpoint; disagreement beyond that flags the step.
     A stored interval outside its ambient bounds raises ``BoxOutsideAmbient``.
     """
-    _check_oracle_limits(problem, resolution)
-    axes = problem.region().grid_axes(resolution)
+    axes = _oracle_axes(problem, resolution)
     table = _TermMax.at_seed(problem)
 
     checks = []

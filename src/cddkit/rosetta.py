@@ -136,9 +136,13 @@ def build_report(
     axes = region.grid_axes(resolution)
     n = problem.dim
     box = solution.orthotope if isinstance(solution, SolveResult) else solution
-    held = box if box is not None else Orthotope.point(problem.seed)
-    region.check_inside(held.intervals)
-    table = _TermMax(problem.constrained_pairs(), held.intervals)
+    if box is None:
+        # the seed point box needs no ambient check: ``DesignProblem`` has checked the seed
+        table = _TermMax.at_seed(problem)
+    else:
+        region.check_inside(box.intervals)
+        table = _TermMax(problem.constrained_pairs(), box.intervals)
+    held = Orthotope(table.intervals)
 
     q_matrix = tuple(
         tuple(s.sensitivity(j, problem.seed) for j in range(n)) for s in problem.surfaces

@@ -176,20 +176,35 @@ def _random_problem_file(tmp_path, dim):
     return str(path)
 
 
-@pytest.mark.parametrize("dim", [4, 10])
-def test_verify_above_three_variables_skips_only_the_step_replay(tmp_path, capsys, dim):
+@pytest.mark.parametrize("dim", [4, 10, 20])
+def test_verify_replays_the_steps_above_three_variables(tmp_path, capsys, dim):
     path = _random_problem_file(tmp_path, dim)
     assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
     solution = str(tmp_path / f"random{dim}_solution.json")
     code, out, _ = run_cli("verify", path, solution, "--json", capsys=capsys)
     assert code == 0
     assert json.loads(out) == {
-        "problem": f"random{dim}", "agreement": True, "failures": [], "steps_replayed": False
+        "problem": f"random{dim}", "agreement": True, "failures": [], "steps_replayed": True
     }
-    code, out, _ = run_cli("verify", path, solution, capsys=capsys)
-    assert code == 0
-    assert "step replay skipped: the grid replay takes at most 3 variables" in out
-    assert out.endswith("agreement: yes\n")
+    assert run_cli("verify", path, solution, capsys=capsys) == (0, f"problem: random{dim}\nagreement: yes\n", "")
+
+
+@pytest.mark.parametrize("dim", [4, 10])
+def test_verify_refuses_a_solution_relabelled_with_the_reversed_ranking(tmp_path, capsys, dim):
+    # each step starts at the seed and ends at the box, so only the replay sees that the order is not the solver's
+    path = _random_problem_file(tmp_path, dim)
+    ranking = ",".join(str(j) for j in range(dim))
+    assert run_cli("solve", path, "--ranking", ranking, "--out", str(tmp_path), capsys=capsys)[0] == 0
+    solution = tmp_path / f"random{dim}_solution.json"
+    doc = json.loads(solution.read_text())
+    doc["ranking"].reverse()
+    doc["steps"].reverse()
+    solution.write_text(json.dumps(doc))
+    code, out, err = run_cli("verify", path, str(solution), capsys=capsys)
+    assert (code, err) == (5, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails and all(line.startswith("FAIL step for factor ") and " vs grid " in line for line in fails)
+    assert out.endswith("agreement: no\n")
 
 
 def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
@@ -209,8 +224,10 @@ def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
     assert code == 5
     payload = json.loads(out)
     assert payload["agreement"] is False and payload["steps_replayed"] is False
-    assert len(payload["failures"]) == 1
-    assert payload["failures"][0].startswith(f"stored box violates {face['blocked_by']} <= ")
+    # the step that grew the face no longer ends at the stored box
+    assert len(payload["failures"]) == 2
+    assert payload["failures"][0].startswith(f"step for factor {face['axis']}: after ")
+    assert payload["failures"][1].startswith(f"stored box violates {face['blocked_by']} <= ")
 
 
 GOLDEN_EMISSIONS = Path(__file__).parent / "golden" / "emissions_solution.json"
@@ -273,6 +290,37 @@ def test_verify_refuses_a_step_record_that_is_not_one_step_per_factor_in_ranking
     assert got[: len(fails)] == fails
 
 
+def _set_step(t, part, key, value):
+    return lambda doc: doc["steps"][t][part].update({key: value})
+
+
+_STEP_2_HI = 0.9479696304861928
+
+
+@pytest.mark.parametrize(
+    "edit, fails",
+    [
+        (_set_step(2, "before", "hi", 0.5), ["step for factor 2: before [0.0, 0.5] is not the seed 0.0"]),
+        # the other sign of zero is another float
+        (_set_step(2, "before", "lo", -0.0), ["step for factor 2: before [-0.0, 0.0] is not the seed 0.0"]),
+        (_set_step(2, "after", "hi", math.nextafter(_STEP_2_HI, 0.0)),
+         [f"step for factor 2: after [0.0, {math.nextafter(_STEP_2_HI, 0.0)!r}] "
+          f"is not the stored box's [0.0, {_STEP_2_HI!r}]"]),
+        (_set_step(1, "binding", "hi", "bogus"),
+         ["step for factor 0: hi binding 'bogus' is not ambient, numerical or a constrained surface"]),
+        (_set_step(1, "binding", "hi", "ambient"),
+         ["step for factor 0: hi binding 'ambient' on the end 0.530215313509173, ambient bound 1.0"]),
+        # and a constraint named on an end that sits on its ambient bound
+        (_set_step(0, "binding", "hi", "NOx"),
+         ["step for factor 1: hi binding 'NOx' on the end 1.0, ambient bound 1.0"]),
+    ],
+    ids=["before-widened", "before-signed-zero", "after-one-ulp-inward", "binding-bogus", "ambient-inside",
+         "constraint-on-the-bound"],
+)
+def test_verify_checks_each_step_s_intervals_and_bindings(tmp_path, capsys, edit, fails):
+    assert _verify_edited_golden(tmp_path, capsys, edit) == (5, fails, "")
+
+
 def _set_face(axis, side, key, value):
     return lambda doc: _face(doc, axis, side).update({key: value})
 
@@ -305,9 +353,11 @@ _FACE_0_HI = '{"axis": 0, "side": "hi", "blocked_by": "NOx", "margin": 4.0167770
          [f"stored certificate face 1 is {_FACE_0_HI.replace('hi', 'lo')}, recomputed {_FACE_0_HI}"]),
         (lambda doc: doc["certificate"].update(faces=doc["certificate"]["faces"][:5]),
          ["stored certificate has 5 faces, recomputed 6"]),
-        # a box end moved 7.3e-14 inward, steps left as they were: the face's margin moves
+        # a box end moved 7.3e-14 inward, steps left as they were: the step no longer ends at the box,
+        # and the face's margin moves
         (lambda doc: doc["orthotope"][0].update(hi=0.5302153135091),
-         [f"stored certificate face 1 is {_FACE_0_HI}, "
+         ["step for factor 0: after [0.0, 0.530215313509173] is not the stored box's [0.0, 0.5302153135091]",
+          f"stored certificate face 1 is {_FACE_0_HI}, "
           f"recomputed {_FACE_0_HI.replace('4.0167770332111274e-06', '4.016776740556338e-06')}"]),
     ],
     ids=["epsilon", "maximal", "blocked-by", "margin", "null-margin", "margin-ulp", "axis", "side", "face-count",
@@ -350,9 +400,38 @@ def test_an_infeasible_box_still_has_its_epsilon_and_steps_checked(tmp_path, cap
 
     code, fails, err = _verify_edited_golden(tmp_path, capsys, edit)
     assert (code, err) == (5, "")
-    assert fails[0] == "stored certificate epsilon 0.5 is not the tolerance 1e-06"
-    assert fails[1].startswith("stored box violates NOx <= ")
-    assert fails[2:] == ["stored steps expand factors [1, 0, 2, 1], not one per factor in ranking order [1, 0, 2]"]
+    assert fails[:3] == [
+        "stored certificate epsilon 0.5 is not the tolerance 1e-06",
+        "stored steps expand factors [1, 0, 2, 1], not one per factor in ranking order [1, 0, 2]",
+        "step for factor 0: after [0.0, 0.530215313509173] is not the stored box's [0.0, 0.6]",
+    ]
+    assert fails[3].startswith("stored box violates NOx <= ")
+    assert len(fails) == 4
+
+
+def test_a_solve_whose_ladder_gives_up_is_not_maximal_and_does_not_verify(tmp_path, capsys):
+    # every try of x on [1e6, 2e6] fails the roundoff check, so the step keeps the seed point; this pins
+    # that such a box is never called maximal, not that the box is right
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({
+        "name": "ladder", "variables": [{"name": "x", "lo": 1e6, "hi": 2e6}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [0.0], "quadratic": [5e-13]}],
+        "constraints": [{"surface": "z", "bound": 1.5}], "seed": [1.5e6],
+    }))
+    code, out, err = run_cli("solve", str(path), "--out", str(tmp_path), "--json", capsys=capsys)
+    assert (code, err) == (4, "certification failed: some face is not blocked\n")
+    doc = json.loads(out)
+    point = {"lo": 1.5e6, "hi": 1.5e6}
+    assert doc["steps"] == [
+        {"factor": 0, "before": point, "after": point, "binding": {"lo": "numerical", "hi": "numerical"}}
+    ]
+    assert doc["certificate"]["maximal"] is False
+    assert [f["blocked_by"] for f in doc["certificate"]["faces"]] == [None, None]
+    code, out, err = run_cli("verify", str(path), str(tmp_path / "ladder_solution.json"), capsys=capsys)
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert (code, err) == (5, "")
+    assert fails[:2] == ["FAIL face 0/lo can still expand", "FAIL face 0/hi can still expand"]
+    assert len(fails) == 3 and fails[2].startswith("FAIL step for factor 0: stored [1.5e+06, 1.5e+06] vs grid ")
 
 
 def _strict_json(text):

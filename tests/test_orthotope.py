@@ -623,6 +623,33 @@ def test_oracle_caps():
         oracle_solve(problem, 500)
 
 
+@pytest.mark.parametrize("dim", [5, 10, 20])
+def test_step_checks_agree_above_three_variables(dim):
+    # the replay sweeps one axis at a time, so it runs at any N: across scales, plain and offset domains
+    rng = random.Random(7000 + dim)
+    for scale in (1e-4, 1.0, 1e3, 1e6):
+        for offset in (0.0, rng.uniform(1600.0, 2000.0)):
+            problem = random_problem(rng, dim, rng.randint(1, 10), scale=scale, offset=offset)
+            result = solve_greedy(problem)
+            checks = oracle_check_steps(problem, result, 201)
+            assert [c.factor for c in checks] == list(result.ranking)
+            assert all(c.ok for c in checks)
+
+
+def test_oracle_solve_above_three_variables_runs_without_the_volume_search():
+    problem = random_problem(random.Random(4), dim=4, count=3)
+    with pytest.raises(CapExceeded, match="^max-volume grid search supports at most 3 variables$"):
+        oracle_solve(problem, 21)
+    oracle = oracle_solve(problem, 21, include_volume_box=False)
+    assert oracle.volume_box is None and oracle.ranking == auto_rank(problem)
+    axes = problem.region().grid_axes(21)
+    for iv, grid, x in zip(oracle.greedy_box.intervals, axes, problem.seed):
+        assert iv.lo <= x <= iv.hi
+        assert {iv.lo, iv.hi} <= {*grid, x}
+    assert problem.region().is_box_feasible(oracle.greedy_box.intervals)[0]
+    assert max(oracle.greedy_box.widths()) > 0.0
+
+
 def test_greedy_volume_dominates_grid_volume(emissions):
     result = solve_greedy(emissions)
     oracle = oracle_solve(emissions, 201)
@@ -676,6 +703,20 @@ def test_greedy_replay_at_scale_on_offset_domain():
     assert result.certificate.maximal
     assert verify_maximality(problem, box).maximal
     assert max(box.widths()) > 0.0
+
+
+def test_the_solver_never_claims_maximal_when_its_ladder_gives_up():
+    # every try of x on [1e6, 2e6] fails the roundoff check, so the step keeps the seed point; this pins
+    # that such a box is never called maximal, not that the box is right
+    problem = one_dim_problem(quadratic=5e-13, bound=1.5, ambient=(1e6, 2e6), seed=1.5e6)
+    result = solve_greedy(problem)
+    point = Interval(1.5e6, 1.5e6)
+    assert result.orthotope == Orthotope((point,))
+    assert result.steps == (ExpansionStep(0, point, point, "numerical", "numerical"),)
+    assert [(f.side, f.blocked_by) for f in result.certificate.faces] == [("lo", None), ("hi", None)]
+    assert result.certificate.faces[0].margin == 0.375
+    assert result.certificate.faces[1].margin == pytest.approx(0.3749985)
+    assert not result.certificate.maximal
 
 
 # --- term-max table ------------------------------------------------------------
