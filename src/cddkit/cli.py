@@ -162,109 +162,58 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _face_fields(face: dict) -> tuple:
-    margin = face["margin"]
-    return face["axis"], face["side"], face["blocked_by"], None if margin is None else float(margin).hex()
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _certificate_mismatches(stored: dict, certificate) -> list[str]:
-    """How the stored certificate document differs from the recomputed certificate, one line per field.
+def _differences(stored, fresh, path: str = "") -> list[str]:
+    """One line per field where ``stored`` differs from ``fresh``, in ``fresh``'s key order.
 
-    ``stored`` is a document that ``MaximalityCertificate.from_json`` has
-    read, so every entry of ``faces`` holds the four keys and a margin that
-    is null or converts to a float.  Margins compare by ``float.hex``, and
-    null matches only null.
+    A number equals a number of the same value and sign of zero (a bool is
+    not a number); any other leaf equals one of the same type and value.  A
+    missing or extra key, or a list of another length, is one line.
     """
-    recomputed = certificate.to_json()
-    failures = []
-    maximal = stored.get("maximal")
-    if maximal is not recomputed["maximal"]:
-        failures.append(
-            f"stored certificate says maximal {json.dumps(maximal)}, recomputed {json.dumps(recomputed['maximal'])}"
-        )
-    faces = list(stored["faces"])
-    if len(faces) != len(recomputed["faces"]):
-        failures.append(f"stored certificate has {len(faces)} faces, recomputed {len(recomputed['faces'])}")
-        return failures
-    for k, (face, expected) in enumerate(zip(faces, recomputed["faces"])):
-        if _face_fields(face) != _face_fields(expected):
-            shown = json.dumps({key: face[key] for key in expected})
-            failures.append(f"stored certificate face {k} is {shown}, recomputed {json.dumps(expected)}")
-    return failures
-
-
-def _step_record_failures(problem, result) -> list[str]:
-    """One line per broken rule of the step record.
-
-    The ranking is a permutation of 0..N−1 and the steps expand its
-    factors in its order.  Each step grows the seed's point interval to the
-    stored box's interval, both bit for bit.  Each binding is "ambient",
-    "numerical" or a constrained surface, and outside "numerical" an end
-    reads "ambient" exactly when it equals its ambient bound.
-    """
-    failures = []
-    ranking, factors = list(result.ranking), [step.factor for step in result.steps]
-    if sorted(ranking) != list(range(problem.dim)):
-        failures.append(f"stored ranking {ranking} is not a permutation of 0..{problem.dim - 1}")
-    if factors != ranking:
-        failures.append(f"stored steps expand factors {factors}, not one per factor in ranking order {ranking}")
-    names = {"ambient", "numerical", *(c.surface for c in problem.constraints)}
-    for step in result.steps:
-        j, before, after = step.factor, step.before, step.after
-        x, box, ambient = problem.seed[j], result.orthotope.intervals[j], problem.variables[j].ambient
-        if (before.lo.hex(), before.hi.hex()) != (x.hex(), x.hex()):
-            failures.append(f"step for factor {j}: before [{before.lo!r}, {before.hi!r}] is not the seed {x!r}")
-        if (after.lo.hex(), after.hi.hex()) != (box.lo.hex(), box.hi.hex()):
-            failures.append(f"step for factor {j}: after [{after.lo!r}, {after.hi!r}] "
-                            f"is not the stored box's [{box.lo!r}, {box.hi!r}]")
-        for side, binding, end, bound in (("lo", step.binding_lo, after.lo, ambient.lo),
-                                          ("hi", step.binding_hi, after.hi, ambient.hi)):
-            if binding not in names:
-                failures.append(f"step for factor {j}: {side} binding {binding!r} is not ambient, "
-                                "numerical or a constrained surface")
-            elif binding != "numerical" and (binding == "ambient") != (end == bound):
-                failures.append(f"step for factor {j}: {side} binding {binding!r} on the end {end!r}, "
-                                f"ambient bound {bound!r}")
-    return failures
+    if isinstance(stored, dict) and isinstance(fresh, dict):
+        prefix = f"{path}." if path else ""
+        lines = []
+        for key, value in fresh.items():
+            if key in stored:
+                lines += _differences(stored[key], value, prefix + key)
+            else:
+                lines.append(f"{prefix}{key} is missing, re-solve gives {json.dumps(value)}")
+        return lines + [f"{prefix}{key} is {json.dumps(value)}, re-solve has no such key"
+                        for key, value in stored.items() if key not in fresh]
+    if isinstance(stored, list) and isinstance(fresh, list):
+        if len(stored) != len(fresh):
+            return [f"{path} has length {len(stored)}, re-solve gives {len(fresh)}"]
+        return [line for k, pair in enumerate(zip(stored, fresh)) for line in _differences(*pair, f"{path}[{k}]")]
+    if _is_number(stored) and _is_number(fresh):
+        # exact, so an integer past the float range is a difference, not an overflow
+        same = stored == fresh and math.copysign(1.0, stored) == math.copysign(1.0, fresh)
+    else:
+        same = type(stored) is type(fresh) and stored == fresh
+    return [] if same else [f"{path} is {json.dumps(stored)}, re-solve gives {json.dumps(fresh)}"]
 
 
 def cmd_verify(args) -> int:
-    from .orthotope import ORACLE_MAX_RESOLUTION, oracle_check_steps, verify_maximality
+    """The stored file must be, field for field, what ``solve_greedy`` writes at its ranking."""
+    from .orthotope import solve_greedy
 
     problem = _load_problem_file(args.problem)
     result, doc = _load_result_file(args.result, problem)
 
     failures = []
-    epsilon = doc["certificate"]["epsilon"]
-    if epsilon != problem.tolerance:
-        failures.append(f"stored certificate epsilon {json.dumps(epsilon)} is not the tolerance {problem.tolerance!r}")
-    # a box of the wrong dimension or outside the ambient box is refused here, before the step record reads it
+    # a box of the wrong dimension or outside the ambient box is refused here
     feasible, slacks = problem.region().is_box_feasible(result.orthotope.intervals)
-    failures += _step_record_failures(problem, result)
-    if feasible:
-        certificate = verify_maximality(problem, result.orthotope)
-        for face in certificate.faces:
-            if not face.blocked:
-                failures.append(f"face {face.axis}/{face.side} can still expand")
-        failures += _certificate_mismatches(doc["certificate"], certificate)
-        for check in oracle_check_steps(problem, result, ORACLE_MAX_RESOLUTION):
-            if not check.ok:
-                failures.append(
-                    f"step for factor {check.factor}: stored "
-                    f"[{check.stored_lo:.6g}, {check.stored_hi:.6g}] vs grid "
-                    f"[{check.grid_lo:.6g}, {check.grid_hi:.6g}] "
-                    f"(tolerance {check.tolerance:.3g})"
-                )
-    else:
+    if not feasible:
         worst = min(range(len(slacks)), key=lambda i: slacks[i])
         failures.append(f"stored box violates {problem.constraints[worst]} by {-slacks[worst]:.3g}")
+    # a stored ranking that is not a permutation is refused here, as ``solve --ranking`` refuses it
+    fresh = solve_greedy(problem, result.ranking)
+    failures += [f"face {f.axis}/{f.side} can still expand" for f in fresh.certificate.faces if not f.blocked]
+    failures += _differences(doc, fresh.to_json())
 
-    payload = {
-        "problem": problem.name,
-        "agreement": not failures,
-        "failures": failures,
-        "steps_replayed": feasible,
-    }
+    payload = {"problem": problem.name, "agreement": not failures, "failures": failures}
     if args.json:
         print(_dump_json(payload))
     else:
@@ -364,7 +313,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="independently check a stored solve result at the problem's tolerance")
+    p = sub.add_parser("verify", help="re-solve at a stored result's ranking and compare the whole file")
     p.add_argument("problem")
     p.add_argument("result")
     p.add_argument("--json", action="store_true")

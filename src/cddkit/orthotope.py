@@ -71,9 +71,6 @@ class Orthotope(Frozen):
     def dim(self) -> int:
         return len(self.intervals)
 
-    def widths(self) -> tuple[float, ...]:
-        return tuple(iv.width for iv in self.intervals)
-
     def replaced(self, j: int, interval: Interval) -> "Orthotope":
         items = list(self.intervals)
         items[j] = interval
@@ -478,7 +475,7 @@ def _grid_sweep(table: _TermMax, axes: list[list[float]], j: int, seed_j: float)
     return lo, hi
 
 
-# no command calls this; perfbench's traced verify replay imports and times it
+# no command runs the grid oracle (this, ``oracle_check_steps``); perfbench imports and times it
 def oracle_solve(
     problem: DesignProblem,
     resolution: int,

@@ -647,13 +647,14 @@ def test_oracle_solve_above_three_variables_runs_without_the_volume_search():
         assert iv.lo <= x <= iv.hi
         assert {iv.lo, iv.hi} <= {*grid, x}
     assert problem.region().is_box_feasible(oracle.greedy_box.intervals)[0]
-    assert max(oracle.greedy_box.widths()) > 0.0
+    assert max(iv.width for iv in oracle.greedy_box.intervals) > 0.0
 
 
 def test_greedy_volume_dominates_grid_volume(emissions):
     result = solve_greedy(emissions)
     oracle = oracle_solve(emissions, 201)
-    assert math.prod(result.orthotope.widths()) >= 0.99 * math.prod(oracle.greedy_box.widths())
+    widths = [[iv.width for iv in box.intervals] for box in (result.orthotope, oracle.greedy_box)]
+    assert math.prod(widths[0]) >= 0.99 * math.prod(widths[1])
 
 
 def test_step_checks_pass_on_bundled_problems(emissions, adas, adas_tall):
@@ -702,7 +703,7 @@ def test_greedy_replay_at_scale_on_offset_domain():
     assert box == result.orthotope
     assert result.certificate.maximal
     assert verify_maximality(problem, box).maximal
-    assert max(box.widths()) > 0.0
+    assert max(iv.width for iv in box.intervals) > 0.0
 
 
 def test_the_solver_never_claims_maximal_when_its_ladder_gives_up():

@@ -15,7 +15,7 @@ solution's ranking, or the report's grid resolution alone) and written
 back with ``str``, so a special becomes ``None``, ``[]``, ``1e+308`` and
 so on: the point goes to ``evaluate``, the ranking to ``solve`` and the
 resolution to ``rosetta``, each with its unmutated problem.  ``verify``
-has no option text and replays at its one resolution.  The only
+has no option text.  The only
 specials that read as an integer, 0 and 2**70, are refused before a
 grid is made, so every run stays small.
 
