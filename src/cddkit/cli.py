@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import CddError, InfeasibleSeed, SchemaError, read_json, reading
+from .errors import CddError, InfeasibleSeed, read_json, reading
 
 if TYPE_CHECKING:
     from .orthotope import SolveResult
@@ -46,18 +46,12 @@ def _load_problem_file(path: str):
     return load_problem(_read_document(path))
 
 
-def _load_result_file(path: str, problem) -> tuple[SolveResult, dict]:
+def _load_result_file(path: str) -> tuple[SolveResult, dict]:
     """The stored solve result, and the document it was read from."""
     from .orthotope import SolveResult
 
     doc = _read_document(path)
-    result = SolveResult.from_json(doc)
-    for step in result.steps:
-        if not 0 <= step.factor < problem.dim:
-            raise SchemaError(f"step factor {step.factor} outside 0..{problem.dim - 1}")
-        for interval in (step.before, step.after):
-            problem.variables[step.factor].check_inside(interval)
-    return result, doc
+    return SolveResult.from_json(doc), doc
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
@@ -200,7 +194,7 @@ def cmd_verify(args) -> int:
     from .orthotope import solve_greedy
 
     problem = _load_problem_file(args.problem)
-    result, doc = _load_result_file(args.result, problem)
+    result, doc = _load_result_file(args.result)
 
     failures = []
     # a box of the wrong dimension or outside the ambient box is refused here
@@ -231,7 +225,8 @@ def cmd_rosetta(args) -> int:
     problem = _load_problem_file(args.problem)
     solution = None
     if args.solution:
-        solution, _ = _load_result_file(args.solution, problem)
+        # ``build_report`` refuses a box of the wrong dimension or outside the ambient box
+        solution, _ = _load_result_file(args.solution)
     report = build_report(problem, solution, resolution=resolution)
     formats = []
     if args.csv:

@@ -39,7 +39,6 @@ from .surface import Interval
 
 __all__ = [
     "Orthotope",
-    "ExpansionStep",
     "FaceCheck",
     "MaximalityCertificate",
     "SolveResult",
@@ -88,12 +87,6 @@ class Orthotope(Frozen):
         return cls(tuple(Interval(float(d["lo"]), float(d["hi"])) for d in doc))
 
 
-class ExpansionStep(Frozen):
-    """Audit record for one factor expansion."""
-
-    __slots__ = ("factor", "before", "after", "binding_lo", "binding_hi")
-
-
 class FaceCheck(Frozen):
     """Outcome of pushing one face outward by the problem's tolerance times its ambient width.
 
@@ -138,41 +131,36 @@ class MaximalityCertificate(Frozen):
 
 
 class SolveResult(Frozen):
-    __slots__ = ("orthotope", "ranking", "steps", "certificate")
+    """The solved box, the expansion order and the certificate.
+
+    ``bindings[j]`` is the ``(lo, hi)`` pair of names bounding axis j's
+    ends: a constraint surface, "ambient", or "numerical" on both ends of
+    an axis that kept the seed because every roundoff retreat failed.
+    """
+
+    __slots__ = ("orthotope", "bindings", "ranking", "certificate")
 
     def to_json(self) -> dict:
         return {
-            "orthotope": self.orthotope.to_json(),
-            "ranking": list(self.ranking),
-            "steps": [
-                {
-                    "factor": s.factor,
-                    "before": {"lo": s.before.lo, "hi": s.before.hi},
-                    "after": {"lo": s.after.lo, "hi": s.after.hi},
-                    "binding": {"lo": s.binding_lo, "hi": s.binding_hi},
-                }
-                for s in self.steps
+            "orthotope": [
+                {"lo": iv.lo, "hi": iv.hi, "binding": {"lo": lo, "hi": hi}}
+                for iv, (lo, hi) in zip(self.orthotope.intervals, self.bindings)
             ],
+            "ranking": list(self.ranking),
             "certificate": self.certificate.to_json(),
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolveResult":
         with reading("solve result"):
-            steps = tuple(
-                ExpansionStep(
-                    factor=int(s["factor"]),
-                    before=Interval(float(s["before"]["lo"]), float(s["before"]["hi"])),
-                    after=Interval(float(s["after"]["lo"]), float(s["after"]["hi"])),
-                    binding_lo=str(s["binding"]["lo"]),
-                    binding_hi=str(s["binding"]["hi"]),
+            if isinstance(doc, dict) and "steps" in doc:
+                raise SchemaError(
+                    "solve result has a 'steps' key: the file predates this format; solve the problem again"
                 )
-                for s in doc["steps"]
-            )
             return cls(
                 orthotope=Orthotope.from_json(doc["orthotope"]),
+                bindings=tuple((str(d["binding"]["lo"]), str(d["binding"]["hi"])) for d in doc["orthotope"]),
                 ranking=tuple(int(i) for i in doc["ranking"]),
-                steps=steps,
                 certificate=MaximalityCertificate.from_json(doc["certificate"]),
             )
 
@@ -316,9 +304,8 @@ def _slice_verdicts(table: _TermMax, j: int, k: int, xs: Sequence[float], ys: Se
     return verdicts
 
 
-def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
-    """One audited expansion of factor j of the table's box, in place."""
-    before = table.intervals[j]
+def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> tuple[str, str]:
+    """Expand factor j of the table's box in place; the names binding its lo and hi ends."""
     rests, noises = table.budgets(j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
@@ -326,10 +313,9 @@ def _expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionSt
         lo, hi, blo, bhi = _expand_once(problem, table, j, bias, rests, noises)
         column = table.column(j, lo, hi)
         if table.fits(j, column, rests, noises):
-            after = Interval(lo, hi)
-            table.swap(j, after, column)
-            return ExpansionStep(j, before, after, blo, bhi)
-    return ExpansionStep(j, before, before, "numerical", "numerical")
+            table.swap(j, Interval(lo, hi), column)
+            return blo, bhi
+    return "numerical", "numerical"
 
 
 def expand_factor(problem: DesignProblem, box: Orthotope, j: int) -> Orthotope:
@@ -371,9 +357,11 @@ def solve_greedy(problem: DesignProblem, ranking: Sequence[int] | None = None) -
 
     # the seed point box needs no ambient check: ``DesignProblem`` has checked the seed
     table = _TermMax.at_seed(problem)
-    steps = [_expand_step(problem, table, j) for j in order]
+    bindings = [None] * problem.dim
+    for j in order:
+        bindings[j] = _expand_step(problem, table, j)
     certificate = _certify(problem, table)
-    return SolveResult(Orthotope(table.intervals), order, tuple(steps), certificate)
+    return SolveResult(Orthotope(table.intervals), tuple(bindings), order, certificate)
 
 
 # --- maximality -------------------------------------------------------------
@@ -547,23 +535,24 @@ def _volume_search(problem: DesignProblem, resolution: int) -> Orthotope:
 def oracle_check_steps(
     problem: DesignProblem, result: SolveResult, resolution: int
 ) -> list[StepCheck]:
-    """Validate each stored expansion step against a fresh grid sweep.
+    """Check each factor's stored interval against a fresh grid sweep, in ranking order.
 
-    For step t the sweep runs with the stored intervals of all earlier
-    steps in place, so the grid endpoint is guaranteed within one grid
-    step of the exact endpoint; disagreement beyond that flags the step.
+    The sweep of factor j runs from the seed point box with the stored
+    intervals of the factors ranked before j in place, as the solver
+    expanded them, so the grid endpoint is guaranteed within one grid
+    step of the exact endpoint; disagreement beyond that flags the factor.
     A stored interval outside its ambient bounds raises ``BoxOutsideAmbient``.
     """
     axes = _oracle_axes(problem, resolution)
     table = _TermMax.at_seed(problem)
 
     checks = []
-    for step in result.steps:
-        j = step.factor
-        problem.variables[j].check_inside(step.after)
+    for j in result.ranking:
+        stored = result.orthotope.intervals[j]
+        problem.variables[j].check_inside(stored)
         lo, hi = _grid_sweep(table, axes, j, problem.seed[j])
         width = problem.variables[j].ambient.width
         tol = width / (resolution - 1) + 1e-9 * max(1.0, width)
-        checks.append(StepCheck(j, lo, hi, step.after.lo, step.after.hi, tol))
-        table.swap(j, step.after, table.column(j, step.after.lo, step.after.hi))
+        checks.append(StepCheck(j, lo, hi, stored.lo, stored.hi, tol))
+        table.swap(j, stored, table.column(j, stored.lo, stored.hi))
     return checks

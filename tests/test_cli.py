@@ -125,9 +125,6 @@ def test_verify_flags_inflated_result(tmp_path, capsys):
     path = tmp_path / "emissions_solution.json"
     doc = json.loads(path.read_text())
     doc["orthotope"][0]["hi"] += 0.05
-    for step in doc["steps"]:
-        if step["factor"] == 0:
-            step["after"]["hi"] += 0.05
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(
         "verify", problem_path("emissions.json"), str(path), capsys=capsys
@@ -180,20 +177,20 @@ def test_verify_replays_the_steps_above_three_variables(tmp_path, capsys, dim):
 
 @pytest.mark.parametrize("dim", [4, 10])
 def test_verify_refuses_a_solution_relabelled_with_the_reversed_ranking(tmp_path, capsys, dim):
-    # each step starts at the seed and ends at the box, so only a re-solve in that order sees it is not the solver's
+    # neither the box nor its bindings say in which order the factors grew, so only a re-solve
+    # in the stored order sees that the file is not the solver's
     path = _random_problem_file(tmp_path, dim)
     ranking = ",".join(str(j) for j in range(dim))
     assert run_cli("solve", path, "--ranking", ranking, "--out", str(tmp_path), capsys=capsys)[0] == 0
     solution = tmp_path / f"random{dim}_solution.json"
     doc = json.loads(solution.read_text())
     doc["ranking"].reverse()
-    doc["steps"].reverse()
     solution.write_text(json.dumps(doc))
     code, out, err = run_cli("verify", path, str(solution), capsys=capsys)
     assert (code, err) == (5, "")
     fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
-    assert fails and all(line.startswith(("FAIL orthotope[", "FAIL steps[", "FAIL certificate.")) for line in fails)
-    assert any(line.startswith("FAIL steps[0].after.") for line in fails)
+    assert fails and all(line.startswith(("FAIL orthotope[", "FAIL certificate.")) for line in fails)
+    assert any(line.startswith("FAIL orthotope[") for line in fails)
     assert out.endswith("agreement: no\n")
 
 
@@ -245,9 +242,12 @@ def _face(doc, axis, side):
 
 
 def test_the_emissions_golden_verifies():
-    # the cases below edit it: its ranking, steps and face 0/hi are what they assume
+    # the cases below edit it: its ranking, bindings and face 0/hi are what they assume
     doc = json.loads(GOLDEN_EMISSIONS.read_text())
-    assert doc["ranking"] == [1, 0, 2] and [s["factor"] for s in doc["steps"]] == [1, 0, 2]
+    assert doc["ranking"] == [1, 0, 2]
+    assert [(d["binding"]["lo"], d["binding"]["hi"]) for d in doc["orthotope"]] == [
+        ("ambient", "NOx"), ("ambient", "ambient"), ("ambient", "Soot")
+    ]
     assert doc["certificate"]["epsilon"] == 1e-6 and doc["certificate"]["maximal"] is True
     face = _face(doc, 0, "hi")
     assert doc["certificate"]["faces"].index(face) == 1
@@ -271,18 +271,11 @@ def test_verify_runs_no_grid_oracle(capsys, monkeypatch, name):
 @pytest.mark.parametrize(
     "edit, expected",
     [
-        (lambda doc: doc["steps"].append(doc["steps"][0]), (5, ["steps has length 4, re-solve gives 3"], "")),
-        (lambda doc: doc.update(steps=doc["steps"][:1]), (5, ["steps has length 1, re-solve gives 3"], "")),
-        (lambda doc: doc.update(steps=[]), (5, ["steps has length 0, re-solve gives 3"], "")),
         # the re-solve runs in the stored order, which grows factor 0 first and leaves factor 1 no room
         (lambda doc: doc.update(ranking=[0, 1, 2]), (5, [
             "orthotope[0].hi is 0.530215313509173, re-solve gives 0.923874040852056",
             "orthotope[1].hi is 1.0, re-solve gives 0.0",
-            "steps[0].factor is 1, re-solve gives 0",
-            "steps[0].after.hi is 1.0, re-solve gives 0.923874040852056",
-            'steps[0].binding.hi is "ambient", re-solve gives "NOx"',
-            "steps[1].factor is 0, re-solve gives 1",
-            "steps[1].after.hi is 0.530215313509173, re-solve gives 0.0",
+            'orthotope[1].binding.hi is "ambient", re-solve gives "NOx"',
             "certificate.faces[1].margin is 4.0167770332111274e-06, re-solve gives 2.150834676584168e-06",
             'certificate.faces[3].blocked_by is "ambient", re-solve gives "NOx"',
             "certificate.faces[3].margin is 0.0, re-solve gives 2.88999828e-06",
@@ -290,45 +283,41 @@ def test_verify_runs_no_grid_oracle(capsys, monkeypatch, name):
         # a ranking that is no permutation is malformed, as ``solve --ranking`` finds it
         (lambda doc: doc.update(ranking=[1, 1, 2]),
          (2, [], "error: ranking (1, 1, 2) is not a permutation of 0..2\n")),
-        (lambda doc: doc.update(ranking=[1, 0, 2, 3], steps=doc["steps"] + [doc["steps"][0]]),
+        (lambda doc: doc.update(ranking=[1, 0, 2, 3]),
          (2, [], "error: ranking (1, 0, 2, 3) is not a permutation of 0..2\n")),
     ],
-    ids=["first-step-appended", "steps-cut-to-the-first", "steps-emptied", "ranking-012", "ranking-repeats",
-         "ranking-too-long"],
+    ids=["ranking-012", "ranking-repeats", "ranking-too-long"],
 )
-def test_verify_refuses_a_step_record_that_is_not_one_step_per_factor_in_ranking_order(tmp_path, capsys, edit,
-                                                                                      expected):
+def test_verify_re_solves_at_the_stored_ranking(tmp_path, capsys, edit, expected):
     assert _verify_edited_golden(tmp_path, capsys, edit) == expected
 
 
-def _set_step(t, part, key, value):
-    return lambda doc: doc["steps"][t][part].update({key: value})
-
-
-_STEP_2_HI = 0.9479696304861928
+def _set_binding(axis, side, value):
+    return lambda doc: doc["orthotope"][axis]["binding"].update({side: value})
 
 
 @pytest.mark.parametrize(
     "edit, fails",
     [
-        (_set_step(2, "before", "hi", 0.5), ["steps[2].before.hi is 0.5, re-solve gives 0.0"]),
-        # the other sign of zero is another float
-        (_set_step(2, "before", "lo", -0.0), ["steps[2].before.lo is -0.0, re-solve gives 0.0"]),
-        (_set_step(2, "after", "hi", math.nextafter(_STEP_2_HI, 0.0)),
-         [f"steps[2].after.hi is {math.nextafter(_STEP_2_HI, 0.0)!r}, re-solve gives {_STEP_2_HI!r}"]),
-        (_set_step(1, "binding", "hi", "bogus"), ['steps[1].binding.hi is "bogus", re-solve gives "NOx"']),
-        (_set_step(1, "binding", "hi", "ambient"), ['steps[1].binding.hi is "ambient", re-solve gives "NOx"']),
+        (_set_binding(0, "hi", "bogus"), ['orthotope[0].binding.hi is "bogus", re-solve gives "NOx"']),
+        (_set_binding(0, "hi", "ambient"), ['orthotope[0].binding.hi is "ambient", re-solve gives "NOx"']),
         # and a constraint named on an end that sits on its ambient bound
-        (_set_step(0, "binding", "hi", "NOx"), ['steps[0].binding.hi is "NOx", re-solve gives "ambient"']),
-        # another constraint, or "numerical" on one end of a step that grew
-        (_set_step(1, "binding", "hi", "CO2"), ['steps[1].binding.hi is "CO2", re-solve gives "NOx"']),
-        (_set_step(2, "binding", "hi", "CO2"), ['steps[2].binding.hi is "CO2", re-solve gives "Soot"']),
-        (_set_step(1, "binding", "lo", "numerical"), ['steps[1].binding.lo is "numerical", re-solve gives "ambient"']),
+        (_set_binding(1, "hi", "NOx"), ['orthotope[1].binding.hi is "NOx", re-solve gives "ambient"']),
+        # another constraint, or "numerical" on one end of an axis that grew
+        (_set_binding(0, "hi", "CO2"), ['orthotope[0].binding.hi is "CO2", re-solve gives "NOx"']),
+        (_set_binding(2, "hi", "CO2"), ['orthotope[2].binding.hi is "CO2", re-solve gives "Soot"']),
+        (_set_binding(0, "lo", "numerical"), ['orthotope[0].binding.lo is "numerical", re-solve gives "ambient"']),
+        # a lower end is checked as an upper one is, and each end of an axis on its own
+        (_set_binding(2, "lo", "Soot"), ['orthotope[2].binding.lo is "Soot", re-solve gives "ambient"']),
+        (lambda doc: doc["orthotope"][0].update(binding={"lo": "NOx", "hi": "ambient"}), [
+            'orthotope[0].binding.lo is "NOx", re-solve gives "ambient"',
+            'orthotope[0].binding.hi is "ambient", re-solve gives "NOx"',
+        ]),
     ],
-    ids=["before-widened", "before-signed-zero", "after-one-ulp-inward", "binding-bogus", "ambient-inside",
-         "constraint-on-the-bound", "binding-swap", "binding-swap-step-2", "numerical-on-one-end"],
+    ids=["binding-bogus", "ambient-inside", "constraint-on-the-bound", "binding-swap", "binding-swap-axis-2",
+         "numerical-on-one-end", "constraint-on-a-lower-end", "ends-swapped"],
 )
-def test_verify_checks_each_step_s_intervals_and_bindings(tmp_path, capsys, edit, fails):
+def test_verify_checks_each_axis_s_bindings(tmp_path, capsys, edit, fails):
     assert _verify_edited_golden(tmp_path, capsys, edit) == (5, fails, "")
 
 
@@ -363,7 +352,7 @@ def _edit_leaf(path, names):
     return edit
 
 
-@pytest.mark.parametrize("name, count", [("emissions", 56), ("adas", 38), ("adas_tall", 38)])
+@pytest.mark.parametrize("name, count", [("emissions", 41), ("adas", 28), ("adas_tall", 28)])
 def test_verify_refuses_every_single_leaf_edit_of_a_golden(tmp_path, capsys, name, count):
     names = [c["surface"] for c in json.loads(data_path(f"{name}.json").read_text())["constraints"]]
     paths = list(_leaf_paths(json.loads((GOLDEN / f"{name}_solution.json").read_text())))
@@ -401,12 +390,16 @@ _FACE_0_HI_MARGIN = 4.0167770332111274e-06
         (_set_face(0, "hi", "side", "lo"), ['certificate.faces[1].side is "lo", re-solve gives "hi"']),
         (lambda doc: doc["certificate"].update(faces=doc["certificate"]["faces"][:5]),
          ["certificate.faces has length 5, re-solve gives 6"]),
-        # a box end moved 7.3e-14 inward, steps and certificate left as they were
+        # a box end moved 7.3e-14 inward, bindings and certificate left as they were
         (lambda doc: doc["orthotope"][0].update(hi=0.5302153135091),
          ["orthotope[0].hi is 0.5302153135091, re-solve gives 0.530215313509173"]),
+        # a zero of the other sign, and an end one ulp outward that stays inside every bound
+        (lambda doc: doc["orthotope"][1].update(lo=-0.0), ["orthotope[1].lo is -0.0, re-solve gives 0.0"]),
+        (lambda doc: doc["orthotope"][2].update(hi=0.9479696304861929),
+         ["orthotope[2].hi is 0.9479696304861929, re-solve gives 0.9479696304861928"]),
     ],
     ids=["epsilon", "maximal", "blocked-by", "margin", "null-margin", "margin-ulp", "axis", "side", "face-count",
-         "box-end-moved-inward"],
+         "box-end-moved-inward", "box-end-signed-zero", "box-end-one-ulp-outward"],
 )
 def test_verify_compares_the_stored_certificate_with_the_recomputed_one(tmp_path, capsys, edit, fails):
     assert _verify_edited_golden(tmp_path, capsys, edit) == (5, fails, "")
@@ -437,18 +430,18 @@ def test_a_certificate_that_loads_but_differs_is_a_fail_line_not_an_error(tmp_pa
     assert fails[0].startswith("certificate.")
 
 
-def test_an_infeasible_box_still_has_its_epsilon_and_steps_checked(tmp_path, capsys):
+def test_an_infeasible_box_still_has_its_epsilon_and_bindings_checked(tmp_path, capsys):
     def edit(doc):
         doc["orthotope"][0]["hi"] = 0.6
+        doc["orthotope"][2]["binding"]["hi"] = "CO2"
         doc["certificate"]["epsilon"] = 0.5
-        doc["steps"].append(doc["steps"][0])
 
     code, fails, err = _verify_edited_golden(tmp_path, capsys, edit)
     assert (code, err) == (5, "")
     assert fails[0].startswith("stored box violates NOx <= ")
     assert fails[1:] == [
         "orthotope[0].hi is 0.6, re-solve gives 0.530215313509173",
-        "steps has length 4, re-solve gives 3",
+        'orthotope[2].binding.hi is "CO2", re-solve gives "Soot"',
         "certificate.epsilon is 0.5, re-solve gives 1e-06",
     ]
 
@@ -465,10 +458,7 @@ def test_a_solve_whose_ladder_gives_up_is_not_maximal_and_does_not_verify(tmp_pa
     code, out, err = run_cli("solve", str(path), "--out", str(tmp_path), "--json", capsys=capsys)
     assert (code, err) == (4, "certification failed: some face is not blocked\n")
     doc = json.loads(out)
-    point = {"lo": 1.5e6, "hi": 1.5e6}
-    assert doc["steps"] == [
-        {"factor": 0, "before": point, "after": point, "binding": {"lo": "numerical", "hi": "numerical"}}
-    ]
+    assert doc["orthotope"] == [{"lo": 1.5e6, "hi": 1.5e6, "binding": {"lo": "numerical", "hi": "numerical"}}]
     assert doc["certificate"]["maximal"] is False
     assert [f["blocked_by"] for f in doc["certificate"]["faces"]] == [None, None]
     # the file is what the solver writes, so only the free faces are refused
@@ -834,8 +824,8 @@ def test_solve_epsilon_whose_push_overflows_blocks_every_face_at_ambient(tmp_pat
     assert [f["margin"] for f in faces] == [interval["lo"] + 1.0, 1.0 - interval["hi"]]
 
 
-def _break_missing_steps(doc):
-    del doc["steps"]
+def _break_missing_binding(doc):
+    del doc["orthotope"][0]["binding"]
     return doc
 
 
@@ -848,14 +838,30 @@ def _break_interval_order(doc):
     return doc
 
 
-def _break_factor_range(doc):
-    doc["steps"][0]["factor"] = 7
+def _break_binding_not_an_object(doc):
+    doc["orthotope"][0]["binding"] = "NOx"
+    return doc
+
+
+def _break_binding_missing_an_end(doc):
+    del doc["orthotope"][0]["binding"]["hi"]
+    return doc
+
+
+def _break_axis_dropped(doc):
+    doc["orthotope"].pop()
+    return doc
+
+
+def _break_orthotope_object(doc):
+    doc["orthotope"] = {}
     return doc
 
 
 @pytest.mark.parametrize(
     "edit",
-    [_break_missing_steps, _break_top_level_list, _break_interval_order, _break_factor_range],
+    [_break_missing_binding, _break_top_level_list, _break_interval_order, _break_binding_not_an_object,
+     _break_binding_missing_an_end, _break_axis_dropped, _break_orthotope_object],
 )
 def test_malformed_stored_result_exits_2(tmp_path, capsys, edit):
     run_cli("solve", problem_path("emissions.json"), "--out", str(tmp_path), capsys=capsys)
@@ -870,25 +876,57 @@ def test_malformed_stored_result_exits_2(tmp_path, capsys, edit):
     assert code == 2 and "error" in err
 
 
+def _with_a_step_log(doc):
+    """The emissions solution as the format before each binding moved onto its axis wrote it."""
+    seed = json.loads(data_path("emissions.json").read_text())["seed"]
+    steps = []
+    for j in doc["ranking"]:
+        axis = doc["orthotope"][j]
+        steps.append({"factor": j, "before": {"lo": float(seed[j]), "hi": float(seed[j])},
+                      "after": {"lo": axis["lo"], "hi": axis["hi"]}, "binding": axis.pop("binding")})
+    return {"orthotope": doc["orthotope"], "ranking": doc["ranking"], "steps": steps,
+            "certificate": doc["certificate"]}
+
+
 @pytest.mark.parametrize(
-    "dim, index, end",
-    [(3, 0, "after"), (3, 1, "after"), (3, 2, "after"), (3, 0, "before"), (4, 3, "after")],
-    ids=["first-step", "middle-step", "last-step", "before", "four-variables"],
+    "edit",
+    # any "steps" key is refused before the rest of the document is read
+    [_with_a_step_log, lambda doc: {**doc, "steps": []}, lambda doc: {**doc, "steps": None},
+     lambda doc: {"steps": []}],
+    ids=["old-form", "steps-key-added", "steps-null", "steps-only"],
 )
-def test_stored_step_outside_the_ambient_box_exits_2(tmp_path, capsys, dim, index, end):
-    # refused where the result loads, at every N: verify once exited 2 only where a later
-    # sweep met the step, 5 on the last step and 0 where no replay ran, and rosetta 0
+def test_a_solution_with_a_step_log_is_refused_and_must_be_solved_again(tmp_path, capsys, edit):
+    path = tmp_path / "old_solution.json"
+    path.write_text(json.dumps(edit(json.loads(GOLDEN_EMISSIONS.read_text()))))
+    message = "error: solve result has a 'steps' key: the file predates this format; solve the problem again\n"
+    for args in (
+        ("verify", problem_path("emissions.json"), str(path)),
+        ("verify", problem_path("emissions.json"), str(path), "--json"),
+        ("rosetta", problem_path("emissions.json"), "--solution", str(path), "--out", str(tmp_path / "report")),
+    ):
+        assert run_cli(*args, capsys=capsys) == (2, "", message)
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize(
+    "dim, axis, side",
+    [(3, 0, "hi"), (3, 1, "hi"), (3, 2, "hi"), (4, 3, "hi"), (3, 0, "lo"), (4, 3, "lo")],
+    ids=["first-axis", "middle-axis", "last-axis", "four-variables", "first-axis-lo", "four-variables-lo"],
+)
+def test_stored_interval_outside_the_ambient_box_exits_2(tmp_path, capsys, dim, axis, side):
+    # refused before any compare, at every N: verify once exited 2 only where a later
+    # sweep met the interval, 5 on the last step and 0 where no replay ran, and rosetta 0
     path = problem_path("emissions.json") if dim == 3 else _random_problem_file(tmp_path, dim)
     stem = json.loads(Path(path).read_text())["name"]
     assert run_cli("solve", path, "--out", str(tmp_path), capsys=capsys)[0] == 0
     solution = tmp_path / f"{stem}_solution.json"
     doc = json.loads(solution.read_text())
-    step = doc["steps"][index]
-    step[end]["hi"] = 1e9
+    interval = doc["orthotope"][axis]
+    interval[side] = 1e9 if side == "hi" else -1e9
     solution.write_text(json.dumps(doc))
-    var = json.loads(Path(path).read_text())["variables"][step["factor"]]
+    var = json.loads(Path(path).read_text())["variables"][axis]
     message = (
-        f"error: interval [{step[end]['lo']!r}, 1000000000.0] of {var['name']!r} "
+        f"error: interval [{float(interval['lo'])!r}, {float(interval['hi'])!r}] of {var['name']!r} "
         f"outside ambient [{float(var['lo'])!r}, {float(var['hi'])!r}]\n"
     )
     for args in (
@@ -1059,9 +1097,8 @@ def test_nan_seed_slack_exits_3(tmp_path, capsys, command, extra):
     path = _one_variable_problem(tmp_path, 1e308, -1e308, seed=10.0)
     result = tmp_path / "result.json"
     result.write_text(json.dumps({
-        "orthotope": [{"lo": 10.0, "hi": 10.0}],
+        "orthotope": [{"lo": 10.0, "hi": 10.0, "binding": {"lo": "ambient", "hi": "ambient"}}],
         "ranking": [0],
-        "steps": [],
         "certificate": {"epsilon": 1e-6, "faces": []},
     }))
     paths = {"RESULT": str(result), "OUT": str(tmp_path / "out")}

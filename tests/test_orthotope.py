@@ -21,10 +21,10 @@ from cddkit.errors import (
     CapExceeded,
     InfeasibleInput,
     InfeasibleSeed,
+    SchemaError,
     SeedNotContained,
 )
 from cddkit.orthotope import (
-    ExpansionStep,
     FaceCheck,
     MaximalityCertificate,
     Orthotope,
@@ -351,9 +351,9 @@ def test_expand_with_an_infinite_bound(constraints, tries, after, binding):
     table = _TermMax(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
     rests, noises = table.budgets(0)
     assert [_expand_once(problem, table, 0, bias, rests, noises) for bias in (0.0, 1.0)] == tries
-    (step,) = solve_greedy(problem).steps
-    assert (step.after.lo, step.after.hi) == after
-    assert (step.binding_lo, step.binding_hi) == binding
+    result = solve_greedy(problem)
+    assert result.orthotope == Orthotope((Interval(*after),))
+    assert result.bindings == (binding,)
 
 
 def test_expand_requires_seed_in_interval():
@@ -489,10 +489,7 @@ def test_emissions_solve_against_closed_forms(emissions):
     assert egr.lo == 0.0
     assert egr.hi == pytest.approx(soot_root, abs=1e-9)
 
-    bindings = {(s.factor): (s.binding_lo, s.binding_hi) for s in result.steps}
-    assert bindings[1] == ("ambient", "ambient")
-    assert bindings[0][1] == "NOx"
-    assert bindings[2][1] == "Soot"
+    assert result.bindings == (("ambient", "NOx"), ("ambient", "ambient"), ("ambient", "Soot"))
 
 
 def test_solve_output_is_feasible_and_contains_seed(emissions):
@@ -555,7 +552,7 @@ def test_bound_near_the_float_limit_admits_the_whole_convex_range():
     for bound in [10.0**k for k in range(150, 309)] + [1.7976931348623157e308]:
         result = solve_greedy(one_dim_problem(bound=bound))
         assert result.orthotope.intervals == (Interval(-10.0, 10.0),), bound
-        assert (result.steps[0].binding_lo, result.steps[0].binding_hi) == ("ambient", "ambient")
+        assert result.bindings == (("ambient", "ambient"),)
         assert result.certificate.maximal
 
 
@@ -667,28 +664,49 @@ def test_step_checks_pass_on_bundled_problems(emissions, adas, adas_tall):
 def test_step_checks_flag_tampered_result(emissions):
     result = solve_greedy(emissions)
     step = 1.0 / 200
-    # inflate the first expanded interval by two grid steps
-    tampered_steps = list(result.steps)
-    target = tampered_steps[1]
-    inflated = Interval(target.after.lo, min(1.0, target.after.hi + 2.5 * step))
-    tampered_steps[1] = type(target)(
-        target.factor, target.before, inflated, target.binding_lo, target.binding_hi
-    )
-    tampered = SolveResult(
-        orthotope=result.orthotope.replaced(target.factor, inflated),
-        ranking=result.ranking,
-        steps=tuple(tampered_steps),
-        certificate=result.certificate,
-    )
+    # inflate the second expanded interval by two grid steps
+    j = result.ranking[1]
+    stored = result.orthotope.intervals[j]
+    inflated = Interval(stored.lo, min(1.0, stored.hi + 2.5 * step))
+    tampered = replace(result, orthotope=result.orthotope.replaced(j, inflated))
     checks = oracle_check_steps(emissions, tampered, 201)
     assert not all(c.ok for c in checks)
 
 
 def test_solve_result_json_roundtrip(emissions):
-    result = solve_greedy(emissions)
-    doc = json.loads(json.dumps(result.to_json()))
-    restored = SolveResult.from_json(doc)
-    assert restored == result
+    # each binding sits on its axis, and a document survives the round trip bit for bit: on
+    # emissions, N 1-20 over four scales, plain and 1600-2000 offset domains, and the ladder's
+    # "numerical" case
+    rng = random.Random(1937)
+    problems = [emissions] + [
+        random_problem(rng, dim, rng.randint(1, 10), scale=scale, offset=offset)
+        for dim in (1, 2, 3, 4, 5, 10, 15, 20)
+        for scale in (1e-4, 1.0, 1e3, 1e6)
+        for offset in (0.0, rng.uniform(1600.0, 2000.0))
+    ]
+    problems.append(one_dim_problem(quadratic=5e-13, bound=1.5, ambient=(1e6, 2e6), seed=1.5e6))
+    for k, problem in enumerate(problems):
+        result = solve_greedy(problem)
+        text = json.dumps(result.to_json())
+        doc = json.loads(text)
+        assert list(doc) == ["orthotope", "ranking", "certificate"], k
+        assert [list(d) for d in doc["orthotope"]] == [["lo", "hi", "binding"]] * problem.dim, k
+        assert [(d["binding"]["lo"], d["binding"]["hi"]) for d in doc["orthotope"]] == list(result.bindings), k
+        restored = SolveResult.from_json(doc)
+        assert restored == result, k
+        # the text too, so a sign of zero survives
+        assert json.dumps(restored.to_json()) == text, k
+    assert result.bindings == (("numerical", "numerical"),)
+
+
+def test_a_document_with_a_step_log_is_refused_whatever_else_it_holds(emissions):
+    doc = solve_greedy(emissions).to_json()
+    message = "solve result has a 'steps' key: the file predates this format; solve the problem again"
+    for stale in ({**doc, "steps": []}, {"steps": None}):
+        with pytest.raises(SchemaError) as info:
+            SolveResult.from_json(stale)
+        assert str(info.value) == message
+    assert SolveResult.from_json(doc) == solve_greedy(emissions)
 
 
 def test_greedy_replay_at_scale_on_offset_domain():
@@ -713,7 +731,7 @@ def test_the_solver_never_claims_maximal_when_its_ladder_gives_up():
     result = solve_greedy(problem)
     point = Interval(1.5e6, 1.5e6)
     assert result.orthotope == Orthotope((point,))
-    assert result.steps == (ExpansionStep(0, point, point, "numerical", "numerical"),)
+    assert result.bindings == (("numerical", "numerical"),)
     assert [(f.side, f.blocked_by) for f in result.certificate.faces] == [("lo", None), ("hi", None)]
     assert result.certificate.faces[0].margin == 0.375
     assert result.certificate.faces[1].margin == pytest.approx(0.3749985)
@@ -1184,9 +1202,8 @@ class ReferenceTable(_TermMax):
         )
 
 
-def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> ExpansionStep:
-    """One audited expansion of factor j of the table's box, in place."""
-    before = table.intervals[j]
+def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> tuple[str, str]:
+    """Expand factor j of the table's box in place; the names binding its lo and hi ends."""
     rests, noises = table.budgets(j)
     # exact budgets first; on a roundoff trip, retreat by escalating
     # noise-scaled slack, and fall back to no growth
@@ -1196,8 +1213,8 @@ def reference_expand_step(problem: DesignProblem, table: _TermMax, j: int) -> Ex
         column = table.column(j, lo, hi)
         if all(sl >= 0.0 for sl in table.slacks(j, column)):
             table.swap(j, cand, column)
-            return ExpansionStep(j, before, cand, blo, bhi)
-    return ExpansionStep(j, before, before, "numerical", "numerical")
+            return blo, bhi
+    return "numerical", "numerical"
 
 
 def reference_certify(problem: DesignProblem, table: _TermMax) -> MaximalityCertificate:
@@ -1234,12 +1251,13 @@ def reference_solve(problem):
     """``solve_greedy`` with the expansion step and certificate above."""
     order = problem.ranking if problem.ranking is not None else auto_rank(problem)
     table = ReferenceTable(problem.constrained_pairs(), Orthotope.point(problem.seed).intervals)
-    steps = tuple(reference_expand_step(problem, table, j) for j in order)
-    return SolveResult(Orthotope(table.intervals), order, steps, reference_certify(problem, table))
+    bindings = {j: reference_expand_step(problem, table, j) for j in order}
+    return SolveResult(Orthotope(table.intervals), tuple(bindings[j] for j in range(problem.dim)), order,
+                       reference_certify(problem, table))
 
 
 def assert_same_as_reference(problem, boxes=(), tolerances=(None,)):
-    """Solve, steps and certificates (of the result and of ``boxes``) equal the references, NaN and signed zeros included.
+    """Solve and certificates (of the result and of ``boxes``) equal the references, NaN and signed zeros included.
 
     Each box is certified at each of ``tolerances``, None being the problem's own.
     """
@@ -1465,7 +1483,7 @@ def test_seed_a_few_ulps_off_a_concave_vertex_solves(tmp_path):
     assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "vertex_solution.json").read_text())
     assert doc["certificate"]["maximal"] is True
-    assert doc["orthotope"] == [{"lo": 1790.0, "hi": 1810.0}]
+    assert doc["orthotope"] == [{"lo": 1790.0, "hi": 1810.0, "binding": {"lo": "ambient", "hi": "ambient"}}]
 
     rng = random.Random(1800)
     for scale in (1.0, 1e2, 1e4, 1e6, 1e8):
@@ -1475,7 +1493,7 @@ def test_seed_a_few_ulps_off_a_concave_vertex_solves(tmp_path):
                     problem = vertex_seed_problem(rng, n, m, scale, lo, hi)
                     result = solve_greedy(problem)
                     assert result.certificate.maximal
-                    assert all(s.after.contains_interval(s.before) for s in result.steps)
+                    assert all(iv.contains(x) for iv, x in zip(result.orthotope.intervals, problem.seed))
 
 
 def exact_slacks(problem, box):
@@ -1499,9 +1517,10 @@ def test_every_step_contains_the_last_and_the_exact_slack_never_grows():
         offset = rng.uniform(1600.0, 2000.0) if shifted else 0.0
         problem = random_problem(rng, n, m, scale=scale, offset=offset)
         result = solve_greedy(problem)
-        # the solve's steps, then a second round over the grown box, where the floor at
-        # the current interval is what keeps an endpoint from moving in
-        steps = [(s.factor, s.before, s.after) for s in result.steps]
+        # the solve's steps, each from the seed point to the solved interval, then a second
+        # round over the grown box, where the floor at the current interval is what keeps
+        # an endpoint from moving in
+        steps = [(j, Interval(problem.seed[j], problem.seed[j]), result.orthotope.intervals[j]) for j in result.ranking]
         box = result.orthotope
         for j in result.ranking:
             grown = expand_factor(problem, box, j)

@@ -42,7 +42,6 @@ from cddkit.modeltheory.syntax import (
     Var,
 )
 from cddkit.orthotope import (
-    ExpansionStep,
     FaceCheck,
     MaximalityCertificate,
     OracleResult,
@@ -60,7 +59,6 @@ VARIABLE = DesignVariable("x", "", WIDE)
 PROBLEM = DesignProblem((VARIABLE,), (SURFACE,), (ObjectiveConstraint("z", 3.0),), (0.0,))
 UNCONSTRAINED = DesignProblem((VARIABLE,), (SURFACE,), (), (0.0,))
 BOX = Orthotope((UNIT,))
-STEP = ExpansionStep(0, Interval(0.0, 0.0), UNIT, "ambient", "z")
 FACE = FaceCheck(0, "lo", "z", 0.5)
 CERTIFICATE = MaximalityCertificate((FACE,), 1e-9)
 X, Y = Var("x"), Var("y")
@@ -92,14 +90,10 @@ SAMPLES = {
     ),
     FeasibleRegion: (dict(problem=PROBLEM), dict(problem=UNCONSTRAINED)),
     Orthotope: (dict(intervals=(UNIT,)), dict(intervals=(UNIT, UNIT))),
-    ExpansionStep: (
-        dict(factor=0, before=Interval(0.0, 0.0), after=UNIT, binding_lo="ambient", binding_hi="z"),
-        dict(factor=1),
-    ),
     FaceCheck: (dict(axis=0, side="lo", blocked_by="z", margin=0.5), dict(side="hi")),
     MaximalityCertificate: (dict(faces=(FACE,), epsilon=1e-9), dict(epsilon=1e-6)),
     SolveResult: (
-        dict(orthotope=BOX, ranking=(0,), steps=(STEP,), certificate=CERTIFICATE), dict(ranking=(1,))
+        dict(orthotope=BOX, bindings=(("ambient", "z"),), ranking=(0,), certificate=CERTIFICATE), dict(ranking=(1,))
     ),
     OracleResult: (dict(greedy_box=BOX, volume_box=None, resolution=21, ranking=(0,)), dict(resolution=41)),
     StepCheck: (
@@ -208,7 +202,7 @@ def test_every_value_class_has_a_sample():
                    "modeltheory.parser", "modeltheory.structures", "modeltheory.syntax"):
         importlib.import_module(f"cddkit.{module}")
     assert set(Frozen.__subclasses__()) == set(SAMPLES)
-    assert len(SAMPLES) == 37
+    assert len(SAMPLES) == 36
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -246,7 +240,7 @@ STORED = [cls for cls in SAMPLES if cls.__init__ is Frozen.__init__]
 
 def test_the_records_that_only_store_their_fields_share_one_constructor():
     assert {cls.__qualname__ for cls in STORED} == {
-        "ObjectiveConstraint", "FeasibleRegion", "ExpansionStep", "FaceCheck", "MaximalityCertificate",
+        "ObjectiveConstraint", "FeasibleRegion", "FaceCheck", "MaximalityCertificate",
         "SolveResult", "OracleResult", "StepCheck", "MCell", "NCell", "Diagonal", "RosettaReport", "_Token",
     }
     for cls in STORED:

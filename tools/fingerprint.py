@@ -2,11 +2,13 @@
 
 Solves a fixed, seeded set of random problems and hashes everything the
 package prints or writes for them: the ``solve_greedy`` solution JSON,
-the grid oracle's step checks and boxes (N <= 3) and the ROSETTA CSV
-and SVG bytes.  The ``checks`` part hashes the verdicts and slacks of
-``is_box_feasible`` for the solved box, each step's box and the ambient
-box, and of ``is_point_feasible`` at the seed and at the solved box's
-lower and upper corners.  The ``logic`` part hashes every model
+the grid oracle's step checks (at every N) and boxes (at the dimensions
+its max-volume search runs at, N <= 3) and the ROSETTA CSV and SVG
+bytes.  The ``checks`` part hashes the verdicts and slacks of
+``is_box_feasible`` for the solved box, the box after each factor's
+expansion in ranking order and the ambient box, and of
+``is_point_feasible`` at the seed and at the solved box's lower and
+upper corners.  The ``logic`` part hashes every model
 ``enumerate_models`` returns, in order, for the ``logic-enumerate``
 sentences at their domain sizes and for seeded random sentences over
 signatures that mix relations, unary predicates, constants and
@@ -54,7 +56,7 @@ from cddkit.modeltheory import (
     free_variables,
     parse_sentence,
 )
-from cddkit.orthotope import oracle_check_steps, oracle_solve, solve_greedy
+from cddkit.orthotope import VOLUME_SEARCH_RESOLUTION, oracle_check_steps, oracle_solve, solve_greedy
 from cddkit.rosetta import build_report, emit
 from cddkit.surface import Interval, QuadraticResponseSurface
 
@@ -62,7 +64,6 @@ DIMS = (1, 2, 3, 5, 10, 20)
 COUNTS = (1, 2, 3, 5, 10)
 SCALES = (1e-4, 1.0, 1e3, 1e6)
 OFFSET = (1600.0, 2000.0)
-ORACLE_MAX_DIM = 3
 ORACLE_RESOLUTION = 41
 VOLUME_RESOLUTION = 11
 # a report costs r^2 points per cell, so every dimension gets one
@@ -120,11 +121,11 @@ def outputs(problem: DesignProblem, work: Path) -> dict[str, bytes]:
     out["solve"] = json.dumps(result.to_json(), indent=2).encode()
     out["checks"] = feasibility_checks(problem, result)
 
-    if problem.dim <= ORACLE_MAX_DIM:
-        checks = oracle_check_steps(problem, result, ORACLE_RESOLUTION)
-        out["oracle_steps"] = repr(
-            [(c.factor, c.grid_lo, c.grid_hi, c.tolerance, c.ok) for c in checks]
-        ).encode()
+    checks = oracle_check_steps(problem, result, ORACLE_RESOLUTION)
+    out["oracle_steps"] = repr(
+        [(c.factor, c.grid_lo, c.grid_hi, c.tolerance, c.ok) for c in checks]
+    ).encode()
+    if problem.dim in VOLUME_SEARCH_RESOLUTION:
         oracle = oracle_solve(problem, VOLUME_RESOLUTION)
         out["oracle_boxes"] = json.dumps(
             [oracle.greedy_box.to_json(), oracle.volume_box.to_json(), list(oracle.ranking)]
@@ -140,8 +141,10 @@ def feasibility_checks(problem: DesignProblem, result) -> bytes:
     region = problem.region()
     box = [Interval(x, x) for x in problem.seed]
     boxes = [result.orthotope.intervals]
-    for step in result.steps:
-        box[step.factor] = step.after
+    # the solver's box after each factor's expansion: the seed point box with the solved
+    # intervals of the factors ranked so far
+    for j in result.ranking:
+        box[j] = result.orthotope.intervals[j]
         boxes.append(tuple(box))
     boxes.append(tuple(v.ambient for v in problem.variables))
     corners = [tuple(iv.lo for iv in result.orthotope.intervals), tuple(iv.hi for iv in result.orthotope.intervals)]
