@@ -16,13 +16,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import CddError, InfeasibleSeed, read_json, reading
-
-if TYPE_CHECKING:
-    from .orthotope import SolveResult
 
 # Each command imports the layers it runs inside its own body, so that a
 # call starts only what it needs: logic loads no numeric layer, and no
@@ -44,14 +40,6 @@ def _load_problem_file(path: str):
     from .designspace import load_problem
 
     return load_problem(_read_document(path))
-
-
-def _load_result_file(path: str) -> tuple[SolveResult, dict]:
-    """The stored solve result, and the document it was read from."""
-    from .orthotope import SolveResult
-
-    doc = _read_document(path)
-    return SolveResult.from_json(doc), doc
 
 
 def _parse_point(text: str, dim: int) -> tuple[float, ...]:
@@ -156,45 +144,12 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _differences(stored, fresh, path: str = "") -> list[str]:
-    """One line per field where ``stored`` differs from ``fresh``, in ``fresh``'s key order.
-
-    A number equals a number of the same value and sign of zero (a bool is
-    not a number); any other leaf equals one of the same type and value.  A
-    missing or extra key, or a list of another length, is one line.
-    """
-    if isinstance(stored, dict) and isinstance(fresh, dict):
-        prefix = f"{path}." if path else ""
-        lines = []
-        for key, value in fresh.items():
-            if key in stored:
-                lines += _differences(stored[key], value, prefix + key)
-            else:
-                lines.append(f"{prefix}{key} is missing, re-solve gives {json.dumps(value)}")
-        return lines + [f"{prefix}{key} is {json.dumps(value)}, re-solve has no such key"
-                        for key, value in stored.items() if key not in fresh]
-    if isinstance(stored, list) and isinstance(fresh, list):
-        if len(stored) != len(fresh):
-            return [f"{path} has length {len(stored)}, re-solve gives {len(fresh)}"]
-        return [line for k, pair in enumerate(zip(stored, fresh)) for line in _differences(*pair, f"{path}[{k}]")]
-    if _is_number(stored) and _is_number(fresh):
-        # exact, so an integer past the float range is a difference, not an overflow
-        same = stored == fresh and math.copysign(1.0, stored) == math.copysign(1.0, fresh)
-    else:
-        same = type(stored) is type(fresh) and stored == fresh
-    return [] if same else [f"{path} is {json.dumps(stored)}, re-solve gives {json.dumps(fresh)}"]
-
-
 def cmd_verify(args) -> int:
-    """The stored file must be, field for field, what ``solve_greedy`` writes at its ranking."""
-    from .orthotope import solve_greedy
+    """The file, which loads only if ``to_json`` writes it back as it is, must be what ``solve_greedy`` writes."""
+    from .orthotope import SolveResult, _differences, solve_greedy
 
     problem = _load_problem_file(args.problem)
-    result, doc = _load_result_file(args.result)
+    result = SolveResult.from_json(_read_document(args.result))
 
     failures = []
     # a box of the wrong dimension or outside the ambient box is refused here
@@ -202,10 +157,9 @@ def cmd_verify(args) -> int:
     if not feasible:
         worst = min(range(len(slacks)), key=lambda i: slacks[i])
         failures.append(f"stored box violates {problem.constraints[worst]} by {-slacks[worst]:.3g}")
-    # a stored ranking that is not a permutation is refused here, as ``solve --ranking`` refuses it
     fresh = solve_greedy(problem, result.ranking)
     failures += [f"face {f.axis}/{f.side} can still expand" for f in fresh.certificate.faces if not f.blocked]
-    failures += _differences(doc, fresh.to_json())
+    failures += _differences(result.to_json(), fresh.to_json(), "re-solve")
 
     payload = {"problem": problem.name, "agreement": not failures, "failures": failures}
     if args.json:
@@ -219,6 +173,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_rosetta(args) -> int:
+    from .orthotope import SolveResult
     from .rosetta import build_report, emit
 
     resolution = _parse_option("resolution", args.resolution, int)
@@ -226,7 +181,7 @@ def cmd_rosetta(args) -> int:
     solution = None
     if args.solution:
         # ``build_report`` refuses a box of the wrong dimension or outside the ambient box
-        solution, _ = _load_result_file(args.solution)
+        solution = SolveResult.from_json(_read_document(args.solution))
     report = build_report(problem, solution, resolution=resolution)
     formats = []
     if args.csv:

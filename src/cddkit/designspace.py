@@ -76,6 +76,12 @@ class ObjectiveConstraint(Frozen):
         return f"{self.surface} <= {self.bound!r}"
 
 
+def check_ranking(ranking: tuple[int, ...], n: int) -> None:
+    """Refuse a ranking that is not a permutation of 0..n-1, in one message for every reader."""
+    if sorted(ranking) != list(range(n)):
+        raise SchemaError(f"ranking {ranking} is not a permutation of 0..{n - 1}")
+
+
 class DesignProblem(Frozen):
     """A full constraint-driven design problem.
 
@@ -134,8 +140,8 @@ class DesignProblem(Frozen):
             constrained.add(c.surface)
             if math.isnan(c.bound):
                 raise SchemaError(f"constraint on {c.surface!r} has a NaN bound")
-        if self.ranking is not None and sorted(self.ranking) != list(range(n)):
-            raise SchemaError(f"ranking {self.ranking} is not a permutation of 0..{n - 1}")
+        if self.ranking is not None:
+            check_ranking(self.ranking, n)
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
             raise SchemaError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 

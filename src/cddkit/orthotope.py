@@ -22,12 +22,13 @@ some face.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 from typing import Sequence
 
 from ._frozen import Frozen
-from .designspace import DesignProblem, _TermMax
+from .designspace import DesignProblem, _TermMax, check_ranking
 from .errors import (
     CapExceeded,
     InfeasibleInput,
@@ -82,10 +83,6 @@ class Orthotope(Frozen):
     def to_json(self) -> list[dict]:
         return [{"lo": iv.lo, "hi": iv.hi} for iv in self.intervals]
 
-    @classmethod
-    def from_json(cls, doc: list[dict]) -> "Orthotope":
-        return cls(tuple(Interval(float(d["lo"]), float(d["hi"])) for d in doc))
-
 
 class FaceCheck(Frozen):
     """Outcome of pushing one face outward by the problem's tolerance times its ambient width.
@@ -120,15 +117,6 @@ class MaximalityCertificate(Frozen):
             ],
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "MaximalityCertificate":
-        faces = tuple(
-            FaceCheck(int(f["axis"]), str(f["side"]), f["blocked_by"],
-                      math.inf if f["margin"] is None else float(f["margin"]))
-            for f in doc["faces"]
-        )
-        return cls(faces=faces, epsilon=float(doc["epsilon"]))
-
 
 class SolveResult(Frozen):
     """The solved box, the expansion order and the certificate.
@@ -152,17 +140,67 @@ class SolveResult(Frozen):
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolveResult":
+        """The result a solution document holds; it loads only if writing it back gives the same document.
+
+        Numbers are read with ``float`` or ``int`` and names with ``str`` (a ``null`` margin as infinite).
+        ``SchemaError`` refuses, in this order, a ``steps`` key (the format before each binding moved onto
+        its axis), a ranking that is not a permutation of the axes, and the first field where the document
+        differs from ``to_json`` of what was read, by the compare ``cdd verify`` runs against a re-solve.
+        """
         with reading("solve result"):
             if isinstance(doc, dict) and "steps" in doc:
                 raise SchemaError(
                     "solve result has a 'steps' key: the file predates this format; solve the problem again"
                 )
-            return cls(
-                orthotope=Orthotope.from_json(doc["orthotope"]),
-                bindings=tuple((str(d["binding"]["lo"]), str(d["binding"]["hi"])) for d in doc["orthotope"]),
-                ranking=tuple(int(i) for i in doc["ranking"]),
-                certificate=MaximalityCertificate.from_json(doc["certificate"]),
+            orthotope = Orthotope(tuple(Interval(float(d["lo"]), float(d["hi"])) for d in doc["orthotope"]))
+            bindings = tuple((str(d["binding"]["lo"]), str(d["binding"]["hi"])) for d in doc["orthotope"])
+            ranking = tuple(int(i) for i in doc["ranking"])
+            faces = tuple(
+                FaceCheck(int(f["axis"]), str(f["side"]), None if f["blocked_by"] is None else str(f["blocked_by"]),
+                          math.inf if f["margin"] is None else float(f["margin"]))
+                for f in doc["certificate"]["faces"]
             )
+            certificate = MaximalityCertificate(faces, float(doc["certificate"]["epsilon"]))
+        check_ranking(ranking, orthotope.dim)
+        result = cls(orthotope, bindings, ranking, certificate)
+        differences = _differences(doc, result.to_json(), "reading it back")
+        if differences:
+            raise SchemaError(f"malformed solve result: {differences[0]}")
+        return result
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _differences(stored, normal, other: str, path: str = "") -> list[str]:
+    """One line per field where ``stored`` differs from ``normal``, which ``other`` gives, in its key order.
+
+    A number equals a number of the same value and sign of zero (a bool is
+    not a number); any other leaf equals one of the same type and value.  A
+    missing or extra key, or a list of another length, is one line.
+    """
+    if isinstance(stored, dict) and isinstance(normal, dict):
+        prefix = f"{path}." if path else ""
+        lines = []
+        for key, value in normal.items():
+            if key in stored:
+                lines += _differences(stored[key], value, other, prefix + key)
+            else:
+                lines.append(f"{prefix}{key} is missing, {other} gives {json.dumps(value)}")
+        return lines + [f"{prefix}{key} is {json.dumps(value)}, {other} has no such key"
+                        for key, value in stored.items() if key not in normal]
+    if isinstance(stored, list) and isinstance(normal, list):
+        if len(stored) != len(normal):
+            return [f"{path} has length {len(stored)}, {other} gives {len(normal)}"]
+        return [line for k, pair in enumerate(zip(stored, normal))
+                for line in _differences(*pair, other, f"{path}[{k}]")]
+    if _is_number(stored) and _is_number(normal):
+        # exact, so an integer past the float range is a difference, not an overflow
+        same = stored == normal and math.copysign(1.0, stored) == math.copysign(1.0, normal)
+    else:
+        same = type(stored) is type(normal) and stored == normal
+    return [] if same else [f"{path} is {json.dumps(stored)}, {other} gives {json.dumps(normal)}"]
 
 
 # --- ranking --------------------------------------------------------------
@@ -347,8 +385,7 @@ def solve_greedy(problem: DesignProblem, ranking: Sequence[int] | None = None) -
     """
     if ranking is not None:
         order = tuple(int(i) for i in ranking)
-        if sorted(order) != list(range(problem.dim)):
-            raise SchemaError(f"ranking {order} is not a permutation of 0..{problem.dim - 1}")
+        check_ranking(order, problem.dim)
     elif problem.ranking is not None:
         # ``DesignProblem`` has checked its own ranking, and ``auto_rank`` returns a permutation
         order = problem.ranking

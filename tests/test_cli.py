@@ -237,6 +237,26 @@ def _verify_edited_golden(tmp_path, capsys, edit, name="emissions"):
     return code, fails, err
 
 
+def _refused_on_load(tmp_path, capsys, edit, name="emissions"):
+    """The one ``error:`` line that ``verify``, ``verify --json`` and ``rosetta --solution`` each print for
+    a golden solution after ``edit`` (in place), exiting 2 with nothing on stdout and writing no report."""
+    doc = json.loads((GOLDEN / f"{name}_solution.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited_solution.json"
+    path.write_text(json.dumps(doc))
+    problem, report = problem_path(f"{name}.json"), tmp_path / "report"
+    results = [run_cli(*args, capsys=capsys) for args in (
+        ("verify", problem, str(path)),
+        ("verify", problem, str(path), "--json"),
+        ("rosetta", problem, "--solution", str(path), "--out", str(report)),
+    )]
+    err = results[0][2]
+    assert results == [(2, "", err)] * 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not report.exists()
+    return err
+
+
 def _face(doc, axis, side):
     return next(f for f in doc["certificate"]["faces"] if f["axis"] == axis and f["side"] == side)
 
@@ -342,27 +362,49 @@ def _tampered(value, names):
     return next(name for name in names if name != value)
 
 
-def _edit_leaf(path, names):
+def _leaf_edits(doc, names):
+    """Each single-leaf edit of ``doc``: the leaf ``_tampered``, or set to null, to its own JSON text
+    or to true, skipping an edit that leaves it as it was; one ``(path, value)`` pair each."""
+    for path in _leaf_paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        for new in (_tampered(value, names), None, json.dumps(value), True):
+            if not (type(new) is type(value) and new == value):
+                yield path, new
+
+
+def _set_leaf(path, value):
     def edit(doc):
         *parents, key = path
         for parent in parents:
             doc = doc[parent]
-        doc[key] = _tampered(doc[key], names)
+        doc[key] = value
 
     return edit
 
 
+_LEAF_EDITS = {"emissions": 156, "adas": 109, "adas_tall": 108}
+
+
 @pytest.mark.parametrize("name, count", [("emissions", 41), ("adas", 28), ("adas_tall", 28)])
 def test_verify_refuses_every_single_leaf_edit_of_a_golden(tmp_path, capsys, name, count):
+    # and ``rosetta --solution`` refuses, with exit 2, exactly the edited files that ``verify`` refuses so
     names = [c["surface"] for c in json.loads(data_path(f"{name}.json").read_text())["constraints"]]
-    paths = list(_leaf_paths(json.loads((GOLDEN / f"{name}_solution.json").read_text())))
-    assert len(paths) == count
-    passed = []
-    for path in paths:
-        code, fails, err = _verify_edited_golden(tmp_path, capsys, _edit_leaf(path, names), name)
+    golden = json.loads((GOLDEN / f"{name}_solution.json").read_text())
+    assert len(list(_leaf_paths(golden))) == count
+    cases = list(_leaf_edits(golden, names))
+    assert len(cases) == _LEAF_EDITS[name]
+    passed, disagree = [], []
+    for path, value in cases:
+        code, fails, err = _verify_edited_golden(tmp_path, capsys, _set_leaf(path, value), name)
         if not (code == 5 and fails and err == "" or code == 2 and err.startswith("error: ")):
-            passed.append((path, code))
-    assert passed == []
+            passed.append((path, value, code))
+        rosetta = run_cli("rosetta", problem_path(f"{name}.json"), "--solution", str(tmp_path / "edited_solution.json"),
+                          "--resolution", "5", "--out", str(tmp_path / "report"), capsys=capsys)
+        if (rosetta[0] == 2) != (code == 2) or code == 2 and rosetta != (2, "", err):
+            disagree.append((path, value, code, rosetta[0]))
+    assert (passed, disagree) == ([], [])
 
 
 def _set_face(axis, side, key, value):
@@ -376,8 +418,6 @@ _FACE_0_HI_MARGIN = 4.0167770332111274e-06
     "edit, fails",
     [
         (lambda doc: doc["certificate"].update(epsilon=0.5), ["certificate.epsilon is 0.5, re-solve gives 1e-06"]),
-        (lambda doc: doc["certificate"].update(maximal=False),
-         ["certificate.maximal is false, re-solve gives true"]),
         (_set_face(0, "hi", "blocked_by", "CO2"), ['certificate.faces[1].blocked_by is "CO2", re-solve gives "NOx"']),
         (_set_face(0, "hi", "margin", 123.0),
          [f"certificate.faces[1].margin is 123.0, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
@@ -398,7 +438,7 @@ _FACE_0_HI_MARGIN = 4.0167770332111274e-06
         (lambda doc: doc["orthotope"][2].update(hi=0.9479696304861929),
          ["orthotope[2].hi is 0.9479696304861929, re-solve gives 0.9479696304861928"]),
     ],
-    ids=["epsilon", "maximal", "blocked-by", "margin", "null-margin", "margin-ulp", "axis", "side", "face-count",
+    ids=["epsilon", "blocked-by", "margin", "null-margin", "margin-ulp", "axis", "side", "face-count",
          "box-end-moved-inward", "box-end-signed-zero", "box-end-one-ulp-outward"],
 )
 def test_verify_compares_the_stored_certificate_with_the_recomputed_one(tmp_path, capsys, edit, fails):
@@ -406,28 +446,56 @@ def test_verify_compares_the_stored_certificate_with_the_recomputed_one(tmp_path
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, line",
     [
-        lambda doc: doc["certificate"].update(epsilon="1e-06"),
-        lambda doc: doc["certificate"].update(epsilon=float("nan")),
-        lambda doc: doc["certificate"].pop("maximal"),
-        lambda doc: doc["certificate"].update(maximal=1),
-        lambda doc: doc["certificate"].update(faces={}),
-        lambda doc: doc["certificate"].update(faces=""),
-        _set_face(0, "hi", "axis", "0"),
-        _set_face(0, "hi", "blocked_by", ["NOx"]),
-        _set_face(0, "hi", "blocked_by", {"NOx": None}),
-        _set_face(0, "hi", "margin", "nan"),
-        _set_face(0, "hi", "margin", float("inf")),
-        _set_face(0, "hi", "margin", True),
+        # writing back what each field reads as does not give it again, so the file does not load
+        (lambda doc: doc["certificate"].update(maximal=False),
+         "certificate.maximal is false, reading it back gives true"),
+        (lambda doc: doc["certificate"].update(epsilon="1e-06"),
+         'certificate.epsilon is "1e-06", reading it back gives 1e-06'),
+        # NaN equals no number, itself included
+        (lambda doc: doc["certificate"].update(epsilon=float("nan")),
+         "certificate.epsilon is NaN, reading it back gives NaN"),
+        (lambda doc: doc["certificate"].pop("maximal"), "certificate.maximal is missing, reading it back gives true"),
+        (lambda doc: doc["certificate"].update(maximal=1), "certificate.maximal is 1, reading it back gives true"),
+        (lambda doc: doc["certificate"].update(faces={}), "certificate.faces is {}, reading it back gives []"),
+        (lambda doc: doc["certificate"].update(faces=""), 'certificate.faces is "", reading it back gives []'),
+        (_set_face(0, "hi", "axis", "0"), 'certificate.faces[1].axis is "0", reading it back gives 0'),
+        (_set_face(0, "hi", "blocked_by", ["NOx"]),
+         'certificate.faces[1].blocked_by is ["NOx"], reading it back gives "[\'NOx\']"'),
+        (_set_face(0, "hi", "blocked_by", {"NOx": None}),
+         'certificate.faces[1].blocked_by is {"NOx": null}, reading it back gives "{\'NOx\': None}"'),
+        (_set_face(0, "hi", "margin", "nan"), 'certificate.faces[1].margin is "nan", reading it back gives null'),
+        (_set_face(0, "hi", "margin", float("inf")),
+         "certificate.faces[1].margin is Infinity, reading it back gives null"),
+        (_set_face(0, "hi", "margin", True), "certificate.faces[1].margin is true, reading it back gives 1.0"),
     ],
-    ids=["epsilon-text", "epsilon-nan", "maximal-missing", "maximal-1", "faces-object", "faces-text", "axis-text",
-         "blocked-by-array", "blocked-by-object", "margin-text", "margin-infinity", "margin-true"],
+    ids=["maximal", "epsilon-text", "epsilon-nan", "maximal-missing", "maximal-1", "faces-object", "faces-text",
+         "axis-text", "blocked-by-array", "blocked-by-object", "margin-text", "margin-infinity", "margin-true"],
 )
-def test_a_certificate_that_loads_but_differs_is_a_fail_line_not_an_error(tmp_path, capsys, edit):
-    code, fails, err = _verify_edited_golden(tmp_path, capsys, edit)
-    assert (code, err, len(fails)) == (5, "", 1)
-    assert fails[0].startswith("certificate.")
+def test_a_certificate_that_does_not_read_back_as_written_is_malformed(tmp_path, capsys, edit, line):
+    assert _refused_on_load(tmp_path, capsys, edit) == f"error: malformed solve result: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # ``rosetta --solution`` once drew this file, which ``verify`` refused
+        (lambda doc: (doc.update(ranking=[7, 7]), doc["orthotope"][0].update(binding={"lo": None, "hi": 5})),
+         "ranking (7, 7) is not a permutation of 0..2"),
+        (_set_binding(0, "hi", None),
+         'malformed solve result: orthotope[0].binding.hi is null, reading it back gives "None"'),
+        (_set_binding(0, "lo", 5), 'malformed solve result: orthotope[0].binding.lo is 5, reading it back gives "5"'),
+        (lambda doc: doc["orthotope"][0].update(lo="0.0"),
+         'malformed solve result: orthotope[0].lo is "0.0", reading it back gives 0.0'),
+        # a free face under a certificate that says maximal
+        (_set_face(0, "hi", "blocked_by", None),
+         "malformed solve result: certificate.maximal is true, reading it back gives false"),
+    ],
+    ids=["ranking-and-bindings", "binding-null", "binding-number", "end-as-text", "maximal-with-a-free-face"],
+)
+def test_verify_and_rosetta_refuse_a_file_that_does_not_read_back_as_written(tmp_path, capsys, edit, message):
+    assert _refused_on_load(tmp_path, capsys, edit) == f"error: {message}\n"
 
 
 def test_an_infeasible_box_still_has_its_epsilon_and_bindings_checked(tmp_path, capsys):
