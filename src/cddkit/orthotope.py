@@ -161,9 +161,9 @@ class SolveResult(Frozen):
                 for f in doc["certificate"]["faces"]
             )
             certificate = MaximalityCertificate(faces, float(doc["certificate"]["epsilon"]))
-        check_ranking(ranking, orthotope.dim)
-        result = cls(orthotope, bindings, ranking, certificate)
-        differences = _differences(doc, result.to_json(), "reading it back")
+            check_ranking(ranking, orthotope.dim)
+            result = cls(orthotope, bindings, ranking, certificate)
+            differences = _differences(doc, result.to_json(), "reading it back")
         if differences:
             raise SchemaError(f"malformed solve result: {differences[0]}")
         return result
@@ -177,8 +177,9 @@ def _differences(stored, normal, other: str, path: str = "") -> list[str]:
     """One line per field where ``stored`` differs from ``normal``, which ``other`` gives, in its key order.
 
     A number equals a number of the same value and sign of zero (a bool is
-    not a number); any other leaf equals one of the same type and value.  A
-    missing or extra key, or a list of another length, is one line.
+    not a number); one past the float range raises ``OverflowError``.  Any
+    other leaf equals one of the same type and value.  A missing or extra
+    key, or a list of another length, is one line.
     """
     if isinstance(stored, dict) and isinstance(normal, dict):
         prefix = f"{path}." if path else ""
@@ -196,8 +197,8 @@ def _differences(stored, normal, other: str, path: str = "") -> list[str]:
         return [line for k, pair in enumerate(zip(stored, normal))
                 for line in _differences(*pair, other, f"{path}[{k}]")]
     if _is_number(stored) and _is_number(normal):
-        # exact, so an integer past the float range is a difference, not an overflow
-        same = stored == normal and math.copysign(1.0, stored) == math.copysign(1.0, normal)
+        # the signs first, so an integer past the float range raises whatever it is compared with
+        same = math.copysign(1.0, stored) == math.copysign(1.0, normal) and stored == normal
     else:
         same = type(stored) is type(normal) and stored == normal
     return [] if same else [f"{path} is {json.dumps(stored)}, {other} gives {json.dumps(normal)}"]

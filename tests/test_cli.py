@@ -491,8 +491,13 @@ def test_a_certificate_that_does_not_read_back_as_written_is_malformed(tmp_path,
         # a free face under a certificate that says maximal
         (_set_face(0, "hi", "blocked_by", None),
          "malformed solve result: certificate.maximal is true, reading it back gives false"),
+        # an integer past the float range reads back as itself, yet has no value to compare as a number
+        (_set_face(0, "hi", "axis", 10**400), "malformed solve result: int too large to convert to float"),
+        (lambda doc: doc["orthotope"][0].update(lo=10**400),
+         "malformed solve result: int too large to convert to float"),
     ],
-    ids=["ranking-and-bindings", "binding-null", "binding-number", "end-as-text", "maximal-with-a-free-face"],
+    ids=["ranking-and-bindings", "binding-null", "binding-number", "end-as-text", "maximal-with-a-free-face",
+         "axis-past-the-float-range", "end-past-the-float-range"],
 )
 def test_verify_and_rosetta_refuse_a_file_that_does_not_read_back_as_written(tmp_path, capsys, edit, message):
     assert _refused_on_load(tmp_path, capsys, edit) == f"error: {message}\n"

@@ -16,8 +16,8 @@ back with ``str``, so a special becomes ``None``, ``[]``, ``1e+308`` and
 so on: the point goes to ``evaluate``, the ranking to ``solve`` and the
 resolution to ``rosetta``, each with its unmutated problem.  ``verify``
 has no option text.  The only
-specials that read as an integer, 0 and 2**70, are refused before a
-grid is made, so every run stays small.
+specials that read as an integer, 0, 2**70 and 10**400 (past the float
+range), are refused before a grid is made, so every run stays small.
 
 The contract: every exit code is 0, 2, 3, 4 or 5, no exception escapes
 ``main``, and an exit 2 or 3 prints exactly one line to stderr, which
@@ -56,7 +56,7 @@ PROBLEMS = ("emissions", "adas", "adas_tall")
 STRUCTURES = ("triangle_345", "triangle_234")
 THEORY = "orthogonality_theory"
 GRAPHS = ("cdd_graph", "ecs_graph")
-SPECIALS = (0, -0.0, 1e308, -1e308, 5e-324, 2**70, "", None, True, [], {}, "1/0", "nan")
+SPECIALS = (0, -0.0, 1e308, -1e308, 5e-324, 2**70, 10**400, "", None, True, [], {}, "1/0", "nan")
 # (mutated kind, command): each input draws one, then a bundled document or text of that kind
 JOBS = (
     ("problem", "evaluate"),
