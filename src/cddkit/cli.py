@@ -158,7 +158,8 @@ def cmd_verify(args) -> int:
         worst = min(range(len(slacks)), key=lambda i: slacks[i])
         failures.append(f"stored box violates {problem.constraints[worst]} by {-slacks[worst]:.3g}")
     fresh = solve_greedy(problem, result.ranking)
-    failures += [f"face {f.axis}/{f.side} can still expand" for f in fresh.certificate.faces if not f.blocked]
+    failures += [f"face {j}/{side} can still expand" for j, pair in enumerate(fresh.certificate.faces)
+                 for side, face in zip(("lo", "hi"), pair) if not face.blocked]
     failures += _differences(result.to_json(), fresh.to_json(), "re-solve")
 
     payload = {"problem": problem.name, "agreement": not failures, "failures": failures}

@@ -127,6 +127,9 @@ class DesignProblem(Frozen):
         for s in self.surfaces:
             if s.dim != n:
                 raise DimensionMismatch(f"surface {s.name!r} has dimension {s.dim}, problem has {n}")
+        # the report draws and labels each variable and objective by its name
+        if len({v.name for v in self.variables}) != n:
+            raise SchemaError("variable names must be unique")
         names = [s.name for s in self.surfaces]
         if len(set(names)) != len(names):
             raise SchemaError("surface names must be unique")

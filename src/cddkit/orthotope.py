@@ -87,11 +87,12 @@ class Orthotope(Frozen):
 class FaceCheck(Frozen):
     """Outcome of pushing one face outward by the problem's tolerance times its ambient width.
 
-    ``side`` is "lo" or "hi"; ``blocked_by`` is a constraint surface name,
-    "ambient", or None if the face is free.
+    ``blocked_by`` is a constraint surface name, "ambient", or None if the
+    face is free; ``margin`` is the blocker's violation of the pushed box,
+    the room left to an ambient bound, or a free face's least slack.
     """
 
-    __slots__ = ("axis", "side", "blocked_by", "margin")
+    __slots__ = ("blocked_by", "margin")
 
     @property
     def blocked(self) -> bool:
@@ -99,23 +100,18 @@ class FaceCheck(Frozen):
 
 
 class MaximalityCertificate(Frozen):
+    """``faces[j]`` is the ``(lo, hi)`` pair of axis j's face checks; ``epsilon`` the tolerance pushed."""
+
     __slots__ = ("faces", "epsilon")
 
     @property
     def maximal(self) -> bool:
-        return all(f.blocked for f in self.faces)
+        return all(lo.blocked and hi.blocked for lo, hi in self.faces)
 
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "maximal": self.maximal,
-            "faces": [
-                # a margin past every float (the pushed objective overflows) is written as null
-                {"axis": f.axis, "side": f.side, "blocked_by": f.blocked_by,
-                 "margin": f.margin if math.isfinite(f.margin) else None}
-                for f in self.faces
-            ],
-        }
+
+def _margin(face: FaceCheck) -> float | None:
+    # a margin past every float (the pushed objective overflows) is written as null
+    return face.margin if math.isfinite(face.margin) else None
 
 
 class SolveResult(Frozen):
@@ -124,6 +120,7 @@ class SolveResult(Frozen):
     ``bindings[j]`` is the ``(lo, hi)`` pair of names bounding axis j's
     ends: a constraint surface, "ambient", or "numerical" on both ends of
     an axis that kept the seed because every roundoff retreat failed.
+    The file holds each axis's ends, bindings and faces under that axis.
     """
 
     __slots__ = ("orthotope", "bindings", "ranking", "certificate")
@@ -131,11 +128,14 @@ class SolveResult(Frozen):
     def to_json(self) -> dict:
         return {
             "orthotope": [
-                {"lo": iv.lo, "hi": iv.hi, "binding": {"lo": lo, "hi": hi}}
-                for iv, (lo, hi) in zip(self.orthotope.intervals, self.bindings)
+                {"lo": iv.lo, "hi": iv.hi, "binding": {"lo": b_lo, "hi": b_hi},
+                 "blocked_by": {"lo": f_lo.blocked_by, "hi": f_hi.blocked_by},
+                 "margin": {"lo": _margin(f_lo), "hi": _margin(f_hi)}}
+                for iv, (b_lo, b_hi), (f_lo, f_hi)
+                in zip(self.orthotope.intervals, self.bindings, self.certificate.faces)
             ],
             "ranking": list(self.ranking),
-            "certificate": self.certificate.to_json(),
+            "certificate": {"epsilon": self.certificate.epsilon, "maximal": self.certificate.maximal},
         }
 
     @classmethod
@@ -143,22 +143,21 @@ class SolveResult(Frozen):
         """The result a solution document holds; it loads only if writing it back gives the same document.
 
         Numbers are read with ``float`` or ``int`` and names with ``str`` (a ``null`` margin as infinite).
-        ``SchemaError`` refuses, in this order, a ``steps`` key (the format before each binding moved onto
-        its axis), a ranking that is not a permutation of the axes, and the first field where the document
-        differs from ``to_json`` of what was read, by the compare ``cdd verify`` runs against a re-solve.
+        ``SchemaError`` refuses, in this order, a missing or malformed field (a file of an older format
+        lacks each axis's face checks), a ranking that is not a permutation of the axes, and the first field
+        where the document differs from ``to_json`` of what was read, by the compare ``cdd verify`` runs
+        against a re-solve: so a ``maximal`` that the face checks contradict is refused too.
         """
         with reading("solve result"):
-            if isinstance(doc, dict) and "steps" in doc:
-                raise SchemaError(
-                    "solve result has a 'steps' key: the file predates this format; solve the problem again"
-                )
-            orthotope = Orthotope(tuple(Interval(float(d["lo"]), float(d["hi"])) for d in doc["orthotope"]))
-            bindings = tuple((str(d["binding"]["lo"]), str(d["binding"]["hi"])) for d in doc["orthotope"])
+            axes = doc["orthotope"]
+            orthotope = Orthotope(tuple(Interval(float(d["lo"]), float(d["hi"])) for d in axes))
+            bindings = tuple((str(d["binding"]["lo"]), str(d["binding"]["hi"])) for d in axes)
             ranking = tuple(int(i) for i in doc["ranking"])
             faces = tuple(
-                FaceCheck(int(f["axis"]), str(f["side"]), None if f["blocked_by"] is None else str(f["blocked_by"]),
-                          math.inf if f["margin"] is None else float(f["margin"]))
-                for f in doc["certificate"]["faces"]
+                tuple(FaceCheck(None if d["blocked_by"][side] is None else str(d["blocked_by"][side]),
+                                math.inf if d["margin"][side] is None else float(d["margin"][side]))
+                      for side in ("lo", "hi"))
+                for d in axes
             )
             certificate = MaximalityCertificate(faces, float(doc["certificate"]["epsilon"]))
             check_ranking(ranking, orthotope.dim)
@@ -209,9 +208,11 @@ def _differences(stored, normal, other: str, path: str = "") -> list[str]:
 def auto_rank(problem: DesignProblem) -> tuple[int, ...]:
     """Rank variables by aggregate sensitivity at the seed.
 
-    Score of variable j is sum_i |dz_i/dx_j at seed| * ambient width of j
-    (width-weighting normalizes units); higher scores go first, ties
-    break by ascending index.
+    Score of variable j is sum_i |dz_i/dx_j at seed| * ambient width of j;
+    higher scores go first, ties break by ascending index.  The width
+    weighting frees the score of the variables' units but not of the
+    objectives': it adds raw slopes of objectives in different units, so
+    rescaling one objective can reorder the ranking (ROADMAP.md, item 7).
     """
     # per variable, |sensitivity| summed over the surfaces left to right from 0.0,
     # never with ``sum``: its rounding depends on the Python version
@@ -427,18 +428,14 @@ def _certify(problem: DesignProblem, table: _TermMax) -> MaximalityCertificate:
     for j, (var, interval) in enumerate(zip(problem.variables, table.intervals)):
         ambient, lo, hi = var.ambient, interval.lo, interval.hi
         push = problem.tolerance * ambient.width
-        for side, room, pushed_lo, pushed_hi in (
-            ("lo", lo - ambient.lo, lo - push, hi),
-            ("hi", ambient.hi - hi, lo, hi + push),
-        ):
+        pair = []
+        for room, pushed_lo, pushed_hi in ((lo - ambient.lo, lo - push, hi), (ambient.hi - hi, lo, hi + push)):
             if room < push:
-                faces.append(FaceCheck(j, side, "ambient", room))
+                pair.append(FaceCheck("ambient", room))
                 continue
             feasible, least, worst = table.face_slacks(j, table.column(j, pushed_lo, pushed_hi), slacks, noises)
-            if feasible:
-                faces.append(FaceCheck(j, side, None, least))
-            else:
-                faces.append(FaceCheck(j, side, table.names[worst], -least))
+            pair.append(FaceCheck(None, least) if feasible else FaceCheck(table.names[worst], -least))
+        faces.append(tuple(pair))
     return MaximalityCertificate(tuple(faces), problem.tolerance)
 
 

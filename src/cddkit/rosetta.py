@@ -259,6 +259,7 @@ def _emit_csv(report: RosettaReport, out_dir: Path) -> list[Path]:
 def _scale(values, lo, hi, pix_lo, pix_hi) -> list[float]:
     span = hi - lo
     if span <= 0:
+        # a constant objective past 2**53 keeps a zero range: widening it by 0.5 rounds away
         span = 1.0
     gain = pix_hi - pix_lo
     return [pix_lo + (v - lo) / span * gain for v in values]
@@ -345,15 +346,12 @@ def _emit_pairings(path: Path, title: str, names, ranges, cells, diagonal, pairi
         out.write(_svg_header(title))
         for row in range(k):
             for col in range(row + 1):
-                cell = cells.get((names[col], names[row]))
-                if row != col and cell is None:
-                    continue
                 frame = _CellFrame(row, col, k, ranges.get(names[col], (0, 1)), ranges.get(names[row], (0, 1)))
                 out.write(frame.border())
                 if row == col:
                     diagonal(out, frame, row)
                 else:
-                    pairing(out, frame, cell)
+                    pairing(out, frame, cells[names[col], names[row]])
         out.write("</svg>\n")
     return path
 

@@ -12,7 +12,7 @@ from cddkit.cli import main
 from cddkit.errors import SchemaError
 from cddkit.modeltheory import RelationalStructure, load_structure
 from cddkit.modeltheory.syntax import BODY_DEPTH_LIMIT, PARENTHESIS_LIMIT, SENTENCE_DEPTH_LIMIT
-from cddkit.orthotope import SolveResult
+from cddkit.orthotope import FaceCheck, SolveResult
 
 from conftest import problem_document, random_problem
 
@@ -201,10 +201,9 @@ def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
     doc = json.loads(solution.read_text())
     # halfway from a constraint-blocked upper face to its ambient bound: the box
     # maximum only grows with the box, so the pushed face breaks that constraint
-    faces = doc["certificate"]["faces"]
-    face = next(f for f in faces if f["side"] == "hi" and f["blocked_by"] != "ambient")
-    ambient_hi = json.loads(Path(path).read_text())["variables"][face["axis"]]["hi"]
-    interval = doc["orthotope"][face["axis"]]
+    axis = next(j for j, d in enumerate(doc["orthotope"]) if d["blocked_by"]["hi"] != "ambient")
+    ambient_hi = json.loads(Path(path).read_text())["variables"][axis]["hi"]
+    interval = doc["orthotope"][axis]
     interval["hi"] = (interval["hi"] + ambient_hi) / 2.0
     solution.write_text(json.dumps(doc))
     code, out, _ = run_cli("verify", path, str(solution), "--json", capsys=capsys)
@@ -213,8 +212,8 @@ def test_verify_flags_inflated_result_above_three_variables(tmp_path, capsys):
     assert payload["agreement"] is False
     # the violation first, then the one field that differs from the re-solve
     assert len(payload["failures"]) == 2
-    assert payload["failures"][0].startswith(f"stored box violates {face['blocked_by']} <= ")
-    assert payload["failures"][1].startswith(f"orthotope[{face['axis']}].hi is {interval['hi']!r}, re-solve gives ")
+    assert payload["failures"][0].startswith(f"stored box violates {interval['blocked_by']['hi']} <= ")
+    assert payload["failures"][1].startswith(f"orthotope[{axis}].hi is {interval['hi']!r}, re-solve gives ")
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -257,10 +256,6 @@ def _refused_on_load(tmp_path, capsys, edit, name="emissions"):
     return err
 
 
-def _face(doc, axis, side):
-    return next(f for f in doc["certificate"]["faces"] if f["axis"] == axis and f["side"] == side)
-
-
 def test_the_emissions_golden_verifies():
     # the cases below edit it: its ranking, bindings and face 0/hi are what they assume
     doc = json.loads(GOLDEN_EMISSIONS.read_text())
@@ -268,10 +263,11 @@ def test_the_emissions_golden_verifies():
     assert [(d["binding"]["lo"], d["binding"]["hi"]) for d in doc["orthotope"]] == [
         ("ambient", "NOx"), ("ambient", "ambient"), ("ambient", "Soot")
     ]
-    assert doc["certificate"]["epsilon"] == 1e-6 and doc["certificate"]["maximal"] is True
-    face = _face(doc, 0, "hi")
-    assert doc["certificate"]["faces"].index(face) == 1
-    assert face["blocked_by"] == "NOx" and face["margin"] == 4.0167770332111274e-06
+    assert [d["blocked_by"] for d in doc["orthotope"]] == [
+        {"lo": "ambient", "hi": "NOx"}, {"lo": "ambient", "hi": "ambient"}, {"lo": "ambient", "hi": "Soot"}
+    ]
+    assert doc["orthotope"][0]["margin"] == {"lo": 0.0, "hi": 4.0167770332111274e-06}
+    assert doc["certificate"] == {"epsilon": 1e-6, "maximal": True}
     assert main(["verify", problem_path("emissions.json"), str(GOLDEN_EMISSIONS)]) == 0
 
 
@@ -294,11 +290,11 @@ def test_verify_runs_no_grid_oracle(capsys, monkeypatch, name):
         # the re-solve runs in the stored order, which grows factor 0 first and leaves factor 1 no room
         (lambda doc: doc.update(ranking=[0, 1, 2]), (5, [
             "orthotope[0].hi is 0.530215313509173, re-solve gives 0.923874040852056",
+            "orthotope[0].margin.hi is 4.0167770332111274e-06, re-solve gives 2.150834676584168e-06",
             "orthotope[1].hi is 1.0, re-solve gives 0.0",
             'orthotope[1].binding.hi is "ambient", re-solve gives "NOx"',
-            "certificate.faces[1].margin is 4.0167770332111274e-06, re-solve gives 2.150834676584168e-06",
-            'certificate.faces[3].blocked_by is "ambient", re-solve gives "NOx"',
-            "certificate.faces[3].margin is 0.0, re-solve gives 2.88999828e-06",
+            'orthotope[1].blocked_by.hi is "ambient", re-solve gives "NOx"',
+            "orthotope[1].margin.hi is 0.0, re-solve gives 2.88999828e-06",
         ], "")),
         # a ranking that is no permutation is malformed, as ``solve --ranking`` finds it
         (lambda doc: doc.update(ranking=[1, 1, 2]),
@@ -384,10 +380,10 @@ def _set_leaf(path, value):
     return edit
 
 
-_LEAF_EDITS = {"emissions": 156, "adas": 109, "adas_tall": 108}
+_LEAF_EDITS = {"emissions": 108, "adas": 77, "adas_tall": 76}
 
 
-@pytest.mark.parametrize("name, count", [("emissions", 41), ("adas", 28), ("adas_tall", 28)])
+@pytest.mark.parametrize("name, count", [("emissions", 29), ("adas", 20), ("adas_tall", 20)])
 def test_verify_refuses_every_single_leaf_edit_of_a_golden(tmp_path, capsys, name, count):
     # and ``rosetta --solution`` refuses, with exit 2, exactly the edited files that ``verify`` refuses so
     names = [c["surface"] for c in json.loads(data_path(f"{name}.json").read_text())["constraints"]]
@@ -408,7 +404,19 @@ def test_verify_refuses_every_single_leaf_edit_of_a_golden(tmp_path, capsys, nam
 
 
 def _set_face(axis, side, key, value):
-    return lambda doc: _face(doc, axis, side).update({key: value})
+    """Set ``key`` ("blocked_by" or "margin") of one face of an axis."""
+    return lambda doc: doc["orthotope"][axis][key].update({side: value})
+
+
+def _swap_faces(a, side_a, b, side_b):
+    """Swap the checks of face ``side_a`` of axis ``a`` and face ``side_b`` of axis ``b``."""
+
+    def edit(doc):
+        for key in ("blocked_by", "margin"):
+            face_a, face_b = doc["orthotope"][a][key], doc["orthotope"][b][key]
+            face_a[side_a], face_b[side_b] = face_b[side_b], face_a[side_a]
+
+    return edit
 
 
 _FACE_0_HI_MARGIN = 4.0167770332111274e-06
@@ -418,18 +426,27 @@ _FACE_0_HI_MARGIN = 4.0167770332111274e-06
     "edit, fails",
     [
         (lambda doc: doc["certificate"].update(epsilon=0.5), ["certificate.epsilon is 0.5, re-solve gives 1e-06"]),
-        (_set_face(0, "hi", "blocked_by", "CO2"), ['certificate.faces[1].blocked_by is "CO2", re-solve gives "NOx"']),
+        (_set_face(0, "hi", "blocked_by", "CO2"), ['orthotope[0].blocked_by.hi is "CO2", re-solve gives "NOx"']),
         (_set_face(0, "hi", "margin", 123.0),
-         [f"certificate.faces[1].margin is 123.0, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
+         [f"orthotope[0].margin.hi is 123.0, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
         # null matches only null, and a margin one ulp off is another margin
         (_set_face(0, "hi", "margin", None),
-         [f"certificate.faces[1].margin is null, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
+         [f"orthotope[0].margin.hi is null, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
         (_set_face(0, "hi", "margin", math.nextafter(_FACE_0_HI_MARGIN, 1.0)),
-         [f"certificate.faces[1].margin is 4.016777033211128e-06, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
-        (_set_face(0, "hi", "axis", 2), ["certificate.faces[1].axis is 2, re-solve gives 0"]),
-        (_set_face(0, "hi", "side", "lo"), ['certificate.faces[1].side is "lo", re-solve gives "hi"']),
-        (lambda doc: doc["certificate"].update(faces=doc["certificate"]["faces"][:5]),
-         ["certificate.faces has length 5, re-solve gives 6"]),
+         [f"orthotope[0].margin.hi is 4.016777033211128e-06, re-solve gives {_FACE_0_HI_MARGIN!r}"]),
+        # a face's check stored on another axis, or on the other side of its own
+        (_swap_faces(0, "hi", 2, "hi"), [
+            'orthotope[0].blocked_by.hi is "Soot", re-solve gives "NOx"',
+            f"orthotope[0].margin.hi is 3.6878207820834064e-08, re-solve gives {_FACE_0_HI_MARGIN!r}",
+            'orthotope[2].blocked_by.hi is "NOx", re-solve gives "Soot"',
+            f"orthotope[2].margin.hi is {_FACE_0_HI_MARGIN!r}, re-solve gives 3.6878207820834064e-08",
+        ]),
+        (_swap_faces(0, "lo", 0, "hi"), [
+            'orthotope[0].blocked_by.lo is "NOx", re-solve gives "ambient"',
+            'orthotope[0].blocked_by.hi is "ambient", re-solve gives "NOx"',
+            f"orthotope[0].margin.lo is {_FACE_0_HI_MARGIN!r}, re-solve gives 0.0",
+            f"orthotope[0].margin.hi is 0.0, re-solve gives {_FACE_0_HI_MARGIN!r}",
+        ]),
         # a box end moved 7.3e-14 inward, bindings and certificate left as they were
         (lambda doc: doc["orthotope"][0].update(hi=0.5302153135091),
          ["orthotope[0].hi is 0.5302153135091, re-solve gives 0.530215313509173"]),
@@ -438,8 +455,8 @@ _FACE_0_HI_MARGIN = 4.0167770332111274e-06
         (lambda doc: doc["orthotope"][2].update(hi=0.9479696304861929),
          ["orthotope[2].hi is 0.9479696304861929, re-solve gives 0.9479696304861928"]),
     ],
-    ids=["epsilon", "blocked-by", "margin", "null-margin", "margin-ulp", "axis", "side", "face-count",
-         "box-end-moved-inward", "box-end-signed-zero", "box-end-one-ulp-outward"],
+    ids=["epsilon", "blocked-by", "margin", "null-margin", "margin-ulp", "face-on-another-axis",
+         "face-on-the-other-side", "box-end-moved-inward", "box-end-signed-zero", "box-end-one-ulp-outward"],
 )
 def test_verify_compares_the_stored_certificate_with_the_recomputed_one(tmp_path, capsys, edit, fails):
     assert _verify_edited_golden(tmp_path, capsys, edit) == (5, fails, "")
@@ -458,20 +475,24 @@ def test_verify_compares_the_stored_certificate_with_the_recomputed_one(tmp_path
          "certificate.epsilon is NaN, reading it back gives NaN"),
         (lambda doc: doc["certificate"].pop("maximal"), "certificate.maximal is missing, reading it back gives true"),
         (lambda doc: doc["certificate"].update(maximal=1), "certificate.maximal is 1, reading it back gives true"),
-        (lambda doc: doc["certificate"].update(faces={}), "certificate.faces is {}, reading it back gives []"),
-        (lambda doc: doc["certificate"].update(faces=""), 'certificate.faces is "", reading it back gives []'),
-        (_set_face(0, "hi", "axis", "0"), 'certificate.faces[1].axis is "0", reading it back gives 0'),
+        # the face checks are stored on their axes only: no list of faces, no axis number, no side name
+        (lambda doc: doc["certificate"].update(faces={}), "certificate.faces is {}, reading it back has no such key"),
+        (lambda doc: doc["certificate"].update(faces=""), 'certificate.faces is "", reading it back has no such key'),
+        (lambda doc: doc["orthotope"][0].update(axis=0), "orthotope[0].axis is 0, reading it back has no such key"),
+        (lambda doc: doc["orthotope"][0]["margin"].update(side="hi"),
+         'orthotope[0].margin.side is "hi", reading it back has no such key'),
         (_set_face(0, "hi", "blocked_by", ["NOx"]),
-         'certificate.faces[1].blocked_by is ["NOx"], reading it back gives "[\'NOx\']"'),
+         'orthotope[0].blocked_by.hi is ["NOx"], reading it back gives "[\'NOx\']"'),
         (_set_face(0, "hi", "blocked_by", {"NOx": None}),
-         'certificate.faces[1].blocked_by is {"NOx": null}, reading it back gives "{\'NOx\': None}"'),
-        (_set_face(0, "hi", "margin", "nan"), 'certificate.faces[1].margin is "nan", reading it back gives null'),
+         'orthotope[0].blocked_by.hi is {"NOx": null}, reading it back gives "{\'NOx\': None}"'),
+        (_set_face(0, "hi", "margin", "nan"), 'orthotope[0].margin.hi is "nan", reading it back gives null'),
         (_set_face(0, "hi", "margin", float("inf")),
-         "certificate.faces[1].margin is Infinity, reading it back gives null"),
-        (_set_face(0, "hi", "margin", True), "certificate.faces[1].margin is true, reading it back gives 1.0"),
+         "orthotope[0].margin.hi is Infinity, reading it back gives null"),
+        (_set_face(0, "hi", "margin", True), "orthotope[0].margin.hi is true, reading it back gives 1.0"),
     ],
     ids=["maximal", "epsilon-text", "epsilon-nan", "maximal-missing", "maximal-1", "faces-object", "faces-text",
-         "axis-text", "blocked-by-array", "blocked-by-object", "margin-text", "margin-infinity", "margin-true"],
+         "axis-key", "side-key", "blocked-by-array", "blocked-by-object", "margin-text", "margin-infinity",
+         "margin-true"],
 )
 def test_a_certificate_that_does_not_read_back_as_written_is_malformed(tmp_path, capsys, edit, line):
     assert _refused_on_load(tmp_path, capsys, edit) == f"error: malformed solve result: {line}\n"
@@ -491,13 +512,12 @@ def test_a_certificate_that_does_not_read_back_as_written_is_malformed(tmp_path,
         # a free face under a certificate that says maximal
         (_set_face(0, "hi", "blocked_by", None),
          "malformed solve result: certificate.maximal is true, reading it back gives false"),
-        # an integer past the float range reads back as itself, yet has no value to compare as a number
-        (_set_face(0, "hi", "axis", 10**400), "malformed solve result: int too large to convert to float"),
+        # a number past the float range has no value to compare as a number
         (lambda doc: doc["orthotope"][0].update(lo=10**400),
          "malformed solve result: int too large to convert to float"),
     ],
     ids=["ranking-and-bindings", "binding-null", "binding-number", "end-as-text", "maximal-with-a-free-face",
-         "axis-past-the-float-range", "end-past-the-float-range"],
+         "end-past-the-float-range"],
 )
 def test_verify_and_rosetta_refuse_a_file_that_does_not_read_back_as_written(tmp_path, capsys, edit, message):
     assert _refused_on_load(tmp_path, capsys, edit) == f"error: {message}\n"
@@ -530,10 +550,10 @@ def test_a_solve_whose_ladder_gives_up_is_not_maximal_and_does_not_verify(tmp_pa
     }))
     code, out, err = run_cli("solve", str(path), "--out", str(tmp_path), "--json", capsys=capsys)
     assert (code, err) == (4, "certification failed: some face is not blocked\n")
-    doc = json.loads(out)
-    assert doc["orthotope"] == [{"lo": 1.5e6, "hi": 1.5e6, "binding": {"lo": "numerical", "hi": "numerical"}}]
-    assert doc["certificate"]["maximal"] is False
-    assert [f["blocked_by"] for f in doc["certificate"]["faces"]] == [None, None]
+    (axis,) = json.loads(out)["orthotope"]
+    assert (axis["lo"], axis["hi"], axis["binding"]) == (1.5e6, 1.5e6, {"lo": "numerical", "hi": "numerical"})
+    assert axis["blocked_by"] == {"lo": None, "hi": None}
+    assert json.loads(out)["certificate"]["maximal"] is False
     # the file is what the solver writes, so only the free faces are refused
     code, out, err = run_cli("verify", str(path), str(tmp_path / "ladder_solution.json"), capsys=capsys)
     assert (code, out, err) == (
@@ -594,11 +614,11 @@ def test_overflowing_face_margin_is_written_as_null(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli("solve", str(path), "--out", str(tmp_path), "--json", capsys=capsys)
     assert code == 0
-    faces = _strict_json(out)["certificate"]["faces"]
-    assert [(f["blocked_by"], f["margin"]) for f in faces] == [("z", None), ("z", None)]
+    (axis,) = _strict_json(out)["orthotope"]
+    assert (axis["blocked_by"], axis["margin"]) == ({"lo": "z", "hi": "z"}, {"lo": None, "hi": None})
     solution = tmp_path / "huge_solution.json"
     stored = SolveResult.from_json(_strict_json(solution.read_text()))
-    assert [f.margin for f in stored.certificate.faces] == [math.inf, math.inf]
+    assert stored.certificate.faces == ((FaceCheck("z", math.inf), FaceCheck("z", math.inf)),)
     code, out, _ = run_cli("verify", str(path), str(solution), "--json", capsys=capsys)
     assert code == 0
     assert _strict_json(out)["agreement"] is True
@@ -729,6 +749,26 @@ def _edited_problem(tmp_path, edit):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("solve", ["--out", "OUT"]), ("rosetta", ["--resolution", "5", "--out", "OUT"]), ("evaluate", ["--point", "0.5,15"])],
+)
+def test_repeated_variable_names_exit_2(tmp_path, capsys, command, extra):
+    # the report once drew every dot of the N matrix off its canvas: it finds a variable's range by name
+    path = tmp_path / "twins.json"
+    path.write_text(json.dumps({
+        "name": "twins",
+        "variables": [{"name": "x", "lo": 0.0, "hi": 1.0}, {"name": "x", "lo": 10.0, "hi": 20.0}],
+        "surfaces": [{"name": "z", "beta0": 0.0, "linear": [1.0, 0.1], "quadratic": [0.0, 0.0]}],
+        "constraints": [{"surface": "z", "bound": 10.0}],
+        "seed": [0.5, 15.0],
+    }))
+    out_dir = tmp_path / "out"
+    args = [str(out_dir) if arg == "OUT" else arg for arg in extra]
+    assert run_cli(command, str(path), *args, capsys=capsys) == (2, "", "error: variable names must be unique\n")
+    assert not out_dir.exists()
 
 
 def test_solve_nan_tolerance_exits_2(tmp_path, capsys):
@@ -892,9 +932,8 @@ def test_solve_epsilon_whose_push_overflows_blocks_every_face_at_ambient(tmp_pat
     (interval,) = doc["orthotope"]
     assert -1.0 < interval["lo"] < -0.9 and 0.9 < interval["hi"] < 1.0
     assert doc["certificate"]["epsilon"] == 1e308
-    faces = doc["certificate"]["faces"]
-    assert [f["blocked_by"] for f in faces] == ["ambient"] * 2
-    assert [f["margin"] for f in faces] == [interval["lo"] + 1.0, 1.0 - interval["hi"]]
+    assert interval["blocked_by"] == {"lo": "ambient", "hi": "ambient"}
+    assert interval["margin"] == {"lo": interval["lo"] + 1.0, "hi": 1.0 - interval["hi"]}
 
 
 def _break_missing_binding(doc):
@@ -949,8 +988,20 @@ def test_malformed_stored_result_exits_2(tmp_path, capsys, edit):
     assert code == 2 and "error" in err
 
 
+def _with_a_face_list(doc):
+    """The emissions solution as the format before each axis held its face checks wrote it (in place)."""
+    faces = []
+    for j, axis in enumerate(doc["orthotope"]):
+        blocked_by, margin = axis.pop("blocked_by"), axis.pop("margin")
+        faces += [{"axis": j, "side": side, "blocked_by": blocked_by[side], "margin": margin[side]}
+                  for side in ("lo", "hi")]
+    doc["certificate"]["faces"] = faces
+    return doc
+
+
 def _with_a_step_log(doc):
     """The emissions solution as the format before each binding moved onto its axis wrote it."""
+    doc = _with_a_face_list(doc)
     seed = json.loads(data_path("emissions.json").read_text())["seed"]
     steps = []
     for j in doc["ranking"]:
@@ -962,16 +1013,20 @@ def _with_a_step_log(doc):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    # any "steps" key is refused before the rest of the document is read
-    [_with_a_step_log, lambda doc: {**doc, "steps": []}, lambda doc: {**doc, "steps": None},
-     lambda doc: {"steps": []}],
+    "edit, message",
+    # a step log fails the one reading rule as any other malformed file does
+    [
+        (_with_a_step_log, "solve result missing key 'binding'"),
+        (lambda doc: {**doc, "steps": []}, "malformed solve result: steps is [], reading it back has no such key"),
+        (lambda doc: {**doc, "steps": None}, "malformed solve result: steps is null, reading it back has no such key"),
+        (lambda doc: {"steps": []}, "solve result missing key 'orthotope'"),
+    ],
     ids=["old-form", "steps-key-added", "steps-null", "steps-only"],
 )
-def test_a_solution_with_a_step_log_is_refused_and_must_be_solved_again(tmp_path, capsys, edit):
+def test_a_solution_with_a_step_log_is_refused_and_must_be_solved_again(tmp_path, capsys, edit, message):
     path = tmp_path / "old_solution.json"
     path.write_text(json.dumps(edit(json.loads(GOLDEN_EMISSIONS.read_text()))))
-    message = "error: solve result has a 'steps' key: the file predates this format; solve the problem again\n"
+    message = f"error: {message}\n"
     for args in (
         ("verify", problem_path("emissions.json"), str(path)),
         ("verify", problem_path("emissions.json"), str(path), "--json"),
@@ -979,6 +1034,22 @@ def test_a_solution_with_a_step_log_is_refused_and_must_be_solved_again(tmp_path
     ):
         assert run_cli(*args, capsys=capsys) == (2, "", message)
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["orthotope"][1].pop("blocked_by"), "solve result missing key 'blocked_by'"),
+        (lambda doc: doc["orthotope"][1].pop("margin"), "solve result missing key 'margin'"),
+        (lambda doc: doc["orthotope"][1]["blocked_by"].pop("lo"), "solve result missing key 'lo'"),
+        (lambda doc: doc["orthotope"][2]["margin"].pop("hi"), "solve result missing key 'hi'"),
+        # the format before each axis held its face checks
+        (_with_a_face_list, "solve result missing key 'blocked_by'"),
+    ],
+    ids=["no-blocked-by", "no-margin", "blocked-by-without-lo", "margin-without-hi", "face-list-form"],
+)
+def test_an_axis_without_both_of_its_face_checks_is_refused(tmp_path, capsys, edit, message):
+    assert _refused_on_load(tmp_path, capsys, edit) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1170,9 +1241,10 @@ def test_nan_seed_slack_exits_3(tmp_path, capsys, command, extra):
     path = _one_variable_problem(tmp_path, 1e308, -1e308, seed=10.0)
     result = tmp_path / "result.json"
     result.write_text(json.dumps({
-        "orthotope": [{"lo": 10.0, "hi": 10.0, "binding": {"lo": "ambient", "hi": "ambient"}}],
+        "orthotope": [{"lo": 10.0, "hi": 10.0, "binding": {"lo": "ambient", "hi": "ambient"},
+                       "blocked_by": {"lo": "ambient", "hi": "ambient"}, "margin": {"lo": 0.0, "hi": 0.0}}],
         "ranking": [0],
-        "certificate": {"epsilon": 1e-6, "faces": []},
+        "certificate": {"epsilon": 1e-6, "maximal": True},
     }))
     paths = {"RESULT": str(result), "OUT": str(tmp_path / "out")}
     code, out, err = run_cli(command, path, *(paths.get(arg, arg) for arg in extra), capsys=capsys)

@@ -13,6 +13,7 @@ from cddkit.designspace import DesignProblem, DesignVariable, ObjectiveConstrain
 from cddkit.errors import (
     BoxOutsideAmbient,
     CapExceeded,
+    DimensionMismatch,
     InfeasibleSeed,
     SchemaError,
     UnknownSurfaceReference,
@@ -153,6 +154,23 @@ def test_a_second_constraint_on_a_surface_is_refused():
             DesignProblem(problem.variables, problem.surfaces, (*problem.constraints, twin), problem.seed)
     # one bound per surface, in any order, is a problem
     DesignProblem(problem.variables, problem.surfaces, problem.constraints[::-1], problem.seed)
+
+
+def test_repeated_variable_names_are_refused():
+    # the report looks up each variable's range and cells by its name
+    doc = json.loads(data_path("emissions.json").read_text())
+    doc["variables"][2]["name"] = doc["variables"][0]["name"]
+    with pytest.raises(SchemaError, match="^variable names must be unique$"):
+        load_problem(doc)
+    # the dimension checks come first, so their faults keep their messages
+    doc["seed"].pop()
+    with pytest.raises(DimensionMismatch, match="^seed has 2 coordinates for 3 variables$"):
+        load_problem(doc)
+    doc = json.loads(data_path("emissions.json").read_text())
+    doc["variables"][1]["name"] = doc["variables"][0]["name"]
+    doc["surfaces"][1]["name"] = doc["surfaces"][0]["name"]
+    with pytest.raises(SchemaError, match="^variable names must be unique$"):
+        load_problem(doc)
 
 
 def test_quantify_requirement(adas):

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import add, neg, sub
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -465,7 +466,7 @@ def test_unconstrained_solve_returns_ambient_box():
     result = solve_greedy(problem)
     assert result.orthotope.intervals == tuple(v.ambient for v in problem.variables)
     assert result.certificate.maximal
-    assert all(f.blocked_by == "ambient" for f in result.certificate.faces)
+    assert all(f.blocked_by == "ambient" for pair in result.certificate.faces for f in pair)
 
 
 def test_emissions_solve_against_closed_forms(emissions):
@@ -579,8 +580,8 @@ def test_shrunk_box_is_not_maximal(emissions):
     shrunk = result.orthotope.replaced(0, Interval(iv.lo, iv.hi - 10 * emissions.tolerance))
     cert = verify_maximality(emissions, shrunk)
     assert not cert.maximal
-    free_faces = [f for f in cert.faces if not f.blocked]
-    assert free_faces and all(f.axis == 0 for f in free_faces)
+    free_axes = {j for j, pair in enumerate(cert.faces) for f in pair if not f.blocked}
+    assert free_axes == {0}
 
 
 def test_verify_maximality_rejects_infeasible_box(emissions):
@@ -590,10 +591,10 @@ def test_verify_maximality_rejects_infeasible_box(emissions):
 
 def test_certificate_names_blockers(emissions):
     result = solve_greedy(emissions)
-    blockers = {(f.axis, f.side): f.blocked_by for f in result.certificate.faces}
-    assert blockers[(1, "lo")] == "ambient" and blockers[(1, "hi")] == "ambient"
-    assert blockers[(0, "hi")] == "NOx"
-    assert blockers[(2, "hi")] == "Soot"
+    blockers = [(lo.blocked_by, hi.blocked_by) for lo, hi in result.certificate.faces]
+    assert blockers[1] == ("ambient", "ambient")
+    assert blockers[0][1] == "NOx"
+    assert blockers[2][1] == "Soot"
 
 
 # --- oracle ------------------------------------------------------------------
@@ -674,7 +675,7 @@ def test_step_checks_flag_tampered_result(emissions):
 
 
 def test_solve_result_json_roundtrip(emissions):
-    # each binding sits on its axis, and a document survives the round trip bit for bit: on
+    # each binding and face check sits on its axis, and a document survives the round trip bit for bit: on
     # emissions, N 1-20 over four scales, plain and 1600-2000 offset domains, and the ladder's
     # "numerical" case
     rng = random.Random(1937)
@@ -690,7 +691,8 @@ def test_solve_result_json_roundtrip(emissions):
         text = json.dumps(result.to_json())
         doc = json.loads(text)
         assert list(doc) == ["orthotope", "ranking", "certificate"], k
-        assert [list(d) for d in doc["orthotope"]] == [["lo", "hi", "binding"]] * problem.dim, k
+        assert [list(d) for d in doc["orthotope"]] == [["lo", "hi", "binding", "blocked_by", "margin"]] * problem.dim, k
+        assert list(doc["certificate"]) == ["epsilon", "maximal"], k
         assert [(d["binding"]["lo"], d["binding"]["hi"]) for d in doc["orthotope"]] == list(result.bindings), k
         restored = SolveResult.from_json(doc)
         assert restored == result, k
@@ -699,10 +701,24 @@ def test_solve_result_json_roundtrip(emissions):
     assert result.bindings == (("numerical", "numerical"),)
 
 
+def test_a_loaded_certificate_has_one_face_pair_per_axis():
+    # the file cannot leave out a face, repeat one or put one on another axis: each axis holds its two
+    for name in ("emissions", "adas", "adas_tall"):
+        doc = json.loads((Path(__file__).parent / "golden" / f"{name}_solution.json").read_text())
+        result = SolveResult.from_json(doc)
+        assert len(result.certificate.faces) == result.orthotope.dim == len(doc["orthotope"])
+        for pair, axis in zip(result.certificate.faces, doc["orthotope"]):
+            assert type(pair) is tuple and [type(f) for f in pair] == [FaceCheck, FaceCheck]
+            assert [f.blocked_by for f in pair] == [axis["blocked_by"]["lo"], axis["blocked_by"]["hi"]]
+            assert [f.margin for f in pair] == [axis["margin"]["lo"], axis["margin"]["hi"]]
+
+
 def test_a_document_with_a_step_log_is_refused_whatever_else_it_holds(emissions):
     doc = solve_greedy(emissions).to_json()
-    message = "solve result has a 'steps' key: the file predates this format; solve the problem again"
-    for stale in ({**doc, "steps": []}, {"steps": None}):
+    for stale, message in (
+        ({**doc, "steps": []}, "malformed solve result: steps is [], reading it back has no such key"),
+        ({"steps": None}, "solve result missing key 'orthotope'"),
+    ):
         with pytest.raises(SchemaError) as info:
             SolveResult.from_json(stale)
         assert str(info.value) == message
@@ -732,9 +748,10 @@ def test_the_solver_never_claims_maximal_when_its_ladder_gives_up():
     point = Interval(1.5e6, 1.5e6)
     assert result.orthotope == Orthotope((point,))
     assert result.bindings == (("numerical", "numerical"),)
-    assert [(f.side, f.blocked_by) for f in result.certificate.faces] == [("lo", None), ("hi", None)]
-    assert result.certificate.faces[0].margin == 0.375
-    assert result.certificate.faces[1].margin == pytest.approx(0.3749985)
+    ((lo, hi),) = result.certificate.faces
+    assert (lo.blocked_by, hi.blocked_by) == (None, None)
+    assert lo.margin == 0.375
+    assert hi.margin == pytest.approx(0.3749985)
     assert not result.certificate.maximal
 
 
@@ -760,19 +777,21 @@ def reference_certificate(problem, box):
     faces = []
     for j, (var, iv) in enumerate(zip(problem.variables, box.intervals)):
         push = eps * var.ambient.width
-        for side, room, candidate in (
-            ("lo", iv.lo - var.ambient.lo, Interval(iv.lo - push, iv.hi)),
-            ("hi", var.ambient.hi - iv.hi, Interval(iv.lo, iv.hi + push)),
+        pair = []
+        for room, candidate in (
+            (iv.lo - var.ambient.lo, Interval(iv.lo - push, iv.hi)),
+            (var.ambient.hi - iv.hi, Interval(iv.lo, iv.hi + push)),
         ):
             if room < push:
-                faces.append(FaceCheck(j, side, "ambient", room))
+                pair.append(FaceCheck("ambient", room))
                 continue
             ok, slacks = reference_is_box_feasible(problem, box.replaced(j, candidate).intervals)
             if ok:
-                faces.append(FaceCheck(j, side, None, min(slacks) if slacks else math.inf))
+                pair.append(FaceCheck(None, min(slacks) if slacks else math.inf))
             else:
                 worst = min(range(len(slacks)), key=lambda i: slacks[i])
-                faces.append(FaceCheck(j, side, problem.constraints[worst].surface, -slacks[worst]))
+                pair.append(FaceCheck(problem.constraints[worst].surface, -slacks[worst]))
+        faces.append(tuple(pair))
     return MaximalityCertificate(tuple(faces), eps)
 
 
@@ -1226,6 +1245,7 @@ def reference_certify(problem: DesignProblem, table: _TermMax) -> MaximalityCert
     faces = []
     for j, (var, interval) in enumerate(zip(problem.variables, table.intervals)):
         push = epsilon * var.ambient.width
+        pair = []
         for side in ("lo", "hi"):
             if side == "lo":
                 room = interval.lo - var.ambient.lo
@@ -1234,16 +1254,15 @@ def reference_certify(problem: DesignProblem, table: _TermMax) -> MaximalityCert
                 room = var.ambient.hi - interval.hi
                 candidate = Interval(interval.lo, interval.hi + push)
             if room < push:
-                faces.append(FaceCheck(j, side, "ambient", margin=room))
+                pair.append(FaceCheck("ambient", margin=room))
                 continue
             slacks = table.slacks(j, table.column(j, candidate.lo, candidate.hi))
             if all(sl >= 0.0 for sl in slacks):
-                faces.append(FaceCheck(j, side, None, margin=min(slacks) if slacks else math.inf))
+                pair.append(FaceCheck(None, margin=min(slacks) if slacks else math.inf))
             else:
                 worst = min(range(len(slacks)), key=lambda i: slacks[i])
-                faces.append(
-                    FaceCheck(j, side, problem.constraints[worst].surface, margin=-slacks[worst])
-                )
+                pair.append(FaceCheck(problem.constraints[worst].surface, margin=-slacks[worst]))
+        faces.append(tuple(pair))
     return MaximalityCertificate(faces=tuple(faces), epsilon=epsilon)
 
 
@@ -1345,7 +1364,7 @@ def test_identical_surfaces_tie_for_the_blocker():
             constraints=(base.constraints[0], ObjectiveConstraint("twin", bound), base.constraints[1]),
         )
         result = assert_same_as_reference(problem, tolerances=(None, 0.05))
-        blockers = {f.blocked_by for f in result.certificate.faces}
+        blockers = {f.blocked_by for pair in result.certificate.faces for f in pair}
         assert base.surfaces[0].name in blockers and "twin" not in blockers
 
 
@@ -1364,9 +1383,9 @@ def test_tied_face_slacks_keep_the_first_constraint(first):
         name="tie",
     )
     box = Orthotope((Interval(-1.5, -1.0),))
-    free = verify_maximality(replace(problem, tolerance=0.25), box).faces[1]
+    free = verify_maximality(replace(problem, tolerance=0.25), box).faces[0][1]
     assert (free.blocked_by, free.margin.hex()) == (None, bounds[first].hex())
-    blocked = verify_maximality(replace(problem, tolerance=0.5), box).faces[1]
+    blocked = verify_maximality(replace(problem, tolerance=0.5), box).faces[0][1]
     assert (blocked.blocked_by, blocked.margin) == (first, 1.0)
     assert_same_as_reference(problem, (box,), tolerances=(0.25, 0.5))
 
@@ -1393,7 +1412,7 @@ def test_surfaces_a_few_ulps_apart_keep_the_exact_blocker():
             ),
         )
         result = assert_same_as_reference(problem)
-        blockers |= {f.blocked_by for f in result.certificate.faces}
+        blockers |= {f.blocked_by for pair in result.certificate.faces for f in pair}
     assert {"z0", "twin"} <= blockers
 
 
@@ -1427,8 +1446,9 @@ def test_overflowing_terms_take_the_full_pass(monkeypatch):
     wide = replace(problem, tolerance=0.4)
     summed = _counting_slack(monkeypatch)
     faces = verify_maximality(wide, box).faces
-    assert [f.blocked_by for f in faces] == ["nan", "ambient", "ambient", "inf", "ambient", "ambient"]
-    assert math.isnan(faces[0].margin) and faces[3].margin == math.inf
+    assert [(lo.blocked_by, hi.blocked_by) for lo, hi in faces] == [("nan", "ambient"), ("ambient", "inf"),
+                                                                    ("ambient", "ambient")]
+    assert math.isnan(faces[0][0].margin) and faces[1][1].margin == math.inf
     # the precheck sums each constraint once, in one whole-row pass, and each of the two pushed
     # faces sums all three
     assert Counter(summed) == Counter([(i, None) for i in range(3)] + [(i, j) for j in (0, 1) for i in range(3)])
@@ -1483,7 +1503,8 @@ def test_seed_a_few_ulps_off_a_concave_vertex_solves(tmp_path):
     assert cli.main(["solve", str(path), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "vertex_solution.json").read_text())
     assert doc["certificate"]["maximal"] is True
-    assert doc["orthotope"] == [{"lo": 1790.0, "hi": 1810.0, "binding": {"lo": "ambient", "hi": "ambient"}}]
+    (axis,) = doc["orthotope"]
+    assert (axis["lo"], axis["hi"], axis["binding"]) == (1790.0, 1810.0, {"lo": "ambient", "hi": "ambient"})
 
     rng = random.Random(1800)
     for scale in (1.0, 1e2, 1e4, 1e6, 1e8):

@@ -620,6 +620,15 @@ def _assert_emits_reference(report, tmp_path):
             assert path.read_bytes() == expected.read_bytes(), path.name
 
 
+def test_a_constant_objective_past_2_53_keeps_a_zero_range(emissions, tmp_path):
+    # widening 1e20 by 0.5 rounds back to 1e20, so the M matrix scales that axis over a zero span
+    constant = QuadraticResponseSurface("w", "", 1e20, (0.0,) * 3, (0.0,) * 3)
+    problem = replace(emissions, surfaces=(*emissions.surfaces, constant), name="constant")
+    report = build_report(problem, solve_greedy(problem), resolution=5)
+    assert {z for cell in report.m_cells if cell.obj_b == "w" for z in cell.z_b} == {1e20}
+    _assert_emits_reference(report, tmp_path)
+
+
 # --- SVG text and unconstrained bounds ------------------------------------------
 
 def test_svg_text_is_xml_escaped(tmp_path):

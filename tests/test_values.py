@@ -59,8 +59,8 @@ VARIABLE = DesignVariable("x", "", WIDE)
 PROBLEM = DesignProblem((VARIABLE,), (SURFACE,), (ObjectiveConstraint("z", 3.0),), (0.0,))
 UNCONSTRAINED = DesignProblem((VARIABLE,), (SURFACE,), (), (0.0,))
 BOX = Orthotope((UNIT,))
-FACE = FaceCheck(0, "lo", "z", 0.5)
-CERTIFICATE = MaximalityCertificate((FACE,), 1e-9)
+FACE = FaceCheck("z", 0.5)
+CERTIFICATE = MaximalityCertificate(((FaceCheck("ambient", 0.0), FACE),), 1e-9)
 X, Y = Var("x"), Var("y")
 P_X, Q_X = Atom("P", (X,)), Atom("Q", (X,))
 SIGNATURE = Signature(predicates=(("P", 1),))
@@ -90,8 +90,8 @@ SAMPLES = {
     ),
     FeasibleRegion: (dict(problem=PROBLEM), dict(problem=UNCONSTRAINED)),
     Orthotope: (dict(intervals=(UNIT,)), dict(intervals=(UNIT, UNIT))),
-    FaceCheck: (dict(axis=0, side="lo", blocked_by="z", margin=0.5), dict(side="hi")),
-    MaximalityCertificate: (dict(faces=(FACE,), epsilon=1e-9), dict(epsilon=1e-6)),
+    FaceCheck: (dict(blocked_by="z", margin=0.5), dict(blocked_by=None)),
+    MaximalityCertificate: (dict(faces=((FaceCheck("ambient", 0.0), FACE),), epsilon=1e-9), dict(epsilon=1e-6)),
     SolveResult: (
         dict(orthotope=BOX, bindings=(("ambient", "z"),), ranking=(0,), certificate=CERTIFICATE), dict(ranking=(1,))
     ),
